@@ -4,14 +4,14 @@ The paper's destination-partitioned layouts give every partition task a
 disjoint ``[lo, hi)`` destination write range, and the effect-inference
 pass (:mod:`repro.analysis.effects`) certifies which operators honour
 that contract.  :class:`ExecutionBackend` is the seam that turns the
-proof into wall-clock speed: the engine hands each partitioned
-``edge_map`` phase to the backend as a *batch* of partition tasks, and
-the backend decides how they run.
+proof into wall-clock speed: the engine's partition loop runs a phase's
+tasks in-process, or hands them to a concurrent backend as one
+:class:`~repro.core.plan.PhasePlan` batch.
 
 :class:`SerialBackend`
-    Runs each task through the engine-provided inline runner — the
-    original in-process loop, preserving journal replay, watchdog
-    deadlines and fault-injection hooks exactly.
+    The in-process path.  The engine's own loop runs the tasks, so this
+    backend dispatches nothing; it exists so ``serial`` is a spec like
+    any other.
 
 :class:`ProcessBackend`
     A persistent ``ProcessPoolExecutor`` over
@@ -42,36 +42,29 @@ kind with colon-separated ``key=value`` options
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context, shared_memory
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from ..errors import BackendError, ValidationError
 from ..resilience.journal import PartitionRecord
-from .kernels import (
-    run_coo_partition,
-    run_csc_partition,
-    run_csr_sparse_partition,
-    run_pcsr_partition,
-)
-from .ops import validated_cond
+from . import kernels
+from .kernels import KERNEL_FUNCTIONS, cond_guard, kernel_args
+from .plan import PartitionTask, PhasePlan
 from .stats import BackendStats
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessBackend",
-    "PartitionTask",
-    "BatchRequest",
     "BACKEND_KINDS",
     "parse_backend_spec",
     "backend_options",
@@ -143,70 +136,46 @@ def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
     :class:`~repro.errors.ValidationError` on any ill-typed value.
     """
     kind, raw = parse_backend_spec(spec)
-    options: dict[str, Any] = {}
 
-    def _prefetch() -> int:
-        prefetch_raw = raw.get("prefetch", "0")
+    def integer(key: str, default: int, minimum: int, or_word: str = "") -> int:
         try:
-            prefetch = int(prefetch_raw)
+            value = int(raw.get(key, default))
         except ValueError:
             raise ValidationError(
-                f"backend option 'prefetch' must be an integer >= 0, "
-                f"got {prefetch_raw!r}"
+                f"backend option {key!r} must be {or_word}an integer >= {minimum}, "
+                f"got {raw[key]!r}"
             ) from None
-        if prefetch < 0:
+        if value < minimum:
             raise ValidationError(
-                f"backend option 'prefetch' must be >= 0, got {prefetch}"
+                f"backend option {key!r} must be >= {minimum}, got {value}"
             )
-        return prefetch
+        return value
+
+    def flag(key: str, default: str) -> bool:
+        value = raw.get(key, default)
+        if value not in ("0", "1"):
+            raise ValidationError(
+                f"backend option {key!r} must be 0 or 1, got {value!r}"
+            )
+        return value == "1"
 
     if kind == "serial":
-        options["prefetch"] = _prefetch()
-        return kind, options
-    try:
-        workers = int(raw.get("workers", _default_workers()))
-    except ValueError:
-        raise ValidationError(
-            f"backend option 'workers' must be an integer, got {raw['workers']!r}"
-        ) from None
-    if workers < 1:
-        raise ValidationError(f"backend option 'workers' must be >= 1, got {workers}")
-    options["workers"] = workers
-    chunk_raw = raw.get("chunk", "auto")
-    if chunk_raw == "auto":
-        options["chunk"] = "auto"
-    else:
-        try:
-            chunk = int(chunk_raw)
-        except ValueError:
-            raise ValidationError(
-                f"backend option 'chunk' must be 'auto' or an integer, "
-                f"got {chunk_raw!r}"
-            ) from None
-        if chunk < 1:
-            raise ValidationError(f"backend option 'chunk' must be >= 1, got {chunk}")
-        options["chunk"] = chunk
-    strict_raw = raw.get("strict", "1")
-    if strict_raw not in ("0", "1"):
-        raise ValidationError(
-            f"backend option 'strict' must be 0 or 1, got {strict_raw!r}"
-        )
-    options["strict"] = strict_raw == "1"
-    sparse_raw = raw.get("sparse", "0")
-    if sparse_raw not in ("0", "1"):
-        raise ValidationError(
-            f"backend option 'sparse' must be 0 or 1, got {sparse_raw!r}"
-        )
-    options["sparse"] = sparse_raw == "1"
-    options["prefetch"] = _prefetch()
+        return kind, {"prefetch": integer("prefetch", 0, 0)}
     start = raw.get("start")
     if start is not None and start not in get_all_start_methods():
         raise ValidationError(
             f"backend option 'start' must be one of {get_all_start_methods()}, "
             f"got {start!r}"
         )
-    options["start"] = start
-    return kind, options
+    chunk = raw.get("chunk", "auto")
+    return kind, {
+        "workers": integer("workers", _default_workers(), 1),
+        "chunk": chunk if chunk == "auto" else integer("chunk", 0, 1, "'auto' or "),
+        "strict": flag("strict", "1"),
+        "sparse": flag("sparse", "0"),
+        "prefetch": integer("prefetch", 0, 0),
+        "start": start,
+    }
 
 
 def make_backend(spec: str, *, stats: BackendStats | None = None) -> "ExecutionBackend":
@@ -223,62 +192,18 @@ def make_backend(spec: str, *, stats: BackendStats | None = None) -> "ExecutionB
     )
 
 
-# ----------------------------------------------------------------------
-# the batch protocol between the engine and a backend
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PartitionTask:
-    """One partition's unit of work within an edge-map phase."""
-
-    partition: int
-    #: the disjoint destination vertex range ``[lo, hi)`` this task owns.
-    lo: int
-    hi: int
-    #: kernel-specific picklable payload (the COO kernel carries its
-    #: ``(edge_lo, edge_hi)`` slice bounds here).
-    extra: tuple = ()
-
-
-@dataclass
-class BatchRequest:
-    """One edge-map phase's partition batch, as handed to a backend.
-
-    ``shared`` holds long-lived graph layout arrays a concurrent backend
-    may publish once and cache across phases; ``transient`` holds
-    per-phase arrays (the frontier bitmap) republished on every
-    dispatch; ``meta`` is small picklable kernel metadata.  ``run_inline``
-    is the engine's supervised per-task runner — the serial path; it is
-    never pickled.
-    """
-
-    kernel: str  # "csc" | "coo" | "pcsr"
-    op: Any
-    tasks: list[PartitionTask]
-    shared: dict[str, np.ndarray] = field(default_factory=dict)
-    transient: dict[str, np.ndarray] = field(default_factory=dict)
-    meta: dict[str, Any] = field(default_factory=dict)
-    #: run ``validated_cond`` in the workers (operators the engine does
-    #: not trust at runtime, e.g. under ``trust_certificates=False``).
-    validate: bool = False
-    num_vertices: int = 0
-    run_inline: Callable[[PartitionTask], PartitionRecord] | None = None
-
-
 class ExecutionBackend(ABC):
     """How an engine executes the partition tasks of one edge-map phase."""
 
     #: short backend identifier (one of :data:`BACKEND_KINDS`).
     kind: str = "abstract"
-    #: whether this backend runs partition tasks concurrently.  The
-    #: engine only routes a phase here when the operator's certificate
-    #: admits it; non-concurrent backends receive the phases through
-    #: ``run_inline`` with full journal/watchdog supervision.
-    concurrent: bool = False
 
     @abstractmethod
-    def run_partitions(self, request: BatchRequest) -> list[PartitionRecord]:
-        """Execute every task in ``request`` and return their records
-        in task order."""
+    def run_partitions(
+        self, plan: PhasePlan, op: Any, tasks: list[PartitionTask], num_vertices: int
+    ) -> list[PartitionRecord]:
+        """Execute ``tasks`` of ``plan`` on ``op`` concurrently and return
+        their records in task order."""
 
     def discard_layouts(self) -> None:
         """Drop any cached layout segments (the graph store changed,
@@ -289,14 +214,12 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """The in-process reference path: one task at a time, fully supervised."""
+    """The in-process reference path: the engine's loop runs every task."""
 
     kind = "serial"
-    concurrent = False
 
-    def run_partitions(self, request: BatchRequest) -> list[PartitionRecord]:
-        assert request.run_inline is not None, "serial batch needs an inline runner"
-        return [request.run_inline(task) for task in request.tasks]
+    def run_partitions(self, plan, op, tasks, num_vertices):
+        raise BackendError("the serial backend dispatches no batches")
 
 
 # ----------------------------------------------------------------------
@@ -445,10 +368,6 @@ def _worker_verify_operator(cls: type, token: tuple[dict, str]) -> None:
     _WORKER_VERIFIED.add(cls)
 
 
-def _plain_cond(op, dst_ids):
-    return op.cond(dst_ids)
-
-
 def _worker_run_chunk(
     opspec: dict,
     kernel: str,
@@ -474,39 +393,11 @@ def _worker_run_chunk(
         for attr, ref in opspec["arrays"].items():
             setattr(op, attr, _worker_array(ref, holds))
         arrays = {key: _worker_array(ref, holds) for key, ref in array_refs.items()}
-        cond_fn = validated_cond if opspec["validate"] else _plain_cond
+        cond_fn = cond_guard(opspec["validate"])
+        run = getattr(kernels, KERNEL_FUNCTIONS[kernel])
         out: list[PartitionRecord] = []
         for task in tasks:
-            if kernel == "csr":
-                # The driver gathered the frontier's adjacency once and
-                # shipped it through shared memory; each task only masks
-                # its destination range out of the same edge arrays.
-                rec = run_csr_sparse_partition(
-                    op, cond_fn, arrays["gsrc"], arrays["gdst"],
-                    meta["num_vertices"], task.partition, task.lo, task.hi,
-                )
-            elif kernel == "csc":
-                rec = run_csc_partition(
-                    op, cond_fn, arrays["index"], arrays["neighbors"],
-                    arrays["bitmap"], task.partition, task.lo, task.hi,
-                )
-            elif kernel == "coo":
-                elo, ehi = task.extra
-                rec = run_coo_partition(
-                    op, cond_fn, arrays["src"][elo:ehi], arrays["dst"][elo:ehi],
-                    arrays["bitmap"], task.partition, task.lo, task.hi,
-                )
-            elif kernel == "pcsr":
-                i = task.partition
-                rec = run_pcsr_partition(
-                    op, cond_fn,
-                    arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
-                    arrays[f"vertex_ids:{i}"], meta["num_stored"][i],
-                    arrays["bitmap"], meta["active_ids"],
-                    i, task.lo, task.hi,
-                )
-            else:  # pragma: no cover - the engine only emits these three
-                raise BackendError(f"unknown kernel {kernel!r}")
+            rec = run(op, cond_fn, *kernel_args(kernel, arrays, meta, task))
             # Dedupe before IPC: the frontier constructor dedups anyway
             # (bit-identical), and unique ids pickle far smaller.
             rec.activated = np.unique(np.asarray(rec.activated))
@@ -529,7 +420,6 @@ class ProcessBackend(ExecutionBackend):
     """Partition tasks on a persistent worker pool over shared memory."""
 
     kind = "process"
-    concurrent = True
 
     def __init__(
         self,
@@ -691,9 +581,9 @@ class ProcessBackend(ExecutionBackend):
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
     # ------------------------------------------------------------------
-    def run_partitions(self, request: BatchRequest) -> list[PartitionRecord]:
+    def run_partitions(self, plan, op, tasks, num_vertices) -> list[PartitionRecord]:
         try:
-            return self._dispatch(request)
+            return self._dispatch(plan, op, tasks, num_vertices)
         except BackendError:
             self._teardown_executor()
             raise
@@ -712,18 +602,17 @@ class ProcessBackend(ExecutionBackend):
                 f"process backend dispatch failed: {type(exc).__name__}: {exc}"
             ) from exc
 
-    def _dispatch(self, request: BatchRequest) -> list[PartitionRecord]:
+    def _dispatch(self, plan, op, tasks, num_vertices) -> list[PartitionRecord]:
         from ..analysis.certificate import signed_report_token
 
         executor = self._ensure_executor()
-        op = request.op
         cls = type(op)
         op_scope = f"{cls.__module__}:{cls.__qualname__}"
         adopt = bool(getattr(cls, "persistent_state", False))
         array_refs: dict[str, _ArrayRef] = {
-            key: self._layout_ref(arr) for key, arr in request.shared.items()
+            key: self._layout_ref(arr) for key, arr in plan.shared.items()
         }
-        for key, arr in request.transient.items():
+        for key, arr in plan.transient.items():
             array_refs[key] = self._publish_state("batch", key, arr).ref(cache=True)
         state: dict[str, tuple[_Segment, np.ndarray]] = {}
         scalars: dict[str, Any] = {}
@@ -747,39 +636,45 @@ class ProcessBackend(ExecutionBackend):
                 attr: seg.ref(cache=True) for attr, (seg, _) in state.items()
             },
             "token": signed_report_token(cls),
-            "validate": request.validate,
+            "validate": not plan.trusted,
             "retired": tuple(self._retired_names),
         }
+        # The certificate's write set names the attributes the operator
+        # may scatter into (None: analysis impossible, treat all as written).
+        written = _written_attrs(cls)
         # Adopted write-set slices live in shared memory, so a failed
         # batch would leave partial worker writes behind where the old
         # copy-out design left the engine's arrays untouched.  Back them
         # up parent-side and restore on any failure, preserving the
-        # "serial re-run starts pristine" fallback contract.
-        backup = self._backup_adopted(request, state)
+        # "in-process re-run starts pristine" fallback contract.
+        backup = {
+            attr: segment.view.copy()
+            for attr, (segment, original) in state.items()
+            if original is segment.view and (written is None or attr in written)
+        }
         try:
             futures = [
                 executor.submit(
-                    _worker_run_chunk, opspec, request.kernel,
-                    array_refs, chunk, request.meta,
+                    _worker_run_chunk, opspec, plan.kernel, array_refs, chunk, plan.meta
                 )
-                for chunk in self._chunks(request.tasks)
+                for chunk in self._chunks(tasks)
             ]
             records: dict[int, PartitionRecord] = {}
             for future in futures:
                 for rec in future.result():
                     records[rec.partition] = rec
-            missing = [t.partition for t in request.tasks if t.partition not in records]
+            missing = [t.partition for t in tasks if t.partition not in records]
             if missing:
                 raise BackendError(f"workers returned no record for {missing}")
-            self._merge_state(request, state, records)
+            self._merge_state(tasks, num_vertices, written, state)
             self.stats.batches_dispatched += 1
-            self.stats.partitions_dispatched += len(request.tasks)
-            return [records[t.partition] for t in request.tasks]
+            self.stats.partitions_dispatched += len(tasks)
+            return [records[t.partition] for t in tasks]
         except BaseException:
             # Un-adopt before the error escapes: the engine responds to
             # a backend failure by closing this backend (releasing every
             # segment), so an operator left pointing at segment views
-            # would read unmapped memory on the serial re-run.  Written
+            # would read unmapped memory on the in-process re-run.  Written
             # attributes get their pristine pre-dispatch backup; read-only
             # ones a plain copy of the (unchanged) published content.
             for attr, (segment, original) in state.items():
@@ -793,41 +688,21 @@ class ProcessBackend(ExecutionBackend):
                 )
             raise
 
-    def _backup_adopted(
-        self,
-        request: BatchRequest,
-        state: dict[str, tuple[_Segment, np.ndarray]],
-    ) -> dict[str, np.ndarray]:
-        """Pre-dispatch copies of adopted write-set arrays (rollback)."""
-        report = operator_report_for_merge(type(request.op))
-        written = {attr for attr, _ in report.write_sets} if report else None
-        backup: dict[str, np.ndarray] = {}
-        for attr, (segment, original) in state.items():
-            if original is not segment.view:
-                continue  # workers write a copy; parent array untouched
-            if written is not None and attr not in written:
-                continue
-            backup[attr] = segment.view.copy()
-        return backup
-
+    @staticmethod
     def _merge_state(
-        self,
-        request: BatchRequest,
+        tasks: list[PartitionTask],
+        num_vertices: int,
+        written: set[str] | None,
         state: dict[str, tuple[_Segment, np.ndarray]],
-        records: dict[int, PartitionRecord],
     ) -> None:
         """Fold the workers' shared-memory writes back into the operator.
 
-        The certificate's write set names the attributes the operator
-        may scatter into; each partition's writes are confined to its
-        disjoint ``[lo, hi)`` slice (that *is* the partition-pure
-        contract the workers re-verified), so copying each record's
-        slice commits the phase regardless of the order the tasks ran
-        in — the ``combine`` merge degenerates to disjoint assignment.
+        Each task's writes are confined to its disjoint ``[lo, hi)``
+        slice of the write-set arrays (that *is* the partition-pure
+        contract the workers re-verified), so copying each task's slice
+        commits the phase regardless of the order the tasks ran in — the
+        ``combine`` merge degenerates to disjoint assignment.
         """
-        report = operator_report_for_merge(type(request.op))
-        written = {attr for attr, _ in report.write_sets} if report else None
-        n = request.num_vertices
         for attr, (segment, original) in state.items():
             if original is segment.view:
                 # Adopted persistent state: the operator attribute *is*
@@ -836,10 +711,9 @@ class ProcessBackend(ExecutionBackend):
                 continue
             if written is not None and attr not in written:
                 continue
-            if original.ndim >= 1 and original.shape[0] == n:
-                for task in request.tasks:
-                    rec = records[task.partition]
-                    original[rec.lo : rec.hi] = segment.view[rec.lo : rec.hi]
+            if original.ndim >= 1 and original.shape[0] == num_vertices:
+                for task in tasks:
+                    original[task.lo : task.hi] = segment.view[task.lo : task.hi]
             else:
                 # Non-vertex-length writable state cannot be certified
                 # partition-pure, so this branch is unreachable for
@@ -847,17 +721,12 @@ class ProcessBackend(ExecutionBackend):
                 original[...] = segment.view
 
 
-def operator_report_for_merge(cls: type):
-    """The cached operator report, or ``None`` if analysis is impossible
-    (then the merge conservatively copies every state array back)."""
+def _written_attrs(cls: type) -> set[str] | None:
+    """Attribute names in ``cls``'s certified write set, or ``None`` if
+    analysis is impossible (then every state array counts as written)."""
     try:
         from ..analysis.certificate import operator_report
 
-        return operator_report(cls)
+        return {attr for attr, _ in operator_report(cls).write_sets}
     except Exception:  # pragma: no cover - analysis failure fallback
         return None
-
-
-def spec_fingerprint(spec: str) -> str:
-    """Short stable id of a backend spec (log/bench labelling)."""
-    return hashlib.blake2b(spec.encode(), digest_size=4).hexdigest()

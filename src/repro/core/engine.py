@@ -2,92 +2,74 @@
 
 :class:`Engine` implements the Ligra-compatible ``edge_map`` /
 ``vertex_map`` interface on top of the three-copy
-:class:`~repro.layout.store.GraphStore`.  Each ``edge_map`` runs the
-paper's Algorithm 2: classify the frontier as sparse / medium-dense /
-dense and dispatch to the matching traversal kernel —
+:class:`~repro.layout.store.GraphStore`.  Each ``edge_map`` is the
+paper's Algorithm 2 in three steps:
 
-* sparse       → forward traversal of the unpartitioned CSR,
-* medium-dense → backward traversal of the whole-graph CSC, split into
-  the partition computation ranges,
-* dense        → streaming traversal of the destination-partitioned COO.
+1. **plan** — classify the frontier as sparse / medium-dense / dense and
+   pick the layout (sparse → forward over the unpartitioned CSR,
+   medium-dense → backward over the ranged CSC, dense → streaming over
+   the destination-partitioned COO; ``forced_layout``/``sparse_layout``
+   can pin the partitioned CSR, and an attached
+   :class:`~repro.layout.grid.GridStore` replaces them all with on-disk
+   blocks).  The result is a :class:`PhasePlan`: a kernel name, a list
+   of partition tasks over disjoint destination ranges, the arrays they
+   read and the few statistics fields that depend on the layout.
+2. **run** — one loop executes the plan's tasks, either in this process
+   (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``) or,
+   for operators certified partition-pure, as one batch on the
+   ``options.backend`` worker pool; both run the same kernel functions,
+   so the results are bit-identical.  A backend failure falls back to
+   the in-process path and is logged in ``resilience_log``.
+3. **fold** — the tasks' records become the next frontier and the
+   phase's single
+   :class:`~repro.core.stats.EdgeMapStats`, which the machine model
+   converts into simulated execution time.
 
-The forward-vs-backward choice therefore folds into the density decision
-and is never specified by the algorithm programmer.
-
-Every call records an :class:`~repro.core.stats.EdgeMapStats`, which the
-machine model converts into simulated execution time.
-
-When constructed with a :class:`~repro.resilience.ResiliencePolicy` the
-engine additionally *supervises* every ``edge_map``: injected or real
-:class:`~repro.errors.WorkerFailure`/:class:`~repro.errors.CapacityError`
-faults are recovered at the finest granularity the fault allows.
-Partition-task faults are confined by the phase journal
-(:class:`~repro.resilience.journal.PhaseJournal`): each partition task's
-write set is rolled back individually and the retry *replays* already
-committed partitions from their journal records, re-executing only the
-failed partition — the paper's disjoint-destination-range property is
-what makes that bit-identical.  Whole-phase faults roll the operator
-back to its pre-phase snapshot and re-execute the phase (capped
-exponential backoff), and repeated capacity faults walk the degradation
-ladder — halving the partition count and re-deriving the layouts —
-instead of dying.  An optional watchdog turns (simulated) partition
-stalls into the same ladder: retry → requeue on another scheduler slot →
-degrade.
-
-The partitioned kernels hand each phase's partition tasks to a
-pluggable :class:`~repro.core.backend.ExecutionBackend`
-(``options.backend``): ``"serial"`` runs the tasks through the
-supervised inline loop exactly as before, while ``"process"`` executes
-them concurrently on a persistent shared-memory worker pool — admitted
-only for operators certified partition-pure, and bit-identical to
-serial because both paths run the same kernel functions
-(:mod:`repro.core.kernels`) over the same disjoint destination ranges.
-A backend failure (dead pool, shm exhaustion) falls back to the serial
-path and is logged in ``resilience_log``.
+Fault recovery is a layer, not a path: an engine given a
+:class:`~repro.resilience.ResiliencePolicy` holds a
+:class:`~repro.resilience.supervisor.Supervisor` that wraps step 2 at
+the phase level (retry, degradation ladder) and the task level (journal
+replay/commit, write-set rollback, watchdog, fault hooks).  Without a
+policy there is no supervisor and none of that code runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import shutil
-import tempfile
 import weakref
-import zlib
+from functools import partial
 
 import numpy as np
 
 from .._types import VID_DTYPE
-from ..errors import (
-    BackendError,
-    CapacityError,
-    RetryExhausted,
-    StallTimeout,
-    ValidationError,
-    WorkerFailure,
-)
+from ..errors import BackendError, ValidationError
 from ..frontier.density import DensityClass, classify_frontier
 from ..frontier.frontier import Frontier
-from ..layout.pcsr import PartitionedCSR
 from ..layout.store import GraphStore
 from ..resilience.journal import PartitionRecord, PhaseJournal
-from .backend import (
-    BatchRequest,
-    ExecutionBackend,
-    PartitionTask,
-    SerialBackend,
-    backend_options,
-    make_backend,
-)
+from .backend import ExecutionBackend, backend_options, make_backend
 from .gather import gather_adjacency
-from .kernels import (
+from .kernels import (  # noqa: F401 - resolved by name through globals()
+    KERNEL_FUNCTIONS,
+    cond_guard,
+    kernel_args,
     run_coo_partition,
     run_csc_partition,
     run_csr_sparse_partition,
     run_pcsr_partition,
 )
-from .ops import EdgeOperator, snapshot_blind_spots, validated_cond
+from .ops import EdgeOperator
 from .options import EngineOptions
+from .plan import (
+    PartitionTask,
+    PhasePlan,
+    coo_tasks,
+    grid_block_tasks,
+    pcsr_layout,
+    range_tasks,
+    sparse_split_tasks,
+)
 from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
 
 __all__ = ["Engine"]
@@ -116,40 +98,37 @@ class Engine:
         self.store = store
         self.options = options or EngineOptions()
         self.stats = RunStats()
-        self._pcsr: PartitionedCSR | None = None
         #: optional :class:`~repro.resilience.ResiliencePolicy`.
         self.resilience = resilience
-        #: optional :class:`~repro.layout.grid.GridStore`; when set, every
-        #: edge-map streams the on-disk grid under its memory budget
-        #: instead of traversing the in-RAM layouts.  Attached either
-        #: explicitly (out-of-core from the start) or by the degradation
-        #: ladder's spill rung.
+        #: optional :class:`~repro.layout.grid.GridStore`; when set (here,
+        #: or by the degradation ladder's spill rung), every edge-map
+        #: streams the on-disk grid instead of the in-RAM layouts.
         self.grid = grid
-        self._spill_finalizer = None
-        #: phase journal enabling partition-granular recovery; created
-        #: automatically for supervised engines, ``None`` otherwise.
-        self.journal = journal
-        if self.journal is None and resilience is not None:
-            self.journal = PhaseJournal()
-        plan = getattr(resilience, "fault_plan", None)
-        if plan is not None:
-            # Reject misspelled kinds / out-of-range partitions up front:
-            # a fault that can never fire silently voids the experiment.
-            plan.validate(num_partitions=store.num_partitions)
-        #: global edge-map counter, the key fault plans address phases by.
-        self._edge_map_index = 0
         #: human-readable recovery/degradation history of this engine.
         self.resilience_log: list[str] = []
+        #: the supervision layer; ``None`` without a policy.
+        self._supervisor = None
+        if resilience is not None:
+            # Deferred: the resilience package imports core.ops, and the
+            # core package imports this module.
+            from ..resilience.supervisor import Supervisor
+
+            self._supervisor = Supervisor(self, resilience, journal)
+            journal = self._supervisor.journal
+        #: phase journal enabling partition-granular recovery; created
+        #: automatically for supervised engines, inert otherwise.
+        self.journal = journal
         #: how many per-batch ``validated_cond`` guards actually ran vs.
         #: were skipped because the operator is certified partition-pure.
         self.guard_invocations = 0
         self.guards_skipped = 0
-        # -- execution backend -----------------------------------------
+        #: what depends only on the store and the options (task lists,
+        #: the partitioned CSR); dropped when the store is rebuilt.
+        self._per_store: dict[str, object] = {}
         # The spec is validated by EngineOptions; resolve its kind and
-        # typed options once.  The backend object itself (and for
-        # "process" its worker pool) is built lazily on the first
-        # partitioned dispatch, so engines that never leave the sparse
-        # CSR path never fork.
+        # typed options once.  The backend object (and its worker pool)
+        # is built lazily on the first concurrent dispatch, so engines
+        # that never leave the in-process path never fork.
         self._backend_kind, self._backend_conf = backend_options(self.options.backend)
         #: cumulative backend counters (engine lifetime; snapshots are
         #: attached to each detached :class:`RunStats`).
@@ -157,18 +136,14 @@ class Engine:
             spec=self.options.backend, kind=self._backend_kind
         )
         self._backend_obj: ExecutionBackend | None = None
-        self._serial_backend = SerialBackend()
         self._backend_finalizer = None
         if grid is not None:
-            depth = int(self._backend_conf.get("prefetch", 0) or 0)
-            if depth > 0:
-                grid.enable_prefetch(depth)
+            grid.enable_prefetch(self._backend_conf["prefetch"])
         #: whether the current edge-map phase may run concurrently
         #: (certified operator + non-serial backend); set at admission.
         self._phase_concurrent = False
         self._uncertified_noted: set[type] = set()
 
-    # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
         """|V| of the processed graph."""
@@ -186,31 +161,52 @@ class Engine:
         self.stats = RunStats()
         return out
 
+    def _cached(self, key: str, build):
+        """``build()``, computed once per store."""
+        try:
+            return self._per_store[key]
+        except KeyError:
+            value = self._per_store[key] = build()
+            return value
+
+    def _rebuild_store(self, num_partitions: int) -> None:
+        """Re-derive every layout at a new partition count (the
+        degradation ladder's halving rung)."""
+        self.store = GraphStore.build(
+            self.store.edges,
+            num_partitions=num_partitions,
+            edge_order=self.store.coo.edge_order,
+        )
+        self._per_store.clear()
+        # The old store's layout arrays are obsolete; drop any cached
+        # shared-memory copies so workers re-attach the rebuilt ones.
+        if self._backend_obj is not None:
+            self._backend_obj.discard_layouts()
+
     # ------------------------------------------------------------------
     # execution backend lifecycle
     # ------------------------------------------------------------------
     def _execution_backend(self) -> ExecutionBackend:
         if self._backend_obj is None:
-            self._backend_obj = make_backend(
-                self.options.backend, stats=self.backend_stats
-            )
+            self._backend_obj = make_backend(self.options.backend, stats=self.backend_stats)
             # Engines are created freely throughout the test suite and
             # the bench harness; tie the pool's lifetime to the engine's
             # so forgotten engines cannot strand worker processes.
-            self._backend_finalizer = weakref.finalize(
-                self, self._backend_obj.close
-            )
+            self._backend_finalizer = weakref.finalize(self, self._backend_obj.close)
         return self._backend_obj
+
+    def _close_backend(self) -> None:
+        if self._backend_finalizer is not None:
+            self._backend_finalizer.detach()
+            self._backend_finalizer = None
+        backend, self._backend_obj = self._backend_obj, None
+        if backend is not None:
+            backend.close()
 
     def close(self) -> None:
         """Shut down the execution backend (worker pool, shm segments)
         and the grid's background reader, when either exists."""
-        if self._backend_finalizer is not None:
-            self._backend_finalizer.detach()
-            self._backend_finalizer = None
-        if self._backend_obj is not None:
-            self._backend_obj.close()
-            self._backend_obj = None
+        self._close_backend()
         if self.grid is not None:
             self.grid.close()
 
@@ -221,10 +217,10 @@ class Engine:
         self.close()
 
     def _note_backend_fallback(self, exc: BackendError) -> None:
-        """Demote a failed concurrent backend to the serial path.
+        """Demote a failed concurrent backend to the in-process path.
 
         Workers only ever write shared-memory *copies* of the operator
-        state, so the in-process arrays are untouched and the serial
+        state, so the in-process arrays are untouched and the in-process
         re-run of the batch is bit-identical to a healthy concurrent
         one — a dead pool degrades instead of failing, exactly like the
         resilience ladder's other recoveries.
@@ -234,15 +230,10 @@ class Engine:
         message = f"backend {self.options.backend!r} failed ({exc}); falling back to serial"
         self.resilience_log.append(message)
         log.warning("%s", message)
-        if self._backend_finalizer is not None:
-            self._backend_finalizer.detach()
-            self._backend_finalizer = None
-        if self._backend_obj is not None:
-            try:
-                self._backend_obj.close()
-            except Exception:  # pragma: no cover - best-effort teardown
-                pass
-        self._backend_obj = self._serial_backend
+        try:
+            self._close_backend()
+        except Exception:  # pragma: no cover - best-effort teardown
+            pass
         self._backend_kind = "serial"
         self._phase_concurrent = False
 
@@ -251,74 +242,50 @@ class Engine:
     # ------------------------------------------------------------------
     def _op_trusted(self, op: EdgeOperator) -> bool:
         """Whether ``op``'s class is certified partition-pure (and the
-        options allow trusting that).  Cached per class by the analysis
-        layer; analysis failures degrade to the guarded path."""
+        options allow trusting that; analysis failures degrade to the
+        guarded path).  The effect pass has then proven ``cond`` returns
+        ``None`` or a boolean mask parallel to its argument, so the
+        dynamic validation is pure overhead — bit-identical either way."""
         if not self.options.trust_certificates:
             return False
         from ..analysis.certificate import operator_is_partition_pure
 
         return operator_is_partition_pure(op)
 
-    def _cond(self, op: EdgeOperator, dst_ids: np.ndarray) -> np.ndarray | None:
-        """The per-batch cond guard, elided for certified operators.
+    def _admit_backend(self, op: EdgeOperator) -> bool:
+        """Whether this phase may run on the concurrent backend.
 
-        For a *partition-pure* certified class the effect pass has proven
-        ``cond`` returns ``None`` or a boolean mask parallel to its
-        argument, so the dynamic dtype/shape validation is pure overhead;
-        the result is bit-identical either way."""
-        if self._op_trusted(op):
-            self.guards_skipped += 1
-            return op.cond(dst_ids)
-        self.guard_invocations += 1
-        return validated_cond(op, dst_ids)
-
-    def _require_parallel_certified(self, op: EdgeOperator) -> None:
-        """Admission control for concurrent backends: certified or refused."""
-        from ..analysis.certificate import operator_report
-        from ..analysis.effects import SafetyLevel
-
-        report = operator_report(type(op))
-        if report.safety is SafetyLevel.PARTITION_PURE:
-            return
-        detail = f"; {report.reasons[0]}" if report.reasons else ""
-        raise ValidationError(
-            f"backend {self.options.backend!r} requested but {type(op).__name__} "
-            f"is not certified partition-pure (certified level: {report.level})"
-            f"{detail} — run `python -m repro certify` for the full report, or "
-            f"use a ':strict=0' backend spec to run uncertified operators "
-            f"on the serial path"
-        )
-
-    def _admit_backend(self, op: EdgeOperator) -> None:
-        """Decide whether this phase may run on the concurrent backend.
-
-        Strict (default) non-serial backends *refuse* uncertified
-        operators; ``strict=0`` quietly keeps them on the serial path
-        (logged once per class) so whole test/CI matrices can run under
-        ``REPRO_BACKEND=process:...`` without certifying every ad-hoc
-        operator.
+        Only operators certified partition-pure may.  Strict (default)
+        non-serial backends *refuse* the others; ``strict=0`` quietly
+        keeps them in-process (logged once per class) so whole test/CI
+        matrices can run under ``REPRO_BACKEND=process:...`` without
+        certifying every ad-hoc operator.
         """
-        self._phase_concurrent = False
         if self._backend_kind == "serial":
-            return
-        if self._backend_conf.get("strict", True):
-            self._require_parallel_certified(op)
-            self._phase_concurrent = True
-            return
-        from ..analysis.certificate import operator_is_partition_pure
+            return False
+        from ..analysis.certificate import operator_is_partition_pure, operator_report
 
         if operator_is_partition_pure(op):
-            self._phase_concurrent = True
-        elif type(op) not in self._uncertified_noted:
+            return True
+        spec, name = self.options.backend, type(op).__name__
+        if self._backend_conf["strict"]:
+            report = operator_report(type(op))
+            detail = f"; {report.reasons[0]}" if report.reasons else ""
+            raise ValidationError(
+                f"backend {spec!r} requested but {name} is not certified "
+                f"partition-pure (certified level: {report.level}){detail} — run "
+                f"`python -m repro certify` for the full report, or use a "
+                f"':strict=0' backend spec to run uncertified operators on the "
+                f"serial path"
+            )
+        if type(op) not in self._uncertified_noted:
             self._uncertified_noted.add(type(op))
             self.resilience_log.append(
-                f"backend {self.options.backend!r}: {type(op).__name__} is not "
-                "certified partition-pure; running it on the serial path"
+                f"backend {spec!r}: {name} is not certified partition-pure; "
+                "running it on the serial path"
             )
-            log.info(
-                "backend %r: %s not certified; running serially",
-                self.options.backend, type(op).__name__,
-            )
+            log.info("backend %r: %s not certified; running serially", spec, name)
+        return False
 
     # ------------------------------------------------------------------
     # edge map
@@ -330,14 +297,12 @@ class Engine:
         """
         if frontier.num_vertices != self.num_vertices:
             raise ValueError("frontier size does not match the graph")
-        self._admit_backend(op)
+        self._phase_concurrent = self._admit_backend(op)
         if frontier.is_empty:
             return Frontier.empty(self.num_vertices)
-        if self.resilience is None:
-            result = self._edge_map_dispatch(frontier, op)
-            self._edge_map_index += 1
-            return result
-        return self._edge_map_supervised(frontier, op)
+        if self._supervisor is None:
+            return self._run_phase(frontier, op)
+        return self._supervisor.edge_map(frontier, op, self._op_trusted(op))
 
     def attach_grid(self, grid) -> None:
         """Switch this engine to out-of-core grid execution.
@@ -348,9 +313,9 @@ class Engine:
         reader so block k+1's disk read overlaps block k's compute.
         """
         self.grid = grid
-        depth = int(self._backend_conf.get("prefetch", 0) or 0)
-        if depth > 0:
-            grid.enable_prefetch(depth)
+        self._per_store.pop("grid", None)
+        depth = self._backend_conf["prefetch"]
+        grid.enable_prefetch(depth)
         self.resilience_log.append(
             f"grid execution attached: {grid.num_stripes}x{grid.num_stripes} "
             f"blocks, {grid.total_bytes()} B on disk, budget "
@@ -358,1002 +323,252 @@ class Engine:
             f"prefetch {'x' + str(depth) if depth > 0 else 'off'}"
         )
 
-    def _edge_map_dispatch(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
-        """One un-supervised edge-map attempt (Algorithm 2 dispatch)."""
+    def _run_phase(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
+        """One attempt at one edge-map phase: plan, run, fold."""
         density = classify_frontier(
             frontier, self.store.out_degrees, self.num_edges, self.options.thresholds
         )
+        plan = self._plan(frontier, density)
+        plan.trusted = self._op_trusted(op)
+        return self._fold(plan, frontier, density, self._run_plan(plan, op))
+
+    # ------------------------------------------------------------------
+    # plan: one small description per layout
+    # ------------------------------------------------------------------
+    def _plan(self, frontier: Frontier, density: DensityClass) -> PhasePlan:
+        """Algorithm 2's layout decision, as a :class:`PhasePlan`."""
         if self.grid is not None:
-            return self._edge_map_grid(frontier, op, density)
+            return self._plan_grid(frontier)
         layout = self.options.forced_layout or {
             DensityClass.SPARSE: self.options.sparse_layout,
             DensityClass.MEDIUM: "csc",
             DensityClass.DENSE: "coo",
         }[density]
+        return getattr(self, f"_plan_{layout}")(frontier)
 
-        if layout == "csr":
-            return self._edge_map_sparse_csr(frontier, op, density)
-        if layout == "csc":
-            return self._edge_map_backward_csc(frontier, op, density)
-        if layout == "coo":
-            return self._edge_map_partitioned_coo(frontier, op, density)
-        if layout == "pcsr":
-            return self._edge_map_partitioned_csr(frontier, op, density)
-        raise AssertionError(f"unreachable layout {layout!r}")
+    def _plan_csr(self, frontier: Frontier) -> PhasePlan:
+        """Sparse: forward traversal of the unpartitioned CSR.
 
-    # ------------------------------------------------------------------
-    # supervised execution (resilience)
-    # ------------------------------------------------------------------
-    @property
-    def _fault_plan(self):
-        return self.resilience.fault_plan if self.resilience is not None else None
-
-    def _before_partition(self, partition: int) -> None:
-        """Fault-injection hook called at the start of each partition task."""
-        plan = self._fault_plan
-        if plan is not None:
-            plan.before_partition(self._edge_map_index, partition)
-
-    def _edge_map_supervised(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
-        """Run one edge-map phase under the retry/degradation supervisor.
-
-        Recovery granularity depends on what the journal knows: when a
-        partition task fails after others already committed, the commits
-        stay in place (their records are replayed on the retry) and only
-        the failed partition re-executes.  Capacity faults and faults
-        before any partition committed roll ``op`` and the phase
-        statistics all the way back to the pre-phase snapshot.  Either
-        way the recovered phase is bit-identical to a fault-free one.
+        The frontier's out-adjacency is gathered once, here; the phase
+        is one whole-range task, or — on an admitted ``sparse=1``
+        backend — tasks that each mask a disjoint destination range out
+        of the gathered edges (per-destination edge order is preserved,
+        so a partition-pure operator accumulates bit-identically in any
+        task order).  The statistics are those of the unsplit phase
+        either way, so the cost model stays backend-invariant.
         """
-        policy = self.resilience
-        # A partition-pure certificate statically rules out snapshot blind
-        # spots (mutable non-array state demotes the level), so the
-        # dynamic check is only needed for uncertified operators.
-        blind = [] if self._op_trusted(op) else snapshot_blind_spots(op)
-        if blind:
-            raise ValidationError(
-                f"{type(op).__name__} holds mutable non-array state "
-                f"({', '.join(sorted(blind))}) and does not override "
-                "snapshot()/restore(); supervised rollback would silently "
-                "miss it — override both hooks to cover that state"
-            )
-        journal = self.journal
-        if journal is not None:
-            journal.begin_phase(self._edge_map_index)
-        snapshot = op.snapshot()
-        stats_mark = len(self.stats.edge_maps)
-        attempt = 0
-        while True:
-            try:
-                plan = self._fault_plan
-                if plan is not None:
-                    plan.before_edge_map(self._edge_map_index)
-                self._assert_budget()
-                result = self._edge_map_dispatch(frontier, op)
-                self._edge_map_index += 1
-                return result
-            except (WorkerFailure, CapacityError) as exc:
-                # Partition-granular path: the failed task's write set was
-                # already rolled back inside _run_partition, and committed
-                # partitions replay from the journal — keep their writes.
-                granular = (
-                    not isinstance(exc, CapacityError)
-                    and journal is not None
-                    and journal.has_commits()
-                )
-                if not granular:
-                    op.restore(snapshot)
-                    if journal is not None:
-                        journal.invalidate()
-                del self.stats.edge_maps[stats_mark:]
-                detail = (
-                    f"; keeping {journal.num_commits()} committed partition(s)"
-                    if granular
-                    else ""
-                )
-                self.resilience_log.append(
-                    f"edge-map {self._edge_map_index} attempt {attempt} "
-                    f"faulted: {exc}{detail}"
-                )
-                log.warning("edge-map %d faulted: %s", self._edge_map_index, exc)
-                if isinstance(exc, CapacityError):
-                    self._handle_capacity(exc)
-                if attempt >= policy.max_retries:
-                    raise RetryExhausted(
-                        f"edge-map {self._edge_map_index} failed after "
-                        f"{attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                policy.wait(attempt)
-                attempt += 1
-
-    def _assert_budget(self) -> None:
-        """Degrade to the grid when the in-RAM three-copy layout exceeds
-        the policy's memory budget.
-
-        This is how an over-budget run reaches the spill rung *before*
-        any real allocation fails.  The proactive check is not a fault,
-        so it spills directly rather than raising through the retry
-        machinery — a hard-kill policy (``max_retries=0``) still gets
-        its grid.  A no-op once the grid is attached (the grid's own
-        governor enforces the budget from then on) or when the layout
-        fits.
-        """
-        policy = self.resilience
-        budget = getattr(policy, "memory_budget", None) if policy else None
-        if budget is None or self.grid is not None:
-            return
-        from ..partition.storage import StorageModel
-
-        model = StorageModel(self.num_vertices, self.num_edges)
-        try:
-            model.assert_fits(
-                model.graphgrind_v2_bytes(), budget, what="three-copy layout"
-            )
-        except CapacityError as exc:
-            self._degrade_to_grid(exc)
-
-    def _handle_capacity(self, exc: CapacityError) -> None:
-        """Walk the capacity degradation ladder: halve, then spill.
-
-        Partition-halving shrinks bookkeeping/replication but not the
-        p-independent three-copy layout itself, so when the error's
-        structured byte accounting proves the deficit is beyond halving
-        (required bytes exceed the whole budget) the ladder jumps
-        straight to the grid spill rung.  Otherwise it halves as before,
-        spilling only once halving bottoms out — and only when the
-        policy opted in (a memory budget or spill directory is set).
-        Injected OOMs carry no byte accounting, so they always walk the
-        halving ladder first, preserving the historical behaviour.
-        """
-        policy = self.resilience
-        if self.grid is not None:
-            return  # already at the spill rung; the retry re-streams
-        spill = getattr(policy, "spill_enabled", False)
-        if spill and self._capacity_beyond_halving(exc):
-            self._degrade_to_grid(exc)
-            return
-        if not self._degrade_partitions(policy.min_partitions) and spill:
-            self._degrade_to_grid(exc)
-
-    def _capacity_beyond_halving(self, exc: CapacityError) -> bool:
-        """Whether ``exc``'s byte accounting shows halving cannot help."""
-        budget = getattr(self.resilience, "memory_budget", None)
-        return (
-            exc.required_bytes is not None
-            and budget is not None
-            and exc.required_bytes > budget
-        )
-
-    def _degrade_to_grid(self, exc: CapacityError) -> None:
-        """The ladder's final rung: spill the edge list to an on-disk grid.
-
-        Shards the store's edge list into ``policy.spill_dir`` (or a
-        self-cleaning temporary directory) and attaches the resulting
-        :class:`~repro.layout.grid.GridStore`; the supervised retry then
-        re-executes the phase by streaming blocks under the memory
-        budget.  Journal records and watchdog history address units of
-        work that no longer exist, so both are reset.
-        """
-        from ..layout.grid import GridStore
-
-        policy = self.resilience
-        spill_dir = policy.spill_dir
-        if spill_dir is None:
-            spill_dir = tempfile.mkdtemp(prefix="repro-grid-")
-            self._spill_finalizer = weakref.finalize(
-                self, shutil.rmtree, spill_dir, True
-            )
-        grid = GridStore.build(
-            self.store.edges,
-            spill_dir,
-            num_stripes=policy.grid_stripes,
-            stripe_mode=getattr(policy, "grid_stripe_mode", "vertex"),
-            budget=policy.memory_budget,
-            fault_plan=self._fault_plan,
-        )
-        if self.journal is not None:
-            self.journal.invalidate()
-        watchdog = getattr(policy, "watchdog", None)
-        if watchdog is not None:
-            watchdog.reset()
-        self.attach_grid(grid)
-        message = (
-            f"degraded to out-of-core grid execution "
-            f"({grid.num_stripes}x{grid.num_stripes} blocks in {spill_dir}) "
-            f"after CapacityError: {exc}"
-        )
-        self.resilience_log.append(message)
-        log.warning("%s", message)
-
-    def _degrade_partitions(self, min_partitions: int) -> bool:
-        """Halve the partition count and re-derive every layout.
-
-        The graceful-degradation answer to :class:`CapacityError`: fewer
-        partitions shrink the bookkeeping footprint (and the PCSR's
-        replication, §II.E) at the price of locality.  Returns False when
-        already at the floor.
-        """
-        p = self.store.num_partitions
-        new_p = max(min_partitions, p // 2)
-        if new_p >= p:
-            self.resilience_log.append(
-                f"cannot degrade below {p} partition(s); floor is {min_partitions}"
-            )
-            return False
-        self.store = GraphStore.build(
-            self.store.edges,
-            num_partitions=new_p,
-            edge_order=self.store.coo.edge_order,
-        )
-        self._pcsr = None
-        # The old store's layout arrays are obsolete; drop any cached
-        # shared-memory copies so workers re-attach the rebuilt ones.
-        if self._backend_obj is not None:
-            self._backend_obj.discard_layouts()
-        # Partition ids changed: journal records and watchdog overrun
-        # history no longer address the same units of work.
-        if self.journal is not None:
-            self.journal.invalidate()
-        watchdog = getattr(self.resilience, "watchdog", None)
-        if watchdog is not None:
-            watchdog.reset()
-        self.resilience_log.append(f"degraded partitions {p} -> {new_p} after CapacityError")
-        log.warning("degraded partitions %d -> %d after CapacityError", p, new_p)
-        return True
-
-    # ------------------------------------------------------------------
-    # partition-task supervision: journal, slice rollback, watchdog
-    # ------------------------------------------------------------------
-    def _run_partition(self, i: int, op: EdgeOperator, lo: int, hi: int, body):
-        """Execute one partition task under the journal and watchdog.
-
-        ``body()`` must return a :class:`PartitionRecord` describing the
-        task's outputs.  Under supervision the task's write set (the
-        ``[lo, hi)`` slice of each vertex-length state array) is
-        snapshotted first and rolled back on a
-        :class:`~repro.errors.WorkerFailure`, committed records from an
-        earlier attempt of the same phase are replayed instead of
-        re-executed, and the watchdog's escalation ladder fires on
-        (simulated) deadline overruns.
-        """
-        journal = self.journal if self.resilience is not None else None
-        if journal is None:
-            self._before_partition(i)
-            return body()
-        record = journal.completed(i)
-        if record is not None:
-            if self._slice_digest(op, lo, hi) == record.digest:
-                journal.note_replay(i)
-                return record
-            journal.drop(i)  # state diverged since the commit; re-execute
-        journal.note_execution(i)
-        self._check_watchdog(i)
-        saved = self._partition_snapshot(op, lo, hi)
-        try:
-            self._before_partition(i)
-            record = body()
-        except WorkerFailure:
-            self._partition_restore(op, lo, hi, saved)
-            raise
-        record.digest = self._slice_digest(op, lo, hi)
-        journal.commit(record)
-        return record
-
-    def _partition_snapshot(self, op: EdgeOperator, lo: int, hi: int):
-        """Snapshot one partition task's write set before it executes.
-
-        Vertex-length arrays are captured only over the task's ``[lo,
-        hi)`` destination range (its contract-declared write set); any
-        other array is copied whole.  Operators with a custom
-        ``snapshot`` own state the slicing cannot see, so they fall back
-        to their full snapshot/restore pair — still correct here because
-        the snapshot is taken at *task* start, when every committed
-        partition's writes are already in the arrays.
-        """
-        if type(op).snapshot is not EdgeOperator.snapshot:
-            return ("full", op.snapshot())
-        n = self.num_vertices
-        saved = {}
-        for key, value in vars(op).items():
-            if not isinstance(value, np.ndarray):
-                continue
-            if value.ndim >= 1 and value.shape[0] == n:
-                saved[key] = (True, value[lo:hi].copy())
-            else:
-                saved[key] = (False, value.copy())
-        return ("slice", saved)
-
-    def _partition_restore(self, op: EdgeOperator, lo: int, hi: int, snap) -> None:
-        """Roll back exactly the write set captured by :meth:`_partition_snapshot`."""
-        mode, saved = snap
-        if mode == "full":
-            op.restore(saved)
-            return
-        for key, (sliced, value) in saved.items():
-            target = getattr(op, key)
-            if sliced:
-                target[lo:hi] = value
-            else:
-                target[...] = value
-
-    def _slice_digest(self, op: EdgeOperator, lo: int, hi: int) -> int:
-        """CRC32 of the ``[lo, hi)`` slice of every vertex-length state array."""
-        n = self.num_vertices
-        arrays = vars(op)
-        crc = 0
-        for key in sorted(arrays):
-            value = arrays[key]
-            if (
-                isinstance(value, np.ndarray)
-                and value.ndim >= 1
-                and value.shape[0] == n
-            ):
-                crc = zlib.crc32(np.ascontiguousarray(value[lo:hi]).tobytes(), crc)
-        return crc
-
-    def _check_watchdog(self, i: int) -> None:
-        """Enforce partition ``i``'s deadline over simulated time.
-
-        The observed elapsed time equals the cost model's prediction
-        unless the fault plan injects a ``stall`` — determinism is what
-        keeps recovery bit-reproducible.
-        """
-        watchdog = getattr(self.resilience, "watchdog", None)
-        if watchdog is None:
-            return
-        num_edges = int(self.store.coo.edges_per_partition()[i])
-        plan = self._fault_plan
-        stalled = plan is not None and plan.take_stall(self._edge_map_index, i)
-        elapsed = (
-            2.0 * watchdog.deadline_ns(num_edges)
-            if stalled
-            else watchdog.predicted_ns(num_edges)
-        )
-        action = watchdog.observe(i, num_edges, elapsed)
-        if action is None:
-            return
-        self.resilience_log.append(
-            f"edge-map {self._edge_map_index}: watchdog tripped on partition {i} "
-            f"(escalation: {action})"
-        )
-        if action == "degrade":
-            raise CapacityError(
-                f"partition {i} stalled repeatedly at edge-map "
-                f"{self._edge_map_index}; degrading partition count"
-            )
-        if action == "requeue":
-            self._requeue_partition(i)
-        raise StallTimeout(
-            f"partition {i} overran its watchdog deadline at edge-map "
-            f"{self._edge_map_index}"
-        )
-
-    def _requeue_partition(self, i: int) -> None:
-        """Move a stalling partition to a different scheduler slot."""
-        from ..machine.scheduler import reassign_slot
-
-        costs = self.store.coo.edges_per_partition().astype(np.float64)
-        old_slot, new_slot = reassign_slot(costs, self.options.num_threads, i)
-        self.resilience_log.append(
-            f"requeued partition {i} from scheduler slot {old_slot} "
-            f"to slot {new_slot}"
-        )
-        log.warning(
-            "requeued stalling partition %d from slot %d to slot %d",
-            i, old_slot, new_slot,
-        )
-
-    # ------------------------------------------------------------------
-    def _partition_schedule(self, p: int):
-        """Partition visit order per ``options.partition_order``.
-
-        Any order is correct for contract-abiding operators (the
-        partitioned layouts hand each partition a disjoint destination
-        range); ``reverse``/``shuffle`` exist so the sanitizer can verify
-        that insensitivity bit-for-bit.
-        """
-        mode = self.options.partition_order
-        if mode == "forward":
-            return range(p)
-        if mode == "reverse":
-            return range(p - 1, -1, -1)
-        rng = np.random.default_rng(self.options.partition_order_seed)
-        return rng.permutation(p).tolist()
-
-    # ------------------------------------------------------------------
-    # partition-batch dispatch through the execution backend
-    # ------------------------------------------------------------------
-    def _run_partition_batch(
-        self,
-        op: EdgeOperator,
-        kernel: str,
-        tasks: list[PartitionTask],
-        shared: dict[str, np.ndarray],
-        transient: dict[str, np.ndarray],
-        meta: dict,
-        inline_body,
-    ) -> list[PartitionRecord]:
-        """Run one phase's partition tasks through the configured backend.
-
-        ``inline_body(task)`` is the kernel's serial partition body; the
-        serial path wraps it in :meth:`_run_partition` (journal replay,
-        watchdog, slice rollback, fault hooks) exactly as the inline
-        loops always did.  A concurrent backend receives the same tasks
-        as a :class:`BatchRequest`; any :class:`BackendError` demotes
-        the engine to the serial path and re-runs the batch there —
-        correct because workers never touch the in-process arrays.
-        """
-        if self._phase_concurrent and len(tasks) > 1:
-            backend = self._execution_backend()
-            if backend.concurrent:
-                try:
-                    return self._run_batch_concurrent(
-                        backend, op, kernel, tasks, shared, transient, meta
-                    )
-                except BackendError as exc:
-                    self._note_backend_fallback(exc)
-
-        def run_inline(task: PartitionTask) -> PartitionRecord:
-            return self._run_partition(
-                task.partition, op, task.lo, task.hi, lambda: inline_body(task)
-            )
-
-        request = BatchRequest(
-            kernel=kernel, op=op, tasks=tasks, run_inline=run_inline
-        )
-        return self._serial_backend.run_partitions(request)
-
-    def _run_batch_concurrent(
-        self,
-        backend,
-        op: EdgeOperator,
-        kernel: str,
-        tasks: list[PartitionTask],
-        shared: dict[str, np.ndarray],
-        transient: dict[str, np.ndarray],
-        meta: dict,
-    ) -> list[PartitionRecord]:
-        """One concurrent batch, with the supervision the serial loop has.
-
-        Journal replay and commit, watchdog deadlines and fault-plan
-        hooks all run *parent-side*: replayable partitions are filtered
-        out before dispatch, per-partition hooks fire before the batch
-        is submitted (the watchdog stays on simulated time — real
-        worker wall-clock would break recovery determinism), and fresh
-        records are committed with digests computed after the merge.
-        Worker-side guard activity is folded into the engine's guard
-        counters from each record's ``cond_calls``.
-        """
-        journal = self.journal if self.resilience is not None else None
-        records: dict[int, PartitionRecord] = {}
-        pending: list[PartitionTask] = []
-        for task in tasks:
-            if journal is not None:
-                rec = journal.completed(task.partition)
-                if rec is not None:
-                    if self._slice_digest(op, task.lo, task.hi) == rec.digest:
-                        journal.note_replay(task.partition)
-                        records[task.partition] = rec
-                        continue
-                    journal.drop(task.partition)
-            pending.append(task)
-        for task in pending:
-            if journal is not None:
-                journal.note_execution(task.partition)
-            self._check_watchdog(task.partition)
-            self._before_partition(task.partition)
-        if pending:
-            request = BatchRequest(
-                kernel=kernel,
-                op=op,
-                tasks=pending,
-                shared=shared,
-                transient=transient,
-                meta=meta,
-                validate=not self._op_trusted(op),
-                num_vertices=self.num_vertices,
-            )
-            trusted = self._op_trusted(op)
-            for rec in backend.run_partitions(request):
-                if trusted:
-                    self.guards_skipped += rec.cond_calls
-                else:
-                    self.guard_invocations += rec.cond_calls
-                records[rec.partition] = rec
-            if journal is not None:
-                for task in pending:
-                    rec = records[task.partition]
-                    rec.digest = self._slice_digest(op, task.lo, task.hi)
-                    journal.commit(rec)
-        return [records[task.partition] for task in tasks]
-
-    # -- sparse: forward traversal of the unpartitioned CSR -------------
-    def _edge_map_sparse_csr(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
         active = frontier.as_sparse()
-        if self._sparse_parallel_admitted(active):
-            return self._edge_map_sparse_csr_partitioned(
-                frontier, op, density, active
+        csr, n = self.store.csr, self.num_vertices
+        split = self._sparse_split_admitted(active)
+        if split:
+            workers = self._backend_conf["workers"]
+            tasks = self._cached(
+                "csr-split",
+                lambda: sparse_split_tasks(self.store.partition, workers, self.options),
             )
-        csr = self.store.csr
-        src, dst = gather_adjacency(csr.index, csr.neighbors, active)
-        examined = int(dst.size)
-        cond = self._cond(op, dst)
-        if cond is not None:
-            src, dst = src[cond], dst[cond]
-        activated = op.process_edges(src, dst)
-        nxt = self._make_frontier(activated)
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csr",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=int(dst.size),
-                examined_edges=examined,
-                scanned_vertices=int(active.size),
-                updated_vertices=nxt.size,
-                uses_atomics=self.options.num_threads > 1,
-                num_partitions=1,
-            )
+        else:
+            tasks = self._cached("csr", lambda: [PartitionTask(0, 0, n)])
+        gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
+        return PhasePlan(
+            "csr", "forward", "csr", tasks,
+            num_partitions=1,
+            uses_atomics=self.options.num_threads > 1,
+            transient={"gsrc": gsrc, "gdst": gdst},
+            meta={"num_vertices": n},
+            per_partition=False,
+            scanned=int(active.size),
+            granular=split,
         )
-        return nxt
 
-    def _sparse_parallel_admitted(self, active: np.ndarray) -> bool:
+    def _sparse_split_admitted(self, active: np.ndarray) -> bool:
         """Whether this sparse phase should split across partition ranges.
 
         Requires an admitted concurrent phase (certified operator +
         non-serial backend), the ``sparse=1`` spec knob, more than one
         partition to split over, and enough estimated frontier edge
         work to amortise the dispatch."""
-        if not (self._phase_concurrent and self._backend_conf.get("sparse")):
+        if not (self._phase_concurrent and self._backend_conf["sparse"]):
             return False
         if self.store.partition.num_partitions <= 1:
             return False
         est_edges = int(self.store.out_degrees[active].sum())
         return est_edges >= SPARSE_DISPATCH_MIN_EDGES
 
-    def _edge_map_sparse_csr_partitioned(
-        self,
-        frontier: Frontier,
-        op: EdgeOperator,
-        density: DensityClass,
-        active: np.ndarray,
-    ) -> Frontier:
-        """Sparse forward CSR, split across destination partition ranges.
-
-        The frontier's out-adjacency is gathered *once in the driver*
-        and shipped to the workers through shared memory; each task
-        masks its disjoint ``[lo, hi)`` destination slice out of the
-        gathered edges — per-destination edge order is preserved, so a
-        partition-pure operator accumulates bit-identically to the
-        serial whole-range traversal regardless of task order.  Because
-        every task re-scans the whole gathered edge list for its mask,
-        the partition ranges are coarsened to ~2x the worker count
-        (splitting along partition boundaries) instead of one task per
-        partition — the masking work stays O(workers x |F_edges|), not
-        O(p x |F_edges|).  The emitted :class:`EdgeMapStats` mirrors the
-        serial sparse phase exactly (``num_partitions=1``, no
-        per-partition arrays) so the cost model stays backend-invariant.
-        """
-        csr = self.store.csr
-        n = self.num_vertices
-        ranges = self.store.partition
-        p = ranges.num_partitions
-        workers = int(self._backend_conf.get("workers") or 1)
-        num_tasks = min(p, max(1, 2 * workers))
-        cuts = [(g * p) // num_tasks for g in range(num_tasks + 1)]
-        coarse = [
-            (
-                ranges.vertex_range(cuts[g])[0],
-                ranges.vertex_range(cuts[g + 1] - 1)[1],
-            )
-            for g in range(num_tasks)
-        ]
-        tasks = [
-            PartitionTask(g, *coarse[g])
-            for g in self._partition_schedule(num_tasks)
-        ]
-        gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
-
-        def body(task: PartitionTask) -> PartitionRecord:
-            return run_csr_sparse_partition(
-                op, self._cond, gsrc, gdst, n, task.partition, task.lo, task.hi
-            )
-
-        examined = 0
-        active_edges = 0
-        activated_parts: list[np.ndarray] = []
-        for rec in self._run_partition_batch(
-            op, "csr", tasks,
-            shared={},
-            transient={"gsrc": gsrc, "gdst": gdst},
-            meta={"num_vertices": n},
-            inline_body=body,
-        ):
-            examined += rec.examined
-            active_edges += rec.active_edges
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts)
-            if activated_parts
-            else np.empty(0, VID_DTYPE)
-        )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csr",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=int(active.size),
-                updated_vertices=nxt.size,
-                uses_atomics=self.options.num_threads > 1,
-                num_partitions=1,
-            )
-        )
-        return nxt
-
-    # -- medium-dense: backward traversal of the ranged CSC -------------
-    def _edge_map_backward_csc(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
-        bitmap = frontier.as_bitmap()
-        csc = self.store.csc.csc
-        ranges = self.store.csc.partition
-        activated_parts: list[np.ndarray] = []
-        p = ranges.num_partitions
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        examined = 0
-        active_edges = 0
-        scanned = 0
-        tasks = [
-            PartitionTask(i, *ranges.vertex_range(i))
-            for i in self._partition_schedule(p)
-        ]
-
-        def body(task: PartitionTask) -> PartitionRecord:
-            return run_csc_partition(
-                op, self._cond, csc.index, csc.neighbors, bitmap,
-                task.partition, task.lo, task.hi,
-            )
-
-        for rec in self._run_partition_batch(
-            op, "csc", tasks,
+    def _plan_csc(self, frontier: Frontier) -> PhasePlan:
+        """Medium-dense: backward traversal of the ranged CSC."""
+        csc, ranges = self.store.csc.csc, self.store.csc.partition
+        return PhasePlan(
+            "csc", "backward", "csc",
+            self._cached("csc", lambda: range_tasks(ranges, self.options)),
+            num_partitions=ranges.num_partitions,
+            uses_atomics=False,
             shared={"index": csc.index, "neighbors": csc.neighbors},
-            transient={"bitmap": bitmap},
-            meta={},
-            inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
-            examined += rec.examined
-            active_edges += rec.active_edges
-            scanned += rec.scanned
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
+            transient={"bitmap": frontier.as_bitmap()},
         )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="csc",
-                direction="backward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=scanned,
-                updated_vertices=nxt.size,
-                uses_atomics=False,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-            )
-        )
-        return nxt
 
-    # -- dense: streaming traversal of the partitioned COO --------------
-    def _edge_map_partitioned_coo(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
-        bitmap = frontier.as_bitmap()
+    def _plan_coo(self, frontier: Frontier) -> PhasePlan:
+        """Dense: streaming traversal of the partitioned COO."""
         coo = self.store.coo
-        p = coo.num_partitions
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        ranges = coo.partition
-        tasks = [
-            PartitionTask(
-                i,
-                *ranges.vertex_range(i),
-                extra=(
-                    int(coo.partition_index[i]),
-                    int(coo.partition_index[i + 1]),
-                ),
-            )
-            for i in self._partition_schedule(p)
-        ]
-
-        def body(task: PartitionTask) -> PartitionRecord:
-            src, dst = coo.partition_edges(task.partition)
-            return run_coo_partition(
-                op, self._cond, src, dst, bitmap, task.partition, task.lo, task.hi
-            )
-
-        for rec in self._run_partition_batch(
-            op, "coo", tasks,
+        return PhasePlan(
+            "coo", "forward", "coo",
+            self._cached("coo", lambda: coo_tasks(coo, self.options)),
+            num_partitions=coo.num_partitions,
+            uses_atomics=coo.num_partitions < self.options.num_threads,
             shared={"src": coo.src, "dst": coo.dst},
-            transient={"bitmap": bitmap},
-            meta={},
-            inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
-            active_edges += rec.active_edges
-            if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
+            transient={"bitmap": frontier.as_bitmap()},
         )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="coo",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=coo.num_edges,
-                scanned_vertices=0,
-                updated_vertices=nxt.size,
-                uses_atomics=p < self.options.num_threads,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-            )
+
+    def _plan_pcsr(self, frontier: Frontier) -> PhasePlan:
+        """Forced: the partitioned CSR (Figure 5 layout comparison)."""
+        tasks, shared, num_stored = self._cached(
+            "pcsr",
+            lambda: pcsr_layout(self.store.build_partitioned_csr(), self.options),
         )
-        return nxt
+        return PhasePlan(
+            "pcsr", "forward", "pcsr", tasks,
+            num_partitions=len(tasks),
+            uses_atomics=len(tasks) < self.options.num_threads,
+            shared=shared,
+            transient={"bitmap": frontier.as_bitmap()},
+            meta={"active_ids": frontier.as_sparse(), "num_stored": num_stored},
+        )
 
-    # -- out-of-core: streaming traversal of the on-disk grid -----------
-    def _edge_map_grid(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
-        """Stream the P×P grid block-by-block under the memory budget.
+    def _plan_grid(self, frontier: Frontier) -> PhasePlan:
+        """Out-of-core: stream the P×P on-disk grid under the budget.
 
-        Destination stripes are the write-set unit (each owns a disjoint
-        vertex range, like COO partitions); within a stripe the source
-        blocks run in ascending order, which — with each block's edges
-        sorted by source — reproduces the in-RAM COO path's edge order
-        exactly, so results are bit-identical.  Selective scheduling
-        skips blocks whose source stripe holds no active vertices
-        (GridGraph §3.3).  Recovery is block-granular: each block's
-        write set is snapshotted/rolled back individually and committed
-        blocks replay from the journal on a supervised retry.
+        A task is one block; destination stripes are the write-set unit
+        (each owns a disjoint vertex range, like COO partitions).  Within
+        a stripe the source blocks run in ascending order, which — with
+        each block's edges sorted by source — reproduces the in-RAM COO
+        path's edge order exactly, so results are bit-identical.
+        Selective scheduling drops blocks whose source stripe holds no
+        active vertices (GridGraph §3.3).
         """
         grid = self.grid
+        ranges, blocks = self._cached("grid", lambda: grid_block_tasks(grid))
         bitmap = frontier.as_bitmap()
-        p = grid.num_stripes
-        journal = self.journal if self.resilience is not None else None
-        stripe_active = [
-            bool(bitmap[lo:hi].any())
-            for lo, hi in (grid.stripes.vertex_range(i) for i in range(p))
-        ]
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        examined = 0
-        io = {"bytes": 0, "blocks": 0}
-        for j in range(p):
-            lo, hi = grid.stripes.vertex_range(j)
-            for rec in self._run_grid_stripe(
-                j, op, bitmap, stripe_active, lo, hi, journal, io
-            ):
-                examined += rec.examined
-                active_edges += rec.active_edges
-                part_examined[j] += rec.examined
-                part_touched[j] += rec.touched
-                if rec.activated.size:
-                    activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
+        active = [bool(bitmap[lo:hi].any()) for lo, hi in ranges]
+        tasks = [task for task in blocks if active[task.block]]
+        grid.stats.blocks_skipped += len(blocks) - len(tasks)
+        return PhasePlan(
+            "grid", "forward", "coo", tasks,
+            num_partitions=grid.num_stripes,
+            uses_atomics=False,
+            transient={"bitmap": bitmap},
         )
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="grid",
-                direction="forward",
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=0,
-                updated_vertices=nxt.size,
-                uses_atomics=False,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-                io_bytes=io["bytes"],
-                io_blocks=io["blocks"],
-            )
-        )
-        return nxt
 
-    def _run_grid_stripe(
-        self, j: int, op: EdgeOperator, bitmap, stripe_active, lo: int, hi: int,
-        journal, io: dict,
-    ) -> list[PartitionRecord]:
-        """Run destination stripe ``j``'s blocks with block-granular recovery.
-
-        On a supervised retry the stripe's destination-slice digest
-        decides replayability: matching means the committed blocks'
-        writes survived intact (they replay from record and execution
-        resumes at the in-flight block); a mismatch drops the records
-        and re-executes the stripe from its current state.
-        """
-        grid = self.grid
-        if journal is not None and journal.stripe_has_blocks(j):
-            digest = journal.stripe_digest(j)
-            if digest is not None and self._slice_digest(op, lo, hi) != digest:
-                journal.drop_stripe(j)
-        # Decide the whole stripe's block plan up front — skip (inactive
-        # source stripe), replay (journaled) or read — and hand the read
-        # list to the grid's background reader in consumption order.
-        # Every input to the decision (block edge counts, the frontier
-        # bitmap, the journal's committed blocks) is fixed for the
-        # stripe, so the plan equals what the loop would have decided
-        # inline; schedule_reads cancels any stale schedule first, which
-        # is how skip decisions retire prefetches they obsoleted.
-        plan: list[tuple[int, str]] = []
-        reads: list[tuple[int, int]] = []
-        for i in range(grid.num_stripes):
-            if grid.block_edges(i, j) == 0:
-                continue
-            if not stripe_active[i]:
-                plan.append((i, "skip"))
-                continue
-            if journal is not None and journal.completed_block(j, i) is not None:
-                plan.append((i, "replay"))
-                continue
-            plan.append((i, "read"))
-            reads.append((i, j))
-        if grid.prefetch_enabled:
-            grid.schedule_reads(reads)
-        records: list[PartitionRecord] = []
-        for i, step in plan:
-            if step == "skip":
-                grid.stats.blocks_skipped += 1
-                continue
-            if step == "replay":
-                journal.note_block_replay(j, i)
-                records.append(journal.completed_block(j, i))
-                continue
-            if journal is not None:
-                journal.note_block_execution(j, i)
-            block = grid.read_block(i, j)
-            if block.nbytes:
-                io["bytes"] += block.nbytes
-                io["blocks"] += 1
-            self._check_grid_watchdog((i, j), block)
-            saved = self._partition_snapshot(op, lo, hi)
+    # ------------------------------------------------------------------
+    # run: the one partition loop
+    # ------------------------------------------------------------------
+    def _run_plan(self, plan: PhasePlan, op: EdgeOperator) -> list[PartitionRecord]:
+        """Run ``plan``'s tasks: as one batch on the concurrent backend
+        when the phase was admitted, else here.  With a supervisor, each
+        batch goes through its replay-or-execute-then-commit routine."""
+        supervisor = self._supervisor if plan.granular else None
+        if self._phase_concurrent and plan.layout != "grid" and len(plan.tasks) > 1:
+            run = partial(self._dispatch, plan, op)
             try:
-                self._before_partition(j)
-                rec = run_coo_partition(
-                    op, self._cond, block.src, block.dst, bitmap, j, lo, hi
-                )
-            except WorkerFailure:
-                self._partition_restore(op, lo, hi, saved)
-                raise
-            if journal is not None:
-                journal.commit_block(rec, j, i, self._slice_digest(op, lo, hi))
-            records.append(rec)
+                if supervisor is None:
+                    return run(plan.tasks)
+                return supervisor.run_tasks(op, plan.tasks, run, concurrent=True)
+            except BackendError as exc:
+                # Workers never touch the in-process arrays, so the batch
+                # simply re-runs here.
+                self._note_backend_fallback(exc)
+        run = partial(self._execute, plan, {**plan.shared, **plan.transient}, op)
+        ahead = self._read_ahead if plan.layout == "grid" else None
+        records: list[PartitionRecord] = []
+        for tasks in plan.batches():
+            if supervisor is not None:
+                records += supervisor.run_tasks(op, tasks, run, on_pending=ahead)
+            else:
+                if ahead is not None:
+                    ahead(tasks)
+                records += run(tasks)
         return records
 
-    def _check_grid_watchdog(self, block: tuple, read) -> None:
-        """Enforce one block read's I/O deadline over simulated time.
-
-        A ``slow_io`` fault makes the observed read time overrun; the
-        escalation raises :class:`StallTimeout`, and because the slow
-        block is already resident in the grid cache, the supervised
-        retry replays committed blocks and re-reads this one for free.
-        """
-        watchdog = getattr(self.resilience, "watchdog", None)
-        if watchdog is None or read.nbytes == 0:
-            return
-        elapsed = (
-            2.0 * watchdog.io_deadline_ns(read.nbytes)
-            if read.slow
-            else watchdog.predicted_io_ns(read.nbytes)
-        )
-        action = watchdog.observe_io(block, read.nbytes, elapsed)
-        if action is None:
-            return
-        self.resilience_log.append(
-            f"edge-map {self._edge_map_index}: watchdog tripped on grid block "
-            f"{block} read (escalation: {action})"
-        )
-        raise StallTimeout(
-            f"grid block {block} read overran its I/O deadline at edge-map "
-            f"{self._edge_map_index}"
-        )
-
-    # -- forced: partitioned CSR (Figure 5 layout comparison) -----------
-    def _edge_map_partitioned_csr(
-        self, frontier: Frontier, op: EdgeOperator, density: DensityClass
-    ) -> Frontier:
-        if self._pcsr is None:
-            self._pcsr = self.store.build_partitioned_csr()
-        bitmap = frontier.as_bitmap()
-        pcsr = self._pcsr
-        p = pcsr.num_partitions
-        activated_parts: list[np.ndarray] = []
-        part_examined = np.zeros(p, dtype=np.int64)
-        part_touched = np.zeros(p, dtype=np.int64)
-        active_edges = 0
-        examined = 0
-        scanned = 0
-        active_ids = frontier.as_sparse()
-        ranges = pcsr.partition
-        tasks = [
-            PartitionTask(i, *ranges.vertex_range(i))
-            for i in self._partition_schedule(p)
-        ]
-        shared: dict[str, np.ndarray] = {}
-        num_stored: dict[int, int] = {}
+    def _execute(self, plan: PhasePlan, arrays: dict, op: EdgeOperator, tasks):
+        """Run ``tasks`` in this process.  The kernel is looked up in this
+        module's namespace on every call, so a patched binding is used."""
+        kernel, meta = plan.kernel, plan.meta
+        run = globals()[KERNEL_FUNCTIONS[kernel]]
+        cond = cond_guard(not plan.trusted)
+        records = []
         for task in tasks:
-            part = pcsr.parts[task.partition]
-            shared[f"index:{task.partition}"] = part.index
-            shared[f"neighbors:{task.partition}"] = part.neighbors
-            shared[f"vertex_ids:{task.partition}"] = part.vertex_ids
-            num_stored[task.partition] = int(part.num_stored_vertices)
+            if task.block is not None:
+                arrays = self._read_block(plan, arrays, task)
+            records.append(run(op, cond, *kernel_args(kernel, arrays, meta, task)))
+        self._count_guards(plan, records)
+        return records
 
-        def body(task: PartitionTask) -> PartitionRecord:
-            part = pcsr.parts[task.partition]
-            return run_pcsr_partition(
-                op, self._cond, part.index, part.neighbors, part.vertex_ids,
-                int(part.num_stored_vertices), bitmap, active_ids,
-                task.partition, task.lo, task.hi,
-            )
+    def _dispatch(self, plan: PhasePlan, op: EdgeOperator, tasks):
+        """Run ``tasks`` as one batch on the concurrent backend."""
+        backend = self._execution_backend()
+        records = backend.run_partitions(plan, op, tasks, self.num_vertices)
+        self._count_guards(plan, records)
+        return records
 
-        for rec in self._run_partition_batch(
-            op, "pcsr", tasks,
-            shared=shared,
-            transient={"bitmap": bitmap},
-            meta={"active_ids": active_ids, "num_stored": num_stored},
-            inline_body=body,
-        ):
-            i = rec.partition
-            part_examined[i] = rec.examined
-            part_touched[i] = rec.touched
+    def _count_guards(self, plan: PhasePlan, records) -> None:
+        calls = sum(rec.cond_calls for rec in records)
+        if plan.trusted:
+            self.guards_skipped += calls
+        else:
+            self.guard_invocations += calls
+
+    def _read_ahead(self, tasks) -> None:
+        """Hand the grid's background reader (if any) the blocks about to
+        be consumed, in consumption order; cancels any stale schedule."""
+        self.grid.schedule_reads([(task.block, task.partition) for task in tasks])
+
+    def _read_block(self, plan: PhasePlan, arrays: dict, task: PartitionTask) -> dict:
+        """Stream one grid block in as the COO kernel's edge arrays."""
+        block = self.grid.read_block(task.block, task.partition)
+        if block.nbytes:
+            plan.io_bytes += block.nbytes
+            plan.io_blocks += 1
+        if self._supervisor is not None:
+            self._supervisor.check_read((task.block, task.partition), block)
+        return {"src": block.src, "dst": block.dst, "bitmap": arrays["bitmap"]}
+
+    # ------------------------------------------------------------------
+    # fold: records -> next frontier + the phase's EdgeMapStats
+    # ------------------------------------------------------------------
+    def _fold(self, plan: PhasePlan, frontier: Frontier, density, records) -> Frontier:
+        p = plan.num_partitions
+        part_examined, part_touched = [0] * p, [0] * p
+        examined = active_edges = 0
+        scanned = plan.scanned
+        activated: list[np.ndarray] = []
+        for rec in records:
             examined += rec.examined
             active_edges += rec.active_edges
             scanned += rec.scanned
+            if plan.per_partition:
+                part_examined[rec.partition] += rec.examined
+                part_touched[rec.partition] += rec.touched
             if rec.activated.size:
-                activated_parts.append(rec.activated)
-        nxt = self._make_frontier(
-            np.concatenate(activated_parts) if activated_parts else np.empty(0, VID_DTYPE)
+                activated.append(rec.activated)
+        nxt = Frontier(
+            self.num_vertices,
+            sparse=np.concatenate(activated) if activated else np.empty(0, VID_DTYPE),
         )
+        keep = plan.per_partition
         self.stats.edge_maps.append(
             EdgeMapStats(
-                layout="pcsr",
-                direction="forward",
+                layout=plan.layout,
+                direction=plan.direction,
                 density=density,
                 frontier_size=frontier.size,
                 active_edges=active_edges,
                 examined_edges=examined,
                 scanned_vertices=scanned,
                 updated_vertices=nxt.size,
-                uses_atomics=p < self.options.num_threads,
+                uses_atomics=plan.uses_atomics,
                 num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
+                partition_examined=np.array(part_examined, np.int64) if keep else None,
+                partition_touched_vertices=np.array(part_touched, np.int64) if keep else None,
+                io_bytes=plan.io_bytes,
+                io_blocks=plan.io_blocks,
             )
         )
         return nxt
@@ -1377,7 +592,3 @@ class Engine:
         if keep.shape != ids.shape:
             raise ValueError("predicate must return one boolean per active vertex")
         return Frontier(self.num_vertices, sparse=ids[keep])
-
-    # ------------------------------------------------------------------
-    def _make_frontier(self, activated: np.ndarray) -> Frontier:
-        return Frontier(self.num_vertices, sparse=activated)

@@ -1,24 +1,23 @@
-"""Partition-task kernels shared by every execution backend.
+"""Partition-task kernels and the one task -> kernel-arguments mapping.
 
-Each function runs *one partition task* of the corresponding partitioned
-traversal (backward CSC, streaming COO, partitioned CSR) over plain
-numpy arrays and returns its
+Each ``run_*_partition`` function runs *one partition task* of a
+traversal (sparse forward CSR, backward CSC, streaming COO, partitioned
+CSR) over plain numpy arrays and returns its
 :class:`~repro.resilience.journal.PartitionRecord`.  They are the single
-source of truth for the partition-task computation: the engine's serial
-path calls them inline (under the journal/watchdog supervision of
-``Engine._run_partition``) and the process backend's workers call the
-very same functions over shared-memory views of the same arrays — which
-is what makes the two backends bit-identical by construction rather
-than by testing alone.
+source of truth for the partition-task computation: the engine's loop
+calls them in-process and the process backend's workers call the very
+same functions over shared-memory views of the same arrays — which is
+what makes the two bit-identical by construction rather than by testing
+alone.  :func:`kernel_args` is the other half of that guarantee: both
+callers turn ``(kernel, arrays, meta, task)`` into a kernel's positional
+arguments here and nowhere else.
 
-``cond_fn`` abstracts the per-batch cond guard: the serial engine passes
-its counting ``Engine._cond`` bound method, while workers pass either
-the raw ``op.cond`` (trusted, certified partition-pure) or
-:func:`~repro.core.ops.validated_cond` (guarded).  The record's
-``cond_calls`` field reports how often the guard ran so the parent
-process can fold worker-side guard activity into its
-``guards_skipped`` / ``guard_invocations`` counters; the serial path
-ignores it because its ``cond_fn`` already counted.
+``cond_fn`` abstracts the per-batch cond guard (:func:`cond_guard`): the
+raw ``op.cond`` for operators certified partition-pure, else
+:func:`~repro.core.ops.validated_cond`.  The record's ``cond_calls``
+field reports how often the guard ran, which the engine folds into its
+``guards_skipped`` / ``guard_invocations`` counters wherever the task
+executed.
 """
 
 from __future__ import annotations
@@ -28,13 +27,73 @@ import numpy as np
 from .._types import VID_DTYPE
 from ..resilience.journal import PartitionRecord
 from .gather import gather_adjacency
+from .ops import validated_cond
 
 __all__ = [
+    "KERNEL_FUNCTIONS",
+    "cond_guard",
+    "kernel_args",
     "run_csc_partition",
     "run_coo_partition",
     "run_pcsr_partition",
     "run_csr_sparse_partition",
 ]
+
+#: kernel name (as carried by a :class:`~repro.core.plan.PhasePlan`) -> the name
+#: of its function.  Callers resolve the name in *their own* module
+#: namespace at call time, so a patched binding (the benchmark's tracer
+#: wraps ``repro.core.engine.run_*_partition``) is the one that runs.
+KERNEL_FUNCTIONS = {
+    "csr": "run_csr_sparse_partition",
+    "csc": "run_csc_partition",
+    "coo": "run_coo_partition",
+    "pcsr": "run_pcsr_partition",
+}
+
+
+def _plain_cond(op, dst_ids):
+    return op.cond(dst_ids)
+
+
+def cond_guard(validate: bool):
+    """The ``cond_fn`` to hand a kernel: guarded, or the raw ``op.cond``."""
+    return validated_cond if validate else _plain_cond
+
+
+def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
+    """Positional arguments of ``kernel``'s function after ``(op, cond_fn)``.
+
+    ``arrays`` maps the plan's array names to numpy arrays (the engine's
+    own, or a worker's shared-memory views of them), ``meta`` is the
+    plan's small picklable metadata and ``task`` the
+    :class:`~repro.core.plan.PartitionTask` to run.
+    """
+    i = task.partition
+    if kernel == "coo":
+        elo, ehi = task.extra
+        return (
+            arrays["src"][elo:ehi], arrays["dst"][elo:ehi], arrays["bitmap"],
+            i, task.lo, task.hi,
+        )
+    if kernel == "csc":
+        return (
+            arrays["index"], arrays["neighbors"], arrays["bitmap"],
+            i, task.lo, task.hi,
+        )
+    if kernel == "csr":
+        # The driver gathered the frontier's adjacency once; each task
+        # masks its destination range out of the same edge arrays.
+        return (
+            arrays["gsrc"], arrays["gdst"], meta["num_vertices"],
+            i, task.lo, task.hi,
+        )
+    if kernel == "pcsr":
+        return (
+            arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
+            arrays[f"vertex_ids:{i}"], meta["num_stored"][i],
+            arrays["bitmap"], meta["active_ids"], i, task.lo, task.hi,
+        )
+    raise ValueError(f"unknown kernel {kernel!r}")
 
 
 def run_csc_partition(
@@ -90,8 +149,9 @@ def run_csr_sparse_partition(
     relative order, and every edge targeting a given destination lands
     in exactly one partition — which is why running the slices in any
     order (or concurrently) accumulates bit-identically to the serial
-    whole-range call for partition-pure operators.  The serial path
-    passes the whole range ``[0, num_vertices)`` and skips the mask.
+    whole-range call for partition-pure operators.  The in-process
+    sparse phase is the one task ``[0, num_vertices)``, which skips the
+    mask.  ``touched`` stays 0: no CSR :class:`EdgeMapStats` reads it.
     """
     if lo > 0 or hi < num_vertices:
         sel = (dst >= lo) & (dst < hi)
@@ -107,7 +167,6 @@ def run_csr_sparse_partition(
         hi=hi,
         activated=acts,
         examined=examined,
-        touched=int(np.unique(dst).size),
         active_edges=int(dst.size),
         cond_calls=1,
     )

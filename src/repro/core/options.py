@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 
 from ..frontier.density import DensityThresholds
@@ -96,11 +95,6 @@ class EngineOptions:
         on the serial path instead).  Ill-formed specs raise
         :class:`~repro.errors.ValidationError` here.  Defaults to the
         ``REPRO_BACKEND`` environment variable when set.
-    parallel:
-        Deprecated boolean precursor of ``backend``.  Passing ``True``
-        maps to ``backend="process"`` (with a :class:`DeprecationWarning`);
-        passing ``False`` keeps the configured backend.  Use ``backend``
-        directly.
     """
 
     thresholds: DensityThresholds = field(default_factory=DensityThresholds)
@@ -112,7 +106,6 @@ class EngineOptions:
     partition_order_seed: int = 0
     trust_certificates: bool = True
     backend: str = field(default_factory=_default_backend)
-    parallel: bool | None = None
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:
@@ -131,17 +124,8 @@ class EngineOptions:
                 f"partition_order must be one of {PARTITION_ORDERS}, "
                 f"got {self.partition_order!r}"
             )
-        from .backend import backend_options, parse_backend_spec
+        from .backend import backend_options
 
-        if self.parallel is not None:
-            warnings.warn(
-                "EngineOptions.parallel is deprecated; pass "
-                "backend='process' (or 'serial') instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.parallel and parse_backend_spec(self.backend)[0] == "serial":
-                object.__setattr__(self, "backend", "process")
         # Typed validation of the spec (raises ValidationError, a
         # ValueError subclass, keeping this constructor's contract).
         backend_options(self.backend)

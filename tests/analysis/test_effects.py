@@ -245,13 +245,3 @@ def test_parallel_admits_certified_operators(engine):
     out = eng.edge_map(Frontier.full(eng.num_vertices), inner)
     assert out is not None
     eng.close()
-
-
-def test_deprecated_parallel_flag_maps_to_process_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.warns(DeprecationWarning, match="parallel is deprecated"):
-        opts = EngineOptions(num_threads=4, parallel=True)
-    assert opts.backend == "process"
-    with pytest.warns(DeprecationWarning):
-        opts = EngineOptions(num_threads=4, parallel=False)
-    assert opts.backend == "serial"

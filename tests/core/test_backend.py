@@ -171,23 +171,3 @@ def test_engine_options_validates_the_spec():
         EngineOptions(backend="warp")
     with pytest.raises(ValidationError):
         EngineOptions(backend="process:workers=none")
-
-
-def test_deprecated_parallel_true_maps_to_process(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.warns(DeprecationWarning, match="parallel is deprecated"):
-        opts = EngineOptions(parallel=True)
-    assert opts.backend == "process"
-
-
-def test_deprecated_parallel_false_keeps_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    with pytest.warns(DeprecationWarning):
-        opts = EngineOptions(parallel=False)
-    assert opts.backend == "serial"
-
-
-def test_deprecated_parallel_true_respects_explicit_backend():
-    with pytest.warns(DeprecationWarning):
-        opts = EngineOptions(parallel=True, backend="process:workers=2")
-    assert opts.backend == "process:workers=2"
