@@ -12,7 +12,7 @@ Subcommands
 
     ``--backend`` selects the execution backend (see
     :mod:`repro.core.backend`): ``serial`` (default) or
-    ``process[:workers=N][:chunk=auto|N][:strict=0|1]`` — a persistent
+    ``process[:workers=N][:strict=0|1]`` — a persistent
     worker pool over shared memory running partition slices
     concurrently, bit-identical to serial.  Defaults to the
     ``REPRO_BACKEND`` environment variable when set.
@@ -135,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=48)
     run.add_argument("--backend", default=None,
                      help="execution backend spec: serial | "
-                          "process[:workers=N][:chunk=auto|N][:strict=0|1]"
-                          "[:sparse=0|1][:prefetch=0|1|N] "
+                          "process[:workers=N][:strict=0|1][:start=fork|spawn]"
+                          "[:prefetch=N] "
                           "(default: $REPRO_BACKEND or serial)")
     run.add_argument("--edge-order", default="source",
                      choices=("source", "destination", "hilbert"))
@@ -147,10 +147,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--checkpoint-every", type=int, default=1,
                      help="checkpoint every N iterations (default 1)")
     run.add_argument("--store", default="local",
-                     help="checkpoint store spec: local | sharded | replicated "
-                          "| remote[:key=value...] (default local)")
-    run.add_argument("--replicas", type=int, default=2,
-                     help="replica count for --store replicated (default 2)")
+                     help="checkpoint store spec: local | sharded | "
+                          "replicated[:replicas=N] | remote[:key=value...] "
+                          "(default local)")
     run.add_argument("--checkpoint-keep", type=int, default=None, metavar="N",
                      help="keep only the newest N checkpoint generations per run")
     run.add_argument("--fault-plan",
@@ -218,8 +217,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ckpt.add_argument("--store", default="local",
                       help="store spec the directory was written with "
                            "(kind[:key=value...], default local)")
-    ckpt.add_argument("--replicas", type=int, default=2,
-                      help="replica count for --store replicated (default 2)")
     ckpt.add_argument("--name", help="restrict to one run name")
     ckpt.add_argument("--keep", type=int, default=1,
                       help="generations per run to keep when pruning (default 1)")
@@ -373,7 +370,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 store=make_store(
                     args.store,
                     args.checkpoint_dir,
-                    replicas=args.replicas,
                     fault_plan=resilience.fault_plan if resilience else None,
                 ),
                 fault_plan=resilience.fault_plan if resilience else None,
@@ -451,7 +447,7 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
 
     manager = CheckpointManager(
         args.checkpoint_dir,
-        store=make_store(args.store, args.checkpoint_dir, replicas=args.replicas),
+        store=make_store(args.store, args.checkpoint_dir),
     )
 
     if args.action == "sync":
@@ -543,7 +539,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
         events: list[str] = []
-        manifest = preprocess_grid(
+        manifest, _ = preprocess_grid(
             edges, args.directory, stripes,
             fault_plan=plan, source=source, events=events,
             stripe_mode=args.stripe_mode,

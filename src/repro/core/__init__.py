@@ -6,7 +6,6 @@ from .backend import (
     ProcessBackend,
     SerialBackend,
     make_backend,
-    parse_backend_spec,
 )
 from .budget import MemoryBudget, parse_memory_budget
 from .engine import Engine
@@ -31,5 +30,4 @@ __all__ = [
     "ProcessBackend",
     "BACKEND_KINDS",
     "make_backend",
-    "parse_backend_spec",
 ]

@@ -33,11 +33,9 @@ tasks in-process, or hands them to a concurrent backend as one
     touch shared-memory *copies*, the engine's arrays are untouched and
     the batch re-runs serially without rollback.
 
-``make_backend`` / :func:`parse_backend_spec` mirror the checkpoint
-store registry (:func:`repro.resilience.store.parse_store_spec`): a
-backend is selected by a *spec* string — a bare kind (``serial``) or a
-kind with colon-separated ``key=value`` options
-(``process:workers=8:chunk=auto``).
+A backend is selected by a *spec* string in the one
+``kind[:key=value]*`` grammar of :mod:`repro.spec`; :data:`BACKEND_SPEC`
+is this module's option table.
 """
 
 from __future__ import annotations
@@ -54,8 +52,9 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import BackendError, ValidationError
+from ..errors import BackendError
 from ..resilience.journal import PartitionRecord
+from ..spec import choice, flag, integer, parse_spec
 from . import kernels
 from .kernels import KERNEL_FUNCTIONS, cond_guard, kernel_args
 from .plan import PartitionTask, PhasePlan
@@ -66,116 +65,42 @@ __all__ = [
     "SerialBackend",
     "ProcessBackend",
     "BACKEND_KINDS",
-    "parse_backend_spec",
+    "BACKEND_SPEC",
     "backend_options",
     "make_backend",
 ]
 
 log = logging.getLogger(__name__)
 
-#: CLI-selectable backend names.
-BACKEND_KINDS = ("serial", "process")
-
-#: option names each backend kind accepts in its spec.
-_SPEC_OPTIONS = {
-    "serial": frozenset({"prefetch"}),
-    "process": frozenset({"workers", "chunk", "strict", "start", "sparse", "prefetch"}),
-}
-
-
-def parse_backend_spec(spec: str) -> tuple[str, dict[str, str]]:
-    """Parse an ``EngineOptions.backend`` spec into ``(kind, options)``.
-
-    Grammar: ``kind[:key=value]*`` with colon-separated options, e.g.
-    ``process:workers=8:chunk=auto:strict=0`` — the same shape as the
-    checkpoint ``--store`` specs.  Unknown kinds and options raise
-    :class:`~repro.errors.ValidationError` (a :class:`ValueError`
-    subclass).
-    """
-    head, *rest = spec.split(":")
-    kind = head.strip()
-    if kind not in BACKEND_KINDS:
-        raise ValidationError(
-            f"unknown backend kind {kind!r}; expected one of {BACKEND_KINDS}"
-        )
-    options: dict[str, str] = {}
-    allowed = _SPEC_OPTIONS[kind]
-    for item in rest:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ValidationError(
-                f"bad backend option {item!r} in {spec!r} (expected key=value)"
-            )
-        if key not in allowed:
-            raise ValidationError(
-                f"backend kind {kind!r} does not accept option {key!r}; "
-                f"allowed: {sorted(allowed) or 'none'}"
-            )
-        if key in options:
-            raise ValidationError(f"duplicate backend option {key!r} in {spec!r}")
-        options[key] = value.strip()
-    return kind, options
-
 
 def _default_workers() -> int:
     return max(1, min(4, os.cpu_count() or 1))
 
 
+#: the backend spec table: every kind, and the options it accepts.
+#: ``workers`` sizes the pool; ``strict`` refuses (1) or silently
+#: serialises (0) uncertified operators; ``start`` is the
+#: multiprocessing start method (default: fork, else spawn);
+#: ``prefetch`` is the grid read-ahead depth in blocks (0 disables; also
+#: on ``serial``, since grid streaming is backend-independent).
+BACKEND_SPEC = {
+    "serial": {"prefetch": integer(0, minimum=0)},
+    "process": {
+        "workers": integer(_default_workers(), minimum=1),
+        "strict": flag(True),
+        "start": choice(None, get_all_start_methods()),
+        "prefetch": integer(0, minimum=0),
+    },
+}
+
+#: CLI-selectable backend names.
+BACKEND_KINDS = tuple(BACKEND_SPEC)
+
+
 def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
-    """Parse and *type* a backend spec; the validation behind
-    ``EngineOptions.__post_init__``.
-
-    Returns ``(kind, options)`` with ``workers`` (int >= 1), ``chunk``
-    (``"auto"`` or int >= 1), ``strict`` (bool: refuse vs. silently
-    serialise uncertified operators), ``start`` (multiprocessing start
-    method, or ``None`` for fork-with-spawn-fallback), ``sparse``
-    (bool: dispatch the sparse forward-CSR phase across partition
-    ranges too) and ``prefetch`` (int >= 0: grid read-ahead depth in
-    blocks, 0 disables) resolved to their defaults.  Raises
-    :class:`~repro.errors.ValidationError` on any ill-typed value.
-    """
-    kind, raw = parse_backend_spec(spec)
-
-    def integer(key: str, default: int, minimum: int, or_word: str = "") -> int:
-        try:
-            value = int(raw.get(key, default))
-        except ValueError:
-            raise ValidationError(
-                f"backend option {key!r} must be {or_word}an integer >= {minimum}, "
-                f"got {raw[key]!r}"
-            ) from None
-        if value < minimum:
-            raise ValidationError(
-                f"backend option {key!r} must be >= {minimum}, got {value}"
-            )
-        return value
-
-    def flag(key: str, default: str) -> bool:
-        value = raw.get(key, default)
-        if value not in ("0", "1"):
-            raise ValidationError(
-                f"backend option {key!r} must be 0 or 1, got {value!r}"
-            )
-        return value == "1"
-
-    if kind == "serial":
-        return kind, {"prefetch": integer("prefetch", 0, 0)}
-    start = raw.get("start")
-    if start is not None and start not in get_all_start_methods():
-        raise ValidationError(
-            f"backend option 'start' must be one of {get_all_start_methods()}, "
-            f"got {start!r}"
-        )
-    chunk = raw.get("chunk", "auto")
-    return kind, {
-        "workers": integer("workers", _default_workers(), 1),
-        "chunk": chunk if chunk == "auto" else integer("chunk", 0, 1, "'auto' or "),
-        "strict": flag("strict", "1"),
-        "sparse": flag("sparse", "0"),
-        "prefetch": integer("prefetch", 0, 0),
-        "start": start,
-    }
+    """``(kind, typed options)`` of a backend spec; the validation behind
+    ``EngineOptions.__post_init__``."""
+    return parse_spec("backend", BACKEND_SPEC, spec)
 
 
 def make_backend(spec: str, *, stats: BackendStats | None = None) -> "ExecutionBackend":
@@ -185,8 +110,6 @@ def make_backend(spec: str, *, stats: BackendStats | None = None) -> "ExecutionB
         return SerialBackend()
     return ProcessBackend(
         workers=options["workers"],
-        chunk=options["chunk"],
-        strict=options["strict"],
         start=options["start"],
         stats=stats,
     )
@@ -424,16 +347,10 @@ class ProcessBackend(ExecutionBackend):
     def __init__(
         self,
         workers: int | None = None,
-        chunk: int | str = "auto",
-        strict: bool = True,
         start: str | None = None,
         stats: BackendStats | None = None,
     ) -> None:
         self.workers = workers or _default_workers()
-        self.chunk = chunk
-        #: refuse uncertified operators (the engine consults this at
-        #: admission; non-strict engines silently run them serially).
-        self.strict = strict
         self._start = start
         self.stats = stats if stats is not None else BackendStats(kind=self.kind)
         self._executor: ProcessPoolExecutor | None = None
@@ -572,12 +489,9 @@ class ProcessBackend(ExecutionBackend):
         return True
 
     def _chunks(self, tasks: list[PartitionTask]) -> list[list[PartitionTask]]:
-        if self.chunk == "auto":
-            # Two chunks per worker: cheap dynamic load balance without
-            # drowning small batches in per-future overhead.
-            size = max(1, -(-len(tasks) // (self.workers * 2)))
-        else:
-            size = int(self.chunk)
+        # Two chunks per worker: cheap dynamic load balance without
+        # drowning small batches in per-future overhead.
+        size = max(1, -(-len(tasks) // (self.workers * 2)))
         return [tasks[i : i + size] for i in range(0, len(tasks), size)]
 
     # ------------------------------------------------------------------

@@ -68,19 +68,12 @@ from .plan import (
     grid_block_tasks,
     pcsr_layout,
     range_tasks,
-    sparse_split_tasks,
 )
 from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
 
 __all__ = ["Engine"]
 
 log = logging.getLogger(__name__)
-
-#: minimum estimated frontier edge work before the sparse CSR phase is
-#: worth splitting across the process backend — below this the per-batch
-#: dispatch overhead dominates any parallel win.  Module-level so tests
-#: can monkeypatch it to 0 and exercise the parallel path on toy graphs.
-SPARSE_DISPATCH_MIN_EDGES = 2048
 
 
 class Engine:
@@ -349,50 +342,22 @@ class Engine:
     def _plan_csr(self, frontier: Frontier) -> PhasePlan:
         """Sparse: forward traversal of the unpartitioned CSR.
 
-        The frontier's out-adjacency is gathered once, here; the phase
-        is one whole-range task, or — on an admitted ``sparse=1``
-        backend — tasks that each mask a disjoint destination range out
-        of the gathered edges (per-destination edge order is preserved,
-        so a partition-pure operator accumulates bit-identically in any
-        task order).  The statistics are those of the unsplit phase
-        either way, so the cost model stays backend-invariant.
+        The frontier's out-adjacency is gathered once, here, and the
+        phase is one whole-range task that always runs in this process:
+        per-partition work on a small frontier is pure overhead (§III.A.1).
         """
         active = frontier.as_sparse()
-        csr, n = self.store.csr, self.num_vertices
-        split = self._sparse_split_admitted(active)
-        if split:
-            workers = self._backend_conf["workers"]
-            tasks = self._cached(
-                "csr-split",
-                lambda: sparse_split_tasks(self.store.partition, workers, self.options),
-            )
-        else:
-            tasks = self._cached("csr", lambda: [PartitionTask(0, 0, n)])
+        csr = self.store.csr
         gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
         return PhasePlan(
-            "csr", "forward", "csr", tasks,
+            "csr", "forward", "csr", [PartitionTask(0, 0, self.num_vertices)],
             num_partitions=1,
             uses_atomics=self.options.num_threads > 1,
             transient={"gsrc": gsrc, "gdst": gdst},
-            meta={"num_vertices": n},
             per_partition=False,
             scanned=int(active.size),
-            granular=split,
+            granular=False,
         )
-
-    def _sparse_split_admitted(self, active: np.ndarray) -> bool:
-        """Whether this sparse phase should split across partition ranges.
-
-        Requires an admitted concurrent phase (certified operator +
-        non-serial backend), the ``sparse=1`` spec knob, more than one
-        partition to split over, and enough estimated frontier edge
-        work to amortise the dispatch."""
-        if not (self._phase_concurrent and self._backend_conf["sparse"]):
-            return False
-        if self.store.partition.num_partitions <= 1:
-            return False
-        est_edges = int(self.store.out_degrees[active].sum())
-        return est_edges >= SPARSE_DISPATCH_MIN_EDGES
 
     def _plan_csc(self, frontier: Frontier) -> PhasePlan:
         """Medium-dense: backward traversal of the ranged CSC."""

@@ -81,12 +81,7 @@ def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
             i, task.lo, task.hi,
         )
     if kernel == "csr":
-        # The driver gathered the frontier's adjacency once; each task
-        # masks its destination range out of the same edge arrays.
-        return (
-            arrays["gsrc"], arrays["gdst"], meta["num_vertices"],
-            i, task.lo, task.hi,
-        )
+        return (arrays["gsrc"], arrays["gdst"], i, task.lo, task.hi)
     if kernel == "pcsr":
         return (
             arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
@@ -136,26 +131,17 @@ def run_csr_sparse_partition(
     cond_fn,
     src: np.ndarray,
     dst: np.ndarray,
-    num_vertices: int,
     partition: int,
     lo: int,
     hi: int,
 ) -> PartitionRecord:
-    """One destination-range slice of the sparse forward-CSR traversal.
+    """The sparse forward-CSR traversal: one task over the whole graph.
 
     ``src``/``dst`` are the edges already gathered from the frontier's
-    out-adjacency (frontier-sorted, so per-destination edge order is the
-    gather order).  Restricting to ``dst in [lo, hi)`` preserves that
-    relative order, and every edge targeting a given destination lands
-    in exactly one partition — which is why running the slices in any
-    order (or concurrently) accumulates bit-identically to the serial
-    whole-range call for partition-pure operators.  The in-process
-    sparse phase is the one task ``[0, num_vertices)``, which skips the
-    mask.  ``touched`` stays 0: no CSR :class:`EdgeMapStats` reads it.
+    out-adjacency; ``[lo, hi)`` is ``[0, num_vertices)`` and only labels
+    the record.  ``touched`` stays 0: no CSR :class:`EdgeMapStats` reads
+    it.
     """
-    if lo > 0 or hi < num_vertices:
-        sel = (dst >= lo) & (dst < hi)
-        src, dst = src[sel], dst[sel]
     examined = int(dst.size)
     cond = cond_fn(op, dst)
     if cond is not None:

@@ -75,24 +75,13 @@ class EngineOptions:
         developing a new operator).  The process backend honours it too:
         untrusted operators run ``validated_cond`` inside the workers.
     backend:
-        Execution backend spec (see
-        :func:`repro.core.backend.parse_backend_spec`): ``"serial"``
+        Execution backend spec (grammar: :mod:`repro.spec`; options:
+        :data:`repro.core.backend.BACKEND_SPEC`): ``"serial[:prefetch=N]"``
         (default — the in-process reference path) or
-        ``"process[:workers=N][:chunk=auto|N][:strict=0|1][:start=fork|spawn]``
-        ``[:sparse=0|1][:prefetch=0|1|N]"`` — a persistent worker pool
-        over shared-memory arrays running the partitioned kernels'
-        disjoint partition slices concurrently, bit-identical to serial.
-        ``sparse=1`` extends the dispatch to the sparse forward-CSR
-        traversal (frontier edge work split across the partitions'
-        destination ranges); ``prefetch=N`` enables double-buffered grid
-        block read-ahead of depth ``N`` when an out-of-core grid is
-        attached (``prefetch`` is also accepted on ``serial`` specs,
-        since grid streaming is backend-independent).  Any non-serial
-        backend enforces the
-        admission contract: operators must be certified *partition-pure*
-        (``strict=1``, the default, refuses others with a
-        :class:`~repro.errors.ValidationError`; ``strict=0`` runs them
-        on the serial path instead).  Ill-formed specs raise
+        ``"process[:workers=N][:strict=0|1][:start=fork|spawn][:prefetch=N]"``
+        — a persistent worker pool over shared-memory arrays running the
+        partitioned kernels' disjoint partition slices concurrently,
+        bit-identical to serial.  Ill-formed specs raise
         :class:`~repro.errors.ValidationError` here.  Defaults to the
         ``REPRO_BACKEND`` environment variable when set.
     """

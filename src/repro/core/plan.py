@@ -28,7 +28,6 @@ __all__ = [
     "partition_order",
     "range_tasks",
     "coo_tasks",
-    "sparse_split_tasks",
     "pcsr_layout",
     "grid_block_tasks",
 ]
@@ -126,27 +125,6 @@ def coo_tasks(coo, options) -> list[PartitionTask]:
             extra=(int(bounds[i]), int(bounds[i + 1])),
         )
         for i in partition_order(coo.num_partitions, options)
-    ]
-
-
-def sparse_split_tasks(ranges, workers: int, options) -> list[PartitionTask]:
-    """Destination ranges for a sparse phase split across a worker pool.
-
-    Every task re-scans the whole gathered edge list for its mask, so
-    the partition ranges are coarsened to ~2x the worker count (along
-    partition boundaries) instead of one task per partition — the
-    masking work stays O(workers x |F_edges|), not O(p x |F_edges|).
-    """
-    p = ranges.num_partitions
-    num_tasks = min(p, max(1, 2 * workers))
-    cuts = [(g * p) // num_tasks for g in range(num_tasks + 1)]
-    return [
-        PartitionTask(
-            g,
-            ranges.vertex_range(cuts[g])[0],
-            ranges.vertex_range(cuts[g + 1] - 1)[1],
-        )
-        for g in partition_order(num_tasks, options)
     ]
 
 

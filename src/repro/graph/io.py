@@ -1,8 +1,8 @@
 """Edge-list persistence: whitespace text format and NumPy ``.npz``.
 
-Both savers are crash-safe: they write to a ``.tmp`` sibling and
-``os.replace`` it into place, so an interrupted save never leaves a
-truncated file under the final name.  Both loaders run the strict
+Both savers are crash-safe (:func:`~repro.durable.durable_write`): an
+interrupted save never leaves a truncated file under the final name.
+Both loaders run the strict
 :func:`~repro.resilience.validation.validate_edgelist` gate *before*
 narrowing ids to the 32-bit vertex dtype, so an out-of-range, negative
 or overflowing id is reported as a typed
@@ -18,22 +18,12 @@ import zipfile
 import numpy as np
 
 from .._types import VID_DTYPE
+from ..durable import durable_write
 from ..errors import GraphFormatError, ValidationError
 from ..resilience.validation import validate_edgelist
 from .edgelist import EdgeList
 
 __all__ = ["save_npz", "load_npz", "save_text", "load_text"]
-
-
-def _replace_atomically(tmp: str, final: str) -> None:
-    try:
-        os.replace(tmp, final)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def save_npz(path: str | os.PathLike, edges: EdgeList) -> None:
@@ -45,24 +35,13 @@ def save_npz(path: str | os.PathLike, edges: EdgeList) -> None:
     final = os.fspath(path)
     if not final.endswith(".npz"):
         final += ".npz"
-    tmp = final + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(
-                fh,
-                num_vertices=np.int64(edges.num_vertices),
-                src=edges.src,
-                dst=edges.dst,
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _replace_atomically(tmp, final)
+    with durable_write(final) as fh:
+        np.savez_compressed(
+            fh,
+            num_vertices=np.int64(edges.num_vertices),
+            src=edges.src,
+            dst=edges.dst,
+        )
 
 
 def load_npz(path: str | os.PathLike) -> EdgeList:
@@ -87,21 +66,9 @@ def save_text(path: str | os.PathLike, edges: EdgeList) -> None:
 
     Atomic like :func:`save_npz`.
     """
-    final = os.fspath(path)
-    tmp = final + ".tmp"
-    try:
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(f"# vertices {edges.num_vertices} edges {edges.num_edges}\n")
-            np.savetxt(fh, np.column_stack([edges.src, edges.dst]), fmt="%d")
-            fh.flush()
-            os.fsync(fh.fileno())
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _replace_atomically(tmp, final)
+    with durable_write(path, "w", encoding="ascii") as fh:
+        fh.write(f"# vertices {edges.num_vertices} edges {edges.num_edges}\n")
+        np.savetxt(fh, np.column_stack([edges.src, edges.dst]), fmt="%d")
 
 
 def _parse_header_vertices(path: str | os.PathLike, first: str) -> int:

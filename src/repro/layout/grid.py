@@ -58,6 +58,7 @@ from ..errors import (
 )
 from ..graph.edgelist import EdgeList
 from ..partition.vertex_partition import VertexPartition
+from ..resilience.faults import GRID_WRITE_FAULT_KINDS, IO_FAULT_KINDS
 from ..resilience.store import _flip_last_byte, _read_framed, _write_framed
 
 __all__ = [
@@ -215,7 +216,7 @@ def preprocess_grid(
     fault_plan=None,
     source: dict | None = None,
     events: list[str] | None = None,
-) -> dict:
+) -> tuple[dict, int]:
     """Shard ``edges`` into a committed P×P grid under ``directory``.
 
     Per-block files are written first (each CRC32-framed); the manifest
@@ -224,7 +225,8 @@ def preprocess_grid(
     store's atomic tmp+fsync+replace idiom, making it the commit point.
     ``source`` optionally records where the edges came from (a file path
     or a dataset spec) so :class:`GridStore` can repair torn blocks on
-    read without the in-memory edge list.  Returns the manifest dict.
+    read without the in-memory edge list.  Returns the manifest dict and
+    how many block writes had to be retried.
     """
     if num_stripes < 1:
         raise ValidationError("num_stripes must be >= 1")
@@ -234,7 +236,7 @@ def preprocess_grid(
     src, dst, pid_src, pid_dst = _shard_edges(edges, stripes)
     events = events if events is not None else []
     blocks = []
-    write_index = 0
+    write_index = write_retries = 0
     for i in range(num_stripes):
         row = pid_src == i
         for j in range(num_stripes):
@@ -244,10 +246,12 @@ def preprocess_grid(
                 continue
             payload = _block_payload(src[sel], dst[sel])
             path = directory / _block_filename(i, j)
-            write_index = _write_block(
+            attempts = _write_block(
                 path, payload, i, j,
                 fault_plan=fault_plan, write_index=write_index, events=events,
             )
+            write_index += attempts
+            write_retries += attempts - 1
             blocks.append(
                 {
                     "i": i,
@@ -273,7 +277,7 @@ def preprocess_grid(
         _GRID_MAGIC,
         json.dumps(manifest, sort_keys=True).encode("utf-8"),
     )
-    return manifest
+    return manifest, write_retries
 
 
 def _write_block(
@@ -288,17 +292,17 @@ def _write_block(
 ) -> int:
     """Write one framed block, surviving one injected full-disk event.
 
-    Returns the advanced write index (each attempt consumes one).  A
-    ``torn_block`` event lets the write complete, then flips the file's
-    last byte — caught later by the CRC check and repaired on read.
+    Returns how many write attempts it took (each consumes one write
+    index).  A ``torn_block`` event lets the write complete, then flips
+    the file's last byte — caught later by the CRC check and repaired on
+    read.
     """
     for attempt in range(2):
         kind = (
-            fault_plan.take_grid_write_fault(write_index)
+            fault_plan.take(GRID_WRITE_FAULT_KINDS, write_index + attempt)
             if fault_plan is not None
             else None
         )
-        write_index += 1
         if kind == "disk_full":
             tmp = path.with_name(path.name + ".tmp")
             tmp.unlink(missing_ok=True)
@@ -314,7 +318,7 @@ def _write_block(
         if kind == "torn_block":
             _flip_last_byte(path)
             events.append(f"block ({i},{j}) written torn (injected)")
-        return write_index
+        return attempt + 1
     raise AssertionError("unreachable")
 
 
@@ -381,7 +385,7 @@ class GridStore:
                 edges.num_vertices, edges.num_edges, budget_obj.limit_bytes
             )
         events: list[str] = []
-        manifest = preprocess_grid(
+        manifest, write_retries = preprocess_grid(
             edges, directory, num_stripes, stripe_mode=stripe_mode,
             fault_plan=fault_plan, source=source, events=events,
         )
@@ -390,7 +394,7 @@ class GridStore:
             budget=budget_obj, fault_plan=fault_plan, edges=edges,
         )
         store.events.extend(events)
-        store.stats.write_retries += sum("disk full" in e for e in events)
+        store.stats.write_retries += write_retries
         return store
 
     @classmethod
@@ -489,7 +493,7 @@ class GridStore:
         payload = None
         for _ in range(_MAX_READ_ATTEMPTS):
             kind = (
-                self.fault_plan.take_io_fault(self._read_ops)
+                self.fault_plan.take(IO_FAULT_KINDS, self._read_ops)
                 if self.fault_plan is not None
                 else None
             )

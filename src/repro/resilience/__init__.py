@@ -34,7 +34,6 @@ from .store import (
     ReplicatedStore,
     ShardedStore,
     make_store,
-    parse_store_spec,
 )
 from .supervisor import ResiliencePolicy
 from .validation import validate_edgelist, validate_weights
@@ -68,7 +67,6 @@ __all__ = [
     "SyncOutcome",
     "Watchdog",
     "make_store",
-    "parse_store_spec",
     "validate_edgelist",
     "validate_weights",
 ]

@@ -133,14 +133,14 @@ class CheckpointManager:
         self.store.save(name, step, arrays)
         plan = self.fault_plan
         if plan is not None:
-            if plan.take_checkpoint_corruption(step):
+            if plan.take(("corrupt_checkpoint",), step):
                 self.store.corrupt(name, step)
-            if plan.take_shard_corruption(step):
+            if plan.take(("corrupt_shard",), step):
                 if hasattr(self.store, "corrupt_shard"):
                     self.store.corrupt_shard(name, step)
                 else:
                     self.store.corrupt(name, step)
-            if plan.take_lost_replica(step):
+            if plan.take(("lost_replica",), step):
                 if hasattr(self.store, "lose_replica"):
                     self.store.lose_replica(name, step)
                 else:

@@ -260,116 +260,44 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def before_edge_map(self, iteration: int) -> None:
         """Fire any pending whole-phase fault for this edge-map index."""
-        for ev in self.events:
-            if ev.fired or ev.iteration != iteration or ev.partition is not None:
-                continue
-            if ev.kind == "worker_crash":
-                ev.fired = True
-                raise WorkerFailure(f"injected worker crash at edge-map {iteration}")
-            if ev.kind == "oom":
-                ev.fired = True
-                raise CapacityError(f"injected OOM at edge-map {iteration}")
+        kind = self.take(("worker_crash", "oom"), iteration)
+        if kind == "worker_crash":
+            raise WorkerFailure(f"injected worker crash at edge-map {iteration}")
+        if kind == "oom":
+            raise CapacityError(f"injected OOM at edge-map {iteration}")
 
     def before_partition(self, iteration: int, partition: int) -> None:
         """Fire any pending partition-scoped fault for this (phase, partition)."""
-        for ev in self.events:
-            if ev.fired or ev.iteration != iteration or ev.partition != partition:
-                continue
-            if ev.kind in ("partition", "worker_crash"):
-                ev.fired = True
-                raise WorkerFailure(
-                    f"injected {'worker crash' if ev.kind == 'worker_crash' else 'partition-task failure'} "
-                    f"at edge-map {iteration}, partition {partition}"
-                )
-            if ev.kind == "oom":
-                ev.fired = True
-                raise CapacityError(
-                    f"injected OOM at edge-map {iteration}, partition {partition}"
-                )
+        kind = self.take(("partition", "worker_crash", "oom"), iteration, partition)
+        if kind is None:
+            return
+        where = f"at edge-map {iteration}, partition {partition}"
+        if kind == "oom":
+            raise CapacityError(f"injected OOM {where}")
+        what = "worker crash" if kind == "worker_crash" else "partition-task failure"
+        raise WorkerFailure(f"injected {what} {where}")
 
-    def take_stall(self, iteration: int, partition: int) -> bool:
-        """Consume a pending ``stall`` event for this (phase, partition)."""
+    def take(
+        self, kinds: tuple[str, ...], index: int, partition: int | None = None
+    ) -> str | None:
+        """Consume one pending event of ``kinds`` at ``index``; returns its kind.
+
+        ``index`` is whatever the kinds count — the edge-map phase for
+        ``stall`` (with its ``partition``), the Nth remote request, grid
+        block read or block write, or the checkpoint step.  At most one
+        event fires per call, so stacked events on the same index fire
+        on consecutive attempts.
+        """
         for ev in self.events:
             if (
                 not ev.fired
-                and ev.kind == "stall"
-                and ev.iteration == iteration
+                and ev.kind in kinds
+                and ev.iteration == index
                 and ev.partition == partition
             ):
                 ev.fired = True
-                return True
-        return False
-
-    def take_net_fault(self, op_index: int) -> str | None:
-        """Consume a pending network fault for the ``op_index``-th remote request.
-
-        Called by the :class:`~repro.resilience.netsim.NetworkSimulator`
-        once per request; returns the fault kind to inject, or ``None``.
-        At most one event fires per request, so stacked events on the
-        same index fire on consecutive retries.
-        """
-        for ev in self.events:
-            if (
-                not ev.fired
-                and ev.kind in NET_FAULT_KINDS
-                and ev.iteration == op_index
-            ):
-                ev.fired = True
                 return ev.kind
         return None
-
-    def take_io_fault(self, op_index: int) -> str | None:
-        """Consume a pending disk-I/O fault for the ``op_index``-th block read.
-
-        Called by :meth:`~repro.layout.grid.GridStore.read_block` once
-        per physical read attempt; returns ``"io_error"``/``"slow_io"``
-        or ``None``.  At most one event fires per read, so stacked
-        events on the same index fire on consecutive re-reads.
-        """
-        for ev in self.events:
-            if (
-                not ev.fired
-                and ev.kind in IO_FAULT_KINDS
-                and ev.iteration == op_index
-            ):
-                ev.fired = True
-                return ev.kind
-        return None
-
-    def take_grid_write_fault(self, op_index: int) -> str | None:
-        """Consume a pending write fault for the ``op_index``-th block write.
-
-        Called by the grid preprocessor once per write attempt; returns
-        ``"disk_full"``/``"torn_block"`` or ``None``.
-        """
-        for ev in self.events:
-            if (
-                not ev.fired
-                and ev.kind in GRID_WRITE_FAULT_KINDS
-                and ev.iteration == op_index
-            ):
-                ev.fired = True
-                return ev.kind
-        return None
-
-    def take_checkpoint_corruption(self, step: int) -> bool:
-        """Consume a pending ``corrupt_checkpoint`` event for this step."""
-        return self._take_storage_fault("corrupt_checkpoint", step)
-
-    def take_shard_corruption(self, step: int) -> bool:
-        """Consume a pending ``corrupt_shard`` event for this step."""
-        return self._take_storage_fault("corrupt_shard", step)
-
-    def take_lost_replica(self, step: int) -> bool:
-        """Consume a pending ``lost_replica`` event for this step."""
-        return self._take_storage_fault("lost_replica", step)
-
-    def _take_storage_fault(self, kind: str, step: int) -> bool:
-        for ev in self.events:
-            if not ev.fired and ev.kind == kind and ev.iteration == step:
-                ev.fired = True
-                return True
-        return False
 
     # ------------------------------------------------------------------
     def pending(self) -> list[FaultEvent]:

@@ -131,7 +131,7 @@ class NetworkSimulator:
 
     def _next_fault(self, op_index: int) -> str | None:
         if self.fault_plan is not None:
-            kind = self.fault_plan.take_net_fault(op_index)
+            kind = self.fault_plan.take(NET_FAULT_KINDS, op_index)
             if kind is not None:
                 return kind
         if self.fault_rates and (

@@ -62,7 +62,14 @@ from ..errors import (
 )
 from .backoff import BackoffSchedule
 from .netsim import NetworkSimulator
-from .store import CheckpointStore, LocalDirStore, _npz_arrays, _npz_bytes, safe_name
+from .store import (
+    CheckpointStore,
+    LocalDirStore,
+    _npz_arrays,
+    _npz_bytes,
+    _write_durably,
+    safe_name,
+)
 
 __all__ = [
     "ObjectService",
@@ -82,22 +89,6 @@ _OBJECT_KEY_RE = re.compile(r"^(?P<name>.+)/it(?P<step>\d{8})\.npz$")
 
 def _etag(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def _atomic_write(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise CheckpointError(f"cannot write {path}: {exc}") from exc
 
 
 class ObjectService:
@@ -170,8 +161,8 @@ class ObjectService:
         else:
             generation = 0
         meta = dict(meta, generation=generation + 1)
-        _atomic_write(data_path, data)
-        _atomic_write(meta_path, json.dumps(meta).encode())
+        _write_durably(data_path, data)
+        _write_durably(meta_path, json.dumps(meta).encode())
 
     def get_object(self, key: str, *, stale: bool = False) -> tuple[bytes, dict]:
         """Fetch ``(bytes, metadata)``; ``stale`` serves the previous version."""
@@ -236,7 +227,7 @@ class ObjectService:
                 break
             seq += 1
         updir.mkdir(parents=True)
-        _atomic_write(updir / "upload.json", json.dumps({"key": key}).encode())
+        _write_durably(updir / "upload.json", json.dumps({"key": key}).encode())
         return upload_id
 
     def _upload_dir(self, upload_id: str) -> Path:
@@ -259,8 +250,8 @@ class ObjectService:
         if part_number < 1:
             raise RemoteProtocolError("InvalidPart: part numbers start at 1")
         updir = self._upload_dir(upload_id)
-        _atomic_write(updir / f"part-{part_number:05d}", data)
-        _atomic_write(
+        _write_durably(updir / f"part-{part_number:05d}", data)
+        _write_durably(
             updir / f"part-{part_number:05d}.json",
             json.dumps({"crc32": crc32}).encode(),
         )

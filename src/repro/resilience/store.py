@@ -32,8 +32,10 @@ behind a fault-injecting network, spilling to a local write-behind
 journal while the remote is unavailable.
 
 ``make_store`` builds any of the four from the CLI's ``--store`` flag,
-whose value is a *spec*: a bare kind (``local``) or a kind with
-colon-separated ``key=value`` options (``remote:seed=7:deadline=10``).
+whose value is a *spec* in the one ``kind[:key=value]*`` grammar of
+:mod:`repro.spec` (``local``, ``replicated:replicas=3``,
+``remote:seed=7:deadline=10``); :data:`STORE_SPEC` is this module's
+option table.
 """
 
 from __future__ import annotations
@@ -52,7 +54,9 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import CheckpointCorruptError, CheckpointError, ValidationError
+from ..durable import durable_write
+from ..errors import CheckpointCorruptError, CheckpointError
+from ..spec import integer, number, parse_spec, string
 
 __all__ = [
     "CheckpointStore",
@@ -60,14 +64,11 @@ __all__ = [
     "ShardedStore",
     "ReplicatedStore",
     "STORE_KINDS",
+    "STORE_SPEC",
     "make_store",
-    "parse_store_spec",
 ]
 
 log = logging.getLogger(__name__)
-
-#: CLI-selectable backend names.
-STORE_KINDS = ("local", "sharded", "replicated", "remote")
 
 _CKPT_MAGIC = b"RPRCKPT1"
 _SHARD_MAGIC = b"RPRSHRD1"
@@ -83,23 +84,18 @@ def safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name) or "run"
 
 
-def _write_framed(path: Path, magic: bytes, payload: bytes) -> None:
-    """Atomically write ``magic + header + payload`` via a tmp sibling."""
-    tmp = path.with_name(path.name + ".tmp")
+def _write_durably(path: Path, *chunks: bytes) -> None:
+    """Durably write ``chunks`` as one file (see :mod:`repro.durable`)."""
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(_HEADER.pack(zlib.crc32(payload), len(payload)))
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        with durable_write(path) as fh:
+            fh.writelines(chunks)
     except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
         raise CheckpointError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_framed(path: Path, magic: bytes, payload: bytes) -> None:
+    """Durably write ``magic + header + payload``."""
+    _write_durably(path, magic, _HEADER.pack(zlib.crc32(payload), len(payload)), payload)
 
 
 def _read_framed(path: Path, magic: bytes) -> bytes:
@@ -511,109 +507,56 @@ class ReplicatedStore(CheckpointStore):
         )
 
 
-#: option names each store kind accepts in its ``--store`` spec.
-_SPEC_OPTIONS = {
-    "local": frozenset(),
-    "sharded": frozenset(),
-    "replicated": frozenset({"replicas"}),
-    "remote": frozenset(
-        {"seed", "faults", "deadline", "parts", "attempts", "autosync"}
-    ),
+#: the ``--store`` spec table: every kind, and the options it accepts.
+#: ``replicas`` is the mirror count; the ``remote`` options seed its
+#: network simulator, inject ``+``-joined fault events into it (``,``
+#: already separates CLI fault events), and bound the client's retries
+#: by simulated seconds and by attempts.
+STORE_SPEC = {
+    "local": {},
+    "sharded": {},
+    "replicated": {"replicas": integer(2, minimum=1)},
+    "remote": {
+        "seed": integer(0),
+        "faults": string(None),
+        "deadline": number(30.0),
+        "attempts": integer(8, minimum=1),
+    },
 }
 
-
-def parse_store_spec(spec: str) -> tuple[str, dict[str, str]]:
-    """Parse a ``--store`` spec into ``(kind, options)``.
-
-    Grammar: ``kind[:key=value]*`` with colon-separated options, e.g.
-    ``remote:seed=7:faults=net_timeout@0+net_reset@3:deadline=10``.
-    Because ``,`` separates CLI fault events elsewhere, fault events
-    inside a spec are joined with ``+`` instead.  Unknown kinds and
-    options raise :class:`~repro.errors.ValidationError` (a
-    :class:`ValueError` subclass).
-    """
-    head, *rest = spec.split(":")
-    kind = head.strip()
-    if kind not in STORE_KINDS:
-        raise ValidationError(
-            f"unknown store kind {kind!r}; expected one of {STORE_KINDS}"
-        )
-    options: dict[str, str] = {}
-    allowed = _SPEC_OPTIONS[kind]
-    for item in rest:
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise ValidationError(
-                f"bad store option {item!r} in {spec!r} (expected key=value)"
-            )
-        if key not in allowed:
-            raise ValidationError(
-                f"store kind {kind!r} does not accept option {key!r}; "
-                f"allowed: {sorted(allowed) or 'none'}"
-            )
-        if key in options:
-            raise ValidationError(f"duplicate store option {key!r} in {spec!r}")
-        options[key] = value.strip()
-    return kind, options
-
-
-def _int_option(options: dict[str, str], key: str, default: int) -> int:
-    try:
-        return int(options[key]) if key in options else default
-    except ValueError:
-        raise ValidationError(
-            f"store option {key!r} must be an integer, got {options[key]!r}"
-        ) from None
-
-
-def _float_option(options: dict[str, str], key: str, default: float) -> float:
-    try:
-        return float(options[key]) if key in options else default
-    except ValueError:
-        raise ValidationError(
-            f"store option {key!r} must be a number, got {options[key]!r}"
-        ) from None
+#: CLI-selectable backend names.
+STORE_KINDS = tuple(STORE_SPEC)
 
 
 def make_store(
-    spec: str,
-    directory: str | os.PathLike,
-    *,
-    replicas: int = 2,
-    fault_plan=None,
+    spec: str, directory: str | os.PathLike, *, fault_plan=None
 ) -> CheckpointStore:
     """Build a store backend from its CLI ``--store`` spec.
 
     ``replicated`` mirrors a :class:`ShardedStore` across ``replicas``
-    subdirectories of ``directory`` (``replica-0``, ``replica-1``, ...);
-    the spec option ``replicas=N`` overrides the keyword.  ``remote``
-    accepts ``seed``, ``deadline`` (seconds), ``parts`` (multipart chunk
-    bytes), ``attempts``, ``autosync`` (0/1) and ``faults`` — a
-    ``+``-joined fault spec injected into its network simulator.  A
-    ``fault_plan`` (e.g. the run's ``--faults`` plan) is merged with any
-    spec-level events so the network simulator and the engine consume
-    the same one-shot event pool.
+    subdirectories of ``directory`` (``replica-0``, ``replica-1``, ...).
+    A ``fault_plan`` (e.g. the run's ``--faults`` plan) is merged with
+    the ``remote`` spec's ``faults`` so the network simulator and the
+    engine consume the same one-shot event pool.
     """
-    kind, options = parse_store_spec(spec)
+    kind, options = parse_spec("store", STORE_SPEC, spec)
     if kind == "local":
         return LocalDirStore(directory)
     if kind == "sharded":
         return ShardedStore(directory)
     if kind == "replicated":
-        replicas = _int_option(options, "replicas", replicas)
-        if replicas < 1:
-            raise ValidationError("replicas must be >= 1")
-        children = [
-            ShardedStore(Path(directory) / f"replica-{i}") for i in range(replicas)
-        ]
-        return ReplicatedStore(children)
+        return ReplicatedStore(
+            [
+                ShardedStore(Path(directory) / f"replica-{i}")
+                for i in range(options["replicas"])
+            ]
+        )
     # kind == "remote"; imported lazily (remote.py imports this module).
     from .faults import FaultPlan
     from .remote import RemoteStore
 
     merged = fault_plan
-    if "faults" in options:
+    if options["faults"] is not None:
         spec_plan = FaultPlan.from_spec(options["faults"].replace("+", ","))
         # Share the event objects so one-shot semantics stay consistent
         # between the engine and the network simulator.
@@ -622,10 +565,8 @@ def make_store(
         )
     return RemoteStore(
         directory,
-        seed=_int_option(options, "seed", 0),
+        seed=options["seed"],
         fault_plan=merged,
-        part_bytes=_int_option(options, "parts", 1 << 16),
-        deadline_s=_float_option(options, "deadline", 30.0),
-        max_attempts=_int_option(options, "attempts", 8),
-        auto_sync=bool(_int_option(options, "autosync", 1)),
+        deadline_s=options["deadline"],
+        max_attempts=options["attempts"],
     )

@@ -529,7 +529,7 @@ class Supervisor:
         if watchdog is None:
             return
         num_edges = int(self.engine.store.coo.edges_per_partition()[i])
-        stalled = plan is not None and plan.take_stall(self.phase, i)
+        stalled = plan is not None and plan.take(("stall",), self.phase, i)
         elapsed = (
             2.0 * watchdog.deadline_ns(num_edges)
             if stalled

@@ -93,12 +93,27 @@ def test_partition_order_does_not_change_the_result(store, order):
 def test_single_worker_pool_matches_serial(store):
     serial = _results(Engine(store, EngineOptions(num_threads=4)), "CC")
     engine = Engine(
-        store, EngineOptions(num_threads=4, backend="process:workers=1:chunk=1")
+        store, EngineOptions(num_threads=4, backend="process:workers=1")
     )
     try:
         _assert_identical(serial, _results(engine, "CC"), "CC/workers=1")
     finally:
         engine.close()
+
+
+def test_sparse_phase_runs_in_process_and_dispatches_nothing(store):
+    from repro.algorithms.pagerank import PageRankOp
+
+    n = store.num_vertices
+    few = np.flatnonzero(store.out_degrees == 1)[:4]
+    op = PageRankOp(np.ones(n), np.zeros(n))
+    with Engine(store, EngineOptions(num_threads=4, backend="process:workers=2")) as engine:
+        engine.edge_map(Frontier.full(n), op)  # a dense phase does use the pool
+        batches = engine.backend_stats.batches_dispatched
+        assert batches == 1
+        engine.edge_map(Frontier(n, sparse=few), op)
+        assert engine.stats.edge_maps[-1].layout == "csr"
+        assert engine.backend_stats.batches_dispatched == batches
 
 
 def test_stats_snapshot_is_attached_to_run_stats(store):

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import Engine, EngineOptions, engine as engine_module
+from repro.core import Engine, EngineOptions
 from repro.core.ops import EdgeOperator
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
@@ -70,7 +70,6 @@ def counted(monkeypatch):
 #: path -> (EngineOptions overrides, frontier is the whole graph, layout recorded)
 PATHS = {
     "sparse_csr": ({}, False, "csr"),
-    "split_sparse_csr": ({"backend": "process:workers=2:sparse=1"}, False, "csr"),
     "csc": ({"forced_layout": "csc"}, True, "csc"),
     "coo": ({"forced_layout": "coo"}, True, "coo"),
     "pcsr": ({"forced_layout": "pcsr"}, True, "pcsr"),
@@ -79,9 +78,8 @@ PATHS = {
 
 
 @pytest.mark.parametrize("path", sorted(PATHS))
-def test_no_supervision_without_a_policy(path, counted, monkeypatch, tmp_path):
+def test_no_supervision_without_a_policy(path, counted, tmp_path):
     overrides, whole, layout = PATHS[path]
-    monkeypatch.setattr(engine_module, "SPARSE_DISPATCH_MIN_EDGES", 0)
     edges = gen.rmat(10, 8, seed=5)
     n = edges.num_vertices
     store = GraphStore.build(edges, num_partitions=8)
@@ -96,9 +94,6 @@ def test_no_supervision_without_a_policy(path, counted, monkeypatch, tmp_path):
         stats = engine.stats.edge_maps[-1]
         assert stats.layout == layout
         assert stats.active_edges > 0
-        if path == "split_sparse_csr":
-            assert engine.backend_stats.partitions_dispatched > 1
-            assert engine.backend_stats.fallbacks == 0
         assert engine._supervisor is None
     assert dict(counted) == {}
 

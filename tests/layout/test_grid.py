@@ -59,7 +59,7 @@ def test_choose_stripes_rejects_nonpositive_budget():
 
 
 def test_preprocess_writes_committed_manifest(edges, tmp_path):
-    manifest = preprocess_grid(edges, tmp_path, 3)
+    manifest, _ = preprocess_grid(edges, tmp_path, 3)
     assert (tmp_path / GRID_MANIFEST).exists()
     assert manifest["num_stripes"] == 3
     assert manifest["num_vertices"] == edges.num_vertices
@@ -69,8 +69,8 @@ def test_preprocess_writes_committed_manifest(edges, tmp_path):
 
 
 def test_preprocess_deterministic(edges, tmp_path):
-    m1 = preprocess_grid(edges, tmp_path / "a", 4)
-    m2 = preprocess_grid(edges, tmp_path / "b", 4)
+    m1, _ = preprocess_grid(edges, tmp_path / "a", 4)
+    m2, _ = preprocess_grid(edges, tmp_path / "b", 4)
     assert m1["blocks"] == m2["blocks"]
     for entry in m1["blocks"]:
         assert (tmp_path / "a" / entry["file"]).read_bytes() == (
@@ -252,6 +252,18 @@ def test_disk_full_retries_once_then_succeeds(edges, tmp_path):
     preprocess_grid(edges, tmp_path, 3, fault_plan=plan, events=events)
     assert any("disk full" in e for e in events)
     assert GridStore.open(tmp_path).verify() == []
+
+
+def test_write_retries_are_counted_not_read_back_from_the_log(edges, tmp_path):
+    # Two retried blocks (write indices 0 and 2: the retry of the first
+    # block consumed index 1), counted whatever the event lines say.
+    plan = FaultPlan.from_spec("disk_full@0,disk_full@2")
+    _, retries = preprocess_grid(edges, tmp_path / "a", 3, fault_plan=plan)
+    assert retries == 2
+    plan.reset()
+    grid = GridStore.build(edges, tmp_path / "b", num_stripes=3, fault_plan=plan)
+    assert grid.stats.write_retries == 2
+    assert grid.verify() == []
 
 
 def test_disk_full_twice_is_terminal(edges, tmp_path):

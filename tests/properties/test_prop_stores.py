@@ -103,7 +103,7 @@ def test_replicated_store_repairs_from_any_healthy_replica(
     tmp_path_factory, seed, victims, position, truncate
 ):
     tmp = tmp_path_factory.mktemp("replicated")
-    store = make_store("replicated", tmp, replicas=3)
+    store = make_store("replicated:replicas=3", tmp)
     arrays = _arrays(seed)
     store.save("run", 1, arrays)
     for victim in victims:  # damage a strict minority-to-majority, never all

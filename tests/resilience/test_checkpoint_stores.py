@@ -7,7 +7,7 @@ torn-shard repair, the :class:`ReplicatedStore` with quorum writes and
 re-sync on read, and (via the shared parametrized contract tests) the
 :class:`~repro.resilience.remote.RemoteStore` — plus the
 :class:`CheckpointManager` retention satellite (``keep_last``) and the
-``--store`` spec grammar.
+``--store`` option table.
 """
 
 import numpy as np
@@ -98,47 +98,21 @@ def test_make_store_unknown_kind_rejected(tmp_path):
     with pytest.raises(ValueError):
         make_store("cloud", tmp_path)
     with pytest.raises(ValueError):
-        make_store("replicated", tmp_path, replicas=0)
-
-
-def test_store_spec_grammar(tmp_path):
-    from repro.errors import ValidationError
-    from repro.resilience import parse_store_spec
-
-    assert parse_store_spec("local") == ("local", {})
-    assert parse_store_spec("replicated:replicas=3") == (
-        "replicated", {"replicas": "3"},
-    )
-    kind, options = parse_store_spec("remote:seed=7:faults=net_timeout@0+net_reset@3")
-    assert kind == "remote"
-    assert options == {"seed": "7", "faults": "net_timeout@0+net_reset@3"}
-    for bad in (
-        "cloud",                      # unknown kind
-        "local:seed=7",               # option the kind does not take
-        "remote:seed",                # not key=value
-        "remote:seed=1:seed=2",       # duplicate option
-        "remote:bogus=1",             # unknown option
-    ):
-        with pytest.raises(ValidationError):
-            parse_store_spec(bad)
+        make_store("replicated:replicas=0", tmp_path)
 
 
 def test_make_store_applies_remote_spec_options(tmp_path):
-    store = make_store(
-        "remote:seed=7:deadline=12:parts=1024:attempts=4:autosync=0", tmp_path
-    )
+    store = make_store("remote:seed=7:deadline=12:attempts=4", tmp_path)
     assert store.kind == "remote"
     assert store.net.seed == 7
     assert store.client.deadline_s == 12.0
-    assert store.client.part_bytes == 1024
     assert store.client.max_attempts == 4
-    assert store.auto_sync is False
     with pytest.raises(ValueError):
         make_store("remote:seed=notanint", tmp_path)
 
 
 def test_make_store_merges_spec_faults_with_run_plan(tmp_path):
-    from repro.resilience import FaultPlan
+    from repro.resilience import NET_FAULT_KINDS, FaultPlan
 
     run_plan = FaultPlan.from_spec("worker_crash@2")
     store = make_store(
@@ -149,7 +123,7 @@ def test_make_store_merges_spec_faults_with_run_plan(tmp_path):
     assert kinds == ["worker_crash", "net_timeout", "stale_read"]
     # the event objects are shared, so firing one via the simulator is
     # visible to the engine-side plan (one-shot semantics hold globally)
-    assert merged.take_net_fault(0) == "net_timeout"
+    assert merged.take(NET_FAULT_KINDS, 0) == "net_timeout"
     assert run_plan.events[0] in merged.events
 
 
@@ -228,7 +202,7 @@ def test_replicated_quorum_bounds(tmp_path):
 
 
 def test_replicated_lost_replica_resynced_on_read(tmp_path):
-    store = make_store("replicated", tmp_path, replicas=3)
+    store = make_store("replicated:replicas=3", tmp_path)
     arrays = _arrays()
     store.save("run", 1, arrays)
     store.lose_replica("run", 1, replica=0)
@@ -240,7 +214,7 @@ def test_replicated_lost_replica_resynced_on_read(tmp_path):
 
 
 def test_replicated_corrupt_replica_repaired_on_read(tmp_path):
-    store = make_store("replicated", tmp_path, replicas=2)
+    store = make_store("replicated", tmp_path)
     arrays = _arrays()
     store.save("run", 1, arrays)
     store.replicas[0].corrupt("run", 1)
@@ -249,7 +223,7 @@ def test_replicated_corrupt_replica_repaired_on_read(tmp_path):
 
 
 def test_replicated_steps_are_the_union(tmp_path):
-    store = make_store("replicated", tmp_path, replicas=2)
+    store = make_store("replicated", tmp_path)
     store.save("run", 1, _arrays())
     store.save("run", 2, _arrays(2))
     store.lose_replica("run", 1, replica=0)

@@ -24,7 +24,7 @@ from repro.errors import (
 )
 from repro.graph.io import load_text
 from repro.layout import GraphStore
-from repro.resilience import FaultEvent, FaultPlan, ResiliencePolicy
+from repro.resilience import NET_FAULT_KINDS, FaultEvent, FaultPlan, ResiliencePolicy
 
 pytestmark = pytest.mark.faultinjection
 
@@ -257,12 +257,12 @@ def test_net_fault_specs_reject_partition_suffix_and_unknown_kinds(bad):
 
 def test_take_net_fault_is_one_shot_and_indexed_by_request():
     plan = FaultPlan.from_spec("net_reset@2,net_timeout@2,stale_read@5")
-    assert plan.take_net_fault(0) is None
-    assert plan.take_net_fault(2) == "net_reset"
+    assert plan.take(NET_FAULT_KINDS, 0) is None
+    assert plan.take(NET_FAULT_KINDS, 2) == "net_reset"
     # stacked events on one index fire on consecutive attempts
-    assert plan.take_net_fault(2) == "net_timeout"
-    assert plan.take_net_fault(2) is None
-    assert plan.take_net_fault(5) == "stale_read"
+    assert plan.take(NET_FAULT_KINDS, 2) == "net_timeout"
+    assert plan.take(NET_FAULT_KINDS, 2) is None
+    assert plan.take(NET_FAULT_KINDS, 5) == "stale_read"
     assert plan.pending() == []
 
 
@@ -270,13 +270,11 @@ def test_net_faults_do_not_fire_engine_hooks():
     plan = FaultPlan.from_spec("net_timeout@1,stale_read@1")
     plan.before_edge_map(1)           # must not raise
     plan.before_partition(1, 0)       # must not raise
-    assert not plan.take_stall(1, 0)
+    assert plan.take(("stall",), 1, 0) is None
     assert len(plan.pending()) == 2   # still armed for the simulator
 
 
 def test_random_plan_supports_net_kinds():
-    from repro.resilience import NET_FAULT_KINDS
-
     a = FaultPlan.random(9, iterations=20, num_faults=5, kinds=NET_FAULT_KINDS)
     b = FaultPlan.random(9, iterations=20, num_faults=5, kinds=NET_FAULT_KINDS)
     assert a.to_spec() == b.to_spec()
