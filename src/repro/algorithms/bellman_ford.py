@@ -52,7 +52,7 @@ class BellmanFordOp(EdgeOperator):
         if src.size == 0:
             return np.empty(0, dtype=VID_DTYPE)
         candidate = self.dist[src] + self.weight_fn(src, dst)
-        before = self.dist[dst].copy()
+        before = self.dist[dst]
         np.minimum.at(self.dist, dst, candidate)
         improved = self.dist[dst] < before
         return np.unique(dst[improved]).astype(VID_DTYPE)

@@ -50,7 +50,7 @@ class CCOp(EdgeOperator):
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if src.size == 0:
             return np.empty(0, dtype=VID_DTYPE)
-        before = self.labels[dst].copy()
+        before = self.labels[dst]
         np.minimum.at(self.labels, dst, self.labels[src])
         changed = self.labels[dst] < before
         return np.unique(dst[changed]).astype(VID_DTYPE)

@@ -53,6 +53,7 @@ from typing import Any
 import numpy as np
 
 from ..errors import BackendError
+from ..frontier.distinct import sorted_distinct
 from ..resilience.journal import PartitionRecord
 from ..spec import choice, flag, integer, parse_spec
 from . import kernels
@@ -322,14 +323,16 @@ def _worker_run_chunk(
         for task in tasks:
             rec = run(op, cond_fn, *kernel_args(kernel, arrays, meta, task))
             # Dedupe before IPC: the frontier constructor dedups anyway
-            # (bit-identical), and unique ids pickle far smaller.
-            rec.activated = np.unique(np.asarray(rec.activated))
+            # (bit-identical), and distinct ids pickle far smaller.
+            rec.activated = sorted_distinct(rec.activated)
             out.append(rec)
         return out
     finally:
         # Drop every numpy view before closing: a SharedMemory buffer
         # with live exports refuses to close.  The records escape with
-        # fresh arrays only (np.unique copies), never shm views.
+        # fresh arrays only, never shm views: sorted_distinct never returns
+        # a view of its input, even when an operator handed back a slice of
+        # a segment (tests/properties/test_prop_distinct.py holds it to that).
         op = None  # noqa: F841
         arrays = None  # noqa: F841
         for shm in holds:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import VID_DTYPE
+from ..frontier.distinct import count_distinct
 from ..resilience.journal import PartitionRecord
 from .gather import gather_adjacency
 from .ops import validated_cond
@@ -119,7 +120,7 @@ def run_csc_partition(
         hi=hi,
         activated=acts,
         examined=examined,
-        touched=int(np.unique(dst_live).size),
+        touched=count_distinct(dst_live),
         active_edges=int(src_live.size),
         scanned=hi - lo,
         cond_calls=1,
@@ -182,7 +183,7 @@ def run_coo_partition(
         hi=hi,
         activated=acts,
         examined=examined,
-        touched=int(np.unique(dst_live).size),
+        touched=count_distinct(dst_live),
         active_edges=int(src_live.size),
         cond_calls=1,
     )
@@ -232,7 +233,7 @@ def run_pcsr_partition(
         hi=hi,
         activated=acts,
         examined=examined,
-        touched=int(np.unique(dst).size),
+        touched=count_distinct(dst),
         active_edges=int(src.size),
         scanned=scanned,
         cond_calls=1,

@@ -1,0 +1,64 @@
+"""Distinct vertex ids, read off the ids' own range (paper §II.B).
+
+Partitioning by destination confines a task's destinations to a short
+contiguous vertex range, and a dense phase's activated ids fill most of
+``[0, |V|)``.  For such ids a sort or a hash set is wasted work: mark a
+``bool`` scratch the size of the span and read the answer back.  Widely
+scattered ids (a road network's BFS wavefront) would pay for a scratch
+far larger than themselves, so they keep ``np.unique``.  Both
+functions choose from the ids alone and return exactly what
+``np.unique`` would — same values, same dtype, a fresh array.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["SPAN_PER_ID", "count_distinct", "sorted_distinct"]
+
+#: the scratch path runs when ``max - min + 1 <= SPAN_PER_ID * size``:
+#: at most this many scratch bytes are zeroed and scanned per id.
+SPAN_PER_ID = 4
+
+
+def _mark(ids: np.ndarray):
+    """``(lo, seen)`` with ``seen[v - lo]`` true for every id ``v``, or
+    ``None`` when the ids are too scattered (or not signed integers).
+
+    The scratch is indexed by ``v - lo`` with ``lo`` the ids' own minimum,
+    so no id — negative or huge — can land outside it or wrap around.
+    """
+    if ids.dtype.kind != "i":
+        return None
+    if ids.size == 0:
+        return 0, np.zeros(0, dtype=bool)
+    lo = int(ids.min())
+    span = int(ids.max()) - lo + 1
+    if span > SPAN_PER_ID * ids.size:
+        return None
+    seen = np.zeros(span, dtype=bool)
+    # intp is what fancy indexing converts to anyway, and the difference
+    # cannot overflow it the way it can the ids' own dtype.
+    seen[np.subtract(ids, lo, dtype=np.intp)] = True
+    return lo, seen
+
+
+def sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``ids``; equal to ``np.unique(ids)``."""
+    ids = np.asarray(ids)
+    marked = _mark(ids)
+    if marked is None:
+        return np.unique(ids)
+    lo, seen = marked
+    out = np.flatnonzero(seen)
+    out += lo
+    return out.astype(ids.dtype)
+
+
+def count_distinct(ids: np.ndarray) -> int:
+    """How many distinct values ``ids`` holds; ``np.unique(ids).size``."""
+    ids = np.asarray(ids)
+    marked = _mark(ids)
+    if marked is None:
+        return int(np.unique(ids).size)
+    return int(np.count_nonzero(marked[1]))

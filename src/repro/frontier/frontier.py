@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._types import VID_DTYPE, as_vid_array
+from .distinct import sorted_distinct
 
 __all__ = ["Frontier"]
 
@@ -34,7 +35,7 @@ class Frontier:
         self._sparse = None
         self._bitmap = None
         if sparse is not None:
-            ids = np.unique(as_vid_array(sparse))
+            ids = sorted_distinct(as_vid_array(sparse))
             if ids.size and (int(ids[0]) < 0 or int(ids[-1]) >= num_vertices):
                 raise ValueError("frontier vertex ids out of range")
             self._sparse = ids

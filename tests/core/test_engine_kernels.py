@@ -1,6 +1,8 @@
 """Kernel equivalence: every traversal layout must produce the same result
 as the edge-at-a-time reference executor, for every operator family."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -149,3 +151,37 @@ def test_auto_mode_matches_forced_fixpoint(small_rmat):
         results.append(labels)
     for other in results[1:]:
         assert np.array_equal(results[0], other)
+
+
+def test_dense_phase_np_unique_calls_do_not_grow_with_tasks(monkeypatch):
+    """A guard on counts, not time: partition tasks and the frontier fold
+    count and dedup destinations inside their own vertex range
+    (``repro.frontier.distinct``), so one dense PageRank phase calls
+    ``np.unique`` no more often at P=48 than at P=12 — and not at all from
+    the kernels or ``Frontier`` — while the statistics and the frontier it
+    returns are what plain ``np.unique`` computes."""
+    graph = gen.rmat(10, 16, seed=3)
+    n = graph.num_vertices
+    contrib = np.linspace(1, 2, n) / np.maximum(graph.out_degrees(), 1)
+    real_unique = np.unique
+    callers: dict[int, list[str]] = {}
+
+    def counting_unique(*args, **kwargs):
+        callers[p].append(sys._getframe(1).f_globals["__name__"])
+        return real_unique(*args, **kwargs)
+
+    for p in (12, 48):
+        callers[p] = []
+        store = GraphStore.build(graph, num_partitions=p)
+        engine = Engine(store, EngineOptions(num_threads=2, backend="serial"))
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "unique", counting_unique)
+            nxt = engine.edge_map(Frontier.full(n), PageRankOp(contrib, np.zeros(n)))
+        (phase,) = engine.stats.edge_maps
+        assert (phase.layout, phase.num_partitions) == ("coo", p)
+        bounds, dst = store.coo.partition_index, store.coo.dst
+        touched = [np.unique(dst[bounds[i]:bounds[i + 1]]).size for i in range(p)]
+        assert phase.partition_touched_vertices.tolist() == touched
+        assert np.array_equal(nxt.as_sparse(), np.unique(dst))
+        assert nxt.as_sparse().dtype == VID_DTYPE
+    assert callers[48] == callers[12] == []

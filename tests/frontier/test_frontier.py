@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.frontier.distinct import _mark
 from repro.frontier.frontier import Frontier
 
 
@@ -93,6 +94,19 @@ def test_requires_exactly_one_representation():
 def test_out_of_range_sparse_rejected():
     with pytest.raises(ValueError):
         Frontier(3, sparse=np.array([5]))
+
+
+@pytest.mark.parametrize("bad", [-1, 20_000])
+def test_out_of_range_rejected_among_many_dense_ids(bad):
+    """20 k ids dense in their span take the scratch path of
+    ``sorted_distinct``; one id just outside ``[0, n)`` must still be
+    refused, and a negative one must not wrap into the frontier."""
+    n = 20_000
+    ids = np.arange(n, dtype=np.int32)
+    ids[n // 2] = bad
+    assert _mark(ids) is not None, "the scratch path is the one under test"
+    with pytest.raises(ValueError, match="frontier vertex ids out of range"):
+        Frontier(n, sparse=ids)
 
 
 def test_wrong_bitmap_shape_rejected():

@@ -1,0 +1,97 @@
+"""``sorted_distinct`` / ``count_distinct`` are ``np.unique`` on every input.
+
+The two pick their path from the ids alone (span against ``SPAN_PER_ID``
+times size), so the strategy puts arrays on both sides of that line.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.frontier.distinct import SPAN_PER_ID, _mark, count_distinct, sorted_distinct
+
+DTYPES = [np.int32, np.int64]
+
+
+def _same_as_unique(ids: np.ndarray) -> None:
+    want = np.unique(ids)
+    got = sorted_distinct(ids)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert count_distinct(ids) == want.size
+    assert not np.shares_memory(got, ids)
+
+
+@st.composite
+def id_arrays(draw):
+    """Ids drawn from a window whose width, relative to the count,
+    straddles ``SPAN_PER_ID``; the window may sit at either end of the
+    dtype's range."""
+    dtype = draw(st.sampled_from(DTYPES))
+    info = np.iinfo(dtype)
+    size = draw(st.integers(0, 200))
+    width = draw(st.integers(1, 2 * SPAN_PER_ID * max(size, 1)))
+    base = draw(
+        st.one_of(
+            st.just(info.min),
+            st.just(info.max - width + 1),
+            st.integers(-1000, 1000),
+        )
+    )
+    offsets = draw(
+        st.lists(st.integers(0, width - 1), min_size=size, max_size=size)
+    )
+    return np.array([base + o for o in offsets], dtype=dtype)
+
+
+@given(id_arrays())
+def test_matches_np_unique(ids):
+    _same_as_unique(ids)
+
+
+@given(id_arrays(), st.integers(2, 4))
+def test_non_contiguous_and_read_only_inputs(ids, step):
+    strided = np.repeat(ids, step)[::step]
+    assert ids.size < 2 or not strided.flags.c_contiguous
+    _same_as_unique(strided)
+    frozen = ids.copy()
+    frozen.setflags(write=False)
+    _same_as_unique(frozen)
+    assert np.array_equal(frozen, ids)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_edge_cases_on_both_paths(dtype):
+    info = np.iinfo(dtype)
+    many = 500
+    cases = {
+        "empty": np.empty(0, dtype),
+        "one id": np.array([7], dtype),
+        "all equal, few": np.full(3, 5, dtype),
+        "all equal, many": np.full(many, -5, dtype),
+        # the span is computed in Python ints: 2**32 (2**64) does not overflow
+        "dtype extremes together": np.array([info.max, info.min] * many, dtype),
+        "dense at the top of the range": info.max - np.arange(many, dtype=dtype) % 97,
+        "dense at the bottom of the range": info.min + np.arange(many, dtype=dtype) % 97,
+        "already sorted and distinct": np.arange(many, dtype=dtype),
+    }
+    for ids in cases.values():
+        _same_as_unique(ids)
+    taken = {name for name, ids in cases.items() if _mark(ids) is not None}
+    assert taken == {
+        "empty",
+        "one id",
+        "all equal, few",
+        "all equal, many",
+        "dense at the top of the range",
+        "dense at the bottom of the range",
+        "already sorted and distinct",
+    }
+
+
+def test_selection_follows_span_over_size():
+    dense = np.arange(100, dtype=np.int32)
+    assert _mark(dense * SPAN_PER_ID) is not None  # span 397 <= 4 * 100
+    assert _mark(dense * (SPAN_PER_ID + 1)) is None  # span 496 > 4 * 100
+    assert _mark(dense.astype(np.uint32)) is None  # unsigned ids keep np.unique
