@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._types import VAL_DTYPE, VID_DTYPE
+from .._types import VAL_DTYPE
 from ..core.engine import Engine
 from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
@@ -42,11 +42,9 @@ class SigmaOp(EdgeOperator):
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         mask = ~self.visited[dst]
-        if not mask.any():
-            return np.empty(0, dtype=VID_DTYPE)
         src, dst = src[mask], dst[mask]
         np.add.at(self.sigma, dst, self.sigma[src])
-        return np.unique(dst).astype(VID_DTYPE)
+        return dst
 
 
 class DependencyOp(EdgeOperator):
@@ -65,12 +63,10 @@ class DependencyOp(EdgeOperator):
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         mask = self.level[dst] == self.level[src] - 1
-        if not mask.any():
-            return np.empty(0, dtype=VID_DTYPE)
         v, u = src[mask], dst[mask]
         contribution = self.sigma[u] / self.sigma[v] * (1.0 + self.dep[v])
         np.add.at(self.dep, u, contribution)
-        return np.unique(u).astype(VID_DTYPE)
+        return u
 
 
 @dataclass(frozen=True)

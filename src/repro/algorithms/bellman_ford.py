@@ -54,8 +54,7 @@ class BellmanFordOp(EdgeOperator):
         candidate = self.dist[src] + self.weight_fn(src, dst)
         before = self.dist[dst]
         np.minimum.at(self.dist, dst, candidate)
-        improved = self.dist[dst] < before
-        return np.unique(dst[improved]).astype(VID_DTYPE)
+        return dst[self.dist[dst] < before]
 
 
 @dataclass(frozen=True)

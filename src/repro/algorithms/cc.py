@@ -18,6 +18,7 @@ from .._types import VID_DTYPE
 from ..core.engine import Engine
 from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
+from ..frontier.distinct import count_distinct
 from ..frontier.frontier import Frontier
 from ..resilience.checkpoint import CheckpointSession
 
@@ -52,8 +53,7 @@ class CCOp(EdgeOperator):
             return np.empty(0, dtype=VID_DTYPE)
         before = self.labels[dst]
         np.minimum.at(self.labels, dst, self.labels[src])
-        changed = self.labels[dst] < before
-        return np.unique(dst[changed]).astype(VID_DTYPE)
+        return dst[self.labels[dst] < before]
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class CCResult:
 
     def num_components(self) -> int:
         """Number of distinct labels at the fixpoint."""
-        return int(np.unique(self.labels).size)
+        return count_distinct(self.labels)
 
 
 def connected_components(

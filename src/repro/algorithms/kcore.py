@@ -38,12 +38,9 @@ class PeelOp(EdgeOperator):
         return self.alive[dst_ids]
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        mask = self.alive[dst]
-        if not mask.any():
-            return np.empty(0, dtype=VID_DTYPE)
-        dst = dst[mask]
+        dst = dst[self.alive[dst]]
         np.add.at(self.residual, dst, -1)
-        return np.unique(dst).astype(VID_DTYPE)
+        return dst
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ class MaxPriorityOp(EdgeOperator):
         live = (self.state[dst] == UNDECIDED) & (src != dst)
         src, dst = src[live], dst[live]
         np.maximum.at(self.best, dst, self.priority[src])
-        return np.unique(dst).astype(VID_DTYPE)
+        return dst
 
 
 class KnockOp(EdgeOperator):
@@ -67,7 +67,7 @@ class KnockOp(EdgeOperator):
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         live = (self.state[dst] == UNDECIDED) & (src != dst)
         self.out_mask[dst[live]] = True
-        return np.unique(dst[live]).astype(VID_DTYPE)
+        return dst[live]
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,7 @@ class BitOrOp(EdgeOperator):
         if src.size == 0:
             return np.empty(0, dtype=VID_DTYPE)
         np.bitwise_or.at(self.nxt, dst, self.bits[src])
-        changed = (self.nxt[dst] | self.bits[dst]) != self.bits[dst]
-        return np.unique(dst[changed]).astype(VID_DTYPE)
+        return dst[(self.nxt[dst] | self.bits[dst]) != self.bits[dst]]
 
 
 @dataclass(frozen=True)

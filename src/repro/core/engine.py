@@ -513,10 +513,9 @@ class Engine:
                 part_touched[rec.partition] += rec.touched
             if rec.activated.size:
                 activated.append(rec.activated)
-        nxt = Frontier(
-            self.num_vertices,
-            sparse=np.concatenate(activated) if activated else np.empty(0, VID_DTYPE),
-        )
+        if len(activated) != 1:  # a lone record (every sparse phase) needs no copy
+            activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
+        nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
         keep = plan.per_partition
         self.stats.edge_maps.append(
             EdgeMapStats(

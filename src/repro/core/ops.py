@@ -75,8 +75,10 @@ class EdgeOperator(abc.ABC):
         """Apply the update to edges ``(src[i], dst[i])``.
 
         Both arrays may contain duplicate vertices.  Returns the vertex ids
-        activated by these updates (duplicates allowed; the engine dedups
-        when building the next frontier).
+        activated by these updates, duplicates and all (``dst[mask]``).
+        Operators must not dedup: the engine's fold owns the phase's one
+        dedup, and a second one per batch costs as much again and changes
+        nothing (``BFSOp`` dedups for its own first-writer store's sake).
         """
         raise NotImplementedError
 

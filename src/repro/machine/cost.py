@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.stats import EdgeMapStats, RunStats
+from ..frontier.distinct import sorted_distinct
 from ..layout.store import GraphStore
 from .numa import remote_access_fraction
 from .scheduler import chunked_makespan, makespan
@@ -155,8 +156,8 @@ def profile_store(store: GraphStore, *, num_threads: int = 48) -> LayoutProfile:
     p = coo.num_partitions
     counts = coo.edges_per_partition()
     pid = np.repeat(np.arange(p, dtype=np.int64), counts)
-    dst_keys = np.unique(pid * n + coo.dst.astype(np.int64))
-    src_keys = np.unique(pid * n + coo.src.astype(np.int64))
+    dst_keys = sorted_distinct(pid * n + coo.dst.astype(np.int64))
+    src_keys = sorted_distinct(pid * n + coo.src.astype(np.int64))
     distinct_dst = np.bincount(dst_keys // n, minlength=p)
     distinct_src = np.bincount(src_keys // n, minlength=p)
     src_switches = _line_switches(coo.src, pid, p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..frontier.distinct import sorted_distinct
 from ..graph.edgelist import EdgeList
 from .by_destination import partition_by_destination
 from .vertex_partition import VertexPartition
@@ -36,10 +37,8 @@ def replication_counts(edges: EdgeList, partition: VertexPartition) -> np.ndarra
     p = np.int64(partition.num_partitions)
     pid_of_dst = partition.partition_of(edges.dst).astype(np.int64)
     # Distinct (source vertex, partition) pairs: one replica each.
-    src_keys = np.unique(edges.src.astype(np.int64) * p + pid_of_dst)
-    counts = np.bincount(
-        (src_keys // p).astype(np.int64), minlength=partition.num_vertices
-    )
+    src_keys = sorted_distinct(edges.src.astype(np.int64) * p + pid_of_dst)
+    counts = np.bincount(src_keys // p, minlength=partition.num_vertices)
     return counts.astype(np.int64)
 
 

@@ -43,6 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._types import VID_DTYPE
+
 __all__ = ["PartitionRecord", "PhaseJournal"]
 
 
@@ -88,7 +90,7 @@ class PartitionRecord:
     @classmethod
     def empty(cls, partition: int, lo: int, hi: int) -> "PartitionRecord":
         """Record of a partition with no work (e.g. an empty vertex range)."""
-        return cls(partition, lo, hi, np.empty(0, dtype=np.int64))
+        return cls(partition, lo, hi, np.empty(0, dtype=VID_DTYPE))
 
 
 class PhaseJournal:

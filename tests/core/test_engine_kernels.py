@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro._types import NO_VERTEX, VID_DTYPE
-from repro.algorithms.bellman_ford import BellmanFordOp
-from repro.algorithms.bfs import BFSOp
-from repro.algorithms.cc import CCOp
+from repro.algorithms.bellman_ford import BellmanFordOp, bellman_ford
+from repro.algorithms.bfs import BFSOp, bfs
+from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp
 from repro.core.engine import Engine
 from repro.core.options import EngineOptions
@@ -185,3 +185,35 @@ def test_dense_phase_np_unique_calls_do_not_grow_with_tasks(monkeypatch):
         assert np.array_equal(nxt.as_sparse(), np.unique(dst))
         assert nxt.as_sparse().dtype == VID_DTYPE
     assert callers[48] == callers[12] == []
+
+
+def test_sparse_phases_call_np_unique_only_from_bfs_op(monkeypatch):
+    """Counts, not time: operators return raw ids and the frontier fold
+    sorts them once, so BFS + Bellman-Ford + CC over a road lattice reach
+    ``np.unique`` from ``BFSOp`` alone (its first-writer store needs
+    distinct ids), at most once per operator call — one a sparse phase,
+    one per partition otherwise — and never from the fold."""
+    graph = gen.road_grid(30)
+    store = GraphStore.build(graph, num_partitions=8)
+    engine = Engine(store, EngineOptions(num_threads=2, backend="serial"))
+    real_unique = np.unique
+    callers: list[str] = []
+
+    def counting_unique(*args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counting_unique)
+    tree = bfs(engine, 0)
+    op_calls = sum(
+        1 if m.layout == "csr" else m.num_partitions for m in tree.stats.edge_maps
+    )
+    assert set(callers) == {"repro.algorithms.bfs"}
+    assert 30 <= len(callers) <= op_calls
+    del callers[:]
+    paths = bellman_ford(engine, 0)
+    components = connected_components(engine)
+    assert callers == []
+    assert len(paths.stats.edge_maps) >= 30 and components.iterations >= 30
+    assert {m.layout for m in paths.stats.edge_maps} >= {"csr"}
+    assert np.array_equal(tree.level >= 0, paths.reached())

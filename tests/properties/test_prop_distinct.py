@@ -2,7 +2,11 @@
 
 The two pick their path from the ids alone (span against ``SPAN_PER_ID``
 times size), so the strategy puts arrays on both sides of that line.
+Scattered signed ids are sorted, never handed to ``np.unique`` (a hash
+set since numpy 2.3); only unsigned and float ids still reach it.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,12 +19,18 @@ DTYPES = [np.int32, np.int64]
 
 
 def _same_as_unique(ids: np.ndarray) -> None:
+    """``ids`` are signed: equal to ``np.unique`` without calling it."""
     want = np.unique(ids)
-    got = sorted_distinct(ids)
+    with mock.patch.object(np, "unique", _refuse):
+        got, count = sorted_distinct(ids), count_distinct(ids)
+    assert count == want.size
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
-    assert count_distinct(ids) == want.size
     assert not np.shares_memory(got, ids)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("np.unique called for signed integer ids")
 
 
 @st.composite
@@ -95,3 +105,47 @@ def test_selection_follows_span_over_size():
     assert _mark(dense * SPAN_PER_ID) is not None  # span 397 <= 4 * 100
     assert _mark(dense * (SPAN_PER_ID + 1)) is None  # span 496 > 4 * 100
     assert _mark(dense.astype(np.uint32)) is None  # unsigned ids keep np.unique
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_scattered_signed_ids_are_sorted_not_hashed(dtype):
+    """The branch every road-network frontier takes: too scattered for the
+    scratch, so ``np.sort`` and an adjacent-difference mask — from either
+    end of the dtype's range, through strides and read-only buffers."""
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(11)
+    picks = rng.integers(0, 250_000, 1_000).astype(dtype)
+    strided = np.repeat(picks, 3)[::3]
+    frozen = picks.copy()
+    frozen.setflags(write=False)
+    for ids in (
+        picks,
+        info.min + picks,
+        info.max - picks,
+        np.concatenate([info.min + picks, info.max - picks]),
+        strided,
+        frozen,
+    ):
+        assert _mark(ids) is None
+        _same_as_unique(ids)
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(frozen, picks)
+
+
+@pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.float64])
+def test_other_dtypes_still_fall_through_to_np_unique(dtype, monkeypatch):
+    ids = np.array([7, 3, 7, 2**31, 3, 0], dtype=dtype)
+    if dtype is np.float64:
+        ids[1] = ids[4] = np.nan  # np.unique's own NaN handling applies
+    real_unique, calls = np.unique, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].dtype)
+        return real_unique(*args, **kwargs)
+
+    want = np.unique(ids)
+    monkeypatch.setattr(np, "unique", counting)
+    got = sorted_distinct(ids)
+    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    assert count_distinct(ids) == want.size
+    assert calls == [np.dtype(dtype)] * 2

@@ -10,6 +10,7 @@ count — and still end bit-identical to the fault-free run.
 import numpy as np
 import pytest
 
+from repro._types import VID_DTYPE
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
 from repro.graph import generators as gen
@@ -94,6 +95,7 @@ def test_intent_entries_are_write_ahead():
 def test_empty_record_has_no_activations():
     rec = PartitionRecord.empty(2, 8, 8)
     assert rec.activated.size == 0
+    assert rec.activated.dtype == VID_DTYPE  # like every kernel's record
     assert (rec.examined, rec.touched, rec.active_edges, rec.scanned) == (0, 0, 0, 0)
 
 
