@@ -60,6 +60,10 @@ class OperatorReport:
     reasons: tuple[str, ...]
     violations: tuple[tuple[str, int, str], ...]  # (code, line, message)
     cond_proved: bool
+    #: ``cond`` writes nothing and reads written arrays only at the ids
+    #: it is handed, so evaluating it early for a run of partitions is
+    #: unobservable (see :attr:`OperatorEffects.cond_local`).
+    cond_local: bool
 
     @property
     def safety(self) -> SafetyLevel:
@@ -82,6 +86,7 @@ class OperatorReport:
                 for c, ln, m in self.violations
             ],
             "cond_proved": self.cond_proved,
+            "cond_local": self.cond_local,
         }
 
 
@@ -183,6 +188,7 @@ def _report_from_summary(name: str, summary: OperatorEffects) -> OperatorReport:
             (v.code, v.line, v.message) for v in summary.violations
         ),
         cond_proved=summary.cond_proved,
+        cond_local=summary.cond_local,
     )
 
 
@@ -197,6 +203,7 @@ def _unknown_report(name: str, reason: str) -> OperatorReport:
         reasons=(reason,),
         violations=(),
         cond_proved=False,
+        cond_local=False,
     )
 
 

@@ -266,6 +266,12 @@ class OperatorEffects:
     violations: list[Violation] = field(default_factory=list)
     #: whether ``cond`` provably returns None or a parallel boolean mask.
     cond_proved: bool = True
+    #: whether ``cond`` is additionally proved to write nothing and to
+    #: read the arrays the operator writes only at the ids it is handed
+    #: (``self.x[dst_ids]``): its answer for a vertex then cannot depend
+    #: on what another partition's batch wrote, so the engine may
+    #: evaluate it for a run of partitions before the first batch runs.
+    cond_local: bool = True
 
     def written_arrays(self) -> dict[str, set[str]]:
         """attr -> set of index spaces written through it."""
@@ -1125,12 +1131,19 @@ def analyze_operator(
         args = {}
         if len(params) >= 2:
             args[params[1]] = AbsVal(space="dst", parallel=True)
+        written = summary.written_arrays()
+        own = len(summary.effects)  # cond's effects are appended from here
         result = analyzer.run(cond, args)
         mask_ok = result.space == "none" or (
             result.space == "bool" and result.parallel
         )
         summary.cond_proved = mask_ok and not any(
             e.kind in ("unknown", "escape") for e in summary.effects
+        )
+        summary.cond_local = summary.cond_proved and not any(
+            e.kind in ("scatter", "assign", "augassign")
+            or (e.kind == "read" and e.array in written and e.space != "dst")
+            for e in summary.effects[own:]
         )
 
     init = methods.get("__init__")

@@ -26,8 +26,10 @@ tasks in-process, or hands them to a concurrent backend as one
     shared state copies.  The parent merges those slices back in
     schedule order — the declared commutative ``combine`` contract is
     what makes per-slice copy-back equal to any interleaved execution —
-    so the result is bit-identical to serial across any worker count and
-    partition order.  Every failure mode (dead pool, shm attach error,
+    so the result arrays are bit-identical to serial across any worker
+    count, partition order and task grain (the trajectory — phase count,
+    per-phase statistics — of operators that read what they write follows
+    the schedule).  Every failure mode (dead pool, shm attach error,
     unpicklable operator state) raises
     :class:`~repro.errors.BackendError`, and because workers only ever
     touch shared-memory *copies*, the engine's arrays are untouched and
@@ -585,7 +587,7 @@ class ProcessBackend(ExecutionBackend):
                 raise BackendError(f"workers returned no record for {missing}")
             self._merge_state(tasks, num_vertices, written, state)
             self.stats.batches_dispatched += 1
-            self.stats.partitions_dispatched += len(tasks)
+            self.stats.partitions_dispatched += sum(t.num_partitions for t in tasks)
             return [records[t.partition] for t in tasks]
         except BaseException:
             # Un-adopt before the error escapes: the engine responds to

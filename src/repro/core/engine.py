@@ -12,14 +12,20 @@ paper's Algorithm 2 in three steps:
    can pin the partitioned CSR, and an attached
    :class:`~repro.layout.grid.GridStore` replaces them all with on-disk
    blocks).  The result is a :class:`PhasePlan`: a kernel name, a list
-   of partition tasks over disjoint destination ranges, the arrays they
-   read and the few statistics fields that depend on the layout.
+   of tasks over disjoint destination ranges, the arrays they read and
+   the few statistics fields that depend on the layout.
 2. **run** — one loop executes the plan's tasks, either in this process
    (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``) or,
    for operators certified partition-pure, as one batch on the
    ``options.backend`` worker pool; both run the same kernel functions,
-   so the results are bit-identical.  A backend failure falls back to
-   the in-process path and is logged in ``resilience_log``.
+   so the result arrays are bit-identical.  A task is a run of adjacent
+   partitions about :data:`~repro.core.plan.TASK_EDGES` edges long —
+   the kernel hoists the frontier filter, ``cond``, gather and
+   compression over the run and still hands the operator one batch per
+   partition, in order — wherever that hoisting is proved unobservable
+   (:meth:`Engine._task_edges`); everywhere else it is a run of one.  A
+   backend failure falls back to the in-process path and is logged in
+   ``resilience_log``.
 3. **fold** — the tasks' records become the next frontier and the
    phase's single
    :class:`~repro.core.stats.EdgeMapStats`, which the machine model
@@ -68,6 +74,7 @@ from .plan import (
     grid_block_tasks,
     pcsr_layout,
     range_tasks,
+    task_edges,
 )
 from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
 
@@ -117,7 +124,7 @@ class Engine:
         self.guards_skipped = 0
         #: what depends only on the store and the options (task lists,
         #: the partitioned CSR); dropped when the store is rebuilt.
-        self._per_store: dict[str, object] = {}
+        self._per_store: dict[object, object] = {}
         # The spec is validated by EngineOptions; resolve its kind and
         # typed options once.  The backend object (and its worker pool)
         # is built lazily on the first concurrent dispatch, so engines
@@ -154,7 +161,7 @@ class Engine:
         self.stats = RunStats()
         return out
 
-    def _cached(self, key: str, build):
+    def _cached(self, key, build):
         """``build()``, computed once per store."""
         try:
             return self._per_store[key]
@@ -245,6 +252,29 @@ class Engine:
 
         return operator_is_partition_pure(op)
 
+    def _task_edges(self, op: EdgeOperator, trusted: bool) -> int:
+        """The edge target of this phase's tasks; 0 keeps one partition
+        per task.
+
+        A longer run evaluates ``cond`` for all its partitions before the
+        operator sees the first, so runs are built only where that cannot
+        be observed — the operator is certified partition-pure (its
+        writes stay inside each partition's own range) *and* its ``cond``
+        reads written state only at the ids it is handed
+        (:attr:`~repro.analysis.certificate.OperatorReport.cond_local`) —
+        and where nothing addresses single partitions: the supervisor's
+        journal, write-set rollback, watchdog deadlines and fault plans
+        all key on partition ids.
+        """
+        if not trusted or self._supervisor is not None:
+            return 0
+        from ..analysis.certificate import operator_report
+
+        if not operator_report(type(op)).cond_local:
+            return 0
+        workers = self._backend_conf["workers"] if self._phase_concurrent else 0
+        return task_edges(self.num_edges, workers)
+
     def _admit_backend(self, op: EdgeOperator) -> bool:
         """Whether this phase may run on the concurrent backend.
 
@@ -321,23 +351,30 @@ class Engine:
         density = classify_frontier(
             frontier, self.store.out_degrees, self.num_edges, self.options.thresholds
         )
-        plan = self._plan(frontier, density)
-        plan.trusted = self._op_trusted(op)
+        plan = self._plan(frontier, density, op)
         return self._fold(plan, frontier, density, self._run_plan(plan, op))
 
     # ------------------------------------------------------------------
     # plan: one small description per layout
     # ------------------------------------------------------------------
-    def _plan(self, frontier: Frontier, density: DensityClass) -> PhasePlan:
+    def _plan(self, frontier: Frontier, density: DensityClass, op: EdgeOperator) -> PhasePlan:
         """Algorithm 2's layout decision, as a :class:`PhasePlan`."""
+        trusted = self._op_trusted(op)
         if self.grid is not None:
-            return self._plan_grid(frontier)
-        layout = self.options.forced_layout or {
-            DensityClass.SPARSE: self.options.sparse_layout,
-            DensityClass.MEDIUM: "csc",
-            DensityClass.DENSE: "coo",
-        }[density]
-        return getattr(self, f"_plan_{layout}")(frontier)
+            plan = self._plan_grid(frontier)
+        else:
+            layout = self.options.forced_layout or {
+                DensityClass.SPARSE: self.options.sparse_layout,
+                DensityClass.MEDIUM: "csc",
+                DensityClass.DENSE: "coo",
+            }[density]
+            build = getattr(self, f"_plan_{layout}")
+            if layout in ("csc", "coo"):  # the layouts whose partitions coalesce into runs
+                plan = build(frontier, self._task_edges(op, trusted))
+            else:
+                plan = build(frontier)
+        plan.trusted = trusted
+        return plan
 
     def _plan_csr(self, frontier: Frontier) -> PhasePlan:
         """Sparse: forward traversal of the unpartitioned CSR.
@@ -350,7 +387,10 @@ class Engine:
         csr = self.store.csr
         gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
         return PhasePlan(
-            "csr", "forward", "csr", [PartitionTask(0, 0, self.num_vertices)],
+            "csr", "forward", "csr",
+            self._cached(
+                "csr", lambda: [PartitionTask(0, np.array([0, self.num_vertices], VID_DTYPE))]
+            ),
             num_partitions=1,
             uses_atomics=self.options.num_threads > 1,
             transient={"gsrc": gsrc, "gdst": gdst},
@@ -359,24 +399,29 @@ class Engine:
             granular=False,
         )
 
-    def _plan_csc(self, frontier: Frontier) -> PhasePlan:
+    def _plan_csc(self, frontier: Frontier, target: int) -> PhasePlan:
         """Medium-dense: backward traversal of the ranged CSC."""
         csc, ranges = self.store.csc.csc, self.store.csc.partition
         return PhasePlan(
             "csc", "backward", "csc",
-            self._cached("csc", lambda: range_tasks(ranges, self.options)),
+            self._cached(
+                ("csc", target),
+                lambda: range_tasks(
+                    ranges, self.options, np.diff(csc.index[ranges.boundaries]), target
+                ),
+            ),
             num_partitions=ranges.num_partitions,
             uses_atomics=False,
             shared={"index": csc.index, "neighbors": csc.neighbors},
             transient={"bitmap": frontier.as_bitmap()},
         )
 
-    def _plan_coo(self, frontier: Frontier) -> PhasePlan:
+    def _plan_coo(self, frontier: Frontier, target: int) -> PhasePlan:
         """Dense: streaming traversal of the partitioned COO."""
         coo = self.store.coo
         return PhasePlan(
             "coo", "forward", "coo",
-            self._cached("coo", lambda: coo_tasks(coo, self.options)),
+            self._cached(("coo", target), lambda: coo_tasks(coo, self.options, target)),
             num_partitions=coo.num_partitions,
             uses_atomics=coo.num_partitions < self.options.num_threads,
             shared={"src": coo.src, "dst": coo.dst},
@@ -423,7 +468,7 @@ class Engine:
         )
 
     # ------------------------------------------------------------------
-    # run: the one partition loop
+    # run: the one task loop
     # ------------------------------------------------------------------
     def _run_plan(self, plan: PhasePlan, op: EdgeOperator) -> list[PartitionRecord]:
         """Run ``plan``'s tasks: as one batch on the concurrent backend
@@ -499,8 +544,9 @@ class Engine:
     # fold: records -> next frontier + the phase's EdgeMapStats
     # ------------------------------------------------------------------
     def _fold(self, plan: PhasePlan, frontier: Frontier, density, records) -> Frontier:
-        p = plan.num_partitions
-        part_examined, part_touched = [0] * p, [0] * p
+        p, keep = plan.num_partitions, plan.per_partition
+        part_examined = np.zeros(p, np.int64) if keep else None
+        part_touched = np.zeros(p, np.int64) if keep else None
         examined = active_edges = 0
         scanned = plan.scanned
         activated: list[np.ndarray] = []
@@ -508,15 +554,16 @@ class Engine:
             examined += rec.examined
             active_edges += rec.active_edges
             scanned += rec.scanned
-            if plan.per_partition:
-                part_examined[rec.partition] += rec.examined
-                part_touched[rec.partition] += rec.touched
+            if keep:
+                # the record's arrays are its run's partitions, lowest first
+                parts = slice(rec.partition, rec.partition + rec.touched.size)
+                part_examined[parts] += rec.part_examined
+                part_touched[parts] += rec.touched
             if rec.activated.size:
                 activated.append(rec.activated)
         if len(activated) != 1:  # a lone record (every sparse phase) needs no copy
             activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
         nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
-        keep = plan.per_partition
         self.stats.edge_maps.append(
             EdgeMapStats(
                 layout=plan.layout,
@@ -529,8 +576,8 @@ class Engine:
                 updated_vertices=nxt.size,
                 uses_atomics=plan.uses_atomics,
                 num_partitions=p,
-                partition_examined=np.array(part_examined, np.int64) if keep else None,
-                partition_touched_vertices=np.array(part_touched, np.int64) if keep else None,
+                partition_examined=part_examined,
+                partition_touched_vertices=part_touched,
                 io_bytes=plan.io_bytes,
                 io_blocks=plan.io_blocks,
             )

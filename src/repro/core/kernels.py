@@ -1,31 +1,43 @@
-"""Partition-task kernels and the one task -> kernel-arguments mapping.
+"""Task kernels and the one task -> kernel-arguments mapping.
 
-Each ``run_*_partition`` function runs *one partition task* of a
-traversal (sparse forward CSR, backward CSC, streaming COO, partitioned
-CSR) over plain numpy arrays and returns its
-:class:`~repro.resilience.journal.PartitionRecord`.  They are the single
-source of truth for the partition-task computation: the engine's loop
-calls them in-process and the process backend's workers call the very
-same functions over shared-memory views of the same arrays — which is
-what makes the two bit-identical by construction rather than by testing
-alone.  :func:`kernel_args` is the other half of that guarantee: both
-callers turn ``(kernel, arrays, meta, task)`` into a kernel's positional
-arguments here and nowhere else.
+Each ``run_*_partition`` function runs *one task* of a traversal (sparse
+forward CSR, backward CSC, streaming COO, partitioned CSR) over plain
+numpy arrays and returns its
+:class:`~repro.resilience.journal.PartitionRecord`.  A CSC or COO task
+is a run of adjacent partitions (:class:`~repro.core.plan.PartitionTask`
+— most often a run of one): the kernel does everything *around* the
+operator once for the run — the frontier filter, ``cond``, the ragged
+gather, the compression, the per-partition distinct counts — and then
+hands ``op.process_edges`` one batch per partition, lowest first, as
+slices of the compressed arrays.  The batches are never merged:
+operators that read what they write (CC, Bellman-Ford) see the earlier
+partitions' updates in the later ones, so a merged batch would change
+the phase count and every statistic downstream, where hoisting changes
+nothing observable.
 
-``cond_fn`` abstracts the per-batch cond guard (:func:`cond_guard`): the
-raw ``op.cond`` for operators certified partition-pure, else
+The kernels are the single source of truth for the task computation:
+the engine's loop calls them in-process and the process backend's
+workers call the very same functions over shared-memory views of the
+same arrays.  :func:`kernel_args` is the other half of that guarantee:
+both callers turn ``(kernel, arrays, meta, task)`` into a kernel's
+positional arguments here and nowhere else.
+
+``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
+``op.cond`` for operators certified partition-pure, else
 :func:`~repro.core.ops.validated_cond`.  The record's ``cond_calls``
-field reports how often the guard ran, which the engine folds into its
-``guards_skipped`` / ``guard_invocations`` counters wherever the task
-executed.
+field reports how many per-partition guards the task stands for, which
+the engine folds into its ``guards_skipped`` / ``guard_invocations``
+counters wherever the task executed.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .._types import VID_DTYPE
-from ..frontier.distinct import count_distinct
+from ..frontier.distinct import count_distinct, count_distinct_between
 from ..resilience.journal import PartitionRecord
 from .gather import gather_adjacency
 from .ops import validated_cond
@@ -41,9 +53,10 @@ __all__ = [
 ]
 
 #: kernel name (as carried by a :class:`~repro.core.plan.PhasePlan`) -> the name
-#: of its function.  Callers resolve the name in *their own* module
-#: namespace at call time, so a patched binding (the benchmark's tracer
-#: wraps ``repro.core.engine.run_*_partition``) is the one that runs.
+#: of its function (``_partition`` for the layouts' unit; each call runs
+#: one task, a run of them).  Callers resolve the name in *their own*
+#: module namespace at call time, so a patched binding (the benchmark's
+#: tracer wraps ``repro.core.engine.run_*_partition``) is the one that runs.
 KERNEL_FUNCTIONS = {
     "csr": "run_csr_sparse_partition",
     "csc": "run_csc_partition",
@@ -71,16 +84,13 @@ def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
     """
     i = task.partition
     if kernel == "coo":
-        elo, ehi = task.extra
+        elo, ehi = task.extra[0], task.extra[-1]
         return (
             arrays["src"][elo:ehi], arrays["dst"][elo:ehi], arrays["bitmap"],
-            i, task.lo, task.hi,
+            i, task.cuts, task.extra - elo,
         )
     if kernel == "csc":
-        return (
-            arrays["index"], arrays["neighbors"], arrays["bitmap"],
-            i, task.lo, task.hi,
-        )
+        return (arrays["index"], arrays["neighbors"], arrays["bitmap"], i, task.cuts)
     if kernel == "csr":
         return (arrays["gsrc"], arrays["gdst"], i, task.lo, task.hi)
     if kernel == "pcsr":
@@ -92,6 +102,21 @@ def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _per_partition(op, src, dst, at: list, keep: list):
+    """``op``'s activations over one batch per partition, lowest first:
+    ``src[at[k]:at[k + 1]]`` / ``dst[...]`` for every ``k`` that
+    ``keep[k]``.  Returns them concatenated, and how many batches there
+    were."""
+    acts = [
+        op.process_edges(src[a:b], dst[a:b])
+        for a, b, kept in zip(at, at[1:], keep)
+        if kept
+    ]
+    if len(acts) == 1:  # a run of one needs no copy
+        return acts[0], 1
+    return (np.concatenate(acts) if acts else np.empty(0, VID_DTYPE)), len(acts)
+
+
 def run_csc_partition(
     op,
     cond_fn,
@@ -99,31 +124,37 @@ def run_csc_partition(
     neighbors: np.ndarray,
     bitmap: np.ndarray,
     partition: int,
-    lo: int,
-    hi: int,
+    cuts: np.ndarray,
 ) -> PartitionRecord:
-    """Backward traversal of one destination range of the whole-graph CSC."""
+    """Backward traversal of a run of destination ranges of the whole-graph
+    CSC.  Zero-width ranges get no operator batch (and no guard)."""
+    lo, hi = int(cuts[0]), int(cuts[-1])
     if lo == hi:
-        return PartitionRecord.empty(partition, lo, hi)
+        return PartitionRecord.empty(partition, lo, hi, cuts.size - 1)
     candidates = np.arange(lo, hi, dtype=VID_DTYPE)
     cond = cond_fn(op, candidates)
     if cond is not None:
         candidates = candidates[cond]
     dst, src = gather_adjacency(index, neighbors, candidates)
-    examined = int(src.size)
     live = bitmap[src]
     src_live, dst_live = src[live], dst[live]
-    acts = op.process_edges(src_live, dst_live)
+    # The gather groups edges by ascending candidate, so ``dst`` ascends
+    # and the vertex cuts find every partition's slice.
+    examined_at = dst.searchsorted(cuts)
+    live_at = dst_live.searchsorted(cuts).tolist()
+    keep = (cuts[1:] > cuts[:-1]).tolist()
+    acts, batches = _per_partition(op, src_live, dst_live, live_at, keep)
     return PartitionRecord(
         partition=partition,
         lo=lo,
         hi=hi,
         activated=acts,
-        examined=examined,
-        touched=count_distinct(dst_live),
+        examined=int(src.size),
         active_edges=int(src_live.size),
         scanned=hi - lo,
-        cond_calls=1,
+        part_examined=examined_at[1:] - examined_at[:-1],
+        touched=count_distinct_between(dst_live, cuts),
+        cond_calls=batches,
     )
 
 
@@ -166,26 +197,34 @@ def run_coo_partition(
     dst: np.ndarray,
     bitmap: np.ndarray,
     partition: int,
-    lo: int,
-    hi: int,
+    cuts: np.ndarray,
+    edge_cuts: np.ndarray,
 ) -> PartitionRecord:
-    """Streaming traversal of one partition's destination-sorted edge slice."""
-    examined = int(src.size)
+    """Streaming traversal of a run of partitions' destination-sorted edge
+    slice; ``edge_cuts`` are the partitions' offsets into ``src``/``dst``.
+    Every partition gets its operator batch, an empty one included."""
     live = bitmap[src]
     cond = cond_fn(op, dst)
     if cond is not None:
         live = live & cond
     src_live, dst_live = src[live], dst[live]
-    acts = op.process_edges(src_live, dst_live)
+    # Live edges per partition, counted slice by slice: a vectorised
+    # count_nonzero per partition beats any one pass over the whole mask
+    # (cumsum, reduceat) at every run length.
+    at = edge_cuts.tolist()
+    counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
+    live_at = list(accumulate(counts, initial=0))
+    acts, batches = _per_partition(op, src_live, dst_live, live_at, [True] * len(counts))
     return PartitionRecord(
         partition=partition,
-        lo=lo,
-        hi=hi,
+        lo=int(cuts[0]),
+        hi=int(cuts[-1]),
         activated=acts,
-        examined=examined,
-        touched=count_distinct(dst_live),
+        examined=int(src.size),
         active_edges=int(src_live.size),
-        cond_calls=1,
+        part_examined=edge_cuts[1:] - edge_cuts[:-1],
+        touched=count_distinct_between(dst_live, cuts),
+        cond_calls=batches,
     )
 
 
@@ -233,8 +272,9 @@ def run_pcsr_partition(
         hi=hi,
         activated=acts,
         examined=examined,
-        touched=count_distinct(dst),
         active_edges=int(src.size),
         scanned=scanned,
+        part_examined=np.array([examined]),
+        touched=np.array([count_distinct(dst)]),
         cond_calls=1,
     )

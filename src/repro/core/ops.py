@@ -13,6 +13,17 @@ The engine may slice one logical edge-map into many batches (one per graph
 partition) in any order, which is exactly the freedom the paper's
 partitioned execution exploits; operators must therefore be insensitive to
 batch boundaries and ordering.
+
+What that insensitivity buys is stated precisely: the *result arrays* of
+every shipped algorithm are bit-identical on every backend, partition
+order and task grain.  The *trajectory* is not part of it: an operator
+that reads what it writes (CC, Bellman-Ford) sees, in a later batch, the
+labels an earlier batch of the same phase already lowered — Gauss–Seidel
+across partitions — so its phase count and per-phase ``EdgeMapStats``
+depend on the partition count serially and on the schedule under the
+``process`` backend.  That is why the engine's tasks hoist the work
+*around* the operator call over a run of partitions and never merge the
+batches themselves (:mod:`repro.core.kernels`).
 """
 
 from __future__ import annotations

@@ -81,7 +81,7 @@ class EngineOptions:
         ``"process[:workers=N][:strict=0|1][:start=fork|spawn][:prefetch=N]"``
         — a persistent worker pool over shared-memory arrays running the
         partitioned kernels' disjoint partition slices concurrently,
-        bit-identical to serial.  Ill-formed specs raise
+        with result arrays bit-identical to serial.  Ill-formed specs raise
         :class:`~repro.errors.ValidationError` here.  Defaults to the
         ``REPRO_BACKEND`` environment variable when set.
     """

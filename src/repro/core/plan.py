@@ -1,17 +1,25 @@
 """Phase plans: what one edge-map phase runs, and over which tasks.
 
 The paper's Algorithm 2 picks a layout and then runs the *same* thing
-everywhere — a set of partition tasks over disjoint destination ranges.
+everywhere — a set of tasks over disjoint destination ranges.
 A :class:`PhasePlan` is that thing, written down once: the kernel, the
 tasks, the arrays they read and the few ``EdgeMapStats`` fields that
 depend on the layout.  The engine builds one per phase, runs it through
-its one partition loop (in-process, or as a batch on a concurrent
+its one task loop (in-process, or as a batch on a concurrent
 backend — the plan is the batch description both consume) and folds the
 records.
 
-The task lists depend only on the store (or grid), the layout and
-``options.partition_order``; the builders here are pure functions of
-those, so the engine computes each list once per store.
+The *partition* is the unit of layout, of per-partition statistics, of
+journalling and of the operator batch; the *task* is what the loop
+executes — a run of adjacent partitions sized to the cache
+(:data:`TASK_EDGES`), so that everything around the operator call is
+paid once per run instead of once per partition.  A single partition is
+a run of one, through the same kernels.
+
+The task lists depend only on the store (or grid), the layout,
+``options.partition_order`` and the edge target; the builders here are
+pure functions of those, so the engine computes each list once per
+store.
 """
 
 from __future__ import annotations
@@ -22,7 +30,11 @@ from operator import attrgetter
 
 import numpy as np
 
+from .._types import EID_DTYPE, VID_DTYPE
+
 __all__ = [
+    "TASK_EDGES",
+    "task_edges",
     "PartitionTask",
     "PhasePlan",
     "partition_order",
@@ -33,20 +45,59 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PartitionTask:
-    """One partition's unit of work within an edge-map phase."""
+#: edges a run of adjacent partitions accumulates before it is closed.
+#: A kernel holds ~30 B of numpy temporaries per examined edge (the
+#: ``bitmap[src]`` mask, the compressed ``src``/``dst``, the operator's
+#: gathered values and comparison masks), so 2^15 edges keep a task's
+#: working set near 1 MiB — inside the 2 MiB L2 — while 130 or so tasks
+#: per million edges make the per-task interpreter cost invisible.
+#: Measured, not only derived: CC on ``road_grid(200)`` at P=384 is flat
+#: from 2^13 to 2^16 edges (2.7x faster than runs of one) and ~8 % slower
+#: from 2^17 up; dense rmat-17 phases are flat throughout (DESIGN.md,
+#: "Tasks are runs of partitions").
+TASK_EDGES = 1 << 15
 
+
+def task_edges(num_edges: int, workers: int = 0) -> int:
+    """The edge target of one phase's tasks: :data:`TASK_EDGES`, and on a
+    concurrent phase at most ``|E| / (2 * workers)`` so that every worker
+    still gets two tasks."""
+    if workers:
+        return min(TASK_EDGES, num_edges // (2 * workers))
+    return TASK_EDGES
+
+
+@dataclass(frozen=True, eq=False)
+class PartitionTask:
+    """One unit of work within an edge-map phase: a run of adjacent
+    partitions, visited lowest first (most often a run of one)."""
+
+    #: the run's first (lowest) partition id.
     partition: int
-    #: the disjoint destination vertex range ``[lo, hi)`` this task owns.
-    lo: int
-    hi: int
-    #: kernel-specific picklable payload (the COO kernel carries its
-    #: ``(edge_lo, edge_hi)`` slice bounds here).
-    extra: tuple = ()
+    #: the run's ``n + 1`` non-decreasing vertex cuts (vertex-id dtype, so
+    #: they search the layouts' id arrays without a widening copy): partition
+    #: ``partition + k`` owns the disjoint destination range
+    #: ``[cuts[k], cuts[k + 1])``.
+    cuts: np.ndarray
+    #: kernel-specific picklable payload (the COO kernel carries the
+    #: run's ``n + 1`` edge cuts into the layout's edge arrays here).
+    extra: np.ndarray | None = None
     #: grid execution only: the source stripe whose block this task
     #: streams into destination stripe ``partition``.
     block: int | None = None
+
+    @property
+    def lo(self) -> int:
+        """Start of the destination range ``[lo, hi)`` the task owns."""
+        return int(self.cuts[0])
+
+    @property
+    def hi(self) -> int:
+        return int(self.cuts[-1])
+
+    @property
+    def num_partitions(self) -> int:
+        return self.cuts.size - 1
 
 
 @dataclass
@@ -108,23 +159,43 @@ def partition_order(p: int, options):
     return rng.permutation(p).tolist()
 
 
-def range_tasks(ranges, options) -> list[PartitionTask]:
-    """One task per partition of ``ranges``, in visit order."""
-    return [
-        PartitionTask(i, *ranges.vertex_range(i))
-        for i in partition_order(ranges.num_partitions, options)
-    ]
+def _runs(order, weights: np.ndarray, target: int):
+    """Split a visit order into ``(first, last)`` runs of ascending
+    adjacent partitions, closing a run once its ``weights`` reach
+    ``target`` (0: every partition is its own run).  Concatenated, the
+    runs are ``order``: ``reverse`` therefore yields runs of one, and
+    ``shuffle`` the odd pair."""
+    if not target:
+        return [(i, i) for i in order]
+    runs: list[list[int]] = []
+    weight = 0
+    for i in order:
+        if runs and weight < target and runs[-1][1] + 1 == i:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+            weight = 0
+        weight += int(weights[i])
+    return runs
 
 
-def coo_tasks(coo, options) -> list[PartitionTask]:
-    """One task per COO partition, carrying its edge-slice bounds."""
-    bounds = coo.partition_index
+def range_tasks(ranges, options, weights=None, target: int = 0) -> list[PartitionTask]:
+    """Tasks over the partitions of ``ranges``, in visit order: runs of
+    adjacent partitions holding ``target`` of the per-partition edge
+    ``weights`` each, or (the default) one task per partition."""
+    cuts = ranges.boundaries
+    order = partition_order(ranges.num_partitions, options)
+    return [PartitionTask(a, cuts[a : b + 2]) for a, b in _runs(order, weights, target)]
+
+
+def coo_tasks(coo, options, target: int = 0) -> list[PartitionTask]:
+    """Tasks over the COO partitions, carrying their edge cuts: runs of
+    adjacent partitions of ``target`` edges each, or one per partition."""
+    cuts, bounds = coo.partition.boundaries, coo.partition_index
+    order = partition_order(coo.num_partitions, options)
     return [
-        PartitionTask(
-            i, *coo.partition.vertex_range(i),
-            extra=(int(bounds[i]), int(bounds[i + 1])),
-        )
-        for i in partition_order(coo.num_partitions, options)
+        PartitionTask(a, cuts[a : b + 2], extra=bounds[a : b + 2])
+        for a, b in _runs(order, np.diff(bounds), target)
     ]
 
 
@@ -145,7 +216,10 @@ def grid_block_tasks(grid):
     p = grid.num_stripes
     ranges = [grid.stripes.vertex_range(i) for i in range(p)]
     return ranges, [
-        PartitionTask(j, *ranges[j], extra=(0, grid.block_edges(i, j)), block=i)
+        PartitionTask(
+            j, np.array(ranges[j], VID_DTYPE),
+            extra=np.array([0, grid.block_edges(i, j)], EID_DTYPE), block=i,
+        )
         for j in range(p)
         for i in range(p)
         if grid.block_edges(i, j)

@@ -38,7 +38,7 @@ class BackendStats:
     workers_spawned: int = 0
     #: partition batches handed to the concurrent backend.
     batches_dispatched: int = 0
-    #: partition tasks executed out-of-process.
+    #: partitions executed out-of-process (a task may span a run of them).
     partitions_dispatched: int = 0
     #: bytes of shared memory mapped for layouts, frontiers and operator
     #: state (layout segments are counted once — they are cached across

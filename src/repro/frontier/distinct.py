@@ -7,16 +7,17 @@ contiguous vertex range, and a dense phase's activated ids fill most of
 scattered ids (a road network's BFS wavefront) would pay for a scratch
 far larger than themselves, so they are sorted and each run of equal
 values keeps its first — a stream, where numpy >= 2.3's ``np.unique``
-probes a hash set (14x slower at 1 000 ``int32`` ids).  Both functions
-choose from the ids alone and return exactly what ``np.unique`` would —
-same values, same dtype, a fresh array.
+probes a hash set (14x slower at 1 000 ``int32`` ids).  Every function
+chooses from the ids alone and returns exactly what ``np.unique`` would —
+same values, same dtype, a fresh array (or its size: over everything, or
+between the vertex cuts of a run of adjacent partitions).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SPAN_PER_ID", "count_distinct", "sorted_distinct"]
+__all__ = ["SPAN_PER_ID", "count_distinct", "count_distinct_between", "sorted_distinct"]
 
 #: the scratch path runs when ``max - min + 1 <= SPAN_PER_ID * size``:
 #: at most this many scratch bytes are zeroed and scanned per id.
@@ -57,16 +58,22 @@ def _scattered(ids: np.ndarray) -> np.ndarray:
     return s[first]
 
 
-def sorted_distinct(ids: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of ``ids``; equal to ``np.unique(ids)``."""
-    ids = np.asarray(ids)
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``ids``, always a fresh array; off
+    the scratch they come back as ``intp``, whatever the ids' dtype."""
     marked = _mark(ids)
     if marked is None:
         return _scattered(ids)
     lo, seen = marked
-    out = np.flatnonzero(seen)
+    out = seen.nonzero()[0]
     out += lo
-    return out.astype(ids.dtype)
+    return out
+
+
+def sorted_distinct(ids: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``ids``; equal to ``np.unique(ids)``."""
+    ids = np.asarray(ids)
+    return _distinct(ids).astype(ids.dtype, copy=False)
 
 
 def count_distinct(ids: np.ndarray) -> int:
@@ -76,3 +83,17 @@ def count_distinct(ids: np.ndarray) -> int:
     if marked is None:
         return int(_scattered(ids).size)
     return int(np.count_nonzero(marked[1]))
+
+
+def count_distinct_between(ids: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """How many distinct values of ``ids`` lie in each ``[cuts[k], cuts[k+1])``.
+
+    ``cuts`` is a non-decreasing integer array (the vertex boundaries of
+    a run of adjacent partitions); the ids are marked once and the
+    counts read off at the cuts, so entry ``k`` is ``np.unique`` of the
+    ids inside cut ``k`` — 0 for a zero-width cut, all zeros for empty
+    ``ids``.
+    """
+    # searched in id space: the ids fit their dtype, where ``cuts - lo`` might not
+    at = _distinct(np.asarray(ids)).searchsorted(cuts)
+    return at[1:] - at[:-1]

@@ -50,30 +50,41 @@ __all__ = ["PartitionRecord", "PhaseJournal"]
 
 @dataclass
 class PartitionRecord:
-    """One partition task's committed outcome within an edge-map phase.
+    """One task's committed outcome within an edge-map phase.
+
+    A task is a run of adjacent partitions (:class:`~repro.core.plan.
+    PartitionTask`); journalled tasks are always runs of one, so what the
+    journal commits, replays and digests is still one partition.
 
     Attributes
     ----------
     partition:
-        Partition id within the phase's schedule.
+        The run's first (lowest) partition id within the phase's schedule.
     lo, hi:
-        The destination vertex range ``[lo, hi)`` this partition owns —
-        the write set its ``combine`` contract confines updates to.
+        The destination vertex range ``[lo, hi)`` the run owns — the
+        write set its ``combine`` contract confines updates to.
     activated:
-        Vertex ids the operator activated (pre-dedup; the engine's
-        frontier constructor dedups).
-    examined, touched, active_edges, scanned:
-        This partition's contributions to the phase's
+        Vertex ids the operator activated, its per-partition batches
+        concatenated in visit order (pre-dedup; the engine's frontier
+        constructor dedups).
+    examined, active_edges, scanned:
+        The whole run's contributions to the phase's
         :class:`~repro.core.stats.EdgeMapStats`.
+    part_examined, touched:
+        The run split over its partitions, lowest first: each one's
+        examined edges and distinct destinations, for
+        :attr:`~repro.core.stats.EdgeMapStats.partition_examined` /
+        ``partition_touched_vertices``.  ``None`` where the phase reports
+        no per-partition statistics (the sparse whole-range task).
     digest:
         CRC32 over the ``[lo, hi)`` slice of every vertex-length state
         array *after* the task completed; verified before a replay.
     cond_calls:
-        How many times the task invoked the per-batch cond guard.  The
-        process backend's workers run the guard out-of-process, so the
-        parent engine folds this count into its ``guards_skipped`` /
-        ``guard_invocations`` counters; the serial path counts the guard
-        directly and ignores this field.
+        How many per-partition cond guards the task stands for: one per
+        partition whose batch reached the operator, even where a run
+        evaluated ``cond`` once for all of them.  The engine folds this
+        count into its ``guards_skipped`` / ``guard_invocations``
+        counters wherever the task executed.
     """
 
     partition: int
@@ -81,16 +92,22 @@ class PartitionRecord:
     hi: int
     activated: np.ndarray
     examined: int = 0
-    touched: int = 0
     active_edges: int = 0
     scanned: int = 0
+    part_examined: np.ndarray | None = None
+    touched: np.ndarray | None = None
     digest: int = 0
     cond_calls: int = 0
 
     @classmethod
-    def empty(cls, partition: int, lo: int, hi: int) -> "PartitionRecord":
-        """Record of a partition with no work (e.g. an empty vertex range)."""
-        return cls(partition, lo, hi, np.empty(0, dtype=VID_DTYPE))
+    def empty(cls, partition: int, lo: int, hi: int, parts: int = 1) -> "PartitionRecord":
+        """Record of a run of ``parts`` partitions with no work (e.g. an
+        empty vertex range)."""
+        return cls(
+            partition, lo, hi, np.empty(0, dtype=VID_DTYPE),
+            part_examined=np.zeros(parts, dtype=np.int64),
+            touched=np.zeros(parts, dtype=np.int64),
+        )
 
 
 class PhaseJournal:

@@ -1,6 +1,7 @@
-"""``sorted_distinct`` / ``count_distinct`` are ``np.unique`` on every input.
+"""``sorted_distinct`` / ``count_distinct`` are ``np.unique`` on every input,
+and ``count_distinct_between`` is ``np.unique`` of every cut's slice.
 
-The two pick their path from the ids alone (span against ``SPAN_PER_ID``
+They pick their path from the ids alone (span against ``SPAN_PER_ID``
 times size), so the strategy puts arrays on both sides of that line.
 Scattered signed ids are sorted, never handed to ``np.unique`` (a hash
 set since numpy 2.3); only unsigned and float ids still reach it.
@@ -13,7 +14,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.frontier.distinct import SPAN_PER_ID, _mark, count_distinct, sorted_distinct
+from repro.frontier.distinct import (
+    SPAN_PER_ID,
+    _mark,
+    count_distinct,
+    count_distinct_between,
+    sorted_distinct,
+)
 
 DTYPES = [np.int32, np.int64]
 
@@ -58,6 +65,60 @@ def id_arrays(draw):
 @given(id_arrays())
 def test_matches_np_unique(ids):
     _same_as_unique(ids)
+
+
+def _per_slice(ids: np.ndarray, cuts) -> list[int]:
+    """The reference: ``np.unique`` of the ids inside each cut."""
+    return [
+        np.unique(ids[(ids >= lo) & (ids < hi)]).size for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+@given(id_arrays(), st.data())
+def test_counts_between_cuts_match_np_unique_per_slice(ids, data):
+    """Cuts cover the ids' whole window (a run's ``[lo, hi)``), repeat
+    (zero-width partitions) and sit wherever the window does — at either
+    end of the dtype's range included."""
+    lo = int(ids.min()) if ids.size else 0
+    hi = int(ids.max()) if ids.size else 0
+    hi = min(hi + 1, np.iinfo(np.int64).max)  # half-open; int64's top id stays out
+    inner = data.draw(st.lists(st.integers(lo, hi), max_size=8))
+    cuts = np.array(sorted([lo, hi] + inner + inner[:2]), dtype=np.int64)
+    ids = ids[ids < hi]
+    with mock.patch.object(np, "unique", _refuse):
+        got = count_distinct_between(ids, cuts)
+    assert got.tolist() == _per_slice(ids, cuts.tolist())
+    assert got.sum() == count_distinct(ids)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_counts_between_cuts_edge_cases(dtype):
+    info = np.iinfo(dtype)
+    empty = np.empty(0, dtype)
+    assert count_distinct_between(empty, np.array([3, 3, 9])).tolist() == [0, 0]
+    assert count_distinct_between(empty, np.array([5, 5])).tolist() == [0]
+    ids = np.array([4, 4, 6, 9, 9, 9], dtype)
+    # zero-width cuts before, between and after the ids
+    cuts = np.array([4, 4, 5, 7, 7, 7, 10, 10])
+    assert count_distinct_between(ids, cuts).tolist() == [0, 1, 1, 0, 0, 1, 0]
+    assert count_distinct_between(ids, np.array([4, 10])).tolist() == [3]
+    # vertex-id cuts, as the engine's tasks carry them
+    assert count_distinct_between(ids, np.array([4, 7, 10], np.int32)).tolist() == [2, 1]
+    # cuts in the ids' own dtype, further from the ids than that dtype can subtract
+    low = info.min + np.arange(300, dtype=dtype) % 97
+    wide = np.array([info.min, 0, info.max], dtype)
+    assert count_distinct_between(low, wide).tolist() == [97, 0]
+    # both paths at both ends of the range: dense ids mark, scattered ids sort
+    for ids in (
+        info.min + np.arange(300, dtype=dtype) % 97,
+        info.max - 1 - np.arange(300, dtype=dtype) % 97,
+        info.min + np.arange(50, dtype=dtype) * 1000,
+        info.max - 1 - np.arange(50, dtype=dtype) * 1000,
+    ):
+        lo, hi = int(ids.min()), int(ids.max()) + 1
+        mid = lo + (hi - lo) // 3
+        cuts = np.array([lo, mid, mid, hi], dtype=np.int64)
+        assert count_distinct_between(ids, cuts).tolist() == _per_slice(ids, cuts.tolist())
 
 
 @given(id_arrays(), st.integers(2, 4))
