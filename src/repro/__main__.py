@@ -301,10 +301,7 @@ def _build_resilience(args: argparse.Namespace):
         return None
     from .resilience import FaultPlan, ResiliencePolicy, Watchdog
 
-    try:
-        plan = FaultPlan.from_spec(args.fault_plan) if args.fault_plan else None
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    plan = FaultPlan.from_spec(args.fault_plan) if args.fault_plan else None
     max_retries = args.max_retries if args.max_retries is not None else 3
     watchdog = Watchdog(grace=args.watchdog) if args.watchdog is not None else None
     return ResiliencePolicy(
@@ -322,8 +319,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise ValidationError("--resume requires --checkpoint-dir")
     if args.graph:
-        loader = graph_io.load_npz if args.graph.endswith(".npz") else graph_io.load_text
-        edges = loader(args.graph)
+        edges = graph_io.load(args.graph)
         source_name = args.graph
     else:
         edges = datasets.load(args.dataset, args.scale)
@@ -340,23 +336,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     build_s = time.perf_counter() - t0
     resilience = _build_resilience(args)
-    opt_kwargs = {"num_threads": args.threads}
-    if args.backend is not None:
-        opt_kwargs["backend"] = args.backend
-    engine = Engine(store, EngineOptions(**opt_kwargs), resilience=resilience)
-
-    if args.grid:
-        from .core.budget import parse_memory_budget
-        from .layout.grid import GridStore
-
-        budget = (
-            parse_memory_budget(args.memory_budget) if args.memory_budget else None
-        )
-        engine.attach_grid(GridStore.open(
-            args.grid,
-            budget=budget,
-            fault_plan=resilience.fault_plan if resilience else None,
-        ))
+    options = EngineOptions(num_threads=args.threads, backend=args.backend)
+    engine = Engine(store, options, resilience=resilience)
 
     session = None
     if args.checkpoint_dir:
@@ -380,14 +361,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 manager, run_name, every=args.checkpoint_every, resume=args.resume
             )
 
-    t0 = time.perf_counter()
-    if session is not None:
-        result = spec.run_resumable(engine, session)
-    else:
-        result = spec.run(engine)
-    run_s = time.perf_counter() - t0
+    # Closed on every way out: a run that raises (RetryExhausted, a bad
+    # --grid directory) must not leave the worker pool or the grid's reader
+    # thread to a finalizer.
+    with engine:
+        if args.grid:
+            from .core.budget import parse_memory_budget
+            from .layout.grid import GridStore
+
+            budget = (
+                parse_memory_budget(args.memory_budget) if args.memory_budget else None
+            )
+            engine.attach_grid(GridStore.open(
+                args.grid,
+                budget=budget,
+                fault_plan=resilience.fault_plan if resilience else None,
+            ))
+        t0 = time.perf_counter()
+        if session is not None:
+            result = spec.run_resumable(engine, session)
+        else:
+            result = spec.run(engine)
+        run_s = time.perf_counter() - t0
     backend_stats = engine.backend_stats
-    engine.close()
     for line in engine.resilience_log:
         print(f"resilience: {line}")
     grid = engine.grid
@@ -507,11 +503,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.action == "preprocess":
         if args.graph:
             path = str(Path(args.graph).resolve())
-            loader = (
-                graph_io.load_npz if args.graph.endswith(".npz")
-                else graph_io.load_text
-            )
-            edges = loader(args.graph)
+            edges = graph_io.load(args.graph)
             source = {"kind": "file", "path": path}
         else:
             edges = datasets.load(args.dataset, args.scale)
@@ -534,10 +526,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         if args.fault_plan:
             from .resilience import FaultPlan
 
-            try:
-                plan = FaultPlan.from_spec(args.fault_plan)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
+            plan = FaultPlan.from_spec(args.fault_plan)
         events: list[str] = []
         manifest, _ = preprocess_grid(
             edges, args.directory, stripes,

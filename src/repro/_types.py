@@ -37,13 +37,3 @@ def as_vid_array(values, *, copy: bool = False) -> np.ndarray:
     if copy:
         arr = arr.copy()
     return np.ascontiguousarray(arr)
-
-
-def as_eid_array(values, *, copy: bool = False) -> np.ndarray:
-    """Coerce ``values`` to a 1-D contiguous array of edge offsets."""
-    arr = np.asarray(values, dtype=EID_DTYPE)
-    if arr.ndim != 1:
-        arr = arr.reshape(-1)
-    if copy:
-        arr = arr.copy()
-    return np.ascontiguousarray(arr)

@@ -12,7 +12,7 @@ Two layers over the same contract (see DESIGN.md):
 CLI: ``python -m repro lint [--sanitize] [paths ...]``.
 """
 
-from .findings import Finding, render_findings
+from .findings import Finding
 from .lint import default_root, lint_file, lint_paths, lint_source
 from .sanitizer import (
     LastWriterDemoOp,
@@ -28,7 +28,6 @@ from .sanitizer import (
 
 __all__ = [
     "Finding",
-    "render_findings",
     "default_root",
     "lint_file",
     "lint_paths",

@@ -117,27 +117,3 @@ class ModuleCallGraph:
             if fn is not None:
                 return CallTarget(kind="function", name=func.id, node=fn)
         return None
-
-    def reachable(
-        self, class_name: str, entry_points: list[ast.FunctionDef]
-    ) -> list[ast.FunctionDef]:
-        """Entry points plus every same-module callee, transitively.
-
-        The scope new effect-based rules (GL009/GL010) scan: a helper is
-        only audited when an operator entry point can actually reach it.
-        """
-        out: list[ast.FunctionDef] = []
-        seen: set[int] = set()
-        stack = list(entry_points)
-        while stack:
-            fn = stack.pop()
-            if id(fn) in seen:
-                continue
-            seen.add(id(fn))
-            out.append(fn)
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    target = self.resolve_call(node, class_name)
-                    if target is not None:
-                        stack.append(target.node)
-        return out

@@ -130,9 +130,6 @@ class SafetyCertificate:
         out["signature"] = self.signature
         return out
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
 
 def _sign(payload: dict) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

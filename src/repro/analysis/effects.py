@@ -235,14 +235,6 @@ class Effect:
             base += f", combine={self.combine}"
         return base + ")"
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "array": self.array, "space": self.space}
-        if self.combine is not None:
-            out["combine"] = self.combine
-        if self.detail:
-            out["detail"] = self.detail
-        return out
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -280,9 +272,6 @@ class OperatorEffects:
             if eff.kind in ("scatter", "assign", "augassign"):
                 out.setdefault(eff.array, set()).add(eff.space)
         return out
-
-    def has_unknown(self) -> bool:
-        return any(e.kind == "unknown" for e in self.effects)
 
 
 # ----------------------------------------------------------------------

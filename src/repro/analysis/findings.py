@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Finding", "render_findings"]
+__all__ = ["Finding"]
 
 
 @dataclass(frozen=True, order=True)
@@ -25,7 +25,3 @@ class Finding:
         """``path:line:col: CODE message`` — the compiler-style report line."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
-
-def render_findings(findings: list[Finding]) -> str:
-    """Multi-line report of all findings, sorted by location."""
-    return "\n".join(f.render() for f in sorted(findings))

@@ -36,7 +36,7 @@ import numpy as np
 from .._types import VID_DTYPE
 from ..algorithms import registry
 from ..core.engine import Engine
-from ..core.ops import COMMUTATIVE_COMBINES, EdgeOperator
+from ..core.ops import COMMUTATIVE_COMBINES, EdgeOperator, state_arrays, vertex_length
 from ..core.options import EngineOptions
 from ..frontier.frontier import Frontier
 from ..graph import generators as gen
@@ -82,10 +82,6 @@ def default_graph(*, seed: int = 3) -> EdgeList:
 # ----------------------------------------------------------------------
 # shadow recording
 # ----------------------------------------------------------------------
-def _state_arrays(op: EdgeOperator) -> dict[str, np.ndarray]:
-    return {k: v for k, v in vars(op).items() if isinstance(v, np.ndarray)}
-
-
 def _changed_indices(before: np.ndarray, after: np.ndarray) -> np.ndarray:
     if before.shape != after.shape or before.dtype != after.dtype:
         # A rebound/reshaped array: treat every slot as written.
@@ -119,10 +115,10 @@ class ShadowWriteRecorder(EdgeOperator):
         return self.inner.cond(dst_ids)
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        before = {k: v.copy() for k, v in _state_arrays(self.inner).items()}
+        before = {k: v.copy() for k, v in state_arrays(self.inner).items()}
         out = self.inner.process_edges(src, dst)
         writes = {}
-        after = _state_arrays(self.inner)
+        after = state_arrays(self.inner)
         for key, prev in before.items():
             cur = after.get(key)
             if cur is None:
@@ -231,7 +227,7 @@ def check_operator_invariance(
         )
         op = make_op(engine)
         engine.edge_map(Frontier.full(engine.num_vertices), op)
-        states.append((order, {k: v.copy() for k, v in _state_arrays(op).items()}))
+        states.append((order, {k: v.copy() for k, v in state_arrays(op).items()}))
     base_order, base = states[0]
     findings = []
     for order, state in states[1:]:
@@ -382,6 +378,7 @@ def cross_validate_effects(
 
     n = engine.num_vertices
     ranges = store.coo.partition
+    arrays = state_arrays(inner)
     findings: list[SanitizerFinding] = []
     for batch, writes in enumerate(recorder.write_sets):
         lo, hi = ranges.vertex_range(batch)
@@ -401,13 +398,8 @@ def cross_validate_effects(
                     )
                 )
                 continue
-            array = getattr(inner, attr, None)
-            vertex_length = (
-                isinstance(array, np.ndarray)
-                and array.ndim >= 1
-                and array.shape[0] == n
-            )
-            if spaces <= {"dst"} and vertex_length:
+            array = arrays.get(attr)
+            if spaces <= {"dst"} and array is not None and vertex_length(array, n):
                 out_of_slice = indices[(indices < lo) | (indices >= hi)]
                 if out_of_slice.size:
                     findings.append(

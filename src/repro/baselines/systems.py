@@ -144,15 +144,12 @@ def build_engine(
         store = GraphStore.build(
             edges, num_partitions=p, balance=balance, edge_order=edge_order
         )
-    opt_kwargs = {}
-    if backend is not None:
-        opt_kwargs["backend"] = backend
     options = EngineOptions(
         thresholds=config.thresholds,
         num_threads=num_threads,
         numa_aware=config.numa_aware,
         sparse_layout=config.sparse_layout,
-        **opt_kwargs,
+        backend=backend,
     )
     return Engine(store, options, resilience=resilience, journal=journal)
 

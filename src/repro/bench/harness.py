@@ -175,14 +175,11 @@ class Workbench:
             balance=spec.balance,
             edge_order=edge_order,
         )
-        opt_kwargs = {}
-        if self.backend is not None:
-            opt_kwargs["backend"] = self.backend
         options = EngineOptions(
             num_threads=self.num_threads,
             forced_layout=forced_layout,
             numa_aware=numa_aware,
-            **opt_kwargs,
+            backend=self.backend,
         )
         engine = Engine(store, options, resilience=self._resilience())
         result = spec.run(engine)
@@ -222,10 +219,7 @@ class Workbench:
             num_partitions=num_partitions,
             balance=spec.balance,
         )
-        opt_kwargs = {}
-        if self.backend is not None:
-            opt_kwargs["backend"] = self.backend
-        options = EngineOptions(num_threads=self.num_threads, **opt_kwargs)
+        options = EngineOptions(num_threads=self.num_threads, backend=self.backend)
         engine = Engine(store, options, resilience=self._resilience())
         with tempfile.TemporaryDirectory(prefix="repro-grid-bench-") as tmp:
             engine.attach_grid(GridStore.build(

@@ -1,12 +1,6 @@
 """The GraphGrind-v2 engine: Ligra-compatible edge/vertex map with Algorithm 2."""
 
-from .backend import (
-    BACKEND_KINDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    make_backend,
-)
+from .backend import ProcessBackend
 from .budget import MemoryBudget, parse_memory_budget
 from .engine import Engine
 from .ops import EdgeOperator
@@ -25,9 +19,5 @@ __all__ = [
     "BackendStats",
     "RunStats",
     "reference_edge_map",
-    "ExecutionBackend",
-    "SerialBackend",
     "ProcessBackend",
-    "BACKEND_KINDS",
-    "make_backend",
 ]

@@ -1,17 +1,12 @@
-"""Pluggable execution backends for the partitioned traversal kernels.
+"""The concurrent execution backend for the partitioned traversal kernels.
 
 The paper's destination-partitioned layouts give every partition task a
 disjoint ``[lo, hi)`` destination write range, and the effect-inference
 pass (:mod:`repro.analysis.effects`) certifies which operators honour
-that contract.  :class:`ExecutionBackend` is the seam that turns the
-proof into wall-clock speed: the engine's partition loop runs a phase's
-tasks in-process, or hands them to a concurrent backend as one
-:class:`~repro.core.plan.PhasePlan` batch.
-
-:class:`SerialBackend`
-    The in-process path.  The engine's own loop runs the tasks, so this
-    backend dispatches nothing; it exists so ``serial`` is a spec like
-    any other.
+that contract.  This module turns the proof into wall-clock speed: the
+engine's partition loop runs a phase's tasks in-process (the ``serial``
+spec — no backend object exists), or hands them to a
+:class:`ProcessBackend` as one :class:`~repro.core.plan.PhasePlan` batch.
 
 :class:`ProcessBackend`
     A persistent ``ProcessPoolExecutor`` over
@@ -35,7 +30,7 @@ tasks in-process, or hands them to a concurrent backend as one
     touch shared-memory *copies*, the engine's arrays are untouched and
     the batch re-runs serially without rollback.
 
-A backend is selected by a *spec* string in the one
+Which of the two runs is selected by a *spec* string in the one
 ``kind[:key=value]*`` grammar of :mod:`repro.spec`; :data:`BACKEND_SPEC`
 is this module's option table.
 """
@@ -44,7 +39,6 @@ from __future__ import annotations
 
 import logging
 import os
-from abc import ABC, abstractmethod
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -60,18 +54,11 @@ from ..resilience.journal import PartitionRecord
 from ..spec import choice, flag, integer, parse_spec
 from . import kernels
 from .kernels import KERNEL_FUNCTIONS, cond_guard, kernel_args
+from .ops import state_arrays, vertex_length
 from .plan import PartitionTask, PhasePlan
 from .stats import BackendStats
 
-__all__ = [
-    "ExecutionBackend",
-    "SerialBackend",
-    "ProcessBackend",
-    "BACKEND_KINDS",
-    "BACKEND_SPEC",
-    "backend_options",
-    "make_backend",
-]
+__all__ = ["ProcessBackend", "BACKEND_SPEC", "backend_options"]
 
 log = logging.getLogger(__name__)
 
@@ -96,56 +83,10 @@ BACKEND_SPEC = {
     },
 }
 
-#: CLI-selectable backend names.
-BACKEND_KINDS = tuple(BACKEND_SPEC)
-
-
 def backend_options(spec: str) -> tuple[str, dict[str, Any]]:
     """``(kind, typed options)`` of a backend spec; the validation behind
     ``EngineOptions.__post_init__``."""
     return parse_spec("backend", BACKEND_SPEC, spec)
-
-
-def make_backend(spec: str, *, stats: BackendStats | None = None) -> "ExecutionBackend":
-    """Build an execution backend from its spec string."""
-    kind, options = backend_options(spec)
-    if kind == "serial":
-        return SerialBackend()
-    return ProcessBackend(
-        workers=options["workers"],
-        start=options["start"],
-        stats=stats,
-    )
-
-
-class ExecutionBackend(ABC):
-    """How an engine executes the partition tasks of one edge-map phase."""
-
-    #: short backend identifier (one of :data:`BACKEND_KINDS`).
-    kind: str = "abstract"
-
-    @abstractmethod
-    def run_partitions(
-        self, plan: PhasePlan, op: Any, tasks: list[PartitionTask], num_vertices: int
-    ) -> list[PartitionRecord]:
-        """Execute ``tasks`` of ``plan`` on ``op`` concurrently and return
-        their records in task order."""
-
-    def discard_layouts(self) -> None:
-        """Drop any cached layout segments (the graph store changed,
-        e.g. after the degradation ladder halved the partition count)."""
-
-    def close(self) -> None:
-        """Release every pool/segment this backend holds."""
-
-
-class SerialBackend(ExecutionBackend):
-    """The in-process reference path: the engine's loop runs every task."""
-
-    kind = "serial"
-
-    def run_partitions(self, plan, op, tasks, num_vertices):
-        raise BackendError("the serial backend dispatches no batches")
 
 
 # ----------------------------------------------------------------------
@@ -158,9 +99,6 @@ class _ArrayRef:
     name: str
     dtype: str
     shape: tuple[int, ...]
-    #: workers may keep the attachment open for the pool's lifetime
-    #: (graph layout arrays, republished only when the store changes).
-    cache: bool = False
 
 
 class _Segment:
@@ -177,13 +115,8 @@ class _Segment:
         self.view[...] = array
         self.nbytes = int(array.nbytes)
 
-    def ref(self, *, cache: bool) -> _ArrayRef:
-        return _ArrayRef(
-            name=self.shm.name,
-            dtype=self.view.dtype.str,
-            shape=tuple(self.view.shape),
-            cache=cache,
-        )
+    def ref(self) -> _ArrayRef:
+        return _ArrayRef(self.shm.name, self.view.dtype.str, tuple(self.view.shape))
 
     def release(self) -> None:
         # Drop the exported view first: closing a SharedMemory whose
@@ -233,24 +166,18 @@ def _attach_segment(ref: _ArrayRef) -> tuple[shared_memory.SharedMemory, np.ndar
 # ----------------------------------------------------------------------
 # worker side (module-level: importable under any start method)
 # ----------------------------------------------------------------------
-#: long-lived layout attachments, keyed by segment name.
+#: this worker's attachments, keyed by segment name and kept open for the
+#: pool's lifetime (the parent names the retired ones with every dispatch).
 _WORKER_SEGMENTS: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
 #: operator classes whose certificate this worker already re-verified.
 _WORKER_VERIFIED: set[type] = set()
 
 
-def _worker_array(
-    ref: _ArrayRef, holds: list[shared_memory.SharedMemory]
-) -> np.ndarray:
-    if ref.cache:
-        entry = _WORKER_SEGMENTS.get(ref.name)
-        if entry is None:
-            entry = _attach_segment(ref)
-            _WORKER_SEGMENTS[ref.name] = entry
-        return entry[1]
-    shm, view = _attach_segment(ref)
-    holds.append(shm)
-    return view
+def _worker_array(ref: _ArrayRef) -> np.ndarray:
+    entry = _WORKER_SEGMENTS.get(ref.name)
+    if entry is None:
+        entry = _WORKER_SEGMENTS[ref.name] = _attach_segment(ref)
+    return entry[1]
 
 
 def _worker_verify_operator(cls: type, token: tuple[dict, str]) -> None:
@@ -302,49 +229,38 @@ def _worker_run_chunk(
     meta: dict,
 ) -> list[PartitionRecord]:
     """Execute one chunk of partition tasks inside a worker process."""
-    holds: list[shared_memory.SharedMemory] = []
-    try:
-        for name in opspec.get("retired", ()):
-            entry = _WORKER_SEGMENTS.pop(name, None)
-            if entry is not None:
-                try:
-                    entry[0].close()
-                except BufferError:  # pragma: no cover - view still exported
-                    pass
-        cls = opspec["class"]
-        _worker_verify_operator(cls, opspec["token"])
-        op = object.__new__(cls)
-        for attr, value in opspec["scalars"].items():
-            setattr(op, attr, value)
-        for attr, ref in opspec["arrays"].items():
-            setattr(op, attr, _worker_array(ref, holds))
-        arrays = {key: _worker_array(ref, holds) for key, ref in array_refs.items()}
-        cond_fn = cond_guard(opspec["validate"])
-        run = getattr(kernels, KERNEL_FUNCTIONS[kernel])
-        out: list[PartitionRecord] = []
-        for task in tasks:
-            rec = run(op, cond_fn, *kernel_args(kernel, arrays, meta, task))
-            # Dedupe before IPC: the frontier constructor dedups anyway
-            # (bit-identical), and distinct ids pickle far smaller.
-            rec.activated = sorted_distinct(rec.activated)
-            out.append(rec)
-        return out
-    finally:
-        # Drop every numpy view before closing: a SharedMemory buffer
-        # with live exports refuses to close.  The records escape with
-        # fresh arrays only, never shm views: sorted_distinct never returns
-        # a view of its input, even when an operator handed back a slice of
-        # a segment (tests/properties/test_prop_distinct.py holds it to that).
-        op = None  # noqa: F841
-        arrays = None  # noqa: F841
-        for shm in holds:
+    for name in opspec.get("retired", ()):
+        entry = _WORKER_SEGMENTS.pop(name, None)
+        if entry is not None:
             try:
-                shm.close()
-            except BufferError:  # pragma: no cover - view GC'd at return
+                entry[0].close()
+            except BufferError:  # pragma: no cover - view still exported
                 pass
+    cls = opspec["class"]
+    _worker_verify_operator(cls, opspec["token"])
+    op = object.__new__(cls)
+    for attr, value in opspec["scalars"].items():
+        setattr(op, attr, value)
+    for attr, ref in opspec["arrays"].items():
+        setattr(op, attr, _worker_array(ref))
+    arrays = {key: _worker_array(ref) for key, ref in array_refs.items()}
+    cond_fn = cond_guard(opspec["validate"])
+    run = getattr(kernels, KERNEL_FUNCTIONS[kernel])
+    out: list[PartitionRecord] = []
+    for task in tasks:
+        rec = run(op, cond_fn, *kernel_args(kernel, arrays, meta, task))
+        # Dedupe before IPC: the frontier constructor dedups anyway
+        # (bit-identical), and distinct ids pickle far smaller.  The
+        # records also escape with fresh arrays only, never shm views:
+        # sorted_distinct never returns a view of its input, even when an
+        # operator handed back a slice of a segment
+        # (tests/properties/test_prop_distinct.py holds it to that).
+        rec.activated = sorted_distinct(rec.activated)
+        out.append(rec)
+    return out
 
 
-class ProcessBackend(ExecutionBackend):
+class ProcessBackend:
     """Partition tasks on a persistent worker pool over shared memory."""
 
     kind = "process"
@@ -413,15 +329,18 @@ class ProcessBackend(ExecutionBackend):
             self._layouts[key] = segment
             self._pinned[key] = array
             self.stats.shm_bytes_mapped += segment.nbytes
-        return segment.ref(cache=True)
+        return segment.ref()
 
     def discard_layouts(self) -> None:
+        """Drop the cached layout segments (the graph store changed, e.g.
+        after the degradation ladder halved the partition count)."""
         for segment in self._layouts.values():
             segment.release()
         self._layouts.clear()
         self._pinned.clear()
 
     def close(self) -> None:
+        """Release the pool and every segment this backend holds."""
         self._teardown_executor()
         self.discard_layouts()
         for key in list(self._state_segments):
@@ -532,27 +451,25 @@ class ProcessBackend(ExecutionBackend):
             key: self._layout_ref(arr) for key, arr in plan.shared.items()
         }
         for key, arr in plan.transient.items():
-            array_refs[key] = self._publish_state("batch", key, arr).ref(cache=True)
+            array_refs[key] = self._publish_state("batch", key, arr).ref()
+        arrays = state_arrays(op)
+        scalars = {attr: value for attr, value in vars(op).items() if attr not in arrays}
         state: dict[str, tuple[_Segment, np.ndarray]] = {}
-        scalars: dict[str, Any] = {}
-        for attr, value in vars(op).items():
-            if isinstance(value, np.ndarray):
-                segment = self._publish_state(op_scope, attr, value)
-                if adopt and value is not segment.view:
-                    # Adopt: the operator's state attribute *becomes*
-                    # the shared-memory view, so the driver's in-place
-                    # updates land directly in the published segment
-                    # and later publishes are identity no-ops.
-                    setattr(op, attr, segment.view)
-                    value = segment.view
-                state[attr] = (segment, value)
-            else:
-                scalars[attr] = value
+        for attr, value in arrays.items():
+            segment = self._publish_state(op_scope, attr, value)
+            if adopt and value is not segment.view:
+                # Adopt: the operator's state attribute *becomes*
+                # the shared-memory view, so the driver's in-place
+                # updates land directly in the published segment
+                # and later publishes are identity no-ops.
+                setattr(op, attr, segment.view)
+                value = segment.view
+            state[attr] = (segment, value)
         opspec = {
             "class": cls,
             "scalars": scalars,
             "arrays": {
-                attr: seg.ref(cache=True) for attr, (seg, _) in state.items()
+                attr: seg.ref() for attr, (seg, _) in state.items()
             },
             "token": signed_report_token(cls),
             "validate": not plan.trusted,
@@ -630,7 +547,7 @@ class ProcessBackend(ExecutionBackend):
                 continue
             if written is not None and attr not in written:
                 continue
-            if original.ndim >= 1 and original.shape[0] == num_vertices:
+            if vertex_length(original, num_vertices):
                 for task in tasks:
                     original[task.lo : task.hi] = segment.view[task.lo : task.hi]
             else:

@@ -54,7 +54,7 @@ from ..frontier.density import DensityClass, classify_frontier
 from ..frontier.frontier import Frontier
 from ..layout.store import GraphStore
 from ..resilience.journal import PartitionRecord, PhaseJournal
-from .backend import ExecutionBackend, backend_options, make_backend
+from .backend import ProcessBackend, backend_options
 from .gather import gather_adjacency
 from .kernels import (  # noqa: F401 - resolved by name through globals()
     KERNEL_FUNCTIONS,
@@ -135,7 +135,7 @@ class Engine:
         self.backend_stats = BackendStats(
             spec=self.options.backend, kind=self._backend_kind
         )
-        self._backend_obj: ExecutionBackend | None = None
+        self._backend_obj: ProcessBackend | None = None
         self._backend_finalizer = None
         if grid is not None:
             grid.enable_prefetch(self._backend_conf["prefetch"])
@@ -186,9 +186,12 @@ class Engine:
     # ------------------------------------------------------------------
     # execution backend lifecycle
     # ------------------------------------------------------------------
-    def _execution_backend(self) -> ExecutionBackend:
+    def _execution_backend(self) -> ProcessBackend:
         if self._backend_obj is None:
-            self._backend_obj = make_backend(self.options.backend, stats=self.backend_stats)
+            conf = self._backend_conf
+            self._backend_obj = ProcessBackend(
+                conf["workers"], conf["start"], stats=self.backend_stats
+            )
             # Engines are created freely throughout the test suite and
             # the bench harness; tie the pool's lifetime to the engine's
             # so forgotten engines cannot strand worker processes.

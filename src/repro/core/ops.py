@@ -29,6 +29,7 @@ batches themselves (:mod:`repro.core.kernels`).
 from __future__ import annotations
 
 import abc
+import zlib
 
 import numpy as np
 
@@ -38,6 +39,9 @@ __all__ = [
     "EdgeOperator",
     "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
+    "WriteSet",
+    "state_arrays",
+    "vertex_length",
     "snapshot_blind_spots",
     "validated_cond",
 ]
@@ -106,17 +110,62 @@ class EdgeOperator(abc.ABC):
         plain numpy-array attributes; operators with other mutable state
         must override both hooks.
         """
-        return {
-            key: value.copy()
-            for key, value in vars(self).items()
-            if isinstance(value, np.ndarray)
-        }
+        return {key: value.copy() for key, value in state_arrays(self).items()}
 
     def restore(self, saved: dict[str, np.ndarray]) -> None:
         """Roll the arrays captured by :meth:`snapshot` back **in place**,
         so algorithm-held references to the same arrays see the rollback."""
         for key, value in saved.items():
             getattr(self, key)[...] = value
+
+
+# ----------------------------------------------------------------------
+# what a task owns: the one definition of an operator's state and of the
+# slice of it a destination range [lo, hi) may write
+# ----------------------------------------------------------------------
+def state_arrays(op: EdgeOperator) -> dict[str, np.ndarray]:
+    """The operator's array state: every ndarray attribute, by name."""
+    return {key: value for key, value in vars(op).items() if isinstance(value, np.ndarray)}
+
+
+def vertex_length(array: np.ndarray, n: int) -> bool:
+    """Whether ``array`` holds one leading-axis entry per vertex — the
+    arrays that partitioning by destination cuts into disjoint slices."""
+    return array.ndim >= 1 and array.shape[0] == n
+
+
+class WriteSet:
+    """What a task over the destination range ``[lo, hi)`` owns of ``op``.
+
+    ``slices`` are views of ``[lo, hi)`` of every vertex-length state
+    array, in name order — disjoint from every other task's, which is the
+    contract supervised rollback, journal digests, the process backend's
+    merge-back and the sanitizer's shadow check all rest on.  ``views``
+    adds every other state array, whole: no task can be proved to own a
+    part of those, so a snapshot keeps all of each and a digest none.
+    """
+
+    def __init__(self, op: EdgeOperator, n: int, lo: int, hi: int) -> None:
+        arrays = state_arrays(op)
+        self.slices = {
+            key: arrays[key][lo:hi] for key in sorted(arrays) if vertex_length(arrays[key], n)
+        }
+        self.views = {**arrays, **self.slices}
+
+    def digest(self) -> int:
+        """CRC32 over the slices' bytes."""
+        crc = 0
+        for view in self.slices.values():
+            crc = zlib.crc32(view.tobytes(), crc)
+        return crc
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {key: view.copy() for key, view in self.views.items()}
+
+    def restore(self, saved: dict[str, np.ndarray]) -> None:
+        """Write a :meth:`snapshot` of the same range back **in place**."""
+        for key, value in saved.items():
+            self.views[key][...] = value
 
 
 def snapshot_blind_spots(op: EdgeOperator) -> list[str]:

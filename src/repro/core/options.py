@@ -82,8 +82,9 @@ class EngineOptions:
         — a persistent worker pool over shared-memory arrays running the
         partitioned kernels' disjoint partition slices concurrently,
         with result arrays bit-identical to serial.  Ill-formed specs raise
-        :class:`~repro.errors.ValidationError` here.  Defaults to the
-        ``REPRO_BACKEND`` environment variable when set.
+        :class:`~repro.errors.ValidationError` here.  ``None`` (the
+        default) resolves here to the ``REPRO_BACKEND`` environment
+        variable when set, else ``"serial"``.
     """
 
     thresholds: DensityThresholds = field(default_factory=DensityThresholds)
@@ -94,7 +95,7 @@ class EngineOptions:
     partition_order: str = "forward"
     partition_order_seed: int = 0
     trust_certificates: bool = True
-    backend: str = field(default_factory=_default_backend)
+    backend: str | None = None
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:
@@ -115,6 +116,8 @@ class EngineOptions:
             )
         from .backend import backend_options
 
+        if self.backend is None:
+            object.__setattr__(self, "backend", _default_backend())
         # Typed validation of the spec (raises ValidationError, a
         # ValueError subclass, keeping this constructor's contract).
         backend_options(self.backend)

@@ -128,10 +128,6 @@ class RunStats:
         """Total scanned edges across the run."""
         return sum(s.examined_edges for s in self.edge_maps)
 
-    def total_scanned_vertices(self) -> int:
-        """Total vertex-slot visits (including replication) across the run."""
-        return sum(s.scanned_vertices for s in self.edge_maps)
-
     def density_histogram(self) -> dict[DensityClass, int]:
         """How many rounds fell in each density class (cf. the paper's
         PRDelta breakdown: 8 dense, 3 medium-dense, 22 sparse)."""

@@ -185,8 +185,8 @@ class BackendError(WorkerFailure):
     cross the process boundary.  Subclasses :class:`WorkerFailure`
     because the failure is recoverable by construction: the workers only
     ever write shared-memory *copies* of the operator state, so the
-    engine's in-process arrays are untouched and the batch re-runs on
-    the :class:`~repro.core.backend.SerialBackend` bit-identically.
+    engine's in-process arrays are untouched and the batch re-runs in
+    process bit-identically.
     """
 
 

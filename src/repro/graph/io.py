@@ -23,7 +23,7 @@ from ..errors import GraphFormatError, ValidationError
 from ..resilience.validation import validate_edgelist
 from .edgelist import EdgeList
 
-__all__ = ["save_npz", "load_npz", "save_text", "load_text"]
+__all__ = ["save_npz", "load_npz", "save_text", "load_text", "load"]
 
 
 def save_npz(path: str | os.PathLike, edges: EdgeList) -> None:
@@ -123,3 +123,8 @@ def load_text(path: str | os.PathLike) -> EdgeList:
     if num_vertices < 0:
         num_vertices = int(pairs.max()) + 1 if pairs.size else 0
     return EdgeList(num_vertices, pairs[:, 0].astype(VID_DTYPE), pairs[:, 1].astype(VID_DTYPE))
+
+
+def load(path: str | os.PathLike) -> EdgeList:
+    """Load an edge-list file by its extension: ``.npz``, else text."""
+    return (load_npz if os.fspath(path).endswith(".npz") else load_text)(path)

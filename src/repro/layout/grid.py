@@ -597,12 +597,7 @@ class GridStore:
             if spec.get("kind") == "file":
                 from ..graph import io as graph_io
 
-                path = spec["path"]
-                loader = (
-                    graph_io.load_npz if str(path).endswith(".npz")
-                    else graph_io.load_text
-                )
-                self._edges = loader(path)
+                self._edges = graph_io.load(spec["path"])
             elif spec.get("kind") == "dataset":
                 from ..graph import datasets
 

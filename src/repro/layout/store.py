@@ -58,16 +58,6 @@ class GraphStore:
         """Partition count used by the COO layout and CSC compute ranges."""
         return self.coo.num_partitions
 
-    @property
-    def partition(self) -> VertexPartition:
-        """The primary destination partitioning (the CSC compute ranges).
-
-        The COO layout may carry its own partition: it is always
-        edge-balanced (§III.D) even when the CSC ranges are
-        vertex-balanced for a vertex-oriented algorithm.
-        """
-        return self.csc.partition
-
     @cached_property
     def out_degrees(self) -> np.ndarray:
         """Out-degree per vertex (cached; used by frontier density checks)."""

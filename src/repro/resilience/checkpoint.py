@@ -169,10 +169,6 @@ class CheckpointManager:
             log.info("pruned %d old checkpoint(s) of %s", len(doomed), name)
         return doomed
 
-    def delete(self, name: str, step: int) -> None:
-        """Remove one generation."""
-        self.store.delete(name, step)
-
     def verify(self, name: str, step: int) -> bool:
         """Whether generation ``(name, step)`` loads clean."""
         return self.store.verify(name, step)

@@ -26,15 +26,23 @@ The engine asserts recovery cost through :attr:`reexecutions`: the
 number of partition tasks that ran more than once.  A single injected
 ``worker_crash`` on partition *k* must leave it at exactly 1.
 
-Out-of-core grid execution refines the unit of work one level further:
-a destination stripe is processed as a sequence of blocks (one per
-source stripe), each mutating the same destination slice incrementally.
-The journal therefore also keeps *block-level* records keyed by
-``(stripe, block)``, plus a per-stripe digest of the destination slice
-after the stripe's most recent commit.  A crash mid-stream re-executes
-only the in-flight block: on the supervised retry, the stripe digest
-verifies the committed blocks' writes survived intact, those blocks are
-replayed from record, and execution resumes at the block that failed.
+A *unit* of work is addressed ``(partition, block)``.  ``block`` is
+``None`` for a partition task; out-of-core grid execution refines the
+unit one level further — a destination stripe is processed as a sequence
+of blocks (one per source stripe), each mutating the same destination
+slice incrementally — and addresses each as ``(stripe, block)``.  What
+decides replayability is the *destination range* a unit writes, not the
+unit: the journal keeps, per range, the digest of that slice after the
+range's most recent commit, and one rule covers both kinds —
+
+    a range's committed units replay iff the range's current digest
+    equals the digest after its last commit; otherwise they are dropped
+    and re-execute.
+
+A partition is the only unit of its range, so this is a per-record
+check; a stripe's blocks share theirs, so a crash mid-stream re-executes
+only the in-flight block when the committed blocks' writes survived, and
+the whole stripe when they did not.
 """
 
 from __future__ import annotations
@@ -78,7 +86,8 @@ class PartitionRecord:
         no per-partition statistics (the sparse whole-range task).
     digest:
         CRC32 over the ``[lo, hi)`` slice of every vertex-length state
-        array *after* the task completed; verified before a replay.
+        array *after* the task completed; the journal keeps the latest
+        one per range and verifies it before a replay.
     cond_calls:
         How many per-partition cond guards the task stands for: one per
         partition whose batch reached the operator, even where a run
@@ -110,23 +119,25 @@ class PartitionRecord:
         )
 
 
+def _label(partition: int, block: int | None) -> str:
+    return f"partition {partition}" if block is None else f"block ({partition},{block})"
+
+
 class PhaseJournal:
-    """Intent log of partition completions within the current phase."""
+    """Intent log of unit completions within the current phase."""
 
     def __init__(self) -> None:
         #: edge-map index of the phase currently journalled.
         self.phase: int | None = None
-        self._records: dict[int, PartitionRecord] = {}
-        self._executions: dict[int, int] = {}
-        # Block-level records for grid execution: (stripe, block) -> record,
-        # plus the destination-slice digest after each stripe's last commit.
-        self._block_records: dict[tuple[int, int], PartitionRecord] = {}
-        self._block_executions: dict[tuple[int, int], int] = {}
-        self._stripe_digests: dict[int, int] = {}
-        #: cumulative count of partition tasks executed more than once —
-        #: the recovery cost a partition-granular fault is allowed to pay.
+        # unit -> its committed record / how often it started this phase.
+        self._records: dict[tuple[int, int | None], PartitionRecord] = {}
+        self._executions: dict[tuple[int, int | None], int] = {}
+        # destination range -> digest of that slice after its last commit.
+        self._digests: dict[tuple[int, int], int] = {}
+        #: cumulative count of units executed more than once — the
+        #: recovery cost a partition-granular fault is allowed to pay.
         self.reexecutions: int = 0
-        #: cumulative count of committed partitions replayed from record.
+        #: cumulative count of committed units replayed from record.
         self.replays: int = 0
         #: append-only human-readable intent log across the whole run.
         self.entries: list[str] = []
@@ -137,125 +148,76 @@ class PhaseJournal:
         retry) keeps the committed records so they can be replayed."""
         if self.phase != index:
             self.phase = index
-            self._records.clear()
-            self._executions.clear()
-            self._block_records.clear()
-            self._block_executions.clear()
-            self._stripe_digests.clear()
+            self._clear()
 
     def invalidate(self) -> None:
         """Discard the current phase's records (whole-phase rollback or a
         partition-count change made them unreplayable)."""
-        if self._records or self._block_records:
+        if self._records:
             self.entries.append(f"phase {self.phase}: journal invalidated")
+        self._clear()
+
+    def _clear(self) -> None:
         self._records.clear()
         self._executions.clear()
-        self._block_records.clear()
-        self._block_executions.clear()
-        self._stripe_digests.clear()
+        self._digests.clear()
 
     # ------------------------------------------------------------------
-    def completed(self, partition: int) -> PartitionRecord | None:
-        """The committed record for ``partition`` in this phase, if any."""
-        return self._records.get(partition)
+    def completed(self, partition: int, block: int | None = None) -> PartitionRecord | None:
+        """The unit's committed record in this phase, if any."""
+        return self._records.get((partition, block))
 
-    def note_execution(self, partition: int) -> None:
-        """Write the intent entry: ``partition`` is about to execute."""
-        count = self._executions.get(partition, 0) + 1
-        self._executions[partition] = count
+    def note_execution(self, partition: int, block: int | None = None) -> None:
+        """Write the intent entry: the unit is about to execute."""
+        unit = (partition, block)
+        count = self._executions.get(unit, 0) + 1
+        self._executions[unit] = count
         if count > 1:
             self.reexecutions += 1
         self.entries.append(
-            f"phase {self.phase}: start partition {partition} (execution {count})"
+            f"phase {self.phase}: start {_label(*unit)} (execution {count})"
         )
 
-    def commit(self, record: PartitionRecord) -> None:
-        """Commit a completed partition's record."""
-        self._records[record.partition] = record
+    def commit(self, record: PartitionRecord, block: int | None = None) -> None:
+        """Commit a completed unit's record; ``record.digest`` covers its
+        destination range *after* this unit applied."""
+        self._records[(record.partition, block)] = record
+        self._digests[(record.lo, record.hi)] = record.digest
         self.entries.append(
-            f"phase {self.phase}: commit partition {record.partition} "
+            f"phase {self.phase}: commit {_label(record.partition, block)} "
             f"range [{record.lo}, {record.hi}) digest {record.digest:#010x}"
         )
 
-    def note_replay(self, partition: int) -> None:
-        """Record that a committed partition was replayed, not re-executed."""
+    def note_replay(self, partition: int, block: int | None = None) -> None:
+        """Record that a committed unit was replayed, not re-executed."""
         self.replays += 1
-        self.entries.append(f"phase {self.phase}: replay partition {partition}")
+        self.entries.append(f"phase {self.phase}: replay {_label(partition, block)}")
 
-    def drop(self, partition: int) -> None:
-        """Discard one record whose digest no longer matches the state."""
-        self._records.pop(partition, None)
+    def committed_digest(self, lo: int, hi: int) -> int | None:
+        """Digest of ``[lo, hi)`` after the range's last commit; ``None``
+        when the range holds no committed unit."""
+        return self._digests.get((lo, hi))
+
+    def drop_range(self, lo: int, hi: int) -> None:
+        """Discard the records of every unit that wrote ``[lo, hi)`` (its
+        digest no longer matches the state); they re-execute."""
+        stale = [u for u, rec in self._records.items() if (rec.lo, rec.hi) == (lo, hi)]
+        for unit in stale:
+            del self._records[unit]
+        self._digests.pop((lo, hi), None)
         self.entries.append(
-            f"phase {self.phase}: dropped stale record for partition {partition}"
+            f"phase {self.phase}: dropped stale record of "
+            f"{', '.join(_label(*u) for u in stale)} (range [{lo}, {hi}))"
         )
-
-    # ------------------------------------------------------------------
-    # block-level records (grid execution)
-    # ------------------------------------------------------------------
-    def completed_block(self, stripe: int, block: int) -> PartitionRecord | None:
-        """The committed record for block ``(stripe, block)``, if any."""
-        return self._block_records.get((stripe, block))
-
-    def note_block_execution(self, stripe: int, block: int) -> None:
-        """Write the intent entry: block ``(stripe, block)`` is about to run."""
-        key = (stripe, block)
-        count = self._block_executions.get(key, 0) + 1
-        self._block_executions[key] = count
-        if count > 1:
-            self.reexecutions += 1
-        self.entries.append(
-            f"phase {self.phase}: start block ({stripe},{block}) (execution {count})"
-        )
-
-    def commit_block(self, record: PartitionRecord, stripe: int, block: int,
-                     digest: int) -> None:
-        """Commit one block's record; ``digest`` covers the stripe's
-        destination slice *after* this block applied."""
-        self._block_records[(stripe, block)] = record
-        self._stripe_digests[stripe] = digest
-        self.entries.append(
-            f"phase {self.phase}: commit block ({stripe},{block}) "
-            f"digest {digest:#010x}"
-        )
-
-    def note_block_replay(self, stripe: int, block: int) -> None:
-        """Record that a committed block was replayed, not re-executed."""
-        self.replays += 1
-        self.entries.append(f"phase {self.phase}: replay block ({stripe},{block})")
-
-    def stripe_digest(self, stripe: int) -> int | None:
-        """Destination-slice digest after ``stripe``'s last committed block."""
-        return self._stripe_digests.get(stripe)
-
-    def stripe_has_blocks(self, stripe: int) -> bool:
-        """Whether ``stripe`` holds any committed block records."""
-        return any(s == stripe for s, _ in self._block_records)
-
-    def drop_stripe(self, stripe: int) -> None:
-        """Discard a stripe's block records (its slice digest went stale)."""
-        stale = [key for key in self._block_records if key[0] == stripe]
-        for key in stale:
-            del self._block_records[key]
-        self._stripe_digests.pop(stripe, None)
-        if stale:
-            self.entries.append(
-                f"phase {self.phase}: dropped {len(stale)} stale block "
-                f"record(s) for stripe {stripe}"
-            )
 
     # ------------------------------------------------------------------
     def has_commits(self) -> bool:
-        """Whether the current phase holds any committed partitions or blocks."""
-        return bool(self._records) or bool(self._block_records)
+        """Whether the current phase holds any committed units."""
+        return bool(self._records)
 
     def num_commits(self) -> int:
-        """Committed partition and block count in the current phase."""
-        return len(self._records) + len(self._block_records)
-
-    @property
-    def reexecution_count(self) -> int:
-        """Partition tasks executed more than once, over the whole run."""
-        return self.reexecutions
+        """Committed unit count in the current phase."""
+        return len(self._records)
 
     def __repr__(self) -> str:
         return (

@@ -65,6 +65,7 @@ from .netsim import NetworkSimulator
 from .store import (
     CheckpointStore,
     LocalDirStore,
+    _flip_last_byte,
     _npz_arrays,
     _npz_bytes,
     _write_durably,
@@ -318,11 +319,7 @@ class ObjectService:
         path = self._data_path(key)
         if not path.exists():
             raise CheckpointError(f"no object at {key!r} to corrupt")
-        with open(path, "r+b") as fh:
-            fh.seek(-1, os.SEEK_END)
-            last = fh.read(1)[0]
-            fh.seek(-1, os.SEEK_END)
-            fh.write(bytes([last ^ 0xFF]))
+        _flip_last_byte(path)
         log.warning("fault injection corrupted remote object %s", key)
 
 
@@ -725,47 +722,43 @@ class RemoteStore(CheckpointStore):
             )
         return _npz_arrays(data)
 
-    def steps(self, name: str) -> list[int]:
+    def _listed(self, name: str | None = None, note: str = "") -> list[tuple[str, int]]:
+        """One LIST: ``(safe name, step)`` of every remote generation (of
+        ``name`` only, when given); none, after ``note``, during an outage."""
+        prefix = "" if name is None else safe_name(name) + "/"
+        try:
+            keys = self.client.list_objects(prefix=prefix)
+        except RemoteUnavailableError:
+            if note:
+                self._note(note)
+            return []
+        matches = (_OBJECT_KEY_RE.match(key) for key in keys)
+        return [
+            (m["name"], int(m["step"])) for m in matches if m and prefix in ("", m["name"] + "/")
+        ]
+
+    def _all_steps(self, name: str, note: str = "") -> set[int]:
         # Read-your-writes: generations this instance uploaded are known
         # even while the remote cannot answer a LIST.
-        found = set(self.spill.steps(name))
-        found.update(s for (n, s) in self._etags if n == name)
-        safe = safe_name(name)
-        try:
-            for key in self.client.list_objects(prefix=safe + "/"):
-                m = _OBJECT_KEY_RE.match(key)
-                if m and m.group("name") == safe:
-                    found.add(int(m.group("step")))
-        except RemoteUnavailableError:
-            self._note(f"remote unavailable; listing {name} from the spill journal only")
+        steps = set(self.spill.steps(name))
+        steps.update(s for (n, s) in self._etags if n == name)
+        steps.update(s for _, s in self._listed(name, note))
+        return steps
+
+    def steps(self, name: str) -> list[int]:
+        note = f"remote unavailable; listing {name} from the spill journal only"
+        found = self._all_steps(name, note)
         return sorted(s for s in found if (name, s) not in self._pending_deletes)
 
     def names(self) -> list[str]:
         found = set(self.spill.names())
         found.update(n for (n, _) in self._etags)
-        try:
-            for key in self.client.list_objects():
-                m = _OBJECT_KEY_RE.match(key)
-                if m:
-                    found.add(m.group("name"))
-        except RemoteUnavailableError:
-            self._note("remote unavailable; listing names from the spill journal only")
+        note = "remote unavailable; listing names from the spill journal only"
+        found.update(n for n, _ in self._listed(note=note))
         return sorted(
             n for n in found
             if any((n, s) not in self._pending_deletes for s in self._all_steps(n))
         )
-
-    def _all_steps(self, name: str) -> set[int]:
-        steps = set(self.spill.steps(name))
-        steps.update(s for (n, s) in self._etags if n == name)
-        try:
-            for key in self.client.list_objects(prefix=safe_name(name) + "/"):
-                m = _OBJECT_KEY_RE.match(key)
-                if m and m.group("name") == safe_name(name):
-                    steps.add(int(m.group("step")))
-        except RemoteUnavailableError:
-            pass
-        return steps
 
     def delete(self, name: str, step: int) -> None:
         """Delete a generation; during an outage, leave a tombstone."""

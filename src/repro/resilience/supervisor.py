@@ -39,13 +39,13 @@ import shutil
 import tempfile
 import time
 import weakref
-import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from ..core.ops import EdgeOperator, snapshot_blind_spots
+from ..core.ops import EdgeOperator, WriteSet, snapshot_blind_spots
 from ..errors import (
     CapacityError,
     RetryExhausted,
@@ -180,52 +180,20 @@ class ResiliencePolicy:
         return delay
 
 
-# ----------------------------------------------------------------------
-# a task's write set: the [lo, hi) slice of every vertex-length array
-# ----------------------------------------------------------------------
-def _snapshot_slice(op, n: int, lo: int, hi: int):
-    """Snapshot one task's write set before it executes.
+def _rollback(op, n: int, task):
+    """Snapshot ``task``'s write set before it executes; returns the call
+    that rolls it back.
 
-    Vertex-length arrays are captured only over the task's ``[lo, hi)``
-    destination range (its contract-declared write set); any other array
-    is copied whole.  Operators with a custom ``snapshot`` own state the
-    slicing cannot see, so they fall back to their full snapshot/restore
-    pair — still correct because the snapshot is taken at *task* start,
-    when every committed partition's writes are already in the arrays.
+    Operators that override ``snapshot`` own state a
+    :class:`~repro.core.ops.WriteSet` cannot see, so they fall back to
+    their full snapshot/restore pair — still correct because the snapshot
+    is taken at *task* start, when every committed unit's writes are
+    already in the arrays.
     """
     if type(op).snapshot is not EdgeOperator.snapshot:
-        return ("full", op.snapshot())
-    saved = {}
-    for key, value in vars(op).items():
-        if isinstance(value, np.ndarray):
-            sliced = value.ndim >= 1 and value.shape[0] == n
-            saved[key] = (sliced, (value[lo:hi] if sliced else value).copy())
-    return ("slice", saved)
-
-
-def _restore_slice(op, lo: int, hi: int, snap) -> None:
-    """Roll back exactly the write set :func:`_snapshot_slice` captured."""
-    mode, saved = snap
-    if mode == "full":
-        op.restore(saved)
-        return
-    for key, (sliced, value) in saved.items():
-        target = getattr(op, key)
-        if sliced:
-            target[lo:hi] = value
-        else:
-            target[...] = value
-
-
-def _slice_digest(op, n: int, lo: int, hi: int) -> int:
-    """CRC32 of the ``[lo, hi)`` slice of every vertex-length state array."""
-    arrays = vars(op)
-    crc = 0
-    for key in sorted(arrays):
-        value = arrays[key]
-        if isinstance(value, np.ndarray) and value.ndim >= 1 and value.shape[0] == n:
-            crc = zlib.crc32(np.ascontiguousarray(value[lo:hi]).tobytes(), crc)
-    return crc
+        return partial(op.restore, op.snapshot())
+    owned = WriteSet(op, n, task.lo, task.hi)
+    return partial(owned.restore, owned.snapshot())
 
 
 class Supervisor:
@@ -447,10 +415,10 @@ class Supervisor:
         will execute, in order, before the first does (the grid's
         read-ahead schedule must not contain replayed blocks).
         """
-        n = self.engine.num_vertices
-        if tasks and tasks[0].block is not None:
-            self._verify_stripe(op, n, tasks[0])
-        out = [self._committed(op, n, task) for task in tasks]
+        n, journal = self.engine.num_vertices, self.journal
+        if journal.has_commits():
+            self._drop_stale(op, n, tasks)
+        out = [self._replay(task) for task in tasks]
         pending = [k for k, record in enumerate(out) if record is None]
         if on_pending is not None:
             on_pending([tasks[k] for k in pending])
@@ -460,63 +428,46 @@ class Supervisor:
                 continue
             for task in batch:
                 self._begin(task)
-            first = batch[0]
-            saved = None if concurrent else _snapshot_slice(op, n, first.lo, first.hi)
+            undo = None if concurrent else _rollback(op, n, batch[0])
             try:
                 fresh = execute(batch)
             except WorkerFailure:
-                if saved is not None:
-                    _restore_slice(op, first.lo, first.hi, saved)
+                if undo is not None:
+                    undo()
                 raise
             for k, task, record in zip(unit, batch, fresh):
-                self._commit(op, n, task, record)
+                record.digest = WriteSet(op, n, task.lo, task.hi).digest()
+                journal.commit(record, task.block)
                 out[k] = record
         return out
 
-    def _verify_stripe(self, op, n: int, task) -> None:
-        """Decide a grid stripe's replayability from its slice digest:
-        matching means the committed blocks' writes survived intact; a
-        mismatch drops the records and the stripe re-executes."""
-        journal, stripe = self.journal, task.partition
-        if journal.stripe_has_blocks(stripe):
-            digest = journal.stripe_digest(stripe)
-            if digest is not None and _slice_digest(op, n, task.lo, task.hi) != digest:
-                journal.drop_stripe(stripe)
+    def _drop_stale(self, op, n: int, tasks) -> None:
+        """The replay rule, per destination range ``tasks`` write: the
+        range's committed units replay iff its current digest equals the
+        digest after its last commit (their writes survived intact);
+        otherwise they are dropped and re-execute."""
+        journal = self.journal
+        for lo, hi in dict.fromkeys((task.lo, task.hi) for task in tasks):
+            committed = journal.committed_digest(lo, hi)
+            if committed is not None and WriteSet(op, n, lo, hi).digest() != committed:
+                journal.drop_range(lo, hi)
 
-    def _committed(self, op, n: int, task) -> PartitionRecord | None:
-        """``task``'s record from an earlier attempt, when it may replay."""
-        journal, i = self.journal, task.partition
-        if task.block is not None:
-            record = journal.completed_block(i, task.block)
-            if record is not None:
-                journal.note_block_replay(i, task.block)
-            return record
-        record = journal.completed(i)
-        if record is None:
-            return None
-        if _slice_digest(op, n, task.lo, task.hi) == record.digest:
-            journal.note_replay(i)
-            return record
-        journal.drop(i)  # state diverged since the commit; re-execute
-        return None
+    def _replay(self, task) -> PartitionRecord | None:
+        """``task``'s record from an earlier attempt, noted as replayed."""
+        record = self.journal.completed(task.partition, task.block)
+        if record is not None:
+            self.journal.note_replay(task.partition, task.block)
+        return record
 
     def _begin(self, task) -> None:
-        """Intent entry, partition deadline, fault-plan hook."""
+        """Intent entry, deadline, fault-plan hook.  A partition task gets
+        its compute deadline here, before it runs; a grid block gets its
+        I/O deadline when it is read (:meth:`check_read`)."""
+        self.journal.note_execution(task.partition, task.block)
         if task.block is None:
-            self.journal.note_execution(task.partition)
             self._check_deadline(task.partition)
-        else:
-            self.journal.note_block_execution(task.partition, task.block)
         if self.policy.fault_plan is not None:
             self.policy.fault_plan.before_partition(self.phase, task.partition)
-
-    def _commit(self, op, n: int, task, record: PartitionRecord) -> None:
-        digest = _slice_digest(op, n, task.lo, task.hi)
-        if task.block is None:
-            record.digest = digest
-            self.journal.commit(record)
-        else:
-            self.journal.commit_block(record, task.partition, task.block, digest)
 
     def _check_deadline(self, i: int) -> None:
         """Enforce partition ``i``'s deadline over simulated time.

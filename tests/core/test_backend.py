@@ -1,17 +1,11 @@
-"""Backend option table, registry and EngineOptions integration."""
+"""Backend option table, the process backend's laziness and EngineOptions integration."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import EngineOptions
-from repro.core.backend import (
-    BACKEND_KINDS,
-    ProcessBackend,
-    SerialBackend,
-    backend_options,
-    make_backend,
-)
+from repro.core.backend import BACKEND_SPEC, ProcessBackend, backend_options
 from repro.errors import GraphFormatError, ValidationError
 
 
@@ -69,13 +63,11 @@ def test_start_method_is_checked():
 
 
 # ----------------------------------------------------------------------
-# make_backend
+# ProcessBackend
 # ----------------------------------------------------------------------
-def test_make_backend_builds_each_kind():
-    assert isinstance(make_backend("serial"), SerialBackend)
-    backend = make_backend("process:workers=2:strict=0")
+def test_process_backend_is_lazily_started():
+    backend = ProcessBackend(workers=2)
     try:
-        assert isinstance(backend, ProcessBackend)
         assert backend.workers == 2
         # lazily started: building the backend must not fork anything.
         assert backend.worker_pids() == []
@@ -83,13 +75,9 @@ def test_make_backend_builds_each_kind():
         backend.close()
 
 
-def test_backend_kinds_cover_the_registry():
-    for kind in BACKEND_KINDS:
-        backend = make_backend(kind)
-        try:
-            assert backend.kind == kind
-        finally:
-            backend.close()
+def test_spec_kinds_are_serial_and_process():
+    assert set(BACKEND_SPEC) == {"serial", "process"}
+    assert ProcessBackend.kind == "process"
 
 
 # ----------------------------------------------------------------------

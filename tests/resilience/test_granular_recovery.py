@@ -98,7 +98,7 @@ def test_crash_reexecutes_one_partition_bit_identical(
 
     for name, value in _payload(baseline).items():
         assert np.array_equal(getattr(faulted, name), value), name
-    assert engine.journal.reexecution_count == 1
+    assert engine.journal.reexecutions == 1
     assert engine.journal.replays == 3
     assert any(
         "keeping 3 committed partition(s)" in line for line in engine.resilience_log

@@ -43,13 +43,13 @@ def test_note_execution_counts_reexecutions_per_phase():
     j = PhaseJournal()
     j.begin_phase(0)
     j.note_execution(2)
-    assert j.reexecution_count == 0
+    assert j.reexecutions == 0
     j.note_execution(2)
     j.note_execution(2)
-    assert j.reexecution_count == 2
+    assert j.reexecutions == 2
     j.begin_phase(1)
     j.note_execution(2)  # first execution within the new phase
-    assert j.reexecution_count == 2
+    assert j.reexecutions == 2
 
 
 def test_commit_completed_and_drop():
@@ -59,7 +59,7 @@ def test_commit_completed_and_drop():
     j.commit(rec)
     assert j.completed(5) is rec
     assert j.completed(4) is None
-    j.drop(5)
+    j.drop_range(10, 20)
     assert j.completed(5) is None
     assert any("dropped stale record" in line for line in j.entries)
 
@@ -128,7 +128,7 @@ def test_crash_on_partition_k_reexecutes_only_k(graph):
     faulted = pagerank(engine, iterations=6)
     assert np.array_equal(faulted.ranks, baseline.ranks)
     # partitions 0..2 committed before the crash and were replayed, not rerun
-    assert engine.journal.reexecution_count == 1
+    assert engine.journal.reexecutions == 1
     assert engine.journal.replays == 3
     assert any(
         "keeping 3 committed partition(s)" in line for line in engine.resilience_log
@@ -142,7 +142,7 @@ def test_crash_on_first_partition_falls_back_to_whole_phase(graph):
     engine = _engine(graph, "worker_crash@1:0")
     faulted = pagerank(engine, iterations=6)
     assert np.array_equal(faulted.ranks, baseline.ranks)
-    assert engine.journal.reexecution_count == 0
+    assert engine.journal.reexecutions == 0
     assert engine.journal.replays == 0
 
 
@@ -151,7 +151,7 @@ def test_two_crashes_two_reexecutions(graph):
     baseline = pagerank(_engine(graph), iterations=6)
     faulted = pagerank(engine, iterations=6)
     assert np.array_equal(faulted.ranks, baseline.ranks)
-    assert engine.journal.reexecution_count == 2
+    assert engine.journal.reexecutions == 2
     assert engine.journal.replays == 2 + 5
 
 

@@ -96,7 +96,7 @@ def test_single_stall_recovers_partition_granularly(graph):
     engine = _engine(graph, policy)
     faulted = pagerank(engine, iterations=4)
     assert np.array_equal(faulted.ranks, baseline.ranks)
-    assert engine.journal.reexecution_count == 1
+    assert engine.journal.reexecutions == 1
     assert dog.overruns == {2: 1}
     assert any("escalation: retry" in line for line in engine.resilience_log)
     assert engine.store.num_partitions == 8  # no degradation needed

@@ -386,3 +386,59 @@ def test_certify_sarif_has_certificates_property(capsys):
 def test_certify_unknown_algorithm_is_exit_two(capsys):
     assert main(["certify", "DIJKSTRA"]) == 2
     assert "unknown algorithm" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# run: a failing run releases what it started
+# ----------------------------------------------------------------------
+def test_failing_supervised_process_run_leaves_no_live_child(
+    tmp_path, small_rmat, capsys, monkeypatch
+):
+    import multiprocessing
+
+    from repro.core.engine import Engine
+
+    closed = []
+    close = Engine.close
+
+    def spy(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(Engine, "close", spy)
+    path = tmp_path / "g.npz"
+    save_npz(path, small_rmat)
+    rc = main(["run", "PR", "--graph", str(path), "--partitions", "8",
+               "--backend", "process:workers=2", "--max-retries", "0",
+               "--fault-plan", "worker_crash@2:3"])
+    assert rc == 1
+    assert "failed after 1 attempt(s)" in capsys.readouterr().err
+    # the pool was started (two concurrent phases ran) and then closed by
+    # the run itself, not left to the engine's finalizer
+    assert len(closed) == 1
+    assert closed[0].backend_stats.workers_spawned == 2
+    for child in multiprocessing.active_children():
+        child.join(timeout=10)
+    assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------------------
+# memsim
+# ----------------------------------------------------------------------
+def test_memsim_sweeps_a_tiny_trace(capsys):
+    rc = main(["memsim", "--dataset", "twitter", "--scale", "0.02", "--partitions", "4",
+               "--max-accesses", "2000", "--sets", "4,8", "--assoc", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "twitter@0.02, 4 partitions: 2000 accesses (64 B lines)" in out
+    rows = [line.split() for line in out.splitlines() if line.split()[:2] in (["4", "2"], ["8", "2"])]
+    assert [row[2] for row in rows] == ["512", "1024"]  # sets x ways x line bytes
+    assert "reuse distances: max" in out
+    assert "sweep: 2 configs" in out
+
+
+def test_memsim_rejects_a_malformed_sweep(capsys):
+    assert main(["memsim", "--scale", "0.02", "--sets", "a,b"]) == 1
+    assert "--sets must be comma-separated integers" in capsys.readouterr().err
+    assert main(["memsim", "--scale", "0.02", "--assoc", ","]) == 1
+    assert "--assoc must name at least one value" in capsys.readouterr().err
