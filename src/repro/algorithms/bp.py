@@ -91,7 +91,7 @@ class BPOp(EdgeOperator):
         m0 = (1.0 - self.eps) * (1.0 - b) + self.eps * b
         np.add.at(self.log_msg_1, dst, np.log(m1))
         np.add.at(self.log_msg_0, dst, np.log(m0))
-        return dst.astype(VID_DTYPE)
+        return dst.astype(VID_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class PageRankOp(EdgeOperator):
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.add.at(self.accum, dst, self.contrib[src])
-        return dst.astype(VID_DTYPE)
+        return dst.astype(VID_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ class PRDeltaOp(EdgeOperator):
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         np.add.at(self.accum, dst, self.scaled_delta[src])
-        return dst.astype(VID_DTYPE)
+        return dst.astype(VID_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)

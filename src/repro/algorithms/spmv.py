@@ -34,7 +34,7 @@ class SPMVOp(EdgeOperator):
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         w = self.weight_fn(src, dst)
         np.add.at(self.y, dst, w * self.x[src])
-        return dst.astype(VID_DTYPE)
+        return dst.astype(VID_DTYPE, copy=False)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ spec — no backend object exists), or hands them to a
     A persistent ``ProcessPoolExecutor`` over
     :mod:`multiprocessing.shared_memory`.  Graph layout arrays are
     published once into named shared-memory segments and cached by the
-    workers across phases; per-phase state (the frontier bitmap and the
-    operator's state arrays) is published per dispatch.  Workers rebuild
+    workers across phases; per-phase state (the frontier bitmap — none
+    when the frontier is every vertex — and the operator's state arrays)
+    is published per dispatch.  Workers rebuild
     the operator around shared-memory views, *re-verify the signed
     safety certificate at attach time*, run the very same kernel
     functions (:mod:`repro.core.kernels`) as the serial path, and write

@@ -24,8 +24,10 @@ paper's Algorithm 2 in three steps:
    compression over the run and still hands the operator one batch per
    partition, in order — wherever that hoisting is proved unobservable
    (:meth:`Engine._task_edges`); everywhere else it is a run of one.  A
-   backend failure falls back to the in-process path and is logged in
-   ``resilience_log``.
+   phase whose frontier is every vertex has no filter to apply, so its
+   plan carries no bitmap and the kernels skip the frontier work
+   (:func:`_frontier_filter`).  A backend failure falls back to the
+   in-process path and is logged in ``resilience_log``.
 3. **fold** — the tasks' records become the next frontier and the
    phase's single
    :class:`~repro.core.stats.EdgeMapStats`, which the machine model
@@ -51,6 +53,7 @@ import numpy as np
 from .._types import VID_DTYPE
 from ..errors import BackendError, ValidationError
 from ..frontier.density import DensityClass, classify_frontier
+from ..frontier.distinct import count_distinct_between
 from ..frontier.frontier import Frontier
 from ..layout.store import GraphStore
 from ..resilience.journal import PartitionRecord, PhaseJournal
@@ -81,6 +84,21 @@ from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
 __all__ = ["Engine"]
 
 log = logging.getLogger(__name__)
+
+
+def _frontier_filter(frontier: Frontier) -> dict[str, np.ndarray]:
+    """The per-phase arrays of a partitioned plan: the frontier's bitmap,
+    or nothing when every vertex is active.
+
+    Decided from the frontier alone.  Without a bitmap the kernels take
+    every source as live — no ``bitmap[src]`` gather, no compression —
+    and hand the operator the very same batches in the very same order,
+    so nothing a caller can see depends on which it was (DESIGN.md,
+    "Tasks are runs of partitions").
+    """
+    if frontier.size == frontier.num_vertices:
+        return {}
+    return {"bitmap": frontier.as_bitmap()}
 
 
 class Engine:
@@ -416,19 +434,28 @@ class Engine:
             num_partitions=ranges.num_partitions,
             uses_atomics=False,
             shared={"index": csc.index, "neighbors": csc.neighbors},
-            transient={"bitmap": frontier.as_bitmap()},
+            transient=_frontier_filter(frontier),
         )
 
     def _plan_coo(self, frontier: Frontier, target: int) -> PhasePlan:
         """Dense: streaming traversal of the partitioned COO."""
         coo = self.store.coo
+        shared = {"src": coo.src, "dst": coo.dst}
+        transient = _frontier_filter(frontier)
+        if not transient:
+            # With every edge live a partition's touched vertices are its
+            # distinct destinations: a constant of the layout.
+            shared["distinct"] = self._cached(
+                "coo-distinct",
+                lambda: count_distinct_between(coo.dst, coo.partition.boundaries),
+            )
         return PhasePlan(
             "coo", "forward", "coo",
             self._cached(("coo", target), lambda: coo_tasks(coo, self.options, target)),
             num_partitions=coo.num_partitions,
             uses_atomics=coo.num_partitions < self.options.num_threads,
-            shared={"src": coo.src, "dst": coo.dst},
-            transient={"bitmap": frontier.as_bitmap()},
+            shared=shared,
+            transient=transient,
         )
 
     def _plan_pcsr(self, frontier: Frontier) -> PhasePlan:
@@ -442,7 +469,7 @@ class Engine:
             num_partitions=len(tasks),
             uses_atomics=len(tasks) < self.options.num_threads,
             shared=shared,
-            transient={"bitmap": frontier.as_bitmap()},
+            transient=_frontier_filter(frontier),
             meta={"active_ids": frontier.as_sparse(), "num_stored": num_stored},
         )
 
@@ -455,19 +482,23 @@ class Engine:
         each block's edges sorted by source — reproduces the in-RAM COO
         path's edge order exactly, so results are bit-identical.
         Selective scheduling drops blocks whose source stripe holds no
-        active vertices (GridGraph §3.3).
+        active vertices (GridGraph §3.3); under a full frontier every
+        stripe is active.
         """
         grid = self.grid
         ranges, blocks = self._cached("grid", lambda: grid_block_tasks(grid))
-        bitmap = frontier.as_bitmap()
-        active = [bool(bitmap[lo:hi].any()) for lo, hi in ranges]
-        tasks = [task for task in blocks if active[task.block]]
-        grid.stats.blocks_skipped += len(blocks) - len(tasks)
+        transient = _frontier_filter(frontier)
+        tasks = blocks
+        if transient:
+            bitmap = transient["bitmap"]
+            active = [bool(bitmap[lo:hi].any()) for lo, hi in ranges]
+            tasks = [task for task in blocks if active[task.block]]
+            grid.stats.blocks_skipped += len(blocks) - len(tasks)
         return PhasePlan(
             "grid", "forward", "coo", tasks,
             num_partitions=grid.num_stripes,
             uses_atomics=False,
-            transient={"bitmap": bitmap},
+            transient=transient,
         )
 
     # ------------------------------------------------------------------
@@ -510,7 +541,13 @@ class Engine:
         for task in tasks:
             if task.block is not None:
                 arrays = self._read_block(plan, arrays, task)
-            records.append(run(op, cond, *kernel_args(kernel, arrays, meta, task)))
+            rec = run(op, cond, *kernel_args(kernel, arrays, meta, task))
+            if task.block is not None and np.may_share_memory(rec.activated, arrays["dst"]):
+                # The operator handed back the streamed dst itself: copy
+                # it, or the record pins the whole block until the fold,
+                # past the budget's eviction of it.
+                rec.activated = rec.activated.copy()
+            records.append(rec)
         self._count_guards(plan, records)
         return records
 
@@ -541,7 +578,7 @@ class Engine:
             plan.io_blocks += 1
         if self._supervisor is not None:
             self._supervisor.check_read((task.block, task.partition), block)
-        return {"src": block.src, "dst": block.dst, "bitmap": arrays["bitmap"]}
+        return {**arrays, "src": block.src, "dst": block.dst}
 
     # ------------------------------------------------------------------
     # fold: records -> next frontier + the phase's EdgeMapStats

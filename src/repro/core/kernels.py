@@ -15,6 +15,15 @@ partitions' updates in the later ones, so a merged batch would change
 the phase count and every statistic downstream, where hoisting changes
 nothing observable.
 
+A phase whose frontier is every vertex carries no bitmap
+(``bitmap is None``): every source is live, so there is nothing to
+gather and, when ``cond`` passes everything too, nothing to compress —
+the operator's batches are zero-copy slices of the layout's own arrays
+at the task's edge cuts, and a COO partition's distinct destinations
+are a constant of the layout, handed in as ``distinct`` instead of
+being re-counted.  Same loop, same batches in the same order; only the
+copies go.
+
 The kernels are the single source of truth for the task computation:
 the engine's loop calls them in-process and the process backend's
 workers call the very same functions over shared-memory views of the
@@ -85,19 +94,22 @@ def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
     i = task.partition
     if kernel == "coo":
         elo, ehi = task.extra[0], task.extra[-1]
+        distinct = arrays.get("distinct")  # full-frontier in-RAM phases only
+        if distinct is not None:
+            distinct = distinct[i : i + task.num_partitions]
         return (
-            arrays["src"][elo:ehi], arrays["dst"][elo:ehi], arrays["bitmap"],
-            i, task.cuts, task.extra - elo,
+            arrays["src"][elo:ehi], arrays["dst"][elo:ehi], distinct,
+            arrays.get("bitmap"), i, task.cuts, task.extra - elo,
         )
     if kernel == "csc":
-        return (arrays["index"], arrays["neighbors"], arrays["bitmap"], i, task.cuts)
+        return (arrays["index"], arrays["neighbors"], arrays.get("bitmap"), i, task.cuts)
     if kernel == "csr":
         return (arrays["gsrc"], arrays["gdst"], i, task.lo, task.hi)
     if kernel == "pcsr":
         return (
             arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
             arrays[f"vertex_ids:{i}"], meta["num_stored"][i],
-            arrays["bitmap"], meta["active_ids"], i, task.lo, task.hi,
+            arrays.get("bitmap"), meta["active_ids"], i, task.lo, task.hi,
         )
     raise ValueError(f"unknown kernel {kernel!r}")
 
@@ -122,12 +134,13 @@ def run_csc_partition(
     cond_fn,
     index: np.ndarray,
     neighbors: np.ndarray,
-    bitmap: np.ndarray,
+    bitmap: np.ndarray | None,
     partition: int,
     cuts: np.ndarray,
 ) -> PartitionRecord:
     """Backward traversal of a run of destination ranges of the whole-graph
-    CSC.  Zero-width ranges get no operator batch (and no guard)."""
+    CSC.  Zero-width ranges get no operator batch (and no guard);
+    ``bitmap is None`` means every source is live."""
     lo, hi = int(cuts[0]), int(cuts[-1])
     if lo == hi:
         return PartitionRecord.empty(partition, lo, hi, cuts.size - 1)
@@ -136,12 +149,15 @@ def run_csc_partition(
     if cond is not None:
         candidates = candidates[cond]
     dst, src = gather_adjacency(index, neighbors, candidates)
-    live = bitmap[src]
-    src_live, dst_live = src[live], dst[live]
     # The gather groups edges by ascending candidate, so ``dst`` ascends
     # and the vertex cuts find every partition's slice.
     examined_at = dst.searchsorted(cuts)
-    live_at = dst_live.searchsorted(cuts).tolist()
+    if bitmap is None:
+        src_live, dst_live, live_at = src, dst, examined_at.tolist()
+    else:
+        live = bitmap[src]
+        src_live, dst_live = src[live], dst[live]
+        live_at = dst_live.searchsorted(cuts).tolist()
     keep = (cuts[1:] > cuts[:-1]).tolist()
     acts, batches = _per_partition(op, src_live, dst_live, live_at, keep)
     return PartitionRecord(
@@ -195,26 +211,38 @@ def run_coo_partition(
     cond_fn,
     src: np.ndarray,
     dst: np.ndarray,
-    bitmap: np.ndarray,
+    distinct: np.ndarray | None,
+    bitmap: np.ndarray | None,
     partition: int,
     cuts: np.ndarray,
     edge_cuts: np.ndarray,
 ) -> PartitionRecord:
     """Streaming traversal of a run of partitions' destination-sorted edge
     slice; ``edge_cuts`` are the partitions' offsets into ``src``/``dst``.
-    Every partition gets its operator batch, an empty one included."""
-    live = bitmap[src]
+    Every partition gets its operator batch, an empty one included.
+
+    ``bitmap is None`` means every source is live.  When ``cond`` passes
+    every edge as well, the batches are slices of ``src``/``dst``
+    themselves and ``distinct`` — the run's distinct destinations per
+    partition, counted once per store — is the record's ``touched``
+    (``None``, a grid block: counted here)."""
+    live = None if bitmap is None else bitmap[src]
     cond = cond_fn(op, dst)
     if cond is not None:
-        live = live & cond
-    src_live, dst_live = src[live], dst[live]
-    # Live edges per partition, counted slice by slice: a vectorised
-    # count_nonzero per partition beats any one pass over the whole mask
-    # (cumsum, reduceat) at every run length.
+        live = cond if live is None else live & cond
     at = edge_cuts.tolist()
-    counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
-    live_at = list(accumulate(counts, initial=0))
-    acts, batches = _per_partition(op, src_live, dst_live, live_at, [True] * len(counts))
+    if live is None:
+        src_live, dst_live, live_at = src, dst, at
+    else:
+        src_live, dst_live = src[live], dst[live]
+        # Live edges per partition, counted slice by slice: a vectorised
+        # count_nonzero per partition beats any one pass over the whole
+        # mask (cumsum, reduceat) at every run length.
+        counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
+        live_at = list(accumulate(counts, initial=0))
+    acts, batches = _per_partition(op, src_live, dst_live, live_at, [True] * (len(at) - 1))
+    if live is not None or distinct is None:
+        distinct = count_distinct_between(dst_live, cuts)
     return PartitionRecord(
         partition=partition,
         lo=int(cuts[0]),
@@ -223,7 +251,7 @@ def run_coo_partition(
         examined=int(src.size),
         active_edges=int(src_live.size),
         part_examined=edge_cuts[1:] - edge_cuts[:-1],
-        touched=count_distinct_between(dst_live, cuts),
+        touched=distinct,
         cond_calls=batches,
     )
 
@@ -235,14 +263,18 @@ def run_pcsr_partition(
     neighbors: np.ndarray,
     vertex_ids: np.ndarray,
     num_stored: int,
-    bitmap: np.ndarray,
+    bitmap: np.ndarray | None,
     active_ids: np.ndarray,
     partition: int,
     lo: int,
     hi: int,
 ) -> PartitionRecord:
-    """Forward traversal of one pruned per-partition CSR (Figure 5 layout)."""
-    if active_ids.size * 8 < num_stored:
+    """Forward traversal of one pruned per-partition CSR (Figure 5 layout);
+    ``bitmap is None`` means every stored vertex is live."""
+    if bitmap is None:
+        live_slots = np.arange(vertex_ids.size)
+        scanned = num_stored
+    elif active_ids.size * 8 < num_stored:
         # Sparse frontier: binary-search each active vertex in this
         # partition's stored slots instead of scanning them all.
         pos = np.searchsorted(vertex_ids, active_ids)

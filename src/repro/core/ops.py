@@ -94,6 +94,12 @@ class EdgeOperator(abc.ABC):
         Operators must not dedup: the engine's fold owns the phase's one
         dedup, and a second one per batch costs as much again and changes
         nothing (``BFSOp`` dedups for its own first-writer store's sake).
+
+        ``src`` and ``dst`` may be views of the layout's own edge arrays
+        (a full-frontier phase compresses nothing): read them, never
+        write them.  An operator that activates every destination may
+        return the ``dst`` it was handed — nobody mutates a record's
+        ``activated``, and the fold copies it into the next frontier.
         """
         raise NotImplementedError
 

@@ -46,11 +46,14 @@ __all__ = [
 
 
 #: edges a run of adjacent partitions accumulates before it is closed.
-#: A kernel holds ~30 B of numpy temporaries per examined edge (the
-#: ``bitmap[src]`` mask, the compressed ``src``/``dst``, the operator's
-#: gathered values and comparison masks), so 2^15 edges keep a task's
-#: working set near 1 MiB — inside the 2 MiB L2 — while 130 or so tasks
-#: per million edges make the per-task interpreter cost invisible.
+#: Under a partial frontier a kernel holds ~30 B of numpy temporaries per
+#: examined edge (the ``bitmap[src]`` mask, the compressed ``src``/``dst``,
+#: the operator's gathered values and comparison masks), so 2^15 edges
+#: keep a task's working set near 1 MiB — inside the 2 MiB L2 — while 130
+#: or so tasks per million edges make the per-task interpreter cost
+#: invisible.  A full-frontier phase has no mask and compresses nothing
+#: (only the operator's own temporaries remain), and was flat across
+#: targets before that too, so the one value serves both.
 #: Measured, not only derived: CC on ``road_grid(200)`` at P=384 is flat
 #: from 2^13 to 2^16 edges (2.7x faster than runs of one) and ~8 % slower
 #: from 2^17 up; dense rmat-17 phases are flat throughout (DESIGN.md,
@@ -115,7 +118,8 @@ class PhasePlan:
     uses_atomics: bool
     #: long-lived layout arrays (a concurrent backend publishes them once
     #: and caches them across phases) and per-phase arrays (the frontier
-    #: bitmap; republished per dispatch), by kernel-argument name.
+    #: bitmap, absent when every vertex is active; republished per
+    #: dispatch), by kernel-argument name.
     shared: dict[str, np.ndarray] = field(default_factory=dict)
     transient: dict[str, np.ndarray] = field(default_factory=dict)
     #: small picklable kernel metadata.

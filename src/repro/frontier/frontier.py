@@ -5,6 +5,10 @@ frontiers are best stored as a sorted list of vertex ids; dense (and
 medium-dense) frontiers as a bitmap.  :class:`Frontier` keeps whichever
 representation it was built from and converts lazily, caching the result,
 so algorithms never pay for a conversion they do not use.
+
+A frontier is immutable: the arrays it stores and hands out are
+read-only, so ``size`` — which the engine reads to decide that a phase
+needs no frontier filter at all — can never go stale.
 """
 
 from __future__ import annotations
@@ -15,6 +19,11 @@ from .._types import VID_DTYPE, as_vid_array
 from .distinct import sorted_distinct
 
 __all__ = ["Frontier"]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class Frontier:
@@ -38,7 +47,7 @@ class Frontier:
             ids = sorted_distinct(as_vid_array(sparse))
             if ids.size and (int(ids[0]) < 0 or int(ids[-1]) >= num_vertices):
                 raise ValueError("frontier vertex ids out of range")
-            self._sparse = ids
+            self._sparse = _frozen(ids)  # sorted_distinct's own fresh array
             self._size = int(ids.size)
         else:
             bm = np.asarray(bitmap, dtype=bool)
@@ -46,7 +55,9 @@ class Frontier:
                 raise ValueError(
                     f"bitmap must have shape ({num_vertices},), got {bm.shape}"
                 )
-            self._bitmap = bm
+            if bm.flags.writeable or not bm.flags.owndata:
+                bm = bm.copy()  # someone else could still write through it
+            self._bitmap = _frozen(bm)
             self._size = int(np.count_nonzero(bm))
 
     # ------------------------------------------------------------------
@@ -60,7 +71,7 @@ class Frontier:
     @staticmethod
     def full(num_vertices: int) -> "Frontier":
         """All vertices active (the usual first PageRank/SPMV frontier)."""
-        return Frontier(num_vertices, bitmap=np.ones(num_vertices, dtype=bool))
+        return Frontier(num_vertices, bitmap=_frozen(np.ones(num_vertices, dtype=bool)))
 
     @staticmethod
     def of(num_vertices: int, *vertices: int) -> "Frontier":
@@ -119,17 +130,17 @@ class Frontier:
     # representations
     # ------------------------------------------------------------------
     def as_sparse(self) -> np.ndarray:
-        """Sorted array of active vertex ids (cached)."""
+        """Sorted array of active vertex ids (cached, read-only)."""
         if self._sparse is None:
-            self._sparse = np.flatnonzero(self._bitmap).astype(VID_DTYPE)
+            self._sparse = _frozen(np.flatnonzero(self._bitmap).astype(VID_DTYPE))
         return self._sparse
 
     def as_bitmap(self) -> np.ndarray:
-        """Boolean mask of length |V| (cached)."""
+        """Boolean mask of length |V| (cached, read-only)."""
         if self._bitmap is None:
             bm = np.zeros(self.num_vertices, dtype=bool)
             bm[self._sparse] = True
-            self._bitmap = bm
+            self._bitmap = _frozen(bm)
         return self._bitmap
 
     @property

@@ -16,15 +16,17 @@ __all__ = ["edge_weights", "WeightFn"]
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser: a high-quality vectorised 64-bit mixer."""
-    x = x.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        x ^= x >> np.uint64(30)
-        x = (x * np.uint64(0xBF58476D1CE4E5B9)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        x ^= x >> np.uint64(27)
-        x = (x * np.uint64(0x94D049BB133111EB)) & np.uint64(0xFFFFFFFFFFFFFFFF)
-        x ^= x >> np.uint64(31)
+    """SplitMix64 finaliser: a high-quality vectorised 64-bit mixer.
+
+    Mixes ``x`` — a ``uint64`` array the caller owns, whose arithmetic
+    already wraps mod 2^64 — in place, and returns it.
+    """
+    x += np.uint64(0x9E3779B97F4A7C15)
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(0xBF58476D1CE4E5B9)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(0x94D049BB133111EB)
+    x ^= x >> np.uint64(31)
     return x
 
 

@@ -140,3 +140,23 @@ def test_active_edge_metric_does_not_materialise_the_other_representation():
     g = Frontier(4, bitmap=np.array([True, False, True, False]))
     assert g.active_edge_metric(out_deg) == 2 + 5
     assert not g.has_sparse
+
+
+def test_arrays_are_read_only_and_a_writable_source_bitmap_is_copied():
+    mask = np.array([True, False, True, True])
+    f = Frontier(4, bitmap=mask)
+    mask[:] = False  # the caller's array, after the fact
+    assert f.size == 3 and f.as_bitmap().tolist() == [True, False, True, True]
+    assert f.as_sparse().tolist() == [0, 2, 3]
+    g = Frontier(4, sparse=np.array([3, 1]))
+    for array in (f.as_bitmap(), f.as_sparse(), g.as_sparse(), g.as_bitmap()):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # a read-only view does not protect its writable base: copied as well
+    base = np.ones(4, dtype=bool)
+    view = base.view()
+    view.flags.writeable = False
+    h = Frontier(4, bitmap=view)
+    base[0] = False
+    assert h.size == 4 and h.as_bitmap().all()

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.graph.weights import WeightFn, edge_weights
+from repro.graph.weights import WeightFn, _splitmix64, edge_weights
 
 
 def test_weights_in_range():
@@ -58,3 +58,34 @@ def test_weightfn_callable():
     assert w.shape == (2,)
     assert np.all((w >= 1.0) & (w < 3.0))
     assert np.array_equal(w, fn(src, dst))
+
+
+def _splitmix64_written_out(x: np.ndarray) -> np.ndarray:
+    """The finaliser as first shipped: a copy, then masked out-of-place steps."""
+    mask = np.uint64(0xFFFFFFFFFFFFFFFF)
+    x = x.astype(np.uint64)
+    with np.errstate(over="ignore"):
+        x = (x + np.uint64(0x9E3779B97F4A7C15)) & mask
+        x ^= x >> np.uint64(30)
+        x = (x * np.uint64(0xBF58476D1CE4E5B9)) & mask
+        x ^= x >> np.uint64(27)
+        x = (x * np.uint64(0x94D049BB133111EB)) & mask
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def test_in_place_mixer_is_bit_identical_to_the_masked_formula():
+    rng = np.random.default_rng(7)
+    keys = rng.integers(0, 2**64, size=2_000_000, dtype=np.uint64)
+    keys[:4] = [0, 1, 2**63, 2**64 - 1]
+    assert np.array_equal(_splitmix64(keys.copy()), _splitmix64_written_out(keys))
+    # ... and through the public function, whose key is its own temporary
+    src = rng.integers(0, 2**31 - 1, size=10_000).astype(np.int32)
+    dst = rng.integers(0, 2**31 - 1, size=10_000).astype(np.int32)
+    before = src.copy(), dst.copy()
+    for seed in (0, 7, 2**40):
+        seed_mix = np.uint64((seed * 0xD6E8FEB86659FD93) % 2**64)
+        key = (src.astype(np.uint64) << np.uint64(32)) ^ dst.astype(np.uint64) ^ seed_mix
+        want = 1.0 + _splitmix64_written_out(key).astype(np.float64) / float(2**64)
+        assert np.array_equal(edge_weights(src, dst, seed=seed), want)
+    assert np.array_equal(src, before[0]) and np.array_equal(dst, before[1])

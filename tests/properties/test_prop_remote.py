@@ -20,12 +20,13 @@ Three properties the ISSUE pins down:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RemoteUnavailableError
 from repro.resilience import (
     BackoffSchedule,
+    CircuitBreaker,
     FaultPlan,
     NetworkSimulator,
     ObjectService,
@@ -73,6 +74,8 @@ def test_backoff_delays_bounded_by_cap_and_seed_deterministic(
     reset_ops=st.sets(st.integers(0, 30), max_size=8),
     seed=st.integers(0, 10_000),
 )
+# five consecutive resets: the default breaker's failure threshold
+@example(payload_len=1, part_bytes=1, reset_ops={0, 1, 2, 3, 4}, seed=0)
 def test_torn_multipart_uploads_converge_to_one_verified_generation(
     tmp_path_factory, payload_len, part_bytes, reset_ops, seed
 ):
@@ -88,6 +91,9 @@ def test_torn_multipart_uploads_converge_to_one_verified_generation(
         max_attempts=12,
         deadline_s=1e9,  # this property is about convergence, not deadlines
         backoff=BackoffSchedule(base=0.001, cap=0.01, seed=seed),
+        # nor about the breaker: keep its threshold above every run of
+        # consecutive resets the strategy can draw (max_size=8)
+        breaker=CircuitBreaker(failure_threshold=9),
     )
     etag = client.put_object("k", payload)
     data, meta = client.get_object("k", expect_etag=etag)
