@@ -29,23 +29,22 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]  # the product, and tests/references.py
 
 from repro.graph.generators import rmat  # noqa: E402
 from repro.layout.coo import PartitionedCOO  # noqa: E402
-from repro.memsim.cache import CacheConfig, reference_simulate_cache, simulate_cache  # noqa: E402
-from repro.memsim.multicore import (  # noqa: E402
-    reference_simulate_shared_cache,
-    simulate_shared_cache,
-)
-from repro.memsim.reuse import (  # noqa: E402
-    histogram_of_distances,
-    reference_stack_distances,
-    stack_distances,
-)
+from repro.memsim.cache import CacheConfig, simulate_cache  # noqa: E402
+from repro.memsim.multicore import simulate_shared_cache  # noqa: E402
+from repro.memsim.reuse import histogram_of_distances, stack_distances  # noqa: E402
 from repro.memsim.simcache import SimulationCache  # noqa: E402
 from repro.memsim.trace import next_array_trace, partition_next_traces  # noqa: E402
 from repro.partition.by_destination import partition_by_destination  # noqa: E402
+from tests.references import (  # noqa: E402
+    reference_simulate_cache,
+    reference_simulate_shared_cache,
+    reference_stack_distances,
+)
 
 #: the fig8-style workflow row must beat the scalar path by this factor
 #: (the PR's acceptance bar).

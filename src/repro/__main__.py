@@ -341,7 +341,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     session = None
     if args.checkpoint_dir:
-        if not spec.supports_checkpoint:
+        if not spec.resumable:
             print(f"note: {spec.code} is not checkpointable; running without checkpoints")
         else:
             from .resilience import CheckpointManager, CheckpointSession, make_store
@@ -403,9 +403,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"grid: {line}")
     if session is not None:
         store_backend = session.manager.store
-        for line in getattr(store_backend, "events", []):
+        for line in store_backend.events:
             print(f"remote: {line}")
-        pending = getattr(store_backend, "pending_spill", lambda: [])()
+        pending = store_backend.pending_spill()
         if pending:
             print(f"remote: {len(pending)} generation(s) still in the local spill "
                   f"journal; run 'checkpoints sync' once the remote heals")
@@ -447,12 +447,7 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
     )
 
     if args.action == "sync":
-        store = manager.store
-        if not hasattr(store, "sync"):
-            raise ValidationError(
-                f"'checkpoints sync' needs a remote store, got --store {args.store!r}"
-            )
-        outcomes = store.sync()
+        outcomes = manager.store.sync()  # a ValidationError unless the store is remote
         for outcome in outcomes:
             print(f"sync: {outcome.render()}")
         deferred = [o for o in outcomes if o.action in ("deferred", "corrupt-spill")]

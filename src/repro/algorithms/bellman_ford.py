@@ -9,6 +9,7 @@ cycles (weights here are always positive).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -19,24 +20,11 @@ from ..core.stats import RunStats
 from ..errors import ConvergenceError
 from ..frontier.frontier import Frontier
 from ..graph.weights import WeightFn
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["bellman_ford", "BellmanFordResult", "BellmanFordOp", "BellmanFordCheckpoint"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class BellmanFordCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for the BF loop."""
-
-    def __init__(self, dist: np.ndarray) -> None:
-        self.dist = dist
-        self.frontier_ids = np.empty(0, dtype=VID_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"dist": self.dist, "frontier": self.frontier_ids}
-
-    def load_state(self, arrays) -> None:
-        self.dist[...] = arrays["dist"]
-        self.frontier_ids = arrays["frontier"].astype(VID_DTYPE)
+__all__ = ["bellman_ford", "BellmanFordResult", "BellmanFordOp"]
 
 
 class BellmanFordOp(EdgeOperator):
@@ -89,12 +77,11 @@ def bellman_ford(
     frontier = Frontier.of(n, source)
     engine.reset_stats()
     rounds = 0
-    state = None
     if checkpoint is not None:
-        state = BellmanFordCheckpoint(dist)
-        rounds = checkpoint.resume_state(state)
-        if rounds:
-            frontier = Frontier(n, sparse=state.frontier_ids)
+        rounds, saved = checkpoint.restore()
+        if saved is not None:
+            dist[...] = saved["dist"]
+            frontier = Frontier(n, sparse=saved["frontier"].astype(VID_DTYPE))
     while not frontier.is_empty:
         frontier = engine.edge_map(frontier, op)
         rounds += 1
@@ -102,9 +89,8 @@ def bellman_ford(
             raise ConvergenceError(
                 "Bellman-Ford exceeded |V| rounds; negative cycle in weights?"
             )
-        if state is not None:
-            state.frontier_ids = frontier.as_sparse()
-            checkpoint.save_state(rounds, state)
+        if checkpoint is not None:
+            checkpoint.save(rounds, {"dist": dist, "frontier": frontier.as_sparse()})
     return BellmanFordResult(
         source=source, dist=dist, rounds=rounds, stats=engine.reset_stats()
     )

@@ -9,6 +9,7 @@ programmer no longer chooses forward vs backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,30 +18,11 @@ from ..core.engine import Engine
 from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["bfs", "BFSResult", "BFSOp", "BFSCheckpoint"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class BFSCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for the BFS loop.
-
-    ``parent``/``level`` are restored in place (the operator and result
-    alias them); the frontier is stored as its sparse id array.
-    """
-
-    def __init__(self, parent: np.ndarray, level: np.ndarray) -> None:
-        self.parent = parent
-        self.level = level
-        self.frontier_ids = np.empty(0, dtype=VID_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"parent": self.parent, "level": self.level, "frontier": self.frontier_ids}
-
-    def load_state(self, arrays) -> None:
-        self.parent[...] = arrays["parent"]
-        self.level[...] = arrays["level"]
-        self.frontier_ids = arrays["frontier"].astype(VID_DTYPE)
+__all__ = ["bfs", "BFSResult", "BFSOp"]
 
 
 class BFSOp(EdgeOperator):
@@ -88,10 +70,11 @@ def bfs(
 ) -> BFSResult:
     """Run BFS from ``source`` over the engine's graph.
 
-    With a ``checkpoint`` session, the loop state is snapshotted after
-    each completed round and (when the session has ``resume=True``)
-    restored from the newest valid checkpoint, making a killed run
-    restartable with bit-identical results.
+    With a ``checkpoint`` session, the loop state (``parent``, ``level``
+    and the frontier's sparse ids) is saved after each completed round
+    and (when the session has ``resume=True``) restored from the newest
+    valid checkpoint, making a killed run restartable with bit-identical
+    results.
     """
     n = engine.num_vertices
     if not (0 <= source < n):
@@ -104,20 +87,22 @@ def bfs(
     frontier = Frontier.of(n, source)
     engine.reset_stats()
     rounds = 0
-    state = None
     if checkpoint is not None:
-        state = BFSCheckpoint(parent, level)
-        rounds = checkpoint.resume_state(state)
-        if rounds:
-            frontier = Frontier(n, sparse=state.frontier_ids)
+        rounds, saved = checkpoint.restore()
+        if saved is not None:
+            # in place: the operator and the result alias both arrays
+            parent[...] = saved["parent"]
+            level[...] = saved["level"]
+            frontier = Frontier(n, sparse=saved["frontier"].astype(VID_DTYPE))
     while not frontier.is_empty:
         frontier = engine.edge_map(frontier, op)
         rounds += 1
         if not frontier.is_empty:
             level[frontier.as_sparse()] = rounds
-        if state is not None:
-            state.frontier_ids = frontier.as_sparse()
-            checkpoint.save_state(rounds, state)
+        if checkpoint is not None:
+            checkpoint.save(
+                rounds, {"parent": parent, "level": level, "frontier": frontier.as_sparse()}
+            )
     return BFSResult(
         source=source,
         parent=parent,

@@ -21,6 +21,7 @@ trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,29 +31,11 @@ from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
 from ..graph.weights import edge_weights
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["belief_propagation", "BPResult", "BPOp", "BPCheckpoint", "default_priors"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class BPCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for the BP loop.
-
-    ``belief`` is rebound every iteration by the algorithm, so the loop
-    re-reads it from the adapter after resume; priors are recomputed
-    deterministically from the inputs and need no snapshotting.
-    """
-
-    def __init__(self, belief: np.ndarray) -> None:
-        self.belief = belief
-        self.last_delta = np.array([np.inf], dtype=VAL_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"belief": self.belief, "last_delta": self.last_delta}
-
-    def load_state(self, arrays) -> None:
-        self.belief = arrays["belief"].astype(VAL_DTYPE)
-        self.last_delta[...] = arrays["last_delta"]
+__all__ = ["belief_propagation", "BPResult", "BPOp", "default_priors"]
 
 
 def default_priors(num_vertices: int, *, seed: int = 0, strength: float = 0.8) -> np.ndarray:
@@ -129,12 +112,13 @@ def belief_propagation(
     engine.reset_stats()
     it = 0
     delta = float("inf")
-    state = None
     if checkpoint is not None:
-        state = BPCheckpoint(belief)
-        it = checkpoint.resume_state(state)
-        belief = state.belief
-        delta = float(state.last_delta[0])
+        # Priors are recomputed from the inputs; only the belief and the
+        # last change (a 1-element array) are saved.
+        it, saved = checkpoint.restore()
+        if saved is not None:
+            belief = saved["belief"].astype(VAL_DTYPE)
+            delta = float(saved["last_delta"][0])
     converged_on_resume = it > 0 and tolerance > 0.0 and delta < tolerance
     # One operator per run, updated in place each iteration (the copies
     # and fill(0.0) write the same values the per-iteration arrays held),
@@ -158,10 +142,10 @@ def belief_propagation(
             new_belief = 1.0 / (1.0 + np.exp(np.clip(z0 - z1, -50.0, 50.0)))
             delta = float(np.abs(new_belief - belief).max())
             belief = new_belief
-            if state is not None:
-                state.belief = belief
-                state.last_delta[0] = delta
-                checkpoint.save_state(it, state)
+            if checkpoint is not None:
+                checkpoint.save(
+                    it, {"belief": belief, "last_delta": np.array([delta], dtype=VAL_DTYPE)}
+                )
             if tolerance > 0.0 and delta < tolerance:
                 break
     return BPResult(

@@ -11,6 +11,7 @@ Components application also assumes a symmetrised input).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,24 +21,11 @@ from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
 from ..frontier.distinct import count_distinct
 from ..frontier.frontier import Frontier
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["connected_components", "CCResult", "CCOp", "CCCheckpoint"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class CCCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for label propagation."""
-
-    def __init__(self, labels: np.ndarray) -> None:
-        self.labels = labels
-        self.frontier_ids = np.empty(0, dtype=VID_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"labels": self.labels, "frontier": self.frontier_ids}
-
-    def load_state(self, arrays) -> None:
-        self.labels[...] = arrays["labels"]
-        self.frontier_ids = arrays["frontier"].astype(VID_DTYPE)
+__all__ = ["connected_components", "CCResult", "CCOp"]
 
 
 class CCOp(EdgeOperator):
@@ -83,17 +71,15 @@ def connected_components(
     frontier = Frontier.full(n)
     engine.reset_stats()
     iterations = 0
-    state = None
     if checkpoint is not None:
-        state = CCCheckpoint(labels)
-        iterations = checkpoint.resume_state(state)
-        if iterations:
-            frontier = Frontier(n, sparse=state.frontier_ids)
+        iterations, saved = checkpoint.restore()
+        if saved is not None:
+            labels[...] = saved["labels"]
+            frontier = Frontier(n, sparse=saved["frontier"].astype(VID_DTYPE))
     cap = max_iterations if max_iterations is not None else max(n, 1)
     while not frontier.is_empty and iterations < cap:
         frontier = engine.edge_map(frontier, op)
         iterations += 1
-        if state is not None:
-            state.frontier_ids = frontier.as_sparse()
-            checkpoint.save_state(iterations, state)
+        if checkpoint is not None:
+            checkpoint.save(iterations, {"labels": labels, "frontier": frontier.as_sparse()})
     return CCResult(labels=labels, iterations=iterations, stats=engine.reset_stats())

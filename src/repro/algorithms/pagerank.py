@@ -9,6 +9,7 @@ workload that showcases the paper's locality gains (Figures 5c, 8).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,29 +18,11 @@ from ..core.engine import Engine
 from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["pagerank", "PageRankResult", "PageRankOp", "PageRankCheckpoint"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class PageRankCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for the PR loop.
-
-    The rank vector is restored in place; the last L1 delta rides along
-    as a 1-element array so a resumed run reports the same convergence
-    metadata as an uninterrupted one.
-    """
-
-    def __init__(self, ranks: np.ndarray) -> None:
-        self.ranks = ranks
-        self.last_delta = np.array([np.inf], dtype=VAL_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"ranks": self.ranks, "last_delta": self.last_delta}
-
-    def load_state(self, arrays) -> None:
-        self.ranks[...] = arrays["ranks"]
-        self.last_delta[...] = arrays["last_delta"]
+__all__ = ["pagerank", "PageRankResult", "PageRankOp"]
 
 
 class PageRankOp(EdgeOperator):
@@ -97,11 +80,13 @@ def pagerank(
     frontier = Frontier.full(n)
     it = 0
     delta = float("inf")
-    state = None
     if checkpoint is not None:
-        state = PageRankCheckpoint(ranks)
-        it = checkpoint.resume_state(state)
-        delta = float(state.last_delta[0])
+        # The last L1 delta rides along as a 1-element array, so a resumed
+        # run reports the same convergence metadata as an uninterrupted one.
+        it, saved = checkpoint.restore()
+        if saved is not None:
+            ranks[...] = saved["ranks"]
+            delta = float(saved["last_delta"][0])
     converged_on_resume = it > 0 and tolerance > 0.0 and delta < tolerance
     # One operator for the whole run, its arrays updated in place each
     # iteration (np.divide writes the same values ``ranks / safe_deg``
@@ -119,9 +104,10 @@ def pagerank(
             new_ranks = (1.0 - damping) / n + damping * (accum + dangling_mass / n)
             delta = float(np.abs(new_ranks - ranks).sum())
             ranks[...] = new_ranks
-            if state is not None:
-                state.last_delta[0] = delta
-                checkpoint.save_state(it, state)
+            if checkpoint is not None:
+                checkpoint.save(
+                    it, {"ranks": ranks, "last_delta": np.array([delta], dtype=VAL_DTYPE)}
+                )
             if tolerance > 0.0 and delta < tolerance:
                 break
     return PageRankResult(

@@ -17,6 +17,7 @@ converges to the (dangling-mass-leaking) PageRank vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,30 +26,11 @@ from ..core.engine import Engine
 from ..core.ops import EdgeOperator
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
-from ..resilience.checkpoint import CheckpointSession
 
-__all__ = ["pagerank_delta", "PageRankDeltaResult", "PRDeltaOp", "PRDeltaCheckpoint"]
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
-
-class PRDeltaCheckpoint:
-    """:class:`~repro.resilience.Checkpointable` adapter for the PRDelta loop.
-
-    ``p`` is restored in place; ``delta`` is rebound every round by the
-    algorithm, so the loop re-reads it from the adapter after resume.
-    """
-
-    def __init__(self, p: np.ndarray, delta: np.ndarray) -> None:
-        self.p = p
-        self.delta = delta
-        self.frontier_ids = np.empty(0, dtype=VID_DTYPE)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {"p": self.p, "delta": self.delta, "frontier": self.frontier_ids}
-
-    def load_state(self, arrays) -> None:
-        self.p[...] = arrays["p"]
-        self.delta = arrays["delta"].astype(VAL_DTYPE)
-        self.frontier_ids = arrays["frontier"].astype(VID_DTYPE)
+__all__ = ["pagerank_delta", "PageRankDeltaResult", "PRDeltaOp"]
 
 
 class PRDeltaOp(EdgeOperator):
@@ -101,13 +83,12 @@ def pagerank_delta(
     frontier = Frontier.full(n)
     engine.reset_stats()
     rounds = 0
-    state = None
     if checkpoint is not None:
-        state = PRDeltaCheckpoint(p, delta)
-        rounds = checkpoint.resume_state(state)
-        if rounds:
-            delta = state.delta
-            frontier = Frontier(n, sparse=state.frontier_ids)
+        rounds, saved = checkpoint.restore()
+        if saved is not None:
+            p[...] = saved["p"]
+            delta = saved["delta"].astype(VAL_DTYPE)
+            frontier = Frontier(n, sparse=saved["frontier"].astype(VID_DTYPE))
     # One operator per run, updated in place each round (np.divide and
     # fill(0.0) write bit-identical values to the fresh arrays the loop
     # used to build), so an adopting process backend republishes nothing.
@@ -124,8 +105,6 @@ def pagerank_delta(
         ids = received.as_sparse()
         significant = np.abs(delta[ids]) > epsilon * np.maximum(p[ids], 1e-300)
         frontier = Frontier(n, sparse=ids[significant])
-        if state is not None:
-            state.delta = delta
-            state.frontier_ids = frontier.as_sparse()
-            checkpoint.save_state(rounds, state)
+        if checkpoint is not None:
+            checkpoint.save(rounds, {"p": p, "delta": delta, "frontier": frontier.as_sparse()})
     return PageRankDeltaResult(ranks=p, iterations=rounds, stats=engine.reset_stats())

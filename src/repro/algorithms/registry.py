@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from ..core.engine import Engine
-from ..resilience.checkpoint import CheckpointSession
 from .bc import betweenness
 from .bellman_ford import bellman_ford
 from .bfs import bfs
@@ -26,6 +26,9 @@ from .cc import connected_components
 from .pagerank import pagerank
 from .prdelta import pagerank_delta
 from .spmv import spmv
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from ..resilience.checkpoint import CheckpointSession
 
 __all__ = [
     "AlgorithmSpec",
@@ -75,15 +78,16 @@ class AlgorithmSpec:
     orientation: str
     #: §III.D load-balance criterion for this orientation.
     balance: str
-    run: Callable[[Engine], object]
+    #: the one runner: ``run(engine)``, and for a ``resumable`` algorithm
+    #: also ``run(engine, checkpoint=session)``.
+    run: Callable[..., object]
     #: per-edge compute weight relative to PageRank's single add — feeds
     #: the cost model's ``update_scale`` (BP evaluates message functions
     #: with transcendentals per edge; SPMV/BF do a multiply-add).
     update_scale: float = 1.0
-    #: checkpoint-aware runner (iterative algorithms only): takes the
-    #: engine plus a :class:`~repro.resilience.CheckpointSession` and
-    #: supports resume-from-latest.  ``None`` for one-shot algorithms.
-    run_resumable: Callable[[Engine, CheckpointSession], object] | None = None
+    #: whether the loop checkpoints (iterative algorithms only): ``run``
+    #: then takes a ``checkpoint`` session and resumes from its latest.
+    resumable: bool = False
     #: ``"package.module:ClassName"`` paths of every
     #: :class:`~repro.core.ops.EdgeOperator` the runner drives.  The
     #: effect-inference pass certifies each one and folds the verdicts
@@ -91,9 +95,12 @@ class AlgorithmSpec:
     operators: tuple[str, ...] = ()
 
     @property
-    def supports_checkpoint(self) -> bool:
-        """Whether this algorithm implements the Checkpointable protocol."""
-        return self.run_resumable is not None
+    def run_resumable(self) -> Callable[[Engine, CheckpointSession], object] | None:
+        """``run`` under a :class:`~repro.resilience.CheckpointSession`, as
+        ``run_resumable(engine, session)``; ``None`` for one-shot algorithms."""
+        if not self.resumable:
+            return None
+        return lambda engine, session: self.run(engine, checkpoint=session)
 
     def certificate(self):
         """The signed safety certificate for this algorithm (computed lazily
@@ -104,13 +111,18 @@ class AlgorithmSpec:
         return certify_algorithm(self.code)
 
 
+def _from_default_source(algorithm) -> Callable[..., object]:
+    """Runner of a single-source ``algorithm`` rooted at :func:`default_source`."""
+    return lambda eng, **kwargs: algorithm(eng, default_source(eng), **kwargs)
+
+
 ALGORITHMS: dict[str, AlgorithmSpec] = {
     spec.code: spec
     for spec in [
         AlgorithmSpec(
             "BC", "betweenness-centrality (Brandes, single source)",
             "backward", "vertex", "vertices",
-            lambda eng: betweenness(eng, default_source(eng)),
+            _from_default_source(betweenness),
             operators=(
                 "repro.algorithms.bc:SigmaOp",
                 "repro.algorithms.bc:DependencyOp",
@@ -119,54 +131,52 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
         AlgorithmSpec(
             "CC", "connected components using label propagation",
             "backward", "edge", "edges",
-            lambda eng: connected_components(eng),
-            run_resumable=lambda eng, ck: connected_components(eng, checkpoint=ck),
+            connected_components,
+            resumable=True,
             operators=("repro.algorithms.cc:CCOp",),
         ),
         AlgorithmSpec(
             "PR", "PageRank, power method, 10 iterations",
             "backward", "edge", "edges",
-            lambda eng: pagerank(eng, iterations=10),
-            run_resumable=lambda eng, ck: pagerank(eng, iterations=10, checkpoint=ck),
+            partial(pagerank, iterations=10),
+            resumable=True,
             operators=("repro.algorithms.pagerank:PageRankOp",),
         ),
         AlgorithmSpec(
             "BFS", "breadth-first search",
             "backward", "vertex", "vertices",
-            lambda eng: bfs(eng, default_source(eng)),
-            run_resumable=lambda eng, ck: bfs(eng, default_source(eng), checkpoint=ck),
+            _from_default_source(bfs),
+            resumable=True,
             operators=("repro.algorithms.bfs:BFSOp",),
         ),
         AlgorithmSpec(
             "PRDelta", "PageRank forwarding delta-updates between vertices",
             "forward", "edge", "edges",
-            lambda eng: pagerank_delta(eng, epsilon=1e-4),
-            run_resumable=lambda eng, ck: pagerank_delta(eng, epsilon=1e-4, checkpoint=ck),
+            partial(pagerank_delta, epsilon=1e-4),
+            resumable=True,
             operators=("repro.algorithms.prdelta:PRDeltaOp",),
         ),
         AlgorithmSpec(
             "SPMV", "sparse matrix-vector multiplication (1 iteration)",
             "forward", "edge", "edges",
-            lambda eng: spmv(eng),
+            spmv,
             update_scale=1.5,
             operators=("repro.algorithms.spmv:SPMVOp",),
         ),
         AlgorithmSpec(
             "BF", "Bellman-Ford single-source shortest path",
             "forward", "vertex", "vertices",
-            lambda eng: bellman_ford(eng, default_source(eng)),
+            _from_default_source(bellman_ford),
             update_scale=1.5,
-            run_resumable=lambda eng, ck: bellman_ford(
-                eng, default_source(eng), checkpoint=ck
-            ),
+            resumable=True,
             operators=("repro.algorithms.bellman_ford:BellmanFordOp",),
         ),
         AlgorithmSpec(
             "BP", "Bayesian belief propagation, 10 iterations",
             "forward", "edge", "edges",
-            lambda eng: belief_propagation(eng),
+            belief_propagation,
             update_scale=80.0,
-            run_resumable=lambda eng, ck: belief_propagation(eng, checkpoint=ck),
+            resumable=True,
             operators=("repro.algorithms.bp:BPOp",),
         ),
     ]
@@ -179,13 +189,13 @@ def names() -> list[str]:
 
 
 def resumable() -> list[str]:
-    """Codes of the checkpointable algorithms (``run_resumable`` present).
+    """Codes of the checkpointable algorithms.
 
     The CLI's ``checkpoints`` maintenance subcommand and the bench
     harness use this to know which runs can participate in
     kill-and-resume experiments.
     """
-    return [code for code, spec in ALGORITHMS.items() if spec.supports_checkpoint]
+    return [code for code, spec in ALGORITHMS.items() if spec.resumable]
 
 
 def get(code: str) -> AlgorithmSpec:

@@ -5,7 +5,6 @@ from .budget import MemoryBudget, parse_memory_budget
 from .engine import Engine
 from .ops import EdgeOperator
 from .options import EngineOptions
-from .reference import reference_edge_map
 from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
 
 __all__ = [
@@ -18,6 +17,5 @@ __all__ = [
     "VertexMapStats",
     "BackendStats",
     "RunStats",
-    "reference_edge_map",
     "ProcessBackend",
 ]

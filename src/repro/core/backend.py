@@ -38,6 +38,7 @@ is this module's option table.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 from collections import deque
@@ -51,12 +52,11 @@ import numpy as np
 
 from ..errors import BackendError
 from ..frontier.distinct import sorted_distinct
-from ..resilience.journal import PartitionRecord
 from ..spec import choice, flag, integer, parse_spec
 from . import kernels
 from .kernels import KERNEL_FUNCTIONS, cond_guard, kernel_args
 from .ops import state_arrays, vertex_length
-from .plan import PartitionTask, PhasePlan
+from .plan import PartitionRecord, PartitionTask, PhasePlan
 from .stats import BackendStats
 
 __all__ = ["ProcessBackend", "BACKEND_SPEC", "backend_options"]
@@ -227,7 +227,6 @@ def _worker_run_chunk(
     kernel: str,
     array_refs: dict[str, _ArrayRef],
     tasks: list[PartitionTask],
-    meta: dict,
 ) -> list[PartitionRecord]:
     """Execute one chunk of partition tasks inside a worker process."""
     for name in opspec.get("retired", ()):
@@ -249,7 +248,7 @@ def _worker_run_chunk(
     run = getattr(kernels, KERNEL_FUNCTIONS[kernel])
     out: list[PartitionRecord] = []
     for task in tasks:
-        rec = run(op, cond_fn, *kernel_args(kernel, arrays, meta, task))
+        rec = run(op, cond_fn, *kernel_args(kernel, arrays, task))
         # Dedupe before IPC: the frontier constructor dedups anyway
         # (bit-identical), and distinct ids pickle far smaller.  The
         # records also escape with fresh arrays only, never shm views:
@@ -276,6 +275,8 @@ class ProcessBackend:
         self._start = start
         self.stats = stats if stats is not None else BackendStats(kind=self.kind)
         self._executor: ProcessPoolExecutor | None = None
+        #: the pool processes :meth:`_place_workers` last gave a CPU each.
+        self._placed: list[int] = []
         #: published layout segments, keyed by ``id(array)``; the
         #: ``_pinned`` dict keeps the arrays alive so ids stay unique.
         self._layouts: dict[int, _Segment] = {}
@@ -309,6 +310,29 @@ class ProcessBackend:
                 self.workers, method,
             )
         return self._executor
+
+    def _place_workers(self) -> None:
+        """Give every pool process a CPU of its own, where there are enough.
+
+        Left to the scheduler, the workers of an idle pool can all wake on
+        the parent's CPU and stay stacked there until the periodic balance
+        separates them — on a two-vCPU guest that took seconds, during
+        which every phase ran serially on one core beside an idle one.
+        """
+        pids = self.worker_pids()
+        if (
+            pids == self._placed
+            or len(pids) < self.workers
+            or not hasattr(os, "sched_setaffinity")
+        ):
+            return
+        self._placed = pids
+        cpus = sorted(os.sched_getaffinity(0))
+        if len(pids) <= len(cpus):
+            for pid, cpu in zip(pids, cpus):
+                # A worker that died meanwhile breaks the pool by itself.
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(pid, {cpu})
 
     def _teardown_executor(self) -> None:
         if self._executor is not None:
@@ -491,11 +515,11 @@ class ProcessBackend:
         }
         try:
             futures = [
-                executor.submit(
-                    _worker_run_chunk, opspec, plan.kernel, array_refs, chunk, plan.meta
-                )
+                executor.submit(_worker_run_chunk, opspec, plan.kernel, array_refs, chunk)
                 for chunk in self._chunks(tasks)
             ]
+            # The pool forks at its first submit: only now are there pids.
+            self._place_workers()
             records: dict[int, PartitionRecord] = {}
             for future in futures:
                 for rec in future.result():

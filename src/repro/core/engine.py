@@ -47,6 +47,7 @@ import dataclasses
 import logging
 import weakref
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,7 +57,6 @@ from ..frontier.density import DensityClass, classify_frontier
 from ..frontier.distinct import count_distinct_between
 from ..frontier.frontier import Frontier
 from ..layout.store import GraphStore
-from ..resilience.journal import PartitionRecord, PhaseJournal
 from .backend import ProcessBackend, backend_options
 from .gather import gather_adjacency
 from .kernels import (  # noqa: F401 - resolved by name through globals()
@@ -71,6 +71,7 @@ from .kernels import (  # noqa: F401 - resolved by name through globals()
 from .ops import EdgeOperator
 from .options import EngineOptions
 from .plan import (
+    PartitionRecord,
     PartitionTask,
     PhasePlan,
     coo_tasks,
@@ -80,6 +81,9 @@ from .plan import (
     task_edges,
 )
 from .stats import BackendStats, EdgeMapStats, RunStats, VertexMapStats
+
+if TYPE_CHECKING:  # pragma: no cover - compute never loads resilience unasked
+    from ..resilience.journal import PhaseJournal
 
 __all__ = ["Engine"]
 
@@ -127,8 +131,7 @@ class Engine:
         #: the supervision layer; ``None`` without a policy.
         self._supervisor = None
         if resilience is not None:
-            # Deferred: the resilience package imports core.ops, and the
-            # core package imports this module.
+            # Only a supervised engine loads the resilience package.
             from ..resilience.supervisor import Supervisor
 
             self._supervisor = Supervisor(self, resilience, journal)
@@ -460,17 +463,21 @@ class Engine:
 
     def _plan_pcsr(self, frontier: Frontier) -> PhasePlan:
         """Forced: the partitioned CSR (Figure 5 layout comparison)."""
-        tasks, shared, num_stored = self._cached(
+        tasks, shared = self._cached(
             "pcsr",
             lambda: pcsr_layout(self.store.build_partitioned_csr(), self.options),
         )
+        transient = _frontier_filter(frontier)
+        if transient:
+            # A sparse frontier is binary-searched in each partition's
+            # stored slots instead of scanned through the bitmap.
+            transient["active_ids"] = frontier.as_sparse()
         return PhasePlan(
             "pcsr", "forward", "pcsr", tasks,
             num_partitions=len(tasks),
             uses_atomics=len(tasks) < self.options.num_threads,
             shared=shared,
-            transient=_frontier_filter(frontier),
-            meta={"active_ids": frontier.as_sparse(), "num_stored": num_stored},
+            transient=transient,
         )
 
     def _plan_grid(self, frontier: Frontier) -> PhasePlan:
@@ -534,14 +541,14 @@ class Engine:
     def _execute(self, plan: PhasePlan, arrays: dict, op: EdgeOperator, tasks):
         """Run ``tasks`` in this process.  The kernel is looked up in this
         module's namespace on every call, so a patched binding is used."""
-        kernel, meta = plan.kernel, plan.meta
+        kernel = plan.kernel
         run = globals()[KERNEL_FUNCTIONS[kernel]]
         cond = cond_guard(not plan.trusted)
         records = []
         for task in tasks:
             if task.block is not None:
                 arrays = self._read_block(plan, arrays, task)
-            rec = run(op, cond, *kernel_args(kernel, arrays, meta, task))
+            rec = run(op, cond, *kernel_args(kernel, arrays, task))
             if task.block is not None and np.may_share_memory(rec.activated, arrays["dst"]):
                 # The operator handed back the streamed dst itself: copy
                 # it, or the record pins the whole block until the fold,

@@ -3,7 +3,7 @@
 Each ``run_*_partition`` function runs *one task* of a traversal (sparse
 forward CSR, backward CSC, streaming COO, partitioned CSR) over plain
 numpy arrays and returns its
-:class:`~repro.resilience.journal.PartitionRecord`.  A CSC or COO task
+:class:`~repro.core.plan.PartitionRecord`.  A CSC or COO task
 is a run of adjacent partitions (:class:`~repro.core.plan.PartitionTask`
 — most often a run of one): the kernel does everything *around* the
 operator once for the run — the frontier filter, ``cond``, the ragged
@@ -28,8 +28,8 @@ The kernels are the single source of truth for the task computation:
 the engine's loop calls them in-process and the process backend's
 workers call the very same functions over shared-memory views of the
 same arrays.  :func:`kernel_args` is the other half of that guarantee:
-both callers turn ``(kernel, arrays, meta, task)`` into a kernel's
-positional arguments here and nowhere else.
+both callers turn ``(kernel, arrays, task)`` into a kernel's positional
+arguments here and nowhere else.
 
 ``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
 ``op.cond`` for operators certified partition-pure, else
@@ -47,9 +47,9 @@ import numpy as np
 
 from .._types import VID_DTYPE
 from ..frontier.distinct import count_distinct, count_distinct_between
-from ..resilience.journal import PartitionRecord
 from .gather import gather_adjacency
 from .ops import validated_cond
+from .plan import PartitionRecord
 
 __all__ = [
     "KERNEL_FUNCTIONS",
@@ -83,12 +83,11 @@ def cond_guard(validate: bool):
     return validated_cond if validate else _plain_cond
 
 
-def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
+def kernel_args(kernel: str, arrays: dict, task) -> tuple:
     """Positional arguments of ``kernel``'s function after ``(op, cond_fn)``.
 
     ``arrays`` maps the plan's array names to numpy arrays (the engine's
-    own, or a worker's shared-memory views of them), ``meta`` is the
-    plan's small picklable metadata and ``task`` the
+    own, or a worker's shared-memory views of them) and ``task`` is the
     :class:`~repro.core.plan.PartitionTask` to run.
     """
     i = task.partition
@@ -108,8 +107,8 @@ def kernel_args(kernel: str, arrays: dict, meta: dict, task) -> tuple:
     if kernel == "pcsr":
         return (
             arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
-            arrays[f"vertex_ids:{i}"], meta["num_stored"][i],
-            arrays.get("bitmap"), meta["active_ids"], i, task.lo, task.hi,
+            arrays[f"vertex_ids:{i}"], int(arrays["num_stored"][i]),
+            arrays.get("bitmap"), arrays.get("active_ids"), i, task.lo, task.hi,
         )
     raise ValueError(f"unknown kernel {kernel!r}")
 
@@ -264,13 +263,14 @@ def run_pcsr_partition(
     vertex_ids: np.ndarray,
     num_stored: int,
     bitmap: np.ndarray | None,
-    active_ids: np.ndarray,
+    active_ids: np.ndarray | None,
     partition: int,
     lo: int,
     hi: int,
 ) -> PartitionRecord:
-    """Forward traversal of one pruned per-partition CSR (Figure 5 layout);
-    ``bitmap is None`` means every stored vertex is live."""
+    """Forward traversal of one pruned per-partition CSR (Figure 5 layout).
+    ``bitmap`` and ``active_ids`` are the frontier in both its forms;
+    both ``None`` means every stored vertex is live."""
     if bitmap is None:
         live_slots = np.arange(vertex_ids.size)
         scanned = num_stored

@@ -36,6 +36,7 @@ __all__ = [
     "TASK_EDGES",
     "task_edges",
     "PartitionTask",
+    "PartitionRecord",
     "PhasePlan",
     "partition_order",
     "range_tasks",
@@ -104,6 +105,70 @@ class PartitionTask:
 
 
 @dataclass
+class PartitionRecord:
+    """One task's outcome within an edge-map phase: what a kernel returns,
+    the fold consumes and the supervisor's journal commits and replays.
+
+    A task is a run of adjacent partitions (:class:`PartitionTask`);
+    journalled tasks are always runs of one, so what the journal commits,
+    replays and digests is still one partition.
+
+    Attributes
+    ----------
+    partition:
+        The run's first (lowest) partition id within the phase's schedule.
+    lo, hi:
+        The destination vertex range ``[lo, hi)`` the run owns — the
+        write set its ``combine`` contract confines updates to.
+    activated:
+        Vertex ids the operator activated, its per-partition batches
+        concatenated in visit order (pre-dedup; the engine's frontier
+        constructor dedups).
+    examined, active_edges, scanned:
+        The whole run's contributions to the phase's
+        :class:`~repro.core.stats.EdgeMapStats`.
+    part_examined, touched:
+        The run split over its partitions, lowest first: each one's
+        examined edges and distinct destinations, for
+        :attr:`~repro.core.stats.EdgeMapStats.partition_examined` /
+        ``partition_touched_vertices``.  ``None`` where the phase reports
+        no per-partition statistics (the sparse whole-range task).
+    digest:
+        CRC32 over the ``[lo, hi)`` slice of every vertex-length state
+        array *after* the task completed; the journal keeps the latest
+        one per range and verifies it before a replay.
+    cond_calls:
+        How many per-partition cond guards the task stands for: one per
+        partition whose batch reached the operator, even where a run
+        evaluated ``cond`` once for all of them.  The engine folds this
+        count into its ``guards_skipped`` / ``guard_invocations``
+        counters wherever the task executed.
+    """
+
+    partition: int
+    lo: int
+    hi: int
+    activated: np.ndarray
+    examined: int = 0
+    active_edges: int = 0
+    scanned: int = 0
+    part_examined: np.ndarray | None = None
+    touched: np.ndarray | None = None
+    digest: int = 0
+    cond_calls: int = 0
+
+    @classmethod
+    def empty(cls, partition: int, lo: int, hi: int, parts: int = 1) -> "PartitionRecord":
+        """Record of a run of ``parts`` partitions with no work (e.g. an
+        empty vertex range)."""
+        return cls(
+            partition, lo, hi, np.empty(0, dtype=VID_DTYPE),
+            part_examined=np.zeros(parts, dtype=np.int64),
+            touched=np.zeros(parts, dtype=np.int64),
+        )
+
+
+@dataclass
 class PhasePlan:
     """One edge-map phase: what to run, over what, and how to report it."""
 
@@ -118,12 +183,11 @@ class PhasePlan:
     uses_atomics: bool
     #: long-lived layout arrays (a concurrent backend publishes them once
     #: and caches them across phases) and per-phase arrays (the frontier
-    #: bitmap, absent when every vertex is active; republished per
-    #: dispatch), by kernel-argument name.
+    #: bitmap — with the partitioned CSR, also its sparse ids — absent
+    #: when every vertex is active; republished per dispatch), by
+    #: kernel-argument name.
     shared: dict[str, np.ndarray] = field(default_factory=dict)
     transient: dict[str, np.ndarray] = field(default_factory=dict)
-    #: small picklable kernel metadata.
-    meta: dict = field(default_factory=dict)
     #: whether the per-partition examined/touched arrays are reported.
     per_partition: bool = True
     #: vertex slots scanned before any task runs (the sparse frontier).
@@ -204,14 +268,16 @@ def coo_tasks(coo, options, target: int = 0) -> list[PartitionTask]:
 
 
 def pcsr_layout(pcsr, options):
-    """The partitioned CSR's ``(tasks, shared arrays, stored-vertex counts)``."""
-    shared: dict[str, np.ndarray] = {}
+    """The partitioned CSR's ``(tasks, shared arrays)``; ``num_stored`` is
+    the per-partition stored-vertex count."""
+    shared: dict[str, np.ndarray] = {
+        "num_stored": np.array([part.num_stored_vertices for part in pcsr.parts], np.int64)
+    }
     for i, part in enumerate(pcsr.parts):
         shared[f"index:{i}"] = part.index
         shared[f"neighbors:{i}"] = part.neighbors
         shared[f"vertex_ids:{i}"] = part.vertex_ids
-    stored = {i: int(part.num_stored_vertices) for i, part in enumerate(pcsr.parts)}
-    return range_tasks(pcsr.partition, options), shared, stored
+    return range_tasks(pcsr.partition, options), shared
 
 
 def grid_block_tasks(grid):

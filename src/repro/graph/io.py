@@ -3,7 +3,7 @@
 Both savers are crash-safe (:func:`~repro.durable.durable_write`): an
 interrupted save never leaves a truncated file under the final name.
 Both loaders run the strict
-:func:`~repro.resilience.validation.validate_edgelist` gate *before*
+:func:`~repro.graph.validation.validate_edgelist` gate *before*
 narrowing ids to the 32-bit vertex dtype, so an out-of-range, negative
 or overflowing id is reported as a typed
 :class:`~repro.errors.ValidationError` naming the file instead of
@@ -20,8 +20,8 @@ import numpy as np
 from .._types import VID_DTYPE
 from ..durable import durable_write
 from ..errors import GraphFormatError, ValidationError
-from ..resilience.validation import validate_edgelist
 from .edgelist import EdgeList
+from .validation import validate_edgelist
 
 __all__ = ["save_npz", "load_npz", "save_text", "load_text", "load"]
 

@@ -1,4 +1,4 @@
-"""Strict input validation for edge lists (the resilience "front door").
+"""Strict input validation for edge lists (the loaders' front door).
 
 Loaders historically trusted their inputs: a row with an id beyond the
 header's vertex count, a negative id produced by int32 narrowing of a

@@ -9,7 +9,8 @@ resident.  This module is that subsystem:
 
 * :func:`preprocess_grid` shards an edge list into per-block files, each
   framed exactly like the checkpoint store's shards (magic + CRC32 +
-  length header), plus a manifest committed atomically *last* — so a
+  length header; :mod:`repro.durable`), plus a manifest committed
+  atomically *last* — so a
   crash mid-preprocess leaves an invisible, uncommitted grid, never a
   torn one.
 * :class:`GridStore` opens a committed grid and serves blocks through a
@@ -30,9 +31,10 @@ contiguous ``VID_DTYPE`` array — the same src-major order the in-memory
 COO layout uses, which is what keeps streamed execution bit-identical to
 the in-RAM path.
 
-Fault injection: ``disk_full``/``torn_block`` events fire on the *Nth
-block write*, ``io_error``/``slow_io`` on the *Nth block read* (see
-:mod:`repro.resilience.faults`).
+Fault injection: a ``fault_plan`` is any object with
+``take(kinds, index) -> kind | None`` (:class:`repro.resilience.FaultPlan`
+is the one that exists); :data:`GRID_WRITE_FAULT_KINDS` events fire on
+the *Nth block write*, :data:`IO_FAULT_KINDS` on the *Nth block read*.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import numpy as np
 
 from .._types import BYTES_PER_VID, VID_DTYPE
 from ..core.budget import MemoryBudget
+from ..durable import flip_last_byte, read_framed, write_framed
 from ..errors import (
     CheckpointError,
     DiskFullError,
@@ -58,8 +61,6 @@ from ..errors import (
 )
 from ..graph.edgelist import EdgeList
 from ..partition.vertex_partition import VertexPartition
-from ..resilience.faults import GRID_WRITE_FAULT_KINDS, IO_FAULT_KINDS
-from ..resilience.store import _flip_last_byte, _read_framed, _write_framed
 
 __all__ = [
     "GridStore",
@@ -70,7 +71,17 @@ __all__ = [
     "grid_stripe_boundaries",
     "GRID_MANIFEST",
     "STRIPE_MODES",
+    "IO_FAULT_KINDS",
+    "GRID_WRITE_FAULT_KINDS",
 ]
+
+#: fault kinds injected into block *reads*; an event's ``iteration``
+#: indexes the Nth block read the store issues.
+IO_FAULT_KINDS = ("io_error", "slow_io")
+
+#: fault kinds injected into block *writes* during preprocessing; an
+#: event's ``iteration`` indexes the Nth block write.
+GRID_WRITE_FAULT_KINDS = ("disk_full", "torn_block")
 
 #: the manifest file name; its presence is the grid's commit point.
 GRID_MANIFEST = "grid.mf"
@@ -272,7 +283,7 @@ def preprocess_grid(
         "source": source,
         "blocks": blocks,
     }
-    _write_framed(
+    write_framed(
         directory / GRID_MANIFEST,
         _GRID_MAGIC,
         json.dumps(manifest, sort_keys=True).encode("utf-8"),
@@ -314,9 +325,9 @@ def _write_block(
                 f"disk full writing block ({i},{j}); pruned partial write, retrying"
             )
             continue
-        _write_framed(path, _BLOCK_MAGIC, payload)
+        write_framed(path, _BLOCK_MAGIC, payload)
         if kind == "torn_block":
-            _flip_last_byte(path)
+            flip_last_byte(path)
             events.append(f"block ({i},{j}) written torn (injected)")
         return attempt + 1
     raise AssertionError("unreachable")
@@ -407,7 +418,7 @@ class GridStore:
     ) -> "GridStore":
         """Open a committed grid; raises when the manifest is absent/torn."""
         directory = Path(directory)
-        payload = _read_framed(directory / GRID_MANIFEST, _GRID_MAGIC)
+        payload = read_framed(directory / GRID_MANIFEST, _GRID_MAGIC)
         manifest = json.loads(payload.decode("utf-8"))
         if manifest.get("version") != 1:
             raise GridError(
@@ -558,7 +569,7 @@ class GridStore:
         """One disk read, CRC-checked against the manifest; repairs torn blocks."""
         path = self.directory / entry["file"]
         try:
-            payload = _read_framed(path, _BLOCK_MAGIC)
+            payload = read_framed(path, _BLOCK_MAGIC)
             if zlib.crc32(payload) != int(entry["crc32"]):
                 raise CheckpointError(f"{path}: payload does not match manifest CRC")
         except CheckpointError:
@@ -581,7 +592,7 @@ class GridStore:
                 f"grid block ({i},{j}) is corrupt and the recorded source "
                 f"no longer reproduces it (CRC mismatch)"
             )
-        _write_framed(self.directory / entry["file"], _BLOCK_MAGIC, payload)
+        write_framed(self.directory / entry["file"], _BLOCK_MAGIC, payload)
         self.stats.repairs += 1
         self.events.append(f"repaired torn block ({i},{j}) from source")
         return payload
@@ -614,7 +625,7 @@ class GridStore:
         bad = []
         for (i, j), entry in sorted(self._blocks.items()):
             try:
-                payload = _read_framed(self.directory / entry["file"], _BLOCK_MAGIC)
+                payload = read_framed(self.directory / entry["file"], _BLOCK_MAGIC)
                 if zlib.crc32(payload) != int(entry["crc32"]):
                     raise CheckpointError("manifest CRC mismatch")
             except CheckpointError:

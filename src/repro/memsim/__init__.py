@@ -5,7 +5,6 @@ from .cache import (
     CacheResult,
     SetDistanceProfile,
     llc_config,
-    reference_simulate_cache,
     set_distance_profile,
     simulate_cache,
     sweep_cache_configs,
@@ -15,14 +14,12 @@ from .kernel import set_distances, set_order, stack_distance_kernel
 from .multicore import (
     MulticoreResult,
     interleave_round_robin,
-    reference_simulate_shared_cache,
     simulate_shared_cache,
 )
 from .reuse import (
     COLD,
     ReuseHistogram,
     histogram_of_distances,
-    reference_stack_distances,
     reuse_histogram,
     stack_distances,
 )
@@ -40,10 +37,8 @@ __all__ = [
     "Fenwick",
     "MulticoreResult",
     "simulate_shared_cache",
-    "reference_simulate_shared_cache",
     "interleave_round_robin",
     "stack_distances",
-    "reference_stack_distances",
     "stack_distance_kernel",
     "set_distances",
     "set_order",
@@ -55,7 +50,6 @@ __all__ = [
     "CacheResult",
     "SetDistanceProfile",
     "simulate_cache",
-    "reference_simulate_cache",
     "set_distance_profile",
     "sweep_cache_configs",
     "llc_config",

@@ -13,8 +13,8 @@ per-set distances obey Mattson's inclusion property within a set count:
 :func:`set_distance_profile` histograms them once and answers *every*
 associativity (and therefore every capacity) sharing that set count, and
 :func:`sweep_cache_configs` batches a whole configuration matrix that way.
-The original per-access list-based replay survives as
-:func:`reference_simulate_cache` for differential testing.
+The original per-access list-based replay is its differential-testing
+oracle (``tests/references.py``).
 
 A fully-associative variant driven by the stack-distance histogram is
 available in :mod:`repro.memsim.reuse` when only miss counts for many
@@ -36,7 +36,6 @@ __all__ = [
     "CacheResult",
     "SetDistanceProfile",
     "simulate_cache",
-    "reference_simulate_cache",
     "set_distance_profile",
     "sweep_cache_configs",
     "llc_config",
@@ -170,7 +169,7 @@ def simulate_cache(line_trace: np.ndarray, config: CacheConfig) -> CacheResult:
     """Replay ``line_trace`` (line addresses) through an LRU cache.
 
     Exact set-associative LRU via the grouped stack-distance kernel;
-    bit-identical to :func:`reference_simulate_cache`.
+    bit-identical to the per-access oracle in ``tests/references.py``.
     """
     trace = np.asarray(line_trace, dtype=np.int64)
     n = int(trace.size)
@@ -178,36 +177,6 @@ def simulate_cache(line_trace: np.ndarray, config: CacheConfig) -> CacheResult:
         return CacheResult(accesses=0, misses=0)
     d = set_distances(trace, config.num_sets)
     misses = int(np.count_nonzero((d == COLD) | (d >= config.associativity)))
-    return CacheResult(accesses=n, misses=misses)
-
-
-def reference_simulate_cache(
-    line_trace: np.ndarray, config: CacheConfig
-) -> CacheResult:
-    """Per-access scalar LRU replay (the pre-vectorisation implementation).
-
-    Each set keeps its resident lines in a most-recently-used-first Python
-    list; kept as the differential-testing oracle for
-    :func:`simulate_cache`.
-    """
-    trace = np.asarray(line_trace, dtype=np.int64)
-    n = int(trace.size)
-    if n == 0:
-        return CacheResult(accesses=0, misses=0)
-    num_sets = config.num_sets
-    ways = config.associativity
-    sets = trace % num_sets
-    misses = 0
-    resident: list[list[int]] = [[] for _ in range(num_sets)]
-    for addr, s in zip(trace.tolist(), sets.tolist()):
-        lines = resident[s]
-        try:
-            lines.remove(addr)
-        except ValueError:
-            misses += 1
-            if len(lines) >= ways:
-                lines.pop()
-        lines.insert(0, addr)
     return CacheResult(accesses=n, misses=misses)
 
 

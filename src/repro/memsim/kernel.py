@@ -304,7 +304,7 @@ def stack_distance_kernel(
     """Exact LRU stack distance of every access, vectorised.
 
     Bit-identical to the scalar Bennett–Kruskal reference
-    (:func:`repro.memsim.reuse.reference_stack_distances`).  ``path``
+    (``tests/references.py``).  ``path``
     forces ``"chunked"`` or ``"global"`` (used by the differential tests);
     ``"auto"`` picks by address-universe size.  ``chunk`` overrides the
     chunk length (a power of two >= 4) on the chunked path.

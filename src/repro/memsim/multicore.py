@@ -17,8 +17,8 @@ issue in stream order, so one stable sort of all accesses by
 dropping out of the rotation when exhausted (their later turns simply
 contribute no keys).  The merged trace then goes through the same
 grouped stack-distance kernel as the private simulator; the original
-per-access scheduler walk survives as
-:func:`reference_simulate_shared_cache` for differential testing.
+per-access scheduler walk is its differential-testing oracle
+(``tests/references.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "MulticoreResult",
     "interleave_round_robin",
     "simulate_shared_cache",
-    "reference_simulate_shared_cache",
 ]
 
 
@@ -102,7 +101,7 @@ def simulate_shared_cache(
     Each turn a stream issues up to ``block`` consecutive accesses (a
     core's scheduling quantum); streams that run out drop from the
     rotation.  Vectorised (analytic interleave + grouped stack-distance
-    kernel); bit-identical to :func:`reference_simulate_shared_cache`.
+    kernel); bit-identical to the scalar oracle in ``tests/references.py``.
 
     Returns per-stream miss counts.
     """
@@ -124,55 +123,3 @@ def simulate_shared_cache(
     )
 
 
-def reference_simulate_shared_cache(
-    streams: list[np.ndarray],
-    config: CacheConfig,
-    *,
-    block: int = 64,
-    tag_bits: int = 40,
-) -> MulticoreResult:
-    """Per-access scalar scheduler walk (the pre-vectorisation path).
-
-    Kept verbatim as the differential-testing oracle for
-    :func:`simulate_shared_cache`.
-    """
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    num_sets = config.num_sets
-    ways = config.associativity
-    resident: list[list[int]] = [[] for _ in range(num_sets)]
-    misses = [0] * len(streams)
-    lengths = [int(np.asarray(s).size) for s in streams]
-    positions = [0] * len(streams)
-    tagged = [
-        (np.asarray(s, dtype=np.int64) | (np.int64(i) << tag_bits)).tolist()
-        for i, s in enumerate(streams)
-    ]
-    live = [i for i, n in enumerate(lengths) if n]
-    while live:
-        nxt_live = []
-        for i in live:
-            start = positions[i]
-            end = min(start + block, lengths[i])
-            stream = tagged[i]
-            miss_count = 0
-            for k in range(start, end):
-                addr = stream[k]
-                s = addr % num_sets
-                lines = resident[s]
-                try:
-                    lines.remove(addr)
-                except ValueError:
-                    miss_count += 1
-                    if len(lines) >= ways:
-                        lines.pop()
-                lines.insert(0, addr)
-            misses[i] += miss_count
-            positions[i] = end
-            if end < lengths[i]:
-                nxt_live.append(i)
-        live = nxt_live
-    return MulticoreResult(
-        accesses_per_stream=tuple(lengths),
-        misses_per_stream=tuple(misses),
-    )

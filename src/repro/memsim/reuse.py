@@ -11,15 +11,11 @@ A fully-associative LRU cache of capacity ``C`` lines misses exactly on
 accesses with stack distance >= ``C`` (plus cold accesses), so one
 histogram answers *every* capacity at once — used by the MPKI sweeps.
 
-Two implementations compute the same distances:
-
-* :func:`stack_distances` — the production path, the batched offline
-  kernel of :mod:`repro.memsim.kernel` (prev-occurrence indices from one
-  stable sort, then exact distinct-counts-in-range via block-decomposed
-  dominance counting);
-* :func:`reference_stack_distances` — the original scalar Bennett–Kruskal
-  algorithm over a Fenwick tree, O(N log N) with one Python iteration per
-  access, kept verbatim as the differential-testing oracle.
+:func:`stack_distances` is the batched offline kernel of
+:mod:`repro.memsim.kernel` (prev-occurrence indices from one stable sort,
+then exact distinct-counts-in-range via block-decomposed dominance
+counting).  The scalar Bennett–Kruskal loop it replaced is its
+differential-testing oracle, ``tests/references.py``.
 """
 
 from __future__ import annotations
@@ -28,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fenwick import Fenwick
 from .kernel import stack_distance_kernel
 
 __all__ = [
     "stack_distances",
-    "reference_stack_distances",
     "ReuseHistogram",
     "reuse_histogram",
     "histogram_of_distances",
@@ -49,40 +43,9 @@ def stack_distances(trace: np.ndarray) -> np.ndarray:
 
     Returns an ``int64`` array; cold accesses get :data:`COLD` (-1).
     Addresses may be arbitrary integers.  Vectorised; bit-identical to
-    :func:`reference_stack_distances`.
+    the scalar oracle in ``tests/references.py``.
     """
     return stack_distance_kernel(trace)
-
-
-def reference_stack_distances(trace: np.ndarray) -> np.ndarray:
-    """Scalar Bennett–Kruskal stack distances (Fenwick tree, per-access loop).
-
-    The pre-vectorisation implementation, retained as the oracle for the
-    differential property tests of the batched kernel.
-    """
-    trace = np.asarray(trace)
-    n = int(trace.size)
-    out = np.empty(n, dtype=np.int64)
-    if n == 0:
-        return out
-    # Compact addresses to 0..k-1 for the last-position table.
-    _, compact = np.unique(trace, return_inverse=True)
-    fen = Fenwick(n)
-    last: dict[int, int] = {}
-    add = fen.add
-    prefix = fen.prefix_sum
-    compact_list = compact.tolist()
-    for i, addr in enumerate(compact_list):
-        p = last.get(addr)
-        if p is None:
-            out[i] = COLD
-        else:
-            # distinct addresses in (p, i) = set flags strictly between.
-            out[i] = prefix(i - 1) - prefix(p)
-            add(p, -1)
-        add(i, 1)
-        last[addr] = i
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,18 @@
 """Resilient execution runtime: checkpoint/restore over pluggable
 stores, fault injection, partition-granular recovery via the phase
-journal, the stall-detecting watchdog, retry/degradation supervision
-and strict input validation.
+journal, the stall-detecting watchdog and retry/degradation supervision.
+It is a layer over the compute packages: it imports them, they never
+import it at module scope (the loaders' ``validate_edgelist`` gate lives
+in :mod:`repro.graph.validation` and is re-exported here).
 
 See ``DESIGN.md`` ("Resilience") for the checkpoint/store formats, the
 journal record format, the fault-plan schema, the watchdog escalation
 ladder and the degradation ladder.
 """
 
+from ..graph.validation import validate_edgelist, validate_weights
 from .backoff import BackoffSchedule
-from .checkpoint import Checkpointable, CheckpointManager, CheckpointSession
+from .checkpoint import CheckpointManager, CheckpointSession
 from .faults import (
     FAULT_KINDS,
     GRID_WRITE_FAULT_KINDS,
@@ -36,12 +39,10 @@ from .store import (
     make_store,
 )
 from .supervisor import ResiliencePolicy
-from .validation import validate_edgelist, validate_weights
 from .watchdog import ESCALATION_LADDER, Watchdog
 
 __all__ = [
     "BackoffSchedule",
-    "Checkpointable",
     "CheckpointManager",
     "CheckpointSession",
     "CheckpointStore",

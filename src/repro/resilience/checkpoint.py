@@ -15,10 +15,10 @@ mismatch — :meth:`CheckpointManager.load_latest` then falls back to the
 newest *valid* generation so a corrupted tail costs one iteration, not
 the run.
 
-Algorithms participate through the tiny :class:`Checkpointable`
-protocol (a dict of named state arrays out, the same dict restored in
-place) plus a :class:`CheckpointSession` binding one run name to a
-manager and a save cadence.
+Only plain data crosses to the algorithms: a loop hands its
+:class:`CheckpointSession` (one run name bound to a manager, a save
+cadence and a resume flag) a dict of named arrays after each iteration,
+and gets ``(step, arrays | None)`` back when it starts.
 """
 
 from __future__ import annotations
@@ -26,31 +26,17 @@ from __future__ import annotations
 import logging
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Protocol
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import CheckpointCorruptError, CheckpointError
+from .faults import FaultPlan
 from .store import CheckpointStore, LocalDirStore
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from .faults import FaultPlan
-
-__all__ = ["Checkpointable", "CheckpointManager", "CheckpointSession"]
+__all__ = ["CheckpointManager", "CheckpointSession"]
 
 log = logging.getLogger(__name__)
-
-
-class Checkpointable(Protocol):
-    """State an iterative algorithm exposes for checkpoint/restore."""
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """The named arrays that fully determine the rest of the run."""
-        ...
-
-    def load_state(self, arrays: Mapping[str, np.ndarray]) -> None:
-        """Restore from arrays previously returned by :meth:`state_arrays`."""
-        ...
 
 
 class CheckpointManager:
@@ -81,7 +67,7 @@ class CheckpointManager:
         directory: str | os.PathLike | None = None,
         *,
         store: CheckpointStore | None = None,
-        fault_plan: "FaultPlan | None" = None,
+        fault_plan: FaultPlan | None = None,
         keep_last: int | None = None,
     ) -> None:
         if store is None:
@@ -90,11 +76,7 @@ class CheckpointManager:
             store = LocalDirStore(directory)
         self.store = store
         #: backing directory when the store has one (``None`` otherwise).
-        self.directory = (
-            Path(directory)
-            if directory is not None
-            else getattr(store, "directory", None)
-        )
+        self.directory = Path(directory) if directory is not None else store.directory
         if keep_last is not None and keep_last < 1:
             raise ValueError("keep_last must be >= 1 (or None for unbounded)")
         self.keep_last = keep_last
@@ -104,13 +86,12 @@ class CheckpointManager:
     # ------------------------------------------------------------------
     def path_for(self, name: str, step: int) -> Path:
         """The on-disk location of ``(name, step)``, for stores that have one."""
-        if hasattr(self.store, "path_for"):
-            return self.store.path_for(name, step)
-        if hasattr(self.store, "generation_dir"):
-            return self.store.generation_dir(name, step)
-        raise CheckpointError(
-            f"{self.store.kind} store has no single on-disk path per checkpoint"
-        )
+        path = self.store.path_for(name, step)
+        if path is None:
+            raise CheckpointError(
+                f"{self.store.kind} store has no single on-disk path per checkpoint"
+            )
+        return path
 
     def steps(self, name: str) -> list[int]:
         """All checkpointed steps for ``name``, ascending."""
@@ -130,26 +111,18 @@ class CheckpointManager:
         generation (corruption / shard tear / replica loss), and the
         retention policy prunes generations beyond ``keep_last``.
         """
-        self.store.save(name, step, arrays)
-        plan = self.fault_plan
+        store, plan = self.store, self.fault_plan
+        store.save(name, step, arrays)
         if plan is not None:
-            if plan.take(("corrupt_checkpoint",), step):
-                self.store.corrupt(name, step)
-            if plan.take(("corrupt_shard",), step):
-                if hasattr(self.store, "corrupt_shard"):
-                    self.store.corrupt_shard(name, step)
-                else:
-                    self.store.corrupt(name, step)
-            if plan.take(("lost_replica",), step):
-                if hasattr(self.store, "lose_replica"):
-                    self.store.lose_replica(name, step)
-                else:
-                    self.store.delete(name, step)
+            for kind, damage in (
+                ("corrupt_checkpoint", store.corrupt),
+                ("corrupt_shard", store.corrupt_shard),
+                ("lost_replica", store.lose_replica),
+            ):
+                if plan.take((kind,), step):
+                    damage(name, step)
         self.prune(name)
-        try:
-            return self.path_for(name, step)
-        except CheckpointError:
-            return None
+        return store.path_for(name, step)
 
     def prune(self, name: str, keep_last: int | None = None) -> list[int]:
         """Drop all but the newest ``keep_last`` generations of ``name``.
@@ -217,23 +190,16 @@ class CheckpointSession:
         self.every = every
         self.resume = resume
 
-    def resume_state(self, state: Checkpointable) -> int:
-        """Restore ``state`` from the newest valid checkpoint.
-
-        Returns the restored iteration number, or 0 when resume is
-        disabled or no checkpoint exists (start from scratch).
-        """
-        if not self.resume:
-            return 0
-        found = self.manager.load_latest(self.name)
+    def restore(self) -> tuple[int, dict[str, np.ndarray] | None]:
+        """The newest valid checkpoint as ``(step, arrays)``; ``(0, None)``
+        when resume is disabled or none exists (start from scratch)."""
+        found = self.manager.load_latest(self.name) if self.resume else None
         if found is None:
-            return 0
-        step, arrays = found
-        state.load_state(arrays)
-        log.info("resumed %s from iteration %d", self.name, step)
-        return step
+            return 0, None
+        log.info("resumed %s from iteration %d", self.name, found[0])
+        return found
 
-    def save_state(self, step: int, state: Checkpointable) -> None:
-        """Checkpoint ``state`` if ``step`` falls on the save cadence."""
+    def save(self, step: int, arrays: Mapping[str, np.ndarray]) -> None:
+        """Checkpoint ``arrays`` if ``step`` falls on the save cadence."""
         if step % self.every == 0:
-            self.manager.save(self.name, step, state.state_arrays())
+            self.manager.save(self.name, step, arrays)

@@ -64,10 +64,12 @@ edge-map phase, and a ``:partition`` suffix is rejected:
 
 Disk I/O fault kinds
 --------------------
-These target the out-of-core grid store (:mod:`repro.layout.grid`).
-For read kinds, ``iteration`` indexes the *Nth grid block read* the
-store issues (0-based); for write kinds, the *Nth block write* during
-preprocessing.  A ``:partition`` suffix is rejected:
+These target the out-of-core grid store (:mod:`repro.layout.grid`, which
+is injected with them and so defines ``IO_FAULT_KINDS`` and
+``GRID_WRITE_FAULT_KINDS``).  For read kinds, ``iteration`` indexes the
+*Nth grid block read* the store issues (0-based); for write kinds, the
+*Nth block write* during preprocessing.  A ``:partition`` suffix is
+rejected:
 
 ``io_error``
     One block read fails transiently; the store re-reads in place
@@ -92,6 +94,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CapacityError, ValidationError, WorkerFailure
+from ..layout.grid import GRID_WRITE_FAULT_KINDS, IO_FAULT_KINDS
 
 __all__ = [
     "FaultEvent",
@@ -109,20 +112,6 @@ NET_FAULT_KINDS = (
     "net_reset",
     "net_throttle",
     "stale_read",
-)
-
-#: Kinds injected into grid block *reads*; their ``iteration`` indexes
-#: the Nth block read the grid store issues.
-IO_FAULT_KINDS = (
-    "io_error",
-    "slow_io",
-)
-
-#: Kinds injected into grid block *writes* during preprocessing; their
-#: ``iteration`` indexes the Nth block write.
-GRID_WRITE_FAULT_KINDS = (
-    "disk_full",
-    "torn_block",
 )
 
 FAULT_KINDS = (

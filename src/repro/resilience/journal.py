@@ -14,10 +14,11 @@ exploit that.  Per edge-map phase it records, for every partition task:
     makes the log write-ahead: a crash between ``start`` and ``commit``
     identifies exactly which partition's writes are suspect).
 ``commit``
-    The completion record — partition id, destination range, the
-    activated vertex ids, the per-partition statistics contributions,
-    and a CRC32 digest of the partition's slice of every vertex-length
-    state array.
+    The completion record (the kernels' own
+    :class:`~repro.core.plan.PartitionRecord`) — partition id,
+    destination range, the activated vertex ids, the per-partition
+    statistics contributions, and a CRC32 digest of the partition's
+    slice of every vertex-length state array.
 ``replay``
     On a retry of the same phase, a committed partition is *replayed*
     from its record (digest-verified) instead of re-executed.
@@ -47,76 +48,9 @@ the whole stripe when they did not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .._types import VID_DTYPE
+from ..core.plan import PartitionRecord
 
 __all__ = ["PartitionRecord", "PhaseJournal"]
-
-
-@dataclass
-class PartitionRecord:
-    """One task's committed outcome within an edge-map phase.
-
-    A task is a run of adjacent partitions (:class:`~repro.core.plan.
-    PartitionTask`); journalled tasks are always runs of one, so what the
-    journal commits, replays and digests is still one partition.
-
-    Attributes
-    ----------
-    partition:
-        The run's first (lowest) partition id within the phase's schedule.
-    lo, hi:
-        The destination vertex range ``[lo, hi)`` the run owns — the
-        write set its ``combine`` contract confines updates to.
-    activated:
-        Vertex ids the operator activated, its per-partition batches
-        concatenated in visit order (pre-dedup; the engine's frontier
-        constructor dedups).
-    examined, active_edges, scanned:
-        The whole run's contributions to the phase's
-        :class:`~repro.core.stats.EdgeMapStats`.
-    part_examined, touched:
-        The run split over its partitions, lowest first: each one's
-        examined edges and distinct destinations, for
-        :attr:`~repro.core.stats.EdgeMapStats.partition_examined` /
-        ``partition_touched_vertices``.  ``None`` where the phase reports
-        no per-partition statistics (the sparse whole-range task).
-    digest:
-        CRC32 over the ``[lo, hi)`` slice of every vertex-length state
-        array *after* the task completed; the journal keeps the latest
-        one per range and verifies it before a replay.
-    cond_calls:
-        How many per-partition cond guards the task stands for: one per
-        partition whose batch reached the operator, even where a run
-        evaluated ``cond`` once for all of them.  The engine folds this
-        count into its ``guards_skipped`` / ``guard_invocations``
-        counters wherever the task executed.
-    """
-
-    partition: int
-    lo: int
-    hi: int
-    activated: np.ndarray
-    examined: int = 0
-    active_edges: int = 0
-    scanned: int = 0
-    part_examined: np.ndarray | None = None
-    touched: np.ndarray | None = None
-    digest: int = 0
-    cond_calls: int = 0
-
-    @classmethod
-    def empty(cls, partition: int, lo: int, hi: int, parts: int = 1) -> "PartitionRecord":
-        """Record of a run of ``parts`` partitions with no work (e.g. an
-        empty vertex range)."""
-        return cls(
-            partition, lo, hi, np.empty(0, dtype=VID_DTYPE),
-            part_examined=np.zeros(parts, dtype=np.int64),
-            touched=np.zeros(parts, dtype=np.int64),
-        )
 
 
 def _label(partition: int, block: int | None) -> str:

@@ -52,6 +52,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..durable import flip_last_byte, write_bytes
 from ..errors import (
     CheckpointCorruptError,
     CheckpointError,
@@ -62,15 +63,7 @@ from ..errors import (
 )
 from .backoff import BackoffSchedule
 from .netsim import NetworkSimulator
-from .store import (
-    CheckpointStore,
-    LocalDirStore,
-    _flip_last_byte,
-    _npz_arrays,
-    _npz_bytes,
-    _write_durably,
-    safe_name,
-)
+from .store import CheckpointStore, LocalDirStore, npz_arrays, npz_bytes, safe_name
 
 __all__ = [
     "ObjectService",
@@ -162,8 +155,8 @@ class ObjectService:
         else:
             generation = 0
         meta = dict(meta, generation=generation + 1)
-        _write_durably(data_path, data)
-        _write_durably(meta_path, json.dumps(meta).encode())
+        write_bytes(data_path, data)
+        write_bytes(meta_path, json.dumps(meta).encode())
 
     def get_object(self, key: str, *, stale: bool = False) -> tuple[bytes, dict]:
         """Fetch ``(bytes, metadata)``; ``stale`` serves the previous version."""
@@ -228,7 +221,7 @@ class ObjectService:
                 break
             seq += 1
         updir.mkdir(parents=True)
-        _write_durably(updir / "upload.json", json.dumps({"key": key}).encode())
+        write_bytes(updir / "upload.json", json.dumps({"key": key}).encode())
         return upload_id
 
     def _upload_dir(self, upload_id: str) -> Path:
@@ -251,8 +244,8 @@ class ObjectService:
         if part_number < 1:
             raise RemoteProtocolError("InvalidPart: part numbers start at 1")
         updir = self._upload_dir(upload_id)
-        _write_durably(updir / f"part-{part_number:05d}", data)
-        _write_durably(
+        write_bytes(updir / f"part-{part_number:05d}", data)
+        write_bytes(
             updir / f"part-{part_number:05d}.json",
             json.dumps({"crc32": crc32}).encode(),
         )
@@ -319,7 +312,7 @@ class ObjectService:
         path = self._data_path(key)
         if not path.exists():
             raise CheckpointError(f"no object at {key!r} to corrupt")
-        _flip_last_byte(path)
+        flip_last_byte(path)
         log.warning("fault injection corrupted remote object %s", key)
 
 
@@ -679,7 +672,7 @@ class RemoteStore(CheckpointStore):
         only error that escapes is a local-disk failure of the spill
         journal itself.
         """
-        payload = _npz_bytes(arrays)
+        payload = npz_bytes(arrays)
         self._pending_deletes.discard((name, step))
         try:
             etag = self.client.put_object(self._key(name, step), payload)
@@ -720,7 +713,7 @@ class RemoteStore(CheckpointStore):
                 f"remote object {key}: payload does not match its committed "
                 "CRC32/length (torn or corrupted object)"
             )
-        return _npz_arrays(data)
+        return npz_arrays(data)
 
     def _listed(self, name: str | None = None, note: str = "") -> list[tuple[str, int]]:
         """One LIST: ``(safe name, step)`` of every remote generation (of
@@ -815,7 +808,7 @@ class RemoteStore(CheckpointStore):
                 outcomes.append(SyncOutcome(name, step, "corrupt-spill", str(exc)))
                 continue
             try:
-                etag = self.client.put_object(self._key(name, step), _npz_bytes(arrays))
+                etag = self.client.put_object(self._key(name, step), npz_bytes(arrays))
             except RemoteUnavailableError as exc:
                 outcomes.append(SyncOutcome(name, step, "deferred", str(exc)))
                 if best_effort:

@@ -3,7 +3,11 @@
 :class:`CheckpointStore` is the byte-level contract behind
 :class:`~repro.resilience.CheckpointManager`: a keyed map from
 ``(run name, step)`` to a dict of named numpy arrays, with atomic commit
-and integrity verification on read.  Three backends ship:
+and integrity verification on read.  It also declares, with defaults,
+everything else the manager and the CLI ask of a store — its on-disk
+location, damage per storage fault kind, its events, pending spill and
+``sync`` — so no caller probes a store for what it can do.  Three
+backends ship:
 
 :class:`LocalDirStore`
     The original single-file format — one framed ``.ckpt`` container per
@@ -46,16 +50,15 @@ import logging
 import os
 import re
 import shutil
-import struct
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..durable import durable_write
-from ..errors import CheckpointCorruptError, CheckpointError
+from ..durable import flip_last_byte, read_framed, write_framed
+from ..errors import CheckpointCorruptError, CheckpointError, ValidationError
 from ..spec import integer, number, parse_spec, string
 
 __all__ = [
@@ -66,6 +69,9 @@ __all__ = [
     "STORE_KINDS",
     "STORE_SPEC",
     "make_store",
+    "safe_name",
+    "npz_bytes",
+    "npz_arrays",
 ]
 
 log = logging.getLogger(__name__)
@@ -73,9 +79,8 @@ log = logging.getLogger(__name__)
 _CKPT_MAGIC = b"RPRCKPT1"
 _SHARD_MAGIC = b"RPRSHRD1"
 _MANIFEST_MAGIC = b"RPRMANI1"
-_HEADER = struct.Struct(">IQ")  # crc32, payload length
-_FILE_RE = re.compile(r"^(?P<name>.+)\.it(?P<step>\d{8})\.ckpt$")
-_GEN_RE = re.compile(r"^(?P<name>.+)\.it(?P<step>\d{8})$")
+#: a generation's directory entry: ``<name>.it<step>`` plus the kind's suffix.
+_GEN_RE = re.compile(r"^(?P<name>.+)\.it(?P<step>\d{8})(?P<suffix>\.ckpt)?$")
 _MANIFEST_FILE = "manifest.mf"
 
 
@@ -84,60 +89,37 @@ def safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", name) or "run"
 
 
-def _write_durably(path: Path, *chunks: bytes) -> None:
-    """Durably write ``chunks`` as one file (see :mod:`repro.durable`)."""
-    try:
-        with durable_write(path) as fh:
-            fh.writelines(chunks)
-    except OSError as exc:
-        raise CheckpointError(f"cannot write {path}: {exc}") from exc
+def npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
+    """One generation's arrays as a compressed ``.npz`` payload."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, **{k: np.asarray(v) for k, v in arrays.items()})
+    return buf.getvalue()
 
 
-def _write_framed(path: Path, magic: bytes, payload: bytes) -> None:
-    """Durably write ``magic + header + payload``."""
-    _write_durably(path, magic, _HEADER.pack(zlib.crc32(payload), len(payload)), payload)
-
-
-def _read_framed(path: Path, magic: bytes) -> bytes:
-    """Read and verify a framed container; returns the payload."""
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        raise CheckpointError(f"no file at {path}") from None
-    header_len = len(magic) + _HEADER.size
-    if len(raw) < header_len or raw[: len(magic)] != magic:
-        raise CheckpointCorruptError(f"{path}: bad magic or truncated header")
-    crc, length = _HEADER.unpack_from(raw, len(magic))
-    payload = raw[header_len:]
-    if len(payload) != length:
-        raise CheckpointCorruptError(
-            f"{path}: truncated payload ({len(payload)} of {length} bytes)"
-        )
-    if zlib.crc32(payload) != crc:
-        raise CheckpointCorruptError(f"{path}: CRC32 mismatch")
-    return payload
-
-
-def _flip_last_byte(path: Path) -> None:
-    """Corrupt a file in place (fault injection only)."""
-    with open(path, "r+b") as fh:
-        fh.seek(-1, os.SEEK_END)
-        last = fh.read(1)[0]
-        fh.seek(-1, os.SEEK_END)
-        fh.write(bytes([last ^ 0xFF]))
+def npz_arrays(payload: bytes) -> dict[str, np.ndarray]:
+    """The arrays of an :func:`npz_bytes` payload."""
+    with np.load(io.BytesIO(payload)) as data:
+        return {k: data[k] for k in data.files}
 
 
 class CheckpointStore(ABC):
-    """Byte-level backend of the checkpoint manager.
+    """Byte-level backend of the checkpoint manager, and the whole of what
+    the manager and the CLI may ask of one.
 
     Implementations must make ``save`` atomic (a crash leaves either the
     previous or the new generation, never a half-written one) and
     ``load`` integrity-checked (:class:`CheckpointCorruptError` on any
-    torn or flipped byte that cannot be repaired).
+    torn or flipped byte that cannot be repaired).  Everything below the
+    five abstract methods has a default, so a kind overrides only what it
+    has: shards to tear, replicas to lose, a spill journal to drain.
     """
 
     #: short backend identifier (one of :data:`STORE_KINDS`).
     kind: str = "abstract"
+    #: the one local directory the store lives in, for kinds that have one.
+    directory: Path | None = None
+    #: human-readable degradation events, newest last.
+    events: Sequence[str] = ()
 
     @abstractmethod
     def save(self, name: str, step: int, arrays: Mapping[str, np.ndarray]) -> None:
@@ -172,60 +154,90 @@ class CheckpointStore(ABC):
         """On-disk footprint of one generation, if cheaply known."""
         return None
 
+    def path_for(self, name: str, step: int) -> Path | None:
+        """The on-disk location of one generation; ``None`` for kinds that
+        keep no single one."""
+        return None
+
+    # ------------------------------------------------------------------
+    # fault injection, one method per storage fault kind
+    # (:mod:`repro.resilience.faults` documents the fallbacks)
+    # ------------------------------------------------------------------
     def corrupt(self, name: str, step: int) -> None:
-        """Flip a byte of the stored generation (fault injection only)."""
+        """``corrupt_checkpoint``: flip a byte of the stored generation."""
         raise NotImplementedError(f"{self.kind} store does not support corrupt()")
 
+    def corrupt_shard(self, name: str, step: int) -> None:
+        """``corrupt_shard``: tear one shard; a store without shards
+        corrupts the whole generation."""
+        self.corrupt(name, step)
 
-def _npz_bytes(arrays: Mapping[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    np.savez_compressed(buf, **{k: np.asarray(v) for k, v in arrays.items()})
-    return buf.getvalue()
+    def lose_replica(self, name: str, step: int) -> None:
+        """``lost_replica``: drop one replica's copy; an un-replicated
+        store loses the generation."""
+        self.delete(name, step)
+
+    # ------------------------------------------------------------------
+    # write-behind (only the remote store has a spill journal)
+    # ------------------------------------------------------------------
+    def pending_spill(self) -> list[tuple[str, int]]:
+        """Generations waiting in a local spill journal for upload."""
+        return []
+
+    def sync(self, *, best_effort: bool = False) -> list:
+        """Drain the spill journal; only a remote store has one."""
+        raise ValidationError(
+            f"'checkpoints sync' needs a remote store, got --store {self.kind!r}"
+        )
 
 
-def _npz_arrays(payload: bytes) -> dict[str, np.ndarray]:
-    with np.load(io.BytesIO(payload)) as data:
-        return {k: data[k] for k in data.files}
+class _DirectoryStore(CheckpointStore):
+    """Generations are the entries ``<name>.it<NNNNNNNN><suffix>`` of one
+    directory: the naming and listing the local and sharded kinds share."""
 
-
-class LocalDirStore(CheckpointStore):
-    """One framed ``<name>.it<NNNNNNNN>.ckpt`` file per generation."""
-
-    kind = "local"
+    _suffix = ""
 
     def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, name: str, step: int) -> Path:
-        """The checkpoint file for ``(name, step)``."""
-        return self.directory / f"{safe_name(name)}.it{step:08d}.ckpt"
+        return self.directory / f"{safe_name(name)}.it{step:08d}{self._suffix}"
+
+    def _committed(self, path: Path) -> bool:
+        return True
+
+    def _generations(self) -> list[tuple[str, int]]:
+        """``(safe name, step)`` of every committed generation."""
+        found = []
+        for path in self.directory.iterdir():
+            m = _GEN_RE.match(path.name)
+            if m and (m["suffix"] or "") == self._suffix and self._committed(path):
+                found.append((m["name"], int(m["step"])))
+        return found
+
+    def steps(self, name: str) -> list[int]:
+        safe = safe_name(name)
+        return sorted(step for found, step in self._generations() if found == safe)
+
+    def names(self) -> list[str]:
+        return sorted({found for found, _ in self._generations()})
+
+
+class LocalDirStore(_DirectoryStore):
+    """One framed ``<name>.it<NNNNNNNN>.ckpt`` file per generation."""
+
+    kind = "local"
+    _suffix = ".ckpt"
 
     def save(self, name: str, step: int, arrays: Mapping[str, np.ndarray]) -> None:
-        _write_framed(self.path_for(name, step), _CKPT_MAGIC, _npz_bytes(arrays))
+        write_framed(self.path_for(name, step), _CKPT_MAGIC, npz_bytes(arrays))
 
     def load(self, name: str, step: int) -> dict[str, np.ndarray]:
         path = self.path_for(name, step)
         if not path.exists():
             raise CheckpointError(f"no checkpoint at {path}")
-        return _npz_arrays(_read_framed(path, _CKPT_MAGIC))
-
-    def steps(self, name: str) -> list[int]:
-        safe = safe_name(name)
-        out = []
-        for path in self.directory.glob(f"{safe}.it*.ckpt"):
-            m = _FILE_RE.match(path.name)
-            if m and m.group("name") == safe:
-                out.append(int(m.group("step")))
-        return sorted(out)
-
-    def names(self) -> list[str]:
-        found = set()
-        for path in self.directory.glob("*.ckpt"):
-            m = _FILE_RE.match(path.name)
-            if m:
-                found.add(m.group("name"))
-        return sorted(found)
+        return npz_arrays(read_framed(path, _CKPT_MAGIC))
 
     def delete(self, name: str, step: int) -> None:
         self.path_for(name, step).unlink(missing_ok=True)
@@ -235,11 +247,11 @@ class LocalDirStore(CheckpointStore):
         return path.stat().st_size if path.exists() else None
 
     def corrupt(self, name: str, step: int) -> None:
-        _flip_last_byte(self.path_for(name, step))
+        flip_last_byte(self.path_for(name, step))
         log.warning("fault injection corrupted checkpoint %s step %d", name, step)
 
 
-class ShardedStore(CheckpointStore):
+class ShardedStore(_DirectoryStore):
     """One shard per state array, committed by an atomic manifest.
 
     Generation layout::
@@ -256,14 +268,12 @@ class ShardedStore(CheckpointStore):
 
     kind = "sharded"
 
-    def __init__(self, directory: str | os.PathLike) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------------
     def generation_dir(self, name: str, step: int) -> Path:
         """Directory holding one generation's shards and manifest."""
-        return self.directory / f"{safe_name(name)}.it{step:08d}"
+        return self.path_for(name, step)
+
+    def _committed(self, path: Path) -> bool:
+        return (path / _MANIFEST_FILE).exists()
 
     def _shard_path(self, gen: Path, key: str) -> Path:
         return gen / f"{safe_name(key)}.shard"
@@ -281,14 +291,14 @@ class ShardedStore(CheckpointStore):
         manifest: dict[str, dict] = {}
         for key, array in arrays.items():
             payload = self._array_bytes(array)
-            _write_framed(self._shard_path(gen, key), _SHARD_MAGIC, payload)
+            write_framed(self._shard_path(gen, key), _SHARD_MAGIC, payload)
             manifest[key] = {
                 "file": self._shard_path(gen, key).name,
                 "crc32": zlib.crc32(payload),
                 "bytes": len(payload),
             }
         body = json.dumps({"name": name, "step": step, "shards": manifest}).encode()
-        _write_framed(gen / _MANIFEST_FILE, _MANIFEST_MAGIC, body)
+        write_framed(gen / _MANIFEST_FILE, _MANIFEST_MAGIC, body)
 
     def _manifest(self, name: str, step: int) -> dict:
         gen = self.generation_dir(name, step)
@@ -296,13 +306,13 @@ class ShardedStore(CheckpointStore):
         if not path.exists():
             raise CheckpointError(f"no committed generation at {gen}")
         try:
-            return json.loads(_read_framed(path, _MANIFEST_MAGIC))
+            return json.loads(read_framed(path, _MANIFEST_MAGIC))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointCorruptError(f"{path}: undecodable manifest: {exc}") from None
 
     def _load_shard(self, name: str, step: int, key: str, expect_crc: int) -> bytes:
         gen = self.generation_dir(name, step)
-        payload = _read_framed(self._shard_path(gen, key), _SHARD_MAGIC)
+        payload = read_framed(self._shard_path(gen, key), _SHARD_MAGIC)
         if zlib.crc32(payload) != expect_crc:
             raise CheckpointCorruptError(
                 f"{self._shard_path(gen, key)}: shard CRC does not match its manifest"
@@ -326,7 +336,7 @@ class ShardedStore(CheckpointStore):
                 payload = self._load_shard(name, older, key, expect_crc)
             except CheckpointError:
                 continue
-            _write_framed(
+            write_framed(
                 self._shard_path(self.generation_dir(name, step), key),
                 _SHARD_MAGIC,
                 payload,
@@ -352,23 +362,6 @@ class ShardedStore(CheckpointStore):
             out[key] = np.load(io.BytesIO(payload), allow_pickle=False)
         return out
 
-    def steps(self, name: str) -> list[int]:
-        safe = safe_name(name)
-        out = []
-        for gen in self.directory.glob(f"{safe}.it*"):
-            m = _GEN_RE.match(gen.name)
-            if m and m.group("name") == safe and (gen / _MANIFEST_FILE).exists():
-                out.append(int(m.group("step")))
-        return sorted(out)
-
-    def names(self) -> list[str]:
-        found = set()
-        for gen in self.directory.iterdir():
-            m = _GEN_RE.match(gen.name)
-            if m and (gen / _MANIFEST_FILE).exists():
-                found.add(m.group("name"))
-        return sorted(found)
-
     def delete(self, name: str, step: int) -> None:
         gen = self.generation_dir(name, step)
         if gen.exists():
@@ -388,14 +381,14 @@ class ShardedStore(CheckpointStore):
     # ------------------------------------------------------------------
     def corrupt(self, name: str, step: int) -> None:
         """Tear the manifest: the whole generation becomes invalid."""
-        _flip_last_byte(self.generation_dir(name, step) / _MANIFEST_FILE)
+        flip_last_byte(self.generation_dir(name, step) / _MANIFEST_FILE)
         log.warning("fault injection tore manifest of %s step %d", name, step)
 
     def corrupt_shard(self, name: str, step: int) -> None:
         """Tear one shard (the first in sorted key order, deterministic)."""
         manifest = self._manifest(name, step)
         key = sorted(manifest["shards"])[0]
-        _flip_last_byte(self._shard_path(self.generation_dir(name, step), key))
+        flip_last_byte(self._shard_path(self.generation_dir(name, step), key))
         log.warning("fault injection tore shard %s of %s step %d", key, name, step)
 
 
@@ -500,7 +493,7 @@ class ReplicatedStore(CheckpointStore):
             replica.corrupt(name, step)
 
     def lose_replica(self, name: str, step: int, *, replica: int = 0) -> None:
-        """Drop one replica's copy (fault injection: a lost node)."""
+        """Drop one replica's copy (a lost node)."""
         self.replicas[replica].delete(name, step)
         log.warning(
             "fault injection lost replica %d copy of %s step %d", replica, name, step

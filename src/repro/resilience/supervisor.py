@@ -45,7 +45,9 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.budget import parse_memory_budget
 from ..core.ops import EdgeOperator, WriteSet, snapshot_blind_spots
+from ..core.plan import PartitionRecord
 from ..errors import (
     CapacityError,
     RetryExhausted,
@@ -53,9 +55,12 @@ from ..errors import (
     ValidationError,
     WorkerFailure,
 )
+from ..layout.grid import GridStore
+from ..machine.scheduler import reassign_slot
+from ..partition.storage import StorageModel
 from .backoff import BackoffSchedule
 from .faults import FaultPlan
-from .journal import PartitionRecord, PhaseJournal
+from .journal import PhaseJournal
 from .watchdog import Watchdog
 
 __all__ = ["ResiliencePolicy", "Supervisor"]
@@ -146,10 +151,6 @@ class ResiliencePolicy:
                 f"got {self.grid_stripe_mode!r}"
             )
         if self.memory_budget is not None:
-            # Deferred import: core.budget sits below core/__init__, which
-            # imports the engine, which imports this module.
-            from ..core.budget import parse_memory_budget
-
             self.memory_budget = parse_memory_budget(self.memory_budget)
         if self.grid_stripes is not None and self.grid_stripes < 1:
             raise ValueError("grid_stripes must be >= 1")
@@ -300,8 +301,6 @@ class Supervisor:
         engine, budget = self.engine, self.policy.memory_budget
         if budget is None or engine.grid is not None:
             return
-        from ..partition.storage import StorageModel
-
         model = StorageModel(engine.num_vertices, engine.num_edges)
         try:
             model.assert_fits(
@@ -352,8 +351,6 @@ class Supervisor:
         :class:`~repro.layout.grid.GridStore`; the retry then re-executes
         the phase by streaming blocks under the memory budget.
         """
-        from ..layout.grid import GridStore
-
         engine, policy = self.engine, self.policy
         spill_dir = policy.spill_dir
         if spill_dir is None:
@@ -506,8 +503,6 @@ class Supervisor:
 
     def _requeue(self, i: int) -> None:
         """Move a stalling partition to a different scheduler slot."""
-        from ..machine.scheduler import reassign_slot
-
         engine = self.engine
         costs = engine.store.coo.edges_per_partition().astype(np.float64)
         old_slot, new_slot = reassign_slot(costs, engine.options.num_threads, i)

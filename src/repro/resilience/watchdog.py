@@ -30,19 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..machine.cost import CostParameters
+
 __all__ = ["Watchdog", "ESCALATION_LADDER"]
 
 #: The escalation actions in order of severity.
 ESCALATION_LADDER = ("retry", "requeue", "degrade")
-
-
-def _default_params():
-    # Deferred import: machine.cost imports core.stats, and the core
-    # package imports the resilience package — resolving CostParameters
-    # lazily keeps the import graph acyclic from every entry point.
-    from ..machine.cost import CostParameters
-
-    return CostParameters()
 
 
 @dataclass
@@ -63,7 +56,7 @@ class Watchdog:
         degradation.
     """
 
-    params: object = field(default_factory=_default_params)
+    params: CostParameters = field(default_factory=CostParameters)
     grace: float = 2.0
     requeue_after: int = 2
     degrade_after: int = 3

@@ -14,10 +14,11 @@ from repro.bench.figures import INSTRUCTIONS_PER_EDGE, fig2_reuse_distance, fig8
 from repro.bench.harness import StoreCache
 from repro.layout.coo import PartitionedCOO
 from repro.machine.spec import MachineSpec
-from repro.memsim.cache import llc_config, reference_simulate_cache
-from repro.memsim.reuse import histogram_of_distances, reference_stack_distances
+from repro.memsim.cache import llc_config
+from repro.memsim.reuse import histogram_of_distances
 from repro.memsim.trace import next_array_trace, partition_edge_traces
 from repro.partition.by_destination import partition_by_destination
+from tests.references import reference_simulate_cache, reference_stack_distances
 
 SCALE = 0.25
 MAX_ACCESSES = 30_000

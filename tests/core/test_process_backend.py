@@ -273,6 +273,31 @@ def test_pool_is_lazy_and_close_is_idempotent(store):
     engine.close()  # idempotent
 
 
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs this process may run on",
+)
+def test_each_worker_gets_a_cpu_of_its_own_when_there_are_enough(store):
+    allowed = os.sched_getaffinity(0)
+    with Engine(
+        store, EngineOptions(num_threads=4, backend="process:workers=2")
+    ) as engine:
+        pagerank(engine, iterations=1)
+        homes = [os.sched_getaffinity(pid) for pid in engine._backend_obj.worker_pids()]
+        assert [len(home) for home in homes] == [1, 1]
+        assert homes[0] != homes[1] and homes[0] | homes[1] <= allowed
+        # the parent itself is left to the scheduler
+        assert os.sched_getaffinity(0) == allowed
+    crowded = len(allowed) + 1
+    with Engine(
+        store, EngineOptions(num_threads=4, backend=f"process:workers={crowded}")
+    ) as engine:
+        pagerank(engine, iterations=1)
+        pids = engine._backend_obj.worker_pids()
+        assert len(pids) == crowded
+        assert all(os.sched_getaffinity(pid) == allowed for pid in pids)
+
+
 def test_context_manager_closes_the_pool(store):
     with Engine(
         store, EngineOptions(num_threads=4, backend="process:workers=2")

@@ -174,12 +174,13 @@ def test_open_round_trips_manifest(edges, tmp_path):
 def test_open_rejects_unknown_version(edges, tmp_path):
     import json
 
-    from repro.layout.grid import _GRID_MAGIC, _write_framed
+    from repro.durable import write_framed
+    from repro.layout.grid import _GRID_MAGIC
 
     preprocess_grid(edges, tmp_path, 2)
     manifest = GridStore.open(tmp_path).manifest
     manifest["version"] = 99
-    _write_framed(
+    write_framed(
         tmp_path / GRID_MANIFEST,
         _GRID_MAGIC,
         json.dumps(manifest).encode("utf-8"),

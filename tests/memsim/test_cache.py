@@ -8,12 +8,12 @@ from repro.memsim.cache import (
     CacheConfig,
     CacheResult,
     llc_config,
-    reference_simulate_cache,
     set_distance_profile,
     simulate_cache,
     sweep_cache_configs,
 )
 from repro.memsim.reuse import reuse_histogram
+from tests.references import reference_simulate_cache
 
 
 def test_empty_trace():

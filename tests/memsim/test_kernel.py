@@ -9,7 +9,7 @@ from repro.memsim.kernel import (
     set_order,
     stack_distance_kernel,
 )
-from repro.memsim.reuse import reference_stack_distances
+from tests.references import reference_stack_distances
 
 
 def test_empty_trace():

@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from repro.memsim.cache import CacheConfig, simulate_cache
-from repro.memsim.multicore import (
-    interleave_round_robin,
-    reference_simulate_shared_cache,
-    simulate_shared_cache,
-)
+from repro.memsim.multicore import interleave_round_robin, simulate_shared_cache
+from tests.references import reference_simulate_shared_cache
 
 
 def cfg(lines, ways=None):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.memsim.cache import CacheConfig, reference_simulate_cache
+from repro.memsim.cache import CacheConfig
 from repro.memsim.reuse import reuse_histogram
 from repro.memsim.simcache import SimulationCache, trace_fingerprint
+from tests.references import reference_simulate_cache
 
 
 def test_fingerprint_is_content_addressed(rng):

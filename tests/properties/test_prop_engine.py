@@ -9,10 +9,10 @@ from repro.algorithms.cc import CCOp
 from repro.algorithms.pagerank import PageRankOp
 from repro.core.engine import Engine
 from repro.core.options import EngineOptions
-from repro.core.reference import reference_edge_map
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
 from tests.properties.test_prop_edgelist import edge_lists
+from tests.references import reference_edge_map
 
 
 @st.composite

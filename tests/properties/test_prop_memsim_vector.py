@@ -11,18 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.cache import (
-    CacheConfig,
-    reference_simulate_cache,
-    simulate_cache,
-    sweep_cache_configs,
-)
+from repro.memsim.cache import CacheConfig, simulate_cache, sweep_cache_configs
 from repro.memsim.kernel import set_distances, stack_distance_kernel
-from repro.memsim.multicore import (
+from repro.memsim.multicore import simulate_shared_cache
+from tests.references import (
+    reference_simulate_cache,
     reference_simulate_shared_cache,
-    simulate_shared_cache,
+    reference_stack_distances,
 )
-from repro.memsim.reuse import reference_stack_distances
 
 # duplicate-heavy by construction: domain far smaller than the length.
 dense_traces = st.lists(st.integers(min_value=0, max_value=11), max_size=150)

@@ -107,18 +107,15 @@ def test_fault_plan_corrupts_written_checkpoint(tmp_path):
 
 def test_session_cadence(tmp_path):
     mgr = CheckpointManager(tmp_path)
-
-    class State:
-        def state_arrays(self):
-            return {"x": np.array([0])}
-
-        def load_state(self, arrays):
-            pass
-
     sess = CheckpointSession(mgr, "run", every=2)
     for step in range(1, 6):
-        sess.save_state(step, State())
+        sess.save(step, {"x": np.array([step])})
     assert mgr.steps("run") == [2, 4]
+    # restore hands back plain data: (0, None) unless asked to resume
+    assert sess.restore() == (0, None)
+    step, arrays = CheckpointSession(mgr, "run", resume=True).restore()
+    assert step == 4 and arrays["x"].tolist() == [4]
+    assert CheckpointSession(mgr, "other", resume=True).restore() == (0, None)
 
 
 def test_session_rejects_bad_cadence(tmp_path):
