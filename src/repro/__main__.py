@@ -95,8 +95,10 @@ from pathlib import Path
 from . import datasets
 from .algorithms import registry
 from .bench import figures
+from .bench.harness import simulated_seconds
 from .core.engine import Engine
 from .core.options import EngineOptions
+from .core.stats import stats_of
 from .errors import ReproError, ValidationError
 from .graph import io as graph_io
 from .layout.store import GraphStore
@@ -410,13 +412,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"remote: {len(pending)} generation(s) still in the local spill "
                   f"journal; run 'checkpoints sync' once the remote heals")
 
-    from .bench.harness import Workbench
-
-    stats = Workbench._stats_of(result)
+    stats = stats_of(result)
     machine = MachineSpec().scaled_for(edges.num_vertices)
     model = CostModel(machine, num_threads=args.threads)
-    profile = profile_store(store, num_threads=args.threads)
-    sim_s = model.run_time_seconds(stats, profile, update_scale=spec.update_scale)
+    sim_s = simulated_seconds(
+        spec, result, model, profile_store(store, num_threads=args.threads)
+    )
 
     print(f"store build: {build_s:.2f}s wall; run: {run_s:.2f}s wall")
     if backend_stats.kind != "serial" or backend_stats.fallbacks:

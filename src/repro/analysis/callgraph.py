@@ -11,9 +11,9 @@ two call shapes that can be resolved soundly without imports:
 * ``<name>(...)`` where ``<name>`` is a module-level ``def``.
 
 Anything else (attribute-of-attribute calls, imported callables, calls
-through locals) is left to the caller, which models it as an
-:class:`~repro.analysis.effects.UnknownEffect` — unresolvable calls make
-an operator *uncertifiable*, never silently ignored.
+through locals) is left to the caller, which records an ``unknown``
+effect — unresolvable calls make an operator *uncertifiable*, never
+silently ignored.
 """
 
 from __future__ import annotations

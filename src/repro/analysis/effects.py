@@ -14,15 +14,28 @@ and every same-module helper they reach through the
 * ``Read(array, index_space)`` — a load from operator state;
 * ``Scatter(array, index_space, combine)`` — an unbuffered
   ``np.<ufunc>.at`` update;
-* ``Write`` (``assign``/``augassign``) — fancy-indexed stores;
+* ``Write`` (``assign``/``augassign``) — fancy-indexed stores, and the
+  whole-array store of an ``out=`` keyword;
 * ``Alloc`` — a fresh local array (writes to it are private);
 * ``Escape`` — a store through a closure/global/parameter array;
-* ``Unknown`` — anything the analysis cannot model (unresolvable calls,
-  rebinding state, un-modelled numpy API).
+* ``Unknown`` — anything outside the grammar below.
+
+**The grammar is closed.**  One straight-line pass is sound only for the
+forms it actually models, so the analyzer accepts exactly the forms the
+shipped operators and the lint corpus use — the statement and
+expression kinds in :attr:`_Analyzer._STATEMENTS` /
+:attr:`_Analyzer._EXPRESSIONS`, and the call shapes and keywords of
+:meth:`_Analyzer._eval_call` — and *everything else* (loops, ``with``,
+``try``, lambdas, conditional expressions, starred arguments,
+comprehensions, slices, a keyword no table names, …) takes the one
+conservative exit: an ``unknown`` effect, hence level ``unknown``,
+runtime guards on and no backend admission.  A form is admitted by
+adding it to a table together with a model of it, never by default.
 
 Index spaces are symbolic: ``dst`` (derived from the batch's destination
 ids — provably inside the partition slice), ``src`` (source ids — may
-point anywhere), ``const``/``full``/``unknown``.
+point anywhere), ``const`` (one fixed slot), ``full`` (the whole array)
+or ``unknown``.
 
 :func:`classify` folds the effects into the safety lattice::
 
@@ -49,7 +62,9 @@ import ast
 import enum
 from dataclasses import dataclass, field, replace
 
+from ..core.ops import COMMUTATIVE_COMBINES
 from .callgraph import MAX_CALL_DEPTH, ModuleCallGraph
+from .rules import attr_chain
 
 __all__ = [
     "SafetyLevel",
@@ -107,9 +122,6 @@ UFUNC_COMBINE = {
     "multiply": "mul",
 }
 
-#: combine families whose scatter result is schedule-independent.
-_COMMUTATIVE = frozenset({"add", "min", "max", "or", "and", "xor"})
-
 #: numpy constructors returning a *fresh* array (writes to it are local).
 _NP_ALLOCATORS = frozenset({
     "zeros", "empty", "ones", "full", "arange", "linspace",
@@ -117,34 +129,38 @@ _NP_ALLOCATORS = frozenset({
 })
 
 #: numpy value functions the analysis models as pure elementwise/shape
-#: transforms.  This doubles as the backend-lowerable subset checked by
-#: GL010: every entry has a straightforward numba/multiprocessing
-#: lowering; anything outside it keeps the operator off the parallel
-#: backend.
-_NP_VALUE_FUNCS = frozenset({
-    "abs", "absolute", "add", "subtract", "multiply", "divide",
-    "true_divide", "floor_divide", "mod", "power", "sqrt", "square",
-    "sign", "negative", "reciprocal", "exp", "exp2", "expm1", "log",
-    "log1p", "log2", "log10", "tanh", "sinh", "cosh", "sin", "cos",
-    "clip", "where", "minimum", "maximum", "fmin", "fmax", "floor",
-    "ceil", "rint", "round", "trunc", "isnan", "isfinite", "isinf",
-    "logical_not", "logical_and", "logical_or", "logical_xor", "invert",
-    "bitwise_or", "bitwise_and", "bitwise_xor", "left_shift",
-    "right_shift", "asarray", "ascontiguousarray", "atleast_1d",
-    "flatnonzero", "nonzero", "count_nonzero", "searchsorted", "concatenate",
-    "sum", "prod", "cumsum", "cumprod", "dot", "argmin", "argmax",
-    "any", "all", "maximum_reduce", "min", "max", "mean",
-    "intersect1d", "union1d", "in1d", "isin", "sort", "argsort",
-})
+#: transforms, each with the number of positional operands that are
+#: *inputs*: one more would be a positional ``out`` (``np.add(a, b,
+#: self.x)`` writes ``self.x``), so a longer call is un-modelled.  The
+#: names double as the backend-lowerable subset checked by GL010:
+#: anything outside keeps the operator off the parallel backend.
+_NP_VALUE_FUNCS = {
+    **dict.fromkeys((
+        "abs", "absolute", "sqrt", "square", "sign", "negative",
+        "reciprocal", "exp", "exp2", "expm1", "log", "log1p", "log2",
+        "log10", "tanh", "sinh", "cosh", "sin", "cos", "floor", "ceil",
+        "rint", "round", "trunc", "isnan", "isfinite", "isinf",
+        "logical_not", "invert", "asarray", "ascontiguousarray",
+        "atleast_1d", "flatnonzero", "nonzero", "count_nonzero",
+        "concatenate", "sum", "prod", "cumsum", "cumprod", "argmin",
+        "argmax", "any", "all", "min", "max", "mean", "sort", "argsort",
+        "uint8", "uint32", "uint64", "int32", "int64", "float32",
+        "float64", "bool_",
+    ), 1),
+    **dict.fromkeys((
+        "add", "subtract", "multiply", "divide", "true_divide",
+        "floor_divide", "mod", "power", "minimum", "maximum", "fmin",
+        "fmax", "logical_and", "logical_or", "logical_xor", "bitwise_or",
+        "bitwise_and", "bitwise_xor", "left_shift", "right_shift",
+        "searchsorted", "dot", "intersect1d", "union1d", "in1d", "isin",
+    ), 2),
+    "clip": 3,
+    "where": 3,
+}
 
-#: numpy API the parallel backend can lower: allocators + value funcs +
-#: the specially-modelled calls.  GL010 flags ``np.<name>`` calls inside
-#: operator code whose ``<name>`` is not in this set.
-LOWERABLE_NUMPY = frozenset(
-    _NP_ALLOCATORS | _NP_VALUE_FUNCS | {"unique", "uint8", "uint32",
-                                        "uint64", "int32", "int64",
-                                        "float32", "float64", "bool_"}
-)
+#: numpy API the parallel backend can lower.  GL010 flags ``np.<name>``
+#: calls inside operator code whose ``<name>`` is not in this set.
+LOWERABLE_NUMPY = frozenset(_NP_ALLOCATORS | _NP_VALUE_FUNCS.keys() | {"unique"})
 
 #: calls whose result threads an *order-carrying* reduction through the
 #: batch (prefix scans, sequential folds): bit-reproducible only for one
@@ -161,27 +177,25 @@ ORDER_CARRYING_CALLS = frozenset({
 #: endpoint ids — used by the SPMV and Bellman-Ford operators.
 PURE_VALUE_CALLABLES = frozenset({"weight_fn"})
 
-#: in-place mutating ndarray methods (a call on ``self.<attr>`` through
-#: one of these is a whole-array write).
-_MUTATING_METHODS = frozenset({
-    "fill", "sort", "partition", "put", "resize", "itemset", "setflags",
+#: ndarray methods modelled as pure: ``x.astype(dtype)``, ``x.copy()``
+#: and the argument-less reductions.  Any other method call — in-place
+#: ``fill``/``sort``/``put`` included — is un-modelled.
+_VALUE_METHODS = frozenset({
+    "astype", "copy", "any", "all", "sum", "max", "min", "mean", "prod",
+    "argmin", "argmax", "item",
 })
 
-#: value-preserving ndarray methods: same symbolic value as the receiver.
-_IDENTITY_METHODS = frozenset({"astype", "view", "ravel", "reshape", "flatten"})
+#: builtins that compute a scalar from their operands and touch nothing.
+_SAFE_BUILTINS = frozenset({"len", "int", "float", "bool", "abs", "min", "max"})
 
-#: scalar-producing ndarray methods.
-_SCALAR_METHODS = frozenset({
-    "any", "all", "sum", "max", "min", "mean", "item", "tobytes", "prod",
-    "argmin", "argmax", "size", "get",
-})
-
-_SAFE_BUILTINS = frozenset({
-    "len", "int", "float", "bool", "abs", "min", "max", "range",
-    "enumerate", "zip", "sorted", "reversed", "isinstance", "type",
-    "getattr", "vars", "repr", "str", "print", "sum", "tuple", "list",
-    "dict", "set", "frozenset", "id", "hash",
-})
+#: the only keywords a modelled call may carry, by call shape; ``out=``
+#: is a whole-array write to its target, the others are read operands.
+_KEYWORDS = {
+    "allocator": frozenset({"dtype"}),
+    "value": frozenset({"out", "where"}),
+    "unique": frozenset({"return_index", "return_inverse", "return_counts"}),
+    "astype": frozenset({"copy"}),
+}
 
 
 # ----------------------------------------------------------------------
@@ -193,11 +207,12 @@ class AbsVal:
 
     ``space`` tracks which id family an array's *elements* belong to
     (``src``/``dst`` for the batch id arrays and their subsets), or
-    ``value``/``bool``/``none``/``unknown`` otherwise.  ``parallel``
-    means "same length as the batch arrays" (what a ``cond`` mask must
-    be); ``unique`` means provably duplicate-free; ``attr`` names the
-    operator attribute this value aliases, if any; ``fresh`` marks a
-    locally allocated array.
+    ``value``/``bool``/``none``/``tuple``/``unknown`` otherwise.
+    ``parallel`` means "same length as the batch arrays" (what a ``cond``
+    mask must be); ``unique`` means provably duplicate-free; ``attr``
+    names the operator attribute this value aliases, if any; ``fresh``
+    marks a locally allocated array; ``items`` are the element values of
+    a tuple expression or a multi-return call.
     """
 
     space: str = "value"
@@ -206,6 +221,7 @@ class AbsVal:
     constant: bool = False
     attr: str | None = None
     fresh: bool = False
+    items: tuple["AbsVal", ...] = ()
 
 
 _VALUE = AbsVal()
@@ -219,7 +235,7 @@ class Effect:
 
     kind: str  # read|scatter|assign|augassign|alloc|escape|order|nonportable|unknown
     array: str = ""
-    space: str = "unknown"  # src|dst|const|full|mask|unknown|-
+    space: str = "unknown"  # src|dst|const|full|unknown
     combine: str | None = None
     unique: bool = False
     constant: bool = False
@@ -291,16 +307,9 @@ def class_combine(graph: ModuleCallGraph, tree: ast.Module, name: str) -> str | 
             if isinstance(item, ast.Assign):
                 for target in item.targets:
                     if isinstance(target, ast.Name) and target.id == "combine":
-                        if isinstance(item.value, ast.Constant):
-                            return item.value.value
-                        return None
-            elif isinstance(item, ast.AnnAssign):
-                if (
-                    isinstance(item.target, ast.Name)
-                    and item.target.id == "combine"
-                    and isinstance(item.value, ast.Constant)
-                ):
-                    return item.value.value
+                        # a computed combine is an undeclared one.
+                        value = item.value
+                        return value.value if isinstance(value, ast.Constant) else None
         for base in node.bases:
             base_name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
             if base_name:
@@ -337,26 +346,13 @@ def _mutable_init_attrs(init: ast.FunctionDef | None) -> list[str]:
 # ----------------------------------------------------------------------
 # the abstract evaluator
 # ----------------------------------------------------------------------
-class _TupleVal:
-    """Abstract value of a tuple expression / multi-return call."""
-
-    def __init__(self, items: list[AbsVal]) -> None:
-        self.items = items
-
-
-def _attr_chain(node: ast.AST) -> str | None:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 class _Analyzer:
-    """Flow-approximate symbolic execution of one operator's methods."""
+    """Straight-line symbolic execution of one operator's methods.
+
+    Statements and expressions dispatch over :attr:`_STATEMENTS` and
+    :attr:`_EXPRESSIONS`; a node of any other kind is not approximated
+    but reported as an ``unknown`` effect.
+    """
 
     def __init__(
         self,
@@ -370,7 +366,6 @@ class _Analyzer:
         self.effects = effects
         self.depth = depth
         self.returns: list[AbsVal] = []
-        self.fresh_locals: set[str] = set()
 
     # -- effect emission -----------------------------------------------
     def _emit(self, node: ast.AST, **kw) -> None:
@@ -387,21 +382,48 @@ class _Analyzer:
         return _UNKNOWN
 
     def _use(self, node: ast.AST, val: AbsVal) -> AbsVal:
-        """Consume a value generically; bare self-attr loads become full reads."""
+        """Consume a value generically; bare self-attr loads (also as
+        elements of a tuple) become full reads."""
         if val.attr is not None:
             self._emit(node, kind="read", array=val.attr, space="full")
+        for item in val.items:
+            self._use(node, item)
         return val
+
+    def _write(
+        self, node: ast.AST, target: ast.expr, env: dict[str, AbsVal],
+        *, how: str, **effect,
+    ) -> None:
+        """Record a write whose destination array is the expression
+        ``target``: operator state (``self.x`` or a local aliasing it) is
+        the modelled case, a fresh local is private, any other name is an
+        escape, and any other expression is un-modelled."""
+        attr = None
+        if isinstance(target, ast.Name):
+            attr = env.get(target.id, _VALUE).attr
+        elif (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+        ):
+            attr = target.attr
+        if attr is not None:
+            self._emit(node, array=attr, **effect)
+        elif not isinstance(target, ast.Name):
+            self._unknown(node, f"{how} an un-modelled target")
+        elif env.get(target.id, _VALUE).fresh:
+            self._emit(node, kind="alloc", array=target.id, space=effect["space"])
+        else:
+            # a parameter or derived local mutates engine-owned batch
+            # arrays; a name bound nowhere in the method is a global.
+            scope = "parameter-derived" if target.id in env else "closure/global"
+            self._emit(node, kind="escape", array=target.id, space=effect["space"],
+                       detail=f"{how} a {scope} array")
 
     # -- function entry -------------------------------------------------
     def run(self, fn: ast.FunctionDef, args: dict[str, AbsVal]) -> AbsVal:
-        env: dict[str, AbsVal] = dict(args)
-        for name, val in env.items():
-            if val.fresh:
-                self.fresh_locals.add(name)
-        self._block(fn.body, env)
-        if not self.returns:
-            return _NONE
-        out = self.returns[0]
+        self._block(fn.body, dict(args))
+        out = self.returns[0] if self.returns else _NONE
         for other in self.returns[1:]:
             out = _join(out, other)
         return out
@@ -412,134 +434,49 @@ class _Analyzer:
             self._stmt(stmt, env)
 
     def _stmt(self, node: ast.stmt, env: dict[str, AbsVal]) -> None:
-        if isinstance(node, ast.Assign):
-            val = self._eval(node.value, env)
-            for target in node.targets:
-                self._assign_target(target, val, node, env)
-        elif isinstance(node, ast.AnnAssign):
-            if node.value is not None:
-                val = self._eval(node.value, env)
-                self._assign_target(node.target, val, node, env)
-        elif isinstance(node, ast.AugAssign):
-            self._aug_assign(node, env)
-        elif isinstance(node, ast.Expr):
-            self._eval(node.value, env)
-        elif isinstance(node, ast.Return):
-            if node.value is None:
-                self.returns.append(_NONE)
-            else:
-                val = self._eval(node.value, env)
-                self.returns.append(val if isinstance(val, AbsVal) else _UNKNOWN)
-        elif isinstance(node, ast.If):
-            self._eval(node.test, env)
-            env_true = dict(env)
-            env_false = dict(env)
-            self._block(node.body, env_true)
-            self._block(node.orelse, env_false)
-            for name in set(env_true) | set(env_false):
-                a = env_true.get(name)
-                b = env_false.get(name)
-                if a is None or b is None:
-                    env[name] = _join(a or _UNKNOWN, b or _UNKNOWN)
-                else:
-                    env[name] = _join(a, b)
-        elif isinstance(node, (ast.For, ast.While)):
-            if isinstance(node, ast.For):
-                self._eval(node.iter, env)
-                self._bind_loop_target(node.target, env)
-            else:
-                self._eval(node.test, env)
-            body_env = dict(env)
-            self._block(node.body, body_env)
-            self._block(node.orelse, body_env)
-            for name, val in body_env.items():
-                env[name] = _join(env.get(name, val), val)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                self._eval(item.context_expr, env)
-            self._block(node.body, env)
-        elif isinstance(node, ast.Try):
-            self._block(node.body, env)
-            for handler in node.handlers:
-                self._block(handler.body, env)
-            self._block(node.orelse, env)
-            self._block(node.finalbody, env)
-        elif isinstance(node, ast.Raise):
-            if node.exc is not None:
-                self._eval(node.exc, env)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._unknown(node, f"nested function {node.name!r} is not analyzed")
-        elif isinstance(node, (ast.Global, ast.Nonlocal)):
-            for name in node.names:
-                env[name] = AbsVal(space="unknown")
-        elif isinstance(node, (ast.Pass, ast.Break, ast.Continue, ast.Import,
-                               ast.ImportFrom, ast.Assert, ast.Delete)):
-            if isinstance(node, ast.Assert):
-                self._eval(node.test, env)
-        else:
+        handler = self._STATEMENTS.get(type(node))
+        if handler is None:
             self._unknown(node, f"un-modelled statement {type(node).__name__}")
+        else:
+            handler(self, node, env)
 
-    def _bind_loop_target(self, target: ast.expr, env: dict[str, AbsVal]) -> None:
-        if isinstance(target, ast.Name):
-            env[target.id] = _UNKNOWN
-        elif isinstance(target, ast.Tuple):
-            for elt in target.elts:
-                self._bind_loop_target(elt, env)
+    def _assign(self, node: ast.Assign, env: dict[str, AbsVal]) -> None:
+        val = self._eval(node.value, env)
+        for target in node.targets:
+            self._bind(target, val, node, env)
 
-    # -- assignment targets ---------------------------------------------
-    def _assign_target(
-        self, target: ast.expr, val, node: ast.stmt, env: dict[str, AbsVal]
+    def _bind(
+        self, target: ast.expr, val: AbsVal, node: ast.stmt, env: dict[str, AbsVal]
     ) -> None:
         if isinstance(target, ast.Name):
-            if isinstance(val, _TupleVal):
-                env[target.id] = _UNKNOWN
-            else:
-                env[target.id] = val
-                if val.fresh:
-                    self.fresh_locals.add(target.id)
-                elif target.id in self.fresh_locals:
-                    self.fresh_locals.discard(target.id)
-            return
-        if isinstance(target, ast.Tuple):
+            env[target.id] = val
+        elif isinstance(target, ast.Tuple):
             items = (
                 val.items
-                if isinstance(val, _TupleVal) and len(val.items) == len(target.elts)
-                else [_UNKNOWN] * len(target.elts)
+                if len(val.items) == len(target.elts)
+                else (_UNKNOWN,) * len(target.elts)
             )
             for elt, item in zip(target.elts, items):
-                self._assign_target(elt, item, node, env)
-            return
-        if isinstance(target, ast.Subscript):
-            self._subscript_write(
-                target, node, env,
-                kind="assign",
-                value=val if isinstance(val, AbsVal) else _UNKNOWN,
+                self._bind(elt, item, node, env)
+        elif isinstance(target, ast.Subscript):
+            self._subscript_write(target, node, env, kind="assign", value=val)
+        else:
+            # self.x = ... (rebinding state mid-phase), starred targets, ...
+            self._unknown(
+                node, f"un-modelled assignment target {type(target).__name__}"
             )
-            return
-        if isinstance(target, ast.Attribute):
-            if isinstance(target.value, ast.Name) and target.value.id == "self":
-                self._unknown(
-                    node, f"rebinds operator state self.{target.attr} mid-phase"
-                )
-            else:
-                self._unknown(node, "assignment through an attribute chain")
-            return
-        if isinstance(target, ast.Starred):
-            self._assign_target(target.value, _UNKNOWN, node, env)
-            return
-        self._unknown(node, f"un-modelled assignment target {type(target).__name__}")
 
     def _aug_assign(self, node: ast.AugAssign, env: dict[str, AbsVal]) -> None:
         val = self._eval(node.value, env)
-        if isinstance(node.target, ast.Name):
-            base = env.get(node.target.id, _UNKNOWN)
-            env[node.target.id] = _join(base, val if isinstance(val, AbsVal) else _UNKNOWN)
-            return
         if isinstance(node.target, ast.Subscript):
-            self._subscript_write(node.target, node, env, kind="augassign",
-                                  value=val if isinstance(val, AbsVal) else _UNKNOWN)
-            return
-        self._unknown(node, "augmented assignment through an attribute")
+            self._subscript_write(node.target, node, env, kind="augassign", value=val)
+        else:
+            # ``a += v`` is in place when ``a`` is an array — possibly one
+            # aliasing operator state — and a rebind when it is a scalar.
+            self._unknown(
+                node,
+                f"un-modelled augmented-assignment target {type(node.target).__name__}",
+            )
 
     def _subscript_write(
         self,
@@ -549,317 +486,243 @@ class _Analyzer:
         *,
         kind: str,
         value: AbsVal,
-        combine: str | None = None,
     ) -> None:
         idx = self._eval(target.slice, env)
-        idx = idx if isinstance(idx, AbsVal) else _UNKNOWN
-        space = _index_space(idx)
-        base = target.value
-        attr = self._state_target(base, env)
-        if attr is not None:
-            self._emit(
-                node, kind=kind, array=attr, space=space, combine=combine,
-                unique=idx.unique, constant=value.constant,
-            )
-            return
-        if isinstance(base, ast.Name):
-            if base.id in self.fresh_locals:
-                self._emit(node, kind="alloc", array=base.id, space=space)
-                return
-            if base.id in env:
-                # a parameter or derived local that is not a fresh array:
-                # writing through it mutates engine-owned batch arrays.
-                self._emit(node, kind="escape", array=base.id, space=space,
-                           detail="store through a parameter-derived array")
-                return
-            self._emit(node, kind="escape", array=base.id, space=space,
-                       detail="store through a closure/global name")
-            return
-        self._unknown(node, "store through an un-modelled subscript base")
+        self._write(
+            node, target.value, env, how="store through",
+            kind=kind, space=_index_space(idx),
+            unique=idx.unique, constant=value.constant,
+        )
 
-    def _state_target(self, base: ast.expr, env: dict[str, AbsVal]) -> str | None:
-        """Attribute name when ``base`` denotes operator state, else None."""
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == "self"
-        ):
-            return base.attr
-        if isinstance(base, ast.Name):
-            aliased = env.get(base.id)
-            if aliased is not None and aliased.attr is not None and not aliased.fresh:
-                return aliased.attr
-        return None
+    def _expr_stmt(self, node: ast.Expr, env: dict[str, AbsVal]) -> None:
+        self._eval(node.value, env)
+
+    def _return(self, node: ast.Return, env: dict[str, AbsVal]) -> None:
+        self.returns.append(
+            _NONE if node.value is None else self._eval(node.value, env)
+        )
+
+    def _if(self, node: ast.If, env: dict[str, AbsVal]) -> None:
+        self._eval(node.test, env)
+        env_true = dict(env)
+        env_false = dict(env)
+        self._block(node.body, env_true)
+        self._block(node.orelse, env_false)
+        for name in env_true.keys() | env_false.keys():
+            env[name] = _join(
+                env_true.get(name, _UNKNOWN), env_false.get(name, _UNKNOWN)
+            )
+
+    #: the statement grammar; see the module docstring.
+    _STATEMENTS = {
+        ast.Assign: _assign,
+        ast.AugAssign: _aug_assign,
+        ast.Expr: _expr_stmt,
+        ast.Return: _return,
+        ast.If: _if,
+    }
 
     # -- expressions ----------------------------------------------------
-    def _eval(self, node: ast.expr, env: dict[str, AbsVal]):
-        if isinstance(node, ast.Constant):
-            return AbsVal(constant=True, space="none" if node.value is None else "value")
-        if isinstance(node, ast.Name):
-            return env.get(node.id, _VALUE)
-        if isinstance(node, ast.Attribute):
-            return self._eval_attribute(node, env)
-        if isinstance(node, ast.Subscript):
-            return self._eval_subscript(node, env)
-        if isinstance(node, ast.Call):
-            return self._eval_call(node, env)
-        if isinstance(node, ast.Compare):
-            vals = [self._eval(node.left, env)] + [
-                self._eval(c, env) for c in node.comparators
-            ]
-            vals = [self._use(node, v) for v in vals if isinstance(v, AbsVal)]
-            return AbsVal(space="bool", parallel=any(v.parallel for v in vals))
-        if isinstance(node, ast.BoolOp):
-            vals = [self._eval(v, env) for v in node.values]
-            vals = [self._use(node, v) for v in vals if isinstance(v, AbsVal)]
-            return AbsVal(space="bool", parallel=any(v.parallel for v in vals))
-        if isinstance(node, ast.UnaryOp):
-            val = self._eval(node.operand, env)
-            val = self._use(node, val) if isinstance(val, AbsVal) else _UNKNOWN
-            if isinstance(node.op, (ast.Not, ast.Invert)):
-                space = "bool" if val.space in ("bool", "value") else val.space
-                return AbsVal(space=space, parallel=val.parallel)
-            return AbsVal(space="value", parallel=val.parallel,
-                          constant=val.constant)
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, env)
-            right = self._eval(node.right, env)
-            left = self._use(node, left) if isinstance(left, AbsVal) else _UNKNOWN
-            right = self._use(node, right) if isinstance(right, AbsVal) else _UNKNOWN
-            space = "bool" if (
-                isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.BitXor))
-                and left.space == "bool" and right.space == "bool"
-            ) else "value"
-            return AbsVal(space=space, parallel=left.parallel or right.parallel,
-                          constant=left.constant and right.constant)
-        if isinstance(node, ast.IfExp):
-            self._eval(node.test, env)
-            a = self._eval(node.body, env)
-            b = self._eval(node.orelse, env)
-            a = a if isinstance(a, AbsVal) else _UNKNOWN
-            b = b if isinstance(b, AbsVal) else _UNKNOWN
-            return _join(a, b)
-        if isinstance(node, ast.Tuple):
-            return _TupleVal([
-                v if isinstance(v, AbsVal) else _UNKNOWN
-                for v in (self._eval(elt, env) for elt in node.elts)
-            ])
-        if isinstance(node, (ast.List, ast.Set, ast.Dict)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._eval(child, env)
-            # a container literal is freshly allocated: writes into it are
-            # private to the call, not an effect escape.
-            return AbsVal(space="value", fresh=True)
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                             ast.GeneratorExp)):
-            comp_env = dict(env)
-            for gen in node.generators:
-                self._eval(gen.iter, comp_env)
-                self._bind_loop_target(gen.target, comp_env)
-                for cond in gen.ifs:
-                    self._eval(cond, comp_env)
-            if isinstance(node, ast.DictComp):
-                self._eval(node.key, comp_env)
-                self._eval(node.value, comp_env)
-            else:
-                self._eval(node.elt, comp_env)
-            return _VALUE
-        if isinstance(node, ast.Lambda):
-            return _VALUE
-        if isinstance(node, ast.Starred):
-            return self._eval(node.value, env)
-        if isinstance(node, (ast.JoinedStr, ast.FormattedValue)):
-            return _VALUE
-        if isinstance(node, ast.Slice):
-            for part in (node.lower, node.upper, node.step):
-                if part is not None:
-                    self._eval(part, env)
-            return AbsVal(space="slice")
-        return self._unknown(node, f"un-modelled expression {type(node).__name__}")
+    def _eval(self, node: ast.expr, env: dict[str, AbsVal]) -> AbsVal:
+        handler = self._EXPRESSIONS.get(type(node))
+        if handler is None:
+            return self._unknown(
+                node, f"un-modelled expression {type(node).__name__}"
+            )
+        return handler(self, node, env)
+
+    def _eval_constant(self, node: ast.Constant, env: dict[str, AbsVal]) -> AbsVal:
+        return AbsVal(constant=True, space="none" if node.value is None else "value")
+
+    def _eval_name(self, node: ast.Name, env: dict[str, AbsVal]) -> AbsVal:
+        return env.get(node.id, _VALUE)
 
     def _eval_attribute(self, node: ast.Attribute, env: dict[str, AbsVal]) -> AbsVal:
         if isinstance(node.value, ast.Name) and node.value.id == "self":
             return AbsVal(attr=node.attr)
-        base = self._eval(node.value, env)
-        base = base if isinstance(base, AbsVal) else _UNKNOWN
+        self._eval(node.value, env)
         # plain data attributes (x.size, x.shape, x.dtype...) are scalars.
-        return AbsVal(space="value", parallel=False)
+        return _VALUE
 
     def _eval_subscript(self, node: ast.Subscript, env: dict[str, AbsVal]) -> AbsVal:
         base = self._eval(node.value, env)
         idx = self._eval(node.slice, env)
-        base = base if isinstance(base, AbsVal) else _UNKNOWN
-        idx = idx if isinstance(idx, AbsVal) else _UNKNOWN
         if base.attr is not None:
             self._emit(node, kind="read", array=base.attr, space=_index_space(idx))
-            return AbsVal(space="value", parallel=idx.parallel)
+            return AbsVal(parallel=idx.parallel)
         if base.space in ("src", "dst"):
-            # any subscript of an id array yields a subset of those ids.
-            return AbsVal(
-                space=base.space,
-                unique=base.unique,
-                parallel=idx.space == "slice" and base.parallel,
+            # any subscript of an id array yields a subset of those ids;
+            # only a boolean mask is known not to repeat one.
+            return AbsVal(space=base.space, unique=base.unique and idx.space == "bool")
+        return _VALUE
+
+    def _eval_operator(self, node: ast.expr, env: dict[str, AbsVal]) -> AbsVal:
+        """Compare / BoolOp / UnaryOp / BinOp: every operand is consumed."""
+        vals = [
+            self._eval(child, env)
+            for child in ast.iter_child_nodes(node)
+            if isinstance(child, ast.expr)
+        ]
+        vals = [self._use(node, val) for val in vals]
+        if isinstance(node, ast.UnaryOp):
+            # ``~ids`` are not ids: only a mask (or a value that may be one)
+            # stays a mask under not/invert.
+            boolean = (
+                isinstance(node.op, (ast.Not, ast.Invert))
+                and vals[0].space in ("bool", "value")
             )
-        return AbsVal(space="value", parallel=base.parallel and idx.space == "slice")
+        elif isinstance(node, ast.BinOp):
+            boolean = (
+                isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.BitXor))
+                and all(val.space == "bool" for val in vals)
+            )
+        else:
+            boolean = True
+        return AbsVal(
+            space="bool" if boolean else "value",
+            parallel=any(val.parallel for val in vals),
+            constant=all(val.constant for val in vals),
+        )
+
+    def _eval_tuple(self, node: ast.Tuple, env: dict[str, AbsVal]) -> AbsVal:
+        return AbsVal(
+            space="tuple", items=tuple(self._eval(elt, env) for elt in node.elts)
+        )
 
     # -- calls ----------------------------------------------------------
-    def _eval_call(self, node: ast.Call, env: dict[str, AbsVal]):
-        chain = _attr_chain(node.func)
+    def _operands(
+        self, node: ast.Call, env: dict[str, AbsVal], shape: str | None = None
+    ) -> list[AbsVal]:
+        """Evaluate and consume a call's operands.
+
+        A keyword is modelled only when :data:`_KEYWORDS` lists it for
+        this call ``shape``: ``out=`` writes its whole target, the others
+        are read like positional operands; anything else — ``**kwargs``
+        included — could name a write target or change which array is
+        returned, so it is un-modelled rather than dropped.
+        """
+        vals = [self._use(node, self._eval(arg, env)) for arg in node.args]
+        for kw in node.keywords:
+            if kw.arg not in _KEYWORDS.get(shape, ()):
+                self._unknown(node, f"un-modelled call keyword {kw.arg!r}")
+            elif kw.arg == "out":
+                self._write(node, kw.value, env, how="out= into",
+                            kind="assign", space="full")
+            else:
+                self._use(node, self._eval(kw.value, env))
+        return vals
+
+    def _eval_call(self, node: ast.Call, env: dict[str, AbsVal]) -> AbsVal:
+        func = node.func
+        chain = attr_chain(func)
 
         if chain in ORDER_CARRYING_CALLS:
-            for arg in node.args:
-                val = self._eval(arg, env)
-                if isinstance(val, AbsVal):
-                    self._use(node, val)
+            self._operands(node, env)
             self._emit(node, kind="order", detail=chain)
             return _VALUE
 
-        if chain is not None:
-            parts = chain.split(".")
-            if parts[0] in ("np", "numpy") and len(parts) >= 2:
-                return self._eval_numpy_call(node, parts, env)
+        parts = chain.split(".") if chain is not None else []
+        if len(parts) >= 2 and parts[0] in ("np", "numpy"):
+            return self._eval_numpy_call(node, parts, env)
 
         # self.<name>(...) or module-level function: interprocedural.
         target = self.graph.resolve_call(node, self.class_name)
         if target is not None:
             return self._eval_resolved_call(node, target, env)
 
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id == "self"
-        ):
-            if func.attr in PURE_VALUE_CALLABLES:
-                vals = [self._eval(a, env) for a in node.args]
-                vals = [v for v in vals if isinstance(v, AbsVal)]
-                return AbsVal(space="value",
-                              parallel=any(v.parallel for v in vals))
-            return self._unknown(
-                node, f"unresolvable call through self.{func.attr}"
-            )
         if isinstance(func, ast.Attribute):
-            return self._eval_method_call(node, func, env)
-        if isinstance(func, ast.Name):
-            if func.id in _SAFE_BUILTINS:
-                for arg in node.args:
-                    val = self._eval(arg, env)
-                    if isinstance(val, AbsVal):
-                        self._use(node, val)
-                return _VALUE
-            if func.id in env:
-                return self._unknown(node, f"call through local {func.id!r}")
-            return self._unknown(node, f"unresolvable call to {func.id!r}")
-        if isinstance(func, ast.Lambda):
+            if not (isinstance(func.value, ast.Name) and func.value.id == "self"):
+                return self._eval_method_call(node, func, env)
+            if func.attr in PURE_VALUE_CALLABLES:
+                vals = self._operands(node, env)
+                return AbsVal(parallel=any(val.parallel for val in vals))
+        elif (
+            isinstance(func, ast.Name)
+            and func.id in _SAFE_BUILTINS
+            and func.id not in env
+        ):
+            self._operands(node, env)
             return _VALUE
-        return self._unknown(node, "un-modelled call expression")
+        # an unresolvable self.<name>(...), a call through a local or an
+        # imported name, an immediately-called lambda, ...
+        return self._unknown(
+            node, f"un-modelled call to {chain or type(func).__name__}"
+        )
 
     def _eval_numpy_call(
         self, node: ast.Call, parts: list[str], env: dict[str, AbsVal]
-    ):
+    ) -> AbsVal:
         # np.<ufunc>.at(target, idx, val): the unbuffered scatter.
         if len(parts) == 3 and parts[2] == "at":
             return self._eval_scatter(node, parts[1], env)
-        name = parts[1]
-        if len(parts) == 2 and name == "unique":
-            arg = self._eval(node.args[0], env) if node.args else _UNKNOWN
-            arg = arg if isinstance(arg, AbsVal) else _UNKNOWN
-            if arg.attr is not None:
-                arg = self._use(node, arg)
-            space = arg.space if arg.space in ("src", "dst") else "value"
-            first = AbsVal(space=space, unique=True)
-            # one extra return per requested return_index/inverse/counts
-            # flag (keyword or positional), so tuple unpacking lines up.
-            extras = len(node.args) - 1 + sum(
-                1
-                for kw in node.keywords
-                if kw.arg is not None and kw.arg.startswith("return_")
+        name = parts[1] if len(parts) == 2 else None
+        if name == "unique":
+            arg, *flags = self._operands(node, env, "unique") or [_UNKNOWN]
+            first = AbsVal(
+                space=arg.space if arg.space in ("src", "dst") else "value",
+                unique=True,
             )
-            if extras <= 0:
+            # one extra return per return_index/inverse/counts flag
+            # (keyword or positional), so tuple unpacking lines up.
+            extras = len(flags) + len(node.keywords)
+            if not extras:
                 return first
-            return _TupleVal([first] + [_VALUE] * extras)
-        if len(parts) == 2 and name in _NP_ALLOCATORS:
-            for arg in node.args:
-                self._eval(arg, env)
-            for kw in node.keywords:
-                self._eval(kw.value, env)
-            return AbsVal(space="value", fresh=True)
-        if len(parts) == 2 and name in _NP_VALUE_FUNCS:
-            vals = []
-            for arg in node.args:
-                val = self._eval(arg, env)
-                if isinstance(val, AbsVal):
-                    vals.append(self._use(node, val))
-            for kw in node.keywords:
-                self._eval(kw.value, env)
+            return AbsVal(space="tuple", items=(first,) + (_VALUE,) * extras)
+        if name in _NP_ALLOCATORS:
+            self._operands(node, env, "allocator")
+            return AbsVal(fresh=True)
+        if name in _NP_VALUE_FUNCS:
+            if len(node.args) > _NP_VALUE_FUNCS[name]:
+                return self._unknown(
+                    node, f"np.{name} with a positional out/extra operand"
+                )
+            vals = self._operands(node, env, "value")
             boolish = name.startswith(("is", "logical")) or name == "invert"
             return AbsVal(
                 space="bool" if boolish else "value",
-                parallel=any(v.parallel for v in vals),
+                parallel=any(val.parallel for val in vals),
             )
-        if len(parts) == 2 and name in LOWERABLE_NUMPY:
-            for arg in node.args:
-                self._eval(arg, env)
-            return _VALUE
         # numpy API outside the lowerable subset: portability violation.
-        for arg in node.args:
-            self._eval(arg, env)
+        self._operands(node, env)
         self._emit(node, kind="nonportable", detail=".".join(parts))
         return _VALUE
 
-    def _eval_scatter(self, node: ast.Call, ufunc: str, env: dict[str, AbsVal]):
-        if len(node.args) < 2:
+    def _eval_scatter(
+        self, node: ast.Call, ufunc: str, env: dict[str, AbsVal]
+    ) -> AbsVal:
+        if len(node.args) < 2 or node.keywords:
             return self._unknown(node, f"malformed np.{ufunc}.at call")
-        combine = UFUNC_COMBINE.get(ufunc)
         idx = self._eval(node.args[1], env)
-        idx = idx if isinstance(idx, AbsVal) else _UNKNOWN
         for arg in node.args[2:]:
-            val = self._eval(arg, env)
-            if isinstance(val, AbsVal):
-                self._use(node, val)
-        target = node.args[0]
-        attr = self._state_target(target, env)
-        space = _index_space(idx)
-        if attr is not None:
-            self._emit(node, kind="scatter", array=attr, space=space,
-                       combine=combine, unique=idx.unique)
-            return _NONE
-        if isinstance(target, ast.Name):
-            if target.id in self.fresh_locals:
-                self._emit(node, kind="alloc", array=target.id, space=space)
-                return _NONE
-            if target.id in env:
-                self._emit(node, kind="escape", array=target.id, space=space,
-                           detail="scatter into a parameter-derived array")
-                return _NONE
-            self._emit(node, kind="escape", array=target.id, space=space,
-                       detail="scatter into a closure/global array")
-            return _NONE
-        self._unknown(node, "scatter into an un-modelled target")
+            self._use(node, self._eval(arg, env))
+        self._write(
+            node, node.args[0], env, how="scatter into",
+            kind="scatter", space=_index_space(idx),
+            combine=UFUNC_COMBINE.get(ufunc), unique=idx.unique,
+        )
         return _NONE
 
-    def _eval_resolved_call(self, node: ast.Call, target, env: dict[str, AbsVal]):
+    def _eval_resolved_call(
+        self, node: ast.Call, target, env: dict[str, AbsVal]
+    ) -> AbsVal:
         if self.depth >= MAX_CALL_DEPTH:
             return self._unknown(node, f"call chain deeper than {MAX_CALL_DEPTH}")
         fn = target.node
-        params = [a.arg for a in fn.args.args]
-        if target.kind == "method" and params and params[0] == "self":
+        spec = fn.args
+        params = [a.arg for a in spec.args]
+        if target.kind == "method" and params[:1] == ["self"]:
             params = params[1:]
-        args: dict[str, AbsVal] = {}
-        for name, arg in zip(params, node.args):
-            val = self._eval(arg, env)
-            args[name] = val if isinstance(val, AbsVal) else _UNKNOWN
-        for kw in node.keywords:
-            val = self._eval(kw.value, env)
-            if kw.arg is not None:
-                args[kw.arg] = val if isinstance(val, AbsVal) else _UNKNOWN
-        for name in params:
-            args.setdefault(name, _VALUE)
-        if fn.args.vararg or fn.args.kwarg:
-            for extra in (fn.args.vararg, fn.args.kwarg):
-                if extra is not None:
-                    args[extra.arg] = _UNKNOWN
+        if (
+            node.keywords
+            or len(node.args) != len(params)
+            or spec.vararg or spec.kwarg or spec.kwonlyargs or spec.posonlyargs
+            or fn.decorator_list
+        ):
+            # only a plain positional call binds every parameter soundly.
+            return self._unknown(
+                node, f"un-modelled call shape into {target.name}()"
+            )
+        args = {name: self._eval(arg, env) for name, arg in zip(params, node.args)}
         sub = _Analyzer(
             self.graph,
             self.class_name if target.kind == "method" else None,
@@ -870,29 +733,35 @@ class _Analyzer:
 
     def _eval_method_call(
         self, node: ast.Call, func: ast.Attribute, env: dict[str, AbsVal]
-    ):
-        base = self._eval(func.value, env)
-        base = base if isinstance(base, AbsVal) else _UNKNOWN
-        for arg in node.args:
-            val = self._eval(arg, env)
-            if isinstance(val, AbsVal):
-                self._use(node, val)
+    ) -> AbsVal:
         method = func.attr
-        if method in _IDENTITY_METHODS:
-            # value-preserving transform; a view/copy no longer aliases state.
-            return replace(base, attr=None, fresh=False)
+        # astype takes its dtype; a positional operand of a reduction
+        # would be its axis/dtype/out.
+        if method not in _VALUE_METHODS or len(node.args) > (method == "astype"):
+            return self._unknown(node, f"un-modelled method call .{method}()")
+        base = self._use(node, self._eval(func.value, env))
+        self._operands(node, env, method)
         if method == "copy":
             return replace(base, attr=None, fresh=True)
-        if method in _SCALAR_METHODS:
-            return _VALUE
-        if base.attr is not None:
-            if method in _MUTATING_METHODS:
-                self._emit(node, kind="assign", array=base.attr, space="full")
-                return _NONE
-            return self._unknown(
-                node, f"un-modelled method self.{base.attr}.{method}()"
-            )
-        return AbsVal(space="value", parallel=base.parallel)
+        if method == "astype":
+            # a narrowing cast changes ids and a widening one turns a mask
+            # into integers: only the length survives.
+            return AbsVal(parallel=base.parallel)
+        return _VALUE
+
+    #: the expression grammar; see the module docstring.
+    _EXPRESSIONS = {
+        ast.Constant: _eval_constant,
+        ast.Name: _eval_name,
+        ast.Attribute: _eval_attribute,
+        ast.Subscript: _eval_subscript,
+        ast.Call: _eval_call,
+        ast.Compare: _eval_operator,
+        ast.BoolOp: _eval_operator,
+        ast.UnaryOp: _eval_operator,
+        ast.BinOp: _eval_operator,
+        ast.Tuple: _eval_tuple,
+    }
 
 
 def _join(a: AbsVal, b: AbsVal) -> AbsVal:
@@ -914,13 +783,7 @@ def _join(a: AbsVal, b: AbsVal) -> AbsVal:
 def _index_space(idx: AbsVal) -> str:
     if idx.space in ("src", "dst"):
         return idx.space
-    if idx.constant:
-        return "const"
-    if idx.space == "slice":
-        return "full"
-    if idx.space == "bool":
-        return "mask"
-    return "unknown"
+    return "const" if idx.constant else "unknown"
 
 
 # ----------------------------------------------------------------------
@@ -999,9 +862,7 @@ def classify(
                 )
                 continue
             # in-slice write; now judge the combine / dedup story.
-            aliased = bool(
-                reads_by_array.get(eff.array, set()) & {"src", "full", "unknown", "mask"}
-            )
+            aliased = bool(reads_by_array.get(eff.array, set()) - {"dst"})
             if eff.kind == "augassign":
                 level = level.join(SafetyLevel.UNSAFE)
                 reasons.append(
@@ -1009,7 +870,7 @@ def classify(
                     "drops duplicate destinations (GL001)"
                 )
             elif eff.kind == "scatter":
-                ok_combine = eff.combine in _COMMUTATIVE
+                ok_combine = eff.combine in COMMUTATIVE_COMBINES
                 if ok_combine and (not aliased or declared == eff.combine):
                     pass  # partition-pure scatter
                 elif not ok_combine:
@@ -1038,7 +899,7 @@ def classify(
                         ))
             else:  # assign
                 if eff.unique or eff.constant:
-                    if aliased and declared not in _COMMUTATIVE:
+                    if aliased and declared not in COMMUTATIVE_COMBINES:
                         level = level.join(SafetyLevel.ORDER_SENSITIVE)
                         reasons.append(
                             f"{eff.array} is read cross-partition and "

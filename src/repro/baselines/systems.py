@@ -147,7 +147,6 @@ def build_engine(
     options = EngineOptions(
         thresholds=config.thresholds,
         num_threads=num_threads,
-        numa_aware=config.numa_aware,
         sparse_layout=config.sparse_layout,
         backend=backend,
     )

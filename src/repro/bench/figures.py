@@ -29,7 +29,7 @@ from ..memsim.trace import next_array_trace, partition_edge_traces
 from ..partition.by_destination import partition_by_destination
 from ..partition.replication import replication_factor
 from ..partition.storage import StorageModel
-from .harness import StoreCache, Workbench
+from .harness import StoreCache, Workbench, simulated_seconds
 from .report import render_table
 
 __all__ = [
@@ -669,11 +669,7 @@ def ablation_thresholds(
             ("two-way dense=csc", DensityThresholds(sparse=1 / 20, medium=float("inf"))),
         ]:
             eng = Engine(store, EngineOptions(num_threads=num_threads, thresholds=th))
-            result = spec.run(eng)
-            stats = Workbench._stats_of(result)
-            times[label] = model.run_time_seconds(
-                stats, profile, update_scale=spec.update_scale
-            )
+            times[label] = simulated_seconds(spec, spec.run(eng), model, profile)
         rows.append(
             [code, times["three-way"], times["two-way dense=coo"], times["two-way dense=csc"]]
         )
@@ -712,11 +708,7 @@ def ablation_balance(
             )
             profile = bench.cache.profile(store, num_threads=num_threads)
             eng = Engine(store, EngineOptions(num_threads=num_threads))
-            result = spec.run(eng)
-            stats = Workbench._stats_of(result)
-            times[balance] = model.run_time_seconds(
-                stats, profile, update_scale=spec.update_scale
-            )
+            times[balance] = simulated_seconds(spec, spec.run(eng), model, profile)
         rows.append([code, spec.orientation, times["edges"], times["vertices"]])
     return Experiment(
         name="Ablation: edge- vs vertex-balanced partitions [s]",

@@ -16,7 +16,7 @@ from ..algorithms.registry import ALGORITHMS
 from ..baselines.systems import SYSTEMS, build_cost_model, build_engine
 from ..core.engine import Engine
 from ..core.options import EngineOptions
-from ..core.stats import RunStats
+from ..core.stats import RunStats, stats_of
 from ..graph import datasets
 from ..graph.edgelist import EdgeList
 from ..layout.store import GraphStore
@@ -28,6 +28,7 @@ __all__ = [
     "Workbench",
     "force_atomics",
     "set_default_resilience_factory",
+    "simulated_seconds",
 ]
 
 #: default stand-in scale for benchmark runs; tests use smaller values.
@@ -62,6 +63,17 @@ def force_atomics(stats: RunStats) -> RunStats:
         edge_maps=[replace(s, uses_atomics=True) for s in stats.edge_maps],
         vertex_maps=list(stats.vertex_maps),
     )
+
+
+def simulated_seconds(
+    spec, result: object, model, profile: LayoutProfile, *, atomics: str = "auto"
+) -> float:
+    """Price one finished run of ``spec``: what its recorded statistics
+    cost on ``model``'s machine.  ``atomics="on"`` reports the "+a" curve."""
+    stats = stats_of(result)
+    if atomics == "on":
+        stats = force_atomics(stats)
+    return model.run_time_seconds(stats, profile, update_scale=spec.update_scale)
 
 
 class StoreCache:
@@ -178,21 +190,14 @@ class Workbench:
         options = EngineOptions(
             num_threads=self.num_threads,
             forced_layout=forced_layout,
-            numa_aware=numa_aware,
             backend=self.backend,
         )
         engine = Engine(store, options, resilience=self._resilience())
-        result = spec.run(engine)
-        stats = self._stats_of(result)
-        if atomics == "on":
-            stats = force_atomics(stats)
         model = CostModel(
             self.machine, num_threads=self.num_threads, numa_aware=numa_aware
         )
         profile = self.cache.profile(store, num_threads=self.num_threads)
-        return model.run_time_seconds(
-            stats, profile, update_scale=spec.update_scale
-        )
+        return simulated_seconds(spec, spec.run(engine), model, profile, atomics=atomics)
 
     def run_grid(
         self,
@@ -227,12 +232,9 @@ class Workbench:
                 num_stripes=num_stripes, budget=memory_budget,
             ))
             result = spec.run(engine)
-        stats = self._stats_of(result)
         model = CostModel(self.machine, num_threads=self.num_threads)
         profile = self.cache.profile(store, num_threads=self.num_threads)
-        return model.run_time_seconds(
-            stats, profile, update_scale=spec.update_scale
-        )
+        return simulated_seconds(spec, result, model, profile)
 
     def run_system(self, system_key: str, algo_code: str, *, default_partitions: int = 384) -> float:
         """Simulated seconds of one algorithm under one comparison system."""
@@ -251,28 +253,8 @@ class Workbench:
             store=store,
             resilience=self._resilience(),
         )
-        result = spec.run(engine)
-        stats = self._stats_of(result)
         model = build_cost_model(
             config, self.machine, num_threads=self.num_threads
         )
         profile = self.cache.profile(store, num_threads=self.num_threads)
-        return model.run_time_seconds(
-            stats, profile, update_scale=spec.update_scale
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _stats_of(result: object) -> RunStats:
-        """Extract run statistics from any algorithm result object."""
-        if hasattr(result, "stats"):
-            return result.stats
-        if hasattr(result, "forward_stats"):  # betweenness centrality
-            merged = RunStats(
-                edge_maps=list(result.forward_stats.edge_maps)
-                + list(result.backward_stats.edge_maps),
-                vertex_maps=list(result.forward_stats.vertex_maps)
-                + list(result.backward_stats.vertex_maps),
-            )
-            return merged
-        raise TypeError(f"result {type(result)!r} carries no statistics")
+        return simulated_seconds(spec, spec.run(engine), model, profile)

@@ -135,19 +135,6 @@ class _Segment:
             pass
 
 
-@dataclass
-class _StateSegment:
-    """One persistent state segment plus its publish generation tag.
-
-    The generation increments whenever the published content changes
-    (a dirty-span patch or a full re-create), giving tests and tooling
-    a cheap monotonic witness of how often state was actually shipped.
-    """
-
-    segment: _Segment
-    generation: int = 0
-
-
 def _attach_segment(ref: _ArrayRef) -> tuple[shared_memory.SharedMemory, np.ndarray]:
     """Worker-side attach; returns the handle (keep alive!) and the view."""
     try:
@@ -281,13 +268,11 @@ class ProcessBackend:
         #: ``_pinned`` dict keeps the arrays alive so ids stay unique.
         self._layouts: dict[int, _Segment] = {}
         self._pinned: dict[int, np.ndarray] = {}
-        #: generation-tagged persistent state segments, keyed by
-        #: ``(scope, attr)`` — operator-state arrays scoped by operator
-        #: class, per-phase frontier arrays scoped ``"batch"``.  Unlike
-        #: the per-dispatch segments of the original design, these are
-        #: published once and only dirty spans are re-copied between
-        #: phases.
-        self._state_segments: dict[tuple[str, str], _StateSegment] = {}
+        #: persistent state segments, keyed by ``(scope, attr)`` —
+        #: operator-state arrays scoped by operator class, per-phase
+        #: frontier arrays scoped ``"batch"`` — published once and
+        #: overwritten in place between phases.
+        self._state_segments: dict[tuple[str, str], _Segment] = {}
         #: recently retired segment names, shipped with every opspec so
         #: workers drop their cached attachments.
         self._retired_names: deque[str] = deque(maxlen=64)
@@ -373,69 +358,47 @@ class ProcessBackend:
 
     # -- persistent state segments -------------------------------------
     def _retire_state(self, key: tuple[str, str]) -> None:
-        entry = self._state_segments.pop(key, None)
-        if entry is not None:
-            self._retired_names.append(entry.segment.shm.name)
-            entry.segment.release()
-
-    def segment_generation(self, scope: str, attr: str) -> int | None:
-        """Publish generation of one registered segment (observability)."""
-        entry = self._state_segments.get((scope, attr))
-        return entry.generation if entry is not None else None
+        segment = self._state_segments.pop(key, None)
+        if segment is not None:
+            self._retired_names.append(segment.shm.name)
+            segment.release()
 
     def _publish_state(self, scope: str, attr: str, value: np.ndarray) -> _Segment:
-        """Publish one state array through the generation-tagged registry.
+        """Publish one state array through the persistent-segment registry.
 
         First publication creates a named segment (counted in
         ``shm_bytes_mapped``); later publications re-use it: a value
         that *is* the segment view (an adopted persistent-state array)
-        costs nothing, anything else is diffed against the published
-        content and only the dirty span is re-copied
-        (``shm_bytes_republished``).  Shape or dtype changes retire the
-        segment and start a fresh generation.
+        costs nothing, anything else is copied over the published
+        content (``shm_bytes_republished``) — one pass over one array,
+        where finding the changed span first read both and was slower
+        even when nothing had changed.  Shape or dtype changes retire
+        the segment and publish a fresh one.
         """
         key = (scope, attr)
         self.stats.shm_bytes_requested += int(value.nbytes)
-        entry = self._state_segments.get(key)
-        if entry is not None:
-            view = entry.segment.view
+        segment = self._state_segments.get(key)
+        if segment is not None:
+            view = segment.view
             if (
                 view is not None
                 and view.shape == value.shape
                 and view.dtype == value.dtype
             ):
                 self.stats.segments_reused += 1
-                if view is not value and self._patch_segment(entry.segment, value):
-                    entry.generation += 1
-                return entry.segment
+                if view is not value:
+                    np.copyto(view, value)
+                    self.stats.shm_bytes_republished += segment.nbytes
+                return segment
             self._retire_state(key)
-        segment = _Segment(value)
-        self._state_segments[key] = _StateSegment(segment)
+        retired = segment is not None
+        segment = self._state_segments[key] = _Segment(value)
         self.stats.shm_bytes_mapped += segment.nbytes
-        if entry is not None:
+        if retired:
             # A re-created segment is a full re-publication, not a first
             # mapping — charge it to the republish counter too.
             self.stats.shm_bytes_republished += segment.nbytes
         return segment
-
-    def _patch_segment(self, segment: _Segment, value: np.ndarray) -> bool:
-        """Copy ``value``'s dirty span into the published view.
-
-        Returns whether anything changed.  The span is the smallest
-        ``[first, last)`` flat range covering every differing element —
-        one memcpy bounded by what actually changed, instead of the
-        whole array.
-        """
-        published = segment.view.reshape(-1)
-        current = np.ascontiguousarray(value).reshape(-1)
-        diff = published != current
-        if not diff.any():
-            return False
-        first = int(diff.argmax())
-        last = int(diff.size - diff[::-1].argmax())
-        published[first:last] = current[first:last]
-        self.stats.shm_bytes_republished += (last - first) * current.itemsize
-        return True
 
     def _chunks(self, tasks: list[PartitionTask]) -> list[list[PartitionTask]]:
         # Two chunks per worker: cheap dynamic load balance without

@@ -47,9 +47,6 @@ class EngineOptions:
         ``"coo"``) instead of running Algorithm 2 — used by the layout
         comparison benchmarks.  ``None`` (default) enables the decision
         procedure.
-    numa_aware:
-        Whether partitions are placed on their home NUMA node (GraphGrind /
-        Polymer) or interleaved (Ligra).  Only affects the cost model.
     sparse_layout:
         Layout used for sparse frontiers: ``"csr"`` — the whole-graph CSR
         (a GraphGrind-v2 contribution, §III.A.1, shared with Ligra) — or
@@ -90,7 +87,6 @@ class EngineOptions:
     thresholds: DensityThresholds = field(default_factory=DensityThresholds)
     num_threads: int = 48
     forced_layout: str | None = None
-    numa_aware: bool = True
     sparse_layout: str = "csr"
     partition_order: str = "forward"
     partition_order_seed: int = 0

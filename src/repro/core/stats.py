@@ -15,7 +15,7 @@ import numpy as np
 
 from ..frontier.density import DensityClass
 
-__all__ = ["EdgeMapStats", "VertexMapStats", "BackendStats", "RunStats"]
+__all__ = ["EdgeMapStats", "VertexMapStats", "BackendStats", "RunStats", "stats_of"]
 
 
 @dataclass
@@ -48,12 +48,12 @@ class BackendStats:
     #: full size of every state/frontier array at every dispatch.  The
     #: denominator of the republish-savings ratio.
     shm_bytes_requested: int = 0
-    #: bytes actually re-copied into already-published segments (dirty
-    #: spans only).  ``shm_bytes_requested / shm_bytes_republished`` is
-    #: the persistent-segment win; adopted state republishes zero bytes.
+    #: bytes actually copied into already-published segments.
+    #: ``shm_bytes_requested / shm_bytes_republished`` is the
+    #: persistent-segment win; adopted state republishes zero bytes.
     shm_bytes_republished: int = 0
-    #: dispatches served by an already-published generation-tagged
-    #: segment instead of a fresh create/copy/unlink cycle.
+    #: dispatches served by an already-published segment instead of a
+    #: fresh create/copy/unlink cycle.
     segments_reused: int = 0
     #: times a backend failure demoted execution to the serial path.
     fallbacks: int = 0
@@ -142,3 +142,17 @@ class RunStats:
         for s in self.edge_maps:
             hist[s.layout] = hist.get(s.layout, 0) + 1
         return hist
+
+
+def stats_of(result: object) -> RunStats:
+    """Extract run statistics from any algorithm result object."""
+    if hasattr(result, "stats"):
+        return result.stats
+    if hasattr(result, "forward_stats"):  # betweenness centrality
+        return RunStats(
+            edge_maps=list(result.forward_stats.edge_maps)
+            + list(result.backward_stats.edge_maps),
+            vertex_maps=list(result.forward_stats.vertex_maps)
+            + list(result.backward_stats.vertex_maps),
+        )
+    raise TypeError(f"result {type(result)!r} carries no statistics")

@@ -126,24 +126,25 @@ def grid_stripe_boundaries(
     return VertexPartition.from_weights(weights, num_stripes)
 
 
+#: average blocks :func:`choose_grid_stripes` sizes the budget for, and
+#: the stripe count it never exceeds.
+TARGET_RESIDENT_BLOCKS = 4
+MAX_STRIPES = 64
+
+
 def choose_grid_stripes(
-    num_vertices: int,
-    num_edges: int,
-    budget_bytes: int | None = None,
-    *,
-    target_resident_blocks: int = 4,
-    max_stripes: int = 64,
+    num_vertices: int, num_edges: int, budget_bytes: int | None = None
 ) -> int:
-    """Grid granularity P such that ~``target_resident_blocks`` blocks fit
-    the budget.
+    """Grid granularity P such that ~:data:`TARGET_RESIDENT_BLOCKS` blocks
+    fit the budget.
 
     The streamed working set is a few blocks (the in-flight one plus the
     LRU cache's recency tail), so P is the smallest stripe count making
-    ``target_resident_blocks`` average blocks — COO bytes over P² — fit
-    in ``budget_bytes``.  ``None`` (no budget, spill directory only)
-    picks a modest default granularity.
+    that many average blocks — COO bytes over P² — fit in
+    ``budget_bytes``.  ``None`` (no budget, spill directory only) picks a
+    modest default granularity.
     """
-    cap = max(1, min(max_stripes, max(num_vertices, 1)))
+    cap = max(1, min(MAX_STRIPES, max(num_vertices, 1)))
     if budget_bytes is None:
         return min(4, cap)
     if budget_bytes <= 0:
@@ -151,7 +152,7 @@ def choose_grid_stripes(
     coo_bytes = 2 * num_edges * BYTES_PER_VID
     if coo_bytes <= 0:
         return 1
-    stripes = int(np.ceil(np.sqrt(target_resident_blocks * coo_bytes / budget_bytes)))
+    stripes = int(np.ceil(np.sqrt(TARGET_RESIDENT_BLOCKS * coo_bytes / budget_bytes)))
     return max(1, min(stripes, cap))
 
 

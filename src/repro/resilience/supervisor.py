@@ -84,16 +84,6 @@ class ResiliencePolicy:
         sleeping so simulated runs stay fast.
     min_partitions:
         Floor of the degradation ladder; halving stops here.
-    backoff_jitter:
-        Fractional spread added to each backoff delay (``delay`` becomes
-        ``min(cap, delay * (1 + jitter * u))`` with ``u`` uniform in
-        ``[0, 1)``), de-synchronising retry storms while staying bounded
-        by ``backoff_cap``.  0 (the default) keeps delays exact.
-    rng_seed:
-        Seed of the jitter stream.  The policy never consults module
-        globals or wall-clock entropy, so two runs with the same seed
-        draw identical jitter — supervised runs stay bit-reproducible
-        and graphlint GL005 holds for this package.
     fault_plan:
         Optional :class:`FaultPlan` consulted before each edge-map and
         partition task.
@@ -130,8 +120,6 @@ class ResiliencePolicy:
     backoff_factor: float = 2.0
     backoff_cap: float = 30.0
     min_partitions: int = 1
-    backoff_jitter: float = 0.0
-    rng_seed: int = 0
     fault_plan: FaultPlan | None = None
     watchdog: Watchdog | None = None
     memory_budget: int | str | None = None
@@ -160,8 +148,6 @@ class ResiliencePolicy:
             base=self.backoff_base,
             factor=self.backoff_factor,
             cap=self.backoff_cap,
-            jitter=self.backoff_jitter,
-            seed=self.rng_seed,
         )
 
     @property
@@ -170,7 +156,7 @@ class ResiliencePolicy:
         return self.memory_budget is not None or self.spill_dir is not None
 
     def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (0-based): jittered, then capped."""
+        """Delay before retry ``attempt`` (0-based), capped."""
         return self._backoff.delay(attempt)
 
     def wait(self, attempt: int) -> float:

@@ -37,6 +37,7 @@ from repro.core.options import EngineOptions
 from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
+from tests.analysis.corpus import unmodelled_forms
 
 CORPUS = Path(__file__).parent / "corpus"
 EFFECT_CODES = ["GL006", "GL007", "GL008", "GL009", "GL010"]
@@ -57,8 +58,31 @@ class UncertifiableOp(EdgeOperator):
         return dst
 
 
+#: one operator per form outside the effect pass's closed grammar.
+UNMODELLED = [
+    cls
+    for name, cls in vars(unmodelled_forms).items()
+    if isinstance(cls, type) and issubclass(cls, EdgeOperator)
+    and cls.__module__ == unmodelled_forms.__name__ and not name.startswith("_")
+]
+
+
 def _analyze(src, class_name, **kw):
     return analyze_operator(ast.parse(src), class_name, **kw)
+
+
+def _analyze_body(body, combine="add"):
+    """Classify ``class P`` whose ``process_edges`` is ``body`` (plus any
+    further methods ``body`` defines at class level after a blank line)."""
+    process, _, rest = body.partition("\n\n")
+    lines = [
+        "import numpy as np",
+        "class P(EdgeOperator):",
+        "    def process_edges(self, src, dst):",
+        *("        " + line for line in process.splitlines()),
+        *("    " + line for line in rest.splitlines()),
+    ]
+    return _analyze("\n".join(lines), "P", declared_combine=combine)
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +148,76 @@ def test_global_escape_is_unsafe():
     summary = _analyze(src, "ClosureEscapeOp", declared_combine="or")
     assert summary.level is SafetyLevel.UNSAFE
     assert [v.code for v in summary.violations] == ["GL008"]
+
+
+#: the arms that detect or refuse, one minimal body each:
+#: (body, declared combine, level, GL codes, write set).
+DETECT_OR_REFUSE = {
+    "fixed slot": ("self.acc[0] = 1.0", "add", "unsafe", ["GL006"], {"acc": {"const"}}),
+    "alias of state": (
+        "a = self.acc\nnp.add.at(a, src, 1.0)", "add", "unsafe", ["GL006"], {"acc": {"src"}},
+    ),
+    "scatter into a parameter": (
+        "np.add.at(src, dst, 1)", "add", "unsafe", ["GL008"], {},
+    ),
+    "store into a parameter": ("dst[src] = 0", "add", "unsafe", ["GL008"], {}),
+    "fresh local is private": (
+        "t = np.zeros(4)\nt[src] = 1.0\nnp.add.at(t, src, 1.0)", "add", "partition-pure", [], {},
+    ),
+    "a copy of state is private too": (
+        "t = self.acc.copy()\nt[src] = 1.0", "add", "partition-pure", [], {},
+    ),
+    "fresh on one path only": (
+        "if src.size:\n    x = self.acc\nelse:\n    x = np.zeros(3)\nx[src] = 1.0",
+        "add", "unsafe", ["GL008"], {},
+    ),
+    "claim over a cross-partition read, no combine": (
+        "self.acc[np.unique(dst)] = self.acc[src][0]", None, "order-sensitive",
+        ["GL007"], {"acc": {"dst"}},
+    ),
+    "fixed-slot read of a written array": (
+        "np.add.at(self.acc, dst, self.acc[0])", None, "order-sensitive",
+        ["GL007"], {"acc": {"dst"}},
+    ),
+    "state inside a tuple operand is read whole": (
+        "np.add.at(self.acc, dst, np.concatenate((self.acc, self.acc))[src])", None,
+        "order-sensitive", ["GL007"], {"acc": {"dst"}},
+    ),
+    "store through a call result": (
+        "self.acc.copy()[dst] = 1.0", "add", "unknown", [], {},
+    ),
+    "scatter into a call result": (
+        "np.add.at(self.acc.copy(), dst, 1.0)", "add", "unknown", [], {},
+    ),
+    "call through self that resolves nowhere": (
+        "self.helper(dst)", "add", "unknown", [], {},
+    ),
+    "inverted ids are not ids": (
+        "np.add.at(self.acc, ~dst, 1.0)", "add", "unknown", [], {"acc": {"unknown"}},
+    ),
+    "a cast may wrap ids": (
+        "np.add.at(self.acc, dst.astype(np.int8), 1.0)", "add", "unknown", [],
+        {"acc": {"unknown"}},
+    ),
+    "bare return, join with a one-sided name": (
+        "if src.size:\n    idx = dst\n    return\nnp.add.at(self.acc, idx, 1.0)",
+        "add", "unknown", [], {"acc": {"unknown"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DETECT_OR_REFUSE)
+def test_detect_or_refuse_arms(case):
+    body, combine, level, codes, writes = DETECT_OR_REFUSE[case]
+    summary = _analyze_body(body, combine)
+    assert summary.level.value == level, summary.reasons
+    assert [v.code for v in summary.violations] == codes
+    assert summary.written_arrays() == writes
+
+
+def test_a_computed_combine_is_an_undeclared_one():
+    src = "class P(EdgeOperator):\n    combine = PICKED\n    def process_edges(self, s, d):\n        return d"
+    assert _analyze(src, "P").combine is None
 
 
 def test_safety_lattice_join_is_worst_of_both():
@@ -236,6 +330,27 @@ def test_parallel_requires_a_partition_pure_certificate():
     with pytest.raises(ValidationError, match="certif"):
         engine.edge_map(Frontier.full(engine.num_vertices), op)
     engine.close()
+
+
+@pytest.mark.parametrize("op_class", UNMODELLED, ids=lambda cls: cls.__name__)
+def test_unmodelled_forms_are_unknown_refused_and_run_guarded(op_class):
+    """A form outside the grammar is never certified: the strict backend
+    refuses it, ``strict=0`` runs it in-process with serial's exact bits."""
+    assert operator_report(op_class).level == "unknown"
+    store = GraphStore.build(EDGES, num_partitions=8)
+
+    def run(backend):
+        with Engine(store, EngineOptions(num_threads=4, backend=backend)) as engine:
+            op = op_class(np.zeros(engine.num_vertices))
+            assert not operator_is_partition_pure(op)
+            out = engine.edge_map(Frontier.full(engine.num_vertices), op)
+            assert engine.backend_stats.batches_dispatched == 0
+            return op.acc, out.as_sparse()
+
+    with pytest.raises(ValidationError, match="certif"):
+        run("process:workers=2")
+    for got, want in zip(run("process:workers=2:strict=0"), run("serial")):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_parallel_admits_certified_operators(engine):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import StoreCache, Workbench, force_atomics
-from repro.core.stats import RunStats
+from repro.core.stats import RunStats, stats_of
 from repro.machine.spec import MachineSpec
 
 
@@ -80,7 +80,7 @@ def test_force_atomics_copies(bench):
 
 def test_stats_of_rejects_junk():
     with pytest.raises(TypeError):
-        Workbench._stats_of(object())
+        stats_of(object())
 
 
 # ----------------------------------------------------------------------

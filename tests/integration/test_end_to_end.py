@@ -5,6 +5,7 @@ import pytest
 
 from repro import Engine, EngineOptions, GraphStore, datasets
 from repro.algorithms import registry
+from repro.core.stats import stats_of
 from repro.machine.cost import CostModel, profile_store
 from repro.machine.spec import MachineSpec
 
@@ -21,9 +22,7 @@ def test_every_algorithm_end_to_end(code, tiny_twitter):
     store = GraphStore.build(tiny_twitter, num_partitions=16, balance=spec.balance)
     engine = Engine(store, EngineOptions(num_threads=8))
     result = spec.run(engine)
-    from repro.bench.harness import Workbench
-
-    stats = Workbench._stats_of(result)
+    stats = stats_of(result)
     assert stats.num_iterations >= 1
     machine = MachineSpec().scaled_for(tiny_twitter.num_vertices)
     model = CostModel(machine, num_threads=8)
