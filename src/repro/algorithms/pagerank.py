@@ -13,9 +13,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._types import VAL_DTYPE, VID_DTYPE
+from .._types import VAL_DTYPE
 from ..core.engine import Engine
-from ..core.ops import EdgeOperator
+from ..core.ops import EdgeOperator, scatter_add_gather
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
 
@@ -40,8 +40,8 @@ class PageRankOp(EdgeOperator):
         self.accum = accum
 
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        np.add.at(self.accum, dst, self.contrib[src])
-        return dst.astype(VID_DTYPE, copy=False)
+        scatter_add_gather(self.accum, dst, self.contrib, src)
+        return dst  # the helper took nothing but vertex-id arrays
 
 
 @dataclass(frozen=True)

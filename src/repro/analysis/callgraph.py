@@ -13,12 +13,15 @@ two call shapes that can be resolved soundly without imports:
 Anything else (attribute-of-attribute calls, imported callables, calls
 through locals) is left to the caller, which records an ``unknown``
 effect — unresolvable calls make an operator *uncertifiable*, never
-silently ignored.
+silently ignored.  Of imports the graph records only which names are
+*nothing but* a module-level ``from ... import``, so that the effect pass
+can tell a modelled library helper by the module it really comes from.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
 
 __all__ = ["CallTarget", "ModuleCallGraph"]
@@ -38,6 +41,19 @@ class CallTarget:
     node: ast.FunctionDef
 
 
+def _bound_name(node: ast.AST) -> str | None:
+    """The name ``node`` binds, when it is a binding occurrence of one."""
+    if isinstance(node, ast.Name):
+        return None if isinstance(node.ctx, ast.Load) else node.id
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.alias):
+        return (node.asname or node.name).split(".")[0]
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    return None
+
+
 @dataclass
 class ModuleCallGraph:
     """Name-resolution tables for one parsed module."""
@@ -47,14 +63,27 @@ class ModuleCallGraph:
     #: class name -> {method name -> FunctionDef}, inheritance-resolved
     #: within the module (methods of same-module bases are visible).
     methods: dict[str, dict[str, ast.FunctionDef]] = field(default_factory=dict)
+    #: local name -> ``"package.module.name"`` of every module-level ``from
+    #: ... import`` whose name nothing else in the module binds (assignment,
+    #: parameter, ``def``/``class``, another import — at any depth).  Relative
+    #: imports resolve against ``module_name``; without one they are left out.
+    imported: dict[str, str] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, tree: ast.Module) -> "ModuleCallGraph":
+    def build(cls, tree: ast.Module, module_name: str | None = None) -> "ModuleCallGraph":
         graph = cls()
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 graph.functions[node.name] = node
-        classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+            elif isinstance(node, ast.ImportFrom) and (module_name or not node.level):
+                package = module_name.split(".")[: -node.level] if node.level else []
+                source = ".".join(package + ([node.module] if node.module else []))
+                for alias in node.names:
+                    graph.imported[alias.asname or alias.name] = f"{source}.{alias.name}"
+        nodes = list(ast.walk(tree))
+        bound = Counter(map(_bound_name, nodes))
+        graph.imported = {k: v for k, v in graph.imported.items() if bound[k] == 1}
+        classes = [n for n in nodes if isinstance(n, ast.ClassDef)]
         own: dict[str, dict[str, ast.FunctionDef]] = {}
         bases: dict[str, list[str]] = {}
         for node in classes:

@@ -155,7 +155,7 @@ def _module_tables(module_name: str) -> tuple[ast.Module, ModuleCallGraph] | Non
                 module = importlib.import_module(module_name)
             source = inspect.getsource(module)
             tree = ast.parse(source)
-            _MODULE_CACHE[module_name] = (tree, ModuleCallGraph.build(tree))
+            _MODULE_CACHE[module_name] = (tree, ModuleCallGraph.build(tree, module_name))
         except (OSError, TypeError, SyntaxError, ImportError):
             _MODULE_CACHE[module_name] = None
     return _MODULE_CACHE[module_name]

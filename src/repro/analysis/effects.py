@@ -13,7 +13,7 @@ and every same-module helper they reach through the
 
 * ``Read(array, index_space)`` — a load from operator state;
 * ``Scatter(array, index_space, combine)`` — an unbuffered
-  ``np.<ufunc>.at`` update;
+  ``np.<ufunc>.at`` update, or a :data:`HELPER_COMBINE` library loop;
 * ``Write`` (``assign``/``augassign``) — fancy-indexed stores, and the
   whole-array store of an ``out=`` keyword;
 * ``Alloc`` — a fresh local array (writes to it are private);
@@ -75,6 +75,7 @@ __all__ = [
     "classify",
     "class_combine",
     "UFUNC_COMBINE",
+    "HELPER_COMBINE",
     "LOWERABLE_NUMPY",
     "ORDER_CARRYING_CALLS",
     "PURE_VALUE_CALLABLES",
@@ -121,6 +122,13 @@ UFUNC_COMBINE = {
     "bitwise_xor": "xor",
     "multiply": "mul",
 }
+
+#: library scatter loops -> combine: ``helper(acc, dst, x, src)`` scatters
+#: into ``acc`` in ``dst``'s index space and reads ``x`` in ``src``'s.
+#: Recognised only under the name the module imports it by and binds nowhere
+#: else (:attr:`ModuleCallGraph.imported`), with exactly four positionals,
+#: ``acc`` and ``x`` two arrays (the helper refuses an overlapping pair).
+HELPER_COMBINE = {"repro.core.ops.scatter_add_gather": "add"}
 
 #: numpy constructors returning a *fresh* array (writes to it are local).
 _NP_ALLOCATORS = frozenset({
@@ -625,6 +633,11 @@ class _Analyzer:
         if len(parts) >= 2 and parts[0] in ("np", "numpy"):
             return self._eval_numpy_call(node, parts, env)
 
+        if isinstance(func, ast.Name) and func.id not in env:
+            helper = HELPER_COMBINE.get(self.graph.imported.get(func.id))
+            if helper is not None:
+                return self._eval_helper_scatter(node, helper, env)
+
         # self.<name>(...) or module-level function: interprocedural.
         target = self.graph.resolve_call(node, self.class_name)
         if target is not None:
@@ -699,6 +712,24 @@ class _Analyzer:
             node, node.args[0], env, how="scatter into",
             kind="scatter", space=_index_space(idx),
             combine=UFUNC_COMBINE.get(ufunc), unique=idx.unique,
+        )
+        return _NONE
+
+    def _eval_helper_scatter(
+        self, node: ast.Call, combine: str, env: dict[str, AbsVal]
+    ) -> AbsVal:
+        if len(node.args) != 4 or node.keywords:
+            return self._unknown(node, f"malformed {node.func.id} call")
+        acc, dst, x, src = (self._eval(arg, env) for arg in node.args)
+        if acc.attr is not None and acc.attr == x.attr:
+            return self._unknown(node, f"{node.func.id} with one array as acc and x")
+        if x.attr is not None:
+            self._emit(node, kind="read", array=x.attr, space=_index_space(src))
+        else:
+            self._use(node, x)
+        self._write(
+            node, node.args[0], env, how="scatter into",
+            kind="scatter", space=_index_space(dst), combine=combine, unique=dst.unique,
         )
         return _NONE
 

@@ -237,12 +237,13 @@ def _worker_run_chunk(
     for task in tasks:
         rec = run(op, cond_fn, *kernel_args(kernel, arrays, task))
         # Dedupe before IPC: the frontier constructor dedups anyway
-        # (bit-identical), and distinct ids pickle far smaller.  The
-        # records also escape with fresh arrays only, never shm views:
-        # sorted_distinct never returns a view of its input, even when an
-        # operator handed back a slice of a segment
-        # (tests/properties/test_prop_distinct.py holds it to that).
-        rec.activated = sorted_distinct(rec.activated)
+        # (bit-identical), and distinct ids pickle far smaller — and a
+        # run that activated all of its ``dst`` sends none: the parent has
+        # that slice of the layout.  The records also escape with fresh
+        # arrays only, never shm views: sorted_distinct never returns a
+        # view of its input, even when an operator handed back a slice of
+        # a segment (tests/properties/test_prop_distinct.py holds it to that).
+        rec.activated = rec.activated[:0].copy() if rec.all_dst else sorted_distinct(rec.activated)
         out.append(rec)
     return out
 

@@ -28,8 +28,9 @@ paper's Algorithm 2 in three steps:
    plan carries no bitmap and the kernels skip the frontier work
    (:func:`_frontier_filter`).  A backend failure falls back to the
    in-process path and is logged in ``resilience_log``.
-3. **fold** — the tasks' records become the next frontier and the
-   phase's single
+3. **fold** — the tasks' records become the next frontier (looked up
+   per store, not folded, when every run activated all of its ``dst``)
+   and the phase's single
    :class:`~repro.core.stats.EdgeMapStats`, which the machine model
    converts into simulated execution time.
 
@@ -562,6 +563,9 @@ class Engine:
         """Run ``tasks`` as one batch on the concurrent backend."""
         backend = self._execution_backend()
         records = backend.run_partitions(plan, op, tasks, self.num_vertices)
+        for task, rec in zip(tasks, records):
+            if rec.all_dst:  # sent without ids: they are the run's slice of the layout
+                rec.activated = plan.shared["dst"][task.extra[0] : task.extra[-1]]
         self._count_guards(plan, records)
         return records
 
@@ -608,9 +612,17 @@ class Engine:
                 part_touched[parts] += rec.touched
             if rec.activated.size:
                 activated.append(rec.activated)
-        if len(activated) != 1:  # a lone record (every sparse phase) needs no copy
-            activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
-        nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
+        if records and all(rec.all_dst for rec in records):
+            # Every run activated all of its ``dst``: the next frontier is the
+            # vertices with an in-edge, a constant of the layout (and safe to
+            # share between phases: a Frontier is immutable).
+            nxt = self._cached(
+                "coo-frontier", lambda: Frontier(self.num_vertices, sparse=self.store.coo.dst)
+            )
+        else:
+            if len(activated) != 1:  # a lone record (every sparse phase) needs no copy
+                activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
+            nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
         self.stats.edge_maps.append(
             EdgeMapStats(
                 layout=plan.layout,

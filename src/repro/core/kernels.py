@@ -116,16 +116,22 @@ def kernel_args(kernel: str, arrays: dict, task) -> tuple:
 def _per_partition(op, src, dst, at: list, keep: list):
     """``op``'s activations over one batch per partition, lowest first:
     ``src[at[k]:at[k + 1]]`` / ``dst[...]`` for every ``k`` that
-    ``keep[k]``.  Returns them concatenated, and how many batches there
-    were."""
-    acts = [
-        op.process_edges(src[a:b], dst[a:b])
-        for a, b, kept in zip(at, at[1:], keep)
-        if kept
-    ]
+    ``keep[k]`` (``at`` spans all of ``dst``; a skipped ``k`` is empty).
+    Returns them concatenated, how many batches there were, and whether
+    every batch handed back the very ``dst`` slice it was given — they
+    then add up to ``dst`` itself, which is returned, not a copy."""
+    acts, echoed = [], True
+    for a, b, kept in zip(at, at[1:], keep):
+        if kept:
+            batch = dst[a:b]
+            act = op.process_edges(src[a:b], batch)
+            acts.append(act)
+            echoed = echoed and act is batch
+    if echoed:
+        return dst, len(acts), True
     if len(acts) == 1:  # a run of one needs no copy
-        return acts[0], 1
-    return (np.concatenate(acts) if acts else np.empty(0, VID_DTYPE)), len(acts)
+        return acts[0], 1, False
+    return np.concatenate(acts), len(acts), False
 
 
 def run_csc_partition(
@@ -158,7 +164,7 @@ def run_csc_partition(
         src_live, dst_live = src[live], dst[live]
         live_at = dst_live.searchsorted(cuts).tolist()
     keep = (cuts[1:] > cuts[:-1]).tolist()
-    acts, batches = _per_partition(op, src_live, dst_live, live_at, keep)
+    acts, batches, _ = _per_partition(op, src_live, dst_live, live_at, keep)
     return PartitionRecord(
         partition=partition,
         lo=lo,
@@ -224,7 +230,9 @@ def run_coo_partition(
     every edge as well, the batches are slices of ``src``/``dst``
     themselves and ``distinct`` — the run's distinct destinations per
     partition, counted once per store — is the record's ``touched``
-    (``None``, a grid block: counted here)."""
+    (``None``, a grid block: counted here); if the operator then hands
+    every batch's ``dst`` back, the record says so (``all_dst``) and its
+    ``activated`` is ``dst``, a view."""
     live = None if bitmap is None else bitmap[src]
     cond = cond_fn(op, dst)
     if cond is not None:
@@ -239,9 +247,13 @@ def run_coo_partition(
         # mask (cumsum, reduceat) at every run length.
         counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
         live_at = list(accumulate(counts, initial=0))
-    acts, batches = _per_partition(op, src_live, dst_live, live_at, [True] * (len(at) - 1))
+    acts, batches, echoed = _per_partition(
+        op, src_live, dst_live, live_at, [True] * (len(at) - 1)
+    )
     if live is not None or distinct is None:
-        distinct = count_distinct_between(dst_live, cuts)
+        # Not all of an in-RAM layout's ``dst``: nothing the fold could
+        # look up per store instead of deduplicating.
+        distinct, echoed = count_distinct_between(dst_live, cuts), False
     return PartitionRecord(
         partition=partition,
         lo=int(cuts[0]),
@@ -252,6 +264,7 @@ def run_coo_partition(
         part_examined=edge_cuts[1:] - edge_cuts[:-1],
         touched=distinct,
         cond_calls=batches,
+        all_dst=echoed,
     )
 
 

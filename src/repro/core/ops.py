@@ -4,9 +4,11 @@ Ligra's ``EDGEMAP(G, F, update, cond)`` applies ``update(u, v)`` to every
 edge ``(u, v)`` with ``u`` active and ``cond(v)`` true, and returns the set
 of vertices for which an update "returned true".  A per-edge Python
 callback would be hopelessly slow, so operators here receive whole *batches*
-of edges as numpy arrays and must apply their update with scatter ufuncs
-(``np.add.at``, ``np.minimum.at``, ...), which are correct in the presence
-of duplicate destinations for the commutative reductions all of the paper's
+of edges as numpy arrays and apply their update with an unbuffered scatter
+— a ufunc's ``.at`` (``np.minimum.at``, ``np.add.at``, ...) or, for the
+plain ``acc[dst] += x[src]`` of PageRank and PRDelta, the one compiled
+loop of :func:`scatter_add_gather` — which is correct in the presence of
+duplicate destinations for the commutative reductions all of the paper's
 algorithms use.
 
 The engine may slice one logical edge-map into many batches (one per graph
@@ -32,11 +34,15 @@ import abc
 import zlib
 
 import numpy as np
+from scipy.sparse._sparsetools import coo_matvec
 
+from .._types import VAL_DTYPE, VID_DTYPE
 from ..errors import OperatorContractError
+from .plan import TASK_EDGES
 
 __all__ = [
     "EdgeOperator",
+    "scatter_add_gather",
     "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
     "WriteSet",
@@ -97,9 +103,12 @@ class EdgeOperator(abc.ABC):
 
         ``src`` and ``dst`` may be views of the layout's own edge arrays
         (a full-frontier phase compresses nothing): read them, never
-        write them.  An operator that activates every destination may
-        return the ``dst`` it was handed — nobody mutates a record's
-        ``activated``, and the fold copies it into the next frontier.
+        write them.  An operator that activates every destination should
+        return the very ``dst`` *object* it was handed: nobody mutates a
+        record's ``activated``, and a full-frontier phase that gets its
+        own ``dst`` back from every batch knows the next frontier without
+        folding anything (the vertices with an in-edge, cached per store);
+        a copy or ``dst[mask]`` is folded and deduplicated as usual.
         """
         raise NotImplementedError
 
@@ -123,6 +132,58 @@ class EdgeOperator(abc.ABC):
         so algorithm-held references to the same arrays see the rollback."""
         for key, value in saved.items():
             getattr(self, key)[...] = value
+
+
+# ----------------------------------------------------------------------
+# the dense add-reduction as one compiled loop
+# ----------------------------------------------------------------------
+_F64, _VID = np.dtype(VAL_DTYPE), np.dtype(VID_DTYPE)
+#: the loop's factor: exactly 1.0 makes ``1.0 * x[src[k]]`` exact, so the sum is
+#: ``np.add.at``'s bit for bit whether or not ``y += a * x`` became an FMA.
+_ONES = np.ones(TASK_EDGES, dtype=VAL_DTYPE)
+
+
+def scatter_add_gather(acc: np.ndarray, dst: np.ndarray, x: np.ndarray, src: np.ndarray) -> None:
+    """``acc[dst[k]] += x[src[k]]`` for ``k`` ascending, in place:
+    ``np.add.at(acc, dst, x[src])`` bit for bit, as one compiled loop
+    (scipy's COO mat-vec ``y[row[k]] += data[k] * x[col[k]]`` with unit
+    ``data``) and without the |E| gather temporary.
+
+    That loop checks nothing and silently *copies* an argument whose dtype
+    or layout it dislikes (a copied ``acc`` loses the write), so all of it
+    is refused here, before ``acc`` is touched: ``TypeError`` unless
+    ``acc``/``x`` are 1-D C-contiguous ``float64`` (``acc`` aligned and
+    writeable) and ``dst``/``src`` C-contiguous vertex ids of one length;
+    ``ValueError`` if ``acc`` may overlap ``x`` (the fused gather would
+    read what it just wrote: ``SigmaOp``'s shape stays on ``np.add.at``);
+    ``IndexError`` for an id outside ``[0, size)``.  Only this *fused* form
+    beats ``ufunc.at``, so weighted and min/or reductions stay there.
+    """
+    try:
+        nnz = dst.size
+        ok = (
+            acc.dtype == x.dtype == _F64 and dst.dtype == src.dtype == _VID
+            and acc.ndim == x.ndim == dst.ndim == src.ndim == 1 and src.size == nnz
+            and acc.flags.carray and x.flags.c_contiguous
+            and dst.flags.c_contiguous and src.flags.c_contiguous
+        )
+    except AttributeError:  # not arrays at all
+        ok = False
+    if not ok:
+        raise TypeError(
+            "scatter_add_gather needs 1-D C-contiguous arrays: a writeable float64 acc, "
+            f"a float64 x, and {_VID} dst and src of one length"
+        )
+    if np.may_share_memory(acc, x):
+        raise ValueError("scatter_add_gather: acc and x must not share memory")
+    d, s = dst.view(np.uint32), src.view(np.uint32)  # a negative id is a huge one
+    if nnz and (d[d.argmax()] >= acc.size or s[s.argmax()] >= x.size):
+        raise IndexError("scatter_add_gather: vertex id out of range")
+    if nnz <= TASK_EDGES:  # one chunk (every partition-sized batch): no slicing
+        return coo_matvec(nnz, dst, src, _ONES, x, acc)
+    for k in range(0, nnz, TASK_EDGES):
+        n = min(TASK_EDGES, nnz - k)
+        coo_matvec(n, dst[k : k + n], src[k : k + n], _ONES, x, acc)
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,12 @@ class PartitionRecord:
         Vertex ids the operator activated, its per-partition batches
         concatenated in visit order (pre-dedup; the engine's frontier
         constructor dedups).
+    all_dst:
+        A full-frontier in-RAM COO run whose every batch handed back the
+        very ``dst`` object it was given: ``activated`` is the run's slice
+        of the layout's ``dst``, a view (a worker sends none — identity
+        does not survive IPC — and the engine re-attaches it), and a phase
+        of such records alone has nothing to fold.
     examined, active_edges, scanned:
         The whole run's contributions to the phase's
         :class:`~repro.core.stats.EdgeMapStats`.
@@ -156,6 +162,7 @@ class PartitionRecord:
     touched: np.ndarray | None = None
     digest: int = 0
     cond_calls: int = 0
+    all_dst: bool = False
 
     @classmethod
     def empty(cls, partition: int, lo: int, hi: int, parts: int = 1) -> "PartitionRecord":

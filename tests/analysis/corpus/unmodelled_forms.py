@@ -7,11 +7,17 @@ never sees (the first four did, and certified, before the grammar was
 closed).  ``tests/analysis/test_effects.py`` and the CI ``lint`` job hold
 every class here to level ``unknown``; re-admitting a form means adding
 a model of it to ``repro.analysis.effects`` and moving its class out.
+
+The last four are the calls of ``repro.core.ops.scatter_add_gather`` the
+pass does *not* take for the modelled ``helper(acc, dst, x, src)``.  Two
+of them the helper itself would refuse, so they sit behind a test that
+is never true: the analyzer walks the branch, the run does not.
 """
 
 import numpy as np
 
-from repro.core.ops import EdgeOperator
+from repro.core.ops import EdgeOperator, scatter_add_gather
+from repro.core.ops import scatter_add_gather as rebound_helper  # HelperShadowedOp rebinds it
 
 
 class _AccOp(EdgeOperator):
@@ -144,3 +150,39 @@ class RecursiveHelperOp(_AccOp):
         np.add.at(self.acc, ids, 1.0)
         if ids.size < 0:
             self._again(ids)
+
+
+class HelperKeywordOp(_AccOp):
+    """Keywords can bind ``dst``/``src`` the other way round."""
+
+    def process_edges(self, src, dst):
+        scatter_add_gather(self.acc, dst, x=np.ones(self.acc.size), src=src)
+        return dst
+
+
+class HelperArityOp(_AccOp):
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, 1.0)
+        if dst.size < 0:
+            scatter_add_gather(self.acc, src, np.ones(self.acc.size))
+        return dst
+
+
+class HelperShadowedOp(_AccOp):
+    """A local of the imported name: the call no longer reaches the helper."""
+
+    def process_edges(self, src, dst):
+        rebound_helper = np.add.at
+        rebound_helper(self.acc, dst, 1.0)
+        return dst
+
+
+class HelperAliasedOp(_AccOp):
+    """``acc is x``: the fused gather would read what it just wrote, so the
+    helper raises — the shape (``SigmaOp``'s) that stays on ``np.add.at``."""
+
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, 1.0)
+        if dst.size < 0:
+            scatter_add_gather(self.acc, dst, self.acc, src)
+        return dst

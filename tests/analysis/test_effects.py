@@ -215,6 +215,118 @@ def test_detect_or_refuse_arms(case):
     assert summary.written_arrays() == writes
 
 
+#: ``repro.core.ops.scatter_add_gather`` as the pass models it, and every
+#: way a call may fall outside that model:
+#: (module header, process_edges body, level, GL codes, write set, read set).
+_FROM_OPS = "from repro.core.ops import scatter_add_gather"
+HELPER_CALLS = {
+    "the modelled call": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src)",
+        "partition-pure", [], {"acc": {"dst"}}, {"x": {"src"}},
+    ),
+    "under another name": (
+        _FROM_OPS + " as sag", "sag(self.acc, dst, self.x, src)",
+        "partition-pure", [], {"acc": {"dst"}}, {"x": {"src"}},
+    ),
+    "a fresh x reads no state": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, np.ones(4), src)",
+        "partition-pure", [], {"acc": {"dst"}}, {},
+    ),
+    "scattering through src": (
+        _FROM_OPS, "scatter_add_gather(self.acc, src, self.x, dst)",
+        "unsafe", ["GL006"], {"acc": {"src"}}, {"x": {"dst"}},
+    ),
+    "into a parameter": (
+        _FROM_OPS, "scatter_add_gather(dst, dst, self.x, src)", "unsafe", ["GL008"], {}, {"x": {"src"}},
+    ),
+    "keyword arguments": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, x=self.x, src=src)", "unknown", [], {}, {},
+    ),
+    "three arguments": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x)", "unknown", [], {}, {},
+    ),
+    "five arguments": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, None)", "unknown", [], {}, {},
+    ),
+    "acc is x": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.acc, src)", "unknown", [], {}, {},
+    ),
+    "acc is x through a local": (
+        _FROM_OPS, "a = self.acc\nscatter_add_gather(a, dst, self.acc, src)", "unknown", [], {}, {},
+    ),
+    "imported from elsewhere": (
+        "from elsewhere.ops import scatter_add_gather",
+        "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "a relative import in a module of unknown name": (
+        "from ..core.ops import scatter_add_gather",
+        "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "not imported at all": (
+        "", "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "shadowed by a local": (
+        _FROM_OPS, "scatter_add_gather = np.add.at\nscatter_add_gather(self.acc, src, 1.0)",
+        "unknown", [], {}, {},
+    ),
+    "shadowed by a parameter's default elsewhere in the module": (
+        _FROM_OPS + "\ndef other(scatter_add_gather=None):\n    return 0",
+        "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "rebound at module level": (
+        _FROM_OPS + "\nscatter_add_gather = np.add.at",
+        "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "imported twice": (
+        _FROM_OPS + "\nfrom elsewhere import scatter_add_gather",
+        "scatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+    "imported inside the method": (
+        "", _FROM_OPS + "\nscatter_add_gather(self.acc, dst, self.x, src)", "unknown", [], {}, {},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", HELPER_CALLS)
+def test_the_scatter_helper_is_modelled_in_exactly_one_shape(case):
+    header, body, level, codes, writes, reads = HELPER_CALLS[case]
+    lines = [
+        "import numpy as np", *header.splitlines(), "class P(EdgeOperator):",
+        "    def process_edges(self, src, dst):",
+        *("        " + line for line in body.splitlines()), "        return dst",
+    ]
+    summary = _analyze("\n".join(lines), "P", declared_combine="add")
+    assert summary.level.value == level, summary.reasons
+    assert [v.code for v in summary.violations] == codes
+    assert summary.written_arrays() == writes
+    got_reads: dict = {}
+    for effect in summary.effects:
+        if effect.kind == "read":
+            got_reads.setdefault(effect.array, set()).add(effect.space)
+    assert got_reads == reads
+
+
+def test_a_shadowing_def_is_analysed_as_the_def_it_is():
+    src = (
+        "import numpy as np\n" + _FROM_OPS + "\n"
+        "def scatter_add_gather(acc, dst, x, src):\n    np.add.at(acc, src, 1.0)\n"
+        "class P(EdgeOperator):\n    def process_edges(self, src, dst):\n"
+        "        scatter_add_gather(self.acc, dst, self.x, src)\n        return dst\n"
+    )
+    summary = _analyze(src, "P", declared_combine="add")
+    assert summary.level is SafetyLevel.UNSAFE and summary.written_arrays() == {"acc": {"src"}}
+
+
+def test_relative_imports_resolve_against_the_module_name():
+    from repro.analysis.callgraph import ModuleCallGraph
+
+    tree = ast.parse("from ..core.ops import scatter_add_gather as sag\nfrom . import x\n")
+    assert ModuleCallGraph.build(tree).imported == {}
+    assert ModuleCallGraph.build(tree, "repro.algorithms.pagerank").imported == {
+        "sag": "repro.core.ops.scatter_add_gather", "x": "repro.algorithms.x",
+    }
+
+
 def test_a_computed_combine_is_an_undeclared_one():
     src = "class P(EdgeOperator):\n    combine = PICKED\n    def process_edges(self, s, d):\n        return d"
     assert _analyze(src, "P").combine is None

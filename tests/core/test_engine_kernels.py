@@ -13,6 +13,7 @@ from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp
 from repro.core.engine import Engine
 from repro.core.options import EngineOptions
+from repro.core.plan import TASK_EDGES
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
 from repro.graph.weights import WeightFn
@@ -189,6 +190,48 @@ def test_dense_phase_np_unique_calls_do_not_grow_with_tasks(monkeypatch):
         assert np.array_equal(nxt.as_sparse(), np.unique(dst))
         assert nxt.as_sparse().dtype == VID_DTYPE
     assert callers[48] == callers[12] == []
+
+
+def test_later_full_frontier_pagerank_phases_fold_nothing(monkeypatch):
+    """Counts, not time: ``PageRankOp`` hands every batch's ``dst`` back, so
+    a full-frontier COO phase activates exactly the vertices with an
+    in-edge.  The first such phase builds that frontier; every later one
+    returns the *same* object without one ``np.concatenate`` (kernel or
+    fold) or ``sorted_distinct`` — while ``updated_vertices`` and the
+    frontier are what the fold used to compute."""
+    from repro.frontier import frontier as frontier_module
+
+    graph = gen.rmat(12, 16, seed=3)  # 48 partitions in two runs: concatenation was real
+    n = graph.num_vertices
+    store = GraphStore.build(graph, num_partitions=48)
+    engine = Engine(store, EngineOptions(num_threads=2, backend="serial"))
+    op = PageRankOp(np.linspace(1, 2, n), np.zeros(n))
+    first = engine.edge_map(Frontier.full(n), op)
+    assert len(engine._per_store["coo", TASK_EDGES]) < 48
+
+    calls: list[str] = []
+    real_concatenate, real_distinct = np.concatenate, frontier_module.sorted_distinct
+
+    def counting(real, label):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("repro."):
+                calls.append(label)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "concatenate", counting(real_concatenate, "concatenate"))
+    monkeypatch.setattr(
+        frontier_module, "sorted_distinct", counting(real_distinct, "sorted_distinct")
+    )
+    for _ in range(3):
+        assert engine.edge_map(Frontier.full(n), op) is first
+    assert calls == []
+    assert first == Frontier(n, sparse=store.coo.dst)  # counted, and now it dedups
+    assert calls == ["sorted_distinct"]
+    want = np.unique(store.coo.dst)
+    assert np.array_equal(first.as_sparse(), want)
+    assert [m.updated_vertices for m in engine.stats.edge_maps] == [want.size] * 4
 
 
 def test_sparse_phases_call_np_unique_only_from_bfs_op(monkeypatch):

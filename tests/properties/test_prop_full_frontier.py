@@ -5,7 +5,9 @@ When ``frontier.size == num_vertices`` the engine's plan carries no
 bitmap (:func:`repro.core.engine._frontier_filter`): the kernels gather
 and compress nothing, hand the operator zero-copy slices of the layout's
 own edge arrays, and a COO partition's ``touched`` comes from the
-store's cached per-partition distinct-destination counts.  The masked
+store's cached per-partition distinct-destination counts; an operator
+that hands every such batch's ``dst`` back has activated the vertices
+with an in-edge, and the fold looks that frontier up.  The masked
 path — the same kernels handed a bitmap of all ``True`` — is what every
 run took before, so forcing it (patching the helper to always return
 the bitmap) gives the reference: result arrays, every ``EdgeMapStats``
@@ -26,8 +28,11 @@ from repro._types import VID_DTYPE
 from repro.algorithms import registry
 from repro.algorithms.cc import CCOp
 from repro.algorithms.pagerank import PageRankOp, pagerank
+from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions
 from repro.core import engine as engine_module
+from repro.core.backend import ProcessBackend
+from repro.core.ops import EdgeOperator, scatter_add_gather
 from repro.frontier.distinct import count_distinct_between
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
@@ -253,6 +258,149 @@ def test_a_grid_record_does_not_pin_the_streamed_block(tmp_path):
             assert records and sum(rec.activated.size for rec in records) == edges.num_edges
             for rec in records:
                 assert rec.activated.base is None
+
+
+# ----------------------------------------------------------------------
+# a phase that activates every destination folds nothing
+# ----------------------------------------------------------------------
+class _HandBack(EdgeOperator):
+    """PageRank's update, handing ``dst`` back in one of the ways an
+    operator may: the object itself, a copy, a subset, or — ``mixed`` —
+    the object from even-sized batches and a copy from odd ones.
+    Certified partition-pure, so it runs in long tasks and on the pool."""
+
+    combine = "add"
+
+    def __init__(self, contrib, accum, how="same"):
+        self.contrib = contrib
+        self.accum = accum
+        self.how = how
+
+    def process_edges(self, src, dst):
+        scatter_add_gather(self.accum, dst, self.contrib, src)
+        if self.how == "subset":
+            return dst[dst % 3 > 0]
+        if self.how == "copy":
+            return dst.copy()
+        if self.how == "mixed":
+            if dst.size % 2:
+                return dst.copy()
+        return dst
+
+
+class _PassingCond(PageRankOp):
+    def cond(self, dst_ids):
+        return np.ones(dst_ids.size, bool)
+
+
+def _edge_map(store, op_class, frontier=None, **engine_kwargs):
+    """One edge-map (of the full frontier, by default) on a fresh engine:
+    ``(engine, state, next frontier)``."""
+    n = store.num_vertices
+    options = EngineOptions(num_threads=2, backend="serial", forced_layout="coo")
+    engine = Engine(store, options, **engine_kwargs)
+    op = op_class(np.linspace(1, 2, n), np.zeros(n))
+    nxt = engine.edge_map(Frontier.full(n) if frontier is None else frontier, op)
+    return engine, op.accum, nxt
+
+
+def test_the_hand_back_operator_is_certified():
+    assert operator_report(_HandBack).level == "partition-pure"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    how=st.sampled_from(["same", "copy", "subset", "mixed"]),
+    graph=st.sampled_from(sorted(GRAPHS)),
+    seed=st.integers(0, 3),
+    p=st.integers(1, 24),
+    order=st.sampled_from(["forward", "reverse", "shuffle"]),
+)
+def test_what_the_operator_hands_back_decides_the_fold(how, graph, seed, p, order):
+    """Only the very ``dst`` object from every batch skips the fold, and
+    whether it was skipped shows in nothing but the frontier's identity
+    (``reverse`` makes every partition its own record: a ``mixed`` phase
+    then folds flagged and unflagged records together)."""
+    store = GraphStore.build(GRAPHS[graph](seed), num_partitions=p)
+    n, coo = store.num_vertices, store.coo
+    contrib = np.linspace(1, 2, n)
+    op = _HandBack(contrib, np.zeros(n), how)
+    options = EngineOptions(num_threads=2, backend="serial", partition_order=order)
+    with Engine(store, options) as engine:
+        nxt = engine.edge_map(Frontier.full(n), op)
+        (phase,) = engine.stats.edge_maps
+        all_even = not (np.diff(coo.partition_index) % 2).any()
+        assert ("coo-frontier" in engine._per_store) == (
+            how == "same" or (how == "mixed" and all_even)
+        )
+        assert nxt is engine._per_store.get("coo-frontier", nxt)
+    want = np.unique(coo.dst[coo.dst % 3 > 0] if how == "subset" else coo.dst)
+    assert np.array_equal(nxt.as_sparse(), want) and phase.updated_vertices == want.size
+    accum = np.zeros(n)
+    np.add.at(accum, coo.dst, contrib[coo.src])
+    assert np.array_equal(op.accum, accum)
+
+
+def test_a_bitmap_a_cond_or_a_grid_folds_as_before(tmp_path):
+    edges = gen.rmat(7, 8.0, seed=2)
+    store = GraphStore.build(edges, num_partitions=6)
+    n = store.num_vertices
+    engine, want, full = _edge_map(store, PageRankOp)
+    assert full is engine._per_store["coo-frontier"]
+    engine.close()
+
+    sink = int(np.flatnonzero(store.out_degrees == 0)[0])  # every edge stays live without it
+    partial = Frontier(n, sparse=np.delete(np.arange(n), sink))
+    grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=16 << 10)
+    for op_class, kwargs in (
+        (PageRankOp, {"frontier": partial}), (_PassingCond, {}), (PageRankOp, {"grid": grid}),
+    ):
+        engine, got, nxt = _edge_map(store, op_class, **kwargs)
+        assert "coo-frontier" not in engine._per_store
+        assert nxt == full and nxt is not full
+        assert np.array_equal(got, want)
+        engine.close()
+
+
+def test_rebuilding_the_store_drops_the_cached_frontier():
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
+    n = store.num_vertices
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        op = PageRankOp(np.linspace(1, 2, n), np.zeros(n))
+        before = engine.edge_map(Frontier.full(n), op)
+        engine._rebuild_store(6)
+        assert "coo-frontier" not in engine._per_store
+        after = engine.edge_map(Frontier.full(n), op)
+        assert after is engine._per_store["coo-frontier"] and after is not before
+        assert after == Frontier(n, sparse=engine.store.coo.dst)
+
+
+def test_flagged_records_cross_ipc_without_their_ids(monkeypatch):
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=4), num_partitions=16)
+    n = store.num_vertices
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        want = pagerank(engine)
+    received = []
+    run_partitions = ProcessBackend.run_partitions
+
+    def spy(backend, *args):
+        records = run_partitions(backend, *args)
+        received.extend((rec.all_dst, rec.activated.size > 0) for rec in records)
+        return records
+
+    monkeypatch.setattr(ProcessBackend, "run_partitions", spy)
+    with Engine(store, EngineOptions(num_threads=2, backend="process:workers=2")) as engine:
+        got = pagerank(engine)
+        assert set(received) == {(True, False)}
+        # Beside unflagged records the fold needs a flagged one's ids after
+        # all: the engine re-attaches them from the layout.
+        nxt = engine.edge_map(Frontier.full(n), _HandBack(want.ranks, np.zeros(n), "mixed"))
+        assert set(received) == {(True, False), (False, True)}
+        assert engine.backend_stats.fallbacks == 0
+        assert engine.backend_stats.batches_dispatched == 11
+    assert nxt == Frontier(n, sparse=store.coo.dst)
+    assert np.array_equal(got.ranks, want.ranks)
+    assert _stats_rows(got) == _stats_rows(want)
 
 
 # ----------------------------------------------------------------------
