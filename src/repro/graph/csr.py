@@ -29,7 +29,7 @@ from .._types import (
     VID_DTYPE,
 )
 from ..errors import GraphFormatError
-from .edgelist import EdgeList
+from .edgelist import EdgeList, sorted_pairs
 
 __all__ = ["CompressedGraph", "build_csr", "build_csc"]
 
@@ -132,12 +132,9 @@ class CompressedGraph:
 
 def _build(edges: EdgeList, axis: str, pruned: bool) -> CompressedGraph:
     if axis == "out":
-        keys, values = edges.src, edges.dst
+        keys, values = sorted_pairs(edges.src, edges.dst)
     else:
-        keys, values = edges.dst, edges.src
-    order = np.lexsort((values, keys))
-    keys = keys[order]
-    values = values[order]
+        keys, values = sorted_pairs(edges.dst, edges.src)
     counts = np.bincount(keys, minlength=edges.num_vertices).astype(EID_DTYPE)
     if pruned:
         vertex_ids = np.flatnonzero(counts > 0).astype(VID_DTYPE)

@@ -16,7 +16,29 @@ import numpy as np
 from .._types import EID_DTYPE, VID_DTYPE, as_vid_array
 from ..errors import GraphFormatError
 
-__all__ = ["EdgeList"]
+__all__ = ["EdgeList", "sorted_pairs"]
+
+
+def sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, values)`` reordered by key, then by value.
+
+    One in-place sort of ``key << 32 | value`` packed into ``uint64``; equal
+    packed keys are equal pairs, so this is exactly a stable
+    ``lexsort((values, keys))`` followed by two gathers.  Both inputs must
+    be parallel, non-negative ``VID_DTYPE`` arrays of fewer than 2**32
+    entries (the layouts pack an edge position into the same low word).
+    """
+    if not (keys.dtype == values.dtype == VID_DTYPE and keys.shape == values.shape):
+        raise ValueError("sorted_pairs takes two parallel VID_DTYPE arrays")
+    if keys.size >= 2**32 or (keys.size and min(keys.min(), values.min()) < 0):
+        raise ValueError("sorted_pairs packs fewer than 2**32 non-negative ids")
+    packed = keys.astype(np.uint64)
+    packed <<= np.uint64(32)
+    packed |= values.view(np.uint32)
+    packed.sort()
+    values = packed.astype(np.uint32).view(VID_DTYPE)
+    packed >>= np.uint64(32)
+    return packed.astype(VID_DTYPE), values
 
 
 @dataclass(frozen=True)
@@ -128,15 +150,11 @@ class EdgeList:
         Sorting is stable and uses the other endpoint as secondary key, which
         matches the CSR (source-major) / CSC (destination-major) edge orders.
         """
-        order = self.sort_order(key)
-        return EdgeList(self.num_vertices, self.src[order], self.dst[order])
-
-    def sort_order(self, key: str) -> np.ndarray:
-        """Permutation that sorts the edges by the given endpoint."""
         if key == "source":
-            return np.lexsort((self.dst, self.src))
+            return EdgeList(self.num_vertices, *sorted_pairs(self.src, self.dst))
         if key == "destination":
-            return np.lexsort((self.src, self.dst))
+            dst, src = sorted_pairs(self.dst, self.src)
+            return EdgeList(self.num_vertices, src, dst)
         raise ValueError(f"unknown sort key {key!r}; expected 'source' or 'destination'")
 
     def permuted(self, order: np.ndarray) -> "EdgeList":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .._types import BYTES_PER_VID, EID_DTYPE
 from ..errors import GraphFormatError
-from ..graph.edgelist import EdgeList
+from ..graph.edgelist import EdgeList, sorted_pairs
 from ..partition.hilbert import hilbert_sort_order
 from ..partition.vertex_partition import VertexPartition
 
@@ -106,33 +106,36 @@ class PartitionedCOO:
     ) -> "PartitionedCOO":
         """Group edges by the home partition of their destination.
 
-        Grouping and intra-partition sorting are performed with a single
-        ``lexsort`` / ``argsort`` pass, never iterating edges in Python.
+        Home partitions are contiguous id ranges, so destination order is CSC
+        order; source and Hilbert orders are then bucketed stably by partition.
         """
         if edge_order not in EDGE_ORDERS:
             raise GraphFormatError(
                 f"edge_order must be one of {EDGE_ORDERS}, got {edge_order!r}"
             )
-        pid = partition.partition_of(edges.dst).astype(np.int64)
-        if edge_order == "source":
-            order = np.lexsort((edges.dst, edges.src, pid))
-        elif edge_order == "destination":
-            order = np.lexsort((edges.src, edges.dst, pid))
-        else:  # hilbert within each partition
-            h = hilbert_sort_order(edges.src, edges.dst, edges.num_vertices)
-            # lexsort with pid as the primary key, preserving Hilbert order
-            # inside each partition via the rank of each edge on the curve.
-            rank = np.empty(edges.num_edges, dtype=np.int64)
-            rank[h] = np.arange(edges.num_edges, dtype=np.int64)
-            order = np.lexsort((rank, pid))
-        counts = np.bincount(pid, minlength=partition.num_partitions)
-        index = np.zeros(partition.num_partitions + 1, dtype=EID_DTYPE)
-        np.cumsum(counts, out=index[1:])
+        if edge_order == "destination":
+            dst, src = sorted_pairs(edges.dst, edges.src)
+        else:
+            if edge_order == "source":
+                src, dst = sorted_pairs(edges.src, edges.dst)
+            else:
+                h = hilbert_sort_order(edges.src, edges.dst, edges.num_vertices)
+                src, dst = edges.src[h], edges.dst[h]
+            home = partition.partition_of(np.arange(edges.num_vertices)).astype(np.uint64)
+            pos = home[dst]  # partition << 32 | position
+            pos <<= np.uint64(32)
+            pos |= np.arange(edges.num_edges, dtype=np.uint32)
+            pos.sort()
+            pos = pos.astype(np.uint32)  # the low word; frees the packed keys
+            src, dst = src[pos], dst[pos]
+        # Partition i starts after the in-edges of every vertex below its range.
+        index = np.zeros(edges.num_vertices + 1, dtype=EID_DTYPE)
+        np.cumsum(edges.in_degrees(), out=index[1:])
         return PartitionedCOO(
             num_vertices=edges.num_vertices,
-            src=edges.src[order],
-            dst=edges.dst[order],
-            partition_index=index,
+            src=src,
+            dst=dst,
+            partition_index=index[partition.boundaries],
             partition=partition,
             edge_order=edge_order,
         )

@@ -26,10 +26,11 @@ resident.  This module is that subsystem:
   LLC; here the budget plays the cache).
 
 Block payloads are deterministic: edges sorted by (source, destination)
-with numpy's stable lexsort, sources first then destinations, each as a
-contiguous ``VID_DTYPE`` array — the same src-major order the in-memory
-COO layout uses, which is what keeps streamed execution bit-identical to
-the in-RAM path.
+with one packed-key sort (:func:`~repro.graph.edgelist.sorted_pairs`), so
+each source stripe is a contiguous slice; sources first then destinations,
+each as a contiguous ``VID_DTYPE`` array — the same src-major order the
+in-memory COO layout uses, which is what keeps streamed execution
+bit-identical to the in-RAM path.
 
 Fault injection: a ``fault_plan`` is any object with
 ``take(kinds, index) -> kind | None`` (:class:`repro.resilience.FaultPlan`
@@ -59,7 +60,7 @@ from ..errors import (
     TornBlockError,
     ValidationError,
 )
-from ..graph.edgelist import EdgeList
+from ..graph.edgelist import EdgeList, sorted_pairs
 from ..partition.vertex_partition import VertexPartition
 
 __all__ = [
@@ -211,12 +212,12 @@ def _block_payload(src: np.ndarray, dst: np.ndarray) -> bytes:
 
 def _shard_edges(
     edges: EdgeList, stripes: VertexPartition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Edges sorted by (src, dst) plus each edge's (src stripe, dst stripe)."""
-    order = np.lexsort((edges.dst, edges.src))
-    src = edges.src[order]
-    dst = edges.dst[order]
-    return src, dst, stripes.partition_of(src), stripes.partition_of(dst)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each source stripe's ``(src, dst)`` edges, sorted by (src, dst): after
+    one sort, stripe row ``i`` is a contiguous slice."""
+    src, dst = sorted_pairs(edges.src, edges.dst)
+    rows = np.searchsorted(src, stripes.boundaries)
+    return [(src[lo:hi], dst[lo:hi]) for lo, hi in zip(rows[:-1], rows[1:])]
 
 
 def preprocess_grid(
@@ -245,18 +246,17 @@ def preprocess_grid(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stripes = grid_stripe_boundaries(edges, num_stripes, stripe_mode)
-    src, dst, pid_src, pid_dst = _shard_edges(edges, stripes)
     events = events if events is not None else []
     blocks = []
     write_index = write_retries = 0
-    for i in range(num_stripes):
-        row = pid_src == i
+    for i, (row_src, row_dst) in enumerate(_shard_edges(edges, stripes)):
+        pid_dst = stripes.partition_of(row_dst)
         for j in range(num_stripes):
-            sel = row & (pid_dst == j)
+            sel = pid_dst == j
             count = int(np.count_nonzero(sel))
             if count == 0:
                 continue
-            payload = _block_payload(src[sel], dst[sel])
+            payload = _block_payload(row_src[sel], row_dst[sel])
             path = directory / _block_filename(i, j)
             attempts = _write_block(
                 path, payload, i, j,
@@ -585,9 +585,9 @@ class GridStore:
                 f"grid block ({i},{j}) is corrupt and the manifest records "
                 f"no loadable source to repair it from"
             )
-        src, dst, pid_src, pid_dst = _shard_edges(edges, self.stripes)
-        sel = (pid_src == i) & (pid_dst == j)
-        payload = _block_payload(src[sel], dst[sel])
+        row_src, row_dst = _shard_edges(edges, self.stripes)[i]
+        sel = self.stripes.partition_of(row_dst) == j
+        payload = _block_payload(row_src[sel], row_dst[sel])
         if zlib.crc32(payload) != int(entry["crc32"]):
             raise TornBlockError(
                 f"grid block ({i},{j}) is corrupt and the recorded source "

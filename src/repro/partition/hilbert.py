@@ -89,7 +89,7 @@ def hilbert_point(order_bits: int, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hilbert_sort_order(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:
-    """Permutation sorting edges ``(src[i], dst[i])`` into Hilbert order."""
+    """Permutation sorting edges into Hilbert order (unstable: tied indices are equal edges)."""
     bits = order_bits_for(num_vertices)
     idx = hilbert_index(bits, src, dst)
-    return np.argsort(idx, kind="stable")
+    return np.argsort(idx)

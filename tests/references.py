@@ -19,13 +19,17 @@ it) times the memsim three against the kernels that replaced them.
     Per-access list-based LRU replays: the oracles of
     :func:`repro.memsim.cache.simulate_cache` and
     :func:`repro.memsim.multicore.simulate_shared_cache`.
+:func:`reference_layouts`, :func:`reference_shard_edges`
+    The ``np.lexsort`` layout builders (CSR/CSC, partitioned COO, grid
+    shard) that :func:`repro.graph.edgelist.sorted_pairs` replaced: every
+    array the packed-key builders produce must equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro._types import VID_DTYPE
+from repro._types import EID_DTYPE, VID_DTYPE
 from repro.core.ops import EdgeOperator
 from repro.frontier.frontier import Frontier
 from repro.graph.edgelist import EdgeList
@@ -33,12 +37,17 @@ from repro.memsim.cache import CacheConfig, CacheResult
 from repro.memsim.fenwick import Fenwick
 from repro.memsim.multicore import MulticoreResult
 from repro.memsim.reuse import COLD
+from repro.partition.by_destination import partition_by_destination
+from repro.partition.hilbert import hilbert_sort_order
+from repro.partition.vertex_partition import VertexPartition
 
 __all__ = [
     "reference_edge_map",
     "reference_stack_distances",
     "reference_simulate_cache",
     "reference_simulate_shared_cache",
+    "reference_layouts",
+    "reference_shard_edges",
 ]
 
 
@@ -176,3 +185,81 @@ def reference_simulate_shared_cache(
         accesses_per_stream=tuple(lengths),
         misses_per_stream=tuple(misses),
     )
+
+
+# ----------------------------------------------------------------------
+# the lexsort layout builders
+# ----------------------------------------------------------------------
+def reference_compressed(edges: EdgeList, axis: str, pruned: bool) -> dict:
+    """``repro.graph.csr._build`` as it was: one lexsort, two gathers."""
+    if axis == "out":
+        keys, values = edges.src, edges.dst
+    else:
+        keys, values = edges.dst, edges.src
+    order = np.lexsort((values, keys))
+    keys = keys[order]
+    values = values[order]
+    counts = np.bincount(keys, minlength=edges.num_vertices).astype(EID_DTYPE)
+    if pruned:
+        vertex_ids = np.flatnonzero(counts > 0).astype(VID_DTYPE)
+        counts = counts[vertex_ids]
+    else:
+        vertex_ids = np.arange(edges.num_vertices, dtype=VID_DTYPE)
+    index = np.zeros(counts.size + 1, dtype=EID_DTYPE)
+    np.cumsum(counts, out=index[1:])
+    return {"vertex_ids": vertex_ids, "index": index, "neighbors": values}
+
+
+def _reference_coo(edges: EdgeList, partition: VertexPartition, edge_order: str) -> dict:
+    """``PartitionedCOO.build`` as it was: a three-key lexsort (or a Hilbert
+    rank plus a two-key lexsort)."""
+    pid = partition.partition_of(edges.dst).astype(np.int64)
+    if edge_order == "source":
+        order = np.lexsort((edges.dst, edges.src, pid))
+    elif edge_order == "destination":
+        order = np.lexsort((edges.src, edges.dst, pid))
+    else:  # hilbert within each partition
+        h = hilbert_sort_order(edges.src, edges.dst, edges.num_vertices)
+        # lexsort with pid as the primary key, preserving Hilbert order
+        # inside each partition via the rank of each edge on the curve.
+        rank = np.empty(edges.num_edges, dtype=np.int64)
+        rank[h] = np.arange(edges.num_edges, dtype=np.int64)
+        order = np.lexsort((rank, pid))
+    counts = np.bincount(pid, minlength=partition.num_partitions)
+    index = np.zeros(partition.num_partitions + 1, dtype=EID_DTYPE)
+    np.cumsum(counts, out=index[1:])
+    return {"src": edges.src[order], "dst": edges.dst[order], "partition_index": index}
+
+
+def reference_layouts(
+    edges: EdgeList, *, num_partitions: int, edge_order: str, balance: str
+) -> dict[str, np.ndarray]:
+    """Every array ``GraphStore.build`` stores, by the lexsort builders, keyed
+    ``"<layout>.<field>"`` with layout ``csr``, ``csc`` or ``coo``."""
+    partition = partition_by_destination(edges, num_partitions, balance=balance)
+    coo_partition = (
+        partition
+        if balance == "edges"
+        else partition_by_destination(edges, num_partitions, balance="edges")
+    )
+    layouts = {
+        "csr": reference_compressed(edges, "out", False),
+        "csc": reference_compressed(edges, "in", False),
+        "coo": _reference_coo(edges, coo_partition, edge_order),
+    }
+    return {
+        f"{name}.{field}": array
+        for name, arrays in layouts.items()
+        for field, array in arrays.items()
+    }
+
+
+def reference_shard_edges(
+    edges: EdgeList, stripes: VertexPartition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``repro.layout.grid._shard_edges`` as it was: edges sorted by (src,
+    dst) plus each edge's (src stripe, dst stripe)."""
+    order = np.lexsort((edges.dst, edges.src))
+    src = edges.src[order]
+    dst = edges.dst[order]
+    return src, dst, stripes.partition_of(src), stripes.partition_of(dst)
