@@ -36,10 +36,10 @@ class BellmanFordOp(EdgeOperator):
         self.dist = dist
         self.weight_fn = weight_fn
 
-    def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    def process_edges(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
         if src.size == 0:
             return np.empty(0, dtype=VID_DTYPE)
-        candidate = self.dist[src] + self.weight_fn(src, dst)
+        candidate = self.dist[src] + w
         before = self.dist[dst]
         np.minimum.at(self.dist, dst, candidate)
         return dst[self.dist[dst] < before]

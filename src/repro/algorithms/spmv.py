@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._types import VAL_DTYPE, VID_DTYPE
+from .._types import VAL_DTYPE
 from ..core.engine import Engine
-from ..core.ops import EdgeOperator
+from ..core.ops import EdgeOperator, scatter_add_gather
 from ..core.stats import RunStats
 from ..frontier.frontier import Frontier
 from ..graph.weights import WeightFn
@@ -31,10 +31,9 @@ class SPMVOp(EdgeOperator):
         self.y = y
         self.weight_fn = weight_fn
 
-    def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        w = self.weight_fn(src, dst)
-        np.add.at(self.y, dst, w * self.x[src])
-        return dst.astype(VID_DTYPE, copy=False)
+    def process_edges(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> np.ndarray:
+        scatter_add_gather(self.y, dst, self.x, src, w)
+        return dst
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,7 @@ def spmv(
     n = engine.num_vertices
     if x is None:
         x = np.ones(n, dtype=VAL_DTYPE)
-    x = np.asarray(x, dtype=VAL_DTYPE)
+    x = np.ascontiguousarray(x, dtype=VAL_DTYPE)
     if x.shape != (n,):
         raise ValueError(f"x must have shape ({n},), got {x.shape}")
     weight_fn = weight_fn or WeightFn()

@@ -78,7 +78,6 @@ __all__ = [
     "HELPER_COMBINE",
     "LOWERABLE_NUMPY",
     "ORDER_CARRYING_CALLS",
-    "PURE_VALUE_CALLABLES",
 ]
 
 
@@ -123,11 +122,12 @@ UFUNC_COMBINE = {
     "multiply": "mul",
 }
 
-#: library scatter loops -> combine: ``helper(acc, dst, x, src)`` scatters
-#: into ``acc`` in ``dst``'s index space and reads ``x`` in ``src``'s.
-#: Recognised only under the name the module imports it by and binds nowhere
-#: else (:attr:`ModuleCallGraph.imported`), with exactly four positionals,
-#: ``acc`` and ``x`` two arrays (the helper refuses an overlapping pair).
+#: library scatter loops -> combine: ``helper(acc, dst, x, src[, data])``
+#: scatters into ``acc`` in ``dst``'s index space, reads ``x`` in ``src``'s
+#: and reads the edge-parallel ``data`` whole.  Recognised only under the
+#: name the module imports it by and binds nowhere else
+#: (:attr:`ModuleCallGraph.imported`), with four or five positionals and
+#: ``acc`` neither ``x`` nor ``data`` (the helper refuses overlapping ones).
 HELPER_COMBINE = {"repro.core.ops.scatter_add_gather": "add"}
 
 #: numpy constructors returning a *fresh* array (writes to it are local).
@@ -178,12 +178,6 @@ ORDER_CARRYING_CALLS = frozenset({
     "functools.reduce", "reduce", "itertools.accumulate", "accumulate",
     "math.fsum", "fsum",
 })
-
-#: ``self.<attr>(...)`` callables the pass may assume are pure value
-#: functions of their arguments (no state writes, deterministic).
-#: ``weight_fn`` is :class:`repro.graph.weights.WeightFn` — a hash of the
-#: endpoint ids — used by the SPMV and Bellman-Ford operators.
-PURE_VALUE_CALLABLES = frozenset({"weight_fn"})
 
 #: ndarray methods modelled as pure: ``x.astype(dtype)``, ``x.copy()``
 #: and the argument-less reductions.  Any other method call — in-place
@@ -643,21 +637,16 @@ class _Analyzer:
         if target is not None:
             return self._eval_resolved_call(node, target, env)
 
-        if isinstance(func, ast.Attribute):
-            if not (isinstance(func.value, ast.Name) and func.value.id == "self"):
-                return self._eval_method_call(node, func, env)
-            if func.attr in PURE_VALUE_CALLABLES:
-                vals = self._operands(node, env)
-                return AbsVal(parallel=any(val.parallel for val in vals))
-        elif (
-            isinstance(func, ast.Name)
-            and func.id in _SAFE_BUILTINS
-            and func.id not in env
+        if isinstance(func, ast.Attribute) and not (
+            isinstance(func.value, ast.Name) and func.value.id == "self"
         ):
+            return self._eval_method_call(node, func, env)
+        if isinstance(func, ast.Name) and func.id in _SAFE_BUILTINS and func.id not in env:
             self._operands(node, env)
             return _VALUE
-        # an unresolvable self.<name>(...), a call through a local or an
-        # imported name, an immediately-called lambda, ...
+        # an unresolvable self.<name>(...) (``self.weight_fn(…)`` included: a
+        # weighted operator is handed its weights), a call through a local or
+        # an imported name, an immediately-called lambda, ...
         return self._unknown(
             node, f"un-modelled call to {chain or type(func).__name__}"
         )
@@ -718,15 +707,17 @@ class _Analyzer:
     def _eval_helper_scatter(
         self, node: ast.Call, combine: str, env: dict[str, AbsVal]
     ) -> AbsVal:
-        if len(node.args) != 4 or node.keywords:
+        if len(node.args) not in (4, 5) or node.keywords:
             return self._unknown(node, f"malformed {node.func.id} call")
-        acc, dst, x, src = (self._eval(arg, env) for arg in node.args)
-        if acc.attr is not None and acc.attr == x.attr:
-            return self._unknown(node, f"{node.func.id} with one array as acc and x")
+        acc, dst, x, src, *data = (self._eval(arg, env) for arg in node.args)
+        if acc.attr is not None and acc.attr in {x.attr, *(d.attr for d in data)}:
+            return self._unknown(node, f"{node.func.id} with acc also read as x or data")
         if x.attr is not None:
             self._emit(node, kind="read", array=x.attr, space=_index_space(src))
         else:
             self._use(node, x)
+        for value in data:  # edge-parallel, read whole
+            self._use(node, value)
         self._write(
             node, node.args[0], env, how="scatter into",
             kind="scatter", space=_index_space(dst), combine=combine, unique=dst.unique,
@@ -998,11 +989,11 @@ def analyze_operator(
     else:
         analyzer = _Analyzer(graph, class_name, summary.effects)
         params = [a.arg for a in process.args.args]
-        args = {}
-        if len(params) >= 2:
-            args[params[1]] = AbsVal(space="src", parallel=True)
-        if len(params) >= 3:
-            args[params[2]] = AbsVal(space="dst", parallel=True)
+        # src, dst and a weighted operator's w: an edge-parallel value, never ids.
+        args = {
+            name: AbsVal(space=space, parallel=True)
+            for name, space in zip(params[1:], ("src", "dst", "value"))
+        }
         analyzer.run(process, args)
 
     cond = methods.get("cond")

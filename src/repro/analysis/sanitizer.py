@@ -96,7 +96,8 @@ def _changed_indices(before: np.ndarray, after: np.ndarray) -> np.ndarray:
 class ShadowWriteRecorder(EdgeOperator):
     """Wrap an operator; record each batch's effective write set.
 
-    Delegates ``cond``/``process_edges`` to the wrapped operator and, per
+    Delegates ``cond``/``process_edges`` (with ``weight_fn`` and a weighted
+    operator's weights) to the wrapped operator and, per
     ``process_edges`` call (one per partition batch inside a partitioned
     kernel), diffs every state array to find the indices the batch
     changed.  ``write_sets[i]`` maps attribute name -> changed flat
@@ -111,12 +112,16 @@ class ShadowWriteRecorder(EdgeOperator):
     def combine(self) -> str | None:  # type: ignore[override]
         return self.inner.combine
 
+    @property
+    def weight_fn(self):  # type: ignore[override]
+        return self.inner.weight_fn
+
     def cond(self, dst_ids: np.ndarray) -> np.ndarray | None:
         return self.inner.cond(dst_ids)
 
-    def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    def process_edges(self, src: np.ndarray, dst: np.ndarray, *w: np.ndarray) -> np.ndarray:
         before = {k: v.copy() for k, v in state_arrays(self.inner).items()}
-        out = self.inner.process_edges(src, dst)
+        out = self.inner.process_edges(src, dst, *w)
         writes = {}
         after = state_arrays(self.inner)
         for key, prev in before.items():

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import VID_DTYPE
-from ..core.ops import EdgeOperator
+from ..core.ops import EdgeOperator, process_batch
 from ..core.stats import EdgeMapStats, RunStats
 from ..frontier.density import DensityClass
 from ..frontier.frontier import Frontier
@@ -151,7 +151,7 @@ class XStreamEngine:
         src, dst = src[shuffle_order], dst[shuffle_order]
 
         # --- gather: apply updates sequentially per destination bucket.
-        activated = op.process_edges(src, dst)
+        activated = process_batch(op, src, dst)
         nxt = Frontier(self.num_vertices, sparse=activated)
 
         self.stats.edge_maps.append(

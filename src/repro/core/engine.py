@@ -26,7 +26,9 @@ paper's Algorithm 2 in three steps:
    (:meth:`Engine._task_edges`); everywhere else it is a run of one.  A
    phase whose frontier is every vertex has no filter to apply, so its
    plan carries no bitmap and the kernels skip the frontier work
-   (:func:`_frontier_filter`).  A backend failure falls back to the
+   (:func:`_frontier_filter`).  A weighted operator's in-process COO and
+   CSR tasks read their edge weights from a per-store cache
+   (:meth:`Engine._weights`).  A backend failure falls back to the
    in-process path and is logged in ``resilience_log``.
 3. **fold** — the tasks' records become the next frontier (looked up
    per store, not folded, when every run activated all of its ``dst``)
@@ -52,7 +54,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .._types import VID_DTYPE
+from .._types import VAL_DTYPE, VID_DTYPE
 from ..errors import BackendError, ValidationError
 from ..frontier.density import DensityClass, classify_frontier
 from ..frontier.distinct import count_distinct_between
@@ -72,6 +74,7 @@ from .kernels import (  # noqa: F401 - resolved by name through globals()
 from .ops import EdgeOperator
 from .options import EngineOptions
 from .plan import (
+    TASK_EDGES,
     PartitionRecord,
     PartitionTask,
     PhasePlan,
@@ -191,6 +194,27 @@ class Engine:
             value = self._per_store[key] = build()
             return value
 
+    def _weights(self, layout: str, weight_fn) -> np.ndarray:
+        """``weight_fn`` of every edge of the store's ``"coo"`` or ``"csr"``,
+        in that layout's order: one slot per layout, rebuilt for another
+        ``weight_fn`` (by value for a ``WeightFn``), ``TASK_EDGES`` edges at a
+        time (a whole-array hash left 3-4 times its size of temporaries on
+        the heap).  Never published to shared memory: workers hash per run."""
+        key = ("weights", layout)
+        if self._per_store.get(key, (None,))[0] != weight_fn:
+            self._per_store.pop(key, None)  # the old array goes before the new one
+            store, w = self.store, np.empty(self.num_edges, VAL_DTYPE)
+            for a in range(0, w.size, TASK_EDGES):
+                b = min(a + TASK_EDGES, w.size)
+                if layout == "coo":
+                    src, dst = store.coo.src[a:b], store.coo.dst[a:b]
+                else:  # edge k's source is the CSR slot whose range holds k
+                    src = store.csr.index.searchsorted(np.arange(a, b), "right") - 1
+                    src, dst = src.astype(VID_DTYPE), store.csr.neighbors[a:b]
+                w[a:b] = weight_fn(src, dst)
+            self._per_store[key] = (weight_fn, w)
+        return self._per_store[key][1]
+
     def _rebuild_store(self, num_partitions: int) -> None:
         """Re-derive every layout at a new partition count (the
         degradation ladder's halving rung)."""
@@ -230,7 +254,9 @@ class Engine:
 
     def close(self) -> None:
         """Shut down the execution backend (worker pool, shm segments)
-        and the grid's background reader, when either exists."""
+        and the grid's background reader, when either exists, and drop
+        the per-store caches (an engine used again rebuilds them)."""
+        self._per_store.clear()
         self._close_backend()
         if self.grid is not None:
             self.grid.close()
@@ -361,7 +387,8 @@ class Engine:
         reader so block k+1's disk read overlaps block k's compute.
         """
         self.grid = grid
-        self._per_store.pop("grid", None)
+        for key in ("grid", ("weights", "coo"), ("weights", "csr")):  # stale or unused now
+            self._per_store.pop(key, None)
         depth = self._backend_conf["prefetch"]
         grid.enable_prefetch(depth)
         self.resilience_log.append(
@@ -396,21 +423,28 @@ class Engine:
             build = getattr(self, f"_plan_{layout}")
             if layout in ("csc", "coo"):  # the layouts whose partitions coalesce into runs
                 plan = build(frontier, self._task_edges(op, trusted))
+            elif layout == "csr":
+                plan = build(frontier, op.weight_fn)
             else:
                 plan = build(frontier)
         plan.trusted = trusted
         return plan
 
-    def _plan_csr(self, frontier: Frontier) -> PhasePlan:
+    def _plan_csr(self, frontier: Frontier, weight_fn) -> PhasePlan:
         """Sparse: forward traversal of the unpartitioned CSR.
 
-        The frontier's out-adjacency is gathered once, here, and the
-        phase is one whole-range task that always runs in this process:
-        per-partition work on a small frontier is pure overhead (§III.A.1).
+        The frontier's out-adjacency is gathered once, here — with a
+        weighted operator's weights, read from the per-store CSR weights at
+        the gather positions — and the phase is one whole-range task that
+        always runs in this process: per-partition work on a small
+        frontier is pure overhead (§III.A.1).
         """
         active = frontier.as_sparse()
         csr = self.store.csr
-        gsrc, gdst = gather_adjacency(csr.index, csr.neighbors, active)
+        gsrc, gdst, pos = gather_adjacency(csr.index, csr.neighbors, active)
+        transient = {"gsrc": gsrc, "gdst": gdst}
+        if weight_fn is not None:
+            transient["w"] = self._weights("csr", weight_fn)[pos]
         return PhasePlan(
             "csr", "forward", "csr",
             self._cached(
@@ -418,7 +452,7 @@ class Engine:
             ),
             num_partitions=1,
             uses_atomics=self.options.num_threads > 1,
-            transient={"gsrc": gsrc, "gdst": gdst},
+            transient=transient,
             per_partition=False,
             scanned=int(active.size),
             granular=False,
@@ -527,7 +561,10 @@ class Engine:
                 # Workers never touch the in-process arrays, so the batch
                 # simply re-runs here.
                 self._note_backend_fallback(exc)
-        run = partial(self._execute, plan, {**plan.shared, **plan.transient}, op)
+        arrays = {**plan.shared, **plan.transient}
+        if plan.layout == "coo" and op.weight_fn is not None:
+            arrays["w"] = self._weights("coo", op.weight_fn)
+        run = partial(self._execute, plan, arrays, op)
         ahead = self._read_ahead if plan.layout == "grid" else None
         records: list[PartitionRecord] = []
         for tasks in plan.batches():

@@ -18,7 +18,7 @@ def gather_adjacency(
     index: np.ndarray,
     neighbors: np.ndarray,
     vertices: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate adjacency slices of ``vertices``.
 
     Parameters
@@ -31,28 +31,22 @@ def gather_adjacency(
 
     Returns
     -------
-    (keys, values):
+    (keys, values, pos):
         ``values`` is the concatenation of the slices; ``keys[i]`` is the
-        vertex whose slice produced ``values[i]``.  Edges appear grouped by
-        the order of ``vertices``.
+        vertex whose slice produced ``values[i]``, and ``pos[i]`` where in
+        ``neighbors`` (and in any array parallel to it, such as cached edge
+        weights) it was read.  Edges appear grouped by the order of
+        ``vertices``.
     """
     vertices = np.asarray(vertices)
-    if vertices.size == 0:
-        return (
-            np.empty(0, dtype=VID_DTYPE),
-            np.empty(0, dtype=neighbors.dtype),
-        )
+    if vertices.size == 0:  # an empty list indexes nothing, whatever its dtype
+        vertices = vertices.astype(VID_DTYPE)
     starts = index[vertices].astype(EID_DTYPE)
     lens = (index[vertices.astype(np.int64) + 1] - starts).astype(EID_DTYPE)
     total = int(lens.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=VID_DTYPE),
-            np.empty(0, dtype=neighbors.dtype),
-        )
     # Classic ragged-gather: positions = repeat(start - exclusive_cumlen)
     # + arange(total) yields each slice's absolute offsets, concatenated.
     excl = np.cumsum(lens) - lens
     pos = np.repeat(starts - excl, lens) + np.arange(total, dtype=EID_DTYPE)
     keys = np.repeat(vertices.astype(VID_DTYPE), lens)
-    return keys, neighbors[pos]
+    return keys, neighbors[pos], pos

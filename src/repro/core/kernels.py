@@ -24,6 +24,11 @@ are a constant of the layout, handed in as ``distinct`` instead of
 being re-counted.  Same loop, same batches in the same order; only the
 copies go.
 
+A weighted operator's weights reach the in-RAM COO and sparse CSR kernels
+as ``w``, parallel to their edges, from the engine's per-store cache;
+anywhere else (a worker, a grid block, the CSC, the partitioned CSR) the
+kernel hashes the run's live edges once, never once per partition.
+
 The kernels are the single source of truth for the task computation:
 the engine's loop calls them in-process and the process backend's
 workers call the very same functions over shared-memory views of the
@@ -45,10 +50,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .._types import VID_DTYPE
+from .._types import VAL_DTYPE, VID_DTYPE
 from ..frontier.distinct import count_distinct, count_distinct_between
 from .gather import gather_adjacency
-from .ops import validated_cond
+from .ops import process_batch, validated_cond
 from .plan import PartitionRecord
 
 __all__ = [
@@ -93,17 +98,17 @@ def kernel_args(kernel: str, arrays: dict, task) -> tuple:
     i = task.partition
     if kernel == "coo":
         elo, ehi = task.extra[0], task.extra[-1]
-        distinct = arrays.get("distinct")  # full-frontier in-RAM phases only
+        distinct, w = arrays.get("distinct"), arrays.get("w")  # in-RAM phases only
         if distinct is not None:
             distinct = distinct[i : i + task.num_partitions]
         return (
-            arrays["src"][elo:ehi], arrays["dst"][elo:ehi], distinct,
-            arrays.get("bitmap"), i, task.cuts, task.extra - elo,
+            arrays["src"][elo:ehi], arrays["dst"][elo:ehi], None if w is None else w[elo:ehi],
+            distinct, arrays.get("bitmap"), i, task.cuts, task.extra - elo,
         )
     if kernel == "csc":
         return (arrays["index"], arrays["neighbors"], arrays.get("bitmap"), i, task.cuts)
     if kernel == "csr":
-        return (arrays["gsrc"], arrays["gdst"], i, task.lo, task.hi)
+        return (arrays["gsrc"], arrays["gdst"], arrays.get("w"), i, task.lo, task.hi)
     if kernel == "pcsr":
         return (
             arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
@@ -113,18 +118,20 @@ def kernel_args(kernel: str, arrays: dict, task) -> tuple:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _per_partition(op, src, dst, at: list, keep: list):
+def _per_partition(op, src, dst, w, at: list, keep: list):
     """``op``'s activations over one batch per partition, lowest first:
-    ``src[at[k]:at[k + 1]]`` / ``dst[...]`` for every ``k`` that
+    ``src[at[k]:at[k + 1]]`` / ``dst[...]`` (/ ``w[...]``) for every ``k`` that
     ``keep[k]`` (``at`` spans all of ``dst``; a skipped ``k`` is empty).
     Returns them concatenated, how many batches there were, and whether
     every batch handed back the very ``dst`` slice it was given — they
     then add up to ``dst`` itself, which is returned, not a copy."""
     acts, echoed = [], True
+    if w is None and op.weight_fn is not None:  # once per run, never per partition
+        w = np.ascontiguousarray(op.weight_fn(src, dst), VAL_DTYPE)
     for a, b, kept in zip(at, at[1:], keep):
         if kept:
             batch = dst[a:b]
-            act = op.process_edges(src[a:b], batch)
+            act = process_batch(op, src[a:b], batch, None if w is None else w[a:b])
             acts.append(act)
             echoed = echoed and act is batch
     if echoed:
@@ -153,7 +160,7 @@ def run_csc_partition(
     cond = cond_fn(op, candidates)
     if cond is not None:
         candidates = candidates[cond]
-    dst, src = gather_adjacency(index, neighbors, candidates)
+    dst, src, _ = gather_adjacency(index, neighbors, candidates)
     # The gather groups edges by ascending candidate, so ``dst`` ascends
     # and the vertex cuts find every partition's slice.
     examined_at = dst.searchsorted(cuts)
@@ -164,7 +171,7 @@ def run_csc_partition(
         src_live, dst_live = src[live], dst[live]
         live_at = dst_live.searchsorted(cuts).tolist()
     keep = (cuts[1:] > cuts[:-1]).tolist()
-    acts, batches, _ = _per_partition(op, src_live, dst_live, live_at, keep)
+    acts, batches, _ = _per_partition(op, src_live, dst_live, None, live_at, keep)
     return PartitionRecord(
         partition=partition,
         lo=lo,
@@ -184,22 +191,24 @@ def run_csr_sparse_partition(
     cond_fn,
     src: np.ndarray,
     dst: np.ndarray,
+    w: np.ndarray | None,
     partition: int,
     lo: int,
     hi: int,
 ) -> PartitionRecord:
     """The sparse forward-CSR traversal: one task over the whole graph.
 
-    ``src``/``dst`` are the edges already gathered from the frontier's
-    out-adjacency; ``[lo, hi)`` is ``[0, num_vertices)`` and only labels
-    the record.  ``touched`` stays 0: no CSR :class:`EdgeMapStats` reads
-    it.
+    ``src``/``dst`` (and a weighted operator's ``w``) are the edges
+    already gathered from the frontier's out-adjacency; ``[lo, hi)`` is
+    ``[0, num_vertices)`` and only labels the record.  ``touched`` stays
+    0: no CSR :class:`EdgeMapStats` reads it.
     """
     examined = int(dst.size)
     cond = cond_fn(op, dst)
     if cond is not None:
         src, dst = src[cond], dst[cond]
-    acts = op.process_edges(src, dst)
+        w = None if w is None else w[cond]
+    acts = process_batch(op, src, dst, w)
     return PartitionRecord(
         partition=partition,
         lo=lo,
@@ -216,6 +225,7 @@ def run_coo_partition(
     cond_fn,
     src: np.ndarray,
     dst: np.ndarray,
+    w: np.ndarray | None,
     distinct: np.ndarray | None,
     bitmap: np.ndarray | None,
     partition: int,
@@ -223,11 +233,12 @@ def run_coo_partition(
     edge_cuts: np.ndarray,
 ) -> PartitionRecord:
     """Streaming traversal of a run of partitions' destination-sorted edge
-    slice; ``edge_cuts`` are the partitions' offsets into ``src``/``dst``.
+    slice; ``edge_cuts`` are the partitions' offsets into ``src``/``dst``
+    (and ``w``, the cached weights of the same edges, if any).
     Every partition gets its operator batch, an empty one included.
 
     ``bitmap is None`` means every source is live.  When ``cond`` passes
-    every edge as well, the batches are slices of ``src``/``dst``
+    every edge as well, the batches are slices of ``src``/``dst``/``w``
     themselves and ``distinct`` — the run's distinct destinations per
     partition, counted once per store — is the record's ``touched``
     (``None``, a grid block: counted here); if the operator then hands
@@ -242,13 +253,14 @@ def run_coo_partition(
         src_live, dst_live, live_at = src, dst, at
     else:
         src_live, dst_live = src[live], dst[live]
+        w = None if w is None else w[live]
         # Live edges per partition, counted slice by slice: a vectorised
         # count_nonzero per partition beats any one pass over the whole
         # mask (cumsum, reduceat) at every run length.
         counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
         live_at = list(accumulate(counts, initial=0))
     acts, batches, echoed = _per_partition(
-        op, src_live, dst_live, live_at, [True] * (len(at) - 1)
+        op, src_live, dst_live, w, live_at, [True] * (len(at) - 1)
     )
     if live is not None or distinct is None:
         # Not all of an in-RAM layout's ``dst``: nothing the fold could
@@ -304,13 +316,13 @@ def run_pcsr_partition(
         rec = PartitionRecord.empty(partition, lo, hi)
         rec.scanned = scanned
         return rec
-    slot_keys, dst = gather_adjacency(index, neighbors, live_slots)
+    slot_keys, dst, _ = gather_adjacency(index, neighbors, live_slots)
     src = vertex_ids[slot_keys]
     examined = int(dst.size)
     cond = cond_fn(op, dst)
     if cond is not None:
         src, dst = src[cond], dst[cond]
-    acts = op.process_edges(src, dst)
+    acts = process_batch(op, src, dst)
     return PartitionRecord(
         partition=partition,
         lo=lo,

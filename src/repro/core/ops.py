@@ -6,10 +6,12 @@ of vertices for which an update "returned true".  A per-edge Python
 callback would be hopelessly slow, so operators here receive whole *batches*
 of edges as numpy arrays and apply their update with an unbuffered scatter
 — a ufunc's ``.at`` (``np.minimum.at``, ``np.add.at``, ...) or, for the
-plain ``acc[dst] += x[src]`` of PageRank and PRDelta, the one compiled
-loop of :func:`scatter_add_gather` — which is correct in the presence of
+add-reductions ``acc[dst] += x[src]`` of PageRank and PRDelta and
+``y[dst] += w * x[src]`` of SPMV, the one compiled loop of
+:func:`scatter_add_gather` — which is correct in the presence of
 duplicate destinations for the commutative reductions all of the paper's
-algorithms use.
+algorithms use.  A weighted operator gets its edges' weights ``w`` beside
+``src``/``dst`` (:func:`process_batch`).
 
 The engine may slice one logical edge-map into many batches (one per graph
 partition) in any order, which is exactly the freedom the paper's
@@ -42,6 +44,7 @@ from .plan import TASK_EDGES
 
 __all__ = [
     "EdgeOperator",
+    "process_batch",
     "scatter_add_gather",
     "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
@@ -80,6 +83,10 @@ class EdgeOperator(abc.ABC):
     #: range).  Consulted by :mod:`repro.analysis.sanitizer` to decide
     #: whether overlapping cross-partition write sets are a race.
     combine: str | None = None
+    #: A weighted operator's ``(src, dst) -> weights`` function (a
+    #: :class:`~repro.graph.weights.WeightFn`); it never calls it itself:
+    #: its batches arrive with their weights (:func:`process_batch`).
+    weight_fn = None
 
     def cond(self, dst_ids: np.ndarray) -> np.ndarray | None:
         """Which destination vertices still accept updates.
@@ -94,6 +101,10 @@ class EdgeOperator(abc.ABC):
     @abc.abstractmethod
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Apply the update to edges ``(src[i], dst[i])``.
+
+        A weighted operator is called as ``process_edges(src, dst, w)``:
+        ``w[i]`` is edge ``i``'s weight, a float64 value to read, never ids
+        (often a view of the engine's per-store weight cache).
 
         Both arrays may contain duplicate vertices.  Returns the vertex ids
         activated by these updates, duplicates and all (``dst[mask]``).
@@ -134,6 +145,17 @@ class EdgeOperator(abc.ABC):
             getattr(self, key)[...] = value
 
 
+def process_batch(op: EdgeOperator, src, dst, w=None):
+    """``op.process_edges`` over one batch, as every caller calls it: a
+    weighted operator also gets ``w``, or where the caller has none
+    ``op.weight_fn(src, dst)`` as contiguous float64, as the cache holds it."""
+    if op.weight_fn is None:
+        return op.process_edges(src, dst)
+    if w is None:
+        w = np.ascontiguousarray(op.weight_fn(src, dst), VAL_DTYPE)
+    return op.process_edges(src, dst, w)
+
+
 # ----------------------------------------------------------------------
 # the dense add-reduction as one compiled loop
 # ----------------------------------------------------------------------
@@ -143,21 +165,26 @@ _F64, _VID = np.dtype(VAL_DTYPE), np.dtype(VID_DTYPE)
 _ONES = np.ones(TASK_EDGES, dtype=VAL_DTYPE)
 
 
-def scatter_add_gather(acc: np.ndarray, dst: np.ndarray, x: np.ndarray, src: np.ndarray) -> None:
-    """``acc[dst[k]] += x[src[k]]`` for ``k`` ascending, in place:
-    ``np.add.at(acc, dst, x[src])`` bit for bit, as one compiled loop
-    (scipy's COO mat-vec ``y[row[k]] += data[k] * x[col[k]]`` with unit
-    ``data``) and without the |E| gather temporary.
+def scatter_add_gather(
+    acc: np.ndarray, dst: np.ndarray, x: np.ndarray, src: np.ndarray, data=None
+) -> None:
+    """``acc[dst[k]] += x[src[k]]`` (given ``data``, ``+= data[k] *
+    x[src[k]]``) for ``k`` ascending, in place: ``np.add.at(acc, dst,
+    x[src])`` (``data * x[src]``) bit for bit, as one compiled loop (scipy's
+    COO mat-vec ``y[row[k]] += data[k] * x[col[k]]``, unit ``data`` by
+    default) and without the |E| gather temporary.  With real ``data`` that
+    holds only while the loop's multiply-add is not contracted into an FMA,
+    which ``tests/properties/test_prop_scatter_add.py`` probes by name.
 
     That loop checks nothing and silently *copies* an argument whose dtype
     or layout it dislikes (a copied ``acc`` loses the write), so all of it
     is refused here, before ``acc`` is touched: ``TypeError`` unless
-    ``acc``/``x`` are 1-D C-contiguous ``float64`` (``acc`` aligned and
-    writeable) and ``dst``/``src`` C-contiguous vertex ids of one length;
-    ``ValueError`` if ``acc`` may overlap ``x`` (the fused gather would
-    read what it just wrote: ``SigmaOp``'s shape stays on ``np.add.at``);
-    ``IndexError`` for an id outside ``[0, size)``.  Only this *fused* form
-    beats ``ufunc.at``, so weighted and min/or reductions stay there.
+    ``acc``/``x``/``data`` are 1-D C-contiguous ``float64`` (``acc`` aligned
+    and writeable) and ``dst``/``src`` C-contiguous vertex ids, all three
+    of one length; ``ValueError`` if ``acc`` may overlap ``x`` or ``data``
+    (the fused loop would read what it just wrote: ``SigmaOp``'s shape stays
+    on ``np.add.at``); ``IndexError`` for an id outside ``[0, size)``.  Only
+    this *fused* form beats ``ufunc.at``, so min/or reductions stay there.
     """
     try:
         nnz = dst.size
@@ -166,19 +193,23 @@ def scatter_add_gather(acc: np.ndarray, dst: np.ndarray, x: np.ndarray, src: np.
             and acc.ndim == x.ndim == dst.ndim == src.ndim == 1 and src.size == nnz
             and acc.flags.carray and x.flags.c_contiguous
             and dst.flags.c_contiguous and src.flags.c_contiguous
+            and (data is None or data.dtype == _F64 and data.shape == (nnz,)
+                 and data.flags.c_contiguous)
         )
     except AttributeError:  # not arrays at all
         ok = False
     if not ok:
         raise TypeError(
             "scatter_add_gather needs 1-D C-contiguous arrays: a writeable float64 acc, "
-            f"a float64 x, and {_VID} dst and src of one length"
+            f"a float64 x, {_VID} dst and src and a float64 data of one length"
         )
-    if np.may_share_memory(acc, x):
-        raise ValueError("scatter_add_gather: acc and x must not share memory")
+    if np.may_share_memory(acc, x) or (data is not None and np.may_share_memory(acc, data)):
+        raise ValueError("scatter_add_gather: acc must not share memory with x or data")
     d, s = dst.view(np.uint32), src.view(np.uint32)  # a negative id is a huge one
     if nnz and (d[d.argmax()] >= acc.size or s[s.argmax()] >= x.size):
         raise IndexError("scatter_add_gather: vertex id out of range")
+    if data is not None:
+        return coo_matvec(nnz, dst, src, data, x, acc)
     if nnz <= TASK_EDGES:  # one chunk (every partition-sized batch): no slicing
         return coo_matvec(nnz, dst, src, _ONES, x, acc)
     for k in range(0, nnz, TASK_EDGES):

@@ -4,11 +4,16 @@ Several of the paper's algorithms (Bellman-Ford, SPMV, BP) need edge
 weights, but the datasets are unweighted; like the original frameworks we
 attach synthetic weights.  Weights are computed as a *pure function of the
 endpoint pair* via a vectorised integer hash, so every layout — whichever
-order it stores edges in — sees identical weights without carrying a
-parallel weight array through each permutation.
+order it stores edges in — sees identical weights.  That makes them layout
+data computed on demand: the engine hashes a layout's edges once into a
+weight array parallel to them and keeps one per layout, rebuilt for another
+:class:`WeightFn` value, and anything without that array hashes the edges
+it holds.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +55,20 @@ def edge_weights(
     return low + unit * (high - low)
 
 
+@dataclass(frozen=True)
 class WeightFn:
-    """A reusable ``(src, dst) -> weights`` callable with fixed range/seed."""
+    """A reusable ``(src, dst) -> weights`` callable with fixed range/seed.
 
-    def __init__(self, low: float = 1.0, high: float = 2.0, seed: int = 0) -> None:
-        self.low = float(low)
-        self.high = float(high)
-        self.seed = int(seed)
+    Equal, and hashing equal, by value: two equal ones share the engine's
+    one cached weight array per layout."""
+
+    low: float = 1.0
+    high: float = 2.0
+    seed: int = 0
+
+    def __post_init__(self) -> None:  # fields are plain numbers, whatever was passed
+        for name, cast in (("low", float), ("high", float), ("seed", int)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     def __call__(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         return edge_weights(src, dst, low=self.low, high=self.high, seed=self.seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import CompressedGraph, build_csc, build_csr
-from ..graph.edgelist import EdgeList
+from ..graph.edgelist import EdgeList, sorted_pairs
 from ..partition.vertex_partition import VertexPartition
 
 __all__ = ["PartitionedCSR", "RangedCSC"]
@@ -73,15 +73,13 @@ class PartitionedCSR:
     # ------------------------------------------------------------------
     @staticmethod
     def build(edges: EdgeList, partition: VertexPartition) -> "PartitionedCSR":
-        """Split edges by destination home partition; build a pruned CSR each."""
-        pid = partition.partition_of(edges.dst).astype(np.int64)
-        order = np.argsort(pid, kind="stable")
-        sorted_pid = pid[order]
-        counts = np.bincount(sorted_pid, minlength=partition.num_partitions)
-        offsets = np.zeros(partition.num_partitions + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        src = edges.src[order]
-        dst = edges.dst[order]
+        """Split edges by destination home partition; build a pruned CSR each.
+
+        Home partitions are contiguous id ranges, so destination order groups
+        the edges by partition; ``build_csr`` sorts each group by
+        ``(src, dst)`` itself, so no stable sort is needed."""
+        dst, src = sorted_pairs(edges.dst, edges.src)
+        offsets = dst.searchsorted(partition.boundaries)
         parts = []
         for i in range(partition.num_partitions):
             lo, hi = int(offsets[i]), int(offsets[i + 1])

@@ -22,6 +22,7 @@ from repro.algorithms.pagerank import PageRankOp
 from repro.algorithms.prdelta import PRDeltaOp
 from repro.algorithms.radii import BitOrOp
 from repro.algorithms.spmv import SPMVOp
+from repro.core.ops import process_batch
 from repro.frontier.frontier import Frontier
 from repro.graph.weights import WeightFn
 
@@ -91,7 +92,8 @@ def test_every_registry_operator_has_a_case():
 
 @pytest.mark.parametrize("cls", STATE, ids=lambda cls: cls.__name__)
 def test_raw_ids_build_the_frontier_np_unique_built(cls):
-    acts = cls(*STATE[cls]()).process_edges(SRC, DST)
+    # process_batch hands SPMV and Bellman-Ford their weights, as every caller does
+    acts = process_batch(cls(*STATE[cls]()), SRC, DST)
     old_form = np.unique(acts).astype(VID_DTYPE)
     assert old_form.size, "the batch must activate something"
     got = Frontier(N, sparse=acts).as_sparse()
@@ -102,7 +104,7 @@ def test_raw_ids_build_the_frontier_np_unique_built(cls):
 
     oracle_op = cls(*STATE[cls]())
     oracle: set[int] = set()
-    for u, v in zip(SRC, DST):
-        one = oracle_op.process_edges(np.array([u]), np.array([v]))
+    for k in range(SRC.size):
+        one = process_batch(oracle_op, SRC[k : k + 1], DST[k : k + 1])
         oracle.update(one.tolist())
     assert got.tolist() == sorted(oracle)

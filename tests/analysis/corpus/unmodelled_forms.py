@@ -8,6 +8,9 @@ closed).  ``tests/analysis/test_effects.py`` and the CI ``lint`` job hold
 every class here to level ``unknown``; re-admitting a form means adding
 a model of it to ``repro.analysis.effects`` and moving its class out.
 
+``WeightIndexedScatterOp`` indexes with a weighted operator's third batch
+argument, which the pass holds to be a value, never ids.
+
 The last four are the calls of ``repro.core.ops.scatter_add_gather`` the
 pass does *not* take for the modelled ``helper(acc, dst, x, src)``.  Two
 of them the helper itself would refuse, so they sit behind a test that
@@ -18,6 +21,7 @@ import numpy as np
 
 from repro.core.ops import EdgeOperator, scatter_add_gather
 from repro.core.ops import scatter_add_gather as rebound_helper  # HelperShadowedOp rebinds it
+from repro.graph.weights import WeightFn
 
 
 class _AccOp(EdgeOperator):
@@ -150,6 +154,20 @@ class RecursiveHelperOp(_AccOp):
         np.add.at(self.acc, ids, 1.0)
         if ids.size < 0:
             self._again(ids)
+
+
+class WeightIndexedScatterOp(_AccOp):
+    """A weighted operator's ``w`` is an edge-parallel value, never ids: a
+    scatter through it could land in any partition's range.  Weights are
+    floats, so the scatter sits behind a test that is never true."""
+
+    weight_fn = WeightFn()
+
+    def process_edges(self, src, dst, w):
+        np.add.at(self.acc, dst, w)
+        if dst.size < 0:
+            np.add.at(self.acc, w, 1.0)
+        return dst
 
 
 class HelperKeywordOp(_AccOp):

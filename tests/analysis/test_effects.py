@@ -246,7 +246,19 @@ HELPER_CALLS = {
         _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x)", "unknown", [], {}, {},
     ),
     "five arguments": (
-        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, None)", "unknown", [], {}, {},
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, self.w)",
+        "partition-pure", [], {"acc": {"dst"}}, {"x": {"src"}, "w": {"full"}},
+    ),
+    "five arguments, data a fresh value": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, np.ones(4))",
+        "partition-pure", [], {"acc": {"dst"}}, {"x": {"src"}},
+    ),
+    "six arguments": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, None, None)",
+        "unknown", [], {}, {},
+    ),
+    "acc is data": (
+        _FROM_OPS, "scatter_add_gather(self.acc, dst, self.x, src, self.acc)", "unknown", [], {}, {},
     ),
     "acc is x": (
         _FROM_OPS, "scatter_add_gather(self.acc, dst, self.acc, src)", "unknown", [], {}, {},
@@ -304,6 +316,38 @@ def test_the_scatter_helper_is_modelled_in_exactly_one_shape(case):
         if effect.kind == "read":
             got_reads.setdefault(effect.array, set()).add(effect.space)
     assert got_reads == reads
+
+
+#: a weighted operator's third batch argument is an edge-parallel value,
+#: never an index space: (process_edges body, level, GL codes, write set).
+WEIGHTED_BODIES = {
+    "read beside the ids": (
+        "np.minimum.at(self.acc, dst, self.x[src] + w)", "partition-pure", [], {"acc": {"dst"}},
+    ),
+    "the helper's data": (
+        "scatter_add_gather(self.acc, dst, self.x, src, w)", "partition-pure", [],
+        {"acc": {"dst"}},
+    ),
+    "scattered through": ("np.add.at(self.acc, w, 1.0)", "unknown", [], {"acc": {"unknown"}}),
+    "stored through": ("self.acc[w] = 1.0", "unknown", [], {"acc": {"unknown"}}),
+    "written": ("w[dst] = 0.0", "unsafe", ["GL008"], {}),
+    "hashed by the operator itself": (
+        "np.add.at(self.acc, dst, self.weight_fn(src, dst))", "unknown", [], {"acc": {"dst"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WEIGHTED_BODIES)
+def test_the_weight_argument_is_a_value_never_ids(case):
+    body, level, codes, writes = WEIGHTED_BODIES[case]
+    src = (
+        f"import numpy as np\n{_FROM_OPS}\nclass P(EdgeOperator):\n"
+        f"    def process_edges(self, src, dst, w):\n        {body}\n        return dst\n"
+    )
+    summary = _analyze(src, "P", declared_combine="min" if "minimum" in body else "add")
+    assert summary.level.value == level, summary.reasons
+    assert [v.code for v in summary.violations] == codes
+    assert summary.written_arrays() == writes
 
 
 def test_a_shadowing_def_is_analysed_as_the_def_it_is():

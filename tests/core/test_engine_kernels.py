@@ -2,6 +2,7 @@
 as the edge-at-a-time reference executor, for every operator family."""
 
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from repro.algorithms.bellman_ford import BellmanFordOp, bellman_ford
 from repro.algorithms.bfs import BFSOp, bfs
 from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp
+from repro.algorithms.spmv import spmv
 from repro.core.engine import Engine
 from repro.core.options import EngineOptions
 from repro.core.plan import TASK_EDGES
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
 from repro.graph.weights import WeightFn
+from repro.layout.coo import EDGE_ORDERS
 from repro.layout.store import GraphStore
 from tests.references import reference_edge_map
 
@@ -264,3 +267,83 @@ def test_sparse_phases_call_np_unique_only_from_bfs_op(monkeypatch):
     assert len(paths.stats.edge_maps) >= 30 and components.iterations >= 30
     assert {m.layout for m in paths.stats.edge_maps} >= {"csr"}
     assert np.array_equal(tree.level >= 0, paths.reached())
+
+
+# ----------------------------------------------------------------------
+# edge weights are layout data: hashed once per store, one slot per layout
+# ----------------------------------------------------------------------
+def _weight_keys(engine) -> list:
+    return [key for key in engine._per_store if key[0] == "weights"]
+
+
+@pytest.mark.parametrize("partitions", [1, 3, 384])
+@pytest.mark.parametrize("edge_order", EDGE_ORDERS)
+def test_cached_weights_are_the_weight_fn_of_the_layouts_own_edges(edge_order, partitions):
+    """Over more than ``TASK_EDGES`` edges, so the cache is built in chunks."""
+    graph = gen.rmat(12, 16, seed=4)
+    assert graph.num_edges > TASK_EDGES
+    store = GraphStore.build(graph, num_partitions=partitions, edge_order=edge_order)
+    wf = WeightFn(low=0.5, high=3.0, seed=9)
+    source = int(np.argmax(store.out_degrees))
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        spmv(engine, weight_fn=wf)  # one dense COO phase: the COO's weights
+        paths = bellman_ford(engine, source, weight_fn=wf)  # sparse phases: the CSR's
+        assert paths.stats.edge_maps[0].layout == "csr"
+        coo_fn, coo_w = engine._per_store["weights", "coo"]
+        csr_fn, csr_w = engine._per_store["weights", "csr"]
+        assert sorted(_weight_keys(engine)) == [("weights", "coo"), ("weights", "csr")]
+    csr = store.csr
+    assert coo_fn is csr_fn is wf
+    assert coo_w.dtype == csr_w.dtype == np.float64
+    assert coo_w.tobytes() == wf(store.coo.src, store.coo.dst).tobytes()
+    assert csr_w.tobytes() == wf(csr.edge_sources(), csr.neighbors).tobytes()
+
+
+def test_an_equal_weight_fn_reuses_the_slot_and_another_replaces_it():
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
+    assert WeightFn(seed=3) == WeightFn(seed=3) and hash(WeightFn(seed=3)) == hash(WeightFn(seed=3))
+    assert WeightFn(1, 2, 3) == WeightFn(np.float32(1), 2.0, np.int64(3))  # fields are coerced
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        first = spmv(engine, weight_fn=WeightFn(seed=3)).y
+        cached = engine._per_store["weights", "coo"][1]
+        again = spmv(engine, weight_fn=WeightFn(seed=3)).y
+        assert engine._per_store["weights", "coo"][1] is cached
+        replaced = weakref.ref(cached)
+        del cached
+        other = spmv(engine, weight_fn=WeightFn(seed=4)).y
+        assert _weight_keys(engine) == [("weights", "coo")]
+        assert engine._per_store["weights", "coo"][0] == WeightFn(seed=4)
+        assert replaced() is None  # at most one array per layout stays resident
+    assert first.tobytes() == again.tobytes() and not np.array_equal(first, other)
+
+
+def test_close_releases_the_weight_cache_and_a_closed_engine_rebuilds_it():
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
+    wf = WeightFn(seed=1)
+    engine = Engine(store, EngineOptions(num_threads=2, backend="serial"))
+    want = spmv(engine, weight_fn=wf).y
+    cached = weakref.ref(engine._per_store["weights", "coo"][1])
+    engine.close()
+    assert cached() is None and engine._per_store == {}
+    got = spmv(engine, weight_fn=wf).y
+    assert _weight_keys(engine) == [("weights", "coo")]
+    assert got.tobytes() == want.tobytes()
+    engine.close()
+
+
+class _Float32Weights:
+    """A custom weight function returning float32, not float64."""
+
+    def __call__(self, src, dst):
+        return WeightFn(seed=7)(src, dst).astype(np.float32)
+
+
+def test_a_float32_weight_fn_gives_the_same_spmv_in_process_and_on_workers():
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
+    results, dispatched = [], []
+    for backend in ("serial", "process:workers=2"):
+        with Engine(store, EngineOptions(num_threads=2, backend=backend)) as engine:
+            results.append(spmv(engine, weight_fn=_Float32Weights()).y.tobytes())
+            assert engine.backend_stats.fallbacks == 0  # a worker's batch was not refused
+            dispatched.append(engine.backend_stats.batches_dispatched)
+    assert results[0] == results[1] and dispatched[0] == 0 < dispatched[1]

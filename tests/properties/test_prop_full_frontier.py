@@ -26,8 +26,10 @@ from hypothesis import strategies as st
 
 from repro._types import VID_DTYPE
 from repro.algorithms import registry
+from repro.algorithms.bellman_ford import bellman_ford
 from repro.algorithms.cc import CCOp
 from repro.algorithms.pagerank import PageRankOp, pagerank
+from repro.algorithms.spmv import spmv
 from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions
 from repro.core import engine as engine_module
@@ -36,6 +38,7 @@ from repro.core.ops import EdgeOperator, scatter_add_gather
 from repro.frontier.distinct import count_distinct_between
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
+from repro.graph.weights import WeightFn
 from repro.layout import EDGE_ORDERS, GraphStore
 from repro.layout.grid import GridStore
 from repro.partition.vertex_partition import VertexPartition
@@ -373,6 +376,70 @@ def test_rebuilding_the_store_drops_the_cached_frontier():
         after = engine.edge_map(Frontier.full(n), op)
         assert after is engine._per_store["coo-frontier"] and after is not before
         assert after == Frontier(n, sparse=engine.store.coo.dst)
+
+
+def test_rebuilding_the_store_drops_the_cached_weights():
+    store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
+    wf = WeightFn(seed=2)
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        want = spmv(engine, weight_fn=wf).y
+        before = engine._per_store["weights", "coo"][1]
+        engine._rebuild_store(6)
+        assert ("weights", "coo") not in engine._per_store
+        got = spmv(engine, weight_fn=wf).y
+        after = engine._per_store["weights", "coo"][1]
+        coo = engine.store.coo
+    assert after is not before and after.tobytes() == wf(coo.src, coo.dst).tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_attaching_a_grid_drops_the_cached_weights(tmp_path):
+    edges = gen.rmat(8, 8.0, seed=5)
+    store = GraphStore.build(edges, num_partitions=12)
+    wf = WeightFn(seed=2)
+    source = int(np.argmax(store.out_degrees))
+
+    def weight_keys(engine):
+        return {key for key in engine._per_store if key[0] == "weights"}
+
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        want = spmv(engine, weight_fn=wf).y, bellman_ford(engine, source, weight_fn=wf).dist
+        assert weight_keys(engine) == {("weights", "coo"), ("weights", "csr")}
+        engine.attach_grid(GridStore.build(edges, tmp_path, num_stripes=3))
+        assert weight_keys(engine) == set()
+        got = spmv(engine, weight_fn=wf).y, bellman_ford(engine, source, weight_fn=wf).dist
+        assert weight_keys(engine) == set()  # grid blocks hash per run
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_weighted_results_are_bit_identical_on_every_path(tmp_path):
+    """In-process COO and CSR phases read the per-store cache; a worker, a
+    grid block and the partitioned CSR hash their runs — the same bits.
+    The pool's engine never builds the COO cache: it is not published."""
+    edges = gen.rmat(8, 8.0, seed=6)
+    store = GraphStore.build(edges, num_partitions=16)
+    wf = WeightFn(low=0.5, high=4.0, seed=2)
+    source = int(np.argmax(store.out_degrees))
+
+    def run(backend="serial", layout=None, **engine_kwargs):
+        options = EngineOptions(num_threads=2, backend=backend, forced_layout=layout)
+        with Engine(store, options, **engine_kwargs) as engine:
+            y = spmv(engine, weight_fn=wf).y
+            paths = bellman_ford(engine, source, weight_fn=wf)
+            layouts = {m.layout for m in paths.stats.edge_maps}
+            cached = {key[1] for key in engine._per_store if key[0] == "weights"}
+            assert engine.backend_stats.fallbacks == 0
+        return (y.tobytes(), paths.dist.tobytes()), layouts, cached
+
+    want, layouts, cached = run()
+    assert layouts == {"csr", "csc", "coo"} and cached == {"coo", "csr"}
+    got, _, cached = run("process:workers=2")
+    assert got == want and cached == {"csr"}  # the COO phases ran on the pool
+    got, layouts, cached = run(layout="pcsr")
+    assert got == want and layouts == {"pcsr"} and cached == set()
+    grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=16 << 10)
+    got, layouts, cached = run(resilience=ResiliencePolicy(), grid=grid)
+    assert got == want and layouts == {"grid"} and cached == set()
 
 
 def test_flagged_records_cross_ipc_without_their_ids(monkeypatch):

@@ -6,6 +6,7 @@ sorted edge list and a preprocessed grid hold must equal, dtype included,
 what the ``np.lexsort`` builders kept in ``tests/references.py`` give.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from repro.layout.store import GraphStore
 from tests.references import (
     reference_compressed,
     reference_layouts,
+    reference_partitioned_csr,
     reference_shard_edges,
 )
 
@@ -100,6 +102,31 @@ def test_pruned_layouts_and_sorted_edge_lists_equal_the_lexsort_builders(case):
         s = g.sorted_by(key)
         _assert_bitwise_equal(s.src, g.src[order], f"{key} src")
         _assert_bitwise_equal(s.dst, g.dst[order], f"{key} dst")
+
+
+def _digest(arrays) -> str:
+    """One SHA-256 over every array's dtype and bytes, in order."""
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(array.dtype.str.encode() + array.tobytes())
+    return h.hexdigest()
+
+
+@settings(max_examples=40, deadline=None)
+@given(awkward_graphs())
+def test_partitioned_csr_equals_the_stable_argsort_builder(case):
+    """Any grouping by home partition gives the same pruned CSRs, which
+    sort their own edges: the packed destination sort and the parent's
+    stable argsort must agree by digest, part by part."""
+    g, p = case
+    for balance in BALANCES:
+        store = GraphStore.build(g, num_partitions=p, balance=balance)
+        parts = store.build_partitioned_csr().parts
+        want = reference_partitioned_csr(g, store.csc.partition)
+        assert len(parts) == len(want) == p
+        fields = ("vertex_ids", "index", "neighbors")
+        got = _digest(getattr(part, field) for part in parts for field in fields)
+        assert got == _digest(ref[field] for ref in want for field in fields), balance
 
 
 # ----------------------------------------------------------------------
@@ -198,8 +225,8 @@ def test_grid_blocks_and_manifest_match_the_reference_shard(
 @pytest.mark.parametrize("edge_order", EDGE_ORDERS)
 def test_store_build_calls_no_lexsort_and_no_stable_argsort(monkeypatch, edge_order):
     """Counts, not bytes: numpy's stable argsort and lexsort allocate scratch
-    that tracemalloc does not see, so the guard is that the build never
-    reaches them."""
+    that tracemalloc does not see, so the guard is that the build — the
+    three-copy store and the partitioned CSR — never reaches them."""
     graph = gen.rmat(10, 8, seed=1)
     calls: list[str] = []
     real_lexsort, real_argsort = np.lexsort, np.argsort
@@ -216,5 +243,6 @@ def test_store_build_calls_no_lexsort_and_no_stable_argsort(monkeypatch, edge_or
     monkeypatch.setattr(np, "lexsort", lexsort)
     monkeypatch.setattr(np, "argsort", argsort)
     for balance in BALANCES:
-        GraphStore.build(graph, num_partitions=16, edge_order=edge_order, balance=balance)
+        store = GraphStore.build(graph, num_partitions=16, edge_order=edge_order, balance=balance)
+        store.build_partitioned_csr()
     assert calls == []

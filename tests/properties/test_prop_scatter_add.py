@@ -1,10 +1,13 @@
-"""``scatter_add_gather`` is ``np.add.at(acc, dst, x[src])``, bit for bit.
+"""``scatter_add_gather`` is ``np.add.at(acc, dst, x[src])`` — and, given
+``data``, ``np.add.at(acc, dst, data * x[src])`` — bit for bit.
 
 The helper runs scipy's private COO mat-vec loop with a unit ``data``
-factor, which checks nothing and copies what it dislikes; everything it
-would mishandle must therefore be refused by the helper itself, before
-``acc`` is touched.  One plain test pins the private symbol's contract, so
-a scipy release that moves or changes it fails here, by name.
+factor (or the caller's), which checks nothing and copies what it
+dislikes; everything it would mishandle must therefore be refused by the
+helper itself, before ``acc`` is touched.  One plain test pins the private
+symbol's contract, so a scipy release that moves or changes it fails here,
+by name; another probes that its multiply-add is not contracted into an
+FMA, which the weighted form's bit-identity rests on.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ def _bits_equal(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 def _case(seed: int, length: int, n: int, special_share: float):
-    """``(acc, dst, x, src)``: duplicate-heavy ``dst``, a non-zero starting
-    ``acc``, values drawn from :data:`SPECIALS` beside ordinary ones."""
+    """``(acc, dst, x, src, data)``: duplicate-heavy ``dst``, a non-zero
+    starting ``acc``, values drawn from :data:`SPECIALS` beside ordinary ones."""
     rng = np.random.default_rng(seed)
 
     def values(size):
@@ -50,7 +53,7 @@ def _case(seed: int, length: int, n: int, special_share: float):
     hot = rng.integers(0, n, max(1, n // 8))  # most edges land on few destinations
     dst = np.where(rng.random(length) < 0.8, rng.choice(hot, length), rng.integers(0, n, length))
     src = rng.integers(0, n, length)
-    return values(n), dst.astype(VID_DTYPE), values(n), src.astype(VID_DTYPE)
+    return values(n), dst.astype(VID_DTYPE), values(n), src.astype(VID_DTYPE), values(length)
 
 
 def _read_only_view_of_larger(array: np.ndarray, pad: int) -> np.ndarray:
@@ -61,24 +64,43 @@ def _read_only_view_of_larger(array: np.ndarray, pad: int) -> np.ndarray:
     return view
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     length=st.sampled_from(LENGTHS),
     n=st.sampled_from([1, 2, 17, 300]),
     special_share=st.sampled_from([0.0, 0.05, 0.5]),
     views=st.booleans(),
+    weighted=st.booleans(),
 )
-def test_equals_np_add_at_bit_for_bit(seed, length, n, special_share, views):
-    acc, dst, x, src = _case(seed, length, n, special_share)
+def test_equals_np_add_at_bit_for_bit(seed, length, n, special_share, views, weighted):
+    acc, dst, x, src, data = _case(seed, length, n, special_share)
     want = acc.copy()
     with np.errstate(invalid="ignore", over="ignore"):
-        np.add.at(want, dst, x[src])
+        np.add.at(want, dst, data * x[src] if weighted else x[src])
     if views:
-        dst, x, src = (_read_only_view_of_larger(a, 3) for a in (dst, x, src))
+        dst, x, src, data = (_read_only_view_of_larger(a, 3) for a in (dst, x, src, data))
         acc = np.concatenate([acc, acc])[n:]  # a writeable view, not an owner
-    assert scatter_add_gather(acc, dst, x, src) is None
+    extra = (data,) if weighted else ()
+    assert scatter_add_gather(acc, dst, x, src, *extra) is None
     assert _bits_equal(acc, want)
+
+
+def test_the_weighted_loop_contracts_no_fma():
+    """``acc = -(w * x)`` then ``acc += w * x`` is exactly ``+0.0`` in every
+    slot when the product is rounded before the add.  A loop compiled with
+    FMA contraction adds the exact product instead and leaves each
+    product's rounding error behind — and the weighted form would no longer
+    be ``np.add.at``'s sum bit for bit."""
+    rng = np.random.default_rng(7)
+    n = 100_000
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    w = rng.uniform(1.0, 2.0, n)
+    acc = -(w * x)
+    ids = np.arange(n, dtype=VID_DTYPE)
+    scatter_add_gather(acc, ids, x, ids, w)
+    left = np.flatnonzero(acc.view(np.uint64))  # -0.0 counts too
+    assert left.size == 0, f"{left.size} of {n} slots kept a rounding error: FMA-contracted"
 
 
 def test_signed_zeros_subnormals_and_infinities_survive_exactly():
@@ -110,9 +132,11 @@ def _frozen(array):
 
 
 def _with(**changes):
+    """``(acc, dst, x, src, data)`` of an accepted call, some replaced;
+    ``data`` is ``None`` (the unweighted form) unless given."""
     acc, dst, x, src = _ok()
-    args = {"acc": acc, "dst": dst, "x": x, "src": src, **changes}
-    return args["acc"], args["dst"], args["x"], args["src"]
+    args = {"acc": acc, "dst": dst, "x": x, "src": src, "data": None, **changes}
+    return args["acc"], args["dst"], args["x"], args["src"], args["data"]
 
 
 _BOTH = np.zeros(2 * N, VAL_DTYPE)
@@ -141,15 +165,25 @@ REFUSED = {
     "a list for acc": (TypeError, _with(acc=[0.0] * N)),
     "acc is x": (ValueError, _with(acc=_BOTH[:N], x=_BOTH[:N])),
     "acc overlaps x": (ValueError, _with(acc=_BOTH[2 : N + 2], x=_BOTH[:N])),
+    # the weighted form's data: float64, one entry per edge, contiguous
+    "float32 data": (TypeError, _with(data=np.ones(IDS.size, np.float32))),
+    "integer data": (TypeError, _with(data=np.ones(IDS.size, np.int64))),
+    "byte-swapped data": (TypeError, _with(data=np.ones(IDS.size, ">f8"))),
+    "data too short": (TypeError, _with(data=np.ones(IDS.size - 1))),
+    "data too long": (TypeError, _with(data=np.ones(IDS.size + 1))),
+    "strided data": (TypeError, _with(data=np.ones(2 * IDS.size)[::2])),
+    "2-D data": (TypeError, _with(data=np.ones((IDS.size, 1)))),
+    "a list for data": (TypeError, _with(data=[1.0] * IDS.size)),
+    "acc overlaps data": (ValueError, _with(acc=_BOTH[:N], data=_BOTH[2 : 2 + IDS.size])),
 }
 
 
 @pytest.mark.parametrize("case", REFUSED)
 def test_refused_inputs_raise_before_acc_is_touched(case):
-    error, (acc, dst, x, src) = REFUSED[case]
+    error, (acc, dst, x, src, data) = REFUSED[case]
     before = np.array(acc, copy=True)
     with pytest.raises(error, match="scatter_add_gather"):
-        scatter_add_gather(acc, dst, x, src)
+        scatter_add_gather(acc, dst, x, src, data)
     assert np.array_equal(np.asarray(acc), before)
 
 

@@ -23,6 +23,9 @@ it) times the memsim three against the kernels that replaced them.
     The ``np.lexsort`` layout builders (CSR/CSC, partitioned COO, grid
     shard) that :func:`repro.graph.edgelist.sorted_pairs` replaced: every
     array the packed-key builders produce must equal theirs bit for bit.
+:func:`reference_partitioned_csr`
+    ``PartitionedCSR.build`` as it was, grouping edges by home partition
+    with a stable argsort.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._types import EID_DTYPE, VID_DTYPE
-from repro.core.ops import EdgeOperator
+from repro.core.ops import EdgeOperator, process_batch
 from repro.frontier.frontier import Frontier
 from repro.graph.edgelist import EdgeList
 from repro.memsim.cache import CacheConfig, CacheResult
@@ -48,6 +51,7 @@ __all__ = [
     "reference_simulate_shared_cache",
     "reference_layouts",
     "reference_shard_edges",
+    "reference_partitioned_csr",
 ]
 
 
@@ -67,7 +71,7 @@ def reference_edge_map(
         if cond is not None and not bool(cond[0]):
             continue
         src = np.array([u], dtype=VID_DTYPE)
-        acts = op.process_edges(src, dst)
+        acts = process_batch(op, src, dst)  # a weighted operator hashes its one edge
         activated.extend(int(a) for a in acts)
     return Frontier(edges.num_vertices, sparse=np.array(activated, dtype=VID_DTYPE))
 
@@ -263,3 +267,19 @@ def reference_shard_edges(
     src = edges.src[order]
     dst = edges.dst[order]
     return src, dst, stripes.partition_of(src), stripes.partition_of(dst)
+
+
+def reference_partitioned_csr(edges: EdgeList, partition: VertexPartition) -> list[dict]:
+    """``PartitionedCSR.build`` as it was: a stable argsort by destination
+    home partition, then one pruned CSR per partition.  Each part's
+    ``vertex_ids`` / ``index`` / ``neighbors``, lowest partition first."""
+    pid = partition.partition_of(edges.dst).astype(np.int64)
+    order = np.argsort(pid, kind="stable")
+    counts = np.bincount(pid[order], minlength=partition.num_partitions)
+    offsets = np.zeros(partition.num_partitions + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    src, dst = edges.src[order], edges.dst[order]
+    return [
+        reference_compressed(EdgeList(edges.num_vertices, src[lo:hi], dst[lo:hi]), "out", True)
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
+    ]
