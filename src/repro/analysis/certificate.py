@@ -64,6 +64,8 @@ class OperatorReport:
     #: it is handed, so evaluating it early for a run of partitions is
     #: unobservable (see :attr:`OperatorEffects.cond_local`).
     cond_local: bool
+    #: a run's batches may reach ``process_edges`` as one, as unobservably.
+    edge_local: bool
 
     @property
     def safety(self) -> SafetyLevel:
@@ -87,6 +89,7 @@ class OperatorReport:
             ],
             "cond_proved": self.cond_proved,
             "cond_local": self.cond_local,
+            "edge_local": self.edge_local,
         }
 
 
@@ -186,6 +189,7 @@ def _report_from_summary(name: str, summary: OperatorEffects) -> OperatorReport:
         ),
         cond_proved=summary.cond_proved,
         cond_local=summary.cond_local,
+        edge_local=not summary.split_reasons,
     )
 
 
@@ -201,6 +205,7 @@ def _unknown_report(name: str, reason: str) -> OperatorReport:
         violations=(),
         cond_proved=False,
         cond_local=False,
+        edge_local=False,
     )
 
 

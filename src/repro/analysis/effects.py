@@ -27,7 +27,7 @@ expression kinds in :attr:`_Analyzer._STATEMENTS` /
 :attr:`_Analyzer._EXPRESSIONS`, and the call shapes and keywords of
 :meth:`_Analyzer._eval_call` — and *everything else* (loops, ``with``,
 ``try``, lambdas, conditional expressions, starred arguments,
-comprehensions, slices, a keyword no table names, …) takes the one
+comprehensions, a keyword no table names, …) takes the one
 conservative exit: an ``unknown`` effect, hence level ``unknown``,
 runtime guards on and no backend admission.  A form is admitted by
 adding it to a table together with a model of it, never by default.
@@ -54,6 +54,10 @@ or ``unknown``.
 
 Provable violations additionally surface as graphlint findings GL006 -
 GL010 (see :mod:`repro.analysis.rules.effects`).
+
+A partition-pure operator is also *edge-local* when the split rule of
+:func:`analyze_operator` proves one ``process_edges`` call over a run of
+partitions the same as one per partition: the engine then merges them.
 """
 
 from __future__ import annotations
@@ -190,6 +194,15 @@ _VALUE_METHODS = frozenset({
 #: builtins that compute a scalar from their operands and touch nothing.
 _SAFE_BUILTINS = frozenset({"len", "int", "float", "bool", "abs", "min", "max"})
 
+#: attributes, builtins, numpy functions and methods that read an array whole
+#: (lengths, reductions, positions, sorts, sets, joins): they see a batch's cut.
+_BATCH_WIDE = frozenset({
+    "size", "shape", "nbytes", "len", "int", "float", "bool", "min", "max", "sum", "prod",
+    "mean", "any", "all", "argmin", "argmax", "item", "count_nonzero", "nonzero",
+    "flatnonzero", "searchsorted", "sort", "argsort", "unique", "concatenate", "cumsum",
+    "cumprod", "dot", "intersect1d", "union1d", "in1d", "isin",
+})
+
 #: the only keywords a modelled call may carry, by call shape; ``out=``
 #: is a whole-array write to its target, the others are read operands.
 _KEYWORDS = {
@@ -282,6 +295,9 @@ class OperatorEffects:
     #: on what another partition's batch wrote, so the engine may
     #: evaluate it for a run of partitions before the first batch runs.
     cond_local: bool = True
+    #: why one ``process_edges`` call over a run of partitions could differ
+    #: from one per partition; none: the operator is *edge-local*.
+    split_reasons: list[str] = field(default_factory=list)
 
     def written_arrays(self) -> dict[str, set[str]]:
         """attr -> set of index spaces written through it."""
@@ -368,6 +384,8 @@ class _Analyzer:
         self.effects = effects
         self.depth = depth
         self.returns: list[AbsVal] = []
+        #: batch-wide expressions met (a callee shares its caller's list).
+        self.batch_wide: list[str] = []
 
     # -- effect emission -----------------------------------------------
     def _emit(self, node: ast.AST, **kw) -> None:
@@ -542,7 +560,9 @@ class _Analyzer:
     def _eval_attribute(self, node: ast.Attribute, env: dict[str, AbsVal]) -> AbsVal:
         if isinstance(node.value, ast.Name) and node.value.id == "self":
             return AbsVal(attr=node.attr)
-        self._eval(node.value, env)
+        base = self._eval(node.value, env)
+        if node.attr in _BATCH_WIDE and base.attr is None:
+            self.batch_wide.append(f".{node.attr}")
         # plain data attributes (x.size, x.shape, x.dtype...) are scalars.
         return _VALUE
 
@@ -552,6 +572,9 @@ class _Analyzer:
         if base.attr is not None:
             self._emit(node, kind="read", array=base.attr, space=_index_space(idx))
             return AbsVal(parallel=idx.parallel)
+        if not (idx.space == "bool" and idx.parallel):
+            # a gather from state is per edge; picking by position is not.
+            self.batch_wide.append("a subscript by positions")
         if base.space in ("src", "dst"):
             # any subscript of an id array yields a subset of those ids;
             # only a boolean mask is known not to repeat one.
@@ -590,6 +613,12 @@ class _Analyzer:
         return AbsVal(
             space="tuple", items=tuple(self._eval(elt, env) for elt in node.elts)
         )
+
+    def _eval_slice(self, node: ast.Slice, env: dict[str, AbsVal]) -> AbsVal:
+        """``a:b:c`` as an index: positions, fixed when its bounds are."""
+        parts = (node.lower, node.upper, node.step)
+        bounds = [self._use(node, self._eval(part, env)) for part in parts if part is not None]
+        return AbsVal(constant=all(bound.constant for bound in bounds))
 
     # -- calls ----------------------------------------------------------
     def _operands(
@@ -643,6 +672,8 @@ class _Analyzer:
             return self._eval_method_call(node, func, env)
         if isinstance(func, ast.Name) and func.id in _SAFE_BUILTINS and func.id not in env:
             self._operands(node, env)
+            if func.id in _BATCH_WIDE:
+                self.batch_wide.append(f"{func.id}()")
             return _VALUE
         # an unresolvable self.<name>(...) (``self.weight_fn(…)`` included: a
         # weighted operator is handed its weights), a call through a local or
@@ -658,6 +689,8 @@ class _Analyzer:
         if len(parts) == 3 and parts[2] == "at":
             return self._eval_scatter(node, parts[1], env)
         name = parts[1] if len(parts) == 2 else None
+        if name in _BATCH_WIDE or (name == "where" and len(node.args) == 1):
+            self.batch_wide.append(f"np.{name}")
         if name == "unique":
             arg, *flags = self._operands(node, env, "unique") or [_UNKNOWN]
             first = AbsVal(
@@ -751,6 +784,7 @@ class _Analyzer:
             self.effects,
             depth=self.depth + 1,
         )
+        sub.batch_wide = self.batch_wide
         return sub.run(fn, args)
 
     def _eval_method_call(
@@ -763,6 +797,8 @@ class _Analyzer:
             return self._unknown(node, f"un-modelled method call .{method}()")
         base = self._use(node, self._eval(func.value, env))
         self._operands(node, env, method)
+        if method in _BATCH_WIDE:
+            self.batch_wide.append(f".{method}()")
         if method == "copy":
             return replace(base, attr=None, fresh=True)
         if method == "astype":
@@ -783,6 +819,7 @@ class _Analyzer:
         ast.UnaryOp: _eval_operator,
         ast.BinOp: _eval_operator,
         ast.Tuple: _eval_tuple,
+        ast.Slice: _eval_slice,
     }
 
 
@@ -984,17 +1021,18 @@ def analyze_operator(
     summary = OperatorEffects(class_name=class_name, combine=declared_combine)
 
     process = methods.get("process_edges")
+    process_pass = _Analyzer(graph, class_name, summary.effects)
     if process is None:
         summary.effects.append(Effect(kind="unknown", detail="no process_edges body"))
     else:
-        analyzer = _Analyzer(graph, class_name, summary.effects)
         params = [a.arg for a in process.args.args]
         # src, dst and a weighted operator's w: an edge-parallel value, never ids.
         args = {
             name: AbsVal(space=space, parallel=True)
             for name, space in zip(params[1:], ("src", "dst", "value"))
         }
-        analyzer.run(process, args)
+        process_pass.run(process, args)
+    processed, written = len(summary.effects), summary.written_arrays()
 
     cond = methods.get("cond")
     if cond is not None:
@@ -1003,9 +1041,7 @@ def analyze_operator(
         args = {}
         if len(params) >= 2:
             args[params[1]] = AbsVal(space="dst", parallel=True)
-        written = summary.written_arrays()
-        own = len(summary.effects)  # cond's effects are appended from here
-        result = analyzer.run(cond, args)
+        result = analyzer.run(cond, args)  # its effects go after ``processed``
         mask_ok = result.space == "none" or (
             result.space == "bool" and result.parallel
         )
@@ -1015,10 +1051,22 @@ def analyze_operator(
         summary.cond_local = summary.cond_proved and not any(
             e.kind in ("scatter", "assign", "augassign")
             or (e.kind == "read" and e.array in written and e.space != "dst")
-            for e in summary.effects[own:]
+            for e in summary.effects[processed:]
         )
 
     init = methods.get("__init__")
     has_override = "snapshot" in methods and "restore" in methods
     blind = [] if has_override else _mutable_init_attrs(init)
-    return classify(summary, blind_attrs=blind)
+    classify(summary, blind_attrs=blind)
+    # The split rule.  Runs own disjoint ascending dst ranges, so a batch sees another's
+    # writes only by reading them off ``dst`` or through a scattered local; the rest is per edge.
+    own = summary.effects[:processed]
+    summary.split_reasons = [
+        *(["not partition-pure"] if summary.level is not SafetyLevel.PARTITION_PURE else []),
+        *([] if summary.cond_local else ["cond is not local"]),
+        *(f"reads {e.array}, which it writes, at {e.space}" for e in own
+          if e.kind == "read" and e.array in written and e.space != "dst"),
+        *(f"scatters into the local {e.array}" for e in own if e.kind == "alloc"),
+        *process_pass.batch_wide,
+    ]
+    return summary

@@ -235,7 +235,7 @@ def _worker_run_chunk(
     run = getattr(kernels, KERNEL_FUNCTIONS[kernel])
     out: list[PartitionRecord] = []
     for task in tasks:
-        rec = run(op, cond_fn, *kernel_args(kernel, arrays, task))
+        rec = run(op, cond_fn, *kernel_args(kernel, arrays, task, opspec["fuse"]))
         # Dedupe before IPC: the frontier constructor dedups anyway
         # (bit-identical), and distinct ids pickle far smaller — and a
         # run that activated all of its ``dst`` sends none: the parent has
@@ -321,9 +321,21 @@ class ProcessBackend:
                     os.sched_setaffinity(pid, {cpu})
 
     def _teardown_executor(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        """Shut the pool down and reap its workers before returning: the
+        pool's manager thread reaps them within 5 s, or within 5 s more
+        once the workers still alive (stuck in a task) are killed."""
+        executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        manager = executor._executor_manager_thread
+        workers = list((executor._processes or {}).values())
+        executor.shutdown(wait=False, cancel_futures=True)
+        if manager is not None:
+            manager.join(5.0)
+            if manager.is_alive():
+                for process in workers:
+                    process.kill()
+                manager.join(5.0)
 
     def worker_pids(self) -> list[int]:
         """PIDs of the live pool processes (fault-injection tests)."""
@@ -462,6 +474,7 @@ class ProcessBackend:
             },
             "token": signed_report_token(cls),
             "validate": not plan.trusted,
+            "fuse": plan.fused,
             "retired": tuple(self._retired_names),
         }
         # The certificate's write set names the attributes the operator

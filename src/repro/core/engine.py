@@ -15,17 +15,17 @@ paper's Algorithm 2 in three steps:
    of tasks over disjoint destination ranges, the arrays they read and
    the few statistics fields that depend on the layout.
 2. **run** — one loop executes the plan's tasks, either in this process
-   (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``) or,
-   for operators certified partition-pure, as one batch on the
-   ``options.backend`` worker pool; both run the same kernel functions,
-   so the result arrays are bit-identical.  A task is a run of adjacent
-   partitions about :data:`~repro.core.plan.TASK_EDGES` edges long —
-   the kernel hoists the frontier filter, ``cond``, gather and
-   compression over the run and still hands the operator one batch per
-   partition, in order — wherever that hoisting is proved unobservable
-   (:meth:`Engine._task_edges`); everywhere else it is a run of one.  A
-   phase whose frontier is every vertex has no filter to apply, so its
-   plan carries no bitmap and the kernels skip the frontier work
+   (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``) or, for
+   operators certified partition-pure, as one batch on the
+   ``options.backend`` worker pool; both run the same kernel functions, so
+   the result arrays are bit-identical.  A task is a run of adjacent
+   partitions about :data:`~repro.core.plan.TASK_EDGES` edges long — the
+   kernel hoists the frontier filter, ``cond``, gather and compression
+   over the run and hands the operator one batch per partition in order,
+   or one for the run (``PhasePlan.fused``), wherever that is proved
+   unobservable (:meth:`Engine._task_edges`); everywhere else it is a run
+   of one.  A phase whose frontier is every vertex has no filter to apply,
+   so its plan carries no bitmap and the kernels skip the frontier work
    (:func:`_frontier_filter`).  A weighted operator's in-process COO and
    CSR tasks read their edge weights from a per-store cache
    (:meth:`Engine._weights`).  A backend failure falls back to the
@@ -303,9 +303,9 @@ class Engine:
 
         return operator_is_partition_pure(op)
 
-    def _task_edges(self, op: EdgeOperator, trusted: bool) -> int:
-        """The edge target of this phase's tasks; 0 keeps one partition
-        per task.
+    def _task_edges(self, op: EdgeOperator, trusted: bool) -> tuple[int, bool]:
+        """The edge target of this phase's tasks (0 keeps one partition
+        per task), and whether a run is one operator batch.
 
         A longer run evaluates ``cond`` for all its partitions before the
         operator sees the first, so runs are built only where that cannot
@@ -315,16 +315,18 @@ class Engine:
         (:attr:`~repro.analysis.certificate.OperatorReport.cond_local`) —
         and where nothing addresses single partitions: the supervisor's
         journal, write-set rollback, watchdog deadlines and fault plans
-        all key on partition ids.
+        all key on partition ids.  Its batches merge where that is proved
+        unobservable too (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`).
         """
         if not trusted or self._supervisor is not None:
-            return 0
+            return 0, False
         from ..analysis.certificate import operator_report
 
-        if not operator_report(type(op)).cond_local:
-            return 0
+        report = operator_report(type(op))
+        if not report.cond_local:
+            return 0, False
         workers = self._backend_conf["workers"] if self._phase_concurrent else 0
-        return task_edges(self.num_edges, workers)
+        return task_edges(self.num_edges, workers), report.edge_local
 
     def _admit_backend(self, op: EdgeOperator) -> bool:
         """Whether this phase may run on the concurrent backend.
@@ -411,7 +413,7 @@ class Engine:
     # ------------------------------------------------------------------
     def _plan(self, frontier: Frontier, density: DensityClass, op: EdgeOperator) -> PhasePlan:
         """Algorithm 2's layout decision, as a :class:`PhasePlan`."""
-        trusted = self._op_trusted(op)
+        trusted, fused = self._op_trusted(op), False
         if self.grid is not None:
             plan = self._plan_grid(frontier)
         else:
@@ -422,12 +424,13 @@ class Engine:
             }[density]
             build = getattr(self, f"_plan_{layout}")
             if layout in ("csc", "coo"):  # the layouts whose partitions coalesce into runs
-                plan = build(frontier, self._task_edges(op, trusted))
+                target, fused = self._task_edges(op, trusted)
+                plan = build(frontier, target)
             elif layout == "csr":
                 plan = build(frontier, op.weight_fn)
             else:
                 plan = build(frontier)
-        plan.trusted = trusted
+        plan.trusted, plan.fused = trusted, fused
         return plan
 
     def _plan_csr(self, frontier: Frontier, weight_fn) -> PhasePlan:
@@ -586,7 +589,7 @@ class Engine:
         for task in tasks:
             if task.block is not None:
                 arrays = self._read_block(plan, arrays, task)
-            rec = run(op, cond, *kernel_args(kernel, arrays, task))
+            rec = run(op, cond, *kernel_args(kernel, arrays, task, plan.fused))
             if task.block is not None and np.may_share_memory(rec.activated, arrays["dst"]):
                 # The operator handed back the streamed dst itself: copy
                 # it, or the record pins the whole block until the fold,

@@ -9,11 +9,12 @@ is a run of adjacent partitions (:class:`~repro.core.plan.PartitionTask`
 operator once for the run — the frontier filter, ``cond``, the ragged
 gather, the compression, the per-partition distinct counts — and then
 hands ``op.process_edges`` one batch per partition, lowest first, as
-slices of the compressed arrays.  The batches are never merged:
-operators that read what they write (CC, Bellman-Ford) see the earlier
-partitions' updates in the later ones, so a merged batch would change
-the phase count and every statistic downstream, where hoisting changes
-nothing observable.
+slices of the compressed arrays.  Operators that read what they write
+(CC, Bellman-Ford) see the earlier partitions' updates in the later
+ones, so for them a merged batch would change the phase count and every
+statistic downstream; only with ``fuse`` — the operator is certified
+edge-local (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`)
+— is the run one batch, which nothing observable can tell apart.
 
 A phase whose frontier is every vertex carries no bitmap
 (``bitmap is None``): every source is live, so there is nothing to
@@ -33,7 +34,7 @@ The kernels are the single source of truth for the task computation:
 the engine's loop calls them in-process and the process backend's
 workers call the very same functions over shared-memory views of the
 same arrays.  :func:`kernel_args` is the other half of that guarantee:
-both callers turn ``(kernel, arrays, task)`` into a kernel's positional
+both callers turn ``(kernel, arrays, task, fuse)`` into a kernel's positional
 arguments here and nowhere else.
 
 ``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
@@ -88,12 +89,12 @@ def cond_guard(validate: bool):
     return validated_cond if validate else _plain_cond
 
 
-def kernel_args(kernel: str, arrays: dict, task) -> tuple:
+def kernel_args(kernel: str, arrays: dict, task, fuse: bool) -> tuple:
     """Positional arguments of ``kernel``'s function after ``(op, cond_fn)``.
 
     ``arrays`` maps the plan's array names to numpy arrays (the engine's
-    own, or a worker's shared-memory views of them) and ``task`` is the
-    :class:`~repro.core.plan.PartitionTask` to run.
+    own, or a worker's shared-memory views of them), ``task`` is the
+    :class:`~repro.core.plan.PartitionTask` to run, ``fuse`` ``PhasePlan.fused``.
     """
     i = task.partition
     if kernel == "coo":
@@ -103,10 +104,10 @@ def kernel_args(kernel: str, arrays: dict, task) -> tuple:
             distinct = distinct[i : i + task.num_partitions]
         return (
             arrays["src"][elo:ehi], arrays["dst"][elo:ehi], None if w is None else w[elo:ehi],
-            distinct, arrays.get("bitmap"), i, task.cuts, task.extra - elo,
+            distinct, arrays.get("bitmap"), i, task.cuts, task.extra - elo, fuse,
         )
     if kernel == "csc":
-        return (arrays["index"], arrays["neighbors"], arrays.get("bitmap"), i, task.cuts)
+        return (arrays["index"], arrays["neighbors"], arrays.get("bitmap"), i, task.cuts, fuse)
     if kernel == "csr":
         return (arrays["gsrc"], arrays["gdst"], arrays.get("w"), i, task.lo, task.hi)
     if kernel == "pcsr":
@@ -118,16 +119,19 @@ def kernel_args(kernel: str, arrays: dict, task) -> tuple:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _per_partition(op, src, dst, w, at: list, keep: list):
+def _per_partition(op, src, dst, w, at: list, keep: list, fuse: bool):
     """``op``'s activations over one batch per partition, lowest first:
     ``src[at[k]:at[k + 1]]`` / ``dst[...]`` (/ ``w[...]``) for every ``k`` that
-    ``keep[k]`` (``at`` spans all of ``dst``; a skipped ``k`` is empty).
-    Returns them concatenated, how many batches there were, and whether
-    every batch handed back the very ``dst`` slice it was given — they
-    then add up to ``dst`` itself, which is returned, not a copy."""
-    acts, echoed = [], True
+    ``keep[k]`` (``at`` spans all of ``dst``; a skipped ``k`` is empty), or
+    with ``fuse`` the kept ones as one (``at`` unread).  Returns them concatenated,
+    how many per-partition batches they stand for, and whether every batch
+    handed back the very ``dst`` slice it was given — they then add up to
+    ``dst`` itself, which is returned, not a copy."""
+    acts, echoed, batches = [], True, keep.count(True)
     if w is None and op.weight_fn is not None:  # once per run, never per partition
         w = np.ascontiguousarray(op.weight_fn(src, dst), VAL_DTYPE)
+    if fuse:
+        at, keep = [0, dst.size], [batches > 0]
     for a, b, kept in zip(at, at[1:], keep):
         if kept:
             batch = dst[a:b]
@@ -135,10 +139,10 @@ def _per_partition(op, src, dst, w, at: list, keep: list):
             acts.append(act)
             echoed = echoed and act is batch
     if echoed:
-        return dst, len(acts), True
-    if len(acts) == 1:  # a run of one needs no copy
-        return acts[0], 1, False
-    return np.concatenate(acts), len(acts), False
+        return dst, batches, True
+    if len(acts) == 1:  # one batch needs no copy
+        return acts[0], batches, False
+    return np.concatenate(acts), batches, False
 
 
 def run_csc_partition(
@@ -149,10 +153,11 @@ def run_csc_partition(
     bitmap: np.ndarray | None,
     partition: int,
     cuts: np.ndarray,
+    fuse: bool,
 ) -> PartitionRecord:
     """Backward traversal of a run of destination ranges of the whole-graph
     CSC.  Zero-width ranges get no operator batch (and no guard);
-    ``bitmap is None`` means every source is live."""
+    ``bitmap is None`` means every source is live; ``fuse`` merges the rest."""
     lo, hi = int(cuts[0]), int(cuts[-1])
     if lo == hi:
         return PartitionRecord.empty(partition, lo, hi, cuts.size - 1)
@@ -171,7 +176,7 @@ def run_csc_partition(
         src_live, dst_live = src[live], dst[live]
         live_at = dst_live.searchsorted(cuts).tolist()
     keep = (cuts[1:] > cuts[:-1]).tolist()
-    acts, batches, _ = _per_partition(op, src_live, dst_live, None, live_at, keep)
+    acts, batches, _ = _per_partition(op, src_live, dst_live, None, live_at, keep, fuse)
     return PartitionRecord(
         partition=partition,
         lo=lo,
@@ -231,11 +236,13 @@ def run_coo_partition(
     partition: int,
     cuts: np.ndarray,
     edge_cuts: np.ndarray,
+    fuse: bool,
 ) -> PartitionRecord:
     """Streaming traversal of a run of partitions' destination-sorted edge
     slice; ``edge_cuts`` are the partitions' offsets into ``src``/``dst``
     (and ``w``, the cached weights of the same edges, if any).
-    Every partition gets its operator batch, an empty one included.
+    Every partition gets its operator batch, an empty one included — or,
+    with ``fuse``, the run's live edges are one batch.
 
     ``bitmap is None`` means every source is live.  When ``cond`` passes
     every edge as well, the batches are slices of ``src``/``dst``/``w``
@@ -254,13 +261,13 @@ def run_coo_partition(
     else:
         src_live, dst_live = src[live], dst[live]
         w = None if w is None else w[live]
-        # Live edges per partition, counted slice by slice: a vectorised
-        # count_nonzero per partition beats any one pass over the whole
-        # mask (cumsum, reduceat) at every run length.
-        counts = [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
+        # Live edges per partition (none to cut a fused run), counted slice by
+        # slice: a vectorised count_nonzero per partition beats any one pass
+        # over the whole mask (cumsum, reduceat) at every run length.
+        counts = () if fuse else [np.count_nonzero(live[a:b]) for a, b in zip(at, at[1:])]
         live_at = list(accumulate(counts, initial=0))
     acts, batches, echoed = _per_partition(
-        op, src_live, dst_live, w, live_at, [True] * (len(at) - 1)
+        op, src_live, dst_live, w, live_at, [True] * (len(at) - 1), fuse
     )
     if live is not None or distinct is None:
         # Not all of an in-RAM layout's ``dst``: nothing the fold could

@@ -13,8 +13,9 @@ The *partition* is the unit of layout, of per-partition statistics, of
 journalling and of the operator batch; the *task* is what the loop
 executes — a run of adjacent partitions sized to the cache
 (:data:`TASK_EDGES`), so that everything around the operator call is
-paid once per run instead of once per partition.  A single partition is
-a run of one, through the same kernels.
+paid once per run instead of once per partition, and for an operator
+certified edge-local (:attr:`PhasePlan.fused`) the call itself too.  A
+single partition is a run of one, through the same kernels.
 
 The task lists depend only on the store (or grid), the layout,
 ``options.partition_order`` and the edge target; the builders here are
@@ -121,9 +122,8 @@ class PartitionRecord:
         The destination vertex range ``[lo, hi)`` the run owns — the
         write set its ``combine`` contract confines updates to.
     activated:
-        Vertex ids the operator activated, its per-partition batches
-        concatenated in visit order (pre-dedup; the engine's frontier
-        constructor dedups).
+        Vertex ids the operator activated, its batches concatenated in
+        visit order (pre-dedup; the engine's frontier constructor dedups).
     all_dst:
         A full-frontier in-RAM COO run whose every batch handed back the
         very ``dst`` object it was given: ``activated`` is the run's slice
@@ -146,9 +146,9 @@ class PartitionRecord:
     cond_calls:
         How many per-partition cond guards the task stands for: one per
         partition whose batch reached the operator, even where a run
-        evaluated ``cond`` once for all of them.  The engine folds this
-        count into its ``guards_skipped`` / ``guard_invocations``
-        counters wherever the task executed.
+        evaluated ``cond`` once for all of them or merged the batches.
+        The engine folds this count into its ``guards_skipped`` /
+        ``guard_invocations`` counters wherever the task executed.
     """
 
     partition: int
@@ -206,6 +206,8 @@ class PhasePlan:
     #: the operator is certified partition-pure, so its cond guard is
     #: elided; otherwise ``validated_cond`` runs wherever the task does.
     trusted: bool = False
+    #: the operator is certified edge-local: a run is one batch to it.
+    fused: bool = False
     #: bytes / blocks the grid streamed from disk for this phase.
     io_bytes: int = 0
     io_blocks: int = 0

@@ -1,8 +1,10 @@
 """Known-bad operator corpus for the effect-inference rules (GL006-010).
 
 Each class violates exactly one of the new rules; the tests assert the
-full file yields exactly one finding per code.  Never imported at
-runtime — the linter parses this file as text.
+full file yields exactly one finding per code.  The operators after them
+are partition-pure and break, one each, a clause of the rule that lets a
+run of partitions reach ``process_edges`` as one batch; the effect tests
+and CI import the file for those.
 """
 
 import numpy as np
@@ -78,4 +80,90 @@ class VectorizeOp(EdgeOperator):
     def process_edges(self, src, dst):
         f = np.vectorize(lambda x: x * 0.5)
         np.add.at(self.out, dst, f(self.weights[src]))
+        return dst
+
+
+# ----------------------------------------------------------------------
+# The split rule (``OperatorReport.edge_local``): each operator below is
+# partition-pure, yet one ``process_edges`` call over a run of partitions
+# is not the same as one call per partition — one per clause of the rule.
+# ----------------------------------------------------------------------
+class _SplitOp(EdgeOperator):
+    combine = "add"
+
+    def __init__(self, acc, x):
+        self.acc = acc
+        self.x = x
+
+
+class SourceReadOp(_SplitOp):
+    """Reads at ``src`` what it scatters at ``dst``: CC's Gauss–Seidel shape."""
+
+    combine = "min"
+
+    def process_edges(self, src, dst):
+        np.minimum.at(self.acc, dst, self.acc[src])
+        return dst
+
+
+class PerBatchMeanOp(_SplitOp):
+    """A scattered value divided by the batch's length."""
+
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, self.x[src] / src.size)
+        return dst
+
+
+class BatchSumOp(_SplitOp):
+    """A reduction over the whole batch."""
+
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, self.x[src].sum())
+        return dst
+
+
+class FirstWriterOp(_SplitOp):
+    """BFS's ``np.unique`` first-writer claim.  Per destination the first
+    edge is the same in both shapes, but ``np.unique`` is batch-wide: the
+    pass does not tell ``dst`` apart from what it cannot split."""
+
+    def process_edges(self, src, dst):
+        claimed, first = np.unique(dst, return_index=True)
+        self.acc[claimed] = self.x[src[first]]
+        return claimed
+
+
+class PrefixOp(_SplitOp):
+    """The first eight edges of the batch, not of each partition."""
+
+    def process_edges(self, src, dst):
+        self.acc[dst[:8]] = 1.0
+        return dst
+
+
+class PositionIndexOp(_SplitOp):
+    """An index built by ``np.flatnonzero``: positions within the batch."""
+
+    def process_edges(self, src, dst):
+        hit = np.flatnonzero(self.x[src] > 0)
+        np.add.at(self.acc, dst[hit], hit)
+        return dst
+
+
+#: the operators above that break the rule, in clause order.
+SPLIT_OBSERVABLE = (
+    SourceReadOp, PerBatchMeanOp, BatchSumOp, FirstWriterOp, PrefixOp, PositionIndexOp,
+)
+
+
+class MaskedSubsetOp(_SplitOp):
+    """The control, edge-local: a boolean-masked subset of the batch and
+    a gather through it (``MaxPriorityOp``'s shape)."""
+
+    combine = "max"
+
+    def process_edges(self, src, dst):
+        live = (self.x[dst] > 0) & (src != dst)
+        src, dst = src[live], dst[live]
+        np.maximum.at(self.acc, dst, self.x[src])
         return dst

@@ -14,9 +14,18 @@ import numpy as np
 import pytest
 
 from repro.algorithms import registry
-from repro.algorithms.pagerank import pagerank
+from repro.algorithms.bellman_ford import BellmanFordOp
+from repro.algorithms.bfs import BFSOp
+from repro.algorithms.bp import BPOp
+from repro.algorithms.cc import CCOp
+from repro.algorithms.mis import KnockOp, MaxPriorityOp
+from repro.algorithms.pagerank import PageRankOp, pagerank
+from repro.algorithms.prdelta import PRDeltaOp
+from repro.algorithms.radii import BitOrOp
+from repro.algorithms.spmv import SPMVOp
 from repro.analysis.certificate import (
     SafetyCertificate,
+    _module_tables,
     certify_algorithm,
     certify_all,
     operator_is_partition_pure,
@@ -37,7 +46,8 @@ from repro.core.options import EngineOptions
 from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
-from tests.analysis.corpus import unmodelled_forms
+from tests.analysis.corpus import bad_effects, unmodelled_forms
+from tests.properties.test_prop_task_runs import NeighbourCondOp
 
 CORPUS = Path(__file__).parent / "corpus"
 EFFECT_CODES = ["GL006", "GL007", "GL008", "GL009", "GL010"]
@@ -202,6 +212,15 @@ DETECT_OR_REFUSE = {
     "bare return, join with a one-sided name": (
         "if src.size:\n    idx = dst\n    return\nnp.add.at(self.acc, idx, 1.0)",
         "add", "unknown", [], {"acc": {"unknown"}},
+    ),
+    "a fixed slice is fixed slots": (
+        "self.acc[:8] = 1.0", "add", "unsafe", ["GL006"], {"acc": {"const"}},
+    ),
+    "a slice of ids is ids": (
+        "self.acc[dst[2:]] = 1.0", "add", "partition-pure", [], {"acc": {"dst"}},
+    ),
+    "a slice with moving bounds": (
+        "self.acc[src[0]:] = 1.0", "add", "unknown", [], {"acc": {"unknown"}},
     ),
 }
 
@@ -383,6 +402,57 @@ def test_safety_lattice_join_is_worst_of_both():
         SafetyLevel.PARTITION_PURE.join(SafetyLevel.PARTITION_PURE)
         is SafetyLevel.PARTITION_PURE
     )
+
+
+# ----------------------------------------------------------------------
+# the split rule: may a run of partitions reach process_edges as one batch?
+# ----------------------------------------------------------------------
+def _split_reasons(cls) -> list[str]:
+    """Why ``cls`` is not edge-local."""
+    tree, graph = _module_tables(cls.__module__)
+    summary = analyze_operator(tree, cls.__name__, graph=graph, declared_combine=cls.combine)
+    assert operator_report(cls).edge_local == (not summary.split_reasons)
+    return summary.split_reasons
+
+
+#: the ten shipped operators and why each is, or is not, edge-local.
+SHIPPED_SPLIT = {
+    **dict.fromkeys((PageRankOp, PRDeltaOp, SPMVOp, BPOp, MaxPriorityOp, KnockOp), []),
+    CCOp: ["reads labels, which it writes, at src", ".size"],
+    BellmanFordOp: ["reads dist, which it writes, at src", ".size"],
+    BFSOp: [".any()", "np.unique", "a subscript by positions"],
+    BitOrOp: [".size"],  # conservative: an empty batch's early return changes nothing
+}
+
+#: the corpus operators that break the rule, one clause each.
+CORPUS_SPLIT = {
+    bad_effects.SourceReadOp: ["reads acc, which it writes, at src"],
+    bad_effects.PerBatchMeanOp: [".size"],
+    bad_effects.BatchSumOp: [".sum()"],
+    bad_effects.FirstWriterOp: ["np.unique", "a subscript by positions"],
+    bad_effects.PrefixOp: ["a subscript by positions"],
+    bad_effects.PositionIndexOp: ["np.flatnonzero", "a subscript by positions"],
+    bad_effects.MaskedSubsetOp: [],
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [*SHIPPED_SPLIT, *CORPUS_SPLIT], ids=lambda cls: cls.__name__
+)
+def test_each_operator_gets_its_split_verdict_for_its_reason(cls):
+    reasons = {**SHIPPED_SPLIT, **CORPUS_SPLIT}[cls]
+    report = operator_report(cls)
+    assert report.level == "partition-pure" and report.cond_local
+    assert _split_reasons(cls) == reasons
+    assert report.to_dict()["edge_local"] is (not reasons)
+
+
+def test_an_operator_the_pass_cannot_certify_is_not_edge_local():
+    assert _split_reasons(unmodelled_forms.WithOp)[0] == "not partition-pure"
+    assert _split_reasons(NeighbourCondOp) == [
+        "cond is not local", "reads labels, which it writes, at src",
+    ]
+    assert not operator_report(UncertifiableOp).edge_local
 
 
 # ----------------------------------------------------------------------

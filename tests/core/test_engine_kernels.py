@@ -1,6 +1,7 @@
 """Kernel equivalence: every traversal layout must produce the same result
 as the edge-at-a-time reference executor, for every operator family."""
 
+import dataclasses
 import sys
 import weakref
 
@@ -267,6 +268,41 @@ def test_sparse_phases_call_np_unique_only_from_bfs_op(monkeypatch):
     assert len(paths.stats.edge_maps) >= 30 and components.iterations >= 30
     assert {m.layout for m in paths.stats.edge_maps} >= {"csr"}
     assert np.array_equal(tree.level >= 0, paths.reached())
+
+
+def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypatch):
+    """Counts, not time: at P=384 one full-frontier PageRank phase makes
+    one ``process_edges`` call per task (PageRankOp is edge-local), a CC
+    phase one per partition (it reads what it writes) — and the guard
+    counter still counts partitions, as with merging switched off."""
+    from repro.analysis import certificate
+
+    graph = gen.rmat(12, 16, seed=3)
+    n = graph.num_vertices
+    store = GraphStore.build(graph, num_partitions=384)
+    calls: list[str] = []
+    for cls in (PageRankOp, CCOp):
+        def counting(op, src, dst, real=cls.process_edges):
+            calls.append(type(op).__name__)
+            return real(op, src, dst)
+
+        monkeypatch.setattr(cls, "process_edges", counting)
+
+    def phase(op):
+        del calls[:]
+        with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+            engine.edge_map(Frontier.full(n), op)
+            tasks = engine._per_store["coo", TASK_EDGES]
+            return len(calls), len(tasks), engine.guards_skipped
+
+    merged, tasks, skipped = phase(PageRankOp(np.linspace(1, 2, n), np.zeros(n)))
+    assert merged == tasks < 384 and skipped == 384
+    assert phase(CCOp(np.arange(n, dtype=VID_DTYPE)))[::2] == (384, 384)
+    report = certificate.operator_report(PageRankOp)
+    monkeypatch.setitem(
+        certificate._CLASS_CACHE, PageRankOp, dataclasses.replace(report, edge_local=False)
+    )
+    assert phase(PageRankOp(np.linspace(1, 2, n), np.zeros(n))) == (384, tasks, skipped)
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,23 @@ def test_each_worker_gets_a_cpu_of_its_own_when_there_are_enough(store):
         assert all(os.sched_getaffinity(pid) == allowed for pid in pids)
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_a_closed_pool_has_reaped_its_workers_when_close_returns(store, broken):
+    """No join by the caller: ``close`` itself waits for the workers, on a
+    healthy pool and on one whose workers were killed under it."""
+    engine = Engine(store, EngineOptions(num_threads=4, backend="process:workers=2"))
+    pagerank(engine, iterations=1)
+    workers = list(engine._backend_obj._executor._processes.values())
+    assert len(workers) == 2
+    if broken:
+        for worker in workers:
+            os.kill(worker.pid, signal.SIGKILL)
+        pagerank(engine, iterations=1)
+        assert engine.backend_stats.fallbacks == 1
+    engine.close()
+    assert [worker.exitcode is not None for worker in workers] == [True, True]
+
+
 def test_context_manager_closes_the_pool(store):
     with Engine(
         store, EngineOptions(num_threads=4, backend="process:workers=2")

@@ -31,7 +31,7 @@ from repro.algorithms.cc import CCOp
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.algorithms.spmv import spmv
 from repro.analysis.certificate import operator_report
-from repro.core import Engine, EngineOptions
+from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.backend import ProcessBackend
 from repro.core.ops import EdgeOperator, scatter_add_gather
@@ -224,9 +224,10 @@ def test_pagerank_sees_no_bitmap_and_the_very_same_batches():
     assert {m.layout for m in got.stats.edge_maps} == {"coo"}
     assert spy.bitmaps and all(b is None for b in spy.bitmaps)
     assert all(b is not None and b.all() for b in masked.bitmaps)
-    # one batch per partition per phase, the empty ones included
-    assert len(spy.batches) == 10 * (len(cuts) - 1)
-    assert any(src.size == 0 for src, _ in spy.batches)
+    # PageRankOp is certified edge-local: the graph is one run, and its
+    # eight partitions, the two empty ones included, reach it as one batch
+    assert len(plan.coo_tasks(store.coo, EngineOptions(), plan.TASK_EDGES)) == 1
+    assert [dst.size for _, dst in spy.batches] == [edges.num_edges] * 10
     assert spy.batch_lists() == masked.batch_lists()
     # ... and they are the layout's own arrays, not copies of them
     coo = store.coo

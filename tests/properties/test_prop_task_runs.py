@@ -2,18 +2,21 @@
 
 The engine's loop executes runs of about ``TASK_EDGES`` edges
 (:mod:`repro.core.plan`); the kernels hoist everything around the
-operator call over the run and still hand the operator one batch per
-partition, lowest first.  So the edge target must be unobservable:
+operator call over the run and hand the operator one batch per
+partition, lowest first — or, for an operator certified edge-local, one
+batch for the whole run.  So the edge target must be unobservable:
 result arrays, every ``EdgeMapStats`` field and both guard counters are
-the same with runs of one (``TASK_EDGES = 0``), the shipped value and a
-tiny one.  Where hoisting is not proved — an untrusted operator, a
-``cond`` that reads written state by another index, a supervised engine
-— tasks stay runs of one.
+the same with runs of one (``TASK_EDGES = 0``: never merged), the
+shipped value and a tiny one.  Where hoisting is not proved — an
+untrusted operator, a ``cond`` that reads written state by another
+index, a supervised engine — tasks stay runs of one; where merging is
+not proved, a run's operator still gets one batch per partition.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -23,7 +26,10 @@ from hypothesis import strategies as st
 from repro._types import VID_DTYPE
 from repro.algorithms import registry
 from repro.algorithms.cc import CCOp, connected_components
+from repro.algorithms.pagerank import PageRankOp
+from repro.analysis import certificate
 from repro.analysis.certificate import operator_report
+from repro.analysis.sanitizer import ShadowWriteRecorder
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.ops import EdgeOperator
@@ -32,6 +38,7 @@ from repro.graph import generators as gen
 from repro.layout.store import GraphStore
 from repro.partition.vertex_partition import VertexPartition
 from repro.resilience import ResiliencePolicy
+from tests.analysis.corpus import bad_effects
 
 SHIPPED = plan.TASK_EDGES
 #: a few partitions per run on the graphs below.
@@ -79,6 +86,8 @@ def _observe(store, code: str, options: EngineOptions, target: int):
     layout=st.sampled_from([None, "csc", "coo"]),
 )
 def test_the_edge_target_is_unobservable(code, graph, seed, p, order, layout):
+    """Runs of one against longer runs: hoisting, and for PR, PRDelta,
+    SPMV and BP the merged batch too, show in nothing a caller sees."""
     store = GraphStore.build(GRAPHS[graph](seed), num_partitions=p)
     options = EngineOptions(
         num_threads=2, backend="serial", forced_layout=layout, partition_order=order
@@ -118,11 +127,11 @@ class _Spy:
         monkeypatch.setattr(op_class, "process_edges", process_edges)
 
     def _kernel(self, fn):
-        def run(op, cond_fn, *args):
-            # (…, partition, cuts) for CSC, (…, partition, cuts, edge_cuts) for COO
-            cuts = args[-1] if fn.__name__ == "run_csc_partition" else args[-2]
-            self.cuts.append(cuts.tolist())
-            return fn(op, cond_fn, *args)
+        signature = inspect.signature(fn)
+
+        def run(*args):
+            self.cuts.append(signature.bind(*args).arguments["cuts"].tolist())
+            return fn(*args)
 
         return run
 
@@ -130,28 +139,43 @@ class _Spy:
         return [len(cuts) - 1 for cuts in self.cuts]
 
 
-def _one_cc_phase(store, layout, target, op_class=CCOp, **engine_kwargs):
-    """One full-frontier edge-map under the spy: ``(spy, labels, next frontier)``."""
-    n = store.num_vertices
+def _spied_phase(store, layout, target, op, edge_local=None, **engine_kwargs):
+    """One full-frontier edge-map of ``op`` under the spy, its class's
+    ``edge_local`` verdict forced where given: ``(spy, next frontier)``."""
+    cls = type(op)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(plan, "TASK_EDGES", target)
-        spy = _Spy(patch, op_class)
+        if edge_local is not None:
+            forced = dataclasses.replace(operator_report(cls), edge_local=edge_local)
+            patch.setitem(certificate._CLASS_CACHE, cls, forced)
+        spy = _Spy(patch, cls)
         options = EngineOptions(num_threads=2, backend="serial", forced_layout=layout)
         with Engine(store, options, **engine_kwargs) as engine:
-            labels = np.arange(n, dtype=VID_DTYPE)
-            nxt = engine.edge_map(Frontier.full(n), op_class(labels))
+            nxt = engine.edge_map(Frontier.full(store.num_vertices), op)
+    return spy, nxt
+
+
+def _one_cc_phase(store, layout, target, op_class=CCOp, **engine_kwargs):
+    """One full-frontier edge-map under the spy: ``(spy, labels, next frontier)``."""
+    labels = np.arange(store.num_vertices, dtype=VID_DTYPE)
+    spy, nxt = _spied_phase(store, layout, target, op_class(labels), **engine_kwargs)
     return spy, labels, nxt
+
+
+#: partitions 3 and 7 of the store below are zero-width.
+CUTS = [0, 10, 25, 40, 40, 60, 75, 90, 90, 110, 130, 144]
+
+
+def _store_with_empty_partitions():
+    edges = gen.road_grid(12, seed=2)
+    return GraphStore.build(edges, partition=VertexPartition(edges.num_vertices, np.array(CUTS)))
 
 
 @pytest.mark.parametrize("layout", ["coo", "csc"])
 def test_a_run_hands_the_operator_one_batch_per_partition_in_order(layout):
-    """Fails the moment batches are merged, reordered, or an empty
+    """Fails the moment CC's batches are merged, reordered, or an empty
     partition gains or loses its call."""
-    edges = gen.road_grid(12, seed=2)
-    # repeated boundaries: partitions 3 and 7 are zero-width
-    cuts = [0, 10, 25, 40, 40, 60, 75, 90, 90, 110, 130, edges.num_vertices]
-    partition = VertexPartition(edges.num_vertices, np.array(cuts))
-    store = GraphStore.build(edges, partition=partition)
+    store, cuts = _store_with_empty_partitions(), CUTS
     ones, labels_ones, next_ones = _one_cc_phase(store, layout, 0)
     runs, labels_runs, next_runs = _one_cc_phase(store, layout, TINY)
 
@@ -174,6 +198,56 @@ def test_a_run_hands_the_operator_one_batch_per_partition_in_order(layout):
             assert cuts[k] <= min(dst) and max(dst) < cuts[k + 1]
     assert np.array_equal(labels_runs, labels_ones)
     assert np.array_equal(next_runs.as_sparse(), next_ones.as_sparse())
+
+
+@pytest.mark.parametrize("layout", ["coo", "csc"])
+def test_an_edge_local_run_is_one_batch_the_partitions_concatenated(layout):
+    """PageRankOp is certified edge-local: a run reaches it as one batch,
+    which is its per-partition batches end to end.  A recorder wrapped
+    around it is not certified, so it records one write set per partition."""
+    store = _store_with_empty_partitions()
+    n = store.num_vertices
+
+    def pagerank_op():
+        return PageRankOp(np.linspace(1, 2, n), np.zeros(n))
+
+    merged, split = pagerank_op(), pagerank_op()
+    runs, next_runs = _spied_phase(store, layout, TINY, merged)
+    parts, next_parts = _spied_phase(store, layout, TINY, split, edge_local=False)
+    assert max(runs.run_lengths()) > 1 and runs.cuts == parts.cuts
+    # COO calls the operator for every partition, CSC skips the zero-width two
+    assert len(runs.batches) == len(runs.cuts) < len(parts.batches)
+    assert len(parts.batches) == (11 if layout == "coo" else 9)
+    for (_, dst), cuts in zip(runs.batches, runs.cuts):
+        assert all(cuts[0] <= v < cuts[-1] for v in dst)
+    assert [sum(column, []) for column in zip(*runs.batches)] == [
+        sum(column, []) for column in zip(*parts.batches)
+    ]
+    assert merged.accum.tobytes() == split.accum.tobytes() and next_runs == next_parts
+
+    recorder = ShadowWriteRecorder(pagerank_op())
+    _spied_phase(store, layout, TINY, recorder)
+    assert len(recorder.write_sets) == len(parts.batches)
+
+
+@pytest.mark.parametrize(
+    "op_class",
+    [cls for cls in bad_effects.SPLIT_OBSERVABLE if cls is not bad_effects.FirstWriterOp],
+    ids=lambda cls: cls.__name__,
+)
+def test_merging_what_the_rule_refuses_would_show(op_class):
+    """Each clause of the rule earns its place: forced onto a corpus
+    operator that breaks it, a merged batch changes the result.  (Refusing
+    ``FirstWriterOp`` is the conservative call: its first writer per
+    destination is the same either way.)"""
+    store = _store_with_empty_partitions()
+    n = store.num_vertices
+    seen = []
+    for edge_local in (False, True):
+        op = op_class(np.linspace(1, 2, n), np.linspace(-1, 1, n))
+        _, nxt = _spied_phase(store, "coo", TINY, op, edge_local)
+        seen.append((op.acc.tobytes(), nxt))
+    assert seen[0] != seen[1]
 
 
 def test_reverse_order_keeps_runs_of_one_and_shuffle_merges_only_neighbours():
