@@ -8,13 +8,13 @@ Subcommands
 
         python -m repro run PR --dataset twitter --scale 0.5 --partitions 384
         python -m repro run BFS --graph my_edges.txt --threads 16
-        python -m repro run PR --backend process:workers=4
+        python -m repro run PR --backend threads:workers=4
 
     ``--backend`` selects the execution backend (see
     :mod:`repro.core.backend`): ``serial`` (default) or
-    ``process[:workers=N][:strict=0|1]`` — a persistent
-    worker pool over shared memory running partition slices
-    concurrently, bit-identical to serial.  Defaults to the
+    ``threads[:workers=N][:strict=0|1][:prefetch=N]`` — the engine's task
+    loop in blocks on a persistent thread pool, each block writing its
+    destination ranges in place, bit-identical to serial.  Defaults to the
     ``REPRO_BACKEND`` environment variable when set.
 
 ``grid``
@@ -137,8 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=48)
     run.add_argument("--backend", default=None,
                      help="execution backend spec: serial | "
-                          "process[:workers=N][:strict=0|1][:start=fork|spawn]"
-                          "[:prefetch=N] "
+                          "threads[:workers=N][:strict=0|1][:prefetch=N] "
+                          "(the task loop on a thread pool, writing in place; "
+                          "'process' is an old name for 'threads') "
                           "(default: $REPRO_BACKEND or serial)")
     run.add_argument("--edge-order", default="source",
                      choices=("source", "destination", "hilbert"))
@@ -364,7 +365,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
 
     # Closed on every way out: a run that raises (RetryExhausted, a bad
-    # --grid directory) must not leave the worker pool or the grid's reader
+    # --grid directory) must not leave the thread pool or the grid's reader
     # thread to a finalizer.
     with engine:
         if args.grid:
@@ -425,10 +426,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
               f"workers {backend_stats.workers_spawned}; "
               f"batches {backend_stats.batches_dispatched}; "
               f"partitions {backend_stats.partitions_dispatched}; "
-              f"shm {backend_stats.shm_bytes_mapped / 1024:.1f} KiB; "
-              f"state requested {backend_stats.shm_bytes_requested / 1024:.1f} KiB "
-              f"/ republished {backend_stats.shm_bytes_republished / 1024:.1f} KiB "
-              f"({backend_stats.segments_reused} segment reuse(s)); "
               f"fallbacks {backend_stats.fallbacks}")
     print(f"edge maps: {stats.num_iterations}; "
           f"layouts {stats.layout_histogram()}; "

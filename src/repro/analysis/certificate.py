@@ -33,8 +33,6 @@ __all__ = [
     "SafetyCertificate",
     "operator_report",
     "operator_is_partition_pure",
-    "signed_report_token",
-    "verify_report_token",
     "certify_algorithm",
     "certify_all",
 ]
@@ -234,28 +232,6 @@ def operator_report(cls: type) -> OperatorReport:
             report = _report_from_summary(name, summary)
     _CLASS_CACHE[cls] = report
     return report
-
-
-def signed_report_token(cls: type) -> tuple[dict, str]:
-    """A transportable ``(payload, signature)`` pair for one operator class.
-
-    The process backend ships this with every operator it dispatches:
-    the payload is the :class:`OperatorReport` as a plain dict and the
-    signature the same keyed blake2b that signs algorithm certificates.
-    Workers re-verify the pair at attach time (:func:`verify_report_token`)
-    and independently re-derive the report for the class they actually
-    unpickled, so a tampered token — or a token for a different class
-    than the one being attached — is rejected before any edge is
-    processed.
-    """
-    report = operator_report(cls)
-    payload = report.to_dict()
-    return payload, _sign(payload)
-
-
-def verify_report_token(payload: dict, signature: str) -> bool:
-    """Whether ``signature`` is the authentic signature of ``payload``."""
-    return hmac.compare_digest(signature, _sign(payload))
 
 
 def operator_is_partition_pure(op: object) -> bool:

@@ -1,6 +1,6 @@
 """The GraphGrind-v2 engine: Ligra-compatible edge/vertex map with Algorithm 2."""
 
-from .backend import ProcessBackend
+from .backend import ThreadBackend
 from .budget import MemoryBudget, parse_memory_budget
 from .engine import Engine
 from .ops import EdgeOperator
@@ -17,5 +17,5 @@ __all__ = [
     "VertexMapStats",
     "BackendStats",
     "RunStats",
-    "ProcessBackend",
+    "ThreadBackend",
 ]

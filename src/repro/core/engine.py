@@ -14,11 +14,12 @@ paper's Algorithm 2 in three steps:
    blocks).  The result is a :class:`PhasePlan`: a kernel name, a list
    of tasks over disjoint destination ranges, the arrays they read and
    the few statistics fields that depend on the layout.
-2. **run** — one loop executes the plan's tasks, either in this process
-   (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``) or, for
-   operators certified partition-pure, as one batch on the
-   ``options.backend`` worker pool; both run the same kernel functions, so
-   the result arrays are bit-identical.  A task is a run of adjacent
+2. **run** — one loop executes the plan's tasks
+   (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``): in this
+   thread, or, for operators certified edge-local, in contiguous blocks on
+   the ``options.backend`` thread pool, every block writing its
+   destination ranges of the live arrays in place; the same loop either
+   way, so the results are bit-identical.  A task is a run of adjacent
    partitions about :data:`~repro.core.plan.TASK_EDGES` edges long — the
    kernel hoists the frontier filter, ``cond``, gather and compression
    over the run and hands the operator one batch per partition in order,
@@ -26,10 +27,8 @@ paper's Algorithm 2 in three steps:
    unobservable (:meth:`Engine._task_edges`); everywhere else it is a run
    of one.  A phase whose frontier is every vertex has no filter to apply,
    so its plan carries no bitmap and the kernels skip the frontier work
-   (:func:`_frontier_filter`).  A weighted operator's in-process COO and
-   CSR tasks read their edge weights from a per-store cache
-   (:meth:`Engine._weights`).  A backend failure falls back to the
-   in-process path and is logged in ``resilience_log``.
+   (:func:`_frontier_filter`).  A weighted operator's COO and CSR tasks
+   read their edge weights from a per-store cache (:meth:`Engine._weights`).
 3. **fold** — the tasks' records become the next frontier (looked up
    per store, not folded, when every run activated all of its ``dst``)
    and the phase's single
@@ -60,7 +59,7 @@ from ..frontier.density import DensityClass, classify_frontier
 from ..frontier.distinct import count_distinct_between
 from ..frontier.frontier import Frontier
 from ..layout.store import GraphStore
-from .backend import ProcessBackend, backend_options
+from .backend import ThreadBackend, backend_options
 from .gather import gather_adjacency
 from .kernels import (  # noqa: F401 - resolved by name through globals()
     KERNEL_FUNCTIONS,
@@ -151,21 +150,21 @@ class Engine:
         #: the partitioned CSR); dropped when the store is rebuilt.
         self._per_store: dict[object, object] = {}
         # The spec is validated by EngineOptions; resolve its kind and
-        # typed options once.  The backend object (and its worker pool)
-        # is built lazily on the first concurrent dispatch, so engines
-        # that never leave the in-process path never fork.
+        # typed options once.  The backend object (and its thread pool)
+        # is built lazily on the first concurrent batch, so engines
+        # that never leave the in-process path never start a thread.
         self._backend_kind, self._backend_conf = backend_options(self.options.backend)
         #: cumulative backend counters (engine lifetime; snapshots are
         #: attached to each detached :class:`RunStats`).
         self.backend_stats = BackendStats(
             spec=self.options.backend, kind=self._backend_kind
         )
-        self._backend_obj: ProcessBackend | None = None
+        self._backend_obj: ThreadBackend | None = None
         self._backend_finalizer = None
         if grid is not None:
             grid.enable_prefetch(self._backend_conf["prefetch"])
         #: whether the current edge-map phase may run concurrently
-        #: (certified operator + non-serial backend); set at admission.
+        #: (edge-local operator + non-serial backend); set at admission.
         self._phase_concurrent = False
         self._uncertified_noted: set[type] = set()
 
@@ -199,7 +198,7 @@ class Engine:
         in that layout's order: one slot per layout, rebuilt for another
         ``weight_fn`` (by value for a ``WeightFn``), ``TASK_EDGES`` edges at a
         time (a whole-array hash left 3-4 times its size of temporaries on
-        the heap).  Never published to shared memory: workers hash per run."""
+        the heap).  Threaded blocks read the same array."""
         key = ("weights", layout)
         if self._per_store.get(key, (None,))[0] != weight_fn:
             self._per_store.pop(key, None)  # the old array goes before the new one
@@ -224,23 +223,18 @@ class Engine:
             edge_order=self.store.coo.edge_order,
         )
         self._per_store.clear()
-        # The old store's layout arrays are obsolete; drop any cached
-        # shared-memory copies so workers re-attach the rebuilt ones.
-        if self._backend_obj is not None:
-            self._backend_obj.discard_layouts()
 
     # ------------------------------------------------------------------
     # execution backend lifecycle
     # ------------------------------------------------------------------
-    def _execution_backend(self) -> ProcessBackend:
+    def _execution_backend(self) -> ThreadBackend:
         if self._backend_obj is None:
-            conf = self._backend_conf
-            self._backend_obj = ProcessBackend(
-                conf["workers"], conf["start"], stats=self.backend_stats
+            self._backend_obj = ThreadBackend(
+                self._backend_conf["workers"], stats=self.backend_stats
             )
             # Engines are created freely throughout the test suite and
             # the bench harness; tie the pool's lifetime to the engine's
-            # so forgotten engines cannot strand worker processes.
+            # so forgotten engines cannot strand pool threads.
             self._backend_finalizer = weakref.finalize(self, self._backend_obj.close)
         return self._backend_obj
 
@@ -253,8 +247,8 @@ class Engine:
             backend.close()
 
     def close(self) -> None:
-        """Shut down the execution backend (worker pool, shm segments)
-        and the grid's background reader, when either exists, and drop
+        """Join the execution backend's thread pool and the grid's
+        background reader, when either exists, and drop
         the per-store caches (an engine used again rebuilds them)."""
         self._per_store.clear()
         self._close_backend()
@@ -268,13 +262,13 @@ class Engine:
         self.close()
 
     def _note_backend_fallback(self, exc: BackendError) -> None:
-        """Demote a failed concurrent backend to the in-process path.
+        """Demote the concurrent backend to the in-process path.
 
-        Workers only ever write shared-memory *copies* of the operator
-        state, so the in-process arrays are untouched and the in-process
-        re-run of the batch is bit-identical to a healthy concurrent
-        one — a dead pool degrades instead of failing, exactly like the
-        resilience ladder's other recoveries.
+        The backend raises :class:`~repro.errors.BackendError` only when
+        its pool cannot start a thread for a batch's first block, so no
+        task of the batch has run and running it here is its first run.
+        Any other failure of a block is the operator's own, raised as
+        serial execution raises it.
         """
         self.backend_stats.fallbacks += 1
         self.backend_stats.kind = "serial"
@@ -331,18 +325,23 @@ class Engine:
     def _admit_backend(self, op: EdgeOperator) -> bool:
         """Whether this phase may run on the concurrent backend.
 
-        Only operators certified partition-pure may.  Strict (default)
-        non-serial backends *refuse* the others; ``strict=0`` quietly
-        keeps them in-process (logged once per class) so whole test/CI
-        matrices can run under ``REPRO_BACKEND=process:...`` without
-        certifying every ad-hoc operator.
+        Its blocks write the live arrays in place, so only an operator no
+        task of which can read another's writes may: one certified
+        edge-local — partition-pure, and no attribute it writes read
+        outside ``dst`` (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`).
+        Other partition-pure operators run in-process (CC and BF read at
+        ``src`` what they write; BFS and BC's are not edge-local either).  Strict (default) non-serial backends
+        *refuse* operators that are not partition-pure; ``strict=0``
+        quietly keeps them in-process (logged once per class) so whole
+        test/CI matrices can run under ``REPRO_BACKEND=threads:...``
+        without certifying every ad-hoc operator.
         """
         if self._backend_kind == "serial":
             return False
         from ..analysis.certificate import operator_is_partition_pure, operator_report
 
         if operator_is_partition_pure(op):
-            return True
+            return operator_report(type(op)).edge_local
         spec, name = self.options.backend, type(op).__name__
         if self._backend_conf["strict"]:
             report = operator_report(type(op))
@@ -445,9 +444,9 @@ class Engine:
         active = frontier.as_sparse()
         csr = self.store.csr
         gsrc, gdst, pos = gather_adjacency(csr.index, csr.neighbors, active)
-        transient = {"gsrc": gsrc, "gdst": gdst}
+        arrays = {"gsrc": gsrc, "gdst": gdst}
         if weight_fn is not None:
-            transient["w"] = self._weights("csr", weight_fn)[pos]
+            arrays["w"] = self._weights("csr", weight_fn)[pos]
         return PhasePlan(
             "csr", "forward", "csr",
             self._cached(
@@ -455,7 +454,7 @@ class Engine:
             ),
             num_partitions=1,
             uses_atomics=self.options.num_threads > 1,
-            transient=transient,
+            arrays=arrays,
             per_partition=False,
             scanned=int(active.size),
             granular=False,
@@ -474,19 +473,17 @@ class Engine:
             ),
             num_partitions=ranges.num_partitions,
             uses_atomics=False,
-            shared={"index": csc.index, "neighbors": csc.neighbors},
-            transient=_frontier_filter(frontier),
+            arrays={"index": csc.index, "neighbors": csc.neighbors, **_frontier_filter(frontier)},
         )
 
     def _plan_coo(self, frontier: Frontier, target: int) -> PhasePlan:
         """Dense: streaming traversal of the partitioned COO."""
         coo = self.store.coo
-        shared = {"src": coo.src, "dst": coo.dst}
-        transient = _frontier_filter(frontier)
-        if not transient:
+        arrays = {"src": coo.src, "dst": coo.dst, **_frontier_filter(frontier)}
+        if "bitmap" not in arrays:
             # With every edge live a partition's touched vertices are its
             # distinct destinations: a constant of the layout.
-            shared["distinct"] = self._cached(
+            arrays["distinct"] = self._cached(
                 "coo-distinct",
                 lambda: count_distinct_between(coo.dst, coo.partition.boundaries),
             )
@@ -495,8 +492,7 @@ class Engine:
             self._cached(("coo", target), lambda: coo_tasks(coo, self.options, target)),
             num_partitions=coo.num_partitions,
             uses_atomics=coo.num_partitions < self.options.num_threads,
-            shared=shared,
-            transient=transient,
+            arrays=arrays,
         )
 
     def _plan_pcsr(self, frontier: Frontier) -> PhasePlan:
@@ -505,17 +501,16 @@ class Engine:
             "pcsr",
             lambda: pcsr_layout(self.store.build_partitioned_csr(), self.options),
         )
-        transient = _frontier_filter(frontier)
-        if transient:
+        arrays = {**shared, **_frontier_filter(frontier)}
+        if "bitmap" in arrays:
             # A sparse frontier is binary-searched in each partition's
             # stored slots instead of scanned through the bitmap.
-            transient["active_ids"] = frontier.as_sparse()
+            arrays["active_ids"] = frontier.as_sparse()
         return PhasePlan(
             "pcsr", "forward", "pcsr", tasks,
             num_partitions=len(tasks),
             uses_atomics=len(tasks) < self.options.num_threads,
-            shared=shared,
-            transient=transient,
+            arrays=arrays,
         )
 
     def _plan_grid(self, frontier: Frontier) -> PhasePlan:
@@ -532,10 +527,10 @@ class Engine:
         """
         grid = self.grid
         ranges, blocks = self._cached("grid", lambda: grid_block_tasks(grid))
-        transient = _frontier_filter(frontier)
+        arrays = _frontier_filter(frontier)
         tasks = blocks
-        if transient:
-            bitmap = transient["bitmap"]
+        if arrays:
+            bitmap = arrays["bitmap"]
             active = [bool(bitmap[lo:hi].any()) for lo, hi in ranges]
             tasks = [task for task in blocks if active[task.block]]
             grid.stats.blocks_skipped += len(blocks) - len(tasks)
@@ -543,31 +538,33 @@ class Engine:
             "grid", "forward", "coo", tasks,
             num_partitions=grid.num_stripes,
             uses_atomics=False,
-            transient=transient,
+            arrays=arrays,
         )
 
     # ------------------------------------------------------------------
     # run: the one task loop
     # ------------------------------------------------------------------
     def _run_plan(self, plan: PhasePlan, op: EdgeOperator) -> list[PartitionRecord]:
-        """Run ``plan``'s tasks: as one batch on the concurrent backend
-        when the phase was admitted, else here.  With a supervisor, each
-        batch goes through its replay-or-execute-then-commit routine."""
+        """Run ``plan``'s tasks: as one batch of blocks on the concurrent
+        backend when the phase was admitted, else here.  With a supervisor,
+        each batch goes through its replay-or-execute-then-commit routine."""
         supervisor = self._supervisor if plan.granular else None
+        arrays = plan.arrays
+        if plan.layout == "coo" and op.weight_fn is not None:
+            arrays = {**arrays, "w": self._weights("coo", op.weight_fn)}
+        loop = partial(self._execute, plan, arrays, op)
         if self._phase_concurrent and plan.layout != "grid" and len(plan.tasks) > 1:
-            run = partial(self._dispatch, plan, op)
+            run = partial(
+                self._counted, plan, partial(self._execution_backend().run_partitions, loop)
+            )
             try:
                 if supervisor is None:
                     return run(plan.tasks)
                 return supervisor.run_tasks(op, plan.tasks, run, concurrent=True)
             except BackendError as exc:
-                # Workers never touch the in-process arrays, so the batch
-                # simply re-runs here.
+                # No thread could be started: nothing ran, the batch runs here.
                 self._note_backend_fallback(exc)
-        arrays = {**plan.shared, **plan.transient}
-        if plan.layout == "coo" and op.weight_fn is not None:
-            arrays["w"] = self._weights("coo", op.weight_fn)
-        run = partial(self._execute, plan, arrays, op)
+        run = partial(self._counted, plan, loop)
         ahead = self._read_ahead if plan.layout == "grid" else None
         records: list[PartitionRecord] = []
         for tasks in plan.batches():
@@ -580,8 +577,9 @@ class Engine:
         return records
 
     def _execute(self, plan: PhasePlan, arrays: dict, op: EdgeOperator, tasks):
-        """Run ``tasks`` in this process.  The kernel is looked up in this
-        module's namespace on every call, so a patched binding is used."""
+        """Run ``tasks`` one after another in the calling thread.  The
+        kernel is looked up in this module's namespace on every call, so a
+        patched binding is used."""
         kernel = plan.kernel
         run = globals()[KERNEL_FUNCTIONS[kernel]]
         cond = cond_guard(not plan.trusted)
@@ -596,25 +594,18 @@ class Engine:
                 # past the budget's eviction of it.
                 rec.activated = rec.activated.copy()
             records.append(rec)
-        self._count_guards(plan, records)
         return records
 
-    def _dispatch(self, plan: PhasePlan, op: EdgeOperator, tasks):
-        """Run ``tasks`` as one batch on the concurrent backend."""
-        backend = self._execution_backend()
-        records = backend.run_partitions(plan, op, tasks, self.num_vertices)
-        for task, rec in zip(tasks, records):
-            if rec.all_dst:  # sent without ids: they are the run's slice of the layout
-                rec.activated = plan.shared["dst"][task.extra[0] : task.extra[-1]]
-        self._count_guards(plan, records)
-        return records
-
-    def _count_guards(self, plan: PhasePlan, records) -> None:
+    def _counted(self, plan: PhasePlan, run, tasks):
+        """``run(tasks)``, its records' guards folded into the engine's
+        counters here, in the engine's thread, once per call."""
+        records = run(tasks)
         calls = sum(rec.cond_calls for rec in records)
         if plan.trusted:
             self.guards_skipped += calls
         else:
             self.guard_invocations += calls
+        return records
 
     def _read_ahead(self, tasks) -> None:
         """Hand the grid's background reader (if any) the blocks about to

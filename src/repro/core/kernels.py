@@ -27,15 +27,14 @@ copies go.
 
 A weighted operator's weights reach the in-RAM COO and sparse CSR kernels
 as ``w``, parallel to their edges, from the engine's per-store cache;
-anywhere else (a worker, a grid block, the CSC, the partitioned CSR) the
+anywhere else (a grid block, the CSC, the partitioned CSR) the
 kernel hashes the run's live edges once, never once per partition.
 
 The kernels are the single source of truth for the task computation:
-the engine's loop calls them in-process and the process backend's
-workers call the very same functions over shared-memory views of the
-same arrays.  :func:`kernel_args` is the other half of that guarantee:
-both callers turn ``(kernel, arrays, task, fuse)`` into a kernel's positional
-arguments here and nowhere else.
+the engine's one loop calls them, in its own thread or in the ``threads``
+backend's pool over the same arrays.  :func:`kernel_args` is the other
+half of that guarantee: ``(kernel, arrays, task, fuse)`` becomes a
+kernel's positional arguments here and nowhere else.
 
 ``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
 ``op.cond`` for operators certified partition-pure, else
@@ -92,8 +91,7 @@ def cond_guard(validate: bool):
 def kernel_args(kernel: str, arrays: dict, task, fuse: bool) -> tuple:
     """Positional arguments of ``kernel``'s function after ``(op, cond_fn)``.
 
-    ``arrays`` maps the plan's array names to numpy arrays (the engine's
-    own, or a worker's shared-memory views of them), ``task`` is the
+    ``arrays`` maps the plan's array names to numpy arrays, ``task`` is the
     :class:`~repro.core.plan.PartitionTask` to run, ``fuse`` ``PhasePlan.fused``.
     """
     i = task.partition

@@ -24,8 +24,8 @@ order and task grain.  The *trajectory* is not part of it: an operator
 that reads what it writes (CC, Bellman-Ford) sees, in a later batch, the
 labels an earlier batch of the same phase already lowered — Gauss–Seidel
 across partitions — so its phase count and per-phase ``EdgeMapStats``
-depend on the partition count serially and on the schedule under the
-``process`` backend.  That is why the engine's tasks hoist the work
+depend on the partition count — which is also why the ``threads``
+backend runs them in-process.  That is why the engine's tasks hoist the work
 *around* the operator call over a run of partitions and never merge the
 batches themselves (:mod:`repro.core.kernels`).
 """
@@ -237,8 +237,8 @@ class WriteSet:
 
     ``slices`` are views of ``[lo, hi)`` of every vertex-length state
     array, in name order — disjoint from every other task's, which is the
-    contract supervised rollback, journal digests, the process backend's
-    merge-back and the sanitizer's shadow check all rest on.  ``views``
+    contract supervised rollback, journal digests, the threads backend's
+    in-place writes and the sanitizer's shadow check all rest on.  ``views``
     adds every other state array, whole: no task can be proved to own a
     part of those, so a snapshot keeps all of each and a digest none.
     """

@@ -69,16 +69,18 @@ class EngineOptions:
         blind-spot check for operators certified *partition-pure*.  The
         certified result is bit-identical to the guarded path; set this
         to ``False`` to force every runtime guard back on (e.g. when
-        developing a new operator).  The process backend honours it too:
-        untrusted operators run ``validated_cond`` inside the workers.
+        developing a new operator).
     backend:
         Execution backend spec (grammar: :mod:`repro.spec`; options:
         :data:`repro.core.backend.BACKEND_SPEC`): ``"serial[:prefetch=N]"``
         (default — the in-process reference path) or
-        ``"process[:workers=N][:strict=0|1][:start=fork|spawn][:prefetch=N]"``
-        — a persistent worker pool over shared-memory arrays running the
-        partitioned kernels' disjoint partition slices concurrently,
-        with result arrays bit-identical to serial.  Ill-formed specs raise
+        ``"threads[:workers=N][:strict=0|1][:prefetch=N]"`` — the same task
+        loop in contiguous blocks on a persistent thread pool, each block
+        writing its disjoint destination ranges of the live arrays in
+        place, for operators certified edge-local; results and statistics
+        bit-identical to serial.  ``process`` is accepted as an old name
+        for ``threads`` (a shim for the ``benchmarks/e2e`` harness,
+        deleted with its next change).  Ill-formed specs raise
         :class:`~repro.errors.ValidationError` here.  ``None`` (the
         default) resolves here to the ``REPRO_BACKEND`` environment
         variable when set, else ``"serial"``.

@@ -5,9 +5,8 @@ everywhere — a set of tasks over disjoint destination ranges.
 A :class:`PhasePlan` is that thing, written down once: the kernel, the
 tasks, the arrays they read and the few ``EdgeMapStats`` fields that
 depend on the layout.  The engine builds one per phase, runs it through
-its one task loop (in-process, or as a batch on a concurrent
-backend — the plan is the batch description both consume) and folds the
-records.
+its one task loop (in its own thread, or in blocks on the ``threads``
+backend's pool) and folds the records.
 
 The *partition* is the unit of layout, of per-partition statistics, of
 journalling and of the operator batch; the *task* is what the loop
@@ -65,8 +64,8 @@ TASK_EDGES = 1 << 15
 
 def task_edges(num_edges: int, workers: int = 0) -> int:
     """The edge target of one phase's tasks: :data:`TASK_EDGES`, and on a
-    concurrent phase at most ``|E| / (2 * workers)`` so that every worker
-    still gets two tasks."""
+    concurrent phase at most ``|E| / (2 * workers)`` so that every worker's
+    block still holds two tasks."""
     if workers:
         return min(TASK_EDGES, num_edges // (2 * workers))
     return TASK_EDGES
@@ -127,9 +126,8 @@ class PartitionRecord:
     all_dst:
         A full-frontier in-RAM COO run whose every batch handed back the
         very ``dst`` object it was given: ``activated`` is the run's slice
-        of the layout's ``dst``, a view (a worker sends none — identity
-        does not survive IPC — and the engine re-attaches it), and a phase
-        of such records alone has nothing to fold.
+        of the layout's ``dst``, a view, and a phase of such records alone
+        has nothing to fold.
     examined, active_edges, scanned:
         The whole run's contributions to the phase's
         :class:`~repro.core.stats.EdgeMapStats`.
@@ -188,13 +186,10 @@ class PhasePlan:
     #: ``EdgeMapStats.num_partitions`` / ``.uses_atomics``.
     num_partitions: int
     uses_atomics: bool
-    #: long-lived layout arrays (a concurrent backend publishes them once
-    #: and caches them across phases) and per-phase arrays (the frontier
-    #: bitmap — with the partitioned CSR, also its sparse ids — absent
-    #: when every vertex is active; republished per dispatch), by
-    #: kernel-argument name.
-    shared: dict[str, np.ndarray] = field(default_factory=dict)
-    transient: dict[str, np.ndarray] = field(default_factory=dict)
+    #: what the tasks read, by kernel-argument name: layout arrays, and
+    #: the per-phase frontier bitmap (with the partitioned CSR, also its
+    #: sparse ids), absent when every vertex is active.
+    arrays: dict[str, np.ndarray] = field(default_factory=dict)
     #: whether the per-partition examined/touched arrays are reported.
     per_partition: bool = True
     #: vertex slots scanned before any task runs (the sparse frontier).

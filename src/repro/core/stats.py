@@ -22,9 +22,9 @@ __all__ = ["EdgeMapStats", "VertexMapStats", "BackendStats", "RunStats", "stats_
 class BackendStats:
     """Cumulative counters of one engine's execution backend.
 
-    Mutable and engine-lifetime (unlike the per-phase stats): the worker
-    pool, the shared-memory layout cache, and any fallback to serial all
-    outlive individual ``edge_map`` calls.  :meth:`Engine.reset_stats
+    Mutable and engine-lifetime (unlike the per-phase stats): the thread
+    pool and any fallback to serial outlive individual ``edge_map``
+    calls.  :meth:`Engine.reset_stats
     <repro.core.engine.Engine.reset_stats>` attaches a point-in-time
     copy to the detached :class:`RunStats`.
     """
@@ -32,29 +32,20 @@ class BackendStats:
     #: the ``EngineOptions.backend`` spec this engine was built with.
     spec: str = "serial"
     #: backend kind currently executing partition batches ("serial"
-    #: also after a fallback demoted a dead process pool).
+    #: also after a fallback demoted a pool that could not start).
     kind: str = "serial"
-    #: worker processes the pool was started with (0 until first dispatch).
+    #: threads the pool was started with (0 until the first batch).
     workers_spawned: int = 0
     #: partition batches handed to the concurrent backend.
     batches_dispatched: int = 0
-    #: partitions executed out-of-process (a task may span a run of them).
+    #: partitions executed on the pool (a task may span a run of them).
     partitions_dispatched: int = 0
-    #: bytes of shared memory mapped for layouts, frontiers and operator
-    #: state (layout segments are counted once — they are cached across
-    #: phases).
+    #: always 0: threads share the engine's arrays, nothing is published.
+    #: Kept only because the ``benchmarks/e2e`` harness reads them; its
+    #: next change (ROADMAP item 1(a)) deletes them.
     shm_bytes_mapped: int = 0
-    #: bytes a republish-every-phase backend *would* have copied: the
-    #: full size of every state/frontier array at every dispatch.  The
-    #: denominator of the republish-savings ratio.
     shm_bytes_requested: int = 0
-    #: bytes actually copied into already-published segments.
-    #: ``shm_bytes_requested / shm_bytes_republished`` is the
-    #: persistent-segment win; adopted state republishes zero bytes.
     shm_bytes_republished: int = 0
-    #: dispatches served by an already-published segment instead of a
-    #: fresh create/copy/unlink cycle.
-    segments_reused: int = 0
     #: times a backend failure demoted execution to the serial path.
     fallbacks: int = 0
 

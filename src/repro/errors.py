@@ -177,16 +177,14 @@ class WorkerFailure(ReproError):
 
 
 class BackendError(WorkerFailure):
-    """The parallel execution backend failed beneath the engine.
+    """The thread pool could not start a thread for a batch's first block.
 
-    A dead worker pool (``BrokenProcessPool``), a shared-memory segment
-    that could not be created or attached, a certificate that failed
-    re-verification at worker attach time, or operator state that cannot
-    cross the process boundary.  Subclasses :class:`WorkerFailure`
-    because the failure is recoverable by construction: the workers only
-    ever write shared-memory *copies* of the operator state, so the
-    engine's in-process arrays are untouched and the batch re-runs in
-    process bit-identically.
+    Raised before any task of the batch has run, so the engine runs the
+    batch in-process instead and notes the fallback.  Subclasses
+    :class:`WorkerFailure` because that is recoverable by construction.
+    An exception inside a running block is not wrapped: it is re-raised
+    as is, once every block of the batch has finished, exactly as serial
+    execution would raise it.
     """
 
 

@@ -188,7 +188,7 @@ class Supervisor:
 
     def __init__(self, engine, policy: ResiliencePolicy, journal: PhaseJournal | None):
         # A weak back-reference: the engine owns the supervisor, and the
-        # engine's worker pool and spill directory are released by
+        # engine's thread pool and spill directory are released by
         # finalizers that must not wait for a cycle collection.
         self._engine = weakref.ref(engine)
         self.policy = policy
@@ -391,10 +391,13 @@ class Supervisor:
         and returns their records.  In-process execution gets one task
         at a time, its write set snapshotted first and rolled back on a
         :class:`~repro.errors.WorkerFailure`.  A ``concurrent`` backend
-        gets every pending task at once and no snapshot: workers only
-        write shared-memory copies, and the hooks fire parent-side (the
-        watchdog stays on simulated time — real worker wall-clock would
-        break recovery determinism).  ``on_pending`` sees the tasks that
+        gets every pending task at once and no per-task snapshot: the
+        hooks fire in this thread before any block starts (the watchdog
+        stays on simulated time — real thread wall-clock would break
+        recovery determinism), and nothing commits until the batch
+        returns, so a failure — raised only once no block is still
+        writing in place — finds the journal without commits and
+        :meth:`edge_map` rolls the whole phase back.  ``on_pending`` sees the tasks that
         will execute, in order, before the first does (the grid's
         read-ahead schedule must not contain replayed blocks).
         """

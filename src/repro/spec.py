@@ -3,7 +3,7 @@
 Execution backends (``EngineOptions.backend``, ``--backend``) and
 checkpoint stores (``--store``) are both selected by a *spec* string: a
 bare kind (``serial``, ``sharded``) or a kind followed by
-colon-separated ``key=value`` options (``process:workers=2:strict=0``,
+colon-separated ``key=value`` options (``threads:workers=2:strict=0``,
 ``remote:seed=7:deadline=10``).  Each of those modules declares only a
 table ``{kind: {option: Option}}``; :func:`parse_spec` does the rest —
 split, unknown-kind / unknown-option / missing-``=`` / duplicate checks

@@ -551,7 +551,7 @@ def test_uncertified_operator_still_pays_the_guard():
 
 def test_parallel_requires_a_partition_pure_certificate():
     store = GraphStore.build(EDGES, num_partitions=8)
-    engine = Engine(store, EngineOptions(num_threads=4, backend="process:workers=2"))
+    engine = Engine(store, EngineOptions(num_threads=4, backend="threads:workers=2"))
     op = UncertifiableOp(np.zeros(engine.num_vertices))
     with pytest.raises(ValidationError, match="certif"):
         engine.edge_map(Frontier.full(engine.num_vertices), op)
@@ -574,14 +574,14 @@ def test_unmodelled_forms_are_unknown_refused_and_run_guarded(op_class):
             return op.acc, out.as_sparse()
 
     with pytest.raises(ValidationError, match="certif"):
-        run("process:workers=2")
-    for got, want in zip(run("process:workers=2:strict=0"), run("serial")):
+        run("threads:workers=2")
+    for got, want in zip(run("threads:workers=2:strict=0"), run("serial")):
         np.testing.assert_array_equal(got, want)
 
 
 def test_parallel_admits_certified_operators(engine):
     store = GraphStore.build(EDGES, num_partitions=8)
-    eng = Engine(store, EngineOptions(num_threads=4, backend="process:workers=2"))
+    eng = Engine(store, EngineOptions(num_threads=4, backend="threads:workers=2"))
     inner = _probe_op("PR", eng)
     out = eng.edge_map(Frontier.full(eng.num_vertices), inner)
     assert out is not None

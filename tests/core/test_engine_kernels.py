@@ -68,8 +68,6 @@ def test_pagerank_op_equivalence(graph, layout):
     op = PageRankOp(contrib, accum_got)
     with _engine(graph, layout) as engine:
         engine.edge_map(frontier, op)
-        # A concurrent backend adopts a persistent operator's arrays as
-        # shared-memory views: the operator's own array holds the result.
         assert np.allclose(accum_ref, op.accum)
 
 
@@ -377,9 +375,9 @@ class _Float32Weights:
 def test_a_float32_weight_fn_gives_the_same_spmv_in_process_and_on_workers():
     store = GraphStore.build(gen.rmat(8, 8.0, seed=5), num_partitions=12)
     results, dispatched = [], []
-    for backend in ("serial", "process:workers=2"):
+    for backend in ("serial", "threads:workers=2"):
         with Engine(store, EngineOptions(num_threads=2, backend=backend)) as engine:
             results.append(spmv(engine, weight_fn=_Float32Weights()).y.tobytes())
-            assert engine.backend_stats.fallbacks == 0  # a worker's batch was not refused
+            assert engine.backend_stats.fallbacks == 0
             dispatched.append(engine.backend_stats.batches_dispatched)
     assert results[0] == results[1] and dispatched[0] == 0 < dispatched[1]

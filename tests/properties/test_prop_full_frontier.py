@@ -33,7 +33,7 @@ from repro.algorithms.spmv import spmv
 from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
-from repro.core.backend import ProcessBackend
+from repro.core.backend import ThreadBackend
 from repro.core.ops import EdgeOperator, scatter_add_gather
 from repro.frontier.distinct import count_distinct_between
 from repro.frontier.frontier import Frontier
@@ -84,10 +84,9 @@ def test_skipping_the_filter_is_unobservable(code, graph, seed, p, order, layout
     assert _observe(store, code, options, masked=False) == masked
     ambient = EngineOptions().backend
     if ambient != "serial":
-        # CI's backend matrix: on a worker pool the answers still may not
-        # move; the trajectory there follows the schedule (DESIGN.md).
+        # CI's backend matrix: on the thread pool nothing may move either.
         pooled = dataclasses.replace(options, backend=ambient)
-        assert _observe(store, code, pooled, masked=False)[0] == masked[0]
+        assert _observe(store, code, pooled, masked=False) == masked
 
 
 @settings(max_examples=12, deadline=None)
@@ -271,7 +270,8 @@ class _HandBack(EdgeOperator):
     """PageRank's update, handing ``dst`` back in one of the ways an
     operator may: the object itself, a copy, a subset, or — ``mixed`` —
     the object from even-sized batches and a copy from odd ones.
-    Certified partition-pure, so it runs in long tasks and on the pool."""
+    Certified partition-pure, so it runs in long tasks; not edge-local (a
+    ``mixed`` answer depends on the batch), so never on the pool."""
 
     combine = "add"
 
@@ -414,9 +414,9 @@ def test_attaching_a_grid_drops_the_cached_weights(tmp_path):
 
 
 def test_weighted_results_are_bit_identical_on_every_path(tmp_path):
-    """In-process COO and CSR phases read the per-store cache; a worker, a
-    grid block and the partitioned CSR hash their runs — the same bits.
-    The pool's engine never builds the COO cache: it is not published."""
+    """COO and CSR phases, in-process or in blocks on the thread pool, read
+    the per-store cache; a grid block and the partitioned CSR hash their
+    runs — the same bits."""
     edges = gen.rmat(8, 8.0, seed=6)
     store = GraphStore.build(edges, num_partitions=16)
     wf = WeightFn(low=0.5, high=4.0, seed=2)
@@ -434,8 +434,8 @@ def test_weighted_results_are_bit_identical_on_every_path(tmp_path):
 
     want, layouts, cached = run()
     assert layouts == {"csr", "csc", "coo"} and cached == {"coo", "csr"}
-    got, _, cached = run("process:workers=2")
-    assert got == want and cached == {"csr"}  # the COO phases ran on the pool
+    got, _, cached = run("threads:workers=2")
+    assert got == want and cached == {"coo", "csr"}  # the pool reads the cache too
     got, layouts, cached = run(layout="pcsr")
     assert got == want and layouts == {"pcsr"} and cached == set()
     grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=16 << 10)
@@ -443,30 +443,27 @@ def test_weighted_results_are_bit_identical_on_every_path(tmp_path):
     assert got == want and layouts == {"grid"} and cached == set()
 
 
-def test_flagged_records_cross_ipc_without_their_ids(monkeypatch):
+def test_flagged_records_from_the_pool_keep_their_layout_views(monkeypatch):
     store = GraphStore.build(gen.rmat(8, 8.0, seed=4), num_partitions=16)
-    n = store.num_vertices
     with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
         want = pagerank(engine)
     received = []
-    run_partitions = ProcessBackend.run_partitions
+    run_partitions = ThreadBackend.run_partitions
 
     def spy(backend, *args):
         records = run_partitions(backend, *args)
-        received.extend((rec.all_dst, rec.activated.size > 0) for rec in records)
+        received.extend(
+            (rec.all_dst, np.shares_memory(rec.activated, store.coo.dst)) for rec in records
+        )
         return records
 
-    monkeypatch.setattr(ProcessBackend, "run_partitions", spy)
-    with Engine(store, EngineOptions(num_threads=2, backend="process:workers=2")) as engine:
+    monkeypatch.setattr(ThreadBackend, "run_partitions", spy)
+    with Engine(store, EngineOptions(num_threads=2, backend="threads:workers=2")) as engine:
         got = pagerank(engine)
-        assert set(received) == {(True, False)}
-        # Beside unflagged records the fold needs a flagged one's ids after
-        # all: the engine re-attaches them from the layout.
-        nxt = engine.edge_map(Frontier.full(n), _HandBack(want.ranks, np.zeros(n), "mixed"))
-        assert set(received) == {(True, False), (False, True)}
+        assert set(received) == {(True, True)}
+        assert "coo-frontier" in engine._per_store  # the fold looked the frontier up
         assert engine.backend_stats.fallbacks == 0
-        assert engine.backend_stats.batches_dispatched == 11
-    assert nxt == Frontier(n, sparse=store.coo.dst)
+        assert engine.backend_stats.batches_dispatched == 10
     assert np.array_equal(got.ranks, want.ranks)
     assert _stats_rows(got) == _stats_rows(want)
 
@@ -519,26 +516,32 @@ def test_rebuilding_the_store_recounts():
 
 
 # ----------------------------------------------------------------------
-# the process backend publishes |V| fewer bytes per full-frontier phase
+# a full-frontier batch on the pool carries no bitmap
 # ----------------------------------------------------------------------
 def test_a_full_frontier_dispatch_publishes_no_bitmap():
     store = GraphStore.build(gen.rmat(8, 8.0, seed=4), num_partitions=16)
-    n = store.num_vertices
     with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
         want = pagerank(engine)
 
-    def pooled(masked: bool):
+    def pooled(masked: bool) -> set:
+        """Whether the pool's COO tasks were handed a bitmap."""
+        bitmaps, real = [], engine_module.run_coo_partition
+
+        def spy(*args):
+            bitmaps.append(args[6] is not None)
+            return real(*args)
+
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_module, "run_coo_partition", spy)
             if masked:
                 patch.setattr(engine_module, "_frontier_filter", _always_masked)
-            options = EngineOptions(num_threads=2, backend="process:workers=2")
+            options = EngineOptions(num_threads=2, backend="threads:workers=2")
             with Engine(store, options) as engine:
                 got = pagerank(engine)
                 stats = dataclasses.replace(engine.backend_stats)
         assert np.array_equal(got.ranks, want.ranks)
         assert _stats_rows(got) == _stats_rows(want)
         assert stats.fallbacks == 0 and stats.batches_dispatched == 10
-        return stats
+        return set(bitmaps)
 
-    with_bitmap, without = pooled(masked=True), pooled(masked=False)
-    assert with_bitmap.shm_bytes_requested - without.shm_bytes_requested == 10 * n
+    assert pooled(masked=True) == {True} and pooled(masked=False) == {False}

@@ -137,14 +137,14 @@ def test_intact_digest_replays_every_committed_unit(tmp_path, small_rmat):
 # the same journal under a concurrent batch
 # ----------------------------------------------------------------------
 def test_concurrent_batch_commits_every_unit_and_recovers_the_whole_phase(small_rmat):
-    """``run_tasks(concurrent=True)``: the hooks fire parent-side before the
-    batch is dispatched, so a crash on partition 3 finds nothing committed
+    """``run_tasks(concurrent=True)``: the hooks fire in the engine's thread
+    before the batch is dispatched, so a crash on partition 3 finds nothing committed
     and the phase re-runs as a whole — nothing replays, nothing runs twice,
     and every dispatched unit is committed through the one ``commit``."""
     store = GraphStore.build(small_rmat, num_partitions=8)
     baseline = pagerank(Engine(store, EngineOptions(num_threads=4, backend="serial")), iterations=4)
     policy = ResiliencePolicy(max_retries=2, fault_plan=FaultPlan.from_spec("worker_crash@1:3"))
-    options = EngineOptions(num_threads=4, backend="process:workers=2")
+    options = EngineOptions(num_threads=4, backend="threads:workers=2")
     with Engine(store, options, resilience=policy) as engine:
         faulted = pagerank(engine, iterations=4)
     assert np.array_equal(faulted.ranks, baseline.ranks)

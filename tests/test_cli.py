@@ -394,7 +394,7 @@ def test_certify_unknown_algorithm_is_exit_two(capsys):
 def test_failing_supervised_process_run_leaves_no_live_child(
     tmp_path, small_rmat, capsys, monkeypatch
 ):
-    import multiprocessing
+    import threading
 
     from repro.core.engine import Engine
 
@@ -408,8 +408,9 @@ def test_failing_supervised_process_run_leaves_no_live_child(
     monkeypatch.setattr(Engine, "close", spy)
     path = tmp_path / "g.npz"
     save_npz(path, small_rmat)
+    threads = set(threading.enumerate())
     rc = main(["run", "PR", "--graph", str(path), "--partitions", "8",
-               "--backend", "process:workers=2", "--max-retries", "0",
+               "--backend", "threads:workers=2", "--max-retries", "0",
                "--fault-plan", "worker_crash@2:3"])
     assert rc == 1
     assert "failed after 1 attempt(s)" in capsys.readouterr().err
@@ -417,9 +418,7 @@ def test_failing_supervised_process_run_leaves_no_live_child(
     # the run itself, not left to the engine's finalizer
     assert len(closed) == 1
     assert closed[0].backend_stats.workers_spawned == 2
-    for child in multiprocessing.active_children():
-        child.join(timeout=10)
-    assert multiprocessing.active_children() == []
+    assert set(threading.enumerate()) <= threads  # the pool's threads are joined
 
 
 # ----------------------------------------------------------------------

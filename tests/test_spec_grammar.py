@@ -19,7 +19,7 @@ TABLES = {"backend": BACKEND_SPEC, "store": STORE_SPEC}
 
 #: one well-formed item per option name, and the value it converts to.
 VALID = {
-    "workers": ("2", 2), "strict": ("0", False), "start": ("spawn", "spawn"),
+    "workers": ("2", 2), "strict": ("0", False),
     "prefetch": ("1", 1), "replicas": ("3", 3), "seed": ("7", 7),
     "faults": ("net_timeout@0", "net_timeout@0"), "deadline": ("1.5", 1.5),
     "attempts": ("4", 4),
@@ -119,6 +119,7 @@ def test_converters():
     [
         ("backend", "process:sparse=1", "sparse"),
         ("backend", "process:chunk=3", "chunk"),
+        ("backend", "threads:start=spawn", "start"),
         ("store", "remote:parts=1024", "parts"),
         ("store", "remote:autosync=0", "autosync"),
     ],
