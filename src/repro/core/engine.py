@@ -30,7 +30,8 @@ paper's Algorithm 2 in three steps:
    (:func:`_frontier_filter`).  A weighted operator's COO and CSR tasks
    read their edge weights from a per-store cache (:meth:`Engine._weights`).
 3. **fold** — the tasks' records become the next frontier (looked up
-   per store, not folded, when every run activated all of its ``dst``)
+   per store, not folded, when every run or grid block activated all of
+   its ``dst``)
    and the phase's single
    :class:`~repro.core.stats.EdgeMapStats`, which the machine model
    converts into simulated execution time.
@@ -388,7 +389,8 @@ class Engine:
         reader so block k+1's disk read overlaps block k's compute.
         """
         self.grid = grid
-        for key in ("grid", ("weights", "coo"), ("weights", "csr")):  # stale or unused now
+        # stale (a count of another grid is a wrong ``touched``) or unused now
+        for key in ("grid", "grid-distinct", ("weights", "coo"), ("weights", "csr")):
             self._per_store.pop(key, None)
         depth = self._backend_conf["prefetch"]
         grid.enable_prefetch(depth)
@@ -613,14 +615,23 @@ class Engine:
         self.grid.schedule_reads([(task.block, task.partition) for task in tasks])
 
     def _read_block(self, plan: PhasePlan, arrays: dict, task: PartitionTask) -> dict:
-        """Stream one grid block in as the COO kernel's edge arrays."""
+        """Stream one grid block in as the COO kernel's edge arrays.  Without
+        a bitmap they carry the block's distinct destinations too: a constant
+        of the grid, counted the first time such a phase reads the block."""
         block = self.grid.read_block(task.block, task.partition)
         if block.nbytes:
             plan.io_bytes += block.nbytes
             plan.io_blocks += 1
         if self._supervisor is not None:
             self._supervisor.check_read((task.block, task.partition), block)
-        return {**arrays, "src": block.src, "dst": block.dst}
+        read = {**arrays, "src": block.src, "dst": block.dst}
+        if "bitmap" not in arrays:
+            p, i, j = self.grid.num_stripes, task.block, task.partition
+            counts = self._cached("grid-distinct", lambda: np.full((p, p), -1, np.int64))
+            if counts[i, j] < 0:
+                counts[i, j] = count_distinct_between(block.dst, task.cuts)[0]
+            read["distinct"] = counts[i]  # the kernel reads entry j
+        return read
 
     # ------------------------------------------------------------------
     # fold: records -> next frontier + the phase's EdgeMapStats
@@ -645,10 +656,12 @@ class Engine:
                 activated.append(rec.activated)
         if records and all(rec.all_dst for rec in records):
             # Every run activated all of its ``dst``: the next frontier is the
-            # vertices with an in-edge, a constant of the layout (and safe to
-            # share between phases: a Frontier is immutable).
+            # vertices with an in-edge, a constant of the store whichever
+            # layout or grid streamed the edges (and safe to share between
+            # phases: a Frontier is immutable).
             nxt = self._cached(
-                "coo-frontier", lambda: Frontier(self.num_vertices, sparse=self.store.coo.dst)
+                "in-edge-frontier",
+                lambda: Frontier(self.num_vertices, sparse=np.flatnonzero(self.store.in_degrees)),
             )
         else:
             if len(activated) != 1:  # a lone record (every sparse phase) needs no copy

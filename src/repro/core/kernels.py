@@ -20,10 +20,10 @@ A phase whose frontier is every vertex carries no bitmap
 (``bitmap is None``): every source is live, so there is nothing to
 gather and, when ``cond`` passes everything too, nothing to compress —
 the operator's batches are zero-copy slices of the layout's own arrays
-at the task's edge cuts, and a COO partition's distinct destinations
-are a constant of the layout, handed in as ``distinct`` instead of
-being re-counted.  Same loop, same batches in the same order; only the
-copies go.
+at the task's edge cuts, and a COO partition's (or a grid block's)
+distinct destinations are a constant of the layout (or grid), handed in
+as ``distinct`` instead of being re-counted.  Same loop, same batches in
+the same order; only the copies go.
 
 A weighted operator's weights reach the in-RAM COO and sparse CSR kernels
 as ``w``, parallel to their edges, from the engine's per-store cache;
@@ -97,7 +97,8 @@ def kernel_args(kernel: str, arrays: dict, task, fuse: bool) -> tuple:
     i = task.partition
     if kernel == "coo":
         elo, ehi = task.extra[0], task.extra[-1]
-        distinct, w = arrays.get("distinct"), arrays.get("w")  # in-RAM phases only
+        # ``distinct``: full-frontier phases only; ``w``: in-RAM phases only
+        distinct, w = arrays.get("distinct"), arrays.get("w")
         if distinct is not None:
             distinct = distinct[i : i + task.num_partitions]
         return (
@@ -245,10 +246,10 @@ def run_coo_partition(
     ``bitmap is None`` means every source is live.  When ``cond`` passes
     every edge as well, the batches are slices of ``src``/``dst``/``w``
     themselves and ``distinct`` — the run's distinct destinations per
-    partition, counted once per store — is the record's ``touched``
-    (``None``, a grid block: counted here); if the operator then hands
-    every batch's ``dst`` back, the record says so (``all_dst``) and its
-    ``activated`` is ``dst``, a view."""
+    partition, counted once per store, or a grid block's, once per grid —
+    is the record's ``touched`` (``None``, a phase with a bitmap: counted
+    here); if the operator then hands every batch's ``dst`` back, the
+    record says so (``all_dst``) and its ``activated`` is ``dst``, a view."""
     live = None if bitmap is None else bitmap[src]
     cond = cond_fn(op, dst)
     if cond is not None:
@@ -268,8 +269,8 @@ def run_coo_partition(
         op, src_live, dst_live, w, live_at, [True] * (len(at) - 1), fuse
     )
     if live is not None or distinct is None:
-        # Not all of an in-RAM layout's ``dst``: nothing the fold could
-        # look up per store instead of deduplicating.
+        # Not all of the layout's (or block's) ``dst``: nothing the fold
+        # could look up per store instead of deduplicating.
         distinct, echoed = count_distinct_between(dst_live, cuts), False
     return PartitionRecord(
         partition=partition,

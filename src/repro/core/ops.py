@@ -251,10 +251,12 @@ class WriteSet:
         self.views = {**arrays, **self.slices}
 
     def digest(self) -> int:
-        """CRC32 over the slices' bytes."""
+        """CRC32 over the slices' bytes in C order: read in place where a
+        slice is C-contiguous (``zlib`` rejects any other buffer), copied
+        by ``tobytes()`` where it is not."""
         crc = 0
         for view in self.slices.values():
-            crc = zlib.crc32(view.tobytes(), crc)
+            crc = zlib.crc32(view if view.flags.c_contiguous else view.tobytes(), crc)
         return crc
 
     def snapshot(self) -> dict[str, np.ndarray]:

@@ -124,10 +124,11 @@ class PartitionRecord:
         Vertex ids the operator activated, its batches concatenated in
         visit order (pre-dedup; the engine's frontier constructor dedups).
     all_dst:
-        A full-frontier in-RAM COO run whose every batch handed back the
-        very ``dst`` object it was given: ``activated`` is the run's slice
-        of the layout's ``dst``, a view, and a phase of such records alone
-        has nothing to fold.
+        A full-frontier COO run or grid block whose every batch handed
+        back the very ``dst`` object it was given: ``activated`` is the
+        run's slice of the layout's ``dst``, a view (a block's is copied,
+        so that the record does not pin the block past its eviction), and
+        a phase of such records alone has nothing to fold.
     examined, active_edges, scanned:
         The whole run's contributions to the phase's
         :class:`~repro.core.stats.EdgeMapStats`.

@@ -4,10 +4,10 @@ nobody can tell.
 When ``frontier.size == num_vertices`` the engine's plan carries no
 bitmap (:func:`repro.core.engine._frontier_filter`): the kernels gather
 and compress nothing, hand the operator zero-copy slices of the layout's
-own edge arrays, and a COO partition's ``touched`` comes from the
-store's cached per-partition distinct-destination counts; an operator
-that hands every such batch's ``dst`` back has activated the vertices
-with an in-edge, and the fold looks that frontier up.  The masked
+own edge arrays, and a COO partition's (or grid block's) ``touched``
+comes from the store's (or grid's) cached distinct-destination counts;
+an operator that hands every such batch's ``dst`` back has activated
+the vertices with an in-edge, and the fold looks that frontier up.  The masked
 path — the same kernels handed a bitmap of all ``True`` — is what every
 run took before, so forcing it (patching the helper to always return
 the bitmap) gives the reference: result arrays, every ``EdgeMapStats``
@@ -319,25 +319,43 @@ def test_the_hand_back_operator_is_certified():
     seed=st.integers(0, 3),
     p=st.integers(1, 24),
     order=st.sampled_from(["forward", "reverse", "shuffle"]),
+    prefetch=st.sampled_from([None, 0, 2]),
 )
-def test_what_the_operator_hands_back_decides_the_fold(how, graph, seed, p, order):
+def test_what_the_operator_hands_back_decides_the_fold(
+    tmp_path_factory, how, graph, seed, p, order, prefetch
+):
     """Only the very ``dst`` object from every batch skips the fold, and
     whether it was skipped shows in nothing but the frontier's identity
     (``reverse`` makes every partition its own record: a ``mixed`` phase
-    then folds flagged and unflagged records together)."""
-    store = GraphStore.build(GRAPHS[graph](seed), num_partitions=p)
+    then folds flagged and unflagged records together).  With a
+    ``prefetch`` depth the phase streams a grid of ``p % 4 + 3`` stripes
+    instead, each block its own record, under a budget that evicts."""
+    edges = GRAPHS[graph](seed)
+    store = GraphStore.build(edges, num_partitions=p)
     n, coo = store.num_vertices, store.coo
     contrib = np.linspace(1, 2, n)
     op = _HandBack(contrib, np.zeros(n), how)
-    options = EngineOptions(num_threads=2, backend="serial", partition_order=order)
-    with Engine(store, options) as engine:
+    backend, grid = "serial", None
+    if prefetch is not None:
+        backend = f"serial:prefetch={prefetch}"
+        directory = tmp_path_factory.mktemp("grid")
+        grid = GridStore.build(edges, directory, num_stripes=p % 4 + 3, budget=1 << 10)
+    options = EngineOptions(num_threads=2, backend=backend, partition_order=order)
+    with Engine(store, options, grid=grid) as engine:
         nxt = engine.edge_map(Frontier.full(n), op)
         (phase,) = engine.stats.edge_maps
-        all_even = not (np.diff(coo.partition_index) % 2).any()
-        assert ("coo-frontier" in engine._per_store) == (
+        if grid is None:
+            sizes = np.diff(coo.partition_index)
+        else:
+            stripes = range(grid.num_stripes)
+            sizes = np.array([grid.block_edges(i, j) for i in stripes for j in stripes])
+            assert phase.layout == "grid" and grid.budget.evictions > 0
+            assert grid.stats.prefetched == (grid.stats.block_reads if prefetch else 0)
+        all_even = not (sizes % 2).any()
+        assert ("in-edge-frontier" in engine._per_store) == (
             how == "same" or (how == "mixed" and all_even)
         )
-        assert nxt is engine._per_store.get("coo-frontier", nxt)
+        assert nxt is engine._per_store.get("in-edge-frontier", nxt)
     want = np.unique(coo.dst[coo.dst % 3 > 0] if how == "subset" else coo.dst)
     assert np.array_equal(nxt.as_sparse(), want) and phase.updated_vertices == want.size
     accum = np.zeros(n)
@@ -345,25 +363,51 @@ def test_what_the_operator_hands_back_decides_the_fold(how, graph, seed, p, orde
     assert np.array_equal(op.accum, accum)
 
 
-def test_a_bitmap_a_cond_or_a_grid_folds_as_before(tmp_path):
+def test_a_bitmap_or_a_cond_folds_but_a_full_grid_does_not(tmp_path):
+    """A partial frontier and a non-``None`` ``cond`` fold as before.  A
+    full-frontier phase over a grid takes the very frontier the in-RAM
+    phase takes: both are the vertices with an in-edge, a constant of the
+    store, and every block's ``touched`` is the grid's cached count."""
     edges = gen.rmat(7, 8.0, seed=2)
     store = GraphStore.build(edges, num_partitions=6)
     n = store.num_vertices
     engine, want, full = _edge_map(store, PageRankOp)
-    assert full is engine._per_store["coo-frontier"]
+    assert full is engine._per_store["in-edge-frontier"]
+    assert full == Frontier(n, sparse=store.coo.dst)
     engine.close()
 
     sink = int(np.flatnonzero(store.out_degrees == 0)[0])  # every edge stays live without it
     partial = Frontier(n, sparse=np.delete(np.arange(n), sink))
-    grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=16 << 10)
-    for op_class, kwargs in (
-        (PageRankOp, {"frontier": partial}), (_PassingCond, {}), (PageRankOp, {"grid": grid}),
-    ):
+    for op_class, kwargs in ((PageRankOp, {"frontier": partial}), (_PassingCond, {})):
         engine, got, nxt = _edge_map(store, op_class, **kwargs)
-        assert "coo-frontier" not in engine._per_store
+        assert "in-edge-frontier" not in engine._per_store
         assert nxt == full and nxt is not full
         assert np.array_equal(got, want)
         engine.close()
+
+    grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=16 << 10)
+    engine, got, nxt = _edge_map(store, PageRankOp, grid=grid)
+    assert nxt is engine._per_store["in-edge-frontier"]
+    assert nxt == full and np.array_equal(got, want)
+    counts = engine._per_store["grid-distinct"]
+    (phase,) = engine.stats.edge_maps
+    engine.close()
+    assert counts.tolist() == _block_counts(edges, grid)
+    assert phase.partition_touched_vertices.tolist() == np.maximum(counts, 0).sum(0).tolist()
+
+
+def _block_counts(edges, grid) -> list[list[int]]:
+    """Each grid block's distinct destinations by ``np.unique``; -1 for an
+    empty block, which is never read and so never counted."""
+    ranges = [grid.stripes.vertex_range(k) for k in range(grid.num_stripes)]
+    counts = []
+    for a, b in ranges:
+        rows = (a <= edges.src) & (edges.src < b)
+        counts.append([])
+        for c, d in ranges:
+            inside = rows & (c <= edges.dst) & (edges.dst < d)
+            counts[-1].append(np.unique(edges.dst[inside]).size if inside.any() else -1)
+    return counts
 
 
 def test_rebuilding_the_store_drops_the_cached_frontier():
@@ -373,9 +417,9 @@ def test_rebuilding_the_store_drops_the_cached_frontier():
         op = PageRankOp(np.linspace(1, 2, n), np.zeros(n))
         before = engine.edge_map(Frontier.full(n), op)
         engine._rebuild_store(6)
-        assert "coo-frontier" not in engine._per_store
+        assert "in-edge-frontier" not in engine._per_store
         after = engine.edge_map(Frontier.full(n), op)
-        assert after is engine._per_store["coo-frontier"] and after is not before
+        assert after is engine._per_store["in-edge-frontier"] and after is not before
         assert after == Frontier(n, sparse=engine.store.coo.dst)
 
 
@@ -461,7 +505,7 @@ def test_flagged_records_from_the_pool_keep_their_layout_views(monkeypatch):
     with Engine(store, EngineOptions(num_threads=2, backend="threads:workers=2")) as engine:
         got = pagerank(engine)
         assert set(received) == {(True, True)}
-        assert "coo-frontier" in engine._per_store  # the fold looked the frontier up
+        assert "in-edge-frontier" in engine._per_store  # the fold looked the frontier up
         assert engine.backend_stats.fallbacks == 0
         assert engine.backend_stats.batches_dispatched == 10
     assert np.array_equal(got.ranks, want.ranks)
@@ -513,6 +557,40 @@ def test_rebuilding_the_store_recounts():
         assert before.size == 12 and after.size == 6
         assert after.tolist() == _distinct_per_partition(engine.store.coo)
         assert stats.partition_touched_vertices.tolist() == after.tolist()
+
+
+def test_a_second_grid_or_a_rebuilt_store_recounts(tmp_path):
+    """The block counts are a constant of one grid: attaching another (of
+    another stripe count), rebuilding the store and closing the engine
+    drop them, and the next full-frontier phase counts again."""
+    edges = gen.rmat(8, 8.0, seed=5)
+    store = GraphStore.build(edges, num_partitions=12)
+    n = store.num_vertices
+    first = GridStore.build(edges, tmp_path / "3", num_stripes=3)
+    second = GridStore.build(edges, tmp_path / "5", num_stripes=5)
+
+    def phase(engine, grid):
+        op = PageRankOp(np.linspace(1, 2, n), np.zeros(n))
+        engine.edge_map(Frontier.full(n), op)
+        counts = engine._per_store["grid-distinct"]
+        assert counts.tolist() == _block_counts(edges, grid)
+        touched = engine.stats.edge_maps[-1].partition_touched_vertices
+        assert touched.tolist() == np.maximum(counts, 0).sum(0).tolist()
+        return counts
+
+    options = EngineOptions(num_threads=2, backend="serial")
+    with Engine(store, options, grid=first) as engine:
+        assert phase(engine, first).shape == (3, 3)
+        engine.attach_grid(second)
+        assert "grid-distinct" not in engine._per_store
+        before = phase(engine, second)
+        assert before.shape == (5, 5)
+        engine._rebuild_store(6)
+        assert "grid-distinct" not in engine._per_store
+        after = phase(engine, second)
+        assert after is not before and np.array_equal(after, before)
+        engine.close()
+        assert "grid-distinct" not in engine._per_store
 
 
 # ----------------------------------------------------------------------

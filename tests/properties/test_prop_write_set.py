@@ -6,6 +6,8 @@ arrays (sliced), arrays of any other length (whole), non-array
 attributes (not state), and zero-width ranges.
 """
 
+import zlib
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,6 +102,24 @@ def test_digest_covers_the_slices_and_nothing_else(case):
             digest = moved
     else:
         assert digest == 0
+
+
+@given(operators())
+def test_the_digest_is_the_crc_of_the_slices_c_order_bytes(case):
+    """Journals compare against digests already computed, so the value is
+    fixed: CRC32 over each slice's ``tobytes()``, in name order.  A slice
+    is read in place where it is C-contiguous and copied where it is not —
+    the rows of a Fortran-ordered 2-D state array — with the same result."""
+    op, n, lo, hi = case
+    crc = 0
+    for key in ("belief", "label", "rank"):
+        crc = zlib.crc32(getattr(op, key)[lo:hi].tobytes(), crc)
+    assert WriteSet(op, n, lo, hi).digest() == crc
+    op.belief = np.asfortranarray(op.belief)
+    owned = WriteSet(op, n, lo, hi)
+    if op.belief.shape[1] > 1 and hi - lo > 1:
+        assert not owned.slices["belief"].flags.c_contiguous
+    assert owned.digest() == crc
 
 
 @given(operators())

@@ -17,6 +17,7 @@ from repro.algorithms.bfs import bfs
 from repro.algorithms.cc import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
+from repro.core import engine as engine_module
 from repro.errors import RetryExhausted
 from repro.layout import GraphStore
 from repro.resilience import (
@@ -322,3 +323,80 @@ def test_prefetched_slow_read_escalates_through_watchdog(small_rmat):
     _assert_identical(baseline, spilled)
     assert engine.grid.stats.slow_reads == 1
     assert engine.journal.reexecutions == 1
+
+
+# ----------------------------------------------------------------------
+# a full-frontier phase folds nothing, replayed blocks included
+# ----------------------------------------------------------------------
+#: the ``EdgeMapStats`` fields that do not describe the layout streamed.
+_LAYOUT_FREE = (
+    "density", "frontier_size", "active_edges", "examined_edges",
+    "scanned_vertices", "updated_vertices",
+)
+
+
+def _rows(result):
+    return [
+        {
+            name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in vars(stats).items()
+        }
+        for stats in result.stats.edge_maps
+    ]
+
+
+def _bitmap_always(frontier):
+    """The engine's frontier filter as it was before full-frontier phases
+    went without a bitmap: every grid phase then folds its records."""
+    return {"bitmap": frontier.as_bitmap()}
+
+
+def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch, small_rmat):
+    """A crash in the middle of a spilled PageRank phase: the stripe that
+    committed replays from the journal, the rest re-execute, and the fold
+    still looks the next frontier up — a replayed record keeps its
+    ``all_dst`` flag, and the grid's cached counts are its ``touched``.
+    Nothing a caller sees moves: the ranks and the layout-free statistics
+    equal the in-RAM engine's, and every ``EdgeMapStats`` field and every
+    grid counter equal those of the same crash down the path that folds
+    (and counts in the kernel) as before.  Against the fault-free spilled
+    run only the faulted phase's ``io_bytes``/``io_blocks`` differ: they
+    count the retry's reads, and the replayed blocks were not read.  The
+    reads run in the engine's thread: with read-ahead, how far the reader
+    got before the crash (so the retry's hit/read split) is a race."""
+    looked_up = []
+    fold = Engine._fold
+
+    def spy(engine, plan, frontier, density, records):
+        nxt = fold(engine, plan, frontier, density, records)
+        flagged = bool(records) and all(rec.all_dst for rec in records)
+        looked_up.append(flagged and nxt is engine._per_store.get("in-edge-frontier"))
+        return nxt
+
+    monkeypatch.setattr(Engine, "_fold", spy)
+    baseline = pagerank(_engine(small_rmat), iterations=6)
+
+    def spilled(spec, masked=False):
+        looked_up.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            if masked:
+                patch.setattr(engine_module, "_frontier_filter", _bitmap_always)
+            engine = _prefetch_engine(small_rmat, policy=_spill_policy(spec), depth=0)
+            result = pagerank(engine, iterations=6)
+        assert engine.grid is not None and looked_up == [not masked] * 6
+        assert np.array_equal(result.ranks, baseline.ranks)
+        for got, want in zip(_rows(result), _rows(baseline), strict=True):
+            assert got["layout"] == "grid"
+            assert {k: got[k] for k in _LAYOUT_FREE} == {k: want[k] for k in _LAYOUT_FREE}
+        counters = {**vars(engine.grid.stats), "evictions": engine.grid.budget.evictions}
+        engine.close()
+        return _rows(result), counters, engine.journal
+
+    crashed, counters, journal = spilled("worker_crash@2:1")
+    assert journal.reexecutions == 1 and journal.replays > 0
+    assert spilled("worker_crash@2:1", masked=True)[:2] == (crashed, counters)
+    clean = spilled(None)[0]
+    assert crashed[2]["io_blocks"] < clean[2]["io_blocks"]
+    for row in (clean[2], crashed[2]):
+        del row["io_bytes"], row["io_blocks"]
+    assert crashed == clean
