@@ -12,7 +12,7 @@ Subcommands
 
     ``--backend`` selects the execution backend (see
     :mod:`repro.core.backend`): ``serial`` (default) or
-    ``threads[:workers=N][:strict=0|1][:prefetch=N]`` — the engine's task
+    ``threads[:workers=N][:strict=0|1]`` — the engine's task
     loop in blocks on a persistent thread pool, each block writing its
     destination ranges in place, bit-identical to serial.  Defaults to the
     ``REPRO_BACKEND`` environment variable when set.
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--threads", type=int, default=48)
     run.add_argument("--backend", default=None,
                      help="execution backend spec: serial | "
-                          "threads[:workers=N][:strict=0|1][:prefetch=N] "
+                          "threads[:workers=N][:strict=0|1] "
                           "(the task loop on a thread pool, writing in place; "
                           "'process' is an old name for 'threads') "
                           "(default: $REPRO_BACKEND or serial)")
@@ -398,10 +398,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"grid: resident high-water {budget.high_water_bytes} B "
                   f"of {budget.limit_bytes} B budget "
                   f"({budget.admissions} admissions, {budget.evictions} evictions)")
-        if budget.prefetch_high_water_bytes:
-            quota = budget.effective_prefetch_quota()
-            print(f"grid: prefetch high-water {budget.prefetch_high_water_bytes} B"
-                  + (f" of {quota} B quota" if quota is not None else ""))
         for line in grid.events:
             print(f"grid: {line}")
     if session is not None:

@@ -144,8 +144,8 @@ _NP_ALLOCATORS = frozenset({
 #: transforms, each with the number of positional operands that are
 #: *inputs*: one more would be a positional ``out`` (``np.add(a, b,
 #: self.x)`` writes ``self.x``), so a longer call is un-modelled.  The
-#: names double as the backend-lowerable subset checked by GL010:
-#: anything outside keeps the operator off the parallel backend.
+#: names double as the modelled subset GL010 checks: a call outside it
+#: leaves the operator uncertified.
 _NP_VALUE_FUNCS = {
     **dict.fromkeys((
         "abs", "absolute", "sqrt", "square", "sign", "negative",
@@ -170,8 +170,10 @@ _NP_VALUE_FUNCS = {
     "where": 3,
 }
 
-#: numpy API the parallel backend can lower.  GL010 flags ``np.<name>``
-#: calls inside operator code whose ``<name>`` is not in this set.
+#: numpy API the effect pass models.  GL010 flags ``np.<name>`` calls
+#: inside operator code whose ``<name>`` is not in this set: such an
+#: operator stays uncertified, so its runtime guards stay on and the
+#: ``threads`` pool does not admit it.
 LOWERABLE_NUMPY = frozenset(_NP_ALLOCATORS | _NP_VALUE_FUNCS.keys() | {"unique"})
 
 #: calls whose result threads an *order-carrying* reduction through the
@@ -717,7 +719,7 @@ class _Analyzer:
                 space="bool" if boolish else "value",
                 parallel=any(val.parallel for val in vals),
             )
-        # numpy API outside the lowerable subset: portability violation.
+        # numpy API outside the modelled subset: its effects are unknown.
         self._operands(node, env)
         self._emit(node, kind="nonportable", detail=".".join(parts))
         return _VALUE
@@ -872,12 +874,12 @@ def classify(
             reasons.append(f"unmodelled effect: {eff.detail}")
         elif eff.kind == "nonportable":
             level = level.join(SafetyLevel.UNKNOWN)
-            reasons.append(f"numpy API outside the lowerable subset: {eff.detail}")
+            reasons.append(f"numpy API outside the modelled subset: {eff.detail}")
             violations.append(Violation(
                 "GL010", eff.line, eff.col,
-                f"{cls} calls {eff.detail}, which is outside the backend-"
-                "lowerable numpy subset; the parallel backend cannot "
-                "execute this operator",
+                f"{cls} calls {eff.detail}, which is outside the numpy "
+                "subset the effect pass models; the operator stays "
+                "uncertified (guards on, not admitted to the thread pool)",
             ))
         elif eff.kind == "order":
             level = level.join(SafetyLevel.ORDER_SENSITIVE)

@@ -87,6 +87,7 @@ class OrderCarryingReductionRule(_EffectRule):
 class NonLowerableNumpyRule(_EffectRule):
     code = "GL010"
     summary = (
-        "operator calls numpy API outside the backend-lowerable subset; "
-        "the parallel backend cannot execute it"
+        "operator calls numpy API outside the subset the effect pass "
+        "models; it stays uncertified, so its guards stay on and the "
+        "thread pool does not admit it"
     )

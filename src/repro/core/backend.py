@@ -30,13 +30,14 @@ for the batch's first block, when nothing has run.
 Which of the two runs is selected by a *spec* string in the one
 ``kind[:key=value]*`` grammar of :mod:`repro.spec`; :data:`BACKEND_SPEC`
 is this module's option table:
-``serial[:prefetch=N]`` or ``threads[:workers=N][:strict=0|1][:prefetch=N]``.
+``serial`` or ``threads[:workers=N][:strict=0|1]``.
 
 Three shims keep the ``benchmarks/e2e`` harness, which names the old
 process backend, working until its next change (ROADMAP item 1(a))
 deletes them: the ``process`` kind parses to the ``threads`` options,
 :data:`ProcessBackend` is an alias of :class:`ThreadBackend`, and the
-``BackendStats.shm_*`` counters stay, always 0.
+``BackendStats.shm_*`` counters stay, always 0.  A fourth sits in
+:data:`BACKEND_SPEC`.
 """
 
 from __future__ import annotations
@@ -60,16 +61,16 @@ def _default_workers() -> int:
 _THREADS = {
     "workers": integer(_default_workers(), minimum=1),
     "strict": flag(True),
-    "prefetch": integer(0, minimum=0),
 }
 
 #: the backend spec table: every kind, and the options it accepts.
 #: ``workers`` sizes the pool; ``strict`` refuses (1) or silently
-#: serialises (0) operators that are not certified partition-pure;
-#: ``prefetch`` is the grid read-ahead depth in blocks (0 disables; also
-#: on ``serial``, since grid streaming is backend-independent).
+#: serialises (0) operators that are not certified partition-pure.
 #: ``process`` is the ``threads`` table under its old name (a shim, see
-#: the module docstring).
+#: the module docstring).  ``serial``'s ``prefetch`` is parsed and does
+#: nothing, since grid blocks are read in the engine's thread: a shim for
+#: the benchmark's ``spill_rmat`` row (``serial:prefetch=2``) until ROADMAP
+#: item 1(a) drops it from that row; then this key goes.
 BACKEND_SPEC = {
     "serial": {"prefetch": integer(0, minimum=0)},
     "threads": _THREADS,

@@ -162,8 +162,6 @@ class Engine:
         )
         self._backend_obj: ThreadBackend | None = None
         self._backend_finalizer = None
-        if grid is not None:
-            grid.enable_prefetch(self._backend_conf["prefetch"])
         #: whether the current edge-map phase may run concurrently
         #: (edge-local operator + non-serial backend); set at admission.
         self._phase_concurrent = False
@@ -248,13 +246,11 @@ class Engine:
             backend.close()
 
     def close(self) -> None:
-        """Join the execution backend's thread pool and the grid's
-        background reader, when either exists, and drop
-        the per-store caches (an engine used again rebuilds them)."""
+        """Join the execution backend's thread pool, if it was started,
+        and drop the per-store caches (an engine used again rebuilds
+        them)."""
         self._per_store.clear()
         self._close_backend()
-        if self.grid is not None:
-            self.grid.close()
 
     def __enter__(self) -> "Engine":
         return self
@@ -384,21 +380,17 @@ class Engine:
         """Switch this engine to out-of-core grid execution.
 
         All subsequent edge-maps stream ``grid``'s blocks under its
-        memory budget instead of traversing the in-RAM layouts.  The
-        backend spec's ``prefetch=N`` knob starts the grid's background
-        reader so block k+1's disk read overlaps block k's compute.
+        memory budget instead of traversing the in-RAM layouts, each block
+        read in the engine's thread as its task comes up.
         """
         self.grid = grid
         # stale (a count of another grid is a wrong ``touched``) or unused now
         for key in ("grid", "grid-distinct", ("weights", "coo"), ("weights", "csr")):
             self._per_store.pop(key, None)
-        depth = self._backend_conf["prefetch"]
-        grid.enable_prefetch(depth)
         self.resilience_log.append(
             f"grid execution attached: {grid.num_stripes}x{grid.num_stripes} "
             f"blocks, {grid.total_bytes()} B on disk, budget "
-            f"{grid.budget.limit_bytes or 'unlimited'}, "
-            f"prefetch {'x' + str(depth) if depth > 0 else 'off'}"
+            f"{grid.budget.limit_bytes or 'unlimited'}"
         )
 
     def _run_phase(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
@@ -548,8 +540,9 @@ class Engine:
     # ------------------------------------------------------------------
     def _run_plan(self, plan: PhasePlan, op: EdgeOperator) -> list[PartitionRecord]:
         """Run ``plan``'s tasks: as one batch of blocks on the concurrent
-        backend when the phase was admitted, else here.  With a supervisor,
-        each batch goes through its replay-or-execute-then-commit routine."""
+        backend when the phase was admitted, else here, one after another
+        (a grid block is read as its task comes up).  With a supervisor,
+        the tasks go through its replay-or-execute-then-commit routine."""
         supervisor = self._supervisor if plan.granular else None
         arrays = plan.arrays
         if plan.layout == "coo" and op.weight_fn is not None:
@@ -567,16 +560,9 @@ class Engine:
                 # No thread could be started: nothing ran, the batch runs here.
                 self._note_backend_fallback(exc)
         run = partial(self._counted, plan, loop)
-        ahead = self._read_ahead if plan.layout == "grid" else None
-        records: list[PartitionRecord] = []
-        for tasks in plan.batches():
-            if supervisor is not None:
-                records += supervisor.run_tasks(op, tasks, run, on_pending=ahead)
-            else:
-                if ahead is not None:
-                    ahead(tasks)
-                records += run(tasks)
-        return records
+        if supervisor is None:
+            return run(plan.tasks)
+        return supervisor.run_tasks(op, plan.tasks, run)
 
     def _execute(self, plan: PhasePlan, arrays: dict, op: EdgeOperator, tasks):
         """Run ``tasks`` one after another in the calling thread.  The
@@ -608,11 +594,6 @@ class Engine:
         else:
             self.guard_invocations += calls
         return records
-
-    def _read_ahead(self, tasks) -> None:
-        """Hand the grid's background reader (if any) the blocks about to
-        be consumed, in consumption order; cancels any stale schedule."""
-        self.grid.schedule_reads([(task.block, task.partition) for task in tasks])
 
     def _read_block(self, plan: PhasePlan, arrays: dict, task: PartitionTask) -> dict:
         """Stream one grid block in as the COO kernel's edge arrays.  Without

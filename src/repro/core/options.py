@@ -72,9 +72,9 @@ class EngineOptions:
         developing a new operator).
     backend:
         Execution backend spec (grammar: :mod:`repro.spec`; options:
-        :data:`repro.core.backend.BACKEND_SPEC`): ``"serial[:prefetch=N]"``
+        :data:`repro.core.backend.BACKEND_SPEC`): ``"serial"``
         (default — the in-process reference path) or
-        ``"threads[:workers=N][:strict=0|1][:prefetch=N]"`` — the same task
+        ``"threads[:workers=N][:strict=0|1]"`` — the same task
         loop in contiguous blocks on a persistent thread pool, each block
         writing its disjoint destination ranges of the live arrays in
         place, for operators certified edge-local; results and statistics

@@ -25,8 +25,6 @@ store.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -207,13 +205,6 @@ class PhasePlan:
     #: bytes / blocks the grid streamed from disk for this phase.
     io_bytes: int = 0
     io_blocks: int = 0
-
-    def batches(self):
-        """The task lists to run one after another: grid blocks go a
-        destination stripe at a time, everything else in one batch."""
-        if self.layout != "grid":
-            return (self.tasks,)
-        return [list(g) for _, g in groupby(self.tasks, key=attrgetter("partition"))]
 
 
 def partition_order(p: int, options):

@@ -41,9 +41,7 @@ the *Nth block write*, :data:`IO_FAULT_KINDS` on the *Nth block read*.
 from __future__ import annotations
 
 import json
-import threading
 import zlib
-from collections import deque
 from pathlib import Path
 from typing import NamedTuple
 
@@ -179,14 +177,11 @@ class GridStats:
         self.blocks_skipped = 0
         #: over-budget blocks streamed through without entering the cache.
         self.uncached_reads = 0
-        #: blocks served from the background read-ahead thread.
-        self.prefetched = 0
 
     def summary(self) -> str:
         return (
             f"reads {self.block_reads} ({self.bytes_read / 1024:.1f} KiB), "
-            f"cache hits {self.cache_hits}, prefetched {self.prefetched}, "
-            f"skipped {self.blocks_skipped}, "
+            f"cache hits {self.cache_hits}, skipped {self.blocks_skipped}, "
             f"repairs {self.repairs}, io retries {self.io_retries}, "
             f"slow reads {self.slow_reads}, write retries {self.write_retries}"
         )
@@ -371,7 +366,6 @@ class GridStore:
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._edges = edges
         self._read_ops = 0
-        self._prefetcher: _BlockPrefetcher | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -433,44 +427,24 @@ class GridStore:
         entry = self._blocks.get((i, j))
         return int(entry["edges"]) if entry else 0
 
-    def block_bytes(self, i: int, j: int) -> int:
-        """Payload bytes of block ``(i, j)``."""
-        entry = self._blocks.get((i, j))
-        return int(entry["bytes"]) if entry else 0
-
     def total_bytes(self) -> int:
         """Total payload bytes across all blocks."""
         return sum(int(b["bytes"]) for b in self._blocks.values())
 
     # ------------------------------------------------------------------
     def read_block(self, i: int, j: int) -> BlockRead:
-        """Serve block ``(i, j)``: prefetcher, cache, else disk.
+        """Serve block ``(i, j)`` from the cache, else from disk.
 
         Transient read faults re-read in place (bounded attempts, then
         :class:`~repro.errors.GridIOError`); CRC failures trigger
         repair-on-read; the admitted block is charged to the budget,
-        evicting LRU residents.  With read-ahead enabled, blocks the
-        engine scheduled are served from the background reader — which
-        ran this very same cache/fault/budget sequence for them, in
-        schedule order, so the streaming state evolves identically.
+        evicting LRU residents.  All of it runs in the caller's thread.
         """
         key = (i, j)
         entry = self._blocks.get(key)
         if entry is None:
             empty = np.empty(0, dtype=VID_DTYPE)
             return BlockRead(empty, empty, 0, False)
-        if self._prefetcher is not None:
-            block = self._prefetcher.take(key)
-            if block is not None:
-                self.stats.prefetched += 1
-                return block
-            # Unscheduled key: take() waited for the reader to go idle,
-            # so the synchronous path below is the only mutator again.
-        return self._serve_block(key, entry)
-
-    def _serve_block(self, key: tuple[int, int], entry: dict) -> BlockRead:
-        """Cache-or-disk service of one block; the single-mutator path."""
-        i, j = key
         if key in self._cache:
             self.stats.cache_hits += 1
             self.budget.touch(key)
@@ -528,43 +502,6 @@ class GridStore:
                 f"{_MAX_READ_ATTEMPTS} attempts"
             )
         return payload, slow
-
-    # -- double-buffered read-ahead ------------------------------------
-    def enable_prefetch(self, depth: int) -> None:
-        """Start the background reader with ``depth`` read-ahead slots.
-
-        ``depth <= 0`` is a no-op (synchronous reads).  In-flight
-        read-ahead bytes are additionally bounded by the budget's
-        reserved prefetch quota, so enabling read-ahead can never blow
-        the memory discipline the budget proves.
-        """
-        if depth <= 0 or self._prefetcher is not None:
-            return
-        self._prefetcher = _BlockPrefetcher(self, depth)
-
-    @property
-    def prefetch_enabled(self) -> bool:
-        return self._prefetcher is not None
-
-    def schedule_reads(self, keys: list[tuple[int, int]]) -> None:
-        """Hand the background reader the blocks the next stripe will
-        consume, in consumption order.  Cancels any stale schedule first
-        (a selective-scheduling skip or an aborted phase leaves one), so
-        the reader never warms blocks the engine decided not to visit.
-        No-op when read-ahead is disabled."""
-        if self._prefetcher is not None:
-            self._prefetcher.schedule(keys)
-
-    def cancel_prefetch(self) -> None:
-        """Drop any scheduled-but-unconsumed read-ahead."""
-        if self._prefetcher is not None:
-            self._prefetcher.cancel()
-
-    def close(self) -> None:
-        """Stop the background reader (idempotent; sync reads still work)."""
-        if self._prefetcher is not None:
-            self._prefetcher.close()
-            self._prefetcher = None
 
     def _read_verified(self, i: int, j: int, entry: dict) -> bytes:
         """One disk read, CRC-checked against the manifest; repairs torn blocks."""
@@ -640,149 +577,3 @@ class GridStore:
             f"{len(self._blocks)} blocks, {self.total_bytes()} B)"
         )
 
-
-class _BlockPrefetcher:
-    """Background reader double-buffering grid block reads.
-
-    The engine announces each stripe's read list up front
-    (:meth:`GridStore.schedule_reads`); the reader thread then executes
-    those keys *strictly in schedule order* through the very same
-    :meth:`GridStore._serve_block` path the synchronous loop uses —
-    cache-hit classification, fault injection keyed on ``_read_ops``,
-    CRC repair, LRU admission and eviction all happen reader-side, in
-    the same sequence they would have happened without read-ahead.  The
-    consumer only collects finished :class:`BlockRead` results, so the
-    streaming state (cache contents, budget counters, fault schedule)
-    evolves identically with and without prefetch — block k+1's disk
-    read overlaps block k's compute, realising the cost model's
-    ``max(compute, io)`` instead of ``compute + io``.
-
-    Read-ahead is bounded two ways: at most ``depth`` unconsumed
-    results, and in-flight payload bytes reserved against
-    :meth:`MemoryBudget.reserve_prefetch` (released when the engine
-    consumes the block), so the memory discipline the budget proves
-    extends over the read-ahead slots.
-
-    A failed read is delivered to the consumer as the raised exception
-    and the rest of the schedule is dropped — the phase aborts either
-    way, and the supervised retry re-schedules from scratch.  After an
-    abort the reader may have fetched up to ``depth`` blocks the
-    retried phase re-serves from cache; chaos tests therefore assert
-    result bit-identity, not event-log equality.
-    """
-
-    def __init__(self, store: GridStore, depth: int) -> None:
-        self.store = store
-        self.depth = max(1, int(depth))
-        self._cv = threading.Condition()
-        self._queue: deque[tuple[int, int]] = deque()
-        #: keys scheduled but not yet finished (queue + in-flight).
-        self._scheduled: set[tuple[int, int]] = set()
-        self._inflight: tuple[int, int] | None = None
-        #: key -> ("ok", BlockRead, reserved_bytes) | ("err", exception)
-        self._results: dict[tuple[int, int], tuple] = {}
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._run, name="grid-prefetch", daemon=True
-        )
-        self._thread.start()
-
-    # -- consumer side --------------------------------------------------
-    def schedule(self, keys) -> None:
-        with self._cv:
-            self._cancel_locked()
-            fresh = [(int(i), int(j)) for i, j in keys]
-            self._queue.extend(fresh)
-            self._scheduled.update(fresh)
-            self._cv.notify_all()
-
-    def cancel(self) -> None:
-        with self._cv:
-            self._cancel_locked()
-
-    def close(self) -> None:
-        with self._cv:
-            self._cancel_locked()
-            self._closed = True
-            self._cv.notify_all()
-        self._thread.join()
-
-    def take(self, key: tuple[int, int]) -> BlockRead | None:
-        """The scheduled read for ``key`` (blocking), or ``None``.
-
-        ``None`` means the key was never scheduled (or its schedule was
-        cancelled); in that case this waits for the reader to go idle
-        first, so the caller's synchronous read is the only
-        cache/budget mutator.  Re-raises the reader's exception when
-        the scheduled read failed.
-        """
-        with self._cv:
-            while True:
-                state = self._results.pop(key, None)
-                if state is not None:
-                    self._cv.notify_all()  # freed a read-ahead slot
-                    if state[0] == "err":
-                        raise state[1]
-                    _, block, reserved = state
-                    self.store.budget.release_prefetch(reserved)
-                    return block
-                if key not in self._scheduled:
-                    while self._scheduled or self._inflight is not None:
-                        self._cv.wait()
-                    return None
-                self._cv.wait()
-
-    def _cancel_locked(self) -> None:
-        for key in self._queue:
-            self._scheduled.discard(key)
-        self._queue.clear()
-        while self._inflight is not None:
-            self._cv.wait()
-        for state in self._results.values():
-            if state[0] == "ok":
-                self.store.budget.release_prefetch(state[2])
-        self._results.clear()
-        self._cv.notify_all()
-
-    # -- reader thread --------------------------------------------------
-    def _run(self) -> None:
-        budget = self.store.budget
-        empty = np.empty(0, dtype=VID_DTYPE)
-        while True:
-            with self._cv:
-                while True:
-                    if self._closed:
-                        return
-                    if self._queue and len(self._results) < self.depth:
-                        key = self._queue[0]
-                        entry = self.store._blocks.get(key)
-                        reserved = int(entry["bytes"]) if entry else 0
-                        # Reservation happens under the lock, so a
-                        # concurrent cancel cannot orphan a half-claimed
-                        # key: it is popped only once the quota admits it.
-                        if budget.reserve_prefetch(reserved):
-                            self._queue.popleft()
-                            self._inflight = key
-                            break
-                    self._cv.wait()
-            try:
-                block = (
-                    self.store._serve_block(key, entry)
-                    if entry is not None
-                    else BlockRead(empty, empty, 0, False)
-                )
-                state = ("ok", block, reserved)
-            except BaseException as exc:  # delivered to the consumer
-                budget.release_prefetch(reserved)
-                state = ("err", exc)
-            with self._cv:
-                self._inflight = None
-                self._scheduled.discard(key)
-                self._results[key] = state
-                if state[0] == "err":
-                    # The phase aborts on this error; the rest of the
-                    # schedule is stale.
-                    for k in self._queue:
-                        self._scheduled.discard(k)
-                    self._queue.clear()
-                self._cv.notify_all()

@@ -382,13 +382,13 @@ class Supervisor:
     # task level: journal, write-set rollback, watchdog, fault hooks
     # ------------------------------------------------------------------
     def run_tasks(
-        self, op, tasks, execute, *, concurrent: bool = False, on_pending=None
+        self, op, tasks, execute, *, concurrent: bool = False
     ) -> list[PartitionRecord]:
         """Replay the committed tasks, execute the rest, commit them.
 
-        ``tasks`` is one batch — a phase's partition tasks, or one grid
-        stripe's blocks — and ``execute(batch)`` runs a list of tasks
-        and returns their records.  In-process execution gets one task
+        ``tasks`` are a phase's partition tasks or grid blocks, and
+        ``execute(batch)`` runs a list of them and returns their
+        records.  In-process execution gets one task
         at a time, its write set snapshotted first and rolled back on a
         :class:`~repro.errors.WorkerFailure`.  A ``concurrent`` backend
         gets every pending task at once and no per-task snapshot: the
@@ -397,17 +397,13 @@ class Supervisor:
         recovery determinism), and nothing commits until the batch
         returns, so a failure — raised only once no block is still
         writing in place — finds the journal without commits and
-        :meth:`edge_map` rolls the whole phase back.  ``on_pending`` sees the tasks that
-        will execute, in order, before the first does (the grid's
-        read-ahead schedule must not contain replayed blocks).
+        :meth:`edge_map` rolls the whole phase back.
         """
         n, journal = self.engine.num_vertices, self.journal
         if journal.has_commits():
             self._drop_stale(op, n, tasks)
         out = [self._replay(task) for task in tasks]
         pending = [k for k, record in enumerate(out) if record is None]
-        if on_pending is not None:
-            on_pending([tasks[k] for k in pending])
         for unit in [pending] if concurrent else [[k] for k in pending]:
             batch = [tasks[k] for k in unit]
             if not batch:

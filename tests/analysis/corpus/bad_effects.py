@@ -69,7 +69,7 @@ class PrefixSumOp(EdgeOperator):
 
 
 class VectorizeOp(EdgeOperator):
-    """GL010: np.vectorize is outside the backend-lowerable numpy subset."""
+    """GL010: np.vectorize is outside the numpy subset the effect pass models."""
 
     combine = "add"
 

@@ -43,12 +43,11 @@ def test_process_defaults_are_resolved():
     assert kind == "process"
     assert options["workers"] >= 1
     assert options["strict"] is True
-    assert options["prefetch"] == 0
     assert options == backend_options("threads")[1]
 
 
 @pytest.mark.parametrize(
-    "options", ["", ":workers=3", ":workers=2:strict=0", ":strict=1:prefetch=2"]
+    "options", ["", ":workers=3", ":workers=2:strict=0", ":strict=1"]
 )
 def test_threads_and_process_parse_to_equal_options(options):
     """``process`` is the old name the benchmark harness still uses."""
@@ -75,6 +74,14 @@ def test_start_method_is_checked():
     for kind in ("threads", "process"):
         with pytest.raises(ValidationError, match="does not accept option 'start'"):
             backend_options(f"{kind}:start=spawn")
+
+
+def test_threads_refuse_the_deleted_prefetch_key():
+    """Only ``serial`` parses ``prefetch=`` (a no-op shim for the benchmark
+    harness); the thread kinds refuse it by name."""
+    for kind in ("threads", "process"):
+        with pytest.raises(ValidationError, match="does not accept option 'prefetch'"):
+            backend_options(f"{kind}:workers=2:prefetch=2")
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ commit point, verified/budgeted reads and repair-on-read."""
 import numpy as np
 import pytest
 
-from repro.core.budget import MemoryBudget
 from repro.errors import (
     CheckpointError,
     DiskFullError,
@@ -136,11 +135,8 @@ def test_cache_hit_and_budget_accounting(edges, tmp_path):
 
 
 def test_budget_eviction_bounds_residency(edges, tmp_path):
-    biggest = None
     grid = GridStore.build(edges, tmp_path, num_stripes=4)
-    biggest = max(
-        grid.block_bytes(i, j) for i in range(4) for j in range(4)
-    )
+    biggest = max(block["bytes"] for block in grid.manifest["blocks"])
     budget = 2 * biggest
     grid = GridStore.open(tmp_path, budget=budget)
     for i in range(4):
@@ -362,124 +358,3 @@ def test_degree_mode_shrinks_the_biggest_block(tmp_path):
 def test_unknown_stripe_mode_rejected():
     with pytest.raises(ValidationError):
         grid_stripe_boundaries(_skewed_edges(), 4, "rainbow")
-
-
-# ----------------------------------------------------------------------
-# double-buffered prefetch
-
-
-def _all_keys(grid):
-    return [(int(e["i"]), int(e["j"])) for e in grid.manifest["blocks"]]
-
-
-def test_prefetch_serves_scheduled_blocks_identically(edges, tmp_path):
-    sync = GridStore.build(edges, tmp_path / "sync", num_stripes=3)
-    grid = GridStore.build(edges, tmp_path / "pf", num_stripes=3)
-    grid.enable_prefetch(2)
-    assert grid.prefetch_enabled
-    keys = _all_keys(grid)
-    grid.schedule_reads(keys)
-    try:
-        for i, j in keys:
-            want = sync.read_block(i, j)
-            got = grid.read_block(i, j)
-            np.testing.assert_array_equal(want.src, got.src)
-            np.testing.assert_array_equal(want.dst, got.dst)
-        assert grid.stats.prefetched > 0
-        assert grid.stats.block_reads == len(keys)
-    finally:
-        grid.close()
-
-
-def test_prefetch_unscheduled_key_falls_back_to_sync_read(edges, tmp_path):
-    grid = GridStore.build(edges, tmp_path, num_stripes=3)
-    grid.enable_prefetch(2)
-    keys = _all_keys(grid)
-    try:
-        # nothing scheduled: read_block must still work, synchronously
-        block = grid.read_block(*keys[0])
-        assert len(block.src) == grid.block_edges(*keys[0])
-        assert grid.stats.prefetched == 0
-    finally:
-        grid.close()
-
-
-def test_prefetch_reservations_respect_the_quota(edges, tmp_path):
-    biggest = None
-    probe = GridStore.build(edges, tmp_path / "probe", num_stripes=3)
-    biggest = max(e["bytes"] for e in probe.manifest["blocks"])
-    budget = MemoryBudget(8 * biggest, prefetch_quota=biggest)
-    grid = GridStore.open(tmp_path / "probe", budget=budget)
-    grid.enable_prefetch(4)
-    keys = _all_keys(grid)
-    grid.schedule_reads(keys)
-    try:
-        for key in keys:
-            grid.read_block(*key)
-        assert budget.prefetch_high_water_bytes <= budget.effective_prefetch_quota()
-        assert budget.prefetch_inflight_bytes == 0  # all consumed
-        assert budget.high_water_bytes <= budget.limit_bytes
-    finally:
-        grid.close()
-
-
-def test_cancel_prefetch_releases_reservations(edges, tmp_path):
-    grid = GridStore.build(edges, tmp_path, num_stripes=3, budget=1 << 20)
-    grid.enable_prefetch(2)
-    grid.schedule_reads(_all_keys(grid))
-    grid.cancel_prefetch()
-    try:
-        assert grid.budget.prefetch_inflight_bytes == 0
-        # a fresh schedule after the cancel still serves correctly
-        keys = _all_keys(grid)
-        grid.schedule_reads(keys[:2])
-        block = grid.read_block(*keys[0])
-        assert len(block.src) == grid.block_edges(*keys[0])
-    finally:
-        grid.close()
-
-
-def test_rescheduling_cancels_stale_prefetches(edges, tmp_path):
-    grid = GridStore.build(edges, tmp_path, num_stripes=3)
-    grid.enable_prefetch(2)
-    keys = _all_keys(grid)
-    try:
-        grid.schedule_reads(keys)  # plan A
-        grid.schedule_reads(list(reversed(keys)))  # plan B replaces it
-        for key in reversed(keys):
-            block = grid.read_block(*key)
-            assert len(block.src) == grid.block_edges(*key)
-        assert grid.budget.prefetch_inflight_bytes == 0
-    finally:
-        grid.close()
-
-
-def test_close_is_idempotent_and_disables_prefetch(edges, tmp_path):
-    grid = GridStore.build(edges, tmp_path, num_stripes=3)
-    grid.enable_prefetch(1)
-    grid.schedule_reads(_all_keys(grid))
-    grid.close()
-    grid.close()
-    assert not grid.prefetch_enabled
-
-
-def test_prefetched_io_error_retries_like_sync(edges, tmp_path):
-    # The fault plan injects through the prefetcher's read path exactly
-    # as it would the synchronous one: same retry, same stat.
-    GridStore.build(edges, tmp_path, num_stripes=3)
-    plan = FaultPlan.from_spec("io_error@1")
-    grid = GridStore.open(tmp_path, fault_plan=plan)
-    grid.enable_prefetch(2)
-    keys = _all_keys(grid)
-    grid.schedule_reads(keys)
-    ref = GridStore.open(tmp_path)
-    try:
-        for key in keys:
-            want = ref.read_block(*key)
-            got = grid.read_block(*key)
-            np.testing.assert_array_equal(want.src, got.src)
-            np.testing.assert_array_equal(want.dst, got.dst)
-        assert grid.stats.io_retries == 1
-        assert grid.stats.prefetched > 0
-    finally:
-        grid.close()

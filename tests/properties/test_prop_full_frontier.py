@@ -319,28 +319,27 @@ def test_the_hand_back_operator_is_certified():
     seed=st.integers(0, 3),
     p=st.integers(1, 24),
     order=st.sampled_from(["forward", "reverse", "shuffle"]),
-    prefetch=st.sampled_from([None, 0, 2]),
+    spilled=st.booleans(),
 )
 def test_what_the_operator_hands_back_decides_the_fold(
-    tmp_path_factory, how, graph, seed, p, order, prefetch
+    tmp_path_factory, how, graph, seed, p, order, spilled
 ):
     """Only the very ``dst`` object from every batch skips the fold, and
     whether it was skipped shows in nothing but the frontier's identity
     (``reverse`` makes every partition its own record: a ``mixed`` phase
-    then folds flagged and unflagged records together).  With a
-    ``prefetch`` depth the phase streams a grid of ``p % 4 + 3`` stripes
-    instead, each block its own record, under a budget that evicts."""
+    then folds flagged and unflagged records together).  ``spilled``
+    streams a grid of ``p % 4 + 3`` stripes instead, each block its own
+    record, under a budget that evicts."""
     edges = GRAPHS[graph](seed)
     store = GraphStore.build(edges, num_partitions=p)
     n, coo = store.num_vertices, store.coo
     contrib = np.linspace(1, 2, n)
     op = _HandBack(contrib, np.zeros(n), how)
-    backend, grid = "serial", None
-    if prefetch is not None:
-        backend = f"serial:prefetch={prefetch}"
+    grid = None
+    if spilled:
         directory = tmp_path_factory.mktemp("grid")
         grid = GridStore.build(edges, directory, num_stripes=p % 4 + 3, budget=1 << 10)
-    options = EngineOptions(num_threads=2, backend=backend, partition_order=order)
+    options = EngineOptions(num_threads=2, backend="serial", partition_order=order)
     with Engine(store, options, grid=grid) as engine:
         nxt = engine.edge_map(Frontier.full(n), op)
         (phase,) = engine.stats.edge_maps
@@ -350,7 +349,6 @@ def test_what_the_operator_hands_back_decides_the_fold(
             stripes = range(grid.num_stripes)
             sizes = np.array([grid.block_edges(i, j) for i in stripes for j in stripes])
             assert phase.layout == "grid" and grid.budget.evictions > 0
-            assert grid.stats.prefetched == (grid.stats.block_reads if prefetch else 0)
         all_even = not (sizes % 2).any()
         assert ("in-edge-frontier" in engine._per_store) == (
             how == "same" or (how == "mixed" and all_even)

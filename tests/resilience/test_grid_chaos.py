@@ -10,6 +10,8 @@ disk during preprocessing), under a worker crash mid-stream (only the
 in-flight block re-executes), and across a kill-and-resume.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core import Engine, EngineOptions
 from repro.core import engine as engine_module
 from repro.errors import RetryExhausted
 from repro.layout import GraphStore
+from repro.layout.grid import GridStore
 from repro.resilience import (
     CheckpointManager,
     CheckpointSession,
@@ -36,9 +39,10 @@ pytestmark = pytest.mark.faultinjection
 BUDGET = "8K"
 
 
-def _engine(edges, *, policy=None, threads=4):
+def _engine(edges, *, policy=None, threads=4, backend=None):
     store = GraphStore.build(edges, num_partitions=8)
-    return Engine(store, EngineOptions(num_threads=threads), resilience=policy)
+    options = EngineOptions(num_threads=threads, backend=backend)
+    return Engine(store, options, resilience=policy)
 
 
 def _spill_policy(spec=None, *, retries=4, watchdog=None):
@@ -234,98 +238,6 @@ def test_killed_spilled_run_resumes_bit_identical(
 
 
 # ----------------------------------------------------------------------
-# double-buffered prefetch: same results, same fault tolerance
-# ----------------------------------------------------------------------
-def _prefetch_engine(edges, *, policy, depth=2, threads=4):
-    store = GraphStore.build(edges, num_partitions=8)
-    return Engine(
-        store,
-        EngineOptions(num_threads=threads, backend=f"serial:prefetch={depth}"),
-        resilience=policy,
-    )
-
-
-@pytest.mark.parametrize("code", list(ALGOS))
-def test_prefetched_spill_is_bit_identical(small_rmat, small_symmetric, code):
-    graph = _graph_for(code, small_rmat, small_symmetric)
-    run = ALGOS[code]
-    baseline = run(_engine(graph))
-
-    engine = _prefetch_engine(graph, policy=_spill_policy())
-    spilled = run(engine)
-
-    _assert_identical(baseline, spilled)
-    assert engine.grid is not None
-    assert engine.grid.prefetch_enabled
-    assert engine.grid.stats.prefetched > 0
-    budget = engine.grid.budget
-    assert 0 < budget.high_water_bytes <= budget.limit_bytes
-    # the reader never holds more than the quota in flight, except the
-    # single-oversized-payload escape hatch that prevents deadlock
-    quota = budget.effective_prefetch_quota()
-    biggest = max(e["bytes"] for e in engine.grid.manifest["blocks"])
-    assert budget.prefetch_high_water_bytes <= max(quota, biggest)
-
-
-@pytest.mark.parametrize(
-    "spec, stat, value",
-    [
-        ("io_error@1", "io_retries", 1),
-        ("torn_block@0", "repairs", 1),
-        ("disk_full@0", "write_retries", 1),
-    ],
-)
-def test_disk_faults_on_prefetched_blocks_recover_bit_identical(
-    small_rmat, spec, stat, value
-):
-    """A fault landing on a *prefetched* block takes the identical
-    repair/retry path the synchronous read would: the reader thread runs
-    the same verified-read loop, so the stats and the results match."""
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(small_rmat, policy=_spill_policy(spec))
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert getattr(engine.grid.stats, stat) == value
-
-
-def test_prefetched_compound_fault_plan_survives(small_rmat):
-    baseline = pagerank(_engine(small_rmat), iterations=6)
-    engine = _prefetch_engine(
-        small_rmat,
-        policy=_spill_policy("torn_block@1,io_error@3,worker_crash@2:0",
-                             retries=6),
-    )
-    spilled = pagerank(engine, iterations=6)
-    assert np.array_equal(spilled.ranks, baseline.ranks)
-    stats = engine.grid.stats
-    assert stats.repairs == 1
-    assert stats.io_retries == 1
-
-
-def test_skip_decisions_cancel_stale_prefetches(small_rmat):
-    # BFS's sparse early frontiers skip whole stripes; each new stripe
-    # plan reschedules the reader, so no stale block is ever consumed
-    # (bit-identity is asserted via the baseline) and nothing leaks.
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(small_rmat, policy=_spill_policy())
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert engine.grid.stats.blocks_skipped > 0
-    assert engine.grid.budget.prefetch_inflight_bytes == 0
-
-
-def test_prefetched_slow_read_escalates_through_watchdog(small_rmat):
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _prefetch_engine(
-        small_rmat, policy=_spill_policy("slow_io@2", watchdog=Watchdog())
-    )
-    spilled = bfs(engine, 0)
-    _assert_identical(baseline, spilled)
-    assert engine.grid.stats.slow_reads == 1
-    assert engine.journal.reexecutions == 1
-
-
-# ----------------------------------------------------------------------
 # a full-frontier phase folds nothing, replayed blocks included
 # ----------------------------------------------------------------------
 #: the ``EdgeMapStats`` fields that do not describe the layout streamed.
@@ -361,9 +273,7 @@ def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch, sma
     grid counter equal those of the same crash down the path that folds
     (and counts in the kernel) as before.  Against the fault-free spilled
     run only the faulted phase's ``io_bytes``/``io_blocks`` differ: they
-    count the retry's reads, and the replayed blocks were not read.  The
-    reads run in the engine's thread: with read-ahead, how far the reader
-    got before the crash (so the retry's hit/read split) is a race."""
+    count the retry's reads, and the replayed blocks were not read."""
     looked_up = []
     fold = Engine._fold
 
@@ -381,7 +291,7 @@ def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch, sma
         with pytest.MonkeyPatch.context() as patch:
             if masked:
                 patch.setattr(engine_module, "_frontier_filter", _bitmap_always)
-            engine = _prefetch_engine(small_rmat, policy=_spill_policy(spec), depth=0)
+            engine = _engine(small_rmat, policy=_spill_policy(spec), backend="serial")
             result = pagerank(engine, iterations=6)
         assert engine.grid is not None and looked_up == [not masked] * 6
         assert np.array_equal(result.ranks, baseline.ranks)
@@ -400,3 +310,114 @@ def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch, sma
     for row in (clean[2], crashed[2]):
         del row["io_bytes"], row["io_blocks"]
     assert crashed == clean
+
+
+# ----------------------------------------------------------------------
+# the ``serial:prefetch=N`` shim: parsed, and nothing else
+# ----------------------------------------------------------------------
+#: the spec the benchmark's spill row still names.  Grid blocks are read
+#: in the engine's thread whatever it says.
+SHIM = "serial:prefetch=2"
+
+
+def _spilled(graph, run, backend, spec=None, **policy):
+    """``run`` supervised under ``backend``, spilled: its result, its
+    (closed) engine, and every count a caller could compare."""
+    engine = _engine(graph, policy=_spill_policy(spec, **policy), backend=backend)
+    result = run(engine)
+    engine.close()
+    grid, journal = engine.grid, engine.journal
+    assert grid is not None, "the run never degraded to the grid"
+    return result, engine, {
+        "edge_maps": _rows(result),
+        "grid": vars(grid.stats),
+        "budget": (grid.budget.evictions, grid.budget.high_water_bytes),
+        "journal": (journal.replays, journal.reexecutions),
+    }
+
+
+def _shim_matches_serial(graph, run, spec=None, **policy):
+    """The same spilled run under :data:`SHIM` and under ``serial``: equal
+    result arrays, ``EdgeMapStats``, grid counters, budget and journal
+    counts.  Returns the shim run's result and engine."""
+    want, _, expected = _spilled(graph, run, "serial", spec, **policy)
+    got, engine, seen = _spilled(graph, run, SHIM, spec, **policy)
+    _assert_identical(want, got)
+    assert seen == expected
+    return got, engine
+
+
+@pytest.mark.parametrize("code", list(ALGOS))
+def test_the_prefetch_shim_starts_no_thread_and_changes_nothing(
+    monkeypatch, small_rmat, small_symmetric, code
+):
+    """A supervised spill under :data:`SHIM`, through a torn block, an I/O
+    error and a worker crash: every block is read in the engine's thread,
+    and nothing differs from the same run under ``serial``."""
+    graph = _graph_for(code, small_rmat, small_symmetric)
+    plan = "torn_block@0,io_error@1,worker_crash@2:0"
+    read_block, inside = GridStore.read_block, []
+
+    def spy(grid, i, j):
+        inside.append(frozenset(threading.enumerate()))
+        return read_block(grid, i, j)
+
+    monkeypatch.setattr(GridStore, "read_block", spy)
+    engine = _engine(graph, policy=_spill_policy(plan), backend=SHIM)
+    constructed = frozenset(threading.enumerate())
+    ALGOS[code](engine)
+    engine.close()
+    assert inside and set(inside) == {constructed}
+    assert frozenset(threading.enumerate()) == constructed
+    assert engine.grid.stats.repairs == 1 and engine.grid.stats.io_retries == 1
+    assert any("injected worker crash" in line for line in engine.resilience_log)
+
+    _shim_matches_serial(graph, ALGOS[code], plan)
+
+
+@pytest.mark.parametrize("code", list(ALGOS))
+def test_prefetched_spill_is_bit_identical(small_rmat, small_symmetric, code):
+    graph = _graph_for(code, small_rmat, small_symmetric)
+    baseline = ALGOS[code](_engine(graph))
+    spilled, engine = _shim_matches_serial(graph, ALGOS[code])
+    _assert_identical(baseline, spilled)
+    budget = engine.grid.budget
+    assert 0 < budget.high_water_bytes <= budget.limit_bytes
+
+
+@pytest.mark.parametrize(
+    "spec, stat, value",
+    [
+        ("io_error@1", "io_retries", 1),
+        ("torn_block@0", "repairs", 1),
+        ("disk_full@0", "write_retries", 1),
+    ],
+)
+def test_disk_faults_on_prefetched_blocks_recover_bit_identical(
+    small_rmat, spec, stat, value
+):
+    """Each disk fault under :data:`SHIM` takes the repair/retry path it
+    takes under ``serial``: the same counters, the same results."""
+    baseline = bfs(_engine(small_rmat), 0)
+    spilled, engine = _shim_matches_serial(small_rmat, ALGOS["BFS"], spec)
+    _assert_identical(baseline, spilled)
+    assert getattr(engine.grid.stats, stat) == value
+
+
+def test_prefetched_compound_fault_plan_survives(small_rmat):
+    baseline = pagerank(_engine(small_rmat), iterations=6)
+    spilled, engine = _shim_matches_serial(
+        small_rmat, ALGOS["PR"], "torn_block@1,io_error@3,worker_crash@2:0", retries=6
+    )
+    assert np.array_equal(spilled.ranks, baseline.ranks)
+    assert engine.grid.stats.repairs == 1 and engine.grid.stats.io_retries == 1
+
+
+def test_prefetched_slow_read_escalates_through_watchdog(small_rmat):
+    baseline = bfs(_engine(small_rmat), 0)
+    spilled, engine = _shim_matches_serial(
+        small_rmat, ALGOS["BFS"], "slow_io@2", watchdog=Watchdog()
+    )
+    _assert_identical(baseline, spilled)
+    assert engine.grid.stats.slow_reads == 1
+    assert engine.journal.reexecutions == 1

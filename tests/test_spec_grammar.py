@@ -120,6 +120,7 @@ def test_converters():
         ("backend", "process:sparse=1", "sparse"),
         ("backend", "process:chunk=3", "chunk"),
         ("backend", "threads:start=spawn", "start"),
+        ("backend", "threads:workers=2:prefetch=2", "prefetch"),
         ("store", "remote:parts=1024", "parts"),
         ("store", "remote:autosync=0", "autosync"),
     ],
