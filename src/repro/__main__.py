@@ -397,7 +397,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if budget.limit_bytes is not None:
             print(f"grid: resident high-water {budget.high_water_bytes} B "
                   f"of {budget.limit_bytes} B budget "
-                  f"({budget.admissions} admissions, {budget.evictions} evictions)")
+                  f"({budget.admissions} admissions, {budget.evictions} evictions, "
+                  f"{grid.stats.pinned_blocks} pinned blocks of {grid.stats.pinned_bytes} B)")
         for line in grid.events:
             print(f"grid: {line}")
     if session is not None:

@@ -12,17 +12,19 @@ the two pieces the reproduction needs for that discipline:
 
 :class:`MemoryBudget`
     The resident-byte governor: every grid block admitted into memory is
-    charged against the limit, admission evicts least-recently-used
-    blocks until the new one fits, and the high-water mark records the
-    largest resident footprint ever reached — the quantity the
-    oversubscription tests assert never exceeds the budget.
+    charged against the limit, the largest blocks that fit are *pinned*
+    (a cyclic scan larger than an LRU cache would keep nothing), LRU
+    evicts unpinned blocks until the new one fits, and the high-water
+    mark records the largest resident footprint ever reached — the
+    quantity the oversubscription tests assert never exceeds the budget.
 """
 
 from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from typing import Hashable
+from itertools import accumulate
+from typing import Hashable, Mapping
 
 from ..errors import CapacityError, ValidationError
 
@@ -76,7 +78,7 @@ def parse_memory_budget(spec: int | float | str) -> int:
 
 
 class MemoryBudget:
-    """LRU-governed resident-byte accounting for streamed grid blocks.
+    """Resident-byte accounting for grid blocks: pinned stay, LRU governs the rest.
 
     ``limit_bytes=None`` disables the limit (accounting only), which is
     what a spill directory without an explicit budget gets.
@@ -96,24 +98,47 @@ class MemoryBudget:
         #: blocks charged / blocks evicted to make room, over the lifetime.
         self.admissions = 0
         self.evictions = 0
-        self._resident: OrderedDict[Hashable, int] = OrderedDict()
+        #: keys never evicted once admitted (:meth:`pin_largest`).
+        self.pinned: frozenset = frozenset()
+        #: unpinned residents, least recently used first.
+        self._lru: OrderedDict[Hashable, int] = OrderedDict()
+        self._kept: dict[Hashable, int] = {}  # pinned residents
 
     # ------------------------------------------------------------------
+    def pin_largest(self, sizes: Mapping[Hashable, int]) -> int:
+        """Pin keys of ``sizes`` (key -> bytes), largest first (ties by key),
+        while the pinned bytes plus the next-largest still fit the limit, so
+        LRU always has room for any unpinned block; returns the pinned bytes.
+
+        That sum is a prefix sum of the sorted sizes: the pinned keys are the
+        longest prefix that fits but one, or all when all fit.  Sizes over
+        the whole limit are never admitted and take no part.
+        """
+        limit = self.limit_bytes
+        order = sorted(
+            (k for k, n in sizes.items() if limit is None or n <= limit),
+            key=lambda k: (-sizes[k], k),
+        )
+        fit = sum(limit is None or c <= limit for c in accumulate(sizes[k] for k in order))
+        self.pinned = frozenset(order[: fit if fit == len(order) else max(fit - 1, 0)])
+        return sum(sizes[k] for k in self.pinned)
+
     def touch(self, key: Hashable) -> None:
         """Mark ``key`` most-recently-used (a cache hit)."""
-        self._resident.move_to_end(key)
+        if key in self._lru:
+            self._lru.move_to_end(key)
 
     def admit(self, key: Hashable, num_bytes: int) -> list[Hashable]:
         """Charge ``num_bytes`` for ``key``; returns the evicted keys.
 
-        Least-recently-used residents are evicted until the newcomer
-        fits.  A single block larger than the whole budget raises a
-        structured :class:`~repro.errors.CapacityError` — the caller
-        chose too coarse a grid granularity for this budget.
+        Least-recently-used unpinned residents are evicted until the
+        newcomer fits.  A single block larger than the whole budget
+        raises a structured :class:`~repro.errors.CapacityError` — the
+        caller chose too coarse a grid granularity for this budget.
         """
         if num_bytes < 0:
             raise ValidationError("cannot admit a negative byte count")
-        if key in self._resident:
+        if key in self._lru or key in self._kept:
             self.touch(key)
             return []
         if self.limit_bytes is not None and num_bytes > self.limit_bytes:
@@ -125,18 +150,24 @@ class MemoryBudget:
         evicted: list[Hashable] = []
         while (
             self.limit_bytes is not None
-            and self._resident
+            and self._lru
             and self.resident_bytes + num_bytes > self.limit_bytes
         ):
-            old_key, old_bytes = self._resident.popitem(last=False)
+            old_key, old_bytes = self._lru.popitem(last=False)
             self.resident_bytes -= old_bytes
             self.evictions += 1
             evicted.append(old_key)
-        self._resident[key] = num_bytes
+        (self._kept if key in self.pinned else self._lru)[key] = num_bytes
         self.resident_bytes += num_bytes
         self.admissions += 1
         self.high_water_bytes = max(self.high_water_bytes, self.resident_bytes)
         return evicted
+
+    def clear(self) -> None:
+        """Release every resident block, pinned ones too."""
+        self._lru.clear()
+        self._kept.clear()
+        self.resident_bytes = 0
 
     def __repr__(self) -> str:
         limit = "unlimited" if self.limit_bytes is None else f"{self.limit_bytes}B"

@@ -247,9 +247,11 @@ class Engine:
 
     def close(self) -> None:
         """Join the execution backend's thread pool, if it was started,
-        and drop the per-store caches (an engine used again rebuilds
-        them)."""
+        and drop the per-store caches and the grid's resident blocks (an
+        engine used again rebuilds and re-reads them)."""
         self._per_store.clear()
+        if self.grid is not None:
+            self.grid.release()
         self._close_backend()
 
     def __enter__(self) -> "Engine":

@@ -11,7 +11,8 @@ A *framed* file is ``magic + (CRC32, payload length) + payload``: the
 format of checkpoint containers, shards and manifests
 (:mod:`repro.resilience.store`) and of the out-of-core grid's blocks and
 manifest (:mod:`repro.layout.grid`).  :func:`read_framed` verifies all
-three parts and raises the typed
+three parts, and optionally that the header's CRC is the one a manifest
+recorded, in one pass over the payload; it raises the typed
 :class:`~repro.errors.CheckpointCorruptError` on any torn or flipped
 byte.
 """
@@ -69,8 +70,10 @@ def write_framed(path: Path, magic: bytes, payload: bytes) -> None:
     write_bytes(path, magic, _HEADER.pack(zlib.crc32(payload), len(payload)), payload)
 
 
-def read_framed(path: Path, magic: bytes) -> bytes:
-    """Read and verify a framed container; returns the payload."""
+def read_framed(path: Path, magic: bytes, crc32: int | None = None) -> memoryview:
+    """Read and verify a framed container; returns the payload as a view of
+    the one buffer read.  ``crc32``, a manifest's record of the payload,
+    must also be the header's, so one CRC pass over the payload checks both."""
     try:
         raw = path.read_bytes()
     except FileNotFoundError:
@@ -79,11 +82,13 @@ def read_framed(path: Path, magic: bytes) -> bytes:
     if len(raw) < header_len or raw[: len(magic)] != magic:
         raise CheckpointCorruptError(f"{path}: bad magic or truncated header")
     crc, length = _HEADER.unpack_from(raw, len(magic))
-    payload = raw[header_len:]
+    payload = memoryview(raw)[header_len:]
     if len(payload) != length:
         raise CheckpointCorruptError(
             f"{path}: truncated payload ({len(payload)} of {length} bytes)"
         )
+    if crc32 is not None and crc != crc32:
+        raise CheckpointCorruptError(f"{path}: header CRC does not match the manifest")
     if zlib.crc32(payload) != crc:
         raise CheckpointCorruptError(f"{path}: CRC32 mismatch")
     return payload

@@ -15,11 +15,12 @@ resident.  This module is that subsystem:
   torn one.
 * :class:`GridStore` opens a committed grid and serves blocks through a
   :class:`~repro.core.budget.MemoryBudget` governor: admitted blocks are
-  charged against the budget, least-recently-used blocks are evicted to
-  make room, and the high-water mark proves residency never exceeded the
-  budget.  Reads are CRC-verified; a torn block is *repaired on read* by
-  re-sharding it from the edge list the grid was built from (in memory,
-  or re-loaded via the ``source`` recorded in the manifest).
+  charged against the budget, the largest that fit stay pinned, LRU
+  evicts the rest to make room, and the high-water mark proves residency
+  never exceeded the budget.  Reads are CRC-checked once, against the
+  manifest; a torn block is *repaired on read* by re-sharding it from the
+  edge list the grid was built from (in memory, or re-loaded via the
+  ``source`` recorded in the manifest).
 * :func:`choose_grid_stripes` picks the grid granularity from the
   budget, so a handful of blocks always fits resident ("Making Caches
   Work for Graph Analytics" applies the same working-set sizing to the
@@ -109,8 +110,8 @@ def grid_stripe_boundaries(
     ``"vertex"`` cuts equal vertex ranges (GridGraph's default).
     ``"degree"`` weights each vertex by its incident-edge count
     (out-degree + in-degree, the BBC balance criterion) so skewed graphs
-    stop concentrating most edges in one giant block that defeats the
-    LRU budget — each stripe then owns roughly equal edge mass.
+    stop concentrating most edges in one giant block that crowds the
+    budget — each stripe then owns roughly equal edge mass.
     """
     if stripe_mode not in STRIPE_MODES:
         raise ValidationError(
@@ -137,8 +138,8 @@ def choose_grid_stripes(
     """Grid granularity P such that ~:data:`TARGET_RESIDENT_BLOCKS` blocks
     fit the budget.
 
-    The streamed working set is a few blocks (the in-flight one plus the
-    LRU cache's recency tail), so P is the smallest stripe count making
+    The budget holds a few blocks resident (the in-flight one plus the
+    pinned and cached ones), so P is the smallest stripe count making
     that many average blocks — COO bytes over P² — fit in
     ``budget_bytes``.  ``None`` (no budget, spill directory only) picks a
     modest default granularity.
@@ -163,7 +164,7 @@ class GridStats:
         self.block_reads = 0
         #: payload bytes those reads transferred.
         self.bytes_read = 0
-        #: blocks served from the resident LRU cache.
+        #: blocks served from the resident cache.
         self.cache_hits = 0
         #: transient read errors recovered by the bounded re-read loop.
         self.io_retries = 0
@@ -177,11 +178,15 @@ class GridStats:
         self.blocks_skipped = 0
         #: over-budget blocks streamed through without entering the cache.
         self.uncached_reads = 0
+        #: blocks the budget keeps resident once read, and their bytes.
+        self.pinned_blocks = 0
+        self.pinned_bytes = 0
 
     def summary(self) -> str:
         return (
             f"reads {self.block_reads} ({self.bytes_read / 1024:.1f} KiB), "
             f"cache hits {self.cache_hits}, skipped {self.blocks_skipped}, "
+            f"pinned {self.pinned_blocks} ({self.pinned_bytes / 1024:.1f} KiB), "
             f"repairs {self.repairs}, io retries {self.io_retries}, "
             f"slow reads {self.slow_reads}, write retries {self.write_retries}"
         )
@@ -363,6 +368,9 @@ class GridStore:
         #: predate the key and are always equal-vertex).
         self.stripe_mode = manifest.get("stripe_mode", "vertex")
         self._blocks = {(int(b["i"]), int(b["j"])): b for b in manifest["blocks"]}
+        sizes = {key: int(b["bytes"]) for key, b in self._blocks.items()}
+        self.stats.pinned_bytes = self.budget.pin_largest(sizes)
+        self.stats.pinned_blocks = len(self.budget.pinned)
         self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._edges = edges
         self._read_ops = 0
@@ -413,8 +421,7 @@ class GridStore:
     ) -> "GridStore":
         """Open a committed grid; raises when the manifest is absent/torn."""
         directory = Path(directory)
-        payload = read_framed(directory / GRID_MANIFEST, _GRID_MAGIC)
-        manifest = json.loads(payload.decode("utf-8"))
+        manifest = json.loads(bytes(read_framed(directory / GRID_MANIFEST, _GRID_MAGIC)))
         if manifest.get("version") != 1:
             raise GridError(
                 f"unsupported grid manifest version {manifest.get('version')!r}"
@@ -435,10 +442,10 @@ class GridStore:
     def read_block(self, i: int, j: int) -> BlockRead:
         """Serve block ``(i, j)`` from the cache, else from disk.
 
-        Transient read faults re-read in place (bounded attempts, then
-        :class:`~repro.errors.GridIOError`); CRC failures trigger
+        Read errors, injected or real, re-read in place (bounded attempts,
+        then :class:`~repro.errors.GridIOError`); CRC failures trigger
         repair-on-read; the admitted block is charged to the budget,
-        evicting LRU residents.  All of it runs in the caller's thread.
+        evicting unpinned LRU residents.  All of it runs in the caller's thread.
         """
         key = (i, j)
         entry = self._blocks.get(key)
@@ -473,10 +480,9 @@ class GridStore:
         self.stats.bytes_read += len(payload)
         return BlockRead(src, dst, len(payload), slow)
 
-    def _fetch_payload(self, i: int, j: int, entry: dict) -> tuple[bytes, bool]:
+    def _fetch_payload(self, i: int, j: int, entry: dict) -> tuple[memoryview | bytes, bool]:
         """One block's disk payload: fault injection, retries, CRC repair."""
         slow = False
-        payload = None
         for _ in range(_MAX_READ_ATTEMPTS):
             kind = (
                 self.fault_plan.take(IO_FAULT_KINDS, self._read_ops)
@@ -484,35 +490,29 @@ class GridStore:
                 else None
             )
             self._read_ops += 1
-            if kind == "io_error":
-                self.stats.io_retries += 1
-                self.events.append(
-                    f"transient I/O error reading block ({i},{j}); re-reading"
-                )
-                continue
             if kind == "slow_io":
                 slow = True
                 self.stats.slow_reads += 1
                 self.events.append(f"slow read of block ({i},{j})")
-            payload = self._read_verified(i, j, entry)
-            break
-        if payload is None:
-            raise GridIOError(
-                f"grid block ({i},{j}) unreadable after "
-                f"{_MAX_READ_ATTEMPTS} attempts"
-            )
-        return payload, slow
+            try:
+                if kind == "io_error":
+                    raise OSError("injected I/O error")
+                return self._read_verified(i, j, entry), slow
+            except OSError:
+                self.stats.io_retries += 1
+                self.events.append(
+                    f"transient I/O error reading block ({i},{j}); re-reading"
+                )
+        raise GridIOError(
+            f"grid block ({i},{j}) unreadable after {_MAX_READ_ATTEMPTS} attempts"
+        )
 
-    def _read_verified(self, i: int, j: int, entry: dict) -> bytes:
+    def _read_verified(self, i: int, j: int, entry: dict) -> memoryview | bytes:
         """One disk read, CRC-checked against the manifest; repairs torn blocks."""
-        path = self.directory / entry["file"]
         try:
-            payload = read_framed(path, _BLOCK_MAGIC)
-            if zlib.crc32(payload) != int(entry["crc32"]):
-                raise CheckpointError(f"{path}: payload does not match manifest CRC")
+            return read_framed(self.directory / entry["file"], _BLOCK_MAGIC, int(entry["crc32"]))
         except CheckpointError:
-            payload = self._repair_block(i, j, entry)
-        return payload
+            return self._repair_block(i, j, entry)
 
     def _repair_block(self, i: int, j: int, entry: dict) -> bytes:
         """Re-shard one torn block from the source edges and rewrite it."""
@@ -563,12 +563,15 @@ class GridStore:
         bad = []
         for (i, j), entry in sorted(self._blocks.items()):
             try:
-                payload = read_framed(self.directory / entry["file"], _BLOCK_MAGIC)
-                if zlib.crc32(payload) != int(entry["crc32"]):
-                    raise CheckpointError("manifest CRC mismatch")
+                read_framed(self.directory / entry["file"], _BLOCK_MAGIC, int(entry["crc32"]))
             except CheckpointError:
                 bad.append((i, j))
         return bad
+
+    def release(self) -> None:
+        """Drop every resident block; the next read of one re-reads it."""
+        self._cache.clear()
+        self.budget.clear()
 
     def __repr__(self) -> str:
         return (

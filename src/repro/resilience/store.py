@@ -306,20 +306,15 @@ class ShardedStore(_DirectoryStore):
         if not path.exists():
             raise CheckpointError(f"no committed generation at {gen}")
         try:
-            return json.loads(read_framed(path, _MANIFEST_MAGIC))
+            return json.loads(bytes(read_framed(path, _MANIFEST_MAGIC)))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointCorruptError(f"{path}: undecodable manifest: {exc}") from None
 
-    def _load_shard(self, name: str, step: int, key: str, expect_crc: int) -> bytes:
+    def _load_shard(self, name: str, step: int, key: str, expect_crc: int) -> memoryview:
         gen = self.generation_dir(name, step)
-        payload = read_framed(self._shard_path(gen, key), _SHARD_MAGIC)
-        if zlib.crc32(payload) != expect_crc:
-            raise CheckpointCorruptError(
-                f"{self._shard_path(gen, key)}: shard CRC does not match its manifest"
-            )
-        return payload
+        return read_framed(self._shard_path(gen, key), _SHARD_MAGIC, expect_crc)
 
-    def _repair_shard(self, name: str, step: int, key: str, expect_crc: int) -> bytes:
+    def _repair_shard(self, name: str, step: int, key: str, expect_crc: int) -> memoryview:
         """Torn-shard repair: copy the bytes from an older generation.
 
         Only a generation whose manifest records the *same* CRC for this

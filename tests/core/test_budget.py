@@ -1,4 +1,4 @@
-"""Unit tests for the memory-budget grammar and the LRU governor."""
+"""Unit tests for the memory-budget grammar and the pinned + LRU governor."""
 
 import pytest
 
@@ -62,7 +62,7 @@ def test_units_are_binary():
 
 
 # ----------------------------------------------------------------------
-# MemoryBudget: LRU-governed resident-byte accounting
+# MemoryBudget: pinned + LRU-governed resident-byte accounting
 
 
 def test_budget_rejects_nonpositive_limit():
@@ -142,3 +142,53 @@ def test_negative_admission_rejected():
     b = MemoryBudget(100)
     with pytest.raises(ValidationError):
         b.admit("a", -1)
+
+
+# ----------------------------------------------------------------------
+# pinning: the largest blocks that leave room for the rest stay resident
+
+
+def test_pin_largest_leaves_room_for_the_largest_unpinned():
+    b = MemoryBudget(1100)
+    sizes = {"a": 500, "c": 300, "b": 300, "d": 200, "e": 100}
+    # a (500) + b (300) + the next-largest (c, 300) = 1100 fits; adding c
+    # would leave 1100 + d (200) > 1100.  The tie b/c goes to the key.
+    assert b.pin_largest(sizes) == 800
+    assert b.pinned == {"a", "b"}
+    largest_unpinned = max(n for k, n in sizes.items() if k not in b.pinned)
+    assert 800 + largest_unpinned <= b.limit_bytes
+
+
+def test_pinned_blocks_are_never_evicted():
+    b = MemoryBudget(1100)
+    b.pin_largest({"a": 500, "b": 300, "c": 300, "d": 200, "e": 100})
+    evicted = []
+    for _ in range(3):  # a cyclic scan larger than the budget
+        for key, n in (("a", 500), ("b", 300), ("c", 300), ("d", 200), ("e", 100)):
+            evicted += b.admit(key, n)
+    assert not {"a", "b"} & set(evicted)
+    assert set(evicted) == {"c", "d", "e"}
+    assert b.high_water_bytes <= 1100
+
+
+def test_unlimited_budget_pins_everything():
+    b = MemoryBudget(None)
+    assert b.pin_largest({"a": 10, "b": 20}) == 30
+    assert b.pinned == {"a", "b"}
+
+
+def test_pinning_leaves_out_blocks_over_the_whole_limit():
+    b = MemoryBudget(400)
+    assert b.pin_largest({"huge": 500, "x": 200, "y": 100}) == 300
+    assert b.pinned == {"x", "y"}
+
+
+def test_clear_releases_pinned_and_unpinned_residents():
+    b = MemoryBudget(300)
+    b.pin_largest({"a": 200, "b": 100})
+    b.admit("a", 200)
+    b.admit("c", 100)
+    b.clear()
+    assert b.resident_bytes == 0
+    assert b.admit("a", 200) == []  # charged again, not a hit
+    assert b.resident_bytes == 200 and b.admissions == 3

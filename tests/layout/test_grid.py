@@ -239,6 +239,160 @@ def test_repair_from_recorded_file_source(edges, tmp_path):
     assert len(block.src) == grid.block_edges(i, j)
 
 
+#: a block file's frame: the 8-byte magic, then (CRC32, payload length).
+_FRAME_BYTES = 20
+
+
+def _reframe(path, payload: bytes) -> None:
+    from repro.durable import write_framed
+    from repro.layout.grid import _BLOCK_MAGIC
+
+    write_framed(path, _BLOCK_MAGIC, payload)
+
+
+def _flip_header_crc(path) -> None:
+    data = bytearray(path.read_bytes())
+    data[8] ^= 0xFF  # the header's CRC32 follows the 8-byte magic
+    path.write_bytes(bytes(data))
+
+
+def test_a_validly_framed_payload_the_manifest_disagrees_with_is_repaired(edges, tmp_path):
+    # The frame CRC matches this payload; only the manifest's CRC catches it.
+    grid = GridStore.build(edges, tmp_path, num_stripes=3)
+    entry = max(grid.manifest["blocks"], key=lambda b: b["edges"])
+    i, j = entry["i"], entry["j"]
+    want = grid.read_block(i, j)
+    want_src, want_dst = want.src.copy(), want.dst.copy()
+    grid.release()
+    good = (tmp_path / entry["file"]).read_bytes()[_FRAME_BYTES:]
+    _reframe(tmp_path / entry["file"], good[::-1])
+    assert grid.verify() == [(i, j)]
+    block = grid.read_block(i, j)
+    assert grid.stats.repairs == 1
+    assert np.array_equal(block.src, want_src) and np.array_equal(block.dst, want_dst)
+    assert grid.verify() == []
+
+
+def test_a_header_crc_that_disagrees_with_the_manifest_is_detected(edges, tmp_path):
+    from repro.durable import read_framed
+    from repro.errors import CheckpointCorruptError
+    from repro.layout.grid import _BLOCK_MAGIC
+
+    grid = GridStore.build(edges, tmp_path, num_stripes=3)
+    entry = grid.manifest["blocks"][0]
+    path = tmp_path / entry["file"]
+    with pytest.raises(CheckpointCorruptError, match="header CRC"):
+        read_framed(path, _BLOCK_MAGIC, entry["crc32"] ^ 1)
+    _flip_header_crc(path)
+    assert grid.verify() == [(entry["i"], entry["j"])]
+
+
+def test_verify_flags_every_kind_of_damage(edges, tmp_path):
+    # One block per check the read path makes: magic, length, frame CRC,
+    # header CRC vs the manifest, and a valid frame around the wrong payload.
+    grid = GridStore.build(edges, tmp_path, num_stripes=4)
+    entries = sorted(grid.manifest["blocks"], key=lambda b: (b["i"], b["j"]))
+    paths = [tmp_path / e["file"] for e in entries]
+    paths[0].write_bytes(b"XXXXXXXX" + paths[0].read_bytes()[8:])
+    paths[1].write_bytes(paths[1].read_bytes()[:-4])
+    _corrupt_one_block(tmp_path, {"blocks": [entries[2]]})
+    _flip_header_crc(paths[3])
+    _reframe(paths[4], paths[4].read_bytes()[_FRAME_BYTES:][::-1])
+    paths[5].unlink()
+    damaged = [(e["i"], e["j"]) for e in entries[:6]]
+    assert grid.verify() == damaged
+    assert GridStore.open(tmp_path).verify() == damaged
+
+
+def test_a_real_read_error_goes_through_the_retry_loop(edges, tmp_path, monkeypatch):
+    import errno
+
+    from repro.errors import GridIOError
+    from repro.layout import grid as grid_module
+
+    grid = GridStore.build(edges, tmp_path, num_stripes=3)
+    entry = grid.manifest["blocks"][0]
+    i, j = entry["i"], entry["j"]
+    real, failures = grid_module.read_framed, [1]
+
+    def flaky(*args):
+        if failures[0]:
+            failures[0] -= 1
+            raise OSError(errno.EIO, "Input/output error")
+        return real(*args)
+
+    monkeypatch.setattr(grid_module, "read_framed", flaky)
+    block = grid.read_block(i, j)
+    assert grid.stats.io_retries == 1
+    assert len(block.src) == entry["edges"]
+    grid.release()
+    failures[0] = 10**9  # now it always fails
+    with pytest.raises(GridIOError):
+        grid.read_block(i, j)
+    assert grid.stats.io_retries == 4
+
+
+# ----------------------------------------------------------------------
+# pinning: a cyclic scan larger than the budget keeps its pinned blocks
+
+
+def _scan(grid):
+    """Read every block once, in schedule order; returns the keys read
+    from disk and the scan's (block_reads, cache_hits)."""
+    reads, hits = grid.stats.block_reads, grid.stats.cache_hits
+    from_disk = set()
+    for i in range(grid.num_stripes):
+        for j in range(grid.num_stripes):
+            if grid.read_block(i, j).nbytes:
+                from_disk.add((i, j))
+    return from_disk, (grid.stats.block_reads - reads, grid.stats.cache_hits - hits)
+
+
+def test_a_cyclic_scan_rereads_exactly_the_unpinned_blocks(edges, tmp_path):
+    total = GridStore.build(edges, tmp_path, num_stripes=4).total_bytes()
+    limit = total // 2  # the grid is 2x the budget
+    grid = GridStore.open(tmp_path, budget=limit)
+    sizes = {(b["i"], b["j"]): b["bytes"] for b in grid.manifest["blocks"]}
+    assert max(sizes.values()) <= limit
+    pinned = grid.budget.pinned
+    unpinned = set(sizes) - pinned
+    assert pinned and unpinned
+    assert grid.stats.pinned_bytes == sum(sizes[k] for k in pinned)
+    assert grid.stats.pinned_blocks == len(pinned)
+    assert grid.stats.pinned_bytes + max(sizes[k] for k in unpinned) <= limit
+
+    first, _ = _scan(grid)
+    assert first == set(sizes)
+    second, counts = _scan(grid)
+    assert second == unpinned
+    assert counts == (len(unpinned), len(pinned))
+    assert _scan(grid) == (second, counts)  # counts repeat scan to scan
+    assert grid.budget.high_water_bytes <= limit
+    assert f"pinned {len(pinned)} " in grid.stats.summary()
+
+
+def test_a_closed_engine_holds_no_block_and_rereads_bit_identically(edges, tmp_path):
+    from repro.algorithms import registry
+    from repro.core import Engine, EngineOptions
+    from repro.layout.store import GraphStore
+
+    limit = GridStore.build(edges, tmp_path, num_stripes=4).total_bytes() // 2
+    engine = Engine(GraphStore.build(edges, num_partitions=4), EngineOptions())
+    engine.attach_grid(GridStore.open(tmp_path, budget=limit))
+    grid, spec = engine.grid, registry.ALGORITHMS["PR"]
+    first = registry.result_arrays(spec.run(engine))
+    assert grid.budget.resident_bytes > 0
+    engine.close()
+    assert grid.budget.resident_bytes == 0 and not grid._cache
+    reads = grid.stats.block_reads
+    again = registry.result_arrays(spec.run(engine))
+    assert grid.stats.block_reads - reads >= len(grid.manifest["blocks"])
+    assert first.keys() == again.keys()
+    for name, value in first.items():
+        np.testing.assert_array_equal(again[name], value)
+    engine.close()
+
+
 # ----------------------------------------------------------------------
 # write faults during preprocessing
 
