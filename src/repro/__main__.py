@@ -365,8 +365,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
 
     # Closed on every way out: a run that raises (RetryExhausted, a bad
-    # --grid directory) must not leave the thread pool or the grid's reader
-    # thread to a finalizer.
+    # --grid directory) still joins the thread pool and releases the grid's
+    # resident blocks (Engine.close) instead of leaving them to a finalizer.
     with engine:
         if args.grid:
             from .core.budget import parse_memory_budget

@@ -1,9 +1,7 @@
 """Graph algorithms on the public API.
 
 The paper's eight Table II algorithms (BFS, BC, CC, PR, PRDelta, SPMV,
-Bellman-Ford, BP) plus the rest of the Ligra application suite for
-library completeness (k-core, triangle counting, maximal independent
-set, radii estimation) and the exact-BP oracle.
+Bellman-Ford, BP) and the exact-BP oracle.
 """
 
 from .bc import BCResult, betweenness
@@ -12,14 +10,10 @@ from .bfs import BFSResult, bfs
 from .bp import BPResult, belief_propagation, default_priors
 from .bp_exact import BPExactResult, bp_exact, enumerate_marginals
 from .cc import CCResult, connected_components
-from .kcore import KCoreResult, kcore
-from .mis import MISResult, maximal_independent_set
 from .pagerank import PageRankResult, pagerank
 from .prdelta import PageRankDeltaResult, pagerank_delta
-from .radii import RadiiResult, estimate_radii
 from .registry import ALGORITHMS, AlgorithmSpec, default_source, get
 from .spmv import SPMVResult, spmv
-from .triangles import TriangleResult, count_triangles
 
 __all__ = [
     "bfs", "BFSResult",
@@ -32,8 +26,4 @@ __all__ = [
     "belief_propagation", "BPResult", "default_priors",
     "bp_exact", "BPExactResult", "enumerate_marginals",
     "ALGORITHMS", "AlgorithmSpec", "get", "default_source",
-    "kcore", "KCoreResult",
-    "count_triangles", "TriangleResult",
-    "maximal_independent_set", "MISResult",
-    "estimate_radii", "RadiiResult",
 ]

@@ -175,20 +175,6 @@ class EdgeList:
             )
         return EdgeList(self.num_vertices, mapping[self.src], mapping[self.dst])
 
-    def induced_subgraph(self, vertices: np.ndarray) -> "EdgeList":
-        """Subgraph on the given vertex set, with vertices renumbered densely.
-
-        Returns the sub-edge-list whose vertex ``i`` corresponds to
-        ``vertices[i]`` of the original graph.
-        """
-        vertices = as_vid_array(vertices)
-        member = np.zeros(self.num_vertices, dtype=bool)
-        member[vertices] = True
-        keep = member[self.src] & member[self.dst]
-        new_id = np.full(self.num_vertices, -1, dtype=VID_DTYPE)
-        new_id[vertices] = np.arange(vertices.size, dtype=VID_DTYPE)
-        return EdgeList(int(vertices.size), new_id[self.src[keep]], new_id[self.dst[keep]])
-
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------

@@ -9,7 +9,6 @@ from .cache import (
     simulate_cache,
     sweep_cache_configs,
 )
-from .fenwick import Fenwick
 from .kernel import set_distances, set_order, stack_distance_kernel
 from .multicore import (
     MulticoreResult,
@@ -34,7 +33,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Fenwick",
     "MulticoreResult",
     "simulate_shared_cache",
     "interleave_round_robin",

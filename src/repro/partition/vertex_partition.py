@@ -57,13 +57,6 @@ class VertexPartition:
         v = np.asarray(vertices)
         return (np.searchsorted(self.boundaries, v, side="right") - 1).astype(VID_DTYPE)
 
-    def owner_mask(self, i: int) -> np.ndarray:
-        """Boolean mask over all vertices, True where owned by partition ``i``."""
-        mask = np.zeros(self.num_vertices, dtype=bool)
-        lo, hi = self.vertex_range(i)
-        mask[lo:hi] = True
-        return mask
-
     # ------------------------------------------------------------------
     @staticmethod
     def single(num_vertices: int) -> "VertexPartition":

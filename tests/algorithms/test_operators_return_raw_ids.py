@@ -1,9 +1,9 @@
 """Operators hand back raw activated ids; the frontier does the one dedup.
 
-For every operator the registry drives (and the k-core, MIS and radii
-operators beside them) a batch with repeated destinations must build the
-same frontier as the form that ran ``np.unique(...).astype(VID_DTYPE)``
-inside the operator, and as the edge-at-a-time oracle.
+For every operator the registry drives, a batch with repeated
+destinations must build the same frontier as the form that ran
+``np.unique(...).astype(VID_DTYPE)`` inside the operator, and as the
+edge-at-a-time oracle.
 """
 
 import numpy as np
@@ -16,11 +16,8 @@ from repro.algorithms.bellman_ford import BellmanFordOp
 from repro.algorithms.bfs import BFSOp
 from repro.algorithms.bp import BPOp
 from repro.algorithms.cc import CCOp
-from repro.algorithms.kcore import PeelOp
-from repro.algorithms.mis import KnockOp, MaxPriorityOp
 from repro.algorithms.pagerank import PageRankOp
 from repro.algorithms.prdelta import PRDeltaOp
-from repro.algorithms.radii import BitOrOp
 from repro.algorithms.spmv import SPMVOp
 from repro.core.ops import process_batch
 from repro.frontier.frontier import Frontier
@@ -35,9 +32,9 @@ SRC = (_rng.integers(0, N // 2, 96) * 2 + 1).astype(VID_DTYPE)
 DST = (_rng.integers(0, N // 2, 96) * 2).astype(VID_DTYPE)
 
 
-def _half(dtype=bool):
-    """True/one on the low half of the vertices."""
-    return (np.arange(N) < N // 2).astype(dtype)
+def _half():
+    """True on the low half of the vertices."""
+    return np.arange(N) < N // 2
 
 
 def _bfs_parent():
@@ -50,12 +47,6 @@ def _bf_dist():
     dist = np.full(N, np.inf, dtype=VAL_DTYPE)
     dist[::3] = 0.0
     return dist
-
-
-def _bits():
-    bits = np.zeros(N, dtype=np.uint64)
-    bits[::3] = np.uint64(1) << np.arange(bits[::3].size, dtype=np.uint64)
-    return bits
 
 
 #: operator class -> its constructor arguments, built fresh per call
@@ -74,12 +65,6 @@ STATE = {
     BPOp: lambda: (
         np.full(N, 0.5), np.zeros(N), np.zeros(N), 0.1,
     ),
-    PeelOp: lambda: (np.full(N, 9, np.int64), ~_half()),
-    MaxPriorityOp: lambda: (
-        np.linspace(0, 1, N), np.full(N, -1.0), _half(np.int8),
-    ),
-    KnockOp: lambda: (_half(np.int8), np.zeros(N, bool)),
-    BitOrOp: lambda: (_bits(), np.zeros(N, np.uint64)),
 }
 #: the one operator allowed to dedup: its first-writer store needs it.
 DEDUPS = {BFSOp}
@@ -87,7 +72,7 @@ DEDUPS = {BFSOp}
 
 def test_every_registry_operator_has_a_case():
     driven = {p for spec in registry.ALGORITHMS.values() for p in spec.operators}
-    assert driven <= {f"{cls.__module__}:{cls.__name__}" for cls in STATE}
+    assert driven == {f"{cls.__module__}:{cls.__name__}" for cls in STATE}
 
 
 @pytest.mark.parametrize("cls", STATE, ids=lambda cls: cls.__name__)

@@ -1,9 +1,14 @@
 """Algorithm registry (Table II) tests."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.algorithms
 from repro.algorithms import registry
 from repro.core import Engine
+from repro.core.ops import EdgeOperator
 from repro.layout import GraphStore
 
 
@@ -51,3 +56,21 @@ def test_update_scales_positive():
     for spec in registry.ALGORITHMS.values():
         assert spec.update_scale >= 1.0
     assert registry.get("BP").update_scale > registry.get("PR").update_scale
+
+
+def test_every_shipped_operator_is_one_a_registered_algorithm_drives():
+    # `repro certify` certifies exactly the registry's operators, so an
+    # operator the library ships but no algorithm drives goes uncertified.
+    modules = [
+        importlib.import_module(info.name)
+        for info in pkgutil.iter_modules(repro.algorithms.__path__, "repro.algorithms.")
+    ]
+    shipped = {
+        f"{module.__name__}:{name}"
+        for module in modules
+        for name, cls in vars(module).items()
+        if isinstance(cls, type) and issubclass(cls, EdgeOperator)
+        and cls.__module__ == module.__name__
+    }
+    driven = {path for spec in registry.ALGORITHMS.values() for path in spec.operators}
+    assert shipped == driven

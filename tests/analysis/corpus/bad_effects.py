@@ -158,7 +158,8 @@ SPLIT_OBSERVABLE = (
 
 class MaskedSubsetOp(_SplitOp):
     """The control, edge-local: a boolean-masked subset of the batch and
-    a gather through it (``MaxPriorityOp``'s shape)."""
+    a gather through it: ``certified.KnockOp``'s mask, scattered with
+    ``maximum.at``."""
 
     combine = "max"
 

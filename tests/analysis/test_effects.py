@@ -18,10 +18,8 @@ from repro.algorithms.bellman_ford import BellmanFordOp
 from repro.algorithms.bfs import BFSOp
 from repro.algorithms.bp import BPOp
 from repro.algorithms.cc import CCOp
-from repro.algorithms.mis import KnockOp, MaxPriorityOp
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.algorithms.prdelta import PRDeltaOp
-from repro.algorithms.radii import BitOrOp
 from repro.algorithms.spmv import SPMVOp
 from repro.analysis.certificate import (
     SafetyCertificate,
@@ -46,7 +44,7 @@ from repro.core.options import EngineOptions
 from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
-from tests.analysis.corpus import bad_effects, unmodelled_forms
+from tests.analysis.corpus import bad_effects, certified, unmodelled_forms
 from tests.properties.test_prop_task_runs import NeighbourCondOp
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -415,13 +413,19 @@ def _split_reasons(cls) -> list[str]:
     return summary.split_reasons
 
 
-#: the ten shipped operators and why each is, or is not, edge-local.
-SHIPPED_SPLIT = {
-    **dict.fromkeys((PageRankOp, PRDeltaOp, SPMVOp, BPOp, MaxPriorityOp, KnockOp), []),
+#: the Table II operators the split rule decides for, and why each is,
+#: or is not, edge-local.
+TABLE_II_SPLIT = {
+    **dict.fromkeys((PageRankOp, PRDeltaOp, SPMVOp, BPOp), []),
     CCOp: ["reads labels, which it writes, at src", ".size"],
     BellmanFordOp: ["reads dist, which it writes, at src", ".size"],
     BFSOp: [".any()", "np.unique", "a subscript by positions"],
-    BitOrOp: [".size"],  # conservative: an empty batch's early return changes nothing
+}
+
+#: the certified examples no registered algorithm drives.
+CERTIFIED_SPLIT = {
+    certified.KnockOp: [],
+    certified.BitOrOp: [".size"],  # conservative: an empty batch's early return changes nothing
 }
 
 #: the corpus operators that break the rule, one clause each.
@@ -437,10 +441,10 @@ CORPUS_SPLIT = {
 
 
 @pytest.mark.parametrize(
-    "cls", [*SHIPPED_SPLIT, *CORPUS_SPLIT], ids=lambda cls: cls.__name__
+    "cls", [*TABLE_II_SPLIT, *CERTIFIED_SPLIT, *CORPUS_SPLIT], ids=lambda cls: cls.__name__
 )
 def test_each_operator_gets_its_split_verdict_for_its_reason(cls):
-    reasons = {**SHIPPED_SPLIT, **CORPUS_SPLIT}[cls]
+    reasons = {**TABLE_II_SPLIT, **CERTIFIED_SPLIT, **CORPUS_SPLIT}[cls]
     report = operator_report(cls)
     assert report.level == "partition-pure" and report.cond_local
     assert _split_reasons(cls) == reasons

@@ -150,20 +150,6 @@ def test_relabeled_wrong_size_rejected():
         g.relabeled(np.array([0, 1]))
 
 
-def test_induced_subgraph():
-    g = EdgeList.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-    sub = g.induced_subgraph(np.array([1, 2, 3]))
-    assert sub.num_vertices == 3
-    assert sorted(sub.to_pairs()) == [(0, 1), (1, 2)]
-
-
-def test_induced_subgraph_empty_selection():
-    g = EdgeList.from_pairs(3, [(0, 1)])
-    sub = g.induced_subgraph(np.array([], dtype=np.int32))
-    assert sub.num_vertices == 0
-    assert sub.num_edges == 0
-
-
 def test_from_pairs_roundtrip(small_rmat):
     again = EdgeList.from_pairs(small_rmat.num_vertices, small_rmat.to_pairs())
     assert np.array_equal(again.src, small_rmat.src)

@@ -1,9 +1,9 @@
-"""Fenwick tree tests."""
+"""Tests of the Fenwick tree behind the scalar stack-distance oracle."""
 
 import numpy as np
 import pytest
 
-from repro.memsim.fenwick import Fenwick
+from tests.references import Fenwick
 
 
 def test_empty_tree():
@@ -28,15 +28,6 @@ def test_negative_updates():
     f.add(2, 3)
     f.add(2, -3)
     assert f.prefix_sum(4) == 0
-
-
-def test_range_sum():
-    f = Fenwick(8)
-    for i in range(8):
-        f.add(i, i)
-    assert f.range_sum(2, 4) == 2 + 3 + 4
-    assert f.range_sum(5, 3) == 0
-    assert f.range_sum(0, 7) == sum(range(8))
 
 
 def test_against_numpy_cumsum(rng):

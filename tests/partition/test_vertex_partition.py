@@ -41,12 +41,6 @@ def test_partition_of_boundaries():
     assert vp.partition_of(np.array([5]))[0] == 1
 
 
-def test_owner_mask():
-    vp = VertexPartition(5, np.array([0, 2, 5]))
-    assert vp.owner_mask(0).tolist() == [True, True, False, False, False]
-    assert vp.owner_mask(1).tolist() == [False, False, True, True, True]
-
-
 def test_from_weights_algorithm1_semantics():
     # Algorithm 1 cuts when the running partition weight reaches |E|/P.
     weights = np.array([3, 1, 1, 1, 1, 1])  # total 8, P=2, avg 4

@@ -5,13 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import (
-    bfs,
-    count_triangles,
-    kcore,
-    maximal_independent_set,
-    pagerank,
-)
+from repro.algorithms import bfs, pagerank
 from repro.core import Engine
 from repro.layout import GraphStore
 from tests.properties.test_prop_edgelist import edge_lists
@@ -22,51 +16,6 @@ def engines(draw):
     g = draw(edge_lists(max_vertices=20, max_edges=60)).symmetrized()
     p = draw(st.integers(min_value=1, max_value=max(g.num_vertices, 1)))
     return g, Engine(GraphStore.build(g, num_partitions=p))
-
-
-@settings(max_examples=30, deadline=None)
-@given(engines())
-def test_mis_always_independent_and_maximal(ge):
-    g, engine = ge
-    r = maximal_independent_set(engine)
-    chosen = r.in_set
-    for u, v in g.to_pairs():
-        if u != v:
-            assert not (chosen[u] and chosen[v])
-    # Maximality: every non-member has a member neighbour (or only
-    # self-loop edges).
-    bitmap = np.zeros(g.num_vertices, dtype=bool)
-    has_member_nbr = np.zeros(g.num_vertices, dtype=bool)
-    for u, v in g.to_pairs():
-        if u != v and chosen[u]:
-            has_member_nbr[v] = True
-    del bitmap
-    for v in range(g.num_vertices):
-        if not chosen[v]:
-            assert has_member_nbr[v]
-
-
-@settings(max_examples=25, deadline=None)
-@given(engines())
-def test_kcore_matches_networkx(ge):
-    g, engine = ge
-    clean = g.without_self_loops()
-    if clean.num_edges != g.num_edges:
-        return  # core numbers with self loops are ambiguous; skip
-    r = kcore(engine)
-    G = nx.Graph(g.to_pairs())
-    G.add_nodes_from(range(g.num_vertices))
-    expected = nx.core_number(G)
-    assert all(r.coreness[v] == c for v, c in expected.items())
-
-
-@settings(max_examples=25, deadline=None)
-@given(edge_lists(max_vertices=16, max_edges=50))
-def test_triangles_match_networkx(g):
-    r = count_triangles(g)
-    G = nx.Graph(g.symmetrized().without_self_loops().to_pairs())
-    G.add_nodes_from(range(g.num_vertices))
-    assert r.total == sum(nx.triangles(G).values()) // 3
 
 
 @settings(max_examples=25, deadline=None)

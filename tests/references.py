@@ -12,7 +12,7 @@ it) times the memsim three against the kernels that replaced them.
     reductions, the final state must match the engine's batched,
     partition-sliced execution exactly.
 :func:`reference_stack_distances`
-    The scalar Bennett–Kruskal algorithm over a Fenwick tree, O(N log N)
+    The scalar Bennett–Kruskal algorithm over a :class:`Fenwick` tree, O(N log N)
     with one Python iteration per access: the oracle of
     :func:`repro.memsim.reuse.stack_distances`.
 :func:`reference_simulate_cache`, :func:`reference_simulate_shared_cache`
@@ -37,7 +37,6 @@ from repro.core.ops import EdgeOperator, process_batch
 from repro.frontier.frontier import Frontier
 from repro.graph.edgelist import EdgeList
 from repro.memsim.cache import CacheConfig, CacheResult
-from repro.memsim.fenwick import Fenwick
 from repro.memsim.multicore import MulticoreResult
 from repro.memsim.reuse import COLD
 from repro.partition.by_destination import partition_by_destination
@@ -52,6 +51,7 @@ __all__ = [
     "reference_layouts",
     "reference_shard_edges",
     "reference_partitioned_csr",
+    "Fenwick",
 ]
 
 
@@ -74,6 +74,37 @@ def reference_edge_map(
         acts = process_batch(op, src, dst)  # a weighted operator hashes its one edge
         activated.extend(int(a) for a in acts)
     return Frontier(edges.num_vertices, sparse=np.array(activated, dtype=VID_DTYPE))
+
+
+class Fenwick:
+    """Point-update / prefix-sum tree over ``size`` integer slots."""
+
+    __slots__ = ("size", "tree")
+
+    def __init__(self, size: int) -> None:
+        if size < 0:
+            raise ValueError("size must be non-negative")
+        self.size = size
+        self.tree = [0] * (size + 1)
+
+    def add(self, index: int, delta: int) -> None:
+        """Add ``delta`` at position ``index`` (0-based)."""
+        tree = self.tree
+        i = index + 1
+        n = self.size
+        while i <= n:
+            tree[i] += delta
+            i += i & (-i)
+
+    def prefix_sum(self, index: int) -> int:
+        """Sum of positions ``0..index`` inclusive (0 for index < 0)."""
+        tree = self.tree
+        i = index + 1
+        total = 0
+        while i > 0:
+            total += tree[i]
+            i -= i & (-i)
+        return total
 
 
 def reference_stack_distances(trace: np.ndarray) -> np.ndarray:
