@@ -2,43 +2,17 @@
 
 Two layers over the same contract (see DESIGN.md):
 
-* :mod:`repro.analysis.lint` — AST rules GL001-GL005 over source trees,
-  no imports of the linted code, per-line ``# graphlint: disable=``
-  suppressions;
+* :mod:`repro.analysis.lint` — the GL rules over source trees, no imports
+  of the linted code, per-line ``# graphlint: disable=`` suppressions.
+  Every rule about operator code reports a violation of the effect pass
+  (:mod:`repro.analysis.effects`), the same proof :mod:`repro.analysis.certificate`
+  signs and the engine trusts; GL005 (nondeterminism) is a pattern rule;
 * :mod:`repro.analysis.sanitizer` — shadow-memory write-set recording
   plus batch-invariance checks executed against the registered
   algorithm matrix.
 
-CLI: ``python -m repro lint [--sanitize] [paths ...]``.
+Import the submodule you use: the package itself loads nothing, so the
+engine's certificate lookup never pulls in the linter or the sanitizer.
+
+CLI: ``python -m repro lint [--sanitize] [paths ...]``, ``python -m repro certify``.
 """
-
-from .findings import Finding
-from .lint import default_root, lint_file, lint_paths, lint_source
-from .sanitizer import (
-    LastWriterDemoOp,
-    SanitizerFinding,
-    ShadowWriteRecorder,
-    check_algorithm_invariance,
-    check_operator_invariance,
-    demo_findings,
-    run_sanitizer,
-    shadow_check_operator,
-    write_conflicts,
-)
-
-__all__ = [
-    "Finding",
-    "default_root",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "SanitizerFinding",
-    "ShadowWriteRecorder",
-    "LastWriterDemoOp",
-    "check_algorithm_invariance",
-    "check_operator_invariance",
-    "demo_findings",
-    "run_sanitizer",
-    "shadow_check_operator",
-    "write_conflicts",
-]

@@ -52,8 +52,10 @@ or ``unknown``.
 * *unsafe* — a write provably leaves the partition slice or escapes
   operator state entirely.
 
-Provable violations additionally surface as graphlint findings GL006 -
-GL010 (see :mod:`repro.analysis.rules.effects`).
+Provable violations surface as graphlint findings GL001 - GL004 and
+GL006 - GL010 (see :mod:`repro.analysis.rules.effects`): the pass is the
+one analyser of operator code, so a finding and the verdict it costs
+always come from the same proof.
 
 A partition-pure operator is also *edge-local* when the split rule of
 :func:`analyze_operator` proves one ``process_edges`` call over a run of
@@ -64,11 +66,15 @@ from __future__ import annotations
 
 import ast
 import enum
+import functools
 from dataclasses import dataclass, field, replace
 
-from ..core.ops import COMMUTATIVE_COMBINES
+from ..core.ops import (
+    COMMUTATIVE_COMBINES,
+    MUTABLE_NON_ARRAY_TYPES,
+    overrides_snapshot_hooks,
+)
 from .callgraph import MAX_CALL_DEPTH, ModuleCallGraph
-from .rules import attr_chain
 
 __all__ = [
     "SafetyLevel",
@@ -76,6 +82,7 @@ __all__ = [
     "Violation",
     "OperatorEffects",
     "analyze_operator",
+    "attr_chain",
     "classify",
     "class_combine",
     "UFUNC_COMBINE",
@@ -110,7 +117,8 @@ _LEVEL_RANK = {
 }
 
 #: ``np.<ufunc>.at`` scatter -> symbolic combine family (the vocabulary
-#: of :data:`repro.core.ops.COMMUTATIVE_COMBINES`, plus ``mul``).
+#: of :data:`repro.core.ops.COMMUTATIVE_COMBINES`, plus ``mul``, ``gcd``
+#: and ``lcm``).  A scatter through a ufunc without an entry is GL002.
 UFUNC_COMBINE = {
     "add": "add",
     "subtract": "add",  # additive-group inverse: still order-free per dst
@@ -124,6 +132,8 @@ UFUNC_COMBINE = {
     "logical_and": "and",
     "bitwise_xor": "xor",
     "multiply": "mul",
+    "gcd": "gcd",
+    "lcm": "lcm",
 }
 
 #: library scatter loops -> combine: ``helper(acc, dst, x, src[, data])``
@@ -169,6 +179,13 @@ _NP_VALUE_FUNCS = {
     "clip": 3,
     "where": 3,
 }
+
+#: numpy calls that return positions or a selection, never a value parallel
+#: to their operand (one-argument ``np.where`` too): a ``cond`` returning
+#: one, or anything computed from one, is GL004.
+_NP_POSITIONS = frozenset({
+    "flatnonzero", "nonzero", "argwhere", "unique", "compress", "extract",
+})
 
 #: numpy API the effect pass models.  GL010 flags ``np.<name>`` calls
 #: inside operator code whose ``<name>`` is not in this set: such an
@@ -229,7 +246,9 @@ class AbsVal:
     mask must be); ``unique`` means provably duplicate-free; ``attr``
     names the operator attribute this value aliases, if any; ``fresh``
     marks a locally allocated array; ``items`` are the element values of
-    a tuple expression or a multi-return call.
+    a tuple expression or a multi-return call; ``short`` means computed
+    from positions or a selection of ids (:data:`_NP_POSITIONS`,
+    ``ids[...]``), so not a mask over the batch unless also ``parallel``.
     """
 
     space: str = "value"
@@ -239,6 +258,7 @@ class AbsVal:
     attr: str | None = None
     fresh: bool = False
     items: tuple["AbsVal", ...] = ()
+    short: bool = False
 
 
 _VALUE = AbsVal()
@@ -256,6 +276,9 @@ class Effect:
     combine: str | None = None
     unique: bool = False
     constant: bool = False
+    #: an ``assign`` whose value reads the array it stores into at ``dst``:
+    #: a buffered read-modify-write (GL001).
+    rmw: bool = False
     detail: str = ""
     line: int = 0
     col: int = 0
@@ -341,14 +364,42 @@ def class_combine(graph: ModuleCallGraph, tree: ast.Module, name: str) -> str | 
     return lookup(name, frozenset())
 
 
-def _mutable_init_attrs(init: ast.FunctionDef | None) -> list[str]:
-    """Attributes assigned a mutable container in ``__init__`` (GL003 shape)."""
-    if init is None:
-        return []
-    from .rules.state import _is_mutable_container
+def attr_chain(node: ast.AST) -> str | None:
+    """Dotted name of an attribute chain, e.g. ``np.add.at``.
 
+    Returns ``None`` when any link is not a plain Name/Attribute (calls,
+    subscripts, ...), so only statically-resolvable names match.
+    """
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+#: constructor names of :data:`repro.core.ops.MUTABLE_NON_ARRAY_TYPES`.
+_MUTABLE_FACTORIES = frozenset(t.__name__ for t in MUTABLE_NON_ARRAY_TYPES)
+
+_MUTABLE_LITERALS = (
+    ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp,
+)
+
+
+def _is_mutable_container(expr: ast.AST) -> bool:
+    if isinstance(expr, _MUTABLE_LITERALS):
+        return True
+    chain = attr_chain(expr.func) if isinstance(expr, ast.Call) else None
+    return chain is not None and chain.split(".")[-1] in _MUTABLE_FACTORIES
+
+
+def _mutable_init_attrs(init: ast.FunctionDef | None) -> list[tuple[list[str], ast.Assign]]:
+    """``self`` attributes ``__init__`` binds to a mutable container, per
+    assignment (the GL003 shape)."""
     out = []
-    for node in ast.walk(init):
+    for node in ast.walk(init) if init is not None else ():
         if not isinstance(node, ast.Assign):
             continue
         attrs = [
@@ -359,7 +410,7 @@ def _mutable_init_attrs(init: ast.FunctionDef | None) -> list[str]:
             and t.value.id == "self"
         ]
         if attrs and _is_mutable_container(node.value):
-            out.extend(attrs)
+            out.append((attrs, node))
     return out
 
 
@@ -385,7 +436,7 @@ class _Analyzer:
         self.class_name = class_name
         self.effects = effects
         self.depth = depth
-        self.returns: list[AbsVal] = []
+        self.returns: list[tuple[ast.Return, AbsVal]] = []
         #: batch-wide expressions met (a callee shares its caller's list).
         self.batch_wide: list[str] = []
 
@@ -445,10 +496,7 @@ class _Analyzer:
     # -- function entry -------------------------------------------------
     def run(self, fn: ast.FunctionDef, args: dict[str, AbsVal]) -> AbsVal:
         self._block(fn.body, dict(args))
-        out = self.returns[0] if self.returns else _NONE
-        for other in self.returns[1:]:
-            out = _join(out, other)
-        return out
+        return functools.reduce(_join, [val for _, val in self.returns] or [_NONE])
 
     # -- statements -----------------------------------------------------
     def _block(self, stmts: list[ast.stmt], env: dict[str, AbsVal]) -> None:
@@ -463,9 +511,15 @@ class _Analyzer:
             handler(self, node, env)
 
     def _assign(self, node: ast.Assign, env: dict[str, AbsVal]) -> None:
+        mark = len(self.effects)
         val = self._eval(node.value, env)
+        reread = {e.array for e in self.effects[mark:] if e.kind == "read" and e.space == "dst"}
+        mark = len(self.effects)
         for target in node.targets:
             self._bind(target, val, node, env)
+        for k, eff in enumerate(self.effects[mark:], mark):
+            if eff.kind == "assign" and eff.space == "dst" and eff.array in reread:
+                self.effects[k] = replace(eff, rmw=True)
 
     def _bind(
         self, target: ast.expr, val: AbsVal, node: ast.stmt, env: dict[str, AbsVal]
@@ -521,7 +575,7 @@ class _Analyzer:
 
     def _return(self, node: ast.Return, env: dict[str, AbsVal]) -> None:
         self.returns.append(
-            _NONE if node.value is None else self._eval(node.value, env)
+            (node, _NONE if node.value is None else self._eval(node.value, env))
         )
 
     def _if(self, node: ast.If, env: dict[str, AbsVal]) -> None:
@@ -573,15 +627,17 @@ class _Analyzer:
         idx = self._eval(node.slice, env)
         if base.attr is not None:
             self._emit(node, kind="read", array=base.attr, space=_index_space(idx))
-            return AbsVal(parallel=idx.parallel)
+            return AbsVal(parallel=idx.parallel, short=idx.short)
         if not (idx.space == "bool" and idx.parallel):
             # a gather from state is per edge; picking by position is not.
             self.batch_wide.append("a subscript by positions")
         if base.space in ("src", "dst"):
             # any subscript of an id array yields a subset of those ids;
             # only a boolean mask is known not to repeat one.
-            return AbsVal(space=base.space, unique=base.unique and idx.space == "bool")
-        return _VALUE
+            return AbsVal(
+                space=base.space, unique=base.unique and idx.space == "bool", short=True
+            )
+        return AbsVal(short=base.short or idx.short)
 
     def _eval_operator(self, node: ast.expr, env: dict[str, AbsVal]) -> AbsVal:
         """Compare / BoolOp / UnaryOp / BinOp: every operand is consumed."""
@@ -609,6 +665,7 @@ class _Analyzer:
             space="bool" if boolean else "value",
             parallel=any(val.parallel for val in vals),
             constant=all(val.constant for val in vals),
+            short=any(val.short for val in vals),
         )
 
     def _eval_tuple(self, node: ast.Tuple, env: dict[str, AbsVal]) -> AbsVal:
@@ -656,7 +713,12 @@ class _Analyzer:
 
         parts = chain.split(".") if chain is not None else []
         if len(parts) >= 2 and parts[0] in ("np", "numpy"):
-            return self._eval_numpy_call(node, parts, env)
+            val = self._eval_numpy_call(node, parts, env)
+            if parts[1:] == ["where"] and len(node.args) == 1 or (
+                len(parts) == 2 and parts[1] in _NP_POSITIONS
+            ):
+                val = replace(val, parallel=False, short=True)
+            return val
 
         if isinstance(func, ast.Name) and func.id not in env:
             helper = HELPER_COMBINE.get(self.graph.imported.get(func.id))
@@ -718,6 +780,7 @@ class _Analyzer:
             return AbsVal(
                 space="bool" if boolish else "value",
                 parallel=any(val.parallel for val in vals),
+                short=any(val.short for val in vals),
             )
         # numpy API outside the modelled subset: its effects are unknown.
         self._operands(node, env)
@@ -735,7 +798,7 @@ class _Analyzer:
         self._write(
             node, node.args[0], env, how="scatter into",
             kind="scatter", space=_index_space(idx),
-            combine=UFUNC_COMBINE.get(ufunc), unique=idx.unique,
+            combine=UFUNC_COMBINE.get(ufunc), unique=idx.unique, detail=f"np.{ufunc}.at",
         )
         return _NONE
 
@@ -806,7 +869,7 @@ class _Analyzer:
         if method == "astype":
             # a narrowing cast changes ids and a widening one turns a mask
             # into integers: only the length survives.
-            return AbsVal(parallel=base.parallel)
+            return AbsVal(parallel=base.parallel, short=base.short)
         return _VALUE
 
     #: the expression grammar; see the module docstring.
@@ -838,6 +901,7 @@ def _join(a: AbsVal, b: AbsVal) -> AbsVal:
         unique=a.unique and b.unique,
         constant=a.constant and b.constant,
         attr=a.attr if a.attr == b.attr else None,
+        short=a.short and b.short,
     )
 
 
@@ -853,9 +917,15 @@ def _index_space(idx: AbsVal) -> str:
 def classify(
     summary: OperatorEffects,
     *,
-    blind_attrs: list[str] | None = None,
+    blind: list[tuple[list[str], ast.Assign]] = (),
+    short_returns: list[ast.Return] = (),
 ) -> OperatorEffects:
-    """Fold effects into a lattice level + violations, in place."""
+    """Fold effects into a lattice level + violations, in place.
+
+    ``blind`` are the ``__init__`` assignments of containers the default
+    snapshot misses, ``short_returns`` the ``return`` statements of ``cond``
+    whose value is :attr:`AbsVal.short` and not parallel.
+    """
     level = SafetyLevel.PARTITION_PURE
     reasons: list[str] = []
     violations: list[Violation] = []
@@ -900,6 +970,14 @@ def classify(
                 "journal and the shadow sanitizer cannot see this write",
             ))
         elif eff.kind in ("scatter", "assign", "augassign"):
+            if eff.kind == "scatter" and eff.combine is None:
+                violations.append(Violation(
+                    "GL002", eff.line, eff.col,
+                    f"{cls} scatters into {eff.array} with {eff.detail}, which is "
+                    "not a known partition-order-safe reduction; the paper's "
+                    "partitioned kernels may visit partitions in any order, so "
+                    "scatters must be commutative-associative",
+                ))
             if eff.space in ("src", "const"):
                 level = level.join(SafetyLevel.UNSAFE)
                 where = (
@@ -930,6 +1008,12 @@ def classify(
                     f"buffered fancy-indexed accumulation on {eff.array} "
                     "drops duplicate destinations (GL001)"
                 )
+                violations.append(Violation(
+                    "GL001", eff.line, eff.col,
+                    f"{cls} accumulates into {eff.array} through a fancy index; "
+                    "duplicate destinations in the batch are silently dropped "
+                    "— use the matching np.<ufunc>.at scatter",
+                ))
             elif eff.kind == "scatter":
                 ok_combine = eff.combine in COMMUTATIVE_COMBINES
                 if ok_combine and (not aliased or declared == eff.combine):
@@ -981,18 +1065,40 @@ def classify(
                         "deduplicated indices: last writer within the batch "
                         "depends on edge order"
                     )
+                    if eff.rmw:
+                        violations.append(Violation(
+                            "GL001", eff.line, eff.col,
+                            f"{cls} stores into {eff.array} a value it reads "
+                            "there at the same destinations; numpy buffers the "
+                            "read-modify-write, so duplicate destinations are "
+                            "dropped — use the matching np.<ufunc>.at scatter",
+                        ))
 
-    if blind_attrs:
+    if blind:
         level = level.join(SafetyLevel.UNKNOWN)
         reasons.append(
             "mutable non-array state invisible to the default snapshot: "
-            + ", ".join(sorted(blind_attrs))
+            + ", ".join(sorted(attr for attrs, _ in blind for attr in attrs))
         )
+        for attrs, node in blind:
+            violations.append(Violation(
+                "GL003", node.lineno, node.col_offset + 1,
+                f"{cls}.{attrs[0]} is a mutable container the default "
+                "snapshot() cannot copy; override snapshot() and restore() "
+                "to cover it",
+            ))
     if not summary.cond_proved:
         level = level.join(SafetyLevel.UNKNOWN)
         reasons.append(
             "cond() does not provably return None or a parallel boolean mask"
         )
+    for node in short_returns:
+        violations.append(Violation(
+            "GL004", node.lineno, node.col_offset + 1,
+            f"{cls}.cond() returns positions or a selection of its ids, not "
+            "None or a boolean mask parallel to them; the kernels would "
+            "silently select the wrong edges",
+        ))
 
     summary.level = level
     summary.reasons = reasons
@@ -1037,6 +1143,7 @@ def analyze_operator(
     processed, written = len(summary.effects), summary.written_arrays()
 
     cond = methods.get("cond")
+    short_returns = []
     if cond is not None:
         analyzer = _Analyzer(graph, class_name, summary.effects)
         params = [a.arg for a in cond.args.args]
@@ -1050,16 +1157,16 @@ def analyze_operator(
         summary.cond_proved = mask_ok and not any(
             e.kind in ("unknown", "escape") for e in summary.effects
         )
+        short_returns = [ret for ret, val in analyzer.returns if val.short and not val.parallel]
         summary.cond_local = summary.cond_proved and not any(
             e.kind in ("scatter", "assign", "augassign")
             or (e.kind == "read" and e.array in written and e.space != "dst")
             for e in summary.effects[processed:]
         )
 
-    init = methods.get("__init__")
-    has_override = "snapshot" in methods and "restore" in methods
-    blind = [] if has_override else _mutable_init_attrs(init)
-    classify(summary, blind_attrs=blind)
+    hooked = overrides_snapshot_hooks(methods)
+    blind = [] if hooked else _mutable_init_attrs(methods.get("__init__"))
+    classify(summary, blind=blind, short_returns=short_returns)
     # The split rule.  Runs own disjoint ascending dst ranges, so a batch sees another's
     # writes only by reading them off ``dst`` or through a scattered local; the rest is per edge.
     own = summary.effects[:processed]

@@ -3,8 +3,9 @@
 Discovers :class:`~repro.core.ops.EdgeOperator` subclasses without
 importing the linted code (pure :mod:`ast`), runs the GL-rule catalogue
 against every module, and honours per-line suppressions written as
-comments, e.g. ``np.power.at(state, dst, 2.0)`` followed by
-``# graphlint: disable=GL002`` on the same line.
+comments, e.g. ``np.power.at(self.state, dst, 2.0)`` inside an operator's
+``process_edges``, followed by ``# graphlint: disable=GL002`` on the same
+line.
 
 A directive on a comment-only line suppresses the following line; a bare
 ``# graphlint: disable`` suppresses every rule for that line.
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .findings import Finding
-from .rules import ModuleContext, OperatorClass, all_rules
+from .rules import ModuleContext, all_rules
 
 __all__ = [
     "default_root",
@@ -67,7 +68,7 @@ def _base_names(node: ast.ClassDef) -> set[str]:
     return names
 
 
-def discover_operators(tree: ast.Module) -> list[OperatorClass]:
+def discover_operators(tree: ast.Module) -> list[ast.ClassDef]:
     """EdgeOperator subclasses in a module, including nested classes and
     same-module transitive subclasses (``class A(EdgeOperator)``,
     ``class B(A)``)."""
@@ -85,15 +86,7 @@ def discover_operators(tree: ast.Module) -> list[OperatorClass]:
                 matched[node.name] = node
                 operator_names.add(node.name)
                 changed = True
-    out = []
-    for node in matched.values():
-        methods = {
-            item.name: item
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        out.append(OperatorClass(node=node, methods=methods))
-    return sorted(out, key=lambda op: op.node.lineno)
+    return sorted(matched.values(), key=lambda node: node.lineno)
 
 
 # ----------------------------------------------------------------------
@@ -190,12 +183,7 @@ class LintReport:
 def lint_source_report(source: str, path: str = "<string>") -> LintReport:
     """Lint one source string; ``path`` is used only for reporting."""
     tree = ast.parse(source, filename=path)
-    module = ModuleContext(
-        path=path,
-        tree=tree,
-        source=source,
-        operators=discover_operators(tree),
-    )
+    module = ModuleContext(path=path, tree=tree, operators=discover_operators(tree))
     directives = _directives(source)
     report = LintReport()
     for rule in all_rules():

@@ -1,11 +1,14 @@
 """Graphlint rule infrastructure and registry.
 
 Each rule is a class with a ``code`` (``GL001``...), a one-line
-``summary`` (shown by ``python -m repro lint --rules``), and a
+``summary`` (the rule catalogue of ``repro lint --format sarif``), and a
 ``check(module)`` generator yielding :class:`~repro.analysis.findings.Finding`
 objects.  Rules receive a :class:`ModuleContext` with the parsed AST and
 the :class:`EdgeOperator` subclasses discovered in the module, so every
 rule stays a pure function of one file — no imports are executed.
+
+Every rule about operator code (GL001 - GL004, GL006 - GL010) reports the
+effect pass's violations (:mod:`.effects`); GL005 is the one pattern rule.
 """
 
 from __future__ import annotations
@@ -19,29 +22,10 @@ from ..findings import Finding
 
 __all__ = [
     "ModuleContext",
-    "OperatorClass",
     "Rule",
     "all_rules",
-    "attr_chain",
     "rule_catalogue",
 ]
-
-
-@dataclass
-class OperatorClass:
-    """One ``EdgeOperator`` subclass found in a module (possibly nested)."""
-
-    node: ast.ClassDef
-    #: direct methods by name (no inheritance resolution).
-    methods: dict[str, ast.FunctionDef] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.node.name
-
-    def defines(self, *names: str) -> bool:
-        """Whether the class body defines every listed method."""
-        return all(n in self.methods for n in names)
 
 
 @dataclass
@@ -50,8 +34,8 @@ class ModuleContext:
 
     path: str
     tree: ast.Module
-    source: str
-    operators: list[OperatorClass]
+    #: the module's ``EdgeOperator`` subclasses (nested ones included).
+    operators: list[ast.ClassDef]
     #: scratch space for rules that share an expensive analysis of the
     #: module (the effect pass memoizes its violations here).
     analysis_cache: dict = field(default_factory=dict)
@@ -79,48 +63,12 @@ class Rule(abc.ABC):
         raise NotImplementedError
 
 
-def attr_chain(node: ast.AST) -> str | None:
-    """Dotted name of an attribute chain, e.g. ``np.add.at``.
-
-    Returns ``None`` when any link is not a plain Name/Attribute (calls,
-    subscripts, ...), so rules match only statically-resolvable names.
-    """
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
-
-
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, in code order."""
-    from .cond import CondMaskRule
     from .determinism import NondeterminismRule
-    from .effects import (
-        EffectEscapeRule,
-        NonLowerableNumpyRule,
-        OrderCarryingReductionRule,
-        OutOfSliceWriteRule,
-        UndeclaredCombineRule,
-    )
-    from .scatter import DirectScatterRule, NonCommutativeScatterRule
-    from .state import MutableStateRule
+    from .effects import EFFECT_RULES
 
-    rules: list[Rule] = [
-        DirectScatterRule(),
-        NonCommutativeScatterRule(),
-        MutableStateRule(),
-        CondMaskRule(),
-        NondeterminismRule(),
-        OutOfSliceWriteRule(),
-        UndeclaredCombineRule(),
-        EffectEscapeRule(),
-        OrderCarryingReductionRule(),
-        NonLowerableNumpyRule(),
-    ]
+    rules: list[Rule] = [NondeterminismRule(), *(rule() for rule in EFFECT_RULES)]
     return sorted(rules, key=lambda r: r.code)
 
 

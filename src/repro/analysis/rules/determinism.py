@@ -12,8 +12,9 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
+from ..effects import attr_chain
 from ..findings import Finding
-from . import ModuleContext, Rule, attr_chain
+from . import ModuleContext, Rule
 
 __all__ = ["NondeterminismRule"]
 

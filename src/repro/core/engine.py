@@ -285,13 +285,11 @@ class Engine:
     # safety certificates: static proof replaces runtime guards
     # ------------------------------------------------------------------
     def _op_trusted(self, op: EdgeOperator) -> bool:
-        """Whether ``op``'s class is certified partition-pure (and the
-        options allow trusting that; analysis failures degrade to the
-        guarded path).  The effect pass has then proven ``cond`` returns
-        ``None`` or a boolean mask parallel to its argument, so the
-        dynamic validation is pure overhead — bit-identical either way."""
-        if not self.options.trust_certificates:
-            return False
+        """Whether ``op``'s class is certified partition-pure (analysis
+        failures degrade to the guarded path).  The effect pass has then
+        proven ``cond`` returns ``None`` or a boolean mask parallel to its
+        argument, so the dynamic validation is pure overhead —
+        bit-identical either way."""
         from ..analysis.certificate import operator_is_partition_pure
 
         return operator_is_partition_pure(op)

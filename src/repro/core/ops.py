@@ -33,6 +33,7 @@ batches themselves (:mod:`repro.core.kernels`).
 from __future__ import annotations
 
 import abc
+import collections
 import zlib
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "scatter_add_gather",
     "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
+    "overrides_snapshot_hooks",
     "WriteSet",
     "state_arrays",
     "vertex_length",
@@ -62,10 +64,17 @@ __all__ = [
 #: for these.
 COMMUTATIVE_COMBINES = frozenset({"add", "min", "max", "or", "and", "xor"})
 
-#: Built-in container types the default :meth:`EdgeOperator.snapshot`
-#: silently misses — the supervised engine refuses to run operators that
-#: hold these without overriding the snapshot/restore pair.
-MUTABLE_NON_ARRAY_TYPES = (dict, list, set, bytearray)
+#: Container types the default :meth:`EdgeOperator.snapshot` silently
+#: misses — the supervised engine refuses to run operators that hold these
+#: without overriding the snapshot/restore pair, and the effect pass (GL003)
+#: reads the same list by constructor name.
+MUTABLE_NON_ARRAY_TYPES = (
+    dict, list, set, bytearray, collections.deque,
+    collections.defaultdict, collections.OrderedDict, collections.Counter,
+)
+
+#: The resilience hooks an operator with state beyond arrays overrides together.
+_SNAPSHOT_HOOKS = frozenset({"snapshot", "restore"})
 
 
 class EdgeOperator(abc.ABC):
@@ -268,15 +277,29 @@ class WriteSet:
             self.views[key][...] = value
 
 
+def overrides_snapshot_hooks(overridden) -> bool:
+    """Whether ``overridden`` — an operator class, or the names of the
+    methods a class defines over :class:`EdgeOperator`'s — overrides both
+    ``snapshot`` and ``restore``.  One hook alone pairs a custom snapshot with
+    the inherited array ``restore`` (or the reverse), which cannot roll
+    back a container; the blind-spot check, the supervisor's rollback and
+    the effect pass's GL003 all ask this one question."""
+    if isinstance(overridden, type):
+        overridden = {
+            hook for hook in _SNAPSHOT_HOOKS
+            if getattr(overridden, hook) is not getattr(EdgeOperator, hook)
+        }
+    return _SNAPSHOT_HOOKS <= set(overridden)
+
+
 def snapshot_blind_spots(op: EdgeOperator) -> list[str]:
     """Attribute names the default :meth:`EdgeOperator.snapshot` would miss.
 
-    Returns the operator's mutable non-ndarray attributes (dict/list/set/
-    bytearray) when the operator still uses the inherited ``snapshot``;
-    an operator that overrides ``snapshot`` is trusted to cover its own
-    state and yields no blind spots.
+    Returns the operator's :data:`MUTABLE_NON_ARRAY_TYPES` attributes
+    unless it overrides both hooks (:func:`overrides_snapshot_hooks`), in
+    which case it is trusted to cover its own state.
     """
-    if type(op).snapshot is not EdgeOperator.snapshot:
+    if overrides_snapshot_hooks(type(op)):
         return []
     return [
         key

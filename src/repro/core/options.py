@@ -62,14 +62,6 @@ class EngineOptions:
         uses it to prove (or refute) that insensitivity bit-for-bit.
     partition_order_seed:
         Seed of the ``"shuffle"`` permutation.
-    trust_certificates:
-        Let the engine consult the static safety certificates
-        (:mod:`repro.analysis.certificate`) and skip the per-batch
-        ``validated_cond`` mask guard and the supervised snapshot
-        blind-spot check for operators certified *partition-pure*.  The
-        certified result is bit-identical to the guarded path; set this
-        to ``False`` to force every runtime guard back on (e.g. when
-        developing a new operator).
     backend:
         Execution backend spec (grammar: :mod:`repro.spec`; options:
         :data:`repro.core.backend.BACKEND_SPEC`): ``"serial"``
@@ -92,7 +84,6 @@ class EngineOptions:
     sparse_layout: str = "csr"
     partition_order: str = "forward"
     partition_order_seed: int = 0
-    trust_certificates: bool = True
     backend: str | None = None
 
     def __post_init__(self) -> None:

@@ -46,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from ..core.budget import parse_memory_budget
-from ..core.ops import EdgeOperator, WriteSet, snapshot_blind_spots
+from ..core.ops import WriteSet, overrides_snapshot_hooks, snapshot_blind_spots
 from ..core.plan import PartitionRecord
 from ..errors import (
     CapacityError,
@@ -171,13 +171,13 @@ def _rollback(op, n: int, task):
     """Snapshot ``task``'s write set before it executes; returns the call
     that rolls it back.
 
-    Operators that override ``snapshot`` own state a
+    Operators that override both hooks own state a
     :class:`~repro.core.ops.WriteSet` cannot see, so they fall back to
     their full snapshot/restore pair — still correct because the snapshot
     is taken at *task* start, when every committed unit's writes are
     already in the arrays.
     """
-    if type(op).snapshot is not EdgeOperator.snapshot:
+    if overrides_snapshot_hooks(type(op)):
         return partial(op.restore, op.snapshot())
     owned = WriteSet(op, n, task.lo, task.hi)
     return partial(owned.restore, owned.snapshot())

@@ -30,7 +30,7 @@ from repro.analysis.certificate import (
     operator_report,
 )
 from repro.analysis.effects import SafetyLevel, analyze_operator
-from repro.analysis.lint import lint_file, lint_paths
+from repro.analysis.lint import default_root, discover_operators, lint_file, lint_paths
 from repro.analysis.sanitizer import (
     ShadowWriteRecorder,
     _probe_op,
@@ -41,7 +41,7 @@ from repro.analysis.sanitizer import (
 from repro.core.engine import Engine
 from repro.core.ops import EdgeOperator
 from repro.core.options import EngineOptions
-from repro.errors import ValidationError
+from repro.errors import OperatorContractError, ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
 from tests.analysis.corpus import bad_effects, certified, unmodelled_forms
@@ -107,9 +107,59 @@ def test_effect_rules_add_nothing_to_the_legacy_corpus():
 
 
 def test_shipped_package_is_clean_under_effect_rules():
-    from repro.analysis.lint import default_root
-
     assert [f for f in lint_paths([default_root()]) if f.code in EFFECT_CODES] == []
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(CORPUS.glob("*.py")), default_root()], ids=lambda path: path.name
+)
+def test_a_partition_pure_verdict_has_no_finding(path):
+    """lint and certify share one proof: no class is both certified and flagged."""
+    for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+        tree = ast.parse(file.read_text(encoding="utf-8"))
+        for node in discover_operators(tree):
+            summary = analyze_operator(tree, node.name)
+            if summary.level is SafetyLevel.PARTITION_PURE:
+                assert summary.violations == [], (file.name, node.name)
+
+
+#: ``cond`` turns positions into a mask as long as the positions, not the ids.
+SHORT_MASK_MODULE = """
+import numpy as np
+
+from repro.core.ops import EdgeOperator
+
+
+class ShortMaskOp(EdgeOperator):
+    combine = "add"
+
+    def __init__(self, active):
+        self.active = active
+
+    def cond(self, dst_ids):
+        return np.logical_not(np.flatnonzero(self.active[dst_ids]))
+
+    def process_edges(self, src, dst):
+        np.add.at(self.active, dst, 1)
+        return dst
+"""
+
+
+def test_a_short_cond_mask_is_flagged_uncertified_and_refused(tmp_path, monkeypatch):
+    path = tmp_path / "short_mask_corpus.py"
+    path.write_text(SHORT_MASK_MODULE, encoding="utf-8")
+    assert [(f.code, f.line) for f in lint_file(path)] == [("GL004", 14)]
+    monkeypatch.syspath_prepend(str(tmp_path))
+    from short_mask_corpus import ShortMaskOp
+
+    report = operator_report(ShortMaskOp)
+    assert report.level == "unknown" and not report.cond_proved
+    assert [code for code, _, _ in report.violations] == ["GL004"]
+    store = GraphStore.build(EDGES, num_partitions=4)
+    with Engine(store, EngineOptions(num_threads=4)) as engine:
+        op = ShortMaskOp(np.zeros(engine.num_vertices, dtype=np.int64))
+        with pytest.raises(OperatorContractError):
+            engine.edge_map(Frontier.full(engine.num_vertices), op)
 
 
 # ----------------------------------------------------------------------
@@ -524,18 +574,18 @@ def test_full_sanitizer_including_cross_validation_is_clean():
 # ----------------------------------------------------------------------
 # engine: certified operators skip the per-batch guards, bit-identically
 # ----------------------------------------------------------------------
-def _pr_engine(trust):
+def _pr_engine():
     store = GraphStore.build(EDGES, num_partitions=8)
-    return Engine(
-        store,
-        EngineOptions(num_threads=4, trust_certificates=trust),
-    )
+    return Engine(store, EngineOptions(num_threads=4))
 
 
-def test_certified_operator_skips_guards_and_matches_guarded_path():
-    trusted = _pr_engine(True)
-    guarded = _pr_engine(False)
+def test_certified_operator_skips_guards_and_matches_guarded_path(monkeypatch):
+    trusted = _pr_engine()
     r_trusted = pagerank(trusted, iterations=5)
+    guarded = _pr_engine()
+    monkeypatch.setattr(
+        "repro.analysis.certificate.operator_is_partition_pure", lambda op: False
+    )
     r_guarded = pagerank(guarded, iterations=5)
     np.testing.assert_array_equal(r_trusted.ranks, r_guarded.ranks)
 
@@ -546,7 +596,7 @@ def test_certified_operator_skips_guards_and_matches_guarded_path():
 
 
 def test_uncertified_operator_still_pays_the_guard():
-    engine = _pr_engine(True)
+    engine = _pr_engine()
     op = UncertifiableOp(np.zeros(engine.num_vertices))
     engine.edge_map(Frontier.full(engine.num_vertices), op)
     assert engine.guard_invocations > 0

@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import pytest
+
+from repro.analysis.effects import UFUNC_COMBINE
 from repro.analysis.lint import (
     apply_baseline,
     default_root,
@@ -80,6 +83,66 @@ class Accumulator:
         return dst
 """
     assert lint_source(src) == []
+
+
+def test_gl001_in_a_helper_is_reported_on_the_helpers_line():
+    src = """
+from repro.core.ops import EdgeOperator
+
+class HelperAccumOp(EdgeOperator):
+    def process_edges(self, src, dst):
+        self._bump(dst)
+        return dst
+    def _bump(self, ids):
+        self.state[ids] += 1.0
+"""
+    assert [(f.code, f.line) for f in lint_source(src)] == [("GL001", 9)]
+
+
+#: the ufuncs whose ``.at`` scatter commutes across the partition schedule.
+ORDER_SAFE_UFUNCS = [
+    "add", "subtract", "multiply", "minimum", "maximum", "fmin", "fmax",
+    "bitwise_or", "bitwise_and", "bitwise_xor", "logical_or", "logical_and",
+    "gcd", "lcm",
+]
+
+
+def test_one_ufunc_table_decides_gl002():
+    assert sorted(UFUNC_COMBINE) == sorted(ORDER_SAFE_UFUNCS)
+
+
+@pytest.mark.parametrize(
+    "ufunc, codes",
+    [*((name, []) for name in ORDER_SAFE_UFUNCS),
+     *((name, ["GL002"]) for name in ("divide", "power", "true_divide"))],
+)
+def test_gl002_judges_the_scatter_ufunc(ufunc, codes):
+    src = f"""
+import numpy as np
+from repro.core.ops import EdgeOperator
+
+class ScatterOp(EdgeOperator):
+    def process_edges(self, src, dst):
+        np.{ufunc}.at(self.acc, dst, 2)
+        return dst
+"""
+    assert _codes(lint_source(src)) == codes
+
+
+def test_an_inherited_violation_is_reported_once():
+    src = """
+import numpy as np
+from repro.core.ops import EdgeOperator
+
+class A(EdgeOperator):
+    def process_edges(self, src, dst):
+        np.add.at(self.state, src, 1.0)
+        return dst
+
+class B(A):
+    combine = "add"
+"""
+    assert [(f.code, f.line) for f in lint_source(src)] == [("GL006", 7)]
 
 
 def test_gl002_allows_order_safe_ufuncs():

@@ -318,9 +318,8 @@ def test_unproved_hoisting_keeps_runs_of_one(layout):
 
     with pytest.MonkeyPatch.context() as patch:
         spy = _Spy(patch)
-        options = EngineOptions(
-            num_threads=2, backend="serial", forced_layout=layout, trust_certificates=False
-        )
+        patch.setattr(certificate, "operator_is_partition_pure", lambda op: False)
+        options = EngineOptions(num_threads=2, backend="serial", forced_layout=layout)
         with Engine(store, options) as engine:
             connected_components(engine)
             assert engine.guards_skipped == 0 and engine.guard_invocations > 0

@@ -46,6 +46,14 @@ class CoveredDictTallyOp(DictTallyOp):
         self.tally.update(saved["tally"])
 
 
+class SnapshotOnlyOp(DictTallyOp):
+    """Covers the dict in ``snapshot`` but inherits the array ``restore``,
+    which would store the saved dict under an ``Ellipsis`` key."""
+
+    def snapshot(self):
+        return {"accum": self.accum.copy(), "tally": dict(self.tally)}
+
+
 def _supervised_engine(edges, policy=None):
     store = GraphStore.build(edges, num_partitions=8)
     policy = policy or ResiliencePolicy(max_retries=2)
@@ -55,6 +63,24 @@ def _supervised_engine(edges, policy=None):
 def test_blind_spots_reported_for_inherited_snapshot(small_rmat):
     assert snapshot_blind_spots(DictTallyOp(4)) == ["tally"]
     assert snapshot_blind_spots(CoveredDictTallyOp(4)) == []
+    assert snapshot_blind_spots(SnapshotOnlyOp(4)) == ["tally"]
+    from collections import deque
+
+    op = DictTallyOp(4)
+    op.tally = deque()  # as invisible to the default snapshot as a dict
+    assert snapshot_blind_spots(op) == ["tally"]
+
+
+@pytest.mark.parametrize("plan", ["worker_crash@0:0", "oom@0"])
+def test_one_overridden_hook_is_refused_like_none(small_rmat, plan):
+    """Overriding ``snapshot`` alone leaves the inherited ``restore`` to
+    write the saved dict into the live one: refused before any update."""
+    policy = ResiliencePolicy(max_retries=2, fault_plan=FaultPlan.from_spec(plan))
+    engine = _supervised_engine(small_rmat, policy)
+    op = SnapshotOnlyOp(small_rmat.num_vertices)
+    with pytest.raises(ValidationError, match="tally"):
+        engine.edge_map(Frontier.full(small_rmat.num_vertices), op)
+    assert op.tally == {} and not op.accum.any()
 
 
 def test_supervised_engine_rejects_uncovered_dict_state(small_rmat):
