@@ -2,8 +2,11 @@
 
 The paper stores vertex ids in 32-bit words (``bv`` bytes per vertex id)
 and edge-list indices in wider words (``be`` bytes per index).  We mirror
-that convention: vertex ids are ``int32`` and CSR/CSC index arrays are
-``int64`` so graphs with more than 2**31 edges are representable.
+that convention: vertex ids are *stored* as ``int32`` and CSR/CSC index
+arrays are ``int64`` so graphs with more than 2**31 edges are
+representable.  Ids an operator receives are not always stored ones: the
+phases that gather edges hand it ``intp`` ids (:mod:`repro.core.gather`),
+so operator code must not assume a width.
 """
 
 from __future__ import annotations

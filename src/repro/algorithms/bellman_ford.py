@@ -42,7 +42,11 @@ class BellmanFordOp(EdgeOperator):
         candidate = self.dist[src] + w
         before = self.dist[dst]
         np.minimum.at(self.dist, dst, candidate)
-        return dst[self.dist[dst] < before]
+        # Only the edges that won: ``minimum.at`` stores one of its inputs
+        # bit for bit, so a destination improved exactly when one of its
+        # candidates beat the old distance and equals the new one.  Same
+        # vertices as every improved destination's edges, far fewer ids.
+        return dst[(candidate < before) & (self.dist[dst] == candidate)]
 
 
 @dataclass(frozen=True)

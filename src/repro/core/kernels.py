@@ -25,6 +25,10 @@ distinct destinations are a constant of the layout (or grid), handed in
 as ``distinct`` instead of being re-counted.  Same loop, same batches in
 the same order; only the copies go.
 
+The CSR, CSC and partitioned-CSR kernels hand the operator the ``intp``
+ids :func:`~repro.core.gather.gather_adjacency` returns, both ends of the
+same width; the COO kernel hands it ``int32`` slices of the layout.
+
 A weighted operator's weights reach the in-RAM COO and sparse CSR kernels
 as ``w``, parallel to their edges, from the engine's per-store cache;
 anywhere else (a grid block, the CSC, the partitioned CSR) the
@@ -50,7 +54,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .._types import VAL_DTYPE, VID_DTYPE
+from .._types import VAL_DTYPE
 from ..frontier.distinct import count_distinct, count_distinct_between
 from .gather import gather_adjacency
 from .ops import process_batch, validated_cond
@@ -160,11 +164,11 @@ def run_csc_partition(
     lo, hi = int(cuts[0]), int(cuts[-1])
     if lo == hi:
         return PartitionRecord.empty(partition, lo, hi, cuts.size - 1)
-    candidates = np.arange(lo, hi, dtype=VID_DTYPE)
+    candidates = np.arange(lo, hi, dtype=np.intp)
     cond = cond_fn(op, candidates)
     if cond is not None:
         candidates = candidates[cond]
-    dst, src, _ = gather_adjacency(index, neighbors, candidates)
+    dst, src = gather_adjacency(index, neighbors, candidates)[:2]  # no need to hold ``pos``
     # The gather groups edges by ascending candidate, so ``dst`` ascends
     # and the vertex cuts find every partition's slice.
     examined_at = dst.searchsorted(cuts)
@@ -323,7 +327,7 @@ def run_pcsr_partition(
         rec.scanned = scanned
         return rec
     slot_keys, dst, _ = gather_adjacency(index, neighbors, live_slots)
-    src = vertex_ids[slot_keys]
+    src = vertex_ids[slot_keys].astype(np.intp)  # the gathered ``dst``'s width
     examined = int(dst.size)
     cond = cond_fn(op, dst)
     if cond is not None:

@@ -115,6 +115,11 @@ class EdgeOperator(abc.ABC):
         ``w[i]`` is edge ``i``'s weight, a float64 value to read, never ids
         (often a view of the engine's per-store weight cache).
 
+        ``src`` and ``dst`` are integer ids of one width, not of a fixed
+        one: ``int32`` slices of a layout (COO, grid blocks), or the
+        ``intp`` ids of gathered edges (sparse CSR, CSC, partitioned CSR).
+        Index with them as they come; never narrow or widen them.
+
         Both arrays may contain duplicate vertices.  Returns the vertex ids
         activated by these updates, duplicates and all (``dst[mask]``).
         Operators must not dedup: the engine's fold owns the phase's one
@@ -168,7 +173,9 @@ def process_batch(op: EdgeOperator, src, dst, w=None):
 # ----------------------------------------------------------------------
 # the dense add-reduction as one compiled loop
 # ----------------------------------------------------------------------
-_F64, _VID = np.dtype(VAL_DTYPE), np.dtype(VID_DTYPE)
+_F64 = np.dtype(VAL_DTYPE)
+#: the id dtypes the loop is compiled for, each with the unsigned view of its width
+_IDS = {np.dtype(VID_DTYPE): np.uint32, np.dtype(np.intp): np.uintp}
 #: the loop's factor: exactly 1.0 makes ``1.0 * x[src[k]]`` exact, so the sum is
 #: ``np.add.at``'s bit for bit whether or not ``y += a * x`` became an FMA.
 _ONES = np.ones(TASK_EDGES, dtype=VAL_DTYPE)
@@ -189,8 +196,9 @@ def scatter_add_gather(
     or layout it dislikes (a copied ``acc`` loses the write), so all of it
     is refused here, before ``acc`` is touched: ``TypeError`` unless
     ``acc``/``x``/``data`` are 1-D C-contiguous ``float64`` (``acc`` aligned
-    and writeable) and ``dst``/``src`` C-contiguous vertex ids, all three
-    of one length; ``ValueError`` if ``acc`` may overlap ``x`` or ``data``
+    and writeable) and ``dst``/``src`` C-contiguous ids, both ``int32`` or
+    both ``intp`` (the loop's two instantiations), all three of one length;
+    ``ValueError`` if ``acc`` may overlap ``x`` or ``data``
     (the fused loop would read what it just wrote: ``SigmaOp``'s shape stays
     on ``np.add.at``); ``IndexError`` for an id outside ``[0, size)``.  Only
     this *fused* form beats ``ufunc.at``, so min/or reductions stay there.
@@ -198,7 +206,7 @@ def scatter_add_gather(
     try:
         nnz = dst.size
         ok = (
-            acc.dtype == x.dtype == _F64 and dst.dtype == src.dtype == _VID
+            acc.dtype == x.dtype == _F64 and dst.dtype == src.dtype and dst.dtype in _IDS
             and acc.ndim == x.ndim == dst.ndim == src.ndim == 1 and src.size == nnz
             and acc.flags.carray and x.flags.c_contiguous
             and dst.flags.c_contiguous and src.flags.c_contiguous
@@ -210,11 +218,12 @@ def scatter_add_gather(
     if not ok:
         raise TypeError(
             "scatter_add_gather needs 1-D C-contiguous arrays: a writeable float64 acc, "
-            f"a float64 x, {_VID} dst and src and a float64 data of one length"
+            "a float64 x, dst and src both int32 or both intp, and a float64 data of one length"
         )
     if np.may_share_memory(acc, x) or (data is not None and np.may_share_memory(acc, data)):
         raise ValueError("scatter_add_gather: acc must not share memory with x or data")
-    d, s = dst.view(np.uint32), src.view(np.uint32)  # a negative id is a huge one
+    unsigned = _IDS[dst.dtype]
+    d, s = dst.view(unsigned), src.view(unsigned)  # a negative id is a huge one
     if nnz and (d[d.argmax()] >= acc.size or s[s.argmax()] >= x.size):
         raise IndexError("scatter_add_gather: vertex id out of range")
     if data is not None:

@@ -45,10 +45,11 @@ __all__ = [
 
 
 #: edges a run of adjacent partitions accumulates before it is closed.
-#: Under a partial frontier a kernel holds ~30 B of numpy temporaries per
+#: Under a partial frontier a COO task holds ~30 B of numpy temporaries per
 #: examined edge (the ``bitmap[src]`` mask, the compressed ``src``/``dst``,
-#: the operator's gathered values and comparison masks), so 2^15 edges
-#: keep a task's working set near 1 MiB — inside the 2 MiB L2 — while 130
+#: the operator's gathered values and comparison masks) and a CSC task
+#: ~45 B (its gathered ids are 8-byte ``intp``), so 2^15 edges keep a
+#: task's working set at 1–1.5 MiB — inside the 2 MiB L2 — while 130
 #: or so tasks per million edges make the per-task interpreter cost
 #: invisible.  A full-frontier phase has no mask and compresses nothing
 #: (only the operator's own temporaries remain), and was flat across

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._types import VID_DTYPE, as_vid_array
+from .._types import VID_DTYPE
 from .distinct import sorted_distinct
 
 __all__ = ["Frontier"]
@@ -44,10 +44,16 @@ class Frontier:
         self._sparse = None
         self._bitmap = None
         if sparse is not None:
-            ids = sorted_distinct(as_vid_array(sparse))
+            ids = np.asarray(sparse).reshape(-1)
+            if ids.size and ids.dtype.kind not in "iu":
+                raise ValueError(f"frontier vertex ids must be integers, got {ids.dtype}")
+            # dedup and range-check in the ids' own dtype, narrow after:
+            # narrowing first could turn a bad id into another vertex
+            ids = sorted_distinct(ids)
             if ids.size and (int(ids[0]) < 0 or int(ids[-1]) >= num_vertices):
                 raise ValueError("frontier vertex ids out of range")
-            self._sparse = _frozen(ids)  # sorted_distinct's own fresh array
+            # sorted_distinct's own fresh array, or the narrowed copy of it
+            self._sparse = _frozen(ids.astype(VID_DTYPE, copy=False))
             self._size = int(ids.size)
         else:
             bm = np.asarray(bitmap, dtype=bool)
@@ -121,7 +127,7 @@ class Frontier:
         # unique and sorted, so both sums visit the same elements in
         # ascending id order and the result is bit-identical.
         if self._sparse is not None:
-            deg = int(out_degrees[self._sparse].sum())
+            deg = int(out_degrees.take(self._sparse).sum())  # take: no intp copy of the ids
         else:
             deg = int(out_degrees[self._bitmap].sum())
         return self._size + deg

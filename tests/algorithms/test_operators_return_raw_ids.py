@@ -93,3 +93,19 @@ def test_raw_ids_build_the_frontier_np_unique_built(cls):
         one = process_batch(oracle_op, SRC[k : k + 1], DST[k : k + 1])
         oracle.update(one.tolist())
     assert got.tolist() == sorted(oracle)
+
+
+@pytest.mark.parametrize("ids", [VID_DTYPE, np.intp])
+def test_bellman_ford_winners_build_the_improving_edge_frontier(ids):
+    """Bellman-Ford hands back only the edges that won the min.  With tied
+    winning candidates (an explicit ``w`` of two values), the winners name
+    the same vertices as every edge into an improved destination — the
+    form that returned ``dst[dist[dst] < before]`` — in fewer ids."""
+    src, dst = SRC.astype(ids), DST.astype(ids)
+    w = 1.0 + (np.arange(SRC.size) % 2)
+    before = _bf_dist()
+    op = BellmanFordOp(before.copy(), WeightFn())
+    acts = op.process_edges(src, dst, w)
+    improving = dst[op.dist[dst] < before[dst]]
+    assert Frontier(N, sparse=acts) == Frontier(N, sparse=improving)
+    assert np.unique(acts).size < acts.size < improving.size, "ties and losers both occur"

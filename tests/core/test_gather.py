@@ -66,3 +66,17 @@ def test_all_vertices_recovers_edges(small_rmat):
     )
     assert keys.size == small_rmat.num_edges
     assert sorted(zip(keys.tolist(), values.tolist())) == sorted(small_rmat.to_pairs())
+
+
+def test_ids_come_back_as_intp(small_rmat):
+    """The gathered phases hand operators machine-word ids; ``pos`` keeps
+    the index's dtype, and the values equal the stored int32 ids."""
+    csr = build_csr(small_rmat)
+    vertices = np.arange(0, small_rmat.num_vertices, 2, dtype=np.int32)
+    keys, values, pos = gather_adjacency(csr.index, csr.neighbors, vertices)
+    assert keys.dtype == values.dtype == np.intp
+    assert pos.dtype == csr.index.dtype
+    assert np.array_equal(keys, np.repeat(vertices, np.diff(csr.index)[vertices]))
+    assert np.array_equal(values, csr.neighbors[pos])
+    wide = gather_adjacency(csr.index, csr.neighbors, vertices.astype(np.intp))
+    assert all(np.array_equal(a, b) for a, b in zip(wide, (keys, values, pos)))

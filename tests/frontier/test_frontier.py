@@ -109,6 +109,29 @@ def test_out_of_range_rejected_among_many_dense_ids(bad):
         Frontier(n, sparse=ids)
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.array([2**32 + 3]), "out of range"),  # narrowed first, it is vertex 3
+        (np.array([3, 2**31 + 5], dtype=np.intp), "out of range"),  # ... or -2**31 + 5
+        (np.array([3.7]), "must be integers"),  # truncated, it is vertex 3
+        ([True], "must be integers"),
+    ],
+)
+def test_ids_are_checked_before_they_are_narrowed(bad, match):
+    """Operators may hand back ``intp`` ids: the range check reads them in
+    their own dtype, so no id becomes another vertex on the way to int32."""
+    with pytest.raises(ValueError, match=match):
+        Frontier(10, sparse=bad)
+
+
+def test_wide_ids_are_stored_as_vertex_ids():
+    f = Frontier(10, sparse=np.array([7, 3, 7], dtype=np.intp))
+    assert f.as_sparse().dtype == np.int32
+    assert f.as_sparse().tolist() == [3, 7]
+    assert Frontier(10, sparse=[]).is_empty  # an empty list is float64, and accepted
+
+
 def test_wrong_bitmap_shape_rejected():
     with pytest.raises(ValueError):
         Frontier(4, bitmap=np.zeros(3, dtype=bool))

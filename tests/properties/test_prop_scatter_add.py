@@ -103,6 +103,21 @@ def test_the_weighted_loop_contracts_no_fma():
     assert left.size == 0, f"{left.size} of {n} slots kept a rounding error: FMA-contracted"
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["unit", "data"])
+def test_a_matched_intp_pair_sums_as_the_int32_pair(weighted):
+    """Gathered phases hand operators ``intp`` ids: the loop's ``int64``
+    instantiation must write the same sum into the same ``acc``, so a scipy
+    release that drops or copies it fails here, not as a digest mismatch."""
+    acc, dst, x, src, data = _case(11, 3 * TASK_EDGES + 7, 300, 0.05)
+    extra = (data,) if weighted else ()
+    want = acc.copy()
+    scatter_add_gather(want, dst, x, src, *extra)
+    wide = acc.copy()
+    scatter_add_gather(wide, dst.astype(np.intp), x, src.astype(np.intp), *extra)
+    assert _bits_equal(wide, want)
+    assert not _bits_equal(acc, want), "the case must change acc"
+
+
 def test_signed_zeros_subnormals_and_infinities_survive_exactly():
     x = np.array(SPECIALS, VAL_DTYPE)
     ids = np.arange(x.size, dtype=VID_DTYPE)
@@ -146,7 +161,14 @@ REFUSED = {
     "src past the end": (IndexError, _with(src=np.array([N, 1, 2, 3], VID_DTYPE))),
     "src negative": (IndexError, _with(src=np.array([0, 1, 2, -(2**31)], VID_DTYPE))),
     "src fits acc but not a shorter x": (IndexError, _with(x=np.ones(4, VAL_DTYPE))),
-    "int64 dst": (TypeError, _with(dst=IDS.astype(np.int64))),
+    "int64 dst": (TypeError, _with(dst=IDS.astype(np.int64))),  # a mixed pair
+    "intp src": (TypeError, _with(src=IDS.astype(np.intp))),
+    "intp dst negative": (
+        IndexError, _with(dst=np.array([0, -1, 2, 3], np.intp), src=IDS.astype(np.intp)),
+    ),
+    "intp src past int32": (
+        IndexError, _with(dst=IDS.astype(np.intp), src=np.array([0, 1, 2**32 + 1, 3], np.intp)),
+    ),
     "uint32 src": (TypeError, _with(src=IDS.astype(np.uint32))),
     "float32 acc": (TypeError, _with(acc=np.zeros(N, np.float32))),
     "float32 x": (TypeError, _with(x=np.ones(N, np.float32))),
