@@ -723,8 +723,8 @@ def _cmd_memsim(args: argparse.Namespace) -> int:
 
     sets = _parse_int_list(args.sets, "sets")
     assocs = _parse_int_list(args.assoc, "assoc")
-    if args.max_accesses < 0:
-        raise ValidationError("--max-accesses must be >= 0")
+    if args.max_accesses < 0 or args.line_bytes < 1:
+        raise ValidationError("--max-accesses must be >= 0 and --line-bytes >= 1")
     edges = datasets.load(args.dataset, args.scale)
     vp = partition_by_destination(
         edges, min(args.partitions, max(edges.num_vertices, 1))

@@ -43,6 +43,7 @@ deletes them: the ``process`` kind parses to the ``threads`` options,
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable
 
@@ -104,16 +105,21 @@ class ThreadBackend:
         order.  Returns, or raises, only once every block has finished."""
         if self._pool is None:
             self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="repro-backend")
+            # The pool adds a thread only when none is idle: each new one waits at
+            # a barrier until all ``workers`` run, before the first block.
+            started = threading.Barrier(self.workers)
+            try:
+                wait([self._pool.submit(started.wait) for _ in range(self.workers)])
+            except RuntimeError as exc:  # no thread could be started
+                started.abort()
+                self.close()
+                raise BackendError(f"cannot start a worker thread: {exc}") from exc
             self.stats.workers_spawned += self.workers
         size = -(-len(tasks) // self.workers)
         futures = []
         try:
             for i in range(0, len(tasks), size):
                 futures.append(self._pool.submit(run, tasks[i : i + size]))
-        except RuntimeError as exc:  # no thread could be started
-            if not futures:
-                raise BackendError(f"cannot start a worker thread: {exc}") from exc
-            raise
         finally:
             wait(futures)
         records = [rec for future in futures for rec in future.result()]

@@ -220,6 +220,7 @@ class Engine:
             self.store.edges,
             num_partitions=num_partitions,
             edge_order=self.store.coo.edge_order,
+            balance=self.store.balance,
         )
         self._per_store.clear()
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from ..errors import ValidationError
 from ..frontier.density import DensityThresholds
 
 __all__ = ["EngineOptions", "FORCEABLE_LAYOUTS", "PARTITION_ORDERS"]
@@ -88,18 +89,16 @@ class EngineOptions:
 
     def __post_init__(self) -> None:
         if self.num_threads < 1:
-            raise ValueError("num_threads must be >= 1")
+            raise ValidationError("num_threads must be >= 1")
         if self.forced_layout is not None and self.forced_layout not in FORCEABLE_LAYOUTS:
-            raise ValueError(
+            raise ValidationError(
                 f"forced_layout must be one of {FORCEABLE_LAYOUTS} or None, "
                 f"got {self.forced_layout!r}"
             )
         if self.sparse_layout not in ("csr", "pcsr"):
-            raise ValueError(
-                f"sparse_layout must be 'csr' or 'pcsr', got {self.sparse_layout!r}"
-            )
+            raise ValidationError(f"sparse_layout must be csr or pcsr, got {self.sparse_layout!r}")
         if self.partition_order not in PARTITION_ORDERS:
-            raise ValueError(
+            raise ValidationError(
                 f"partition_order must be one of {PARTITION_ORDERS}, "
                 f"got {self.partition_order!r}"
             )

@@ -82,8 +82,8 @@ class PartitionTask:
     #: ``partition + k`` owns the disjoint destination range
     #: ``[cuts[k], cuts[k + 1])``.
     cuts: np.ndarray
-    #: kernel-specific picklable payload (the COO kernel carries the
-    #: run's ``n + 1`` edge cuts into the layout's edge arrays here).
+    #: kernel-specific payload (the COO kernel carries the run's
+    #: ``n + 1`` edge cuts into the layout's edge arrays here).
     extra: np.ndarray | None = None
     #: grid execution only: the source stripe whose block this task
     #: streams into destination stripe ``partition``.

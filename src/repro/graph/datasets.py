@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ..errors import ValidationError
 from .edgelist import EdgeList
 from . import generators as gen
 
@@ -135,4 +136,6 @@ def load(name: str, scale: float = 1.0) -> EdgeList:
         spec = DATASETS[name]
     except KeyError:
         raise KeyError(f"unknown dataset {name!r}; available: {names()}") from None
+    if not scale > 0:
+        raise ValidationError(f"dataset scale must be positive, got {scale!r}")
     return spec.builder(scale)

@@ -41,6 +41,9 @@ class GraphStore:
     csr: CompressedGraph
     csc: RangedCSC
     coo: PartitionedCOO
+    #: the criterion the CSC compute ranges were balanced by (``build``'s
+    #: ``balance``); a rebuild at another partition count keeps it.
+    balance: str = "edges"
 
     # ------------------------------------------------------------------
     @property
@@ -121,7 +124,7 @@ class GraphStore:
                 edges, partition.num_partitions, balance="edges"
             )
         coo = PartitionedCOO.build(edges, coo_partition, edge_order=edge_order)
-        return GraphStore(edges=edges, csr=csr, csc=csc, coo=coo)
+        return GraphStore(edges=edges, csr=csr, csc=csc, coo=coo, balance=balance)
 
     def build_partitioned_csr(self) -> PartitionedCSR:
         """Materialise the partitioned-CSR layout for the same partitioning.

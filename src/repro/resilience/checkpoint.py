@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import CheckpointCorruptError, CheckpointError
+from ..errors import CheckpointCorruptError, CheckpointError, ValidationError
 from .faults import FaultPlan
 from .store import CheckpointStore, LocalDirStore
 
@@ -78,7 +78,7 @@ class CheckpointManager:
         #: backing directory when the store has one (``None`` otherwise).
         self.directory = Path(directory) if directory is not None else store.directory
         if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None for unbounded)")
+            raise ValidationError("keep_last must be >= 1 (or None for unbounded)")
         self.keep_last = keep_last
         #: optional fault plan whose storage events damage fresh saves.
         self.fault_plan = fault_plan
@@ -134,7 +134,7 @@ class CheckpointManager:
         if keep is None:
             return []
         if keep < 1:
-            raise ValueError("keep_last must be >= 1")
+            raise ValidationError("keep_last must be >= 1")
         doomed = self.steps(name)[:-keep]
         for step in doomed:
             self.store.delete(name, step)
@@ -184,7 +184,7 @@ class CheckpointSession:
         resume: bool = False,
     ) -> None:
         if every < 1:
-            raise ValueError("every must be >= 1")
+            raise ValidationError("every must be >= 1")
         self.manager = manager
         self.name = name
         self.every = every

@@ -422,7 +422,7 @@ class ReplicatedStore(CheckpointStore):
                 acked += 1
             except CheckpointError as exc:  # pragma: no cover - disk faults
                 last_error = exc
-                log.warning("replica %s failed to ack save: %s", replica.kind, exc)
+                log.warning("replica %s failed to ack save: %s", replica.kind, str(exc))
         if acked < self.write_quorum:
             raise CheckpointError(
                 f"checkpoint {name} step {step} reached only {acked} of "
@@ -453,7 +453,7 @@ class ReplicatedStore(CheckpointStore):
                     "re-synced replica for %s step %d from a healthy copy", name, step
                 )
             except CheckpointError as exc:  # pragma: no cover - disk faults
-                log.warning("re-sync of %s step %d failed: %s", name, step, exc)
+                log.warning("re-sync of %s step %d failed: %s", name, step, str(exc))
         return arrays
 
     def steps(self, name: str) -> list[int]:

@@ -130,18 +130,18 @@ class ResiliencePolicy:
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+            raise ValidationError("max_retries must be >= 0")
         if self.min_partitions < 1:
-            raise ValueError("min_partitions must be >= 1")
+            raise ValidationError("min_partitions must be >= 1")
         if self.grid_stripe_mode not in ("vertex", "degree"):
-            raise ValueError(
+            raise ValidationError(
                 f"grid_stripe_mode must be 'vertex' or 'degree', "
                 f"got {self.grid_stripe_mode!r}"
             )
         if self.memory_budget is not None:
             self.memory_budget = parse_memory_budget(self.memory_budget)
         if self.grid_stripes is not None and self.grid_stripes < 1:
-            raise ValueError("grid_stripes must be >= 1")
+            raise ValidationError("grid_stripes must be >= 1")
         # The one shared backoff implementation (also used by the remote
         # object client); its constructor validates the parameters.
         self._backoff = BackoffSchedule(
@@ -261,7 +261,7 @@ class Supervisor:
                 engine.resilience_log.append(
                     f"edge-map {self.phase} attempt {attempt} faulted: {exc}{detail}"
                 )
-                log.warning("edge-map %d faulted: %s", self.phase, exc)
+                log.warning("edge-map %d faulted: %s", self.phase, str(exc))
                 if isinstance(exc, CapacityError):
                     self._handle_capacity(exc)
                 if attempt >= policy.max_retries:

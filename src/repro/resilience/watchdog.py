@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..errors import ValidationError
 from ..machine.cost import CostParameters
 
 __all__ = ["Watchdog", "ESCALATION_LADDER"]
@@ -63,9 +64,9 @@ class Watchdog:
 
     def __post_init__(self) -> None:
         if self.grace <= 0:
-            raise ValueError("grace must be > 0")
+            raise ValidationError("grace must be > 0")
         if not (1 <= self.requeue_after < self.degrade_after):
-            raise ValueError("need 1 <= requeue_after < degrade_after")
+            raise ValidationError("need 1 <= requeue_after < degrade_after")
         #: per-task overrun counts driving the escalation ladder, keyed
         #: by partition id (compute) or ``("io", block)`` (grid reads).
         self.overruns: dict[object, int] = {}

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import Engine, EngineOptions
 from repro.graph import generators as gen
 from repro.graph.edgelist import EdgeList
 from repro.layout import GraphStore
+
+#: ``pytest tests/test_lattice.py --hypothesis-profile=lattice``: the
+#: heavier, randomly seeded sampling of the configuration lattice (tier-1
+#: draws a small derandomized set).
+settings.register_profile("lattice", max_examples=400, deadline=None, print_blob=True)
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""Kernel equivalence: every traversal layout must produce the same result
-as the edge-at-a-time reference executor, for every operator family."""
+"""Kernel equivalence — every traversal layout agrees with the oracle
+(:mod:`tests.lattice`) — and what the kernels cost: ``np.unique`` and
+operator calls per phase, and the per-store weight cache."""
 
 import dataclasses
 import sys
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,113 +24,80 @@ from repro.graph import generators as gen
 from repro.graph.weights import WeightFn
 from repro.layout.coo import EDGE_ORDERS
 from repro.layout.store import GraphStore
+from tests import lattice
+from tests.lattice import Config, check
 from tests.references import reference_edge_map
 
 LAYOUTS = ["pcsr", "csc", "coo"]
 
 
-def _engine(graph, layout, partitions=5):
-    store = GraphStore.build(graph, num_partitions=partitions)
-    return Engine(
-        store, EngineOptions(num_threads=4, forced_layout=layout)
-    )
-
-
+# ----------------------------------------------------------------------
+# every forced layout, partition count and Algorithm 2 itself agree with
+# the oracle: points of the lattice (tests/lattice.py)
+# ----------------------------------------------------------------------
 @pytest.fixture(params=["paper", "rmat", "road"])
-def graph(request, paper_graph, small_rmat, road):
-    return {"paper": paper_graph, "rmat": small_rmat, "road": road}[request.param]
+def graph(request):
+    return {"paper": "paper", "rmat": "small_rmat", "road": "road12"}[request.param]
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_cc_op_fixpoint_equivalence(graph, layout):
-    """CC's min-propagation is asynchronous within a round, so only the
-    fixpoint (not per-round state) is order-independent — chaotic
-    iteration of a monotone operator has a unique least fixpoint."""
-    labels_ref = np.arange(graph.num_vertices, dtype=VID_DTYPE)
-    labels_got = labels_ref.copy()
-    frontier = Frontier.full(graph.num_vertices)
-    while not frontier.is_empty:
-        frontier = reference_edge_map(graph, frontier, CCOp(labels_ref))
-    engine = _engine(graph, layout)
-    frontier = Frontier.full(graph.num_vertices)
-    while not frontier.is_empty:
-        frontier = engine.edge_map(frontier, CCOp(labels_got))
-    assert np.array_equal(labels_ref, labels_got)
+    check(Config("CC", graph, 5, forced_layout=layout))
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_pagerank_op_equivalence(graph, layout):
-    n = graph.num_vertices
-    deg = np.maximum(graph.out_degrees().astype(float), 1.0)
-    contrib = np.linspace(1, 2, n) / deg
-    accum_ref = np.zeros(n)
-    accum_got = np.zeros(n)
-    frontier = Frontier.full(n)
-    reference_edge_map(graph, frontier, PageRankOp(contrib, accum_ref))
-    op = PageRankOp(contrib, accum_got)
-    with _engine(graph, layout) as engine:
-        engine.edge_map(frontier, op)
-        assert np.allclose(accum_ref, op.accum)
+    check(Config("PR", graph, 5, forced_layout=layout))
+
+
+def _first_round(name, layout, op, unreached, reached):
+    """One edge-map from the highest-out-degree vertex, through the engine
+    at P = 5 and the edge-at-a-time reference: the same next frontier.
+    Returns both operators' state arrays."""
+    edges = lattice.graph(name)
+    n, src = edges.num_vertices, int(np.argmax(edges.out_degrees()))
+    state = [np.full(n, unreached), np.full(n, unreached)]
+    for a in state:
+        a[src] = src if reached is None else reached
+    frontier = Frontier.of(n, src)
+    want = reference_edge_map(edges, frontier, op(state[0]))
+    store = GraphStore.build(edges, num_partitions=5)
+    with Engine(store, EngineOptions(num_threads=4, forced_layout=layout)) as engine:
+        assert engine.edge_map(frontier, op(state[1])) == want
+    return state
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_bfs_op_equivalence_fixpoint(graph, layout):
-    """BFS parents may differ by tie-breaks, but levels/reachability and
-    the next frontier must agree."""
-    n = graph.num_vertices
-    src = int(np.argmax(graph.out_degrees()))
-    parent_ref = np.full(n, NO_VERTEX, dtype=VID_DTYPE)
-    parent_got = parent_ref.copy()
-    parent_ref[src] = src
-    parent_got[src] = src
-    frontier = Frontier.of(n, src)
-    ref_next = reference_edge_map(graph, frontier, BFSOp(parent_ref))
-    got_next = _engine(graph, layout).edge_map(frontier, BFSOp(parent_got))
-    assert ref_next == got_next
-    assert np.array_equal(parent_ref != NO_VERTEX, parent_got != NO_VERTEX)
+    """BFS parents may differ by tie-breaks within a round, but the next
+    frontier and reachability agree; whole runs agree with the oracle."""
+    check(Config("BFS", graph, 5, forced_layout=layout))
+    want, got = _first_round(graph, layout, BFSOp, NO_VERTEX, None)
+    assert np.array_equal(want != NO_VERTEX, got != NO_VERTEX)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_bellman_ford_op_equivalence(graph, layout):
-    n = graph.num_vertices
-    src = int(np.argmax(graph.out_degrees()))
-    wf = WeightFn()
-    dist_ref = np.full(n, np.inf)
-    dist_got = dist_ref.copy()
-    dist_ref[src] = dist_got[src] = 0.0
-    frontier = Frontier.of(n, src)
-    ref_next = reference_edge_map(graph, frontier, BellmanFordOp(dist_ref, wf))
-    got_next = _engine(graph, layout).edge_map(frontier, BellmanFordOp(dist_got, wf))
-    assert ref_next == got_next
-    assert np.allclose(dist_ref, dist_got)
+    check(Config("BF", graph, 5, forced_layout=layout))
+    want, got = _first_round(graph, layout, partial(BellmanFordOp, weight_fn=WeightFn()),
+                             np.inf, 0.0)
+    assert np.allclose(want, got)
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-def test_sparse_frontier_fixpoint_equivalence(small_rmat, layout):
-    labels_ref = np.arange(small_rmat.num_vertices, dtype=VID_DTYPE)
-    labels_got = labels_ref.copy()
-    frontier = Frontier.of(small_rmat.num_vertices, 0, 7, 13)
-    while not frontier.is_empty:
-        frontier = reference_edge_map(small_rmat, frontier, CCOp(labels_ref))
-    engine = _engine(small_rmat, layout)
-    frontier = Frontier.of(small_rmat.num_vertices, 0, 7, 13)
-    while not frontier.is_empty:
-        frontier = engine.edge_map(frontier, CCOp(labels_got))
-    assert np.array_equal(labels_ref, labels_got)
+def test_sparse_frontier_fixpoint_equivalence(layout):
+    check(Config("BF", "small_rmat", 5, forced_layout=layout, sparse_layout="pcsr"))
 
 
 @pytest.mark.parametrize("partitions", [1, 2, 7, 32])
-def test_partition_count_does_not_change_fixpoint(small_rmat, partitions):
-    results = []
+def test_partition_count_does_not_change_fixpoint(partitions):
     for layout in LAYOUTS:
-        labels = np.arange(small_rmat.num_vertices, dtype=VID_DTYPE)
-        engine = _engine(small_rmat, layout, partitions)
-        frontier = Frontier.full(small_rmat.num_vertices)
-        while not frontier.is_empty:
-            frontier = engine.edge_map(frontier, CCOp(labels))
-        results.append(labels)
-    for other in results[1:]:
-        assert np.array_equal(results[0], other)
+        check(Config("CC", "small_rmat", partitions, forced_layout=layout))
+
+
+def test_auto_mode_matches_forced_fixpoint():
+    for forced in (None, "coo", "csc"):
+        check(Config("CC", "small_rmat", 5, forced_layout=forced))
 
 
 def test_empty_frontier_returns_empty(engine):

@@ -1,17 +1,16 @@
 """The threads backend: bit-identity, admission, lifecycle.
 
-The contract under test is the tentpole one: for every certified
-algorithm, running the partitioned kernels in blocks on a thread pool,
-writing the live arrays in place, produces *bit-identical* results to
-the serial reference path, across worker counts and partition orders;
-operators that are not edge-local stay in-process, uncertified ones are
-refused (strict) or serialised; and a closed engine leaves no thread.
-(The name is the backend's old one, ``process``.)
+For every certified algorithm, running the partitioned kernels in blocks
+on a thread pool, writing the live arrays in place, produces
+*bit-identical* results to the serial reference path (points of the
+lattice, :mod:`tests.lattice`); operators that are not edge-local stay
+in-process, uncertified ones are refused (strict) or serialised; and a
+closed engine leaves no thread.  (The name is the backend's old one,
+``process``.)
 """
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,29 +25,15 @@ from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
 from tests.analysis.test_effects import UncertifiableOp
+from tests.lattice import Config, check, oracle
 
-EDGES = default_graph()
 #: the algorithms whose every operator is edge-local, so runs on the pool.
 THREADED = {"BP", "PR", "PRDelta", "SPMV"}
 
 
 @pytest.fixture(scope="module")
 def store():
-    return GraphStore.build(EDGES, num_partitions=8)
-
-
-def _results(engine, code):
-    spec = registry.get(code)
-    return registry.result_arrays(spec.run(engine))
-
-
-def _assert_identical(serial, concurrent, code):
-    assert serial.keys() == concurrent.keys()
-    for key in serial:
-        np.testing.assert_array_equal(
-            serial[key], concurrent[key],
-            err_msg=f"{code}: field {key!r} differs between serial and threads",
-        )
+    return GraphStore.build(default_graph(), num_partitions=8)
 
 
 def _new_threads(before: set) -> set:
@@ -58,68 +43,27 @@ def _new_threads(before: set) -> set:
 
 
 # ----------------------------------------------------------------------
-# bit-identity across the whole registry
+# bit-identity across the whole registry: points of the lattice, and who
+# the pool ran
 # ----------------------------------------------------------------------
-def _stats_rows(result) -> list[tuple]:
-    maps = (
-        result.forward_stats.edge_maps + result.backward_stats.edge_maps
-        if hasattr(result, "forward_stats")  # BC
-        else result.stats.edge_maps
-    )
-    return [
-        tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in dataclasses.astuple(m))
-        for m in maps
-    ]
+def _pooled(backend="threads:workers=2", **axes):
+    return Config(axes.pop("code", "PR"), "sanitizer", 8, backend=backend, **axes)
 
 
 @pytest.mark.parametrize("code", sorted(registry.names()))
-def test_every_algorithm_is_bit_identical_under_the_process_backend(store, code):
-    spec = registry.get(code)
-    serial = spec.run(Engine(store, EngineOptions(num_threads=4)))
-    engine = Engine(
-        store, EngineOptions(num_threads=4, backend="threads:workers=2")
-    )
-    try:
-        concurrent = spec.run(engine)
-        _assert_identical(
-            registry.result_arrays(serial), registry.result_arrays(concurrent), code
-        )
-        # in place, and only edge-local operators: the trajectory matches too
-        assert _stats_rows(concurrent) == _stats_rows(serial)
-        stats = engine.backend_stats
-        assert stats.fallbacks == 0
-        assert (stats.partitions_dispatched > 0) == (code in THREADED)
-        assert stats.workers_spawned == (2 if code in THREADED else 0)
-    finally:
-        engine.close()
+def test_every_algorithm_is_bit_identical_under_the_process_backend(code):
+    stats = check(_pooled(code=code), twin=_pooled(code=code, backend="serial")).backend
+    assert (stats.partitions_dispatched > 0) == (code in THREADED)
+    assert stats.workers_spawned == (2 if code in THREADED else 0)
 
 
 @pytest.mark.parametrize("order", ["reverse", "shuffle"])
-def test_partition_order_does_not_change_the_result(store, order):
-    serial = _results(Engine(store, EngineOptions(num_threads=4)), "PR")
-    engine = Engine(
-        store,
-        EngineOptions(
-            num_threads=4, backend="threads:workers=2", partition_order=order
-        ),
-    )
-    try:
-        _assert_identical(serial, _results(engine, "PR"), f"PR/{order}")
-        assert engine.backend_stats.fallbacks == 0
-    finally:
-        engine.close()
+def test_partition_order_does_not_change_the_result(order):
+    check(_pooled(partition_order=order))
 
 
-def test_single_worker_pool_matches_serial(store):
-    serial = _results(Engine(store, EngineOptions(num_threads=4)), "PR")
-    engine = Engine(
-        store, EngineOptions(num_threads=4, backend="threads:workers=1")
-    )
-    try:
-        _assert_identical(serial, _results(engine, "PR"), "PR/workers=1")
-        assert engine.backend_stats.partitions_dispatched > 0
-    finally:
-        engine.close()
+def test_single_worker_pool_matches_serial():
+    assert check(_pooled("threads:workers=1")).backend.partitions_dispatched > 0
 
 
 def test_sparse_phase_runs_in_process_and_dispatches_nothing(store):
@@ -170,18 +114,17 @@ def test_stats_snapshot_is_attached_to_run_stats(store):
 # a pool that cannot start a thread: the batch runs in-process
 # ----------------------------------------------------------------------
 def test_a_pool_that_cannot_start_falls_back_to_serial(store, monkeypatch):
-    serial = _results(Engine(store, EngineOptions(num_threads=4)), "PR")
-
     def submit(self, fn, *args):
         raise RuntimeError("can't start new thread")
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
     with Engine(store, EngineOptions(num_threads=4, backend="threads:workers=2")) as engine:
-        _assert_identical(serial, _results(engine, "PR"), "PR/no-thread")
+        ranks = pagerank(engine, iterations=10).ranks
         assert engine.backend_stats.fallbacks == 1
         assert engine.backend_stats.kind == "serial"
         assert engine.backend_stats.batches_dispatched == 0
         assert any("falling back to serial" in line for line in engine.resilience_log)
+    assert ranks.tobytes() == oracle("sanitizer", "PR")["ranks"].tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -219,17 +162,8 @@ def test_nonstrict_backend_runs_uncertified_operators_serially(store):
         engine.close()
 
 
-def test_nonstrict_backend_still_parallelises_certified_operators(store):
-    serial = _results(Engine(store, EngineOptions(num_threads=4)), "PR")
-    engine = Engine(
-        store,
-        EngineOptions(num_threads=4, backend="threads:workers=2:strict=0"),
-    )
-    try:
-        _assert_identical(serial, _results(engine, "PR"), "PR/strict=0")
-        assert engine.backend_stats.partitions_dispatched > 0
-    finally:
-        engine.close()
+def test_nonstrict_backend_still_parallelises_certified_operators():
+    assert check(_pooled("threads:workers=2:strict=0")).backend.partitions_dispatched > 0
 
 
 # ----------------------------------------------------------------------

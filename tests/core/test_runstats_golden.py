@@ -4,7 +4,8 @@
 :class:`~repro.core.stats.EdgeMapStats` the 8 registered algorithms
 record on one small seeded graph, under each traversal configuration the
 engine has.  Integer counts only, so the file does not depend on the
-numpy version; result bit-identity is the oracle suites' job.
+numpy version; result bit-identity is the lattice harness's job
+(:mod:`tests.lattice`).
 
 Re-record (only when a change to the counters is intended) with
 ``PYTHONPATH=src python tests/core/test_runstats_golden.py``.

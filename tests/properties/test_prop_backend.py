@@ -1,13 +1,13 @@
 """Property: the threads backend is bit-identical to serial, always.
 
-Samples (algorithm, worker count, partition order) and asserts every
-result array matches the serial reference exactly — the paper's
-partitioned execution model says any schedule of the disjoint partition
-slices commits the same state.  Blocks of tasks write the live arrays in
-place, and only operators certified edge-local are run on the pool (no
-task reads what another writes), so for PR, PRDelta, SPMV and BP every
-``EdgeMapStats`` field and guard count matches too, over partition count,
-partition order and task grain.
+Every algorithm's result arrays match the oracle on the pool (points of
+the lattice, :mod:`tests.lattice`, whose sampled properties cover the
+rest of the space) — the paper's partitioned execution model says any
+schedule of the disjoint partition slices commits the same state.
+Blocks of tasks write the live arrays in place, and only operators
+certified edge-local are run on the pool (no task reads what another
+writes), so for PR, PRDelta, SPMV and BP every ``EdgeMapStats`` field
+and guard count matches serial too.
 
 An exception inside a block surfaces as serial execution raises it —
 the earliest failing block's — and only once no block is still running,
@@ -22,8 +22,6 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
@@ -33,116 +31,28 @@ from repro.errors import WorkerFailure
 from repro.graph import generators as gen
 from repro.layout.store import GraphStore
 from repro.resilience import ResiliencePolicy
+from tests.lattice import Config, check
 
-_STORE = GraphStore.build(default_graph(), num_partitions=8)
-_SERIAL: dict[str, dict[str, np.ndarray]] = {}
-_ENGINES: dict[tuple[int, str], Engine] = {}
 #: the algorithms whose every operator is edge-local, so runs on the pool.
 THREADED = ["BP", "PR", "PRDelta", "SPMV"]
-#: a few partitions per run on the graphs below.
-TINY = 200
 
 
-def _serial_results(code: str) -> dict[str, np.ndarray]:
-    if code not in _SERIAL:
-        spec = registry.get(code)
-        engine = Engine(_STORE, EngineOptions(num_threads=4))
-        _SERIAL[code] = registry.result_arrays(spec.run(engine))
-    return _SERIAL[code]
+def test_process_backend_is_bit_identical_to_serial():
+    """One point; the lattice's properties draw the backend on every axis."""
+    check(Config("BC", "sanitizer", backend="threads:workers=4", partition_order="shuffle"))
 
 
-def _pool_engine(workers: int, order: str) -> Engine:
-    key = (workers, order)
-    if key not in _ENGINES:
-        _ENGINES[key] = Engine(
-            _STORE,
-            EngineOptions(
-                num_threads=4,
-                backend=f"threads:workers={workers}",
-                partition_order=order,
-            ),
-        )
-    return _ENGINES[key]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_pools():
-    yield
-    for engine in _ENGINES.values():
-        engine.close()
-    _ENGINES.clear()
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    code=st.sampled_from(sorted(registry.names())),
-    workers=st.sampled_from([1, 2, 4]),
-    order=st.sampled_from(["forward", "reverse", "shuffle"]),
-)
-def test_process_backend_is_bit_identical_to_serial(code, workers, order):
-    engine = _pool_engine(workers, order)
-    fallbacks_before = engine.backend_stats.fallbacks
-    spec = registry.get(code)
-    concurrent = registry.result_arrays(spec.run(engine))
-    serial = _serial_results(code)
-    assert serial.keys() == concurrent.keys()
-    for key in serial:
-        np.testing.assert_array_equal(
-            serial[key], concurrent[key],
-            err_msg=f"{code} (workers={workers}, order={order}): "
-                    f"field {key!r} diverged from serial",
-        )
-    assert engine.backend_stats.fallbacks == fallbacks_before
-
-
-# ----------------------------------------------------------------------
-# results, every statistic and the guard counts
-# ----------------------------------------------------------------------
-def _stats_rows(result) -> list[tuple]:
-    """Every field of every ``EdgeMapStats`` the run recorded."""
-    return [
-        tuple(
-            value.tolist() if isinstance(value, np.ndarray) else value
-            for value in dataclasses.astuple(m)
-        )
-        for m in result.stats.edge_maps
-    ]
-
-
-def _observe(store, code: str, options: EngineOptions, target: int):
-    """Everything a caller can see of one run at edge target ``target``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(plan, "TASK_EDGES", target)
-        with Engine(store, options) as engine:
-            result = registry.get(code).run(engine)
-            guards = (engine.guards_skipped, engine.guard_invocations)
-            assert engine.backend_stats.fallbacks == 0
-    arrays = {name: a.tobytes() for name, a in registry.result_arrays(result).items()}
-    return arrays, _stats_rows(result), guards
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    code=st.sampled_from(THREADED),
-    seed=st.integers(0, 3),
-    p=st.integers(1, 24),
-    order=st.sampled_from(["forward", "reverse", "shuffle"]),
-    target=st.sampled_from([0, TINY, plan.TASK_EDGES]),
-    workers=st.sampled_from([1, 2, 3]),
-)
-def test_threads_match_serial_in_results_and_every_statistic(
-    code, seed, p, order, target, workers
-):
-    store = GraphStore.build(gen.rmat(7, 8.0, seed=seed), num_partitions=p)
-    options = EngineOptions(num_threads=2, backend="serial", partition_order=order)
-    want = _observe(store, code, options, target)
-    threaded = dataclasses.replace(options, backend=f"threads:workers={workers}")
-    assert _observe(store, code, threaded, target) == want
+def test_threads_match_serial_in_results_and_every_statistic():
+    """An edge-local algorithm's results, every ``EdgeMapStats`` field and
+    the guard counts (one point; the lattice's twins draw the rest)."""
+    serial = Config("PRDelta", "rmat:2", 7, partition_order="reverse", grain=200)
+    check(serial, twin=dataclasses.replace(serial, backend="threads:workers=2"))
 
 
 def test_the_edge_local_algorithms_do_use_the_pool():
     for code in THREADED:
-        with Engine(_STORE, EngineOptions(num_threads=4, backend="threads:workers=2")) as engine:
+        store = GraphStore.build(default_graph(), num_partitions=8)
+        with Engine(store, EngineOptions(num_threads=4, backend="threads:workers=2")) as engine:
             registry.get(code).run(engine)
             assert engine.backend_stats.batches_dispatched > 0, code
 

@@ -20,8 +20,6 @@ import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro._types import VID_DTYPE
 from repro.algorithms import registry
@@ -39,71 +37,19 @@ from repro.layout.store import GraphStore
 from repro.partition.vertex_partition import VertexPartition
 from repro.resilience import ResiliencePolicy
 from tests.analysis.corpus import bad_effects
+from tests.lattice import Config, check
 
 SHIPPED = plan.TASK_EDGES
 #: a few partitions per run on the graphs below.
 TINY = 200
 
-GRAPHS = {
-    "rmat": lambda seed: gen.rmat(7, 8.0, seed=seed),
-    "road": lambda seed: gen.road_grid(9, seed=seed),
-}
 
-
-def _stats_rows(result) -> list[tuple]:
-    """Every field of every ``EdgeMapStats`` the run recorded."""
-    if hasattr(result, "forward_stats"):  # BC: the backward pass has its own engine
-        maps = result.forward_stats.edge_maps + result.backward_stats.edge_maps
-    else:
-        maps = result.stats.edge_maps
-    return [
-        tuple(
-            value.tolist() if isinstance(value, np.ndarray) else value
-            for value in dataclasses.astuple(m)
-        )
-        for m in maps
-    ]
-
-
-def _observe(store, code: str, options: EngineOptions, target: int):
-    """Everything a caller can see of one run at edge target ``target``."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(plan, "TASK_EDGES", target)
-        with Engine(store, options) as engine:
-            result = registry.get(code).run(engine)
-            guards = (engine.guards_skipped, engine.guard_invocations)
-    arrays = {name: a.tobytes() for name, a in registry.result_arrays(result).items()}
-    return arrays, _stats_rows(result), guards
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    code=st.sampled_from(registry.names()),
-    graph=st.sampled_from(sorted(GRAPHS)),
-    seed=st.integers(0, 3),
-    p=st.integers(1, 24),
-    order=st.sampled_from(["forward", "reverse", "shuffle"]),
-    layout=st.sampled_from([None, "csc", "coo"]),
-)
-def test_the_edge_target_is_unobservable(code, graph, seed, p, order, layout):
+def test_the_edge_target_is_unobservable():
     """Runs of one against longer runs: hoisting, and for PR, PRDelta,
-    SPMV and BP the merged batch too, show in nothing a caller sees."""
-    store = GraphStore.build(GRAPHS[graph](seed), num_partitions=p)
-    options = EngineOptions(
-        num_threads=2, backend="serial", forced_layout=layout, partition_order=order
-    )
-    ones = _observe(store, code, options, 0)
-    for target in (SHIPPED, TINY):
-        arrays, rows, guards = _observe(store, code, options, target)
-        assert arrays == ones[0]
-        assert rows == ones[1]
-        assert guards == ones[2]
-    ambient = EngineOptions().backend
-    if ambient != "serial":
-        # CI's backend matrix: on the thread pool nothing may move either.
-        pooled = dataclasses.replace(options, backend=ambient)
-        for target in (SHIPPED, TINY):
-            assert _observe(store, code, pooled, target) == ones
+    SPMV and BP the merged batch too, show in nothing a caller sees (one
+    point; the lattice's twins draw the grain against every other axis)."""
+    ones = Config("SPMV", "road:1", 12, forced_layout="csc", partition_order="shuffle", grain=0)
+    check(ones, twin=dataclasses.replace(ones, grain=TINY, backend="threads:workers=2"))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,13 @@
 """CheckpointManager/CheckpointSession: atomicity, integrity, resume."""
 
-import os
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
-from repro.errors import CheckpointCorruptError, CheckpointError, RetryExhausted
+from repro.errors import CheckpointCorruptError, CheckpointError
 from repro.layout import GraphStore
 from repro.resilience import (
     CheckpointManager,
@@ -17,6 +15,7 @@ from repro.resilience import (
     FaultPlan,
     ResiliencePolicy,
 )
+from tests.lattice import Config, check
 
 
 def test_save_load_roundtrip(tmp_path):
@@ -124,82 +123,33 @@ def test_session_rejects_bad_cadence(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# killed-and-resumed runs are bit-identical to uninterrupted runs
+# killed-and-resumed runs are bit-identical to uninterrupted runs: points
+# of the lattice (tests/lattice.py), which also checks that the resumed
+# run re-executed only the tail
 # ----------------------------------------------------------------------
 def _engine(edges, partitions=8, resilience=None):
     store = GraphStore.build(edges, num_partitions=partitions)
     return Engine(store, EngineOptions(num_threads=4), resilience=resilience)
 
 
-def test_bfs_killed_and_resumed_matches_uninterrupted(tmp_path, small_rmat):
-    baseline = bfs(_engine(small_rmat), 0)
-    assert baseline.rounds > 2, "graph too small to test mid-run kill"
-
-    mgr = CheckpointManager(tmp_path)
-    kill = ResiliencePolicy(
-        max_retries=0, fault_plan=FaultPlan.from_spec("worker_crash@2")
-    )
-    with pytest.raises(RetryExhausted):
-        bfs(
-            _engine(small_rmat, resilience=kill),
-            0,
-            checkpoint=CheckpointSession(mgr, "bfs-run"),
-        )
-    assert mgr.steps("bfs-run"), "the killed run should have checkpointed progress"
-
-    resumed = bfs(
-        _engine(small_rmat),
-        0,
-        checkpoint=CheckpointSession(mgr, "bfs-run", resume=True),
-    )
-    assert resumed.rounds == baseline.rounds
-    assert np.array_equal(resumed.parent, baseline.parent)
-    assert np.array_equal(resumed.level, baseline.level)
-    # the resumed run re-executed only the tail of the iterations
-    assert resumed.stats.num_iterations < baseline.stats.num_iterations
+def _resumes(config, kill, *scalars):
+    """``config`` killed by the fault ``kill`` resumes to the uninterrupted
+    arrays, and to its ``scalars`` too."""
+    whole = check(config).result
+    resumed = check(dataclasses.replace(config, kill=kill)).result
+    assert [getattr(resumed, f) for f in scalars] == [getattr(whole, f) for f in scalars]
 
 
-def test_pagerank_killed_and_resumed_matches_uninterrupted(tmp_path, small_rmat):
-    baseline = pagerank(_engine(small_rmat), iterations=10)
-
-    mgr = CheckpointManager(tmp_path)
-    kill = ResiliencePolicy(max_retries=0, fault_plan=FaultPlan.from_spec("oom@5"))
-    with pytest.raises(RetryExhausted):
-        pagerank(
-            _engine(small_rmat, resilience=kill),
-            iterations=10,
-            checkpoint=CheckpointSession(mgr, "pr-run"),
-        )
-
-    resumed = pagerank(
-        _engine(small_rmat),
-        iterations=10,
-        checkpoint=CheckpointSession(mgr, "pr-run", resume=True),
-    )
-    assert resumed.iterations == baseline.iterations
-    assert resumed.last_delta == baseline.last_delta
-    assert np.array_equal(resumed.ranks, baseline.ranks)
+def test_bfs_killed_and_resumed_matches_uninterrupted():
+    _resumes(Config("BFS", "small_rmat", store="local"), "worker_crash@2", "rounds")
 
 
-def test_cc_killed_and_resumed_matches_uninterrupted(tmp_path, small_symmetric):
-    baseline = connected_components(_engine(small_symmetric))
+def test_pagerank_killed_and_resumed_matches_uninterrupted():
+    _resumes(Config("PR", "small_rmat", store="local"), "oom@5", "iterations", "last_delta")
 
-    mgr = CheckpointManager(tmp_path)
-    kill = ResiliencePolicy(
-        max_retries=0, fault_plan=FaultPlan.from_spec("worker_crash@1")
-    )
-    with pytest.raises(RetryExhausted):
-        connected_components(
-            _engine(small_symmetric, resilience=kill),
-            checkpoint=CheckpointSession(mgr, "cc-run"),
-        )
 
-    resumed = connected_components(
-        _engine(small_symmetric),
-        checkpoint=CheckpointSession(mgr, "cc-run", resume=True),
-    )
-    assert resumed.iterations == baseline.iterations
-    assert np.array_equal(resumed.labels, baseline.labels)
+def test_cc_killed_and_resumed_matches_uninterrupted():
+    _resumes(Config("CC", "small_symmetric", store="local"), "worker_crash@1", "iterations")
 
 
 def test_resume_over_corrupted_tail_recomputes_and_matches(tmp_path, small_rmat):

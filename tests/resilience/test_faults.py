@@ -3,16 +3,15 @@
 For every fault class — worker crash, partition-task failure, injected
 OOM, corrupted checkpoint, truncated input — a seeded run must either
 recover and produce **bit-identical final vertex values** to the
-fault-free run, or raise a typed :class:`~repro.errors.ReproError`
-subclass.  Never a silent wrong answer.
+fault-free run (points of the lattice, :mod:`tests.lattice`), or raise a
+typed :class:`~repro.errors.ReproError` subclass.  Never a silent wrong
+answer.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms.bellman_ford import bellman_ford
 from repro.algorithms.bfs import bfs
-from repro.algorithms.cc import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
 from repro.errors import (
@@ -25,6 +24,7 @@ from repro.errors import (
 from repro.graph.io import load_text
 from repro.layout import GraphStore
 from repro.resilience import NET_FAULT_KINDS, FaultEvent, FaultPlan, ResiliencePolicy
+from tests.lattice import Config, check
 
 pytestmark = pytest.mark.faultinjection
 
@@ -52,57 +52,38 @@ TRANSIENT_FAULTS = [
 
 
 @pytest.mark.parametrize("spec", TRANSIENT_FAULTS)
-def test_bfs_recovers_bit_identical(small_rmat, spec):
-    baseline = bfs(_engine(small_rmat), 0)
-    faulted = bfs(_engine(small_rmat, _policy(spec)), 0)
-    assert np.array_equal(faulted.parent, baseline.parent)
-    assert np.array_equal(faulted.level, baseline.level)
-    assert faulted.rounds == baseline.rounds
+def test_bfs_recovers_bit_identical(spec):
+    check(Config("BFS", "small_rmat", faults=spec))
 
 
 @pytest.mark.parametrize("spec", TRANSIENT_FAULTS)
-def test_pagerank_recovers_bit_identical(small_rmat, spec):
-    baseline = pagerank(_engine(small_rmat), iterations=6)
-    faulted = pagerank(_engine(small_rmat, _policy(spec)), iterations=6)
-    assert np.array_equal(faulted.ranks, baseline.ranks)
-    assert faulted.last_delta == baseline.last_delta
+def test_pagerank_recovers_bit_identical(spec):
+    faulted = check(Config("PR", "small_rmat", faults=spec)).result
+    assert faulted.last_delta == check(Config("PR", "small_rmat")).result.last_delta
 
 
 @pytest.mark.parametrize("spec", ["worker_crash@1", "partition@1:2"])
-def test_cc_recovers_bit_identical(small_symmetric, spec):
-    baseline = connected_components(_engine(small_symmetric))
-    faulted = connected_components(_engine(small_symmetric, _policy(spec)))
-    assert np.array_equal(faulted.labels, baseline.labels)
-    assert faulted.iterations == baseline.iterations
+def test_cc_recovers_bit_identical(spec):
+    faulted = check(Config("CC", "small_symmetric", faults=spec))
+    assert len(faulted.rows) == len(check(Config("CC", "small_symmetric")).rows)
 
 
 # ----------------------------------------------------------------------
 # injected OOM: the degradation ladder halves the partition count; the
 # min-plus algorithms stay bit-identical under any partitioning
 # ----------------------------------------------------------------------
-def test_oom_degrades_and_cc_stays_bit_identical(small_symmetric):
-    baseline = connected_components(_engine(small_symmetric))
-    policy = _policy("oom@1")
-    engine = _engine(small_symmetric, policy)
-    faulted = connected_components(engine)
-    assert engine.store.num_partitions == 4  # halved from 8
-    assert any("degraded partitions 8 -> 4" in line for line in engine.resilience_log)
-    assert np.array_equal(faulted.labels, baseline.labels)
+def test_oom_degrades_and_cc_stays_bit_identical():
+    obs = check(Config("CC", "small_symmetric", faults="oom@1"))
+    assert obs.partitions == 4  # halved from 8
+    assert any("degraded partitions 8 -> 4" in line for line in obs.log)
 
 
-def test_oom_degrades_and_bellman_ford_stays_bit_identical(small_rmat):
-    baseline = bellman_ford(_engine(small_rmat), 0)
-    engine = _engine(small_rmat, _policy("oom@0"))
-    faulted = bellman_ford(engine, 0)
-    assert engine.store.num_partitions == 4
-    assert np.array_equal(faulted.dist, baseline.dist)
+def test_oom_degrades_and_bellman_ford_stays_bit_identical():
+    assert check(Config("BF", "small_rmat", faults="oom@0")).partitions == 4
 
 
-def test_oom_degrades_and_bfs_levels_stay_bit_identical(small_rmat):
-    baseline = bfs(_engine(small_rmat), 0)
-    engine = _engine(small_rmat, _policy("oom@1"))
-    faulted = bfs(engine, 0)
-    assert np.array_equal(faulted.level, baseline.level)
+def test_oom_degrades_and_bfs_levels_stay_bit_identical():
+    assert check(Config("BFS", "small_rmat", faults="oom@1")).partitions == 4
 
 
 def test_repeated_oom_walks_ladder_to_floor(small_rmat):

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
+from repro.graph import generators as gen
 from repro.layout import GraphStore
+from repro.partition.by_destination import partition_by_destination
 from repro.resilience import FaultEvent, FaultPlan, ResiliencePolicy
 
 
@@ -89,3 +92,16 @@ def test_unsupervised_engine_is_unchanged(small_rmat):
     a = pagerank(_engine(small_rmat), iterations=4)
     b = pagerank(_engine(small_rmat, ResiliencePolicy(max_retries=3)), iterations=4)
     assert np.array_equal(a.ranks, b.ranks)
+
+
+def test_the_halving_rung_keeps_the_stores_balance_criterion():
+    """A vertex-balanced store (BFS, BF, BC) stays vertex-balanced at 8 -> 4."""
+    edges = gen.rmat(8, 8.0, seed=1)
+    store = GraphStore.build(edges, num_partitions=8, balance="vertices")
+    policy = ResiliencePolicy(max_retries=1, fault_plan=FaultPlan.from_spec("oom@0"))
+    with Engine(store, EngineOptions(num_threads=4), resilience=policy) as engine:
+        bfs(engine, 0)
+        halved = engine.store
+    want = partition_by_destination(edges, 4, balance="vertices").boundaries
+    assert halved.csc.partition.boundaries.tolist() == want.tolist() == [0, 64, 128, 192, 256]
+    assert halved.balance == "vertices"

@@ -14,17 +14,12 @@ from repro._types import VAL_DTYPE
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.core import Engine, EngineOptions
-from repro.errors import RetryExhausted, WorkerFailure
+from repro.errors import WorkerFailure
 from repro.frontier.frontier import Frontier
 from repro.layout import GraphStore
 from repro.layout.grid import GridStore
-from repro.resilience import (
-    CheckpointManager,
-    CheckpointSession,
-    FaultPlan,
-    ResiliencePolicy,
-    make_store,
-)
+from repro.resilience import FaultPlan, ResiliencePolicy
+from tests.lattice import Config, check, midway
 
 pytestmark = pytest.mark.faultinjection
 
@@ -158,38 +153,12 @@ def test_concurrent_batch_commits_every_unit_and_recovers_the_whole_phase(small_
 # ----------------------------------------------------------------------
 # kill-and-resume, for every algorithm the registry calls resumable
 # ----------------------------------------------------------------------
-def _supervised(edges, balance, spec=None):
-    store = GraphStore.build(edges, num_partitions=8, balance=balance)
-    plan = FaultPlan.from_spec(spec) if spec else None
-    policy = ResiliencePolicy(max_retries=0, fault_plan=plan)
-    return Engine(store, EngineOptions(num_threads=4), resilience=policy)
-
-
 def test_resumable_names_the_algorithms_with_a_checkpoint_adapter():
     assert registry.resumable() == ["CC", "PR", "BFS", "PRDelta", "BF", "BP"]
 
 
 @pytest.mark.parametrize("code", registry.resumable())
-def test_killed_run_resumes_bit_identical(tmp_path, small_rmat, small_symmetric, code):
-    spec = registry.get(code)
-    graph = small_symmetric if code == "CC" else small_rmat
-    baseline = spec.run(_supervised(graph, spec.balance))
-    phases = baseline.stats.num_iterations
-    assert phases >= 2, "nothing to interrupt"
-
-    def session(resume):
-        manager = CheckpointManager(store=make_store("local", tmp_path / "ck"))
-        return CheckpointSession(manager, f"{code}-killed", resume=resume)
-
-    # no retries: the crash before edge-map ``phases // 2`` is a hard kill
-    killed = _supervised(graph, spec.balance, f"worker_crash@{phases // 2}")
-    with pytest.raises(RetryExhausted):
-        spec.run_resumable(killed, session(resume=False))
-    assert session(resume=False).manager.steps(f"{code}-killed"), "no checkpoint to resume from"
-
-    resumed = spec.run_resumable(_supervised(graph, spec.balance), session(resume=True))
-    assert resumed.stats.num_iterations < phases  # it resumed, it did not start over
-    arrays = registry.result_arrays(baseline)
-    assert arrays
-    for name, value in arrays.items():
-        assert np.array_equal(getattr(resumed, name), value), name
+def test_killed_run_resumes_bit_identical(code):
+    """A hard kill before the middle edge-map, resumed from the store: a
+    point of the lattice (:mod:`tests.lattice`)."""
+    check(midway(Config(code, "small_symmetric" if code == "CC" else "small_rmat", store="local")))

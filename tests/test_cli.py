@@ -118,6 +118,25 @@ def test_run_memory_budget_spills(tmp_path, small_rmat, capsys):
     assert "resident high-water" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "PR", "--threads", "0"],
+    ["run", "PR", "--checkpoint-dir", "{ck}", "--checkpoint-every", "0"],
+    ["run", "PR", "--checkpoint-dir", "{ck}", "--checkpoint-keep", "0"],
+    ["run", "PR", "--max-retries", "-1"],
+    ["run", "PR", "--watchdog", "-1"],
+    ["run", "PR", "--grid-stripes", "0", "--memory-budget", "8K"],
+    ["run", "PR", "--scale", "-1"],
+    ["memsim", "--line-bytes", "0"],
+], ids=lambda argv: " ".join(argv[1:3] if argv[0] == "run" else argv[:2]))
+def test_a_rejected_option_value_is_an_error_line_not_a_traceback(tmp_path, argv, capsys):
+    argv = [arg.format(ck=tmp_path / "ck") for arg in argv]
+    if "--scale" not in argv:
+        argv += ["--scale", "0.02"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_malformed_memory_budget_is_a_typed_cli_error(tmp_path, small_rmat, capsys):
     path = tmp_path / "g.npz"
     save_npz(path, small_rmat)
