@@ -61,7 +61,7 @@ from ..frontier.distinct import count_distinct_between
 from ..frontier.frontier import Frontier
 from ..layout.store import GraphStore
 from .backend import ThreadBackend, backend_options
-from .gather import gather_adjacency
+from .gather import gather_adjacency, narrow_layout, slice_lengths
 from .kernels import (  # noqa: F401 - resolved by name through globals()
     KERNEL_FUNCTIONS,
     cond_guard,
@@ -212,6 +212,11 @@ class Engine:
                 w[a:b] = weight_fn(src, dst)
             self._per_store[key] = (weight_fn, w)
         return self._per_store[key][1]
+
+    def _narrowed(self, layout: str) -> tuple[np.ndarray, np.ndarray]:
+        """The store's ``"csr"`` or ``"csc"`` in the gather's one width."""
+        g = self.store.csr if layout == "csr" else self.store.csc.csc
+        return self._cached(f"{layout}-narrowed", lambda: narrow_layout(g.index, g.neighbors))
 
     def _rebuild_store(self, num_partitions: int) -> None:
         """Re-derive every layout at a new partition count (the
@@ -395,17 +400,27 @@ class Engine:
         )
 
     def _run_phase(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
-        """One attempt at one edge-map phase: plan, run, fold."""
-        density = classify_frontier(
-            frontier, self.store.out_degrees, self.num_edges, self.options.thresholds
-        )
-        plan = self._plan(frontier, density, op)
+        """One attempt at one edge-map phase: classify, plan, run, fold.  Sparse
+        ids (no grid) are classified by their CSR slice lengths, which a sparse
+        phase's gather reuses; only a partial bitmap reads ``out_degrees``."""
+        lengths = degrees = None
+        if frontier.size < frontier.num_vertices:
+            if frontier.has_sparse and self.grid is None:
+                index = self._narrowed("csr")[0]
+                lengths = slice_lengths(index, frontier.as_sparse().astype(index.dtype, copy=False))
+            else:
+                degrees = self.store.out_degrees
+        thresholds = self.options.thresholds
+        density = classify_frontier(frontier, degrees, self.num_edges, thresholds, lengths)
+        plan = self._plan(frontier, density, op, lengths)
         return self._fold(plan, frontier, density, self._run_plan(plan, op))
 
     # ------------------------------------------------------------------
     # plan: one small description per layout
     # ------------------------------------------------------------------
-    def _plan(self, frontier: Frontier, density: DensityClass, op: EdgeOperator) -> PhasePlan:
+    def _plan(
+        self, frontier: Frontier, density: DensityClass, op: EdgeOperator, lengths=None
+    ) -> PhasePlan:
         """Algorithm 2's layout decision, as a :class:`PhasePlan`."""
         trusted, fused = self._op_trusted(op), False
         if self.grid is not None:
@@ -421,27 +436,24 @@ class Engine:
                 target, fused = self._task_edges(op, trusted)
                 plan = build(frontier, target)
             elif layout == "csr":
-                plan = build(frontier, op.weight_fn)
+                plan = build(frontier, op.weight_fn, lengths)
             else:
                 plan = build(frontier)
         plan.trusted, plan.fused = trusted, fused
         return plan
 
-    def _plan_csr(self, frontier: Frontier, weight_fn) -> PhasePlan:
+    def _plan_csr(self, frontier: Frontier, weight_fn, lengths=None) -> PhasePlan:
         """Sparse: forward traversal of the unpartitioned CSR.
 
-        The frontier's out-adjacency is gathered once, here — with a
-        weighted operator's weights, read from the per-store CSR weights at
-        the gather positions — and the phase is one whole-range task that
-        always runs in this process: per-partition work on a small
-        frontier is pure overhead (§III.A.1).
-        """
-        active = frontier.as_sparse()
-        csr = self.store.csr
-        gsrc, gdst, pos = gather_adjacency(csr.index, csr.neighbors, active)
-        arrays = {"gsrc": gsrc, "gdst": gdst}
-        if weight_fn is not None:
-            arrays["w"] = self._weights("csr", weight_fn)[pos]
+        The frontier's out-adjacency and a weighted operator's CSR weights are
+        gathered once, here, in one compiled copy (at the slice ``lengths`` the
+        classification read, if any), and the phase is one whole-range task in
+        this process: per-partition work on a small frontier is pure overhead
+        (§III.A.1)."""
+        index, neighbors = self._narrowed("csr")
+        active = frontier.as_sparse().astype(index.dtype, copy=False)
+        weights = None if weight_fn is None else self._weights("csr", weight_fn)
+        gsrc, gdst, w = gather_adjacency(index, neighbors, active, weights, lengths=lengths)
         return PhasePlan(
             "csr", "forward", "csr",
             self._cached(
@@ -449,15 +461,16 @@ class Engine:
             ),
             num_partitions=1,
             uses_atomics=self.options.num_threads > 1,
-            arrays=arrays,
+            arrays={"gsrc": gsrc, "gdst": gdst, "w": w},  # ``w`` None: unweighted
             per_partition=False,
             scanned=int(active.size),
             granular=False,
         )
 
     def _plan_csc(self, frontier: Frontier, target: int) -> PhasePlan:
-        """Medium-dense: backward traversal of the ranged CSC."""
+        """Medium-dense: backward traversal of the ranged CSC, narrowed."""
         csc, ranges = self.store.csc.csc, self.store.csc.partition
+        index, neighbors = self._narrowed("csc")
         return PhasePlan(
             "csc", "backward", "csc",
             self._cached(
@@ -468,7 +481,7 @@ class Engine:
             ),
             num_partitions=ranges.num_partitions,
             uses_atomics=False,
-            arrays={"index": csc.index, "neighbors": csc.neighbors, **_frontier_filter(frontier)},
+            arrays={"index": index, "neighbors": neighbors, **_frontier_filter(frontier)},
         )
 
     def _plan_coo(self, frontier: Frontier, target: int) -> PhasePlan:

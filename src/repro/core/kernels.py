@@ -6,7 +6,7 @@ numpy arrays and returns its
 :class:`~repro.core.plan.PartitionRecord`.  A CSC or COO task
 is a run of adjacent partitions (:class:`~repro.core.plan.PartitionTask`
 — most often a run of one): the kernel does everything *around* the
-operator once for the run — the frontier filter, ``cond``, the ragged
+operator once for the run — the frontier filter, ``cond``, the
 gather, the compression, the per-partition distinct counts — and then
 hands ``op.process_edges`` one batch per partition, lowest first, as
 slices of the compressed arrays.  Operators that read what they write
@@ -26,13 +26,12 @@ as ``distinct`` instead of being re-counted.  Same loop, same batches in
 the same order; only the copies go.
 
 The CSR, CSC and partitioned-CSR kernels hand the operator the ``intp``
-ids :func:`~repro.core.gather.gather_adjacency` returns, both ends of the
-same width; the COO kernel hands it ``int32`` slices of the layout.
-
-A weighted operator's weights reach the in-RAM COO and sparse CSR kernels
-as ``w``, parallel to their edges, from the engine's per-store cache;
-anywhere else (a grid block, the CSC, the partitioned CSR) the
-kernel hashes the run's live edges once, never once per partition.
+ids of one compiled gather (:func:`~repro.core.gather.gather_adjacency`)
+over a narrowed layout; the COO kernel hands it ``int32`` slices of the
+layout.  A weighted operator's weights reach the in-RAM COO and sparse
+CSR kernels as ``w`` from the engine's per-store cache (the CSR's ride in
+its gather); anywhere else (a grid block, the CSC, the partitioned CSR)
+the kernel hashes the run's live edges once, never once per partition.
 
 The kernels are the single source of truth for the task computation:
 the engine's one loop calls them, in its own thread or in the ``threads``
@@ -164,11 +163,11 @@ def run_csc_partition(
     lo, hi = int(cuts[0]), int(cuts[-1])
     if lo == hi:
         return PartitionRecord.empty(partition, lo, hi, cuts.size - 1)
-    candidates = np.arange(lo, hi, dtype=np.intp)
+    candidates = np.arange(lo, hi, dtype=index.dtype)  # the gather's one width
     cond = cond_fn(op, candidates)
     if cond is not None:
         candidates = candidates[cond]
-    dst, src = gather_adjacency(index, neighbors, candidates)[:2]  # no need to hold ``pos``
+    dst, src, _ = gather_adjacency(index, neighbors, candidates)
     # The gather groups edges by ascending candidate, so ``dst`` ascends
     # and the vertex cuts find every partition's slice.
     examined_at = dst.searchsorted(cuts)
@@ -326,7 +325,7 @@ def run_pcsr_partition(
         rec = PartitionRecord.empty(partition, lo, hi)
         rec.scanned = scanned
         return rec
-    slot_keys, dst, _ = gather_adjacency(index, neighbors, live_slots)
+    slot_keys, dst, _ = gather_adjacency(index, neighbors, live_slots.astype(index.dtype))
     src = vertex_ids[slot_keys].astype(np.intp)  # the gathered ``dst``'s width
     examined = int(dst.size)
     cond = cond_fn(op, dst)

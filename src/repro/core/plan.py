@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._types import EID_DTYPE, VID_DTYPE
+from .gather import narrow_layout
 
 __all__ = [
     "TASK_EDGES",
@@ -48,7 +49,7 @@ __all__ = [
 #: Under a partial frontier a COO task holds ~30 B of numpy temporaries per
 #: examined edge (the ``bitmap[src]`` mask, the compressed ``src``/``dst``,
 #: the operator's gathered values and comparison masks) and a CSC task
-#: ~45 B (its gathered ids are 8-byte ``intp``), so 2^15 edges keep a
+#: ~37 B (8-byte ``intp`` ids, no ``int64`` position array), so 2^15 edges keep a
 #: task's working set at 1–1.5 MiB — inside the 2 MiB L2 — while 130
 #: or so tasks per million edges make the per-task interpreter cost
 #: invisible.  A full-frontier phase has no mask and compresses nothing
@@ -271,8 +272,7 @@ def pcsr_layout(pcsr, options):
         "num_stored": np.array([part.num_stored_vertices for part in pcsr.parts], np.int64)
     }
     for i, part in enumerate(pcsr.parts):
-        shared[f"index:{i}"] = part.index
-        shared[f"neighbors:{i}"] = part.neighbors
+        shared[f"index:{i}"], shared[f"neighbors:{i}"] = narrow_layout(part.index, part.neighbors)
         shared[f"vertex_ids:{i}"] = part.vertex_ids
     return range_tasks(pcsr.partition, options), shared
 

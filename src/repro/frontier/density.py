@@ -57,16 +57,24 @@ class DensityThresholds:
 
 def classify_frontier(
     frontier: Frontier,
-    out_degrees: np.ndarray,
+    out_degrees: np.ndarray | None,
     num_edges: int,
     thresholds: DensityThresholds = DensityThresholds(),
+    lengths: np.ndarray | None = None,
 ) -> DensityClass:
     """Apply Algorithm 2's decision to a frontier.
 
     Returns the :class:`DensityClass` chosen by comparing the edge metric
-    ``|F| + sum_{v in F} degout(v)`` against ``num_edges * thresholds``.
+    ``|F| + sum_{v in F} degout(v)`` against ``num_edges * thresholds``;
+    the degree sum is ``num_edges`` for a full frontier, else that of the
+    sparse ids' slice ``lengths`` if given, else read from ``out_degrees``.
     """
-    metric = frontier.active_edge_metric(out_degrees)
+    if frontier.size == frontier.num_vertices:
+        metric = frontier.size + num_edges
+    elif lengths is not None:
+        metric = frontier.size + int(lengths.sum())
+    else:
+        metric = frontier.active_edge_metric(out_degrees)
     if metric > num_edges * thresholds.medium:
         return DensityClass.DENSE
     if metric > num_edges * thresholds.sparse:

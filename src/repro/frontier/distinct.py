@@ -47,12 +47,16 @@ def _mark(ids: np.ndarray):
 
 
 def _scattered(ids: np.ndarray) -> np.ndarray:
-    """``np.unique(ids)`` for ids ``_mark`` declined: sorted, then the
-    first of every run of equal values.  Only ids that are not signed
-    integers (NaNs to collapse) are still handed to ``np.unique``."""
+    """``np.unique(ids)`` for ids ``_mark`` declined: a copy if they ascend
+    strictly (an operator's claimed ids), else sorted, then the first of
+    every run of equal values.  Only ids that are not signed integers
+    (NaNs to collapse) are still handed to ``np.unique``."""
     if ids.dtype.kind != "i":
         return np.unique(ids)
-    s = np.sort(ids, axis=None)
+    flat = ids.reshape(-1)
+    if (flat[1:] > flat[:-1]).all():
+        return flat.copy()
+    s = np.sort(flat)
     first = np.ones(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
     return s[first]

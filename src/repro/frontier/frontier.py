@@ -111,8 +111,12 @@ class Frontier:
         return self._size / self.num_vertices if self.num_vertices else 0.0
 
     def contains(self, vertices) -> np.ndarray:
-        """Boolean membership of each queried vertex (vectorised)."""
-        return self.as_bitmap()[np.asarray(vertices)]
+        """Boolean membership of each queried vertex (vectorised); an id
+        < 0 or >= ``num_vertices`` is an ``IndexError``."""
+        vertices = np.asarray(vertices)
+        if vertices.size and vertices.min() < 0:  # would count from the end
+            raise IndexError(f"vertex ids out of range for {self.num_vertices} vertices")
+        return self.as_bitmap()[vertices]
 
     def active_edge_metric(self, out_degrees: np.ndarray) -> int:
         """The paper's traversal-cost estimate ``|F| + sum_{v in F} degout(v)``.
@@ -120,12 +124,8 @@ class Frontier:
         Algorithm 2 compares this quantity against ``|E|/20`` and ``|E|/2``
         to pick the traversal kernel.
         """
-        if self.is_empty:
-            return 0
-        # Use whichever representation is already materialised — never
-        # build the other one just to sum degrees.  The sparse ids are
-        # unique and sorted, so both sums visit the same elements in
-        # ascending id order and the result is bit-identical.
+        # Whichever representation is materialised: the sparse ids are
+        # unique and sorted, so both sums visit the same ids in order.
         if self._sparse is not None:
             deg = int(out_degrees.take(self._sparse).sum())  # take: no intp copy of the ids
         else:

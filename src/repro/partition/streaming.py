@@ -31,6 +31,7 @@ import numpy as np
 
 from .._types import VID_DTYPE
 from ..errors import PartitionError
+from ..core.gather import gather_adjacency, narrow_layout, slice_lengths
 from ..graph.csr import build_csr
 from ..graph.edgelist import EdgeList
 from .vertex_partition import VertexPartition
@@ -123,21 +124,16 @@ def _greedy_stream(
     if n == 0:
         return StreamingAssignment(num_partitions, assignment.astype(VID_DTYPE))
     csr = build_csr(edges.symmetrized())
-    indptr = csr.index.astype(np.int64)
-    neighbors = csr.neighbors
+    index, neighbors = narrow_layout(csr.index, csr.neighbors)
     stream = np.asarray(order if order is not None else np.arange(n), dtype=np.int64)
     pos_in_chunk = np.full(n, -1, dtype=np.int64)
     for c0 in range(0, stream.size, _STREAM_CHUNK):
         chunk = stream[c0 : c0 + _STREAM_CHUNK]
         b = chunk.size
-        starts = indptr[chunk]
-        deg = indptr[chunk + 1] - starts
-        total = int(deg.sum())
-        # Flat gather of every chunk vertex's neighbour list.
-        local_off = np.cumsum(deg) - deg
-        idx = np.arange(total, dtype=np.int64)
-        idx += np.repeat(starts - local_off, deg)
-        nb = neighbors[idx].astype(np.int64)
+        # Every chunk vertex's neighbour list, in one gather.
+        ids = chunk.astype(index.dtype)
+        deg = slice_lengths(index, ids)
+        nb = gather_adjacency(index, neighbors, ids, lengths=deg)[1]
         owner = np.repeat(np.arange(b, dtype=np.int64), deg)
         # Base counts from the assignment state at chunk entry.
         placed = assignment[nb]

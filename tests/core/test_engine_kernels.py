@@ -237,6 +237,41 @@ def test_sparse_phases_call_np_unique_only_from_bfs_op(monkeypatch):
     assert np.array_equal(tree.level >= 0, paths.reached())
 
 
+class _NoFancyIndex(np.ndarray):
+    """A weight cache that refuses to be read through an index array."""
+
+    def __getitem__(self, key):
+        if isinstance(key, (np.ndarray, list)):
+            raise AssertionError("the CSR weight cache was fancy-indexed")
+        return super().__getitem__(key)
+
+
+def test_a_sparse_round_reads_slice_lengths_and_gathers_weights_in_one_copy(monkeypatch):
+    """A sparse round classifies its ids by their CSR slice lengths and
+    hands those to its gather: BFS and Bellman-Ford over a road lattice
+    never build ``store.out_degrees``, and the weights ride in the gather
+    instead of being read at a position array."""
+    store = GraphStore.build(gen.road_grid(30), num_partitions=8)
+    wf = WeightFn(seed=5)
+    weights = Engine._weights
+
+    def guarded(engine, layout, weight_fn):
+        w = weights(engine, layout, weight_fn)
+        return w.view(_NoFancyIndex) if layout == "csr" else w
+
+    monkeypatch.setattr(Engine, "_weights", guarded)
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        tree = bfs(engine, 0)
+        paths = bellman_ford(engine, 0, weight_fn=wf)
+        assert ("weights", "csr") in engine._per_store
+    assert "out_degrees" not in vars(store)
+    assert {m.layout for m in paths.stats.edge_maps} >= {"csr"}
+    assert {m.layout for m in tree.stats.edge_maps} >= {"csr"}
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        assert paths.dist.tobytes() == bellman_ford(engine, 0, weight_fn=wf).dist.tobytes()
+    assert "out_degrees" not in vars(store)
+
+
 def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypatch):
     """Counts, not time: at P=384 one full-frontier PageRank phase makes
     one ``process_edges`` call per task (PageRankOp is edge-local), a CC

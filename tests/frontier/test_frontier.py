@@ -75,6 +75,16 @@ def test_contains():
     assert f.contains(np.array([0, 1, 5])).tolist() == [False, True, True]
 
 
+@pytest.mark.parametrize("bad", [-1, -5, 5])
+def test_contains_refuses_ids_out_of_range(bad):
+    """``-1`` would answer with vertex n - 1's membership."""
+    f = Frontier.of(5, 4)
+    with pytest.raises(IndexError):
+        f.contains([bad])
+    with pytest.raises(IndexError):
+        f.contains(np.array([0, bad], np.int32))
+
+
 def test_active_edge_metric():
     out_deg = np.array([3, 0, 2, 1])
     f = Frontier.of(4, 0, 2)

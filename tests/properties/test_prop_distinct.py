@@ -193,6 +193,21 @@ def test_scattered_signed_ids_are_sorted_not_hashed(dtype):
     assert np.array_equal(frozen, picks)
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_ascending_scattered_ids_are_copied_not_sorted(dtype):
+    """An operator's claimed ids (``BFSOp``'s ``np.unique``) already ascend:
+    they skip the sort; one step down, or one repeat, and they do not."""
+    info = np.iinfo(dtype)
+    rising = np.unique(np.random.default_rng(12).integers(0, 250_000, 1_000)).astype(dtype)
+    for ids in (rising, info.min + rising, info.max - rising[::-1], rising[::2]):
+        assert _mark(ids) is None
+        with mock.patch.object(np, "sort", side_effect=AssertionError("ascending ids sorted")):
+            _same_as_unique(ids)
+    for ids in (rising[::-1], np.insert(rising, 7, rising[7]), np.insert(rising, 7, rising[3])):
+        assert _mark(ids) is None
+        _same_as_unique(ids)
+
+
 @pytest.mark.parametrize("dtype", [np.uint32, np.uint64, np.float64])
 def test_other_dtypes_still_fall_through_to_np_unique(dtype, monkeypatch):
     ids = np.array([7, 3, 7, 2**31, 3, 0], dtype=dtype)
