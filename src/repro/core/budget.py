@@ -110,9 +110,12 @@ class MemoryBudget:
         while the pinned bytes plus the next-largest still fit the limit, so
         LRU always has room for any unpinned block; returns the pinned bytes.
 
-        That sum is a prefix sum of the sorted sizes: the pinned keys are the
-        longest prefix that fits but one, or all when all fit.  Sizes over
-        the whole limit are never admitted and take no part.
+        The pinned keys are the longest prefix of the sorted sizes that fits
+        but one, or all when all fit; the room then left beside the largest
+        unpinned block takes smaller ones, largest first, so two large blocks
+        that cannot share the limit do not leave every small one to LRU
+        (which, under a cyclic scan, keeps none).  Sizes over the whole limit
+        are never admitted and take no part.
         """
         limit = self.limit_bytes
         order = sorted(
@@ -120,7 +123,15 @@ class MemoryBudget:
             key=lambda k: (-sizes[k], k),
         )
         fit = sum(limit is None or c <= limit for c in accumulate(sizes[k] for k in order))
-        self.pinned = frozenset(order[: fit if fit == len(order) else max(fit - 1, 0)])
+        pinned = order[: fit if fit == len(order) else max(fit - 1, 0)]
+        if len(pinned) < len(order):
+            # LRU needs room for the largest unpinned block only.
+            room = limit - sizes[order[len(pinned)]] - sum(sizes[k] for k in pinned)
+            for key in order[len(pinned) + 1 :]:
+                if sizes[key] <= room:
+                    pinned.append(key)
+                    room -= sizes[key]
+        self.pinned = frozenset(pinned)
         return sum(sizes[k] for k in self.pinned)
 
     def touch(self, key: Hashable) -> None:

@@ -29,9 +29,16 @@ resident.  This module is that subsystem:
 Block payloads are deterministic: edges sorted by (source, destination)
 with one packed-key sort (:func:`~repro.graph.edgelist.sorted_pairs`), so
 each source stripe is a contiguous slice; sources first then destinations,
-each as a contiguous ``VID_DTYPE`` array — the same src-major order the
-in-memory COO layout uses, which is what keeps streamed execution
-bit-identical to the in-RAM path.
+each a contiguous array — the same src-major order the in-memory COO
+layout uses, which is what keeps streamed execution bit-identical to the
+in-RAM path.  Every edge of block ``(i, j)`` has its source in stripe
+``i`` and its destination in stripe ``j``, so when both stripes are at
+most 65,536 vertices wide a block stores ``uint16`` offsets from the two
+stripe starts (width 2), else absolute ``int32`` ids (width 4); the
+manifest records each block's width (absent: 4) and is version 2 when any
+block is narrow, which :meth:`GridStore.open` checks.  The budget charges for
+and caches the stored bytes; :meth:`GridStore.read_block` widens them to
+``VID_DTYPE`` per use.
 
 Fault injection: a ``fault_plan`` is any object with
 ``take(kinds, index) -> kind | None`` (:class:`repro.resilience.FaultPlan`
@@ -92,6 +99,9 @@ _GRID_MAGIC = b"RPRGMAN1"
 #: bounded in-place re-read attempts before a read error is escalated.
 _MAX_READ_ATTEMPTS = 3
 
+#: the widest stripe whose ids a block stores as ``uint16`` offsets.
+_NARROW_SPAN = 1 << 16
+
 
 def _block_filename(i: int, j: int) -> str:
     return f"block-{i:04d}-{j:04d}.grb"
@@ -140,7 +150,8 @@ def choose_grid_stripes(
 
     The budget holds a few blocks resident (the in-flight one plus the
     pinned and cached ones), so P is the smallest stripe count making
-    that many average blocks — COO bytes over P² — fit in
+    that many average blocks — ``int32`` COO bytes over P², whatever
+    width the blocks are stored in — fit in
     ``budget_bytes``.  ``None`` (no budget, spill directory only) picks a
     modest default granularity.
     """
@@ -195,19 +206,43 @@ class GridStats:
 class BlockRead(NamedTuple):
     """One block served by :meth:`GridStore.read_block`."""
 
+    #: the block's ``VID_DTYPE`` ids, whatever width they are stored in.
     src: np.ndarray
     dst: np.ndarray
-    #: payload bytes transferred from disk (0 on a cache hit).
+    #: stored payload bytes transferred from disk (0 on a cache hit).
     nbytes: int
     #: whether the fault plan flagged this read slow (watchdog input).
     slow: bool
 
 
-def _block_payload(src: np.ndarray, dst: np.ndarray) -> bytes:
-    return (
-        np.ascontiguousarray(src, dtype=VID_DTYPE).tobytes()
-        + np.ascontiguousarray(dst, dtype=VID_DTYPE).tobytes()
-    )
+def _stored_as(stripes: VertexPartition, i: int, j: int, width: int) -> tuple[type, tuple]:
+    """The dtype block ``(i, j)`` stores ids in, and the ``(src, dst)``
+    stripe starts they are offsets from (0 for absolute ``int32`` ids)."""
+    if width == BYTES_PER_VID:
+        return VID_DTYPE, (0, 0)
+    return np.uint16, (int(stripes.boundaries[i]), int(stripes.boundaries[j]))
+
+
+def _widened(stored: np.ndarray, n: int, origin: tuple[int, int]):
+    """A block's stored ids (``n`` sources, then destinations) as
+    ``VID_DTYPE`` ``(src, dst)``: ``int32`` ids as views of the payload,
+    ``uint16`` offsets as one fresh buffer the caller owns — ``astype``,
+    then each stripe start but stripe 0's added in place."""
+    if stored.dtype == VID_DTYPE:
+        return stored[:n], stored[n:]
+    ids = stored.astype(VID_DTYPE)
+    for part, start in ((ids[:n], origin[0]), (ids[n:], origin[1])):
+        if start:  # stripe 0, often the heaviest, needs no add
+            part += start
+    return ids[:n], ids[n:]
+
+
+def _block_payload(src: np.ndarray, dst: np.ndarray, dtype, origin: tuple) -> bytes:
+    # One buffer, no temporaries; every offset is below its stripe's span, so no cast wraps.
+    out = np.empty(src.size + dst.size, dtype)
+    np.subtract(src, origin[0], out=out[: src.size], casting="unsafe")
+    np.subtract(dst, origin[1], out=out[src.size :], casting="unsafe")
+    return out.tobytes()
 
 
 def _shard_edges(
@@ -234,8 +269,9 @@ def preprocess_grid(
 
     Per-block files are written first (each CRC32-framed); the manifest
     — recording stripe boundaries and every block's file, edge count,
-    byte count and payload CRC — is written last with the checkpoint
-    store's atomic tmp+fsync+replace idiom, making it the commit point.
+    stored id width, byte count and payload CRC — is written last with
+    the checkpoint store's atomic tmp+fsync+replace idiom, making it the
+    commit point.
     ``source`` optionally records where the edges came from (a file path
     or a dataset spec) so :class:`GridStore` can repair torn blocks on
     read without the in-memory edge list.  Returns the manifest dict and
@@ -246,6 +282,7 @@ def preprocess_grid(
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     stripes = grid_stripe_boundaries(edges, num_stripes, stripe_mode)
+    narrow = np.diff(stripes.boundaries) <= _NARROW_SPAN
     events = events if events is not None else []
     blocks = []
     write_index = write_retries = 0
@@ -256,7 +293,8 @@ def preprocess_grid(
             count = int(np.count_nonzero(sel))
             if count == 0:
                 continue
-            payload = _block_payload(row_src[sel], row_dst[sel])
+            width = 2 if narrow[i] and narrow[j] else BYTES_PER_VID
+            payload = _block_payload(row_src[sel], row_dst[sel], *_stored_as(stripes, i, j, width))
             path = directory / _block_filename(i, j)
             attempts = _write_block(
                 path, payload, i, j,
@@ -270,12 +308,14 @@ def preprocess_grid(
                     "j": j,
                     "file": path.name,
                     "edges": count,
+                    "width": width,
                     "bytes": len(payload),
                     "crc32": zlib.crc32(payload),
                 }
             )
     manifest = {
-        "version": 1,
+        # 2 marks uint16 blocks, which a reader of version 1 would misread
+        "version": 2 if any(b["width"] == 2 for b in blocks) else 1,
         "num_vertices": edges.num_vertices,
         "num_edges": edges.num_edges,
         "num_stripes": num_stripes,
@@ -371,7 +411,8 @@ class GridStore:
         sizes = {key: int(b["bytes"]) for key, b in self._blocks.items()}
         self.stats.pinned_bytes = self.budget.pin_largest(sizes)
         self.stats.pinned_blocks = len(self.budget.pinned)
-        self._cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        #: each resident block's stored payload: sources, then destinations.
+        self._cache: dict[tuple[int, int], np.ndarray] = {}
         self._edges = edges
         self._read_ops = 0
 
@@ -422,10 +463,23 @@ class GridStore:
         """Open a committed grid; raises when the manifest is absent/torn."""
         directory = Path(directory)
         manifest = json.loads(bytes(read_framed(directory / GRID_MANIFEST, _GRID_MAGIC)))
-        if manifest.get("version") != 1:
+        if manifest.get("version") not in (1, 2):
             raise GridError(
                 f"unsupported grid manifest version {manifest.get('version')!r}"
             )
+        spans = np.diff(manifest["boundaries"])
+        for b in manifest["blocks"]:
+            width = b.get("width", BYTES_PER_VID)
+            stripes = (b["i"], b["j"])
+            if not all(0 <= k < spans.size for k in stripes) or (
+                width not in (2, BYTES_PER_VID)
+                or (width == 2 and max(spans[k] for k in stripes) > _NARROW_SPAN)
+                or b["bytes"] != 2 * width * b["edges"]
+            ):
+                raise GridError(
+                    f"grid block ({b['i']},{b['j']}) has an unsupported format: width "
+                    f"{width!r}, {b['edges']} edges in {b['bytes']} bytes"
+                )
         return cls(directory, manifest, budget=budget, fault_plan=fault_plan)
 
     # ------------------------------------------------------------------
@@ -435,7 +489,7 @@ class GridStore:
         return int(entry["edges"]) if entry else 0
 
     def total_bytes(self) -> int:
-        """Total payload bytes across all blocks."""
+        """Total stored payload bytes across all blocks."""
         return sum(int(b["bytes"]) for b in self._blocks.values())
 
     # ------------------------------------------------------------------
@@ -446,21 +500,21 @@ class GridStore:
         then :class:`~repro.errors.GridIOError`); CRC failures trigger
         repair-on-read; the admitted block is charged to the budget,
         evicting unpinned LRU residents.  All of it runs in the caller's thread.
+        The budget holds the stored ids; the ``VID_DTYPE`` ids served are
+        widened from them per call.
         """
         key = (i, j)
         entry = self._blocks.get(key)
         if entry is None:
             empty = np.empty(0, dtype=VID_DTYPE)
             return BlockRead(empty, empty, 0, False)
+        dtype, origin = self._block_format(i, j, entry)
         if key in self._cache:
             self.stats.cache_hits += 1
             self.budget.touch(key)
-            src, dst = self._cache[key]
-            return BlockRead(src, dst, 0, False)
+            return BlockRead(*_widened(self._cache[key], entry["edges"], origin), 0, False)
         payload, slow = self._fetch_payload(i, j, entry)
-        n = int(entry["edges"])
-        arr = np.frombuffer(payload, dtype=VID_DTYPE)
-        src, dst = arr[:n], arr[n:]
+        stored = np.frombuffer(payload, dtype=dtype)
         limit = self.budget.limit_bytes
         if limit is not None and len(payload) > limit:
             # A single block larger than the whole budget (heavy hub
@@ -475,10 +529,13 @@ class GridStore:
         else:
             for evicted in self.budget.admit(key, len(payload)):
                 self._cache.pop(evicted, None)
-            self._cache[key] = (src, dst)
+            self._cache[key] = stored
         self.stats.block_reads += 1
         self.stats.bytes_read += len(payload)
-        return BlockRead(src, dst, len(payload), slow)
+        return BlockRead(*_widened(stored, entry["edges"], origin), len(payload), slow)
+
+    def _block_format(self, i: int, j: int, entry: dict) -> tuple[type, tuple]:
+        return _stored_as(self.stripes, i, j, int(entry.get("width", BYTES_PER_VID)))
 
     def _fetch_payload(self, i: int, j: int, entry: dict) -> tuple[memoryview | bytes, bool]:
         """One block's disk payload: fault injection, retries, CRC repair."""
@@ -515,7 +572,8 @@ class GridStore:
             return self._repair_block(i, j, entry)
 
     def _repair_block(self, i: int, j: int, entry: dict) -> bytes:
-        """Re-shard one torn block from the source edges and rewrite it."""
+        """Re-shard one torn block from the source edges and rewrite it in
+        its recorded width."""
         edges = self._source_edges()
         if edges is None:
             raise TornBlockError(
@@ -524,7 +582,7 @@ class GridStore:
             )
         row_src, row_dst = _shard_edges(edges, self.stripes)[i]
         sel = self.stripes.partition_of(row_dst) == j
-        payload = _block_payload(row_src[sel], row_dst[sel])
+        payload = _block_payload(row_src[sel], row_dst[sel], *self._block_format(i, j, entry))
         if zlib.crc32(payload) != int(entry["crc32"]):
             raise TornBlockError(
                 f"grid block ({i},{j}) is corrupt and the recorded source "

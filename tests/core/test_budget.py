@@ -159,6 +159,19 @@ def test_pin_largest_leaves_room_for_the_largest_unpinned():
     assert 800 + largest_unpinned <= b.limit_bytes
 
 
+def test_pinning_fills_the_room_beside_the_largest_unpinned_block():
+    b = MemoryBudget(1000)
+    # 600 + 500 > 1000 pins no prefix; LRU needs room for the 600 only, so
+    # the 400 beside it stays open and 300 then 100 are pinned into it.
+    assert b.pin_largest({"a": 600, "b": 500, "c": 300, "d": 200, "e": 100}) == 400
+    assert b.pinned == {"c", "e"}
+    evicted = []
+    for _ in range(3):
+        for key, n in (("a", 600), ("b", 500), ("c", 300), ("d", 200), ("e", 100)):
+            evicted += b.admit(key, n)
+    assert not {"c", "e"} & set(evicted) and b.high_water_bytes <= 1000
+
+
 def test_pinned_blocks_are_never_evicted():
     b = MemoryBudget(1100)
     b.pin_largest({"a": 500, "b": 300, "c": 300, "d": 200, "e": 100})

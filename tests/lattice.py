@@ -143,8 +143,8 @@ class Observation:
     rows: tuple
     #: ``(guards_skipped, guard_invocations)``.
     guards: tuple
-    #: ``(name, value)`` of every grid counter, its stripe count and the
-    #: budget's counters; ``None`` in RAM.
+    #: ``(name, value)`` of every grid counter, its stripe count and stored
+    #: bytes, and the budget's counters; ``None`` in RAM.
     grid: tuple | None
     #: ``(replays, reexecutions)``; ``None`` unsupervised.
     journal: tuple | None
@@ -366,7 +366,7 @@ def observe(config: Config) -> Observation:
                     **vars(grid.stats), "num_stripes": grid.num_stripes,
                     "evictions": grid.budget.evictions, "admissions": grid.budget.admissions,
                     "high_water_bytes": grid.budget.high_water_bytes,
-                    "limit_bytes": grid.budget.limit_bytes,
+                    "limit_bytes": grid.budget.limit_bytes, "total_bytes": grid.total_bytes(),
                 }.items())),
                 journal=journal and (journal.replays, journal.reexecutions),
                 result=result,

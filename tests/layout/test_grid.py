@@ -4,6 +4,7 @@ commit point, verified/budgeted reads and repair-on-read."""
 import numpy as np
 import pytest
 
+from repro._types import VID_DTYPE
 from repro.errors import (
     CheckpointError,
     DiskFullError,
@@ -183,6 +184,142 @@ def test_open_rejects_unknown_version(edges, tmp_path):
     )
     with pytest.raises(GridError):
         GridStore.open(tmp_path)
+
+
+# ----------------------------------------------------------------------
+# stored id width: uint16 stripe offsets where both stripes allow it
+
+
+def _wide_only(monkeypatch):
+    """Make every block fall back to absolute ``int32`` ids."""
+    from repro.layout import grid as grid_module
+
+    monkeypatch.setattr(grid_module, "_NARROW_SPAN", 0)
+
+
+def _blocks(grid):
+    return {
+        (i, j): grid.read_block(i, j)
+        for i in range(grid.num_stripes)
+        for j in range(grid.num_stripes)
+        if grid.block_edges(i, j)
+    }
+
+
+def _rewrite_manifest(directory, manifest):
+    import json
+
+    from repro.durable import write_framed
+    from repro.layout.grid import _GRID_MAGIC
+
+    write_framed(directory / GRID_MANIFEST, _GRID_MAGIC, json.dumps(manifest).encode("utf-8"))
+
+
+def test_a_narrow_grid_serves_the_int32_grids_ids_at_half_the_bytes(edges, tmp_path, monkeypatch):
+    narrow = GridStore.build(edges, tmp_path / "narrow", num_stripes=3)
+    assert {b["width"] for b in narrow.manifest["blocks"]} == {2}
+    _wide_only(monkeypatch)
+    wide = GridStore.build(edges, tmp_path / "wide", num_stripes=3)
+    assert {b["width"] for b in wide.manifest["blocks"]} == {4}
+    assert narrow.manifest["version"] == 2 and wide.manifest["version"] == 1
+    assert 2 * narrow.total_bytes() == wide.total_bytes()
+    got, want = _blocks(narrow), _blocks(wide)
+    assert got.keys() == want.keys()
+    for key, block in got.items():
+        assert block.src.dtype == block.dst.dtype == VID_DTYPE
+        assert 2 * block.nbytes == want[key].nbytes
+        assert np.array_equal(block.src, want[key].src)
+        assert np.array_equal(block.dst, want[key].dst)
+    for key, block in _blocks(narrow).items():  # cache hits widen the same ids
+        assert block.nbytes == 0 and np.array_equal(block.dst, want[key].dst)
+
+
+def test_a_stripe_wider_than_65536_vertices_stores_int32_ids(tmp_path):
+    from repro.graph.edgelist import EdgeList
+
+    few = EdgeList(70_000, np.array([0, 5, 69_999]), np.array([69_998, 65_536, 1]))
+    grid = GridStore.build(few, tmp_path, num_stripes=1)
+    assert [b["width"] for b in grid.manifest["blocks"]] == [4]
+    block = grid.read_block(0, 0)
+    assert grid.total_bytes() == block.nbytes == 2 * 3 * 4
+    assert block.src.tolist() == [0, 5, 69_999] and block.dst.tolist() == [69_998, 65_536, 1]
+
+
+def test_a_manifest_without_widths_reads_as_int32(edges, tmp_path, monkeypatch):
+    _wide_only(monkeypatch)
+    want = _blocks(GridStore.build(edges, tmp_path, num_stripes=3))
+    monkeypatch.undo()
+    manifest = GridStore.open(tmp_path).manifest
+    for entry in manifest["blocks"]:
+        del entry["width"]
+    _rewrite_manifest(tmp_path, manifest)
+    grid = GridStore.open(tmp_path)
+    assert grid.verify() == []
+    got = _blocks(grid)
+    assert got.keys() == want.keys()
+    for key, block in got.items():
+        assert block.nbytes == want[key].nbytes == 8 * grid.block_edges(*key)
+        assert np.array_equal(block.src, want[key].src)
+        assert np.array_equal(block.dst, want[key].dst)
+
+
+def test_a_torn_narrow_block_is_repaired_in_its_recorded_width(edges, tmp_path):
+    import zlib
+
+    grid = GridStore.build(edges, tmp_path, num_stripes=3)
+    want = {key: (b.src.copy(), b.dst.copy()) for key, b in _blocks(grid).items()}
+    grid.release()
+    i, j = _corrupt_one_block(tmp_path, grid.manifest)
+    entry = grid.manifest["blocks"][0]
+    block = grid.read_block(i, j)
+    assert grid.stats.repairs == 1
+    assert np.array_equal(block.src, want[i, j][0]) and np.array_equal(block.dst, want[i, j][1])
+    payload = (tmp_path / entry["file"]).read_bytes()[_FRAME_BYTES:]
+    assert len(payload) == entry["bytes"] == 2 * 2 * entry["edges"]
+    assert zlib.crc32(payload) == entry["crc32"]
+    assert GridStore.open(tmp_path).verify() == []
+
+
+def test_a_budget_of_the_stored_bytes_pins_every_block(edges, tmp_path):
+    limit = GridStore.build(edges, tmp_path, num_stripes=4).total_bytes()
+    grid = GridStore.open(tmp_path, budget=limit)
+    assert grid.budget.pinned == {(b["i"], b["j"]) for b in grid.manifest["blocks"]}
+    first, _ = _scan(grid)
+    assert len(first) == len(grid.manifest["blocks"])
+    second, (reads, hits) = _scan(grid)
+    assert second == set() and reads == 0 and hits == len(first)
+    assert grid.budget.evictions == 0 and grid.budget.high_water_bytes == limit
+
+
+def test_narrow_blocks_never_cost_an_oversubscribed_scan_reads(tmp_path, monkeypatch):
+    # Every int32 block here but four is over the 6,000 B limit and streams
+    # uncached; stored narrow, all fit, and pinning must still keep four.
+    road = gen.road_grid(30, seed=2)
+    narrow = GridStore.build(road, tmp_path / "narrow", num_stripes=3, budget=6000)
+    _wide_only(monkeypatch)
+    wide = GridStore.build(road, tmp_path / "wide", num_stripes=3, budget=6000)
+    scans = {grid: [_scan(grid)[1] for _ in range(3)] for grid in (narrow, wide)}
+    assert wide.stats.uncached_reads and not narrow.stats.uncached_reads
+    assert sum(r for r, _ in scans[narrow]) <= sum(r for r, _ in scans[wide])
+    assert narrow.stats.pinned_blocks >= wide.stats.pinned_blocks
+
+
+def test_open_refuses_a_block_format_it_cannot_read(edges, tmp_path):
+    GridStore.build(edges, tmp_path, num_stripes=3)
+    good = GridStore.open(tmp_path).manifest
+    block = good["blocks"][0]
+    wide_stripe = {"boundaries": [0, 70_000, 70_001, 70_002], "num_vertices": 70_002}
+    for manifest in (
+        {**good, "blocks": [{**block, "width": 3}]},
+        {**good, "blocks": [{**block, "width": 8}]},
+        {**good, "blocks": [{**block, "bytes": block["bytes"] + 2}]},
+        {**good, "blocks": [{k: v for k, v in block.items() if k != "width"}]},
+        {**good, **wide_stripe, "blocks": [{**block, "i": 0, "j": 0}]},
+        {**good, "blocks": [{**block, "j": 3}]},
+    ):
+        _rewrite_manifest(tmp_path, manifest)
+        with pytest.raises(GridError, match="unsupported format"):
+            GridStore.open(tmp_path)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 
 from repro.algorithms.bfs import bfs
 from repro.core import Engine, EngineOptions
+from repro.core.budget import parse_memory_budget
 from repro.core.stats import EdgeMapStats
 from repro.layout import GraphStore
 from repro.layout.grid import GridStore
@@ -30,8 +31,10 @@ from tests.lattice import Config, check, oracle
 pytestmark = pytest.mark.faultinjection
 
 #: small enough that the rmat(8) three-copy layout (~22 KiB) overflows
-#: it, forcing the spill rung; large enough to hold a few grid blocks.
-BUDGET = "8K"
+#: it, forcing the spill rung, and that the grid's stored blocks (4.6 KiB
+#: for ``small_rmat``, 8 KiB for ``small_symmetric``) do too, so every
+#: spilled run evicts; large enough to hold a few grid blocks.
+BUDGET = "3K"
 ALGOS = ["BFS", "PR", "CC"]
 #: the spec the benchmark's spill row still names.  Grid blocks are read
 #: in the engine's thread whatever it says.
@@ -48,9 +51,22 @@ def _grid(obs) -> dict:
     return dict(obs.grid)
 
 
+def _check(config: Config, twin: Config | None = None):
+    """:func:`~tests.lattice.check`, plus the premise of a spilled run: its
+    grid does not fit the budget, so the suite exercises eviction rather
+    than an in-cache grid."""
+    obs = check(config, twin=twin)
+    if config.spill and config.budget == BUDGET:
+        grid = _grid(obs)
+        assert grid["total_bytes"] > grid["limit_bytes"], (
+            f"the grid's {grid['total_bytes']} B fit the {BUDGET} budget"
+        )
+    return obs
+
+
 def _shimmed(config: Config):
     """``config`` under :data:`SHIM`, held to the same run under ``serial``."""
-    return check(dataclasses.replace(config, backend=SHIM), twin=config)
+    return _check(dataclasses.replace(config, backend=SHIM), twin=config)
 
 
 # ----------------------------------------------------------------------
@@ -58,16 +74,16 @@ def _shimmed(config: Config):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("code", ALGOS)
 def test_oversubscribed_run_spills_bit_identical(code):
-    obs = check(_spilled(code))
+    obs = _check(_spilled(code))
     grid = _grid(obs)
     assert any("out-of-core grid" in line for line in obs.log)
-    assert grid["limit_bytes"] == 8 << 10 and grid["high_water_bytes"] > 0
+    assert grid["limit_bytes"] == parse_memory_budget(BUDGET) and grid["high_water_bytes"] > 0
     assert grid["block_reads"] > 0
 
 
 def test_selective_scheduling_skips_inactive_blocks():
     # Sparse early frontiers leave whole source stripes inactive.
-    assert _grid(check(_spilled()))["blocks_skipped"] > 0
+    assert _grid(_check(_spilled()))["blocks_skipped"] > 0
 
 
 def test_spill_requires_opt_in(small_rmat):
@@ -80,7 +96,7 @@ def test_spill_requires_opt_in(small_rmat):
 
 
 def test_explicit_stripes_override():
-    assert _grid(check(_spilled(stripes=5)))["num_stripes"] == 5
+    assert _grid(_check(_spilled(stripes=5)))["num_stripes"] == 5
 
 
 def test_halving_bottoms_out_then_spills():
@@ -113,11 +129,11 @@ DISK_FAULTS = [
 
 @pytest.mark.parametrize("spec, stat, value", DISK_FAULTS)
 def test_disk_faults_recovered_bit_identical(spec, stat, value):
-    assert _grid(check(_spilled(faults=spec)))[stat] == value
+    assert _grid(_check(_spilled(faults=spec)))[stat] == value
 
 
 def test_slow_read_escalates_through_watchdog():
-    obs = check(_spilled(faults="slow_io@2"))
+    obs = _check(_spilled(faults="slow_io@2"))
     assert _grid(obs)["slow_reads"] == 1
     # The stalled block re-executed (served from cache on the retry).
     assert obs.journal[1] == 1
@@ -126,12 +142,12 @@ def test_slow_read_escalates_through_watchdog():
 def test_worker_crash_mid_stream_reexecutes_one_block():
     # Block-granular recovery: exactly one unit of work re-ran, the
     # already-committed blocks of the stripe replayed from the journal.
-    replays, reexecutions = check(_spilled("PR", "worker_crash@1:1")).journal
+    replays, reexecutions = _check(_spilled("PR", "worker_crash@1:1")).journal
     assert reexecutions == 1 and replays > 0
 
 
 def test_compound_fault_plan_survives():
-    grid = _grid(check(_spilled("PR", "torn_block@1,io_error@3,worker_crash@2:0")))
+    grid = _grid(_check(_spilled("PR", "torn_block@1,io_error@3,worker_crash@2:0")))
     assert grid["repairs"] == 1 and grid["io_retries"] == 1
 
 
@@ -140,7 +156,7 @@ def test_compound_fault_plan_survives():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("code", ALGOS)
 def test_killed_spilled_run_resumes_bit_identical(code):
-    check(_spilled(code, store="local", kill="worker_crash@2:1"))
+    _check(_spilled(code, store="local", kill="worker_crash@2:1"))
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +198,7 @@ def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch):
     crashed = _spilled("PR", "worker_crash@2:1")
     oracle(crashed.graph, "PR")  # warm: the oracle's folds are not the spilled run's
     monkeypatch.setattr(Engine, "_fold", spy)
-    obs = check(crashed, twin=dataclasses.replace(crashed, bitmap=True))
+    obs = _check(crashed, twin=dataclasses.replace(crashed, bitmap=True))
     assert looked_up == [True] * 10 + [False] * 10
     replays, reexecutions = obs.journal
     assert reexecutions == 1 and replays > 0
@@ -190,7 +206,7 @@ def test_worker_crash_mid_phase_replays_and_still_folds_nothing(monkeypatch):
     for got, want in zip(rows, _rows(check(Config("PR", "small_rmat"))), strict=True):
         assert got["layout"] == "grid"
         assert {k: got[k] for k in _LAYOUT_FREE} == {k: want[k] for k in _LAYOUT_FREE}
-    clean = _rows(check(_spilled("PR")))
+    clean = _rows(_check(_spilled("PR")))
     assert rows[2]["io_blocks"] < clean[2]["io_blocks"]
     for row in (clean[2], rows[2]):
         del row["io_bytes"], row["io_blocks"]
