@@ -37,18 +37,15 @@ Subcommands
 
 ``checkpoints``
     Maintain a checkpoint directory: list runs/generations, verify their
-    integrity, prune old generations, drain a remote store's local spill
-    journal into the (healed) remote::
+    integrity, prune old generations::
 
         python -m repro checkpoints ls --checkpoint-dir ckpts
         python -m repro checkpoints verify --checkpoint-dir ckpts --store sharded
         python -m repro checkpoints prune --checkpoint-dir ckpts --keep 3
-        python -m repro checkpoints sync --checkpoint-dir ckpts --store remote:seed=7
 
     ``--store`` takes a spec: a bare kind (``local``, ``sharded``,
-    ``replicated``, ``remote``) optionally followed by colon-separated
-    ``key=value`` options, e.g.
-    ``remote:seed=7:deadline=10:faults=net_timeout@0+net_reset@3``.
+    ``replicated``) optionally followed by colon-separated ``key=value``
+    options, e.g. ``replicated:replicas=3``.
 
 ``memsim``
     Sweep the exact cache simulator over a dataset's partitioned trace
@@ -151,8 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="checkpoint every N iterations (default 1)")
     run.add_argument("--store", default="local",
                      help="checkpoint store spec: local | sharded | "
-                          "replicated[:replicas=N] | remote[:key=value...] "
-                          "(default local)")
+                          "replicated[:replicas=N] (default local)")
     run.add_argument("--checkpoint-keep", type=int, default=None, metavar="N",
                      help="keep only the newest N checkpoint generations per run")
     run.add_argument("--fault-plan",
@@ -214,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--scale", type=float, default=None)
 
     ckpt = sub.add_parser("checkpoints", help="maintain a checkpoint directory")
-    ckpt.add_argument("action", choices=("ls", "verify", "prune", "sync"))
+    ckpt.add_argument("action", choices=("ls", "verify", "prune"))
     ckpt.add_argument("--checkpoint-dir", required=True,
                       help="the directory holding the checkpoints")
     ckpt.add_argument("--store", default="local",
@@ -351,11 +347,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
             manager = CheckpointManager(
                 args.checkpoint_dir,
-                store=make_store(
-                    args.store,
-                    args.checkpoint_dir,
-                    fault_plan=resilience.fault_plan if resilience else None,
-                ),
+                store=make_store(args.store, args.checkpoint_dir),
                 fault_plan=resilience.fault_plan if resilience else None,
                 keep_last=args.checkpoint_keep,
             )
@@ -401,14 +393,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   f"{grid.stats.pinned_blocks} pinned blocks of {grid.stats.pinned_bytes} B)")
         for line in grid.events:
             print(f"grid: {line}")
-    if session is not None:
-        store_backend = session.manager.store
-        for line in store_backend.events:
-            print(f"remote: {line}")
-        pending = store_backend.pending_spill()
-        if pending:
-            print(f"remote: {len(pending)} generation(s) still in the local spill "
-                  f"journal; run 'checkpoints sync' once the remote heals")
 
     stats = stats_of(result)
     machine = MachineSpec().scaled_for(edges.num_vertices)
@@ -440,15 +424,6 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
         args.checkpoint_dir,
         store=make_store(args.store, args.checkpoint_dir),
     )
-
-    if args.action == "sync":
-        outcomes = manager.store.sync()  # a ValidationError unless the store is remote
-        for outcome in outcomes:
-            print(f"sync: {outcome.render()}")
-        deferred = [o for o in outcomes if o.action in ("deferred", "corrupt-spill")]
-        print(f"sync: {len(outcomes) - len(deferred)} applied, "
-              f"{len(deferred)} still pending")
-        return 1 if deferred else 0
 
     names = [args.name] if args.name else manager.names()
     if not names:

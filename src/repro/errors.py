@@ -95,56 +95,6 @@ class CheckpointCorruptError(CheckpointError):
     """A checkpoint file failed its CRC32 / framing integrity check."""
 
 
-class NetworkError(ReproError):
-    """A transient (simulated) network-level failure of one remote request.
-
-    Raised by the :mod:`repro.resilience.netsim` transport, never by the
-    object service itself; the :class:`~repro.resilience.remote.RemoteClient`
-    treats every subclass as retryable.
-    """
-
-
-class NetTimeoutError(NetworkError):
-    """The request produced no response within the transport timeout.
-
-    Modelled as the request *never reaching* the service, so retrying a
-    timed-out mutation cannot double-apply it.
-    """
-
-
-class NetResetError(NetworkError):
-    """The connection was reset mid-stream.
-
-    For uploads this is a *torn write*: a damaged prefix (truncated or
-    byte-flipped) may have reached the service, to be caught by the
-    per-part CRC32 check at complete-multipart time.
-    """
-
-
-class NetThrottleError(NetworkError):
-    """The service shed load (an S3-style 503 SlowDown / transient 5xx)."""
-
-
-class RemoteProtocolError(CheckpointError):
-    """The object service rejected a request.
-
-    No such key or upload id, a part failing its declared CRC32, or a
-    malformed key — a *definitive* answer from the service, so the
-    client does not blindly retry it (unlike :class:`NetworkError`).
-    """
-
-
-class RemoteUnavailableError(CheckpointError):
-    """The remote store could not be reached within its failure budget.
-
-    Raised when the circuit breaker is open (fail-fast, no network
-    attempt) or when deadline-bounded retries exhausted their budget.
-    :class:`~repro.resilience.remote.RemoteStore` degrades on this error
-    by spilling the checkpoint to its local write-behind journal instead
-    of blocking algorithm progress.
-    """
-
-
 class GridError(ReproError):
     """An out-of-core grid store operation failed (see :mod:`repro.layout.grid`)."""
 

@@ -500,8 +500,11 @@ class GridStore:
         then :class:`~repro.errors.GridIOError`); CRC failures trigger
         repair-on-read; the admitted block is charged to the budget,
         evicting unpinned LRU residents.  All of it runs in the caller's thread.
-        The budget holds the stored ids; the ``VID_DTYPE`` ids served are
-        widened from them per call.
+        The budget holds the stored ids.  A ``uint16`` block's ids are
+        widened to ``VID_DTYPE`` into a fresh buffer on every call, hit or
+        miss, and that buffer is not charged — nor is a record's copied
+        ``activated`` — so ``budget.high_water_bytes`` bounds the cache,
+        not the process.
         """
         key = (i, j)
         entry = self._blocks.get(key)

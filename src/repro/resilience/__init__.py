@@ -11,25 +11,15 @@ ladder and the degradation ladder.
 """
 
 from ..graph.validation import validate_edgelist, validate_weights
-from .backoff import BackoffSchedule
 from .checkpoint import CheckpointManager, CheckpointSession
 from .faults import (
     FAULT_KINDS,
     GRID_WRITE_FAULT_KINDS,
     IO_FAULT_KINDS,
-    NET_FAULT_KINDS,
     FaultEvent,
     FaultPlan,
 )
 from .journal import PartitionRecord, PhaseJournal
-from .netsim import NetworkSimulator
-from .remote import (
-    CircuitBreaker,
-    ObjectService,
-    RemoteClient,
-    RemoteStore,
-    SyncOutcome,
-)
 from .store import (
     STORE_KINDS,
     CheckpointStore,
@@ -42,11 +32,9 @@ from .supervisor import ResiliencePolicy
 from .watchdog import ESCALATION_LADDER, Watchdog
 
 __all__ = [
-    "BackoffSchedule",
     "CheckpointManager",
     "CheckpointSession",
     "CheckpointStore",
-    "CircuitBreaker",
     "ESCALATION_LADDER",
     "FAULT_KINDS",
     "FaultEvent",
@@ -54,18 +42,12 @@ __all__ = [
     "GRID_WRITE_FAULT_KINDS",
     "IO_FAULT_KINDS",
     "LocalDirStore",
-    "NET_FAULT_KINDS",
-    "NetworkSimulator",
-    "ObjectService",
     "PartitionRecord",
     "PhaseJournal",
-    "RemoteClient",
-    "RemoteStore",
     "ReplicatedStore",
     "ResiliencePolicy",
     "STORE_KINDS",
     "ShardedStore",
-    "SyncOutcome",
     "Watchdog",
     "make_store",
     "validate_edgelist",

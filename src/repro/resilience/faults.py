@@ -39,29 +39,6 @@ Fault kinds
     Make one partition task (simulatedly) overrun its watchdog
     deadline, driving the retry → requeue → degrade escalation ladder.
 
-Network fault kinds
--------------------
-The remaining kinds target the simulated network in front of the remote
-object store (:mod:`repro.resilience.netsim`).  For these, ``iteration``
-indexes the *Nth remote request* the run issues (0-based), not an
-edge-map phase, and a ``:partition`` suffix is rejected:
-
-``net_timeout``
-    The request never reaches the service; the transport raises
-    :class:`~repro.errors.NetTimeoutError` after its timeout elapses
-    (in simulated time).
-``net_reset``
-    Connection reset mid-stream: an upload's payload arrives torn
-    (truncated or byte-flipped) before
-    :class:`~repro.errors.NetResetError` is raised — caught later by the
-    multipart per-part CRC32 check.
-``net_throttle``
-    A transient 503/SlowDown (:class:`~repro.errors.NetThrottleError`).
-``stale_read``
-    A bounded-staleness read: the GET/HEAD is served from the key's
-    *previous* version when one exists; the client detects the stale
-    ETag and re-reads consistently.
-
 Disk I/O fault kinds
 --------------------
 These target the out-of-core grid store (:mod:`repro.layout.grid`, which
@@ -100,19 +77,9 @@ __all__ = [
     "FaultEvent",
     "FaultPlan",
     "FAULT_KINDS",
-    "NET_FAULT_KINDS",
     "IO_FAULT_KINDS",
     "GRID_WRITE_FAULT_KINDS",
 ]
-
-#: Kinds injected into the simulated network transport; their
-#: ``iteration`` indexes the Nth remote request, not an edge-map phase.
-NET_FAULT_KINDS = (
-    "net_timeout",
-    "net_reset",
-    "net_throttle",
-    "stale_read",
-)
 
 FAULT_KINDS = (
     "worker_crash",
@@ -122,7 +89,7 @@ FAULT_KINDS = (
     "corrupt_shard",
     "lost_replica",
     "stall",
-) + NET_FAULT_KINDS + IO_FAULT_KINDS + GRID_WRITE_FAULT_KINDS
+) + IO_FAULT_KINDS + GRID_WRITE_FAULT_KINDS
 
 #: Kinds that must name a partition (``kind@iteration:partition``).
 _PARTITION_REQUIRED = frozenset({"partition", "stall"})
@@ -272,10 +239,10 @@ class FaultPlan:
         """Consume one pending event of ``kinds`` at ``index``; returns its kind.
 
         ``index`` is whatever the kinds count — the edge-map phase for
-        ``stall`` (with its ``partition``), the Nth remote request, grid
-        block read or block write, or the checkpoint step.  At most one
-        event fires per call, so stacked events on the same index fire
-        on consecutive attempts.
+        ``stall`` (with its ``partition``), the Nth grid block read or
+        block write, or the checkpoint step.  At most one event fires
+        per call, so stacked events on the same index fire on
+        consecutive attempts.
         """
         for ev in self.events:
             if (

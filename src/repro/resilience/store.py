@@ -5,9 +5,8 @@
 ``(run name, step)`` to a dict of named numpy arrays, with atomic commit
 and integrity verification on read.  It also declares, with defaults,
 everything else the manager and the CLI ask of a store — its on-disk
-location, damage per storage fault kind, its events, pending spill and
-``sync`` — so no caller probes a store for what it can do.  Three
-backends ship:
+location and damage per storage fault kind — so no caller probes a
+store for what it can do.  Three backends ship:
 
 :class:`LocalDirStore`
     The original single-file format — one framed ``.ckpt`` container per
@@ -30,16 +29,10 @@ backends ship:
     order and return the first generation that verifies, then re-sync
     the lagging/corrupt replicas from the healthy copy.
 
-A fourth backend, :class:`~repro.resilience.remote.RemoteStore`, lives
-in its own module: checkpoints in a simulated S3-style object service
-behind a fault-injecting network, spilling to a local write-behind
-journal while the remote is unavailable.
-
-``make_store`` builds any of the four from the CLI's ``--store`` flag,
+``make_store`` builds any of the three from the CLI's ``--store`` flag,
 whose value is a *spec* in the one ``kind[:key=value]*`` grammar of
-:mod:`repro.spec` (``local``, ``replicated:replicas=3``,
-``remote:seed=7:deadline=10``); :data:`STORE_SPEC` is this module's
-option table.
+:mod:`repro.spec` (``local``, ``replicated:replicas=3``);
+:data:`STORE_SPEC` is this module's option table.
 """
 
 from __future__ import annotations
@@ -53,13 +46,13 @@ import shutil
 import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..durable import flip_last_byte, read_framed, write_framed
-from ..errors import CheckpointCorruptError, CheckpointError, ValidationError
-from ..spec import integer, number, parse_spec, string
+from ..errors import CheckpointCorruptError, CheckpointError
+from ..spec import integer, parse_spec
 
 __all__ = [
     "CheckpointStore",
@@ -111,15 +104,13 @@ class CheckpointStore(ABC):
     ``load`` integrity-checked (:class:`CheckpointCorruptError` on any
     torn or flipped byte that cannot be repaired).  Everything below the
     five abstract methods has a default, so a kind overrides only what it
-    has: shards to tear, replicas to lose, a spill journal to drain.
+    has: shards to tear, replicas to lose.
     """
 
     #: short backend identifier (one of :data:`STORE_KINDS`).
     kind: str = "abstract"
     #: the one local directory the store lives in, for kinds that have one.
     directory: Path | None = None
-    #: human-readable degradation events, newest last.
-    events: Sequence[str] = ()
 
     @abstractmethod
     def save(self, name: str, step: int, arrays: Mapping[str, np.ndarray]) -> None:
@@ -176,19 +167,6 @@ class CheckpointStore(ABC):
         """``lost_replica``: drop one replica's copy; an un-replicated
         store loses the generation."""
         self.delete(name, step)
-
-    # ------------------------------------------------------------------
-    # write-behind (only the remote store has a spill journal)
-    # ------------------------------------------------------------------
-    def pending_spill(self) -> list[tuple[str, int]]:
-        """Generations waiting in a local spill journal for upload."""
-        return []
-
-    def sync(self, *, best_effort: bool = False) -> list:
-        """Drain the spill journal; only a remote store has one."""
-        raise ValidationError(
-            f"'checkpoints sync' needs a remote store, got --store {self.kind!r}"
-        )
 
 
 class _DirectoryStore(CheckpointStore):
@@ -495,66 +473,32 @@ class ReplicatedStore(CheckpointStore):
         )
 
 
-#: the ``--store`` spec table: every kind, and the options it accepts.
-#: ``replicas`` is the mirror count; the ``remote`` options seed its
-#: network simulator, inject ``+``-joined fault events into it (``,``
-#: already separates CLI fault events), and bound the client's retries
-#: by simulated seconds and by attempts.
+#: the ``--store`` spec table: every kind, and the options it accepts
+#: (``replicas`` is the mirror count).
 STORE_SPEC = {
     "local": {},
     "sharded": {},
     "replicated": {"replicas": integer(2, minimum=1)},
-    "remote": {
-        "seed": integer(0),
-        "faults": string(None),
-        "deadline": number(30.0),
-        "attempts": integer(8, minimum=1),
-    },
 }
 
 #: CLI-selectable backend names.
 STORE_KINDS = tuple(STORE_SPEC)
 
 
-def make_store(
-    spec: str, directory: str | os.PathLike, *, fault_plan=None
-) -> CheckpointStore:
+def make_store(spec: str, directory: str | os.PathLike) -> CheckpointStore:
     """Build a store backend from its CLI ``--store`` spec.
 
     ``replicated`` mirrors a :class:`ShardedStore` across ``replicas``
     subdirectories of ``directory`` (``replica-0``, ``replica-1``, ...).
-    A ``fault_plan`` (e.g. the run's ``--faults`` plan) is merged with
-    the ``remote`` spec's ``faults`` so the network simulator and the
-    engine consume the same one-shot event pool.
     """
     kind, options = parse_spec("store", STORE_SPEC, spec)
     if kind == "local":
         return LocalDirStore(directory)
     if kind == "sharded":
         return ShardedStore(directory)
-    if kind == "replicated":
-        return ReplicatedStore(
-            [
-                ShardedStore(Path(directory) / f"replica-{i}")
-                for i in range(options["replicas"])
-            ]
-        )
-    # kind == "remote"; imported lazily (remote.py imports this module).
-    from .faults import FaultPlan
-    from .remote import RemoteStore
-
-    merged = fault_plan
-    if options["faults"] is not None:
-        spec_plan = FaultPlan.from_spec(options["faults"].replace("+", ","))
-        # Share the event objects so one-shot semantics stay consistent
-        # between the engine and the network simulator.
-        merged = FaultPlan(
-            (fault_plan.events if fault_plan is not None else []) + spec_plan.events
-        )
-    return RemoteStore(
-        directory,
-        seed=options["seed"],
-        fault_plan=merged,
-        deadline_s=options["deadline"],
-        max_attempts=options["attempts"],
+    return ReplicatedStore(
+        [
+            ShardedStore(Path(directory) / f"replica-{i}")
+            for i in range(options["replicas"])
+        ]
     )

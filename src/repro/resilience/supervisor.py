@@ -58,7 +58,6 @@ from ..errors import (
 from ..layout.grid import GridStore
 from ..machine.scheduler import reassign_slot
 from ..partition.storage import StorageModel
-from .backoff import BackoffSchedule
 from .faults import FaultPlan
 from .journal import PhaseJournal
 from .watchdog import Watchdog
@@ -142,13 +141,8 @@ class ResiliencePolicy:
             self.memory_budget = parse_memory_budget(self.memory_budget)
         if self.grid_stripes is not None and self.grid_stripes < 1:
             raise ValidationError("grid_stripes must be >= 1")
-        # The one shared backoff implementation (also used by the remote
-        # object client); its constructor validates the parameters.
-        self._backoff = BackoffSchedule(
-            base=self.backoff_base,
-            factor=self.backoff_factor,
-            cap=self.backoff_cap,
-        )
+        if self.backoff_base < 0 or self.backoff_cap < 0 or self.backoff_factor < 1:
+            raise ValidationError("backoff parameters must be non-negative (factor >= 1)")
 
     @property
     def spill_enabled(self) -> bool:
@@ -157,7 +151,7 @@ class ResiliencePolicy:
 
     def backoff_delay(self, attempt: int) -> float:
         """Delay before retry ``attempt`` (0-based), capped."""
-        return self._backoff.delay(attempt)
+        return min(self.backoff_cap, self.backoff_base * self.backoff_factor**attempt)
 
     def wait(self, attempt: int) -> float:
         """Sleep the backoff delay; returns the delay used."""

@@ -4,7 +4,7 @@ Execution backends (``EngineOptions.backend``, ``--backend``) and
 checkpoint stores (``--store``) are both selected by a *spec* string: a
 bare kind (``serial``, ``sharded``) or a kind followed by
 colon-separated ``key=value`` options (``threads:workers=2:strict=0``,
-``remote:seed=7:deadline=10``).  Each of those modules declares only a
+``replicated:replicas=3``).  Each of those modules declares only a
 table ``{kind: {option: Option}}``; :func:`parse_spec` does the rest —
 split, unknown-kind / unknown-option / missing-``=`` / duplicate checks
 and typed conversion with defaults — raising
@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import ValidationError
 
-__all__ = ["Option", "integer", "number", "flag", "choice", "string", "parse_spec"]
+__all__ = ["Option", "integer", "flag", "choice", "parse_spec"]
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ def integer(default: int | None, *, minimum: int | None = None) -> Option:
     return Option(convert, f"an integer{bound}", default)
 
 
-def number(default: float) -> Option:
-    """A float."""
-    return Option(float, "a number", default)
-
-
 def flag(default: bool) -> Option:
     """``0`` or ``1``."""
     return Option({"0": False, "1": True}.__getitem__, "0 or 1", default)
@@ -61,11 +56,6 @@ def choice(default: str | None, allowed) -> Option:
     """One of a fixed set of words."""
     words = {word: word for word in allowed}
     return Option(words.__getitem__, f"one of {tuple(words)}", default)
-
-
-def string(default: str | None) -> Option:
-    """Free text, kept as is (a value with its own format and parser)."""
-    return Option(str, "text", default)
 
 
 def parse_spec(

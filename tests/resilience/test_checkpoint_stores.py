@@ -3,11 +3,9 @@
 Covers the byte-level contract of every backend in ``STORE_KINDS`` —
 the original single-file :class:`LocalDirStore`, the
 :class:`ShardedStore` with its atomic-manifest commit point and
-torn-shard repair, the :class:`ReplicatedStore` with quorum writes and
-re-sync on read, and (via the shared parametrized contract tests) the
-:class:`~repro.resilience.remote.RemoteStore` — plus the
-:class:`CheckpointManager` retention satellite (``keep_last``) and the
-``--store`` option table.
+torn-shard repair, and the :class:`ReplicatedStore` with quorum writes
+and re-sync on read — plus the :class:`CheckpointManager` retention
+satellite (``keep_last``) and the ``--store`` option table.
 """
 
 import numpy as np
@@ -95,36 +93,11 @@ def test_corrupt_generation_detected(tmp_path, kind):
 
 
 def test_make_store_unknown_kind_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        make_store("cloud", tmp_path)
+    for kind in ("cloud", "remote"):
+        with pytest.raises(ValueError, match=f"unknown store kind {kind!r}"):
+            make_store(kind, tmp_path)
     with pytest.raises(ValueError):
         make_store("replicated:replicas=0", tmp_path)
-
-
-def test_make_store_applies_remote_spec_options(tmp_path):
-    store = make_store("remote:seed=7:deadline=12:attempts=4", tmp_path)
-    assert store.kind == "remote"
-    assert store.net.seed == 7
-    assert store.client.deadline_s == 12.0
-    assert store.client.max_attempts == 4
-    with pytest.raises(ValueError):
-        make_store("remote:seed=notanint", tmp_path)
-
-
-def test_make_store_merges_spec_faults_with_run_plan(tmp_path):
-    from repro.resilience import NET_FAULT_KINDS, FaultPlan
-
-    run_plan = FaultPlan.from_spec("worker_crash@2")
-    store = make_store(
-        "remote:faults=net_timeout@0+stale_read@4", tmp_path, fault_plan=run_plan
-    )
-    merged = store.net.fault_plan
-    kinds = [ev.kind for ev in merged.events]
-    assert kinds == ["worker_crash", "net_timeout", "stale_read"]
-    # the event objects are shared, so firing one via the simulator is
-    # visible to the engine-side plan (one-shot semantics hold globally)
-    assert merged.take(NET_FAULT_KINDS, 0) == "net_timeout"
-    assert run_plan.events[0] in merged.events
 
 
 def test_no_tmp_files_left_behind(tmp_path):

@@ -16,10 +16,9 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.__main__ import main
 from repro.algorithms import registry
 from repro.core import Engine, EngineOptions
-from repro.errors import CheckpointError, ValidationError
+from repro.errors import CheckpointError
 from repro.layout import GraphStore
 from repro.resilience import (
     STORE_KINDS,
@@ -86,9 +85,9 @@ def _contract_methods():
 def test_the_contract_names_what_the_manager_and_cli_call():
     assert _contract_methods() == [
         "corrupt", "corrupt_shard", "delete", "load", "lose_replica", "names",
-        "path_for", "pending_spill", "save", "size_bytes", "steps", "sync", "verify",
+        "path_for", "save", "size_bytes", "steps", "verify",
     ]
-    assert {"kind", "directory", "events"} <= set(vars(CheckpointStore))
+    assert {"kind", "directory"} <= set(vars(CheckpointStore))
 
 
 @pytest.mark.parametrize("kind", STORE_KINDS)
@@ -104,7 +103,6 @@ def test_every_kind_answers_every_contract_call(tmp_path, kind):
     if location is None:
         with pytest.raises(CheckpointError, match="no single on-disk path"):
             manager.path_for("run", 1)
-    assert list(store.events) == [] and store.pending_spill() == []
     assert store.steps("run") == [1] and store.names() == ["run"] and store.verify("run", 1)
     assert store.size_bytes("run", 1) > 0
     store.delete("run", 1)
@@ -118,9 +116,9 @@ def test_every_kind_answers_every_contract_call(tmp_path, kind):
 #: replica's copy on the replicated kind (the other still serves it) and
 #: falls back to deleting the generation elsewhere.
 SURVIVORS = {
-    "corrupt_checkpoint": {"local": [1], "sharded": [1], "replicated": [1], "remote": [1]},
-    "corrupt_shard": {"local": [1], "sharded": [1], "replicated": [1], "remote": [1]},
-    "lost_replica": {"local": [1], "sharded": [1], "replicated": [1, 2], "remote": [1]},
+    "corrupt_checkpoint": {"local": [1], "sharded": [1], "replicated": [1]},
+    "corrupt_shard": {"local": [1], "sharded": [1], "replicated": [1]},
+    "lost_replica": {"local": [1], "sharded": [1], "replicated": [1, 2]},
 }
 
 
@@ -141,18 +139,3 @@ def test_storage_faults_keep_their_documented_fallbacks(tmp_path, kind, fault):
             pass
     assert loadable == SURVIVORS[fault][kind]
     assert manager.load_latest("run")[0] == loadable[-1]
-
-
-@pytest.mark.parametrize("kind", [k for k in STORE_KINDS if k != "remote"])
-def test_sync_on_a_store_without_a_spill_journal_is_a_validation_error(tmp_path, kind, capsys):
-    make_store(kind, tmp_path).save("run", 1, _arrays(1))
-    with pytest.raises(ValidationError, match="needs a remote store"):
-        make_store(kind, tmp_path).sync()
-    assert main(["checkpoints", "sync", "--checkpoint-dir", str(tmp_path), "--store", kind]) == 1
-    assert f"needs a remote store, got --store '{kind}'" in capsys.readouterr().err
-
-
-def test_sync_on_a_remote_store_drains_nothing_when_nothing_spilled(tmp_path):
-    store = make_store("remote", tmp_path)
-    store.save("run", 1, _arrays(1))
-    assert store.sync() == []

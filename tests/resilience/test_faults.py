@@ -23,7 +23,7 @@ from repro.errors import (
 )
 from repro.graph.io import load_text
 from repro.layout import GraphStore
-from repro.resilience import NET_FAULT_KINDS, FaultEvent, FaultPlan, ResiliencePolicy
+from repro.resilience import FaultEvent, FaultPlan, ResiliencePolicy
 from tests.lattice import Config, check
 
 pytestmark = pytest.mark.faultinjection
@@ -214,53 +214,21 @@ def test_engine_rejects_plan_targeting_missing_partition(small_rmat):
 
 
 # ----------------------------------------------------------------------
-# network fault kinds (consumed by the remote store's network simulator)
+# names that are not fault kinds (the retired network kinds among them)
 # ----------------------------------------------------------------------
-def test_net_fault_specs_roundtrip():
-    spec = "net_timeout@0,net_reset@3,net_throttle@5,stale_read@7"
-    assert FaultPlan.from_spec(spec).to_spec() == spec
-
-
 @pytest.mark.parametrize(
     "bad",
     [
-        "net_timeout@0:1",   # network faults take no partition scope
+        "net_timeout@0:1",
         "net_reset@2:0",
         "net_throttle@1:3",
         "stale_read@4:2",
-        "net_lag@1",         # unknown network kind
+        "net_lag@1",
     ],
 )
 def test_net_fault_specs_reject_partition_suffix_and_unknown_kinds(bad):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=f"unknown fault kind {bad.split('@')[0]!r}"):
         FaultPlan.from_spec(bad)
-
-
-def test_take_net_fault_is_one_shot_and_indexed_by_request():
-    plan = FaultPlan.from_spec("net_reset@2,net_timeout@2,stale_read@5")
-    assert plan.take(NET_FAULT_KINDS, 0) is None
-    assert plan.take(NET_FAULT_KINDS, 2) == "net_reset"
-    # stacked events on one index fire on consecutive attempts
-    assert plan.take(NET_FAULT_KINDS, 2) == "net_timeout"
-    assert plan.take(NET_FAULT_KINDS, 2) is None
-    assert plan.take(NET_FAULT_KINDS, 5) == "stale_read"
-    assert plan.pending() == []
-
-
-def test_net_faults_do_not_fire_engine_hooks():
-    plan = FaultPlan.from_spec("net_timeout@1,stale_read@1")
-    plan.before_edge_map(1)           # must not raise
-    plan.before_partition(1, 0)       # must not raise
-    assert plan.take(("stall",), 1, 0) is None
-    assert len(plan.pending()) == 2   # still armed for the simulator
-
-
-def test_random_plan_supports_net_kinds():
-    a = FaultPlan.random(9, iterations=20, num_faults=5, kinds=NET_FAULT_KINDS)
-    b = FaultPlan.random(9, iterations=20, num_faults=5, kinds=NET_FAULT_KINDS)
-    assert a.to_spec() == b.to_spec()
-    assert all(ev.kind in NET_FAULT_KINDS and ev.partition is None for ev in a.events)
-    a.validate(num_partitions=4)  # net events carry no partition to range-check
 
 
 def test_plan_reset_rearms_events(small_rmat):

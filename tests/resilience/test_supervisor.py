@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.bfs import bfs
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
+from repro.errors import ValidationError
 from repro.graph import generators as gen
 from repro.layout import GraphStore
 from repro.partition.by_destination import partition_by_destination
@@ -83,7 +84,7 @@ def test_resilience_log_records_recovery(small_rmat):
     ],
 )
 def test_policy_validates_parameters(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         ResiliencePolicy(**kwargs)
 
 

@@ -1,6 +1,5 @@
 """CLI (`python -m repro`) tests."""
 
-import numpy as np
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
@@ -159,7 +158,7 @@ def _run_with_checkpoints(tmp_path, small_rmat, *extra):
     return ckpt
 
 
-@pytest.mark.parametrize("store", ["local", "sharded", "replicated", "remote"])
+@pytest.mark.parametrize("store", ["local", "sharded", "replicated"])
 def test_run_with_each_store_backend(tmp_path, small_rmat, store, capsys):
     ckpt = _run_with_checkpoints(tmp_path, small_rmat, "--store", store)
     assert ckpt.exists()
@@ -222,70 +221,45 @@ def test_resume_flag_requires_checkpoint_dir(tmp_path, small_rmat, capsys):
 
 
 # ----------------------------------------------------------------------
-# remote store: spec options, the spill note, and `checkpoints sync`
+# store specs, and the retired remote store's names
 # ----------------------------------------------------------------------
 def test_bad_store_spec_is_a_typed_cli_error(tmp_path, small_rmat, capsys):
     path = tmp_path / "g.npz"
     save_npz(path, small_rmat)
     assert main(["run", "PR", "--graph", str(path),
                  "--checkpoint-dir", str(tmp_path / "c"),
-                 "--store", "remote:bogus=1"]) == 1
+                 "--store", "replicated:bogus=1"]) == 1
     assert "does not accept option" in capsys.readouterr().err
 
 
-def test_run_remote_outage_spills_and_sync_drains(tmp_path, small_rmat, capsys):
-    """The end-to-end CLI pass the CI network-chaos job replays."""
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--store", "remote"], "unknown store kind 'remote'"),
+        (["--fault-plan", "net_timeout@0"], "unknown fault kind 'net_timeout'"),
+    ],
+    ids=["store-remote", "fault-net_timeout"],
+)
+def test_the_remote_store_and_network_faults_are_refused(tmp_path, small_rmat, capsys,
+                                                          flags, message):
     path = tmp_path / "g.npz"
     save_npz(path, small_rmat)
-    ckpt = tmp_path / "ckpts"
-    # a dense mid-run timeout storm: saves degrade to the spill journal
-    storm = "+".join(f"net_timeout@{i}" for i in range(6, 26))
-    rc = main(["run", "PR", "--graph", str(path), "--partitions", "8",
-               "--checkpoint-dir", str(ckpt),
-               "--store", f"remote:seed=7:attempts=2:deadline=2:faults={storm}"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "spilled" in out
-    assert "checkpoints sync" in out  # the CLI points at the drain command
-
-    # the remote healed (the storm's plan is spent): sync drains everything
-    assert main(["checkpoints", "sync", "--checkpoint-dir", str(ckpt),
-                 "--store", "remote:seed=8"]) == 0
-    out = capsys.readouterr().out
-    assert "uploaded" in out and "0 still pending" in out
-
-    # and the synced checkpoints verify clean through a fresh client
-    capsys.readouterr()
-    assert main(["checkpoints", "verify", "--checkpoint-dir", str(ckpt),
-                 "--store", "remote:seed=9"]) == 0
-    assert "0 corrupt" in capsys.readouterr().out
+    assert main(["run", "PR", "--graph", str(path), "--partitions", "8",
+                 "--checkpoint-dir", str(tmp_path / "c"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_sync_on_a_local_store_is_rejected(tmp_path, small_rmat, capsys):
+    """No store has a spill journal to drain: argparse refuses ``sync``."""
     ckpt = _run_with_checkpoints(tmp_path, small_rmat)
-    assert main(["checkpoints", "sync", "--checkpoint-dir", str(ckpt)]) == 1
-    assert "needs a remote store" in capsys.readouterr().err
-
-
-def test_sync_reports_deferred_objects_while_down(tmp_path, small_rmat, capsys):
-    from repro.resilience import RemoteStore
-    import numpy as np
-
-    # leave one generation in the spill journal of a down remote
-    down = "+".join(f"net_timeout@{i}" for i in range(40))
-    store_dir = tmp_path / "ckpts"
-    from repro.resilience import FaultPlan
-
-    store = RemoteStore(store_dir, seed=1,
-                        fault_plan=FaultPlan.from_spec(down.replace("+", ",")),
-                        max_attempts=2, deadline_s=2.0)
-    store.save("run", 1, {"x": np.arange(4)})
-    assert store.pending_spill()
-
-    # a sync against a still-down remote reports the deferral, exit 1
-    assert main(["checkpoints", "sync", "--checkpoint-dir", str(store_dir),
-                 "--store", f"remote:seed=1:attempts=2:deadline=2:faults={down}"]) == 1
-    assert "deferred" in capsys.readouterr().out
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["checkpoints", "sync", "--checkpoint-dir", str(ckpt)])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'sync'" in err and "Traceback" not in err
 
 
 # ----------------------------------------------------------------------

@@ -13,16 +13,14 @@ import pytest
 from repro.core.backend import BACKEND_SPEC
 from repro.errors import ValidationError
 from repro.resilience.store import STORE_SPEC
-from repro.spec import choice, flag, integer, number, parse_spec
+from repro.spec import choice, flag, integer, parse_spec
 
 TABLES = {"backend": BACKEND_SPEC, "store": STORE_SPEC}
 
 #: one well-formed item per option name, and the value it converts to.
 VALID = {
     "workers": ("2", 2), "strict": ("0", False),
-    "prefetch": ("1", 1), "replicas": ("3", 3), "seed": ("7", 7),
-    "faults": ("net_timeout@0", "net_timeout@0"), "deadline": ("1.5", 1.5),
-    "attempts": ("4", 4),
+    "prefetch": ("1", 1), "replicas": ("3", 3),
 }
 
 
@@ -88,8 +86,6 @@ def test_duplicate_option_is_refused(grammar):
 
 def test_ill_typed_value_names_the_option_and_what_it_expects(grammar):
     for kind, key, option in _options(grammar):
-        if key == "faults":  # free text: its own parser judges it
-            continue
         with pytest.raises(ValidationError) as err:
             _parse(grammar, f"{kind}:{key}=?")
         assert (
@@ -105,7 +101,6 @@ def test_converters():
         integer(None, minimum=1).convert("0")
     with pytest.raises(ValueError):
         integer(None).convert("1.5")
-    assert number(0.0).convert("2") == 2.0
     assert [flag(False).convert(text) for text in "01"] == [False, True]
     with pytest.raises(KeyError):
         flag(False).convert("yes")
@@ -121,8 +116,8 @@ def test_converters():
         ("backend", "process:chunk=3", "chunk"),
         ("backend", "threads:start=spawn", "start"),
         ("backend", "threads:workers=2:prefetch=2", "prefetch"),
-        ("store", "remote:parts=1024", "parts"),
-        ("store", "remote:autosync=0", "autosync"),
+        ("store", "sharded:parts=1024", "parts"),
+        ("store", "local:autosync=0", "autosync"),
     ],
 )
 def test_deleted_options_are_refused_by_name(grammar, spec, key):
