@@ -317,13 +317,21 @@ def _build_resilience(args: argparse.Namespace):
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and not args.checkpoint_dir:
         raise ValidationError("--resume requires --checkpoint-dir")
+    spec = registry.get(args.algorithm)
+    # The specs are parsed before the graph is loaded: a refused one costs no load.
+    resilience = _build_resilience(args)
+    options = EngineOptions(num_threads=args.threads, backend=args.backend)
+    checkpoint_store = None
+    if args.checkpoint_dir and spec.resumable:
+        from .resilience import make_store
+
+        checkpoint_store = make_store(args.store, args.checkpoint_dir)
     if args.graph:
         edges = graph_io.load(args.graph)
         source_name = args.graph
     else:
         edges = datasets.load(args.dataset, args.scale)
         source_name = f"{args.dataset}@{args.scale}"
-    spec = registry.get(args.algorithm)
     print(f"{spec.code} on {source_name}: |V|={edges.num_vertices} |E|={edges.num_edges}")
 
     t0 = time.perf_counter()
@@ -334,8 +342,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         edge_order=args.edge_order,
     )
     build_s = time.perf_counter() - t0
-    resilience = _build_resilience(args)
-    options = EngineOptions(num_threads=args.threads, backend=args.backend)
     engine = Engine(store, options, resilience=resilience)
 
     session = None
@@ -343,11 +349,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if not spec.resumable:
             print(f"note: {spec.code} is not checkpointable; running without checkpoints")
         else:
-            from .resilience import CheckpointManager, CheckpointSession, make_store
+            from .resilience import CheckpointManager, CheckpointSession
 
             manager = CheckpointManager(
                 args.checkpoint_dir,
-                store=make_store(args.store, args.checkpoint_dir),
+                store=checkpoint_store,
                 fault_plan=resilience.fault_plan if resilience else None,
                 keep_last=args.checkpoint_keep,
             )
@@ -413,6 +419,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"density {{ {', '.join(f'{k.value}: {v}' for k, v in stats.density_histogram().items())} }}")
     print(f"simulated time on modelled machine ({args.threads} threads): "
           f"{sim_s * 1e3:.3f} ms")
+    pending = resilience.fault_plan.pending() if resilience and resilience.fault_plan else []
+    if pending:  # e.g. a partition fault addressed to a sparse round: it tested nothing
+        print(f"note: fault event(s) never fired: {', '.join(ev.spec() for ev in pending)}")
     return 0
 
 

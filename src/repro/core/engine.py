@@ -11,9 +11,12 @@ paper's Algorithm 2 in three steps:
    the destination-partitioned COO; ``forced_layout``/``sparse_layout``
    can pin the partitioned CSR, and an attached
    :class:`~repro.layout.grid.GridStore` replaces them all with on-disk
-   blocks).  The result is a :class:`PhasePlan`: a kernel name, a list
-   of tasks over disjoint destination ranges, the arrays they read and
-   the few statistics fields that depend on the layout.
+   blocks).  A sparse CSR phase stops here: one gather and one kernel
+   call in this thread build its next frontier and its statistics
+   (:meth:`Engine._sparse_round`; no task, no fold, nothing journalled).
+   A partitioned phase becomes a :class:`PhasePlan`: a kernel name, a
+   list of tasks over disjoint destination ranges, the arrays they read
+   and the few statistics fields that depend on the layout.
 2. **run** — one loop executes the plan's tasks
    (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``): in this
    thread, or, for operators certified edge-local, in contiguous blocks on
@@ -27,8 +30,9 @@ paper's Algorithm 2 in three steps:
    unobservable (:meth:`Engine._task_edges`); everywhere else it is a run
    of one.  A phase whose frontier is every vertex has no filter to apply,
    so its plan carries no bitmap and the kernels skip the frontier work
-   (:func:`_frontier_filter`).  A weighted operator's COO and CSR tasks
-   read their edge weights from a per-store cache (:meth:`Engine._weights`).
+   (:func:`_frontier_filter`).  A weighted operator's COO tasks and
+   sparse rounds read their edge weights from a per-store cache
+   (:meth:`Engine._weights`).
 3. **fold** — the tasks' records become the next frontier (looked up
    per store, not folded, when every run or grid block activated all of
    its ``dst``)
@@ -166,6 +170,7 @@ class Engine:
         #: (edge-local operator + non-serial backend); set at admission.
         self._phase_concurrent = False
         self._uncertified_noted: set[type] = set()
+        self._trusted: dict[type, bool] = {}  # _op_trusted, per operator class
 
     @property
     def num_vertices(self) -> int:
@@ -292,13 +297,17 @@ class Engine:
     # ------------------------------------------------------------------
     def _op_trusted(self, op: EdgeOperator) -> bool:
         """Whether ``op``'s class is certified partition-pure (analysis
-        failures degrade to the guarded path).  The effect pass has then
-        proven ``cond`` returns ``None`` or a boolean mask parallel to its
-        argument, so the dynamic validation is pure overhead —
-        bit-identical either way."""
-        from ..analysis.certificate import operator_is_partition_pure
+        failures degrade to the guarded path), looked up once per class
+        and engine.  The effect pass has then proven ``cond`` returns
+        ``None`` or a boolean mask parallel to its argument, so the dynamic
+        validation is pure overhead — bit-identical either way."""
+        cls = type(op)
+        trusted = self._trusted.get(cls)
+        if trusted is None:
+            from ..analysis.certificate import operator_is_partition_pure
 
-        return operator_is_partition_pure(op)
+            trusted = self._trusted[cls] = operator_is_partition_pure(op)
+        return trusted
 
     def _task_edges(self, op: EdgeOperator, trusted: bool) -> tuple[int, bool]:
         """The edge target of this phase's tasks (0 keeps one partition
@@ -341,9 +350,9 @@ class Engine:
         """
         if self._backend_kind == "serial":
             return False
-        from ..analysis.certificate import operator_is_partition_pure, operator_report
+        from ..analysis.certificate import operator_report
 
-        if operator_is_partition_pure(op):
+        if self._op_trusted(op):
             return operator_report(type(op)).edge_local
         spec, name = self.options.backend, type(op).__name__
         if self._backend_conf["strict"]:
@@ -400,28 +409,56 @@ class Engine:
         )
 
     def _run_phase(self, frontier: Frontier, op: EdgeOperator) -> Frontier:
-        """One attempt at one edge-map phase: classify, plan, run, fold.  Sparse
-        ids (no grid) are classified by their CSR slice lengths, which a sparse
-        phase's gather reuses; only a partial bitmap reads ``out_degrees``."""
+        """One attempt at one edge-map phase: classify, then a sparse round or
+        plan, run, fold.  Sparse ids (no grid) are classified by their CSR slice
+        lengths, which a sparse round's gather reuses; only a partial bitmap
+        reads ``out_degrees``."""
         lengths = degrees = None
+        grid, options = self.grid, self.options
         if frontier.size < frontier.num_vertices:
-            if frontier.has_sparse and self.grid is None:
+            if frontier.has_sparse and grid is None:
                 index = self._narrowed("csr")[0]
                 lengths = slice_lengths(index, frontier.as_sparse().astype(index.dtype, copy=False))
             else:
                 degrees = self.store.out_degrees
-        thresholds = self.options.thresholds
-        density = classify_frontier(frontier, degrees, self.num_edges, thresholds, lengths)
-        plan = self._plan(frontier, density, op, lengths)
+        density = classify_frontier(frontier, degrees, self.num_edges, options.thresholds, lengths)
+        sparse_layout = options.forced_layout or options.sparse_layout
+        if density is DensityClass.SPARSE and grid is None and sparse_layout == "csr":
+            return self._sparse_round(frontier, op, lengths)
+        plan = self._plan(frontier, density, op)
         return self._fold(plan, frontier, density, self._run_plan(plan, op))
+
+    def _sparse_round(self, frontier: Frontier, op: EdgeOperator, lengths) -> Frontier:
+        """Sparse: forward traversal of the unpartitioned CSR as one kernel
+        call in this thread, with no plan, task or fold: per-partition work
+        on a small frontier is pure overhead (§III.A.1), and nothing
+        journals a phase of one task.  The frontier's out-adjacency and a
+        weighted operator's CSR weights are gathered in one compiled copy at
+        the slice ``lengths`` the classification read (``None``: read here).
+        Gather and kernel resolve in this module's namespace at call time."""
+        index, neighbors = self._narrowed("csr")
+        active = frontier.as_sparse().astype(index.dtype, copy=False)
+        weights = None if op.weight_fn is None else self._weights("csr", op.weight_fn)
+        src, dst, w = gather_adjacency(index, neighbors, active, weights, lengths=lengths)
+        trusted, n = self._op_trusted(op), self.num_vertices
+        rec = run_csr_sparse_partition(op, cond_guard(not trusted), src, dst, w, n)
+        if trusted:
+            self.guards_skipped += rec.cond_calls
+        else:
+            self.guard_invocations += rec.cond_calls
+        nxt = Frontier(n, sparse=rec.activated)  # the phase's one dedup
+        self.stats.edge_maps.append(EdgeMapStats(  # positional: a frozen init's keywords cost 2x
+            "csr", "forward", DensityClass.SPARSE, frontier.size, rec.active_edges,
+            rec.examined, int(active.size), nxt.size, self.options.num_threads > 1, 1,
+        ))
+        return nxt
 
     # ------------------------------------------------------------------
     # plan: one small description per layout
     # ------------------------------------------------------------------
-    def _plan(
-        self, frontier: Frontier, density: DensityClass, op: EdgeOperator, lengths=None
-    ) -> PhasePlan:
-        """Algorithm 2's layout decision, as a :class:`PhasePlan`."""
+    def _plan(self, frontier: Frontier, density: DensityClass, op: EdgeOperator) -> PhasePlan:
+        """Algorithm 2's layout decision for a partitioned phase, as a
+        :class:`PhasePlan`."""
         trusted, fused = self._op_trusted(op), False
         if self.grid is not None:
             plan = self._plan_grid(frontier)
@@ -435,37 +472,10 @@ class Engine:
             if layout in ("csc", "coo"):  # the layouts whose partitions coalesce into runs
                 target, fused = self._task_edges(op, trusted)
                 plan = build(frontier, target)
-            elif layout == "csr":
-                plan = build(frontier, op.weight_fn, lengths)
             else:
                 plan = build(frontier)
         plan.trusted, plan.fused = trusted, fused
         return plan
-
-    def _plan_csr(self, frontier: Frontier, weight_fn, lengths=None) -> PhasePlan:
-        """Sparse: forward traversal of the unpartitioned CSR.
-
-        The frontier's out-adjacency and a weighted operator's CSR weights are
-        gathered once, here, in one compiled copy (at the slice ``lengths`` the
-        classification read, if any), and the phase is one whole-range task in
-        this process: per-partition work on a small frontier is pure overhead
-        (§III.A.1)."""
-        index, neighbors = self._narrowed("csr")
-        active = frontier.as_sparse().astype(index.dtype, copy=False)
-        weights = None if weight_fn is None else self._weights("csr", weight_fn)
-        gsrc, gdst, w = gather_adjacency(index, neighbors, active, weights, lengths=lengths)
-        return PhasePlan(
-            "csr", "forward", "csr",
-            self._cached(
-                "csr", lambda: [PartitionTask(0, np.array([0, self.num_vertices], VID_DTYPE))]
-            ),
-            num_partitions=1,
-            uses_atomics=self.options.num_threads > 1,
-            arrays={"gsrc": gsrc, "gdst": gdst, "w": w},  # ``w`` None: unweighted
-            per_partition=False,
-            scanned=int(active.size),
-            granular=False,
-        )
 
     def _plan_csc(self, frontier: Frontier, target: int) -> PhasePlan:
         """Medium-dense: backward traversal of the ranged CSC, narrowed."""
@@ -557,8 +567,7 @@ class Engine:
         backend when the phase was admitted, else here, one after another
         (a grid block is read as its task comes up).  With a supervisor,
         the tasks go through its replay-or-execute-then-commit routine."""
-        supervisor = self._supervisor if plan.granular else None
-        arrays = plan.arrays
+        supervisor, arrays = self._supervisor, plan.arrays
         if plan.layout == "coo" and op.weight_fn is not None:
             arrays = {**arrays, "w": self._weights("coo", op.weight_fn)}
         loop = partial(self._execute, plan, arrays, op)
@@ -632,21 +641,18 @@ class Engine:
     # fold: records -> next frontier + the phase's EdgeMapStats
     # ------------------------------------------------------------------
     def _fold(self, plan: PhasePlan, frontier: Frontier, density, records) -> Frontier:
-        p, keep = plan.num_partitions, plan.per_partition
-        part_examined = np.zeros(p, np.int64) if keep else None
-        part_touched = np.zeros(p, np.int64) if keep else None
-        examined = active_edges = 0
-        scanned = plan.scanned
+        p = plan.num_partitions
+        part_examined, part_touched = np.zeros(p, np.int64), np.zeros(p, np.int64)
+        examined = active_edges = scanned = 0
         activated: list[np.ndarray] = []
         for rec in records:
             examined += rec.examined
             active_edges += rec.active_edges
             scanned += rec.scanned
-            if keep:
-                # the record's arrays are its run's partitions, lowest first
-                parts = slice(rec.partition, rec.partition + rec.touched.size)
-                part_examined[parts] += rec.part_examined
-                part_touched[parts] += rec.touched
+            # the record's arrays are its run's partitions, lowest first
+            parts = slice(rec.partition, rec.partition + rec.touched.size)
+            part_examined[parts] += rec.part_examined
+            part_touched[parts] += rec.touched
             if rec.activated.size:
                 activated.append(rec.activated)
         if records and all(rec.all_dst for rec in records):
@@ -659,7 +665,7 @@ class Engine:
                 lambda: Frontier(self.num_vertices, sparse=np.flatnonzero(self.store.in_degrees)),
             )
         else:
-            if len(activated) != 1:  # a lone record (every sparse phase) needs no copy
+            if len(activated) != 1:  # a lone record needs no copy
                 activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
             nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
         self.stats.edge_maps.append(

@@ -40,7 +40,9 @@ def _checked(index: np.ndarray, vertices, lengths=None) -> tuple[np.ndarray, np.
         vertices = np.empty(0, index.dtype)
     elif vertices.dtype != index.dtype:
         raise TypeError(f"{vertices.dtype} ids, {index.dtype} index: widths must match")
-    vertices = np.ascontiguousarray(vertices).reshape(-1)
+    vertices = np.ascontiguousarray(vertices)
+    if vertices.ndim != 1:
+        vertices = vertices.reshape(-1)
     rows = vertices.view(_UNSIGNED[vertices.dtype])
     if lengths is not None or rows.itemsize == 8:
         if rows.size and int(rows.max()) >= index.size - 1:
@@ -90,5 +92,6 @@ def gather_adjacency(
     # without ``parallel`` the loop's second copy lands on its first
     extra, out = (neighbors, values) if parallel is None else (parallel, gathered)
     csr_row_index(vertices.size, vertices, index, neighbors, extra, values, out)
-    keys = np.repeat(vertices.astype(np.intp), lengths)
+    # ``intp`` repeat counts: numpy converts narrower ones at twice the cost
+    keys = np.repeat(vertices.astype(np.intp), lengths.astype(np.intp, copy=False))
     return keys, values.astype(np.intp, copy=False), gathered

@@ -35,8 +35,9 @@ the kernel hashes the run's live edges once, never once per partition.
 
 The kernels are the single source of truth for the task computation:
 the engine's one loop calls them, in its own thread or in the ``threads``
-backend's pool over the same arrays.  :func:`kernel_args` is the other
-half of that guarantee: ``(kernel, arrays, task, fuse)`` becomes a
+backend's pool over the same arrays (the sparse CSR kernel, one call per
+phase, straight from the engine).  :func:`kernel_args` is the other half
+of that guarantee: ``(kernel, arrays, task, fuse)`` becomes a partitioned
 kernel's positional arguments here and nowhere else.
 
 ``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
@@ -69,13 +70,13 @@ __all__ = [
     "run_csr_sparse_partition",
 ]
 
-#: kernel name (as carried by a :class:`~repro.core.plan.PhasePlan`) -> the name
-#: of its function (``_partition`` for the layouts' unit; each call runs
-#: one task, a run of them).  Callers resolve the name in *their own*
-#: module namespace at call time, so a patched binding (the benchmark's
-#: tracer wraps ``repro.core.engine.run_*_partition``) is the one that runs.
+#: kernel name (as a partitioned phase's :class:`~repro.core.plan.PhasePlan`
+#: carries it) -> the name of its function, which runs one task.  Callers
+#: resolve the name in *their own* module namespace at call time, so a patched
+#: binding (the benchmark's tracer wraps ``repro.core.engine.run_*_partition``)
+#: is the one that runs.  The sparse CSR phase has no plan: the engine calls
+#: ``run_csr_sparse_partition`` itself (``Engine._sparse_round``).
 KERNEL_FUNCTIONS = {
-    "csr": "run_csr_sparse_partition",
     "csc": "run_csc_partition",
     "coo": "run_coo_partition",
     "pcsr": "run_pcsr_partition",
@@ -110,8 +111,6 @@ def kernel_args(kernel: str, arrays: dict, task, fuse: bool) -> tuple:
         )
     if kernel == "csc":
         return (arrays["index"], arrays["neighbors"], arrays.get("bitmap"), i, task.cuts, fuse)
-    if kernel == "csr":
-        return (arrays["gsrc"], arrays["gdst"], arrays.get("w"), i, task.lo, task.hi)
     if kernel == "pcsr":
         return (
             arrays[f"index:{i}"], arrays[f"neighbors:{i}"],
@@ -194,21 +193,14 @@ def run_csc_partition(
 
 
 def run_csr_sparse_partition(
-    op,
-    cond_fn,
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray | None,
-    partition: int,
-    lo: int,
-    hi: int,
+    op, cond_fn, src: np.ndarray, dst: np.ndarray, w: np.ndarray | None, num_vertices: int
 ) -> PartitionRecord:
-    """The sparse forward-CSR traversal: one task over the whole graph.
+    """The sparse forward-CSR traversal: one call over the whole graph.
 
     ``src``/``dst`` (and a weighted operator's ``w``) are the edges
-    already gathered from the frontier's out-adjacency; ``[lo, hi)`` is
-    ``[0, num_vertices)`` and only labels the record.  ``touched`` stays
-    0: no CSR :class:`EdgeMapStats` reads it.
+    already gathered from the frontier's out-adjacency; ``[0,
+    num_vertices)`` only labels the record, which carries no per-partition
+    statistics (a CSR :class:`EdgeMapStats` reports none).
     """
     examined = int(dst.size)
     cond = cond_fn(op, dst)
@@ -217,13 +209,7 @@ def run_csr_sparse_partition(
         w = None if w is None else w[cond]
     acts = process_batch(op, src, dst, w)
     return PartitionRecord(
-        partition=partition,
-        lo=lo,
-        hi=hi,
-        activated=acts,
-        examined=examined,
-        active_edges=int(dst.size),
-        cond_calls=1,
+        0, 0, num_vertices, acts, examined=examined, active_edges=int(dst.size), cond_calls=1
     )
 
 

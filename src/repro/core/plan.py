@@ -1,12 +1,13 @@
-"""Phase plans: what one edge-map phase runs, and over which tasks.
+"""Phase plans: what one partitioned edge-map phase runs, and over which tasks.
 
 The paper's Algorithm 2 picks a layout and then runs the *same* thing
-everywhere — a set of tasks over disjoint destination ranges.
-A :class:`PhasePlan` is that thing, written down once: the kernel, the
-tasks, the arrays they read and the few ``EdgeMapStats`` fields that
-depend on the layout.  The engine builds one per phase, runs it through
-its one task loop (in its own thread, or in blocks on the ``threads``
-backend's pool) and folds the records.
+over every partitioned layout — a set of tasks over disjoint destination
+ranges.  A :class:`PhasePlan` is that thing, written down once: the
+kernel, the tasks, the arrays they read and the few ``EdgeMapStats``
+fields that depend on the layout.  The engine builds one per partitioned
+phase, runs it through its one task loop (in its own thread, or in blocks
+on the ``threads`` backend's pool) and folds the records; the sparse CSR
+phase is one kernel call instead (``Engine._sparse_round``).
 
 The *partition* is the unit of layout, of per-partition statistics, of
 journalling and of the operator batch; the *task* is what the loop
@@ -136,8 +137,8 @@ class PartitionRecord:
         The run split over its partitions, lowest first: each one's
         examined edges and distinct destinations, for
         :attr:`~repro.core.stats.EdgeMapStats.partition_examined` /
-        ``partition_touched_vertices``.  ``None`` where the phase reports
-        no per-partition statistics (the sparse whole-range task).
+        ``partition_touched_vertices``.  ``None`` in the sparse CSR
+        phase's record, which reports no per-partition statistics.
     digest:
         CRC32 over the ``[lo, hi)`` slice of every vertex-length state
         array *after* the task completed; the journal keeps the latest
@@ -176,7 +177,8 @@ class PartitionRecord:
 
 @dataclass
 class PhasePlan:
-    """One edge-map phase: what to run, over what, and how to report it."""
+    """One partitioned edge-map phase (CSC, COO, partitioned CSR, grid): what
+    to run, over what, and how to report it.  The sparse CSR phase has none."""
 
     #: ``EdgeMapStats.layout`` / ``.direction`` of the phase.
     layout: str
@@ -191,14 +193,6 @@ class PhasePlan:
     #: the per-phase frontier bitmap (with the partitioned CSR, also its
     #: sparse ids), absent when every vertex is active.
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    #: whether the per-partition examined/touched arrays are reported.
-    per_partition: bool = True
-    #: vertex slots scanned before any task runs (the sparse frontier).
-    scanned: int = 0
-    #: whether the tasks are journal-recoverable units of work; the
-    #: sparse phase's single whole-range task is not — only the
-    #: phase-level rollback applies to it.
-    granular: bool = True
     #: the operator is certified partition-pure, so its cond guard is
     #: elided; otherwise ``validated_cond`` runs wherever the task does.
     trusted: bool = False

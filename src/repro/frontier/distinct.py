@@ -35,6 +35,10 @@ def _mark(ids: np.ndarray):
         return None
     if ids.size == 0:
         return 0, np.zeros(0, dtype=bool)
+    # the first and last ids bound the span from below: scattered ids (a
+    # wavefront's, ascending) are declined without reading them all
+    if abs(int(ids.flat[-1]) - int(ids.flat[0])) >= SPAN_PER_ID * ids.size:
+        return None
     lo = int(ids.min())
     span = int(ids.max()) - lo + 1
     if span > SPAN_PER_ID * ids.size:
@@ -64,7 +68,10 @@ def _scattered(ids: np.ndarray) -> np.ndarray:
 
 def _distinct(ids: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``ids``, always a fresh array; off
-    the scratch they come back as ``intp``, whatever the ids' dtype."""
+    the scratch they come back as ``intp``, whatever the ids' dtype.  One id
+    or none is its own answer: no span to read, nothing to sort."""
+    if ids.size <= 1:
+        return ids.reshape(-1).copy()
     marked = _mark(ids)
     if marked is None:
         return _scattered(ids)

@@ -19,7 +19,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import ValidationError
 
-__all__ = ["Option", "integer", "flag", "choice", "parse_spec"]
+__all__ = ["Option", "integer", "flag", "parse_spec"]
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ def integer(default: int | None, *, minimum: int | None = None) -> Option:
 def flag(default: bool) -> Option:
     """``0`` or ``1``."""
     return Option({"0": False, "1": True}.__getitem__, "0 or 1", default)
-
-
-def choice(default: str | None, allowed) -> Option:
-    """One of a fixed set of words."""
-    words = {word: word for word in allowed}
-    return Option(words.__getitem__, f"one of {tuple(words)}", default)
 
 
 def parse_spec(

@@ -2,6 +2,7 @@
 (:mod:`tests.lattice`) — and what the kernels cost: ``np.unique`` and
 operator calls per phase, and the per-store weight cache."""
 
+import collections
 import dataclasses
 import sys
 import weakref
@@ -270,6 +271,49 @@ def test_a_sparse_round_reads_slice_lengths_and_gathers_weights_in_one_copy(monk
     with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
         assert paths.dist.tobytes() == bellman_ford(engine, 0, weight_fn=wf).dist.tobytes()
     assert "out_degrees" not in vars(store)
+
+
+def test_a_sparse_round_is_one_kernel_call_through_the_engine_namespace(monkeypatch):
+    """Counts, not time: a sparse CSR round builds no ``PhasePlan`` and calls
+    the classification, the gather and the kernel exactly once each, as
+    bound on ``repro.core.engine`` (the names the e2e tracer wraps), and
+    adds its one guard to ``guards_skipped`` — or, with the certificate
+    withheld, to ``guard_invocations``."""
+    from repro.analysis import certificate
+    from repro.core import engine as engine_module
+
+    calls: collections.Counter = collections.Counter()
+    for name in ("PhasePlan", "classify_frontier", "gather_adjacency", "run_csr_sparse_partition"):
+        def counting(*args, real=getattr(engine_module, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, name, counting)
+    rounds = []
+    edge_map = Engine.edge_map
+
+    def one_round(engine, frontier, op):
+        before = collections.Counter(calls), engine.guards_skipped, engine.guard_invocations
+        out = edge_map(engine, frontier, op)
+        rounds.append((
+            engine.stats.edge_maps[-1].layout, dict(calls - before[0]),
+            engine.guards_skipped - before[1], engine.guard_invocations - before[2],
+        ))
+        return out
+
+    monkeypatch.setattr(Engine, "edge_map", one_round)
+    store = GraphStore.build(gen.road_grid(30), num_partitions=8)
+    one_each = {"classify_frontier": 1, "gather_adjacency": 1, "run_csr_sparse_partition": 1}
+    for guards in ((1, 0), (0, 1)):
+        if guards == (0, 1):
+            monkeypatch.setattr(certificate, "operator_is_partition_pure", lambda op: False)
+        del rounds[:]
+        with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+            bfs(engine, 0)
+            bellman_ford(engine, 0)
+        sparse = [r[1:] for r in rounds if r[0] == "csr"]
+        assert len(sparse) >= 60
+        assert sparse == [(one_each, *guards)] * len(sparse)
 
 
 def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypatch):

@@ -179,6 +179,25 @@ def test_run_with_watchdog_and_fault_plan(tmp_path, small_rmat, capsys):
     assert "watchdog tripped on partition 2" in out
 
 
+@pytest.mark.parametrize("faults", ["partition@3:0", "worker_crash@3:0"])
+def test_a_fault_that_never_fires_is_named_at_the_end(tmp_path, capsys, faults):
+    """BFS on a road lattice runs sparse rounds only, which run no partition
+    task: a partition-scoped fault addressed to one never fires, and the
+    run's last line says so.  A whole-phase fault fires and is not named."""
+    from repro.graph.generators import road_grid
+
+    path = tmp_path / "g.npz"
+    save_npz(path, road_grid(30))
+    for plan, named in ((f"{faults},oom@2", [faults]), ("oom@2", [])):
+        assert main(["run", "BFS", "--graph", str(path), "--partitions", "8",
+                     "--fault-plan", plan]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in lines if line.startswith("note: fault")]
+        assert notes == [f"note: fault event(s) never fired: {', '.join(named)}"][: len(named)]
+        assert not named or lines[-1] == notes[0]
+        assert "injected OOM at edge-map 2" in "\n".join(lines)
+
+
 def test_checkpoint_keep_retention(tmp_path, small_rmat, capsys):
     ckpt = _run_with_checkpoints(
         tmp_path, small_rmat, "--store", "sharded", "--checkpoint-keep", "2"
@@ -246,9 +265,10 @@ def test_the_remote_store_and_network_faults_are_refused(tmp_path, small_rmat, c
     save_npz(path, small_rmat)
     assert main(["run", "PR", "--graph", str(path), "--partitions", "8",
                  "--checkpoint-dir", str(tmp_path / "c"), *flags]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert "|V|=" not in captured.out  # refused before the graph was loaded
 
 
 def test_sync_on_a_local_store_is_rejected(tmp_path, small_rmat, capsys):

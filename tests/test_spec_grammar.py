@@ -13,7 +13,7 @@ import pytest
 from repro.core.backend import BACKEND_SPEC
 from repro.errors import ValidationError
 from repro.resilience.store import STORE_SPEC
-from repro.spec import choice, flag, integer, parse_spec
+from repro.spec import flag, integer, parse_spec
 
 TABLES = {"backend": BACKEND_SPEC, "store": STORE_SPEC}
 
@@ -104,9 +104,6 @@ def test_converters():
     assert [flag(False).convert(text) for text in "01"] == [False, True]
     with pytest.raises(KeyError):
         flag(False).convert("yes")
-    assert choice(None, ("a", "b")).convert("b") == "b"
-    with pytest.raises(KeyError):
-        choice(None, ("a", "b")).convert("c")
 
 
 @pytest.mark.parametrize(
