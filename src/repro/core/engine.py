@@ -668,24 +668,11 @@ class Engine:
             if len(activated) != 1:  # a lone record needs no copy
                 activated = [np.concatenate(activated) if activated else np.empty(0, VID_DTYPE)]
             nxt = Frontier(self.num_vertices, sparse=activated[0])  # the phase's one dedup
-        self.stats.edge_maps.append(
-            EdgeMapStats(
-                layout=plan.layout,
-                direction=plan.direction,
-                density=density,
-                frontier_size=frontier.size,
-                active_edges=active_edges,
-                examined_edges=examined,
-                scanned_vertices=scanned,
-                updated_vertices=nxt.size,
-                uses_atomics=plan.uses_atomics,
-                num_partitions=p,
-                partition_examined=part_examined,
-                partition_touched_vertices=part_touched,
-                io_bytes=plan.io_bytes,
-                io_blocks=plan.io_blocks,
-            )
-        )
+        self.stats.edge_maps.append(EdgeMapStats(  # positional: a frozen init's keywords cost 2x
+            plan.layout, plan.direction, density, frontier.size, active_edges, examined,
+            scanned, nxt.size, plan.uses_atomics, p, part_examined, part_touched,
+            plan.io_bytes, plan.io_blocks,
+        ))
         return nxt
 
     # ------------------------------------------------------------------

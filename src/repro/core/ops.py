@@ -268,12 +268,15 @@ class WriteSet:
         }
         self.views = {**arrays, **self.slices}
 
-    def digest(self) -> int:
-        """CRC32 over the slices' bytes in C order: read in place where a
-        slice is C-contiguous (``zlib`` rejects any other buffer), copied
-        by ``tobytes()`` where it is not."""
+    def digest(self, saved: dict[str, np.ndarray] | None = None) -> int:
+        """CRC32 over the slices' bytes in C order — or over a
+        :meth:`snapshot`'s copies of them, the same bytes as the range held
+        when it was taken: read in place where a slice is C-contiguous
+        (``zlib`` rejects any other buffer), copied by ``tobytes()`` where
+        it is not."""
         crc = 0
-        for view in self.slices.values():
+        for key, view in self.slices.items():
+            view = view if saved is None else saved[key]
             crc = zlib.crc32(view if view.flags.c_contiguous else view.tobytes(), crc)
         return crc
 

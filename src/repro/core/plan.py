@@ -142,7 +142,9 @@ class PartitionRecord:
     digest:
         CRC32 over the ``[lo, hi)`` slice of every vertex-length state
         array *after* the task completed; the journal keeps the latest
-        one per range and verifies it before a replay.
+        one per range and verifies it before a replay.  ``None`` on a
+        unit the next unit of its range follows (a stripe's blocks): the
+        range is digested once, after its last unit.
     cond_calls:
         How many per-partition cond guards the task stands for: one per
         partition whose batch reached the operator, even where a run
@@ -160,7 +162,7 @@ class PartitionRecord:
     scanned: int = 0
     part_examined: np.ndarray | None = None
     touched: np.ndarray | None = None
-    digest: int = 0
+    digest: int | None = 0
     cond_calls: int = 0
     all_dst: bool = False
 

@@ -65,9 +65,12 @@ def write_bytes(path: Path, *chunks: bytes) -> None:
         raise CheckpointError(f"cannot write {path}: {exc}") from exc
 
 
-def write_framed(path: Path, magic: bytes, payload: bytes) -> None:
-    """Durably write ``magic + header + payload``."""
-    write_bytes(path, magic, _HEADER.pack(zlib.crc32(payload), len(payload)), payload)
+def write_framed(path: Path, magic: bytes, payload: bytes) -> int:
+    """Durably write ``magic + header + payload``; returns the header's
+    CRC32 of ``payload``, so a manifest records it without a second pass."""
+    crc = zlib.crc32(payload)
+    write_bytes(path, magic, _HEADER.pack(crc, len(payload)), payload)
+    return crc
 
 
 def read_framed(path: Path, magic: bytes, crc32: int | None = None) -> memoryview:

@@ -296,7 +296,7 @@ def preprocess_grid(
             width = 2 if narrow[i] and narrow[j] else BYTES_PER_VID
             payload = _block_payload(row_src[sel], row_dst[sel], *_stored_as(stripes, i, j, width))
             path = directory / _block_filename(i, j)
-            attempts = _write_block(
+            attempts, crc = _write_block(
                 path, payload, i, j,
                 fault_plan=fault_plan, write_index=write_index, events=events,
             )
@@ -310,7 +310,7 @@ def preprocess_grid(
                     "edges": count,
                     "width": width,
                     "bytes": len(payload),
-                    "crc32": zlib.crc32(payload),
+                    "crc32": crc,
                 }
             )
     manifest = {
@@ -341,13 +341,13 @@ def _write_block(
     fault_plan,
     write_index: int,
     events: list[str],
-) -> int:
+) -> tuple[int, int]:
     """Write one framed block, surviving one injected full-disk event.
 
     Returns how many write attempts it took (each consumes one write
-    index).  A ``torn_block`` event lets the write complete, then flips
-    the file's last byte — caught later by the CRC check and repaired on
-    read.
+    index) and the payload's CRC32 as :func:`write_framed` framed it.  A
+    ``torn_block`` event lets the write complete, then flips the file's
+    last byte — caught later by the CRC check and repaired on read.
     """
     for attempt in range(2):
         kind = (
@@ -366,11 +366,11 @@ def _write_block(
                 f"disk full writing block ({i},{j}); pruned partial write, retrying"
             )
             continue
-        write_framed(path, _BLOCK_MAGIC, payload)
+        crc = write_framed(path, _BLOCK_MAGIC, payload)
         if kind == "torn_block":
             flip_last_byte(path)
             events.append(f"block ({i},{j}) written torn (injected)")
-        return attempt + 1
+        return attempt + 1, crc
     raise AssertionError("unreachable")
 
 

@@ -18,7 +18,12 @@ exploit that.  Per edge-map phase it records, for every partition task:
     :class:`~repro.core.plan.PartitionRecord`) — partition id,
     destination range, the activated vertex ids, the per-partition
     statistics contributions, and a CRC32 digest of the partition's
-    slice of every vertex-length state array.
+    slice of every vertex-length state array.  A unit that another unit
+    of its range follows commits without one: the range is digested
+    once, after its last unit.
+``seal``
+    The digest of a range whose last commit carried none, recorded when
+    the run of its units stopped short (the next unit failed).
 ``replay``
     On a retry of the same phase, a committed partition is *replayed*
     from its record (digest-verified) instead of re-executed.
@@ -43,7 +48,9 @@ range's most recent commit, and one rule covers both kinds —
 A partition is the only unit of its range, so this is a per-record
 check; a stripe's blocks share theirs, so a crash mid-stream re-executes
 only the in-flight block when the committed blocks' writes survived, and
-the whole stripe when they did not.
+the whole stripe when they did not.  "The digest after its last commit"
+is that commit's own, or the one :meth:`PhaseJournal.seal` recorded for
+it later.
 """
 
 from __future__ import annotations
@@ -114,13 +121,22 @@ class PhaseJournal:
 
     def commit(self, record: PartitionRecord, block: int | None = None) -> None:
         """Commit a completed unit's record; ``record.digest`` covers its
-        destination range *after* this unit applied."""
+        destination range *after* this unit applied, or is ``None`` when a
+        later unit of the range commits next and :meth:`seal` digests it."""
+        lo, hi, digest = record.lo, record.hi, record.digest
         self._records[(record.partition, block)] = record
-        self._digests[(record.lo, record.hi)] = record.digest
+        if digest is not None:
+            self._digests[(lo, hi)] = digest
         self.entries.append(
-            f"phase {self.phase}: commit {_label(record.partition, block)} "
-            f"range [{record.lo}, {record.hi}) digest {record.digest:#010x}"
+            f"phase {self.phase}: commit {_label(record.partition, block)} range [{lo}, {hi})"
+            + ("" if digest is None else f" digest {digest:#010x}")
         )
+
+    def seal(self, lo: int, hi: int, digest: int) -> None:
+        """Record ``[lo, hi)``'s digest after its last commit, which was
+        journalled without one."""
+        self._digests[(lo, hi)] = digest
+        self.entries.append(f"phase {self.phase}: seal range [{lo}, {hi}) digest {digest:#010x}")
 
     def note_replay(self, partition: int, block: int | None = None) -> None:
         """Record that a committed unit was replayed, not re-executed."""

@@ -43,7 +43,6 @@ import logging
 import os
 import re
 import shutil
-import zlib
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Mapping
@@ -268,11 +267,10 @@ class ShardedStore(_DirectoryStore):
         gen.mkdir(parents=True, exist_ok=True)
         manifest: dict[str, dict] = {}
         for key, array in arrays.items():
-            payload = self._array_bytes(array)
-            write_framed(self._shard_path(gen, key), _SHARD_MAGIC, payload)
+            payload, path = self._array_bytes(array), self._shard_path(gen, key)
             manifest[key] = {
-                "file": self._shard_path(gen, key).name,
-                "crc32": zlib.crc32(payload),
+                "file": path.name,
+                "crc32": write_framed(path, _SHARD_MAGIC, payload),
                 "bytes": len(payload),
             }
         body = json.dumps({"name": name, "step": step, "shards": manifest}).encode()

@@ -29,7 +29,10 @@ through two entry points:
     replay from the :class:`~repro.resilience.journal.PhaseJournal`
     (digest-verified), the rest get an intent entry, a watchdog
     deadline, the fault plan's hook, a write-set snapshot that is rolled
-    back on failure, and a commit.
+    back on failure, and a commit.  A destination range is digested once
+    per run of units that write it (a stripe's blocks), when the last
+    commits; a run cut short by a failure seals the range's digest from
+    the failed unit's snapshot.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ import tempfile
 import time
 import weakref
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -159,22 +161,6 @@ class ResiliencePolicy:
         if delay > 0:
             self.sleep(delay)
         return delay
-
-
-def _rollback(op, n: int, task):
-    """Snapshot ``task``'s write set before it executes; returns the call
-    that rolls it back.
-
-    Operators that override both hooks own state a
-    :class:`~repro.core.ops.WriteSet` cannot see, so they fall back to
-    their full snapshot/restore pair — still correct because the snapshot
-    is taken at *task* start, when every committed unit's writes are
-    already in the arrays.
-    """
-    if overrides_snapshot_hooks(type(op)):
-        return partial(op.restore, op.snapshot())
-    owned = WriteSet(op, n, task.lo, task.hi)
-    return partial(owned.restore, owned.snapshot())
 
 
 class Supervisor:
@@ -382,15 +368,24 @@ class Supervisor:
 
         ``tasks`` are a phase's partition tasks or grid blocks, and
         ``execute(batch)`` runs a list of them and returns their
-        records.  In-process execution gets one task
-        at a time, its write set snapshotted first and rolled back on a
-        :class:`~repro.errors.WorkerFailure`.  A ``concurrent`` backend
-        gets every pending task at once and no per-task snapshot: the
-        hooks fire in this thread before any block starts (the watchdog
-        stays on simulated time — real thread wall-clock would break
-        recovery determinism), and nothing commits until the batch
-        returns, so a failure — raised only once no block is still
-        writing in place — finds the journal without commits and
+        records.  In-process execution gets one task at a time, its write
+        set snapshotted first and rolled back on a
+        :class:`~repro.errors.WorkerFailure`.  Consecutive tasks that write
+        one range (a stripe's blocks) share its :class:`WriteSet`, and the
+        range is digested once, when the last of them commits.  Should the
+        run stop short, the range is sealed with the digest of the state
+        its last commit left: the failed task's snapshot, or the live range
+        when the failure came before the task ran.  An operator with its
+        own snapshot hooks is snapshotted whole by them (still correct: at
+        task start every committed unit's writes are in the arrays), keeps
+        no write-set copy to digest, and so has each commit digested.
+
+        A ``concurrent`` backend gets every pending task at once and no
+        per-task snapshot: the hooks fire in this thread before any block
+        starts (the watchdog stays on simulated time — real thread
+        wall-clock would break recovery determinism), and nothing commits
+        until the batch returns, so a failure — raised only once no block
+        is still writing in place — finds the journal without commits and
         :meth:`edge_map` rolls the whole phase back.
         """
         n, journal = self.engine.num_vertices, self.journal
@@ -398,23 +393,37 @@ class Supervisor:
             self._drop_stale(op, n, tasks)
         out = [self._replay(task) for task in tasks]
         pending = [k for k, record in enumerate(out) if record is None]
-        for unit in [pending] if concurrent else [[k] for k in pending]:
-            batch = [tasks[k] for k in unit]
-            if not batch:
-                continue
+        if concurrent and pending:
+            batch = [tasks[k] for k in pending]
             for task in batch:
                 self._begin(task)
-            undo = None if concurrent else _rollback(op, n, batch[0])
-            try:
-                fresh = execute(batch)
-            except WorkerFailure:
-                if undo is not None:
-                    undo()
-                raise
-            for k, task, record in zip(unit, batch, fresh):
+            for k, task, record in zip(pending, batch, execute(batch)):
                 record.digest = WriteSet(op, n, task.lo, task.hi).digest()
                 journal.commit(record, task.block)
                 out[k] = record
+            return out
+        ranges = [(tasks[k].lo, tasks[k].hi) for k in pending] + [None]
+        custom, unsealed = overrides_snapshot_hooks(type(op)), False
+        for at, k in enumerate(pending):
+            task, span = tasks[k], ranges[at]
+            if at == 0 or span != ranges[at - 1]:
+                owned = WriteSet(op, n, *span)
+            saved = None
+            try:
+                self._begin(task)
+                saved = op.snapshot() if custom else owned.snapshot()
+                (record,) = execute([task])
+            except BaseException as exc:
+                if unsealed:
+                    journal.seal(*span, owned.digest(saved))
+                if saved is not None and isinstance(exc, WorkerFailure):
+                    (op if custom else owned).restore(saved)
+                raise
+            last = custom or span != ranges[at + 1]
+            record.digest = owned.digest() if last else None
+            journal.commit(record, task.block)
+            out[k] = record
+            unsealed = not last
         return out
 
     def _drop_stale(self, op, n: int, tasks) -> None:

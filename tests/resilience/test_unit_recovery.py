@@ -14,6 +14,7 @@ from repro._types import VAL_DTYPE
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.core import Engine, EngineOptions
+from repro.core.ops import WriteSet
 from repro.errors import WorkerFailure
 from repro.frontier.frontier import Frontier
 from repro.layout import GraphStore
@@ -76,34 +77,54 @@ def _run_one_phase(edges, tmp_path, *, grid, crash_at=0, lose=None):
 #: (1,0), and block (1,1) dies.  Stripe 0's slice is lost, so its three
 #: blocks run again (one digest covers the stripe), (1,0) replays, (1,1)
 #: runs again.
+#:
+#: in-flight stripe: the same crash, but the slice lost is stripe 1's,
+#: by the rollback of (1,1) itself.  (1,0)'s commit carried no digest
+#: (the stripe is digested after its last block), so the digest the retry
+#: compares is the one sealed when (1,1) died — of its snapshot, the
+#: state (1,0) committed, not of the range the rollback left.  (1,0) and
+#: (1,1) run again; stripe 0 replays.
 STALE = {
-    "partition": dict(grid=False, crash_at=4, lost=["partition 1"],
+    "partition": dict(grid=False, crash_at=4, range=1, lost=["partition 1"],
                       reexecutions=2, replays=2),
-    "grid block": dict(grid=True, crash_at=5,
+    "grid block": dict(grid=True, crash_at=5, range=0,
                        lost=["block (0,0)", "block (0,1)", "block (0,2)"],
                        reexecutions=4, replays=1),
+    "in-flight stripe": dict(grid=True, crash_at=5, range=1, in_rollback=True,
+                             lost=["block (1,0)"], reexecutions=2, replays=3),
 }
 
 
 @pytest.mark.parametrize("kind", list(STALE))
-def test_stale_digest_reexecutes_the_range_instead_of_replaying(tmp_path, small_rmat, kind):
+def test_stale_digest_reexecutes_the_range_instead_of_replaying(
+    tmp_path, small_rmat, monkeypatch, kind
+):
     case = STALE[kind]
 
-    def lose(engine, op):
-        # the lost range: partition 1's, or destination stripe 0's
+    def lose(accum):
+        assert accum.any(), "the committed units wrote nothing to lose"
+        accum[...] = 0.0  # back to the pre-phase value: the writes are gone
+
+    def lose_before_the_retry(engine, op):
         ranges = engine.grid.stripes if case["grid"] else engine.store.coo.partition
-        lo, hi = ranges.vertex_range(0 if case["grid"] else 1)
-        assert op.accum[lo:hi].any(), "the committed units wrote nothing to lose"
-        op.accum[lo:hi] = 0.0  # back to the pre-phase value: the writes are gone
+        lo, hi = ranges.vertex_range(case["range"])
+        lose(op.accum[lo:hi])
+
+    def restore_then_lose(owned, saved):
+        restore(owned, saved)
+        lose(owned.slices["accum"])
 
     clean, expected = _run_one_phase(small_rmat, tmp_path / "clean", grid=case["grid"])
     assert clean.journal.reexecutions == 0
     if case["grid"]:
         assert clean.journal.num_commits() == 9, "the 3x3 grid has an empty block"
 
+    if case.get("in_rollback"):
+        restore = WriteSet.restore
+        monkeypatch.setattr(WriteSet, "restore", restore_then_lose)
     engine, op = _run_one_phase(
-        small_rmat, tmp_path / "faulted", grid=case["grid"],
-        crash_at=case["crash_at"], lose=lose,
+        small_rmat, tmp_path / "faulted", grid=case["grid"], crash_at=case["crash_at"],
+        lose=(lambda *_: None) if case.get("in_rollback") else lose_before_the_retry,
     )
     journal = engine.journal
     assert np.array_equal(op.accum, expected.accum)
@@ -126,6 +147,24 @@ def test_intact_digest_replays_every_committed_unit(tmp_path, small_rmat):
     assert engine.journal.reexecutions == 1  # only the block that died
     assert engine.journal.replays == 4
     assert not any("dropped" in e for e in engine.journal.entries)
+
+
+def test_a_stripe_is_digested_once_not_once_per_block(tmp_path, small_rmat, monkeypatch):
+    """A fault-free spilled phase digests each destination stripe after its
+    last block commits; the blocks before it commit without a digest."""
+    digest, calls = WriteSet.digest, []
+
+    def spy(owned, *saved):
+        calls.append(saved)
+        return digest(owned, *saved)
+
+    monkeypatch.setattr(WriteSet, "digest", spy)
+    engine, _ = _run_one_phase(small_rmat, tmp_path, grid=True)
+    commits = [e for e in engine.journal.entries if ": commit block" in e]
+    stripes = {e.split(" range ")[1].split(" digest")[0] for e in commits}
+    assert (len(commits), len(stripes)) == (9, 3)
+    assert calls == [()] * len(stripes)  # each of the live range
+    assert sum(" digest " in e for e in commits) == len(stripes)
 
 
 # ----------------------------------------------------------------------
