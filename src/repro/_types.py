@@ -4,9 +4,11 @@ The paper stores vertex ids in 32-bit words (``bv`` bytes per vertex id)
 and edge-list indices in wider words (``be`` bytes per index).  We mirror
 that convention: vertex ids are *stored* as ``int32`` and CSR/CSC index
 arrays are ``int64`` so graphs with more than 2**31 edges are
-representable.  Ids an operator receives are not always stored ones: the
-phases that gather edges hand it ``intp`` ids (:mod:`repro.core.gather`),
-so operator code must not assume a width.
+representable.  Ids an operator receives are not always stored ones: a
+kernel that copies its edges (a gather, :mod:`repro.core.gather`, or a COO
+run compressed by its bitmap) hands it ``intp`` ids, and a full-frontier
+COO run ``int32`` slices of the layout, so operator code must not assume a
+width.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ __all__ = ["connected_components", "CCResult", "CCOp"]
 
 
 class CCOp(EdgeOperator):
-    """Propagate minimum labels to destinations; activate changed vertices."""
+    """Propagate minimum labels to destinations; activate changed vertices:
+    the destinations of the edges that lowered a label, once per such edge."""
 
     combine = "min"
 
@@ -39,9 +40,10 @@ class CCOp(EdgeOperator):
     def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         if src.size == 0:
             return np.empty(0, dtype=VID_DTYPE)
-        before = self.labels[dst]
-        np.minimum.at(self.labels, dst, self.labels[src])
-        return dst[self.labels[dst] < before]
+        vals = self.labels[src]
+        lower = vals < self.labels[dst]
+        np.minimum.at(self.labels, dst, vals)
+        return dst[lower]
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,11 @@ the same order; only the copies go.
 
 The CSR, CSC and partitioned-CSR kernels hand the operator the ``intp``
 ids of one compiled gather (:func:`~repro.core.gather.gather_adjacency`)
-over a narrowed layout; the COO kernel hands it ``int32`` slices of the
-layout.  A weighted operator's weights reach the in-RAM COO and sparse
+over a narrowed layout.  A COO run with a bitmap copies its live edges
+anyway, so it widens them to ``intp`` first and indexes uncast; a
+full-frontier run copies nothing and hands out zero-copy ``int32``
+slices of the layout (or grid block), which ``scatter_add_gather`` reads
+as they are.  A weighted operator's weights reach the in-RAM COO and sparse
 CSR kernels as ``w`` from the engine's per-store cache (the CSR's ride in
 its gather); anywhere else (a grid block, the CSC, the partitioned CSR)
 the kernel hashes the run's live edges once, never once per partition.
@@ -232,6 +235,8 @@ def run_coo_partition(
     Every partition gets its operator batch, an empty one included — or,
     with ``fuse``, the run's live edges are one batch.
 
+    A ``bitmap`` means the live edges are compressed into copies, so
+    ``src``/``dst`` are widened to ``intp`` first: numpy's uncast index path.
     ``bitmap is None`` means every source is live.  When ``cond`` passes
     every edge as well, the batches are slices of ``src``/``dst``/``w``
     themselves and ``distinct`` — the run's distinct destinations per
@@ -239,6 +244,8 @@ def run_coo_partition(
     is the record's ``touched`` (``None``, a phase with a bitmap: counted
     here); if the operator then hands every batch's ``dst`` back, the
     record says so (``all_dst``) and its ``activated`` is ``dst``, a view."""
+    if bitmap is not None:  # the run is compressed, so copied: widen it first, once
+        src, dst = src.astype(np.intp, copy=False), dst.astype(np.intp, copy=False)
     live = None if bitmap is None else bitmap[src]
     cond = cond_fn(op, dst)
     if cond is not None:

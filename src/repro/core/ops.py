@@ -116,8 +116,10 @@ class EdgeOperator(abc.ABC):
         (often a view of the engine's per-store weight cache).
 
         ``src`` and ``dst`` are integer ids of one width, not of a fixed
-        one: ``int32`` slices of a layout (COO, grid blocks), or the
-        ``intp`` ids of gathered edges (sparse CSR, CSC, partitioned CSR).
+        one.  A batch the kernel copied is ``intp``: gathered edges (sparse
+        CSR, CSC, partitioned CSR) and a COO or grid run with a bitmap,
+        which compresses its live edges.  A full-frontier COO or grid run
+        copies nothing and hands out ``int32`` slices of the layout.
         Index with them as they come; never narrow or widen them.
 
         Both arrays may contain duplicate vertices.  Returns the vertex ids

@@ -109,3 +109,22 @@ def test_bellman_ford_winners_build_the_improving_edge_frontier(ids):
     improving = dst[op.dist[dst] < before[dst]]
     assert Frontier(N, sparse=acts) == Frontier(N, sparse=improving)
     assert np.unique(acts).size < acts.size < improving.size, "ties and losers both occur"
+
+
+@pytest.mark.parametrize("ids", [VID_DTYPE, np.intp])
+def test_cc_activates_the_destinations_of_the_edges_that_lowered_a_label(ids):
+    """CC hands back ``dst`` at the edges whose source label beat the
+    destination's label as the batch found it: exactly the lowered
+    vertices, named once per lowering edge, not once per edge into them."""
+    src, dst = SRC.astype(ids), DST.astype(ids)
+    labels0 = np.random.default_rng(7).permutation(N).astype(VID_DTYPE)
+    op = CCOp(labels0.copy())
+    acts = op.process_edges(src, dst)
+    assert np.array_equal(acts, dst[labels0[src] < labels0[dst]])
+    lowered = np.flatnonzero(op.labels < labels0)
+    assert np.array_equal(np.unique(acts), lowered) and lowered.size
+    assert acts.size < np.isin(dst, lowered).sum(), "an edge that lost still names its vertex"
+    oracle = labels0.copy()
+    for s, d in zip(SRC.tolist(), DST.tolist()):
+        oracle[d] = min(oracle[d], oracle[s])
+    assert np.array_equal(op.labels, oracle)

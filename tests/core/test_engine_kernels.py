@@ -24,6 +24,7 @@ from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
 from repro.graph.weights import WeightFn
 from repro.layout.coo import EDGE_ORDERS
+from repro.layout.grid import GridStore
 from repro.layout.store import GraphStore
 from tests import lattice
 from tests.lattice import Config, check
@@ -349,6 +350,68 @@ def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypa
         certificate._CLASS_CACHE, PageRankOp, dataclasses.replace(report, edge_local=False)
     )
     assert phase(PageRankOp(np.linspace(1, 2, n), np.zeros(n))) == (384, tasks, skipped)
+
+
+class _BatchSpyCCOp(CCOp):
+    """CCOp that keeps every non-empty batch it is handed, as ``(src, dst)``."""
+
+    def __init__(self, labels):
+        super().__init__(labels)
+        self.batches = []
+
+    def process_edges(self, src, dst):
+        if dst.size:
+            self.batches.append((src, dst))
+        return super().process_edges(src, dst)
+
+
+def _cc_batches_per_phase(engine):
+    """CC to its fixpoint under the spy: each phase's batches.  Only the
+    first phase has a full frontier (vertex 0's label never drops)."""
+    n = engine.num_vertices
+    op, frontier, phases = _BatchSpyCCOp(np.arange(n, dtype=VID_DTYPE)), Frontier.full(n), []
+    while not frontier.is_empty:
+        op.batches = []
+        frontier = engine.edge_map(frontier, op)
+        phases.append(op.batches)
+        assert len(phases) == 1 or frontier.size < n
+    assert engine.guards_skipped > 0 and engine.guard_invocations == 0  # CCOp's path
+    return phases
+
+
+def test_a_bitmap_run_hands_intp_ids_and_a_full_frontier_run_layout_views(monkeypatch, tmp_path):
+    """A COO or grid run with a bitmap compresses, so copies, its edges:
+    every batch it hands the operator is ``intp``, numpy's own index width.
+    A full-frontier COO run copies nothing: its batches stay zero-copy
+    ``int32`` views of the layout (what the compiled add-reduction of
+    PageRank and SPMV reads without a cast)."""
+    from repro.analysis import certificate
+
+    # the spy only records: it runs under CCOp's certificate, as CCOp would
+    report = certificate.operator_report(CCOp)
+    monkeypatch.setitem(certificate._CLASS_CACHE, _BatchSpyCCOp, report)
+    graph = gen.road_grid(30, seed=2)
+    store = GraphStore.build(graph, num_partitions=8)
+    options = EngineOptions(num_threads=2, backend="serial", forced_layout="coo")
+    with Engine(store, options) as engine:
+        phases = _cc_batches_per_phase(engine)
+        assert {m.layout for m in engine.stats.edge_maps} == {"coo"}
+    assert phases[0] and len(phases) >= 10
+    for src, dst in phases[0]:
+        assert src.dtype == dst.dtype == VID_DTYPE
+        assert np.shares_memory(src, store.coo.src) and np.shares_memory(dst, store.coo.dst)
+    partial_batches = [batch for batches in phases[1:] for batch in batches]
+    assert len(partial_batches) >= 100
+    assert {(s.dtype, d.dtype) for s, d in partial_batches} == {(np.dtype(np.intp),) * 2}
+
+    grid = GridStore.build(graph, tmp_path / "grid", num_stripes=3, budget=8 << 10)
+    with Engine(store, options, grid=grid) as engine:
+        phases = _cc_batches_per_phase(engine)
+        assert {m.layout for m in engine.stats.edge_maps} == {"grid"}
+    assert grid.stats.block_reads > grid.num_stripes ** 2  # streamed from disk
+    grid_batches = [batch for batches in phases[1:] for batch in batches]
+    assert len(grid_batches) >= 10
+    assert {(s.dtype, d.dtype) for s, d in grid_batches} == {(np.dtype(np.intp),) * 2}
 
 
 # ----------------------------------------------------------------------
