@@ -31,9 +31,10 @@ over a narrowed layout.  A COO run with a bitmap copies its live edges
 anyway, so it widens them to ``intp`` first and indexes uncast; a
 full-frontier run copies nothing and hands out zero-copy ``int32``
 slices of the layout (or grid block), which ``scatter_add_gather`` reads
-as they are.  A weighted operator's weights reach the in-RAM COO and sparse
-CSR kernels as ``w`` from the engine's per-store cache (the CSR's ride in
-its gather); anywhere else (a grid block, the CSC, the partitioned CSR)
+as they are (a COO layout's without a range scan: they are proven).  A
+weighted operator's weights reach the in-RAM COO and sparse CSR kernels as
+``w`` from the engine's per-store cache (the CSR's ride in its gather);
+anywhere else (a grid block, the CSC, the partitioned CSR)
 the kernel hashes the run's live edges once, never once per partition.
 
 The kernels are the single source of truth for the task computation:

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import abc
 import collections
+import functools
+import weakref
 import zlib
 
 import numpy as np
@@ -47,6 +49,7 @@ __all__ = [
     "EdgeOperator",
     "process_batch",
     "scatter_add_gather",
+    "prove_ids",
     "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
     "overrides_snapshot_hooks",
@@ -130,9 +133,10 @@ class EdgeOperator(abc.ABC):
 
         ``src`` and ``dst`` may be views of the layout's own edge arrays
         (a full-frontier phase compresses nothing): read them, never
-        write them.  An operator that activates every destination should
-        return the very ``dst`` *object* it was handed: nobody mutates a
-        record's ``activated``, and a full-frontier phase that gets its
+        write them (a COO layout's are frozen: a write raises).  An
+        operator that activates every destination should return the very
+        ``dst`` *object* it was handed: nobody mutates a record's
+        ``activated``, and a full-frontier phase that gets its
         own ``dst`` back from every batch knows the next frontier without
         folding anything (the vertices with an in-edge, cached per store);
         a copy or ``dst[mask]`` is folded and deduplicated as usual.
@@ -181,6 +185,37 @@ _IDS = {np.dtype(VID_DTYPE): np.uint32, np.dtype(np.intp): np.uintp}
 #: the loop's factor: exactly 1.0 makes ``1.0 * x[src[k]]`` exact, so the sum is
 #: ``np.add.at``'s bit for bit whether or not ``y += a * x`` became an FMA.
 _ONES = np.ones(TASK_EDGES, dtype=VAL_DTYPE)
+#: ``id(owner) -> (weakref to owner, bound)``: the id arrays :func:`prove_ids` checked
+_PROVEN: dict[int, tuple[weakref.ref, int]] = {}
+
+
+def _within(ids: np.ndarray, size: int) -> bool:
+    """Every id in ``[0, size)``: one unsigned ``argmax`` (a negative id is a huge one)."""
+    u = ids.view(_IDS[ids.dtype])
+    return not ids.size or u[u.argmax()] < size
+
+
+def prove_ids(ids: np.ndarray, bound: int) -> None:
+    """Check the 1-D id array ``ids``, which owns its data, against ``[0, bound)``
+    once, freeze it and record the proof for :func:`scatter_add_gather`."""
+    if ids.base is not None or ids.dtype not in _IDS or ids.ndim != 1:
+        raise TypeError("prove_ids takes a 1-D int32 or intp array that owns its data")
+    if not _within(ids, bound):
+        raise IndexError("prove_ids: vertex id out of range")
+    ids.flags.writeable = False
+    # the owner's death calls ``_PROVEN.pop(key, ref)``: its entry goes with it
+    _PROVEN[id(ids)] = (weakref.ref(ids, functools.partial(_PROVEN.pop, id(ids))), bound)
+
+
+def _proven(ids: np.ndarray, size: int) -> bool:
+    """O(1): ``ids`` view a proven owner that is still frozen, at its dtype and
+    alignment (so each id is one of the owner's), and the bound fits ``size``."""
+    owner = ids if ids.base is None else ids.base
+    entry = _PROVEN.get(id(owner))
+    return (
+        entry is not None and entry[1] <= size and entry[0]() is owner
+        and not owner.flags.writeable and ids.dtype == owner.dtype and ids.flags.aligned
+    )
 
 
 def scatter_add_gather(
@@ -204,6 +239,10 @@ def scatter_add_gather(
     (the fused loop would read what it just wrote: ``SigmaOp``'s shape stays
     on ``np.add.at``); ``IndexError`` for an id outside ``[0, size)``.  Only
     this *fused* form beats ``ufunc.at``, so min/or reductions stay there.
+
+    The range check scans each id array with one ``argmax``, unless
+    :func:`_proven` trusts it in O(1): a full-frontier phase's slices of a
+    built COO's ids, which :func:`prove_ids` proved and froze.
     """
     try:
         nnz = dst.size
@@ -224,9 +263,10 @@ def scatter_add_gather(
         )
     if np.may_share_memory(acc, x) or (data is not None and np.may_share_memory(acc, data)):
         raise ValueError("scatter_add_gather: acc must not share memory with x or data")
-    unsigned = _IDS[dst.dtype]
-    d, s = dst.view(unsigned), src.view(unsigned)  # a negative id is a huge one
-    if nnz and (d[d.argmax()] >= acc.size or s[s.argmax()] >= x.size):
+    if not (
+        (_proven(dst, acc.size) or _within(dst, acc.size))
+        and (_proven(src, x.size) or _within(src, x.size))
+    ):
         raise IndexError("scatter_add_gather: vertex id out of range")
     if data is not None:
         return coo_matvec(nnz, dst, src, data, x, acc)

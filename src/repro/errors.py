@@ -41,12 +41,11 @@ class CapacityError(ReproError):
         available_bytes: int | None = None,
         what: str | None = None,
     ) -> None:
-        if message is None:
-            gib = 1 << 30
+        if message is None:  # the byte counts too: under a small budget both sides round alike
+            need, have = required_bytes or 0, available_bytes or 0
             message = (
-                f"{what or 'allocation'} needs "
-                f"{(required_bytes or 0) / gib:.1f} GiB but only "
-                f"{(available_bytes or 0) / gib:.1f} GiB are available"
+                f"{what or 'allocation'} needs {need / (1 << 30):.3g} GiB ({need:,} B) "
+                f"but only {have / (1 << 30):.3g} GiB ({have:,} B) are available"
             )
         super().__init__(message)
         self.required_bytes = required_bytes

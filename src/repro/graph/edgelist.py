@@ -36,7 +36,8 @@ def sorted_pairs(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.n
     packed <<= np.uint64(32)
     packed |= values.view(np.uint32)
     packed.sort()
-    values = packed.astype(np.uint32).view(VID_DTYPE)
+    values = np.empty_like(keys)  # owns its data: the low word, cast through a uint32 view
+    np.copyto(values.view(np.uint32), packed, casting="unsafe")
     packed >>= np.uint64(32)
     return packed.astype(VID_DTYPE), values
 

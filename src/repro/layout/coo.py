@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._types import BYTES_PER_VID, EID_DTYPE
+from ..core.ops import prove_ids
 from ..errors import GraphFormatError
 from ..graph.edgelist import EdgeList, sorted_pairs
 from ..partition.hilbert import hilbert_sort_order
@@ -37,7 +38,8 @@ class PartitionedCOO:
     num_vertices:
         |V| of the underlying graph.
     src, dst:
-        All edges, concatenated partition by partition.
+        All edges, concatenated partition by partition; :meth:`build`
+        freezes and proves both (:func:`~repro.core.ops.prove_ids`).
     partition_index:
         Offsets of length ``P + 1``; partition ``i`` owns edge slice
         ``partition_index[i]:partition_index[i+1]``.
@@ -131,6 +133,8 @@ class PartitionedCOO:
         # Partition i starts after the in-edges of every vertex below its range.
         index = np.zeros(edges.num_vertices + 1, dtype=EID_DTYPE)
         np.cumsum(edges.in_degrees(), out=index[1:])
+        prove_ids(src, edges.num_vertices)  # frozen: read-only for every later reader
+        prove_ids(dst, edges.num_vertices)
         return PartitionedCOO(
             num_vertices=edges.num_vertices,
             src=src,

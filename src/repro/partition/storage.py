@@ -105,8 +105,6 @@ class StorageModel:
         """
         if num_bytes > dram_bytes:
             raise CapacityError(
-                f"{what} needs {self.to_gib(num_bytes):.1f} GiB but the "
-                f"machine has {self.to_gib(dram_bytes):.1f} GiB",
                 required_bytes=int(num_bytes),
                 available_bytes=int(dram_bytes),
                 what=what,

@@ -1,5 +1,7 @@
 """Unit tests for the closed-form storage models (paper §II.E, Figure 4)."""
 
+import re
+
 import pytest
 
 from repro.errors import CapacityError
@@ -73,6 +75,18 @@ def test_assert_fits(twitter_model):
     twitter_model.assert_fits(10, 100)
     with _pytest.raises(CapacityError, match="GiB"):
         twitter_model.assert_fits(300 << 30, 256 << 30, what="CSR at P=384")
+
+
+def test_a_small_budget_refusal_shows_which_number_exceeded_which():
+    """Under an 8 KiB budget both sides are far below 0.1 GiB: the message
+    still tells them apart, in GiB and in bytes."""
+    model = StorageModel(num_vertices=512, num_edges=2_048)
+    with pytest.raises(CapacityError) as info:
+        model.assert_fits(model.graphgrind_v2_bytes(), 8 << 10, what="three-copy layout")
+    message = str(info.value)
+    need, have = re.findall(r"(\S+) GiB \(([\d,]+) B\)", message)
+    assert need != have and need[0] != have[0], message
+    assert have[1] == "8,192" and int(need[1].replace(",", "")) == model.graphgrind_v2_bytes()
 
 
 def test_assert_fits_exact_boundary(twitter_model):

@@ -18,8 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._types import VAL_DTYPE, VID_DTYPE
-from repro.core.ops import scatter_add_gather
+from repro.algorithms.pagerank import pagerank
+from repro.core import ops
+from repro.core.engine import Engine
+from repro.core.ops import _proven, scatter_add_gather
+from repro.core.options import EngineOptions
 from repro.core.plan import TASK_EDGES
+from repro.graph import generators as gen
+from repro.layout.coo import EDGE_ORDERS
+from repro.layout.store import GraphStore
 
 #: every kind of float64 the sum must carry through unchanged.
 SPECIALS = [
@@ -237,3 +244,88 @@ def test_scipy_coo_matvec_is_in_place_ascending_and_multiplies_data():
     # of the three keeps the 1.0 or the 0.5.  y[1] shows data multiplies
     # and that entry 4 (beyond nnz) was not read.
     assert y.tolist() == [0.0, 2.0 + 3.0 * -1e16]
+
+
+# ----------------------------------------------------------------------
+# a built COO's ids are proven in range once: frozen, and trusted only as proven
+# ----------------------------------------------------------------------
+def _built_store(edge_order: str = "source") -> GraphStore:
+    return GraphStore.build(gen.rmat(9, 8, seed=3), num_partitions=4, edge_order=edge_order)
+
+
+@pytest.mark.parametrize("edge_order", EDGE_ORDERS)
+def test_every_edge_order_freezes_and_proves_the_coo_ids(edge_order):
+    coo = _built_store(edge_order).coo
+    for ids in (coo.src, coo.dst):
+        assert ids.base is None and not ids.flags.writeable
+        assert _proven(ids, coo.num_vertices) and _proven(ids[5:-5], coo.num_vertices)
+        assert not _proven(ids, coo.num_vertices - 1)
+
+
+def test_writing_into_the_coo_ids_raises():
+    coo = _built_store().coo
+    for ids in (coo.src, coo.dst):
+        with pytest.raises(ValueError, match="read-only"):
+            ids[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            ids[3:9][0] = 0  # a partition's view, as the kernel hands it out
+
+
+def _copy_past_the_end(coo):
+    dst = coo.dst.copy()  # writeable, so unproven
+    dst[7] = coo.num_vertices
+    return np.zeros(coo.num_vertices), dst, np.ones(coo.num_vertices), coo.src
+
+
+def _acc_below_the_bound(coo):
+    n = int(coo.dst.max())  # the largest destination falls just outside
+    return np.zeros(n), coo.dst[: coo.num_edges], np.ones(coo.num_vertices), coo.src
+
+
+def _thawed_and_written(coo):
+    coo.dst.flags.writeable = True
+    coo.dst[7] = coo.num_vertices
+    return np.zeros(coo.num_vertices), coo.dst, np.ones(coo.num_vertices), coo.src
+
+
+def _reinterpreted(coo):
+    even = 2 * (coo.num_edges // 2)  # each intp id is two int32 ids side by side
+    wide = (coo.dst[:even].view(np.intp), coo.src[:even].view(np.intp))
+    return np.zeros(coo.num_vertices), wide[0], np.ones(coo.num_vertices), wide[1]
+
+
+def _misaligned(coo):
+    k = coo.num_edges - 1  # the bytes of each id shifted by one
+    dst = coo.dst.view(np.uint8)[1 : 1 + 4 * k].view(VID_DTYPE)
+    assert dst.base is coo.dst and not dst.flags.aligned
+    return np.zeros(coo.num_vertices), dst, np.ones(coo.num_vertices), coo.src[:k]
+
+
+@pytest.mark.parametrize(
+    "case", [_copy_past_the_end, _acc_below_the_bound, _thawed_and_written, _reinterpreted,
+             _misaligned],
+)
+def test_ids_that_are_not_proven_for_this_call_are_still_scanned(case):
+    acc, dst, x, src = case(_built_store().coo)
+    with pytest.raises(IndexError, match="scatter_add_gather"):
+        scatter_add_gather(acc, dst, x, src)
+    assert not acc.any()
+
+
+def test_a_full_frontier_pagerank_phase_scans_no_ids(monkeypatch):
+    """Every batch of a full-frontier COO phase is a view of the layout's
+    proven ids: PageRank's scatter runs no per-call scan.  A writeable
+    copy of the same ids is scanned, once per array."""
+    store = _built_store()
+    coo = store.coo
+    scans = []
+    within = ops._within
+    monkeypatch.setattr(ops, "_within", lambda ids, n: scans.append(ids.size) or within(ids, n))
+    options = EngineOptions(num_threads=1, backend="serial", forced_layout="coo")
+    with Engine(store, options) as engine:
+        stats = pagerank(engine, iterations=3).stats
+    assert [m.layout for m in stats.edge_maps] == ["coo"] * 3
+    assert scans == []
+    acc = np.zeros(coo.num_vertices)
+    scatter_add_gather(acc, coo.dst.copy(), np.ones(coo.num_vertices), coo.src.copy())
+    assert scans == [coo.num_edges] * 2
