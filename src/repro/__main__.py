@@ -59,13 +59,11 @@ Subcommands
 
 ``lint``
     Run graphlint's static operator-contract rules (GL001-GL010, plus
-    GL011 for stale suppressions) over source trees, optionally followed
-    by the dynamic shadow-memory sanitizer; exits 1 on any finding, 2 on
-    usage/internal errors (the CI gate)::
+    GL011 for stale suppressions) over source trees; exits 1 on any
+    finding, 2 on usage/internal errors (the CI gate)::
 
         python -m repro lint
-        python -m repro lint --sanitize src/repro
-        python -m repro lint --format sarif tests benchmarks
+        python -m repro lint --format json src/repro
         python -m repro lint --baseline .graphlint-baseline.json tests
 
 ``certify``
@@ -77,7 +75,6 @@ Subcommands
 
         python -m repro certify
         python -m repro certify BFS PR --format json
-        python -m repro certify --format sarif > certify.sarif
 """
 
 from __future__ import annotations
@@ -236,18 +233,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="list datasets and algorithms")
 
-    lint = sub.add_parser(
-        "lint", help="static operator-contract analysis (+ dynamic sanitizer)"
-    )
+    lint = sub.add_parser("lint", help="static operator-contract analysis")
     lint.add_argument(
         "paths", nargs="*",
         help="files/directories to lint (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--sanitize", action="store_true",
-        help="also run the shadow-memory race sanitizer, batch-invariance, "
-             "and static-vs-dynamic effect cross-validation over the "
-             "registered algorithms on a small graph",
     )
     lint.add_argument(
         "--effects", action="store_true",
@@ -255,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "registered algorithm (informational; see `repro certify`)",
     )
     lint.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
+        "--format", default="text", choices=("text", "json"),
         help="output format (default text)",
     )
     lint.add_argument(
@@ -282,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="algorithm codes to certify (default: every registered one)",
     )
     certify.add_argument(
-        "--format", default="text", choices=("text", "json", "sarif"),
+        "--format", default="text", choices=("text", "json"),
         help="output format (default text)",
     )
     return parser
@@ -548,34 +537,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _certificate_findings(certificates: dict) -> list:
-    """Operator-level effect violations as SARIF-locatable findings.
-
-    The certificate stores ``package.module:Class`` operator paths; the
-    module's source file (relative to the working directory when
-    possible) anchors each violation so CI can annotate the real code.
-    """
-    import importlib
-
-    from .analysis.findings import Finding
-
-    findings = []
-    for cert in certificates.values():
-        for op in cert.operators:
-            module_name = op.name.partition(":")[0]
-            try:
-                source = importlib.import_module(module_name).__file__ or ""
-            except Exception:
-                source = module_name
-            try:
-                source = str(Path(source).resolve().relative_to(Path.cwd()))
-            except ValueError:
-                pass
-            for code, line, message in op.violations:
-                findings.append(Finding(source, line, 1, code, message))
-    return sorted(findings)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .analysis import lint as graphlint
 
@@ -591,11 +552,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             active, graphlint.load_baseline(Path(args.baseline))
         )
 
-    dynamic = []
-    if args.sanitize:
-        from .analysis import sanitizer
-
-        dynamic = sanitizer.run_sanitizer()
     certificates = {}
     if args.effects:
         from .analysis.certificate import certify_all
@@ -608,34 +564,24 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             "suppressed": [
                 dataclasses.asdict(f) for f in sorted(report.suppressed)
             ],
-            "sanitizer": [dataclasses.asdict(f) for f in dynamic],
             "certificates": {
                 code: cert.to_dict() for code, cert in certificates.items()
             },
-            "total": len(active) + len(dynamic),
+            "total": len(active),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        from .analysis.sarif import render_sarif
-
-        print(render_sarif(active, certificates=certificates or None))
     else:
         for finding in active:
             print(finding.render())
         if args.show_suppressed:
             for finding in sorted(report.suppressed):
                 print(f"{finding.render()} [suppressed]")
-        for finding in dynamic:
-            print(finding.render())
-        if args.sanitize:
-            print(f"sanitizer: {len(dynamic)} finding(s) across "
-                  f"{len(registry.names())} algorithms")
         for code in sorted(certificates):
             cert = certificates[code]
             print(f"certificate: {code} {cert.level} "
                   f"sig={cert.signature[:12]}…")
-        print(f"graphlint: {len(active) + len(dynamic)} finding(s)")
-    return 1 if active or dynamic else 0
+        print(f"graphlint: {len(active)} finding(s)")
+    return 1 if active else 0
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -660,12 +606,6 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "uncertified": sorted(failing),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "sarif":
-        from .analysis.sarif import render_sarif
-
-        print(render_sarif(
-            _certificate_findings(certificates), certificates=certificates
-        ))
     else:
         for code in codes:
             cert = certificates[code]

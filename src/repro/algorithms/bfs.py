@@ -30,8 +30,8 @@ class BFSOp(EdgeOperator):
 
     ``combine`` stays ``None``: a first-writer claim is not a commutative
     reduction — it is race-free only because the partitioned layouts give
-    each partition a disjoint destination range, which the shadow
-    sanitizer verifies by write-set disjointness rather than by combine.
+    each partition a disjoint destination range and the effect pass proves
+    the claim writes ``parent[dst]`` alone.
     """
 
     def __init__(self, parent: np.ndarray) -> None:

@@ -46,9 +46,9 @@ def result_arrays(result: object) -> dict[str, np.ndarray]:
 
     Every registered runner returns a result dataclass whose payload
     (ranks, labels, parents, distances, ...) lives in ndarray fields;
-    metadata like :class:`~repro.core.stats.RunStats` is skipped.  The
-    sanitizer compares these arrays bit-for-bit across partition
-    schedules, so extraction must be exhaustive and deterministic.
+    metadata like :class:`~repro.core.stats.RunStats` is skipped.  Tests
+    compare these arrays bit-for-bit across partition schedules, so
+    extraction must be exhaustive and deterministic.
     """
     if dataclasses.is_dataclass(result):
         items = [(f.name, getattr(result, f.name)) for f in dataclasses.fields(result)]

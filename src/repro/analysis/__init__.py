@@ -1,18 +1,15 @@
-"""Graphlint: static operator-contract analysis + dynamic race sanitizer.
+"""Graphlint: static operator-contract analysis.
 
-Two layers over the same contract (see DESIGN.md):
-
-* :mod:`repro.analysis.lint` — the GL rules over source trees, no imports
-  of the linted code, per-line ``# graphlint: disable=`` suppressions.
-  Every rule about operator code reports a violation of the effect pass
-  (:mod:`repro.analysis.effects`), the same proof :mod:`repro.analysis.certificate`
-  signs and the engine trusts; GL005 (nondeterminism) is a pattern rule;
-* :mod:`repro.analysis.sanitizer` — shadow-memory write-set recording
-  plus batch-invariance checks executed against the registered
-  algorithm matrix.
+:mod:`repro.analysis.lint` runs the GL rules over source trees, with no
+imports of the linted code and per-line ``# graphlint: disable=``
+suppressions.  Every rule about operator code reports a violation of the
+effect pass (:mod:`repro.analysis.effects`), the same proof
+:mod:`repro.analysis.certificate` signs and the engine trusts; GL005
+(nondeterminism) is a pattern rule.  The test suite's lattice harness
+holds every run to the same contract dynamically (see DESIGN.md).
 
 Import the submodule you use: the package itself loads nothing, so the
-engine's certificate lookup never pulls in the linter or the sanitizer.
+engine's certificate lookup never pulls in the linter.
 
-CLI: ``python -m repro lint [--sanitize] [paths ...]``, ``python -m repro certify``.
+CLI: ``python -m repro lint [paths ...]``, ``python -m repro certify``.
 """

@@ -4,8 +4,9 @@ The engine's partitioned kernels hand each partition a disjoint
 *destination* range, so an :class:`~repro.core.ops.EdgeOperator` is safe
 to run under any partition schedule — and eventually under a parallel
 backend — exactly when every write it performs stays inside the current
-batch's destination slice and combines commutatively.  The shadow
-sanitizer checks this per run; this module proves it once, statically.
+batch's destination slice and combines commutatively.  The test
+suite's lattice harness checks this per run; this module proves it once,
+statically.
 
 The pass abstracts each operator method (``process_edges``, ``cond``,
 and every same-module helper they reach through the
@@ -966,8 +967,8 @@ def classify(
             violations.append(Violation(
                 "GL008", eff.line, eff.col,
                 f"{cls} writes through {eff.array!r}, a {eff.detail.split()[-2]}"
-                f"-scoped array outside operator state; snapshots, the "
-                "journal and the shadow sanitizer cannot see this write",
+                f"-scoped array outside operator state; snapshots and the "
+                "journal's write-set digests cannot see this write",
             ))
         elif eff.kind in ("scatter", "assign", "augassign"):
             if eff.kind == "scatter" and eff.combine is None:
@@ -1038,9 +1039,8 @@ def classify(
                             f"{cls} both reads {eff.array} outside the "
                             f"destination slice and scatters into it with "
                             f"{eff.combine!r}, but declares combine="
-                            f"{declared!r}; the sanitizer treats such "
-                            "overlaps as races unless the combine is "
-                            "declared and matches",
+                            f"{declared!r}; such overlaps are races "
+                            "unless the combine is declared and matches",
                         ))
             else:  # assign
                 if eff.unique or eff.constant:

@@ -1,4 +1,4 @@
-"""Finding records shared by the static lint pass and the sanitizer."""
+"""Finding records of the static lint pass."""
 
 from __future__ import annotations
 

@@ -1,7 +1,7 @@
 """Graphlint rule infrastructure and registry.
 
 Each rule is a class with a ``code`` (``GL001``...), a one-line
-``summary`` (the rule catalogue of ``repro lint --format sarif``), and a
+``summary`` (the rule catalogue, :func:`rule_catalogue`), and a
 ``check(module)`` generator yielding :class:`~repro.analysis.findings.Finding`
 objects.  Rules receive a :class:`ModuleContext` with the parsed AST and
 the :class:`EdgeOperator` subclasses discovered in the module, so every

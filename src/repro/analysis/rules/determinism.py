@@ -1,10 +1,11 @@
 """GL005 — banned nondeterminism in engine/algorithm modules.
 
 The reproduction's correctness story leans on bit-identical re-execution
-(supervised retries, checkpoint resume, the sanitizer's invariance
-checks), so engine and algorithm code must not read wall clocks or
-unseeded random state.  Seeded generators (``np.random.default_rng(seed)``)
-are fine — every shipped use passes an explicit seed.
+(supervised retries, checkpoint resume, the partition-order invariance
+the test harness checks), so engine and algorithm code must not read
+wall clocks or unseeded random state.  Seeded generators
+(``np.random.default_rng(seed)``) are fine — every shipped use passes an
+explicit seed.
 """
 
 from __future__ import annotations

@@ -62,9 +62,8 @@ __all__ = [
 
 #: Symbolic reduction names whose scatter result is insensitive to the
 #: order partitions are visited in (commutative-associative combines).
-#: Operators declare theirs via :attr:`EdgeOperator.combine`; the shadow
-#: sanitizer treats cross-partition write-write conflicts as benign only
-#: for these.
+#: Operators declare theirs via :attr:`EdgeOperator.combine`; a write
+#: outside a task's destination range is benign only under one of these.
 COMMUTATIVE_COMBINES = frozenset({"add", "min", "max", "or", "and", "xor"})
 
 #: Container types the default :meth:`EdgeOperator.snapshot` silently
@@ -92,8 +91,8 @@ class EdgeOperator(abc.ABC):
     #: when the update is not a commutative-associative reduction (e.g.
     #: BFS's first-writer parent claim, which is safe only because the
     #: partitioned layouts give every partition a disjoint destination
-    #: range).  Consulted by :mod:`repro.analysis.sanitizer` to decide
-    #: whether overlapping cross-partition write sets are a race.
+    #: range).  Decides whether overlapping cross-partition write sets
+    #: are a race (the effect pass's GL002/GL007).
     combine: str | None = None
     #: A weighted operator's ``(src, dst) -> weights`` function (a
     #: :class:`~repro.graph.weights.WeightFn`); it never calls it itself:
@@ -297,8 +296,8 @@ class WriteSet:
 
     ``slices`` are views of ``[lo, hi)`` of every vertex-length state
     array, in name order — disjoint from every other task's, which is the
-    contract supervised rollback, journal digests, the threads backend's
-    in-place writes and the sanitizer's shadow check all rest on.  ``views``
+    contract supervised rollback, journal digests and the threads
+    backend's in-place writes all rest on.  ``views``
     adds every other state array, whole: no task can be proved to own a
     part of those, so a snapshot keeps all of each and a digest none.
     """

@@ -59,8 +59,8 @@ class EngineOptions:
         (default), ``"reverse"``, or ``"shuffle"`` (a deterministic
         permutation seeded by ``partition_order_seed``).  Correct
         operators must be insensitive to this choice — the freedom the
-        paper's partitioned execution exploits — and the shadow sanitizer
-        uses it to prove (or refute) that insensitivity bit-for-bit.
+        paper's partitioned execution exploits — and the test suite's
+        lattice harness checks that insensitivity bit-for-bit.
     partition_order_seed:
         Seed of the ``"shuffle"`` permutation.
     backend:

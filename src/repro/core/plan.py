@@ -210,8 +210,8 @@ def partition_order(p: int, options):
 
     Any order is correct for contract-abiding operators (the partitioned
     layouts hand each partition a disjoint destination range);
-    ``reverse``/``shuffle`` exist so the sanitizer can verify that
-    insensitivity bit-for-bit.
+    ``reverse``/``shuffle`` exist so tests can verify that insensitivity
+    bit-for-bit.
     """
     if options.partition_order == "forward":
         return range(p)

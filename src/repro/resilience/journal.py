@@ -60,10 +60,6 @@ from ..core.plan import PartitionRecord
 __all__ = ["PartitionRecord", "PhaseJournal"]
 
 
-def _label(partition: int, block: int | None) -> str:
-    return f"partition {partition}" if block is None else f"block ({partition},{block})"
-
-
 class PhaseJournal:
     """Intent log of unit completions within the current phase."""
 
@@ -80,8 +76,6 @@ class PhaseJournal:
         self.reexecutions: int = 0
         #: cumulative count of committed units replayed from record.
         self.replays: int = 0
-        #: append-only human-readable intent log across the whole run.
-        self.entries: list[str] = []
 
     # ------------------------------------------------------------------
     def begin_phase(self, index: int) -> None:
@@ -94,8 +88,6 @@ class PhaseJournal:
     def invalidate(self) -> None:
         """Discard the current phase's records (whole-phase rollback or a
         partition-count change made them unreplayable)."""
-        if self._records:
-            self.entries.append(f"phase {self.phase}: journal invalidated")
         self._clear()
 
     def _clear(self) -> None:
@@ -109,15 +101,12 @@ class PhaseJournal:
         return self._records.get((partition, block))
 
     def note_execution(self, partition: int, block: int | None = None) -> None:
-        """Write the intent entry: the unit is about to execute."""
+        """Note the intent: the unit is about to execute."""
         unit = (partition, block)
         count = self._executions.get(unit, 0) + 1
         self._executions[unit] = count
         if count > 1:
             self.reexecutions += 1
-        self.entries.append(
-            f"phase {self.phase}: start {_label(*unit)} (execution {count})"
-        )
 
     def commit(self, record: PartitionRecord, block: int | None = None) -> None:
         """Commit a completed unit's record; ``record.digest`` covers its
@@ -127,21 +116,15 @@ class PhaseJournal:
         self._records[(record.partition, block)] = record
         if digest is not None:
             self._digests[(lo, hi)] = digest
-        self.entries.append(
-            f"phase {self.phase}: commit {_label(record.partition, block)} range [{lo}, {hi})"
-            + ("" if digest is None else f" digest {digest:#010x}")
-        )
 
     def seal(self, lo: int, hi: int, digest: int) -> None:
         """Record ``[lo, hi)``'s digest after its last commit, which was
         journalled without one."""
         self._digests[(lo, hi)] = digest
-        self.entries.append(f"phase {self.phase}: seal range [{lo}, {hi}) digest {digest:#010x}")
 
     def note_replay(self, partition: int, block: int | None = None) -> None:
         """Record that a committed unit was replayed, not re-executed."""
         self.replays += 1
-        self.entries.append(f"phase {self.phase}: replay {_label(partition, block)}")
 
     def committed_digest(self, lo: int, hi: int) -> int | None:
         """Digest of ``[lo, hi)`` after the range's last commit; ``None``
@@ -155,10 +138,6 @@ class PhaseJournal:
         for unit in stale:
             del self._records[unit]
         self._digests.pop((lo, hi), None)
-        self.entries.append(
-            f"phase {self.phase}: dropped stale record of "
-            f"{', '.join(_label(*u) for u in stale)} (range [{lo}, {hi}))"
-        )
 
     # ------------------------------------------------------------------
     def has_commits(self) -> bool:

@@ -1,104 +1,59 @@
-"""Shadow-memory sanitizer: write-set recording, conflict detection, and
-whole-graph vs. partitioned batch invariance across the algorithm matrix."""
+"""The write contract's race checks, as the lattice harness runs them
+(``tests.lattice.contract_lines`` and its serial oracle)."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.algorithms import registry
-from repro.algorithms.pagerank import PageRankOp
-from repro.analysis.sanitizer import (
-    LastWriterDemoOp,
-    ShadowWriteRecorder,
-    check_algorithm_invariance,
-    check_operator_invariance,
-    default_graph,
-    demo_findings,
-    shadow_check_operator,
-    write_conflicts,
-)
-from repro.core.engine import Engine
-from repro.core.options import EngineOptions
+from repro.analysis.certificate import operator_is_partition_pure
+from repro.analysis.lint import lint_paths_report
+from repro.core import Engine, EngineOptions
 from repro.frontier.frontier import Frontier
-from repro.layout.store import GraphStore
+from repro.layout import GraphStore
+from tests.analysis.corpus import suppressed
+from tests.lattice import Config, check, contract_lines, graph
 
-EDGES = default_graph()
-
-
-def _make_demo_op(engine):
-    return LastWriterDemoOp(np.full(engine.num_vertices, -1, dtype=np.int64))
-
-
-# ----------------------------------------------------------------------
-# recorder mechanics
-# ----------------------------------------------------------------------
-def test_recorder_collects_one_write_set_per_partition_batch():
-    store = GraphStore.build(EDGES, num_partitions=8)
-    engine = Engine(store, EngineOptions(num_threads=4, forced_layout="coo"))
-    n = engine.num_vertices
-    deg = np.maximum(store.out_degrees.astype(float), 1.0)
-    recorder = ShadowWriteRecorder(
-        PageRankOp(np.full(n, 1.0 / n) / deg, np.zeros(n))
-    )
-    engine.edge_map(Frontier.full(n), recorder)
-    # one process_edges call per non-empty partition
-    assert 1 <= len(recorder.write_sets) <= 8
-    written = sorted({k for ws in recorder.write_sets for k in ws})
-    assert written == ["accum"]
-
-
-def test_commutative_combine_licenses_overlapping_writes():
-    store = GraphStore.build(EDGES, num_partitions=8)
-    engine = Engine(store, EngineOptions(num_threads=4, forced_layout="coo"))
-    n = engine.num_vertices
-    deg = np.maximum(store.out_degrees.astype(float), 1.0)
-    recorder = ShadowWriteRecorder(
-        PageRankOp(np.full(n, 1.0 / n) / deg, np.zeros(n))
-    )
-    engine.edge_map(Frontier.full(n), recorder)
-    assert recorder.combine == "add"
-    assert write_conflicts(recorder) == []
-
-
-# ----------------------------------------------------------------------
-# shipped algorithms: conflict-free and bit-identical under re-batching
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("code", registry.names())
-def test_shadow_probe_has_no_conflicts(code):
-    from repro.analysis.sanitizer import _probe_op
-
-    assert shadow_check_operator(
-        EDGES, lambda eng: _probe_op(code, eng), algorithm=code
-    ) == []
+RACE = r"LastWriterDemoOp\.state: the task over \[\d+, \d+\) wrote index \d+ outside it"
 
 
 @pytest.mark.parametrize("code", registry.names())
 def test_algorithm_batch_invariance_is_bit_identical(code):
-    assert check_algorithm_invariance(code, edges=EDGES) == []
+    check(Config(code, "tiny_rmat", 8, partition_order="shuffle", order_seed=11))
 
 
-# ----------------------------------------------------------------------
-# the sanitizer actually fires on a real violation
-# ----------------------------------------------------------------------
-def test_demo_op_write_conflicts_are_flagged():
-    findings = shadow_check_operator(EDGES, _make_demo_op, algorithm="demo")
-    assert findings
-    assert {f.kind for f in findings} == {"write-conflict"}
-    assert all("not commutative-associative" in f.message for f in findings)
+@pytest.mark.parametrize("code", registry.names())
+def test_shadow_probe_has_no_conflicts(code):
+    """COO tasks read sources of every partition; each keeps to its range."""
+    check(Config(code, "tiny_rmat", 24, forced_layout="coo"))
+
+
+def _demo(partitions: int, **options) -> np.ndarray:
+    """The state one full-frontier COO edge-map of ``state[src] = dst`` leaves."""
+    store = GraphStore.build(graph("tiny_rmat"), num_partitions=partitions)
+    with Engine(store, EngineOptions(forced_layout="coo", **options)) as engine:
+        op = suppressed.LastWriterDemoOp(np.full(store.num_vertices, -1, dtype=np.int64))
+        engine.edge_map(Frontier.full(store.num_vertices), op)
+    return op.state
+
+
+def test_demo_op_write_conflicts_are_flagged(monkeypatch):
+    contract_lines(monkeypatch)
+    with pytest.raises(AssertionError, match=RACE):
+        _demo(8)
 
 
 def test_demo_op_breaks_batch_invariance():
-    findings = check_operator_invariance(EDGES, _make_demo_op, algorithm="demo")
-    assert findings
-    assert {f.kind for f in findings} == {"batch-variance"}
+    """The serial oracle decides the race: the last partition visited wins."""
+    assert not np.array_equal(_demo(1), _demo(8, partition_order="reverse"))
 
 
-def test_demo_findings_cover_both_layers():
-    kinds = {f.kind for f in demo_findings(edges=EDGES)}
-    assert kinds == {"write-conflict", "batch-variance"}
-
-
-def test_finding_render_names_algorithm_and_kind():
-    finding = demo_findings(edges=EDGES)[0]
-    rendered = finding.render()
-    assert "demo" in rendered
-    assert finding.kind in rendered
+def test_demo_findings_cover_both_layers(monkeypatch):
+    """The effect pass refuses to certify the race; the write-set line names it."""
+    report = lint_paths_report([Path(suppressed.__file__)])
+    assert "GL006" in {finding.code for finding in report.suppressed}
+    assert not operator_is_partition_pure(suppressed.LastWriterDemoOp(np.zeros(4)))
+    contract_lines(monkeypatch)
+    with pytest.raises(AssertionError, match=RACE):
+        _demo(24)

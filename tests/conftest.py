@@ -10,6 +10,7 @@ from repro.core import Engine, EngineOptions
 from repro.graph import generators as gen
 from repro.graph.edgelist import EdgeList
 from repro.layout import GraphStore
+from repro.resilience import PhaseJournal
 
 #: ``pytest tests/test_lattice.py --hypothesis-profile=lattice``: the
 #: heavier, randomly seeded sampling of the configuration lattice (tier-1
@@ -57,3 +58,24 @@ def engine(small_store) -> Engine:
 def rng() -> np.random.Generator:
     """Seeded RNG for tests needing randomness."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def journal_calls(monkeypatch) -> list[tuple]:
+    """A spy on the journal's writers; per call, in order: ``(method, phase,
+    key, commits held before it)``.  ``key`` is the ``(partition, block)``
+    unit of a commit, an execution or a replay, the ``(lo, hi)`` of a
+    dropped range and ``()`` for an invalidation."""
+    calls = []
+
+    def spy(name, method):
+        def call(journal, *args):
+            key = (args[0].partition, args[1]) if name == "commit" else args
+            calls.append((name, journal.phase, key, journal.num_commits()))
+            return method(journal, *args)
+
+        monkeypatch.setattr(PhaseJournal, name, call)
+
+    for name in ("note_execution", "commit", "note_replay", "drop_range", "invalidate"):
+        spy(name, getattr(PhaseJournal, name))
+    return calls

@@ -8,11 +8,11 @@ import threading
 import pytest
 
 from repro.algorithms.pagerank import pagerank
-from repro.analysis.sanitizer import default_graph
 from repro.core import Engine, EngineOptions
 from repro.core.backend import BACKEND_SPEC, ProcessBackend, ThreadBackend, backend_options
 from repro.errors import GraphFormatError, ValidationError
 from repro.layout.store import GraphStore
+from tests.lattice import GRAPHS
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_spec_kinds_are_serial_threads_and_the_process_alias():
 
 @pytest.fixture(scope="module")
 def store():
-    return GraphStore.build(default_graph(), num_partitions=8)
+    return GraphStore.build(GRAPHS["tiny_rmat"](), num_partitions=8)
 
 
 def test_engine_close_joins_the_pool(store):

@@ -19,13 +19,12 @@ import pytest
 
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
-from repro.analysis.sanitizer import default_graph
 from repro.core import Engine, EngineOptions, ThreadBackend
 from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
 from tests.analysis.test_effects import UncertifiableOp
-from tests.lattice import Config, check, oracle
+from tests.lattice import GRAPHS, Config, check, oracle
 
 #: the algorithms whose every operator is edge-local, so runs on the pool.
 THREADED = {"BP", "PR", "PRDelta", "SPMV"}
@@ -33,7 +32,7 @@ THREADED = {"BP", "PR", "PRDelta", "SPMV"}
 
 @pytest.fixture(scope="module")
 def store():
-    return GraphStore.build(default_graph(), num_partitions=8)
+    return GraphStore.build(GRAPHS["tiny_rmat"](), num_partitions=8)
 
 
 def _new_threads(before: set) -> set:
@@ -47,7 +46,7 @@ def _new_threads(before: set) -> set:
 # the pool ran
 # ----------------------------------------------------------------------
 def _pooled(backend="threads:workers=2", **axes):
-    return Config(axes.pop("code", "PR"), "sanitizer", 8, backend=backend, **axes)
+    return Config(axes.pop("code", "PR"), "tiny_rmat", 8, backend=backend, **axes)
 
 
 @pytest.mark.parametrize("code", sorted(registry.names()))
@@ -124,7 +123,7 @@ def test_a_pool_that_cannot_start_falls_back_to_serial(store, monkeypatch):
         assert engine.backend_stats.kind == "serial"
         assert engine.backend_stats.batches_dispatched == 0
         assert any("falling back to serial" in line for line in engine.resilience_log)
-    assert ranks.tobytes() == oracle("sanitizer", "PR")["ranks"].tobytes()
+    assert ranks.tobytes() == oracle("tiny_rmat", "PR")["ranks"].tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ numpy version; result bit-identity is the lattice harness's job
 (:mod:`tests.lattice`).
 
 Re-record (only when a change to the counters is intended) with
-``PYTHONPATH=src python tests/core/test_runstats_golden.py``.
+``PYTHONPATH=src:. python tests/core/test_runstats_golden.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.algorithms import registry
-from repro.analysis.sanitizer import default_graph
 from repro.core import Engine, EngineOptions
 from repro.layout.grid import GridStore
 from repro.layout.store import GraphStore
+from tests.lattice import GRAPHS
 
 GOLDEN = Path(__file__).with_name("runstats_golden.json")
 
@@ -66,7 +66,7 @@ def _stats_rows(stats) -> list[dict]:
 
 
 def collect(config: str, code: str, scratch: Path) -> list[dict]:
-    edges = default_graph()
+    edges = GRAPHS["tiny_rmat"]()
     store = GraphStore.build(edges, num_partitions=8)
     options = EngineOptions(num_threads=4, backend="serial", **CONFIGS[config])
     grid = (

@@ -15,7 +15,8 @@ promise for one point of the lattice at a time:
   layout choice, ``source`` order and no supervision;
 * :func:`observe` runs a configuration and records what a caller can
   see of it: the result arrays, every ``EdgeMapStats`` row, the guard,
-  grid, budget and journal counters;
+  grid, budget and journal counters — and holds every edge-map and task
+  it runs to the two lines of the write contract (:func:`contract_lines`);
 * :func:`check` holds the result arrays to the oracle under the per-axis
   contract, holds a *mechanism twin* (the same point but for task grain,
   forced bitmap, backend spec or the prefetch shim) to the whole
@@ -45,10 +46,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import registry
-from repro.analysis.sanitizer import default_graph
+from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.budget import parse_memory_budget
+from repro.core.ops import COMMUTATIVE_COMBINES, state_arrays, vertex_length
 from repro.errors import RetryExhausted
 from repro.graph import generators as gen
 from repro.layout import GraphStore
@@ -70,7 +72,7 @@ GRAPHS = {
     "small_rmat": partial(gen.rmat, 8, 6.0, seed=3),
     "small_symmetric": lambda: gen.rmat(8, 6.0, seed=3).symmetrized(),
     "road12": partial(gen.road_grid, 12, seed=7),
-    "sanitizer": default_graph,
+    "tiny_rmat": partial(gen.rmat, 7, 6.0, seed=3),
 }
 LATTICE_GRAPHS = [name for name in GRAPHS if ":" in name]
 BACKENDS = ("serial", "serial:prefetch=2", "threads:workers=1", "threads:workers=2",
@@ -274,6 +276,74 @@ def _count_grid_attempts(patch) -> dict[GridStore, list[dict]]:
     return attempts
 
 
+def _changed(before: np.ndarray, after) -> np.ndarray:
+    """The leading-axis indices at which ``after`` differs from ``before``,
+    NaN equal to NaN; every index when the attribute was rebound to
+    something of another shape or dtype."""
+    rebound = not isinstance(after, np.ndarray)
+    if rebound or (after.shape, after.dtype) != (before.shape, before.dtype):
+        return np.arange(before.shape[0] if before.ndim else 1)
+    neq = after != before
+    if before.dtype.kind in "fc":
+        neq &= ~(np.isnan(after) & np.isnan(before))
+    return np.flatnonzero(neq.any(axis=tuple(range(1, neq.ndim))))
+
+
+def contract_lines(patch) -> None:
+    """Hold every edge-map and task to the write contract's two lines.
+
+    * Effects: the operator state arrays an ``edge_map`` changed are among
+      those the effect pass inferred it writes (``written_arrays()``).
+    * Write set: a task changes a vertex-length array only inside its
+      destination range ``[lo, hi)`` when the operator's ``combine`` is not
+      commutative, or when the pass proved the array destination-sliced.
+
+    A phase the pool runs concurrently is left out of the second line: its
+    blocks write in place together, and its mechanism twin covers it."""
+    edge_map, execute = Engine.edge_map, Engine._execute
+
+    def written(op) -> dict:
+        return operator_report(type(op)).written_arrays()
+
+    def mapped(engine, frontier, op):
+        before = {k: v.copy() for k, v in state_arrays(op).items()}
+        nxt = edge_map(engine, frontier, op)
+        after = state_arrays(op)
+        changed = {k for k in before.keys() | after.keys()
+                   if k not in before or _changed(before[k], after.get(k)).size}
+        stray = sorted(changed - written(op).keys())
+        assert not stray, (
+            f"{type(op).__name__} changed {stray}, outside the write set the "
+            f"effect pass inferred ({sorted(written(op))})"
+        )
+        return nxt
+
+    def executed(engine, plan, arrays, op, tasks):
+        if engine._phase_concurrent and plan.layout != "grid":
+            return execute(engine, plan, arrays, op, tasks)
+        n, commutative = engine.num_vertices, op.combine in COMMUTATIVE_COMBINES
+        proved = {k for k, spaces in written(op).items() if spaces <= {"dst"}}
+        records = []
+        for task in tasks:
+            before = {
+                k: v.copy() for k, v in state_arrays(op).items()
+                if vertex_length(v, n) and (not commutative or k in proved)
+            }
+            records += execute(engine, plan, arrays, op, [task])
+            after = state_arrays(op)
+            for name, old in before.items():
+                rows = _changed(old, after.get(name))
+                out = rows[(rows < task.lo) | (rows >= task.hi)]
+                assert not out.size, (
+                    f"{type(op).__name__}.{name}: the task over [{task.lo}, {task.hi}) "
+                    f"wrote index {int(out[0])} outside it (combine {op.combine!r})"
+                )
+        return records
+
+    patch.setattr(Engine, "edge_map", mapped)
+    patch.setattr(Engine, "_execute", executed)
+
+
 def _laws(engine: Engine, attempts: list[dict], result=None) -> None:
     """The conservation laws every run keeps (a killed one has no result)."""
     for row in _edge_maps(result) if result is not None else ():
@@ -329,6 +399,7 @@ def observe(config: Config) -> Observation:
         if config.bitmap:
             patch.setattr(engine_module, "_frontier_filter", _always_masked)
         attempts = _count_grid_attempts(patch)
+        contract_lines(patch)
         # temporary directories (the spill rung's ``repro-*`` ones too) go
         # where the residue check looks, and no other process writes
         patch.setattr(tempfile, "tempdir", _scratch())

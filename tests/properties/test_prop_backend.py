@@ -25,13 +25,12 @@ import pytest
 
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
-from repro.analysis.sanitizer import default_graph
 from repro.core import Engine, EngineOptions, plan
 from repro.errors import WorkerFailure
 from repro.graph import generators as gen
 from repro.layout.store import GraphStore
 from repro.resilience import ResiliencePolicy
-from tests.lattice import Config, check
+from tests.lattice import GRAPHS, Config, check
 
 #: the algorithms whose every operator is edge-local, so runs on the pool.
 THREADED = ["BP", "PR", "PRDelta", "SPMV"]
@@ -39,7 +38,7 @@ THREADED = ["BP", "PR", "PRDelta", "SPMV"]
 
 def test_process_backend_is_bit_identical_to_serial():
     """One point; the lattice's properties draw the backend on every axis."""
-    check(Config("BC", "sanitizer", backend="threads:workers=4", partition_order="shuffle"))
+    check(Config("BC", "tiny_rmat", backend="threads:workers=4", partition_order="shuffle"))
 
 
 def test_threads_match_serial_in_results_and_every_statistic():
@@ -51,7 +50,7 @@ def test_threads_match_serial_in_results_and_every_statistic():
 
 def test_the_edge_local_algorithms_do_use_the_pool():
     for code in THREADED:
-        store = GraphStore.build(default_graph(), num_partitions=8)
+        store = GraphStore.build(GRAPHS["tiny_rmat"](), num_partitions=8)
         with Engine(store, EngineOptions(num_threads=4, backend="threads:workers=2")) as engine:
             registry.get(code).run(engine)
             assert engine.backend_stats.batches_dispatched > 0, code

@@ -61,7 +61,7 @@ def test_commit_completed_and_drop():
     assert j.completed(4) is None
     j.drop_range(10, 20)
     assert j.completed(5) is None
-    assert any("dropped stale record" in line for line in j.entries)
+    assert j.committed_digest(10, 20) is None
 
 
 def test_invalidate_discards_records_and_logs():
@@ -70,7 +70,7 @@ def test_invalidate_discards_records_and_logs():
     j.commit(_record(0))
     j.invalidate()
     assert not j.has_commits()
-    assert any("journal invalidated" in line for line in j.entries)
+    assert j.completed(0) is None
 
 
 def test_replay_counter():
@@ -79,17 +79,6 @@ def test_replay_counter():
     j.note_replay(1)
     j.note_replay(2)
     assert j.replays == 2
-
-
-def test_intent_entries_are_write_ahead():
-    """The start entry lands before the commit entry for the same task."""
-    j = PhaseJournal()
-    j.begin_phase(0)
-    j.note_execution(3)
-    j.commit(_record(3))
-    start = next(i for i, e in enumerate(j.entries) if "start partition 3" in e)
-    commit = next(i for i, e in enumerate(j.entries) if "commit partition 3" in e)
-    assert start < commit
 
 
 def test_empty_record_has_no_activations():
@@ -155,7 +144,7 @@ def test_two_crashes_two_reexecutions(graph):
     assert engine.journal.replays == 2 + 5
 
 
-def test_oom_invalidates_journal(graph):
+def test_oom_invalidates_journal(graph, journal_calls):
     """Degrading the partition count makes records unreplayable: ids and
     destination ranges both changed under the journal.  The OOM is
     partition-scoped so commits exist when the degradation hits."""
@@ -163,14 +152,24 @@ def test_oom_invalidates_journal(graph):
     baseline = pagerank(_engine(graph), iterations=4)
     faulted = pagerank(engine, iterations=4)
     assert np.array_equal(faulted.ranks, baseline.ranks)
-    assert any("journal invalidated" in line for line in engine.journal.entries)
+    assert any(name == "invalidate" and held for name, _, _, held in journal_calls)
     # nothing was replayed: degradation made the three commits useless
     assert engine.journal.replays == 0
 
 
-def test_journal_commits_cover_every_partition(graph):
+def test_journal_commits_cover_every_partition(graph, journal_calls):
     engine = _engine(graph, "worker_crash@2:1")
     pagerank(engine, iterations=4)
-    commits = [e for e in engine.journal.entries if "commit partition" in e]
-    starts = [e for e in engine.journal.entries if "start partition" in e]
-    assert len(commits) >= len(starts) - 1  # only the crashed attempt lacks one
+    commits = sum(name == "commit" for name, *_ in journal_calls)
+    starts = sum(name == "note_execution" for name, *_ in journal_calls)
+    assert commits >= starts - 1  # only the crashed attempt lacks one
+
+
+def test_intent_entries_are_write_ahead(graph, journal_calls):
+    """A unit's execution is noted before its commit, in the same phase."""
+    pagerank(_engine(graph, "worker_crash@1:3"), iterations=3)
+    units = [call[:3] for call in journal_calls]
+    commits = [i for i, (name, *_) in enumerate(units) if name == "commit"]
+    assert commits
+    for i in commits:
+        assert ("note_execution", *units[i][1:]) in units[:i]

@@ -66,8 +66,8 @@ def _run_one_phase(edges, tmp_path, *, grid, crash_at=0, lose=None):
     return engine, op
 
 
-#: the unit kind -> the batch that dies, the units then committed whose
-#: range is lost, and what the retry must do.
+#: the unit kind -> the batch that dies, the ``(partition, block)`` units
+#: then committed whose range is lost, and what the retry must do.
 #:
 #: partition: batches 1-3 are partitions 0-2; partition 3 dies; partition
 #: 1's slice is lost.  The retry replays 0 and 2 and runs 1 and 3 again.
@@ -85,19 +85,19 @@ def _run_one_phase(edges, tmp_path, *, grid, crash_at=0, lose=None):
 #: state (1,0) committed, not of the range the rollback left.  (1,0) and
 #: (1,1) run again; stripe 0 replays.
 STALE = {
-    "partition": dict(grid=False, crash_at=4, range=1, lost=["partition 1"],
+    "partition": dict(grid=False, crash_at=4, range=1, lost=[(1, None)],
                       reexecutions=2, replays=2),
     "grid block": dict(grid=True, crash_at=5, range=0,
-                       lost=["block (0,0)", "block (0,1)", "block (0,2)"],
+                       lost=[(0, 0), (0, 1), (0, 2)],
                        reexecutions=4, replays=1),
     "in-flight stripe": dict(grid=True, crash_at=5, range=1, in_rollback=True,
-                             lost=["block (1,0)"], reexecutions=2, replays=3),
+                             lost=[(1, 0)], reexecutions=2, replays=3),
 }
 
 
 @pytest.mark.parametrize("kind", list(STALE))
 def test_stale_digest_reexecutes_the_range_instead_of_replaying(
-    tmp_path, small_rmat, monkeypatch, kind
+    tmp_path, small_rmat, monkeypatch, journal_calls, kind
 ):
     case = STALE[kind]
 
@@ -118,6 +118,7 @@ def test_stale_digest_reexecutes_the_range_instead_of_replaying(
     assert clean.journal.reexecutions == 0
     if case["grid"]:
         assert clean.journal.num_commits() == 9, "the 3x3 grid has an empty block"
+    journal_calls.clear()
 
     if case.get("in_rollback"):
         restore = WriteSet.restore
@@ -130,14 +131,17 @@ def test_stale_digest_reexecutes_the_range_instead_of_replaying(
     assert np.array_equal(op.accum, expected.accum)
     assert journal.reexecutions == case["reexecutions"]
     assert journal.replays == case["replays"]
-    dropped = [e for e in journal.entries if "dropped stale record" in e]
-    assert len(dropped) == 1 and all(unit in dropped[0] for unit in case["lost"])
+    ranges = engine.grid.stripes if case["grid"] else engine.store.coo.partition
+    calls = [call[:3] for call in journal_calls]
+    assert [key for name, _, key in calls if name == "drop_range"] == [
+        ranges.vertex_range(case["range"])
+    ]
     for unit in case["lost"]:  # re-executed, never replayed
-        assert f"phase 0: replay {unit}" not in journal.entries
-        assert f"phase 0: start {unit} (execution 2)" in journal.entries
+        assert ("note_replay", 0, unit) not in calls
+        assert calls.count(("note_execution", 0, unit)) == 2
 
 
-def test_intact_digest_replays_every_committed_unit(tmp_path, small_rmat):
+def test_intact_digest_replays_every_committed_unit(tmp_path, small_rmat, journal_calls):
     """The other side of the rule, same crash: nothing lost, nothing dropped."""
     _, expected = _run_one_phase(small_rmat, tmp_path / "clean", grid=True)
     engine, op = _run_one_phase(
@@ -146,10 +150,12 @@ def test_intact_digest_replays_every_committed_unit(tmp_path, small_rmat):
     assert np.array_equal(op.accum, expected.accum)
     assert engine.journal.reexecutions == 1  # only the block that died
     assert engine.journal.replays == 4
-    assert not any("dropped" in e for e in engine.journal.entries)
+    assert not any(name == "drop_range" for name, *_ in journal_calls)
 
 
-def test_a_stripe_is_digested_once_not_once_per_block(tmp_path, small_rmat, monkeypatch):
+def test_a_stripe_is_digested_once_not_once_per_block(
+    tmp_path, small_rmat, monkeypatch, journal_calls
+):
     """A fault-free spilled phase digests each destination stripe after its
     last block commits; the blocks before it commit without a digest."""
     digest, calls = WriteSet.digest, []
@@ -160,17 +166,20 @@ def test_a_stripe_is_digested_once_not_once_per_block(tmp_path, small_rmat, monk
 
     monkeypatch.setattr(WriteSet, "digest", spy)
     engine, _ = _run_one_phase(small_rmat, tmp_path, grid=True)
-    commits = [e for e in engine.journal.entries if ": commit block" in e]
-    stripes = {e.split(" range ")[1].split(" digest")[0] for e in commits}
+    commits = [key for name, _, key, _ in journal_calls if name == "commit"]
+    stripes = {stripe for stripe, _ in commits}
     assert (len(commits), len(stripes)) == (9, 3)
     assert calls == [()] * len(stripes)  # each of the live range
-    assert sum(" digest " in e for e in commits) == len(stripes)
+    digested = [engine.journal.completed(*unit).digest is not None for unit in commits]
+    assert sum(digested) == len(stripes)
 
 
 # ----------------------------------------------------------------------
 # the same journal under a concurrent batch
 # ----------------------------------------------------------------------
-def test_concurrent_batch_commits_every_unit_and_recovers_the_whole_phase(small_rmat):
+def test_concurrent_batch_commits_every_unit_and_recovers_the_whole_phase(
+    small_rmat, journal_calls
+):
     """``run_tasks(concurrent=True)``: the hooks fire in the engine's thread
     before the batch is dispatched, so a crash on partition 3 finds nothing committed
     and the phase re-runs as a whole — nothing replays, nothing runs twice,
@@ -184,7 +193,8 @@ def test_concurrent_batch_commits_every_unit_and_recovers_the_whole_phase(small_
     assert np.array_equal(faulted.ranks, baseline.ranks)
     backend, journal = engine.backend_stats, engine.journal
     assert (backend.fallbacks, backend.batches_dispatched, backend.partitions_dispatched) == (0, 4, 32)
-    assert sum(": commit partition" in e for e in journal.entries) == 32
+    commits = [key for name, _, key, _ in journal_calls if name == "commit"]
+    assert len(commits) == 32 and all(block is None for _, block in commits)
     assert (journal.reexecutions, journal.replays) == (0, 0)
     assert any("edge-map 1 attempt 0 faulted" in line for line in engine.resilience_log)
 

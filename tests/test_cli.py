@@ -323,25 +323,8 @@ def test_lint_json_round_trip(capsys):
     )
 
 
-def test_lint_sarif_structure(capsys):
-    import json
-
-    assert main(["lint", "--format", "sarif", f"{CORPUS}/bad_effects.py"]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == "2.1.0"
-    assert "sarif-schema-2.1.0" in doc["$schema"]
-    run = doc["runs"][0]
-    rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == [f"GL{n:03d}" for n in range(1, 12)]
-    for result in run["results"]:
-        assert result["ruleId"] in rule_ids
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("bad_effects.py")
-        assert loc["region"]["startLine"] > 0
-
-
 def test_lint_show_suppressed_lists_silenced_findings(capsys):
-    assert main(["lint", "--show-suppressed", "src/repro"]) == 0
+    assert main(["lint", "--show-suppressed", f"{CORPUS}/suppressed.py"]) == 0
     assert "[suppressed]" in capsys.readouterr().out
 
 
@@ -384,16 +367,6 @@ def test_certify_json_round_trip(capsys):
     pr = payload["certificates"]["PR"]
     assert pr["level"] == "partition-pure"
     assert pr["signature"]
-
-
-def test_certify_sarif_has_certificates_property(capsys):
-    import json
-
-    assert main(["certify", "--format", "sarif"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    run = doc["runs"][0]
-    certs = run["properties"]["safetyCertificates"]
-    assert certs["BFS"]["level"] == "partition-pure"
 
 
 def test_certify_unknown_algorithm_is_exit_two(capsys):
