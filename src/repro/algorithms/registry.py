@@ -97,10 +97,12 @@ class AlgorithmSpec:
     @property
     def run_resumable(self) -> Callable[[Engine, CheckpointSession], object] | None:
         """``run`` under a :class:`~repro.resilience.CheckpointSession`, as
-        ``run_resumable(engine, session)``; ``None`` for one-shot algorithms."""
+        ``run_resumable(engine, session)``; ``None`` for one-shot algorithms.
+        It ends once the session's writes are durable: the run's own
+        exception wins, with a writer error as its cause."""
         if not self.resumable:
             return None
-        return lambda engine, session: self.run(engine, checkpoint=session)
+        return partial(_run_joined, self.run)
 
     def certificate(self):
         """The signed safety certificate for this algorithm (computed lazily
@@ -109,6 +111,20 @@ class AlgorithmSpec:
         from ..analysis.certificate import certify_algorithm
 
         return certify_algorithm(self.code)
+
+
+def _run_joined(run, engine: Engine, session: CheckpointSession) -> object:
+    """``run(engine, checkpoint=session)``, then its last write's join."""
+    try:
+        result = run(engine, checkpoint=session)
+    except BaseException as exc:
+        try:
+            session.manager.flush()
+        except Exception as writer_error:
+            raise exc from writer_error
+        raise
+    session.manager.flush()
+    return result
 
 
 def _from_default_source(algorithm) -> Callable[..., object]:

@@ -36,8 +36,8 @@ _HEADER = struct.Struct(">IQ")  # crc32, payload length
 def durable_write(path: str | os.PathLike, mode: str = "wb", encoding: str | None = None):
     """Open a tmp sibling of ``path`` for writing; commit it on exit.
 
-    Yields the open file.  :class:`OSError` from the body, the sync or
-    the rename removes the sibling and propagates.
+    Yields the open file.  Any exception from the body, the sync or the
+    rename removes the sibling and propagates unchanged.
     """
     final = os.fspath(path)
     tmp = final + ".tmp"
@@ -47,7 +47,7 @@ def durable_write(path: str | os.PathLike, mode: str = "wb", encoding: str | Non
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
-    except OSError:
+    except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
@@ -65,11 +65,14 @@ def write_bytes(path: Path, *chunks: bytes) -> None:
         raise CheckpointError(f"cannot write {path}: {exc}") from exc
 
 
-def write_framed(path: Path, magic: bytes, payload: bytes) -> int:
-    """Durably write ``magic + header + payload``; returns the header's
-    CRC32 of ``payload``, so a manifest records it without a second pass."""
-    crc = zlib.crc32(payload)
-    write_bytes(path, magic, _HEADER.pack(crc, len(payload)), payload)
+def write_framed(path: Path, magic: bytes, *payload: bytes) -> int:
+    """Durably write ``magic + header + payload``, the payload given as one
+    or more byte chunks; returns the header's CRC32 of the payload, so a
+    manifest records it without a second pass."""
+    crc = 0
+    for chunk in payload:
+        crc = zlib.crc32(chunk, crc)
+    write_bytes(path, magic, _HEADER.pack(crc, sum(map(len, payload))), *payload)
     return crc
 
 

@@ -19,12 +19,19 @@ Only plain data crosses to the algorithms: a loop hands its
 :class:`CheckpointSession` (one run name bound to a manager, a save
 cadence and a resume flag) a dict of named arrays after each iteration,
 and gets ``(step, arrays | None)`` back when it starts.
+
+A session's save is written *behind* the loop by one writer thread, so
+its fsyncs overlap the next iteration.  One generation is in flight per
+process; every manager call joins it first and re-raises its error, as
+``AlgorithmSpec.run_resumable`` does before it returns.  A kill loses at
+most the generation in flight, which the resumed run recomputes.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 from pathlib import Path
 from typing import Mapping
 
@@ -62,6 +69,10 @@ class CheckpointManager:
         recover from.
     """
 
+    #: the generation being written behind, shared so that no manager reads
+    #: or writes a directory past another's write still in flight.
+    _writer: threading.Thread | None = None
+
     def __init__(
         self,
         directory: str | os.PathLike | None = None,
@@ -82,10 +93,22 @@ class CheckpointManager:
         self.keep_last = keep_last
         #: optional fault plan whose storage events damage fresh saves.
         self.fault_plan = fault_plan
+        #: what this manager's last write behind raised, until re-raised.
+        self._write_error: BaseException | None = None
+
+    def flush(self) -> None:
+        """Wait for the generation being written behind; re-raise the
+        error of this manager's write, if it failed."""
+        if CheckpointManager._writer is not None:
+            CheckpointManager._writer.join()
+        error, self._write_error = self._write_error, None
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     def path_for(self, name: str, step: int) -> Path:
         """The on-disk location of ``(name, step)``, for stores that have one."""
+        self.flush()
         path = self.store.path_for(name, step)
         if path is None:
             raise CheckpointError(
@@ -95,34 +118,65 @@ class CheckpointManager:
 
     def steps(self, name: str) -> list[int]:
         """All checkpointed steps for ``name``, ascending."""
+        self.flush()
         return self.store.steps(name)
 
     def names(self) -> list[str]:
         """All run names with at least one checkpoint."""
+        self.flush()
         return self.store.names()
 
     # ------------------------------------------------------------------
     def save(
-        self, name: str, step: int, arrays: Mapping[str, np.ndarray]
+        self,
+        name: str,
+        step: int,
+        arrays: Mapping[str, np.ndarray],
+        *,
+        behind: bool = False,
     ) -> Path | None:
         """Atomically write one checkpoint; returns its path when one exists.
 
-        After a successful write the fault plan may damage the fresh
-        generation (corruption / shard tear / replica loss), and the
+        After the write the fault plan may damage the fresh generation
+        (corruption / shard tear / replica loss), as decided here, and the
         retention policy prunes generations beyond ``keep_last``.
+
+        With ``behind`` the write, damage and pruning of a copy of
+        ``arrays`` run in a writer thread, durable once the next manager
+        call or :meth:`flush` returns, which re-raises their error.
         """
+        self.flush()
         store, plan = self.store, self.fault_plan
-        store.save(name, step, arrays)
-        if plan is not None:
-            for kind, damage in (
+        damage = [] if plan is None else [
+            hurt
+            for kind, hurt in (
                 ("corrupt_checkpoint", store.corrupt),
                 ("corrupt_shard", store.corrupt_shard),
                 ("lost_replica", store.lose_replica),
-            ):
-                if plan.take((kind,), step):
-                    damage(name, step)
-        self.prune(name)
+            )
+            if plan.take((kind,), step)
+        ]
+        if behind:
+            copies = {key: np.array(array) for key, array in arrays.items()}
+            CheckpointManager._writer = threading.Thread(
+                target=self._write_behind, args=(name, step, copies, damage)
+            )
+            CheckpointManager._writer.start()
+        else:
+            self._write(name, step, arrays, damage)
         return store.path_for(name, step)
+
+    def _write(self, name: str, step: int, arrays, damage) -> None:
+        self.store.save(name, step, arrays)
+        for hurt in damage:
+            hurt(name, step)
+        self._prune(name, self.keep_last)
+
+    def _write_behind(self, *args) -> None:
+        try:
+            self._write(*args)
+        except BaseException as exc:  # re-raised in the caller's thread by flush
+            self._write_error = exc
 
     def prune(self, name: str, keep_last: int | None = None) -> list[int]:
         """Drop all but the newest ``keep_last`` generations of ``name``.
@@ -130,12 +184,16 @@ class CheckpointManager:
         Uses the manager's retention when ``keep_last`` is omitted; a
         ``None`` retention prunes nothing.  Returns the removed steps.
         """
+        self.flush()
         keep = keep_last if keep_last is not None else self.keep_last
+        if keep is not None and keep < 1:
+            raise ValidationError("keep_last must be >= 1")
+        return self._prune(name, keep)
+
+    def _prune(self, name: str, keep: int | None) -> list[int]:
         if keep is None:
             return []
-        if keep < 1:
-            raise ValidationError("keep_last must be >= 1")
-        doomed = self.steps(name)[:-keep]
+        doomed = self.store.steps(name)[:-keep]
         for step in doomed:
             self.store.delete(name, step)
         if doomed:
@@ -144,11 +202,13 @@ class CheckpointManager:
 
     def verify(self, name: str, step: int) -> bool:
         """Whether generation ``(name, step)`` loads clean."""
+        self.flush()
         return self.store.verify(name, step)
 
     # ------------------------------------------------------------------
     def load(self, name: str, step: int) -> dict[str, np.ndarray]:
         """Load and verify one checkpoint; raises on any integrity failure."""
+        self.flush()
         return self.store.load(name, step)
 
     def load_latest(
@@ -200,6 +260,10 @@ class CheckpointSession:
         return found
 
     def save(self, step: int, arrays: Mapping[str, np.ndarray]) -> None:
-        """Checkpoint ``arrays`` if ``step`` falls on the save cadence."""
+        """Checkpoint ``arrays`` if ``step`` falls on the save cadence.
+
+        It is written behind the loop's next iteration, from a copy, so
+        the loop may update ``arrays`` in place.
+        """
         if step % self.every == 0:
-            self.manager.save(self.name, step, arrays)
+            self.manager.save(self.name, step, arrays, behind=True)

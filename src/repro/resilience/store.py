@@ -256,10 +256,17 @@ class ShardedStore(_DirectoryStore):
         return gen / f"{safe_name(key)}.shard"
 
     @staticmethod
-    def _array_bytes(array: np.ndarray) -> bytes:
-        buf = io.BytesIO()
-        np.save(buf, np.asarray(array), allow_pickle=False)
-        return buf.getvalue()
+    def _npy_chunks(array: np.ndarray) -> tuple[bytes, memoryview]:
+        """What ``np.save`` writes for ``array``: its ``.npy`` 1.0 header,
+        then a view of the array's own buffer (a copy only if not contiguous)."""
+        array = np.asarray(array)
+        if array.dtype.hasobject:
+            raise ValueError("Object arrays cannot be saved when allow_pickle=False")
+        fmt, header = np.lib.format, io.BytesIO()
+        meta = fmt.header_data_from_array_1_0(array)
+        fmt.write_array_header_1_0(header, meta)
+        data = array.T if meta["fortran_order"] else np.ascontiguousarray(array)
+        return header.getvalue(), memoryview(data).cast("B")
 
     # ------------------------------------------------------------------
     def save(self, name: str, step: int, arrays: Mapping[str, np.ndarray]) -> None:
@@ -267,11 +274,11 @@ class ShardedStore(_DirectoryStore):
         gen.mkdir(parents=True, exist_ok=True)
         manifest: dict[str, dict] = {}
         for key, array in arrays.items():
-            payload, path = self._array_bytes(array), self._shard_path(gen, key)
+            (header, data), path = self._npy_chunks(array), self._shard_path(gen, key)
             manifest[key] = {
                 "file": path.name,
-                "crc32": write_framed(path, _SHARD_MAGIC, payload),
-                "bytes": len(payload),
+                "crc32": write_framed(path, _SHARD_MAGIC, header, data),
+                "bytes": len(header) + len(data),
             }
         body = json.dumps({"name": name, "step": step, "shards": manifest}).encode()
         write_framed(gen / _MANIFEST_FILE, _MANIFEST_MAGIC, body)

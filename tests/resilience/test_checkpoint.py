@@ -1,20 +1,28 @@
 """CheckpointManager/CheckpointSession: atomicity, integrity, resume."""
 
 import dataclasses
+import io
+import threading
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.algorithms import registry
 from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
+from repro.durable import read_framed
 from repro.errors import CheckpointCorruptError, CheckpointError
 from repro.layout import GraphStore
 from repro.resilience import (
     CheckpointManager,
     CheckpointSession,
     FaultPlan,
+    LocalDirStore,
     ResiliencePolicy,
+    ShardedStore,
 )
+from repro.resilience.store import _SHARD_MAGIC
 from tests.lattice import Config, check
 
 
@@ -175,3 +183,108 @@ def test_resume_over_corrupted_tail_recomputes_and_matches(tmp_path, small_rmat)
     assert resumed.iterations == baseline.iterations
     # exactly one iteration (the corrupted one) was re-executed
     assert resumed.stats.num_iterations == 1
+
+
+# ----------------------------------------------------------------------
+# a session's save is written behind the loop: the caller gets control
+# back while the store writes, and every manager call, the next save and
+# run_resumable join the write
+# ----------------------------------------------------------------------
+class _GatedStore(LocalDirStore):
+    """Writes only once ``gate`` is set; gives up after a few seconds."""
+
+    def __init__(self, directory, gate: threading.Event) -> None:
+        super().__init__(directory)
+        self.gate = gate
+
+    def save(self, name, step, arrays):
+        if not self.gate.wait(timeout=5.0):
+            raise CheckpointError("the gate never opened")
+        super().save(name, step, arrays)
+
+
+class _FailingStore(LocalDirStore):
+    """Fails to write generation ``fail_at``."""
+
+    def __init__(self, directory, fail_at: int) -> None:
+        super().__init__(directory)
+        self.fail_at = fail_at
+
+    def save(self, name, step, arrays):
+        if step == self.fail_at:
+            raise CheckpointError(f"disk full writing step {step}")
+        super().save(name, step, arrays)
+
+
+def test_a_session_save_returns_before_its_generation_is_written(tmp_path):
+    gate = threading.Event()
+    manager = CheckpointManager(store=_GatedStore(tmp_path, gate))
+    x = np.arange(4)
+    CheckpointSession(manager, "run").save(1, {"x": x})
+    assert manager.store.steps("run") == []  # the write is still waiting
+    x[:] = -1  # the loop updates its arrays in place: the save took a copy
+    gate.set()
+    assert manager.steps("run") == [1]
+    assert manager.load("run", 1)["x"].tolist() == [0, 1, 2, 3]
+
+
+def test_a_failed_write_raises_at_the_next_save_and_from_run_resumable(tmp_path, small_rmat):
+    before = set(threading.enumerate())
+    session = CheckpointSession(CheckpointManager(store=_FailingStore(tmp_path, 2)), "run")
+    session.save(1, {"x": np.array([1])})
+    session.save(2, {"x": np.array([2])})
+    with pytest.raises(CheckpointError, match="step 2"):
+        session.save(3, {"x": np.array([3])})
+    # raised by the loop's next save (step 2) and by the join after it (step 10)
+    for fail_at in (2, 10):
+        manager = CheckpointManager(store=_FailingStore(tmp_path / str(fail_at), fail_at))
+        with _engine(small_rmat) as engine, pytest.raises(CheckpointError, match=f"step {fail_at}"):
+            registry.get("PR").run_resumable(engine, CheckpointSession(manager, "pr"))
+    assert set(threading.enumerate()) == before
+
+
+def test_run_resumable_returns_with_every_generation_durable(tmp_path, small_rmat):
+    before = set(threading.enumerate())
+    store = ShardedStore(tmp_path)
+    with _engine(small_rmat) as engine:
+        registry.get("PR").run_resumable(
+            engine, CheckpointSession(CheckpointManager(store=store), "pr")
+        )
+    assert set(threading.enumerate()) == before
+    assert store.steps("pr") == list(range(1, 11))
+    assert all(store.verify("pr", step) for step in range(1, 11))
+
+
+def test_a_session_damages_exactly_the_planned_generation(tmp_path):
+    plan = FaultPlan.from_spec("corrupt_checkpoint@2")
+    manager = CheckpointManager(tmp_path, fault_plan=plan)
+    session = CheckpointSession(manager, "run")
+    for step in (1, 2, 3):
+        session.save(step, {"x": np.array([step])})
+    assert manager.load("run", 1)["x"].tolist() == [1]
+    assert manager.load("run", 3)["x"].tolist() == [3]
+    with pytest.raises(CheckpointCorruptError):
+        manager.load("run", 2)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.arange(-3, 6, dtype=np.int32),
+        np.arange(9, dtype=np.int64) << 40,
+        np.linspace(0.0, 1.0, 7),
+        np.array([True, False, True]),
+        np.array([0.25]),
+    ],
+    ids=["int32", "int64", "float64", "bool", "one-element"],
+)
+def test_a_shard_holds_the_bytes_np_save_writes(tmp_path, array):
+    store = ShardedStore(tmp_path)
+    store.save("run", 1, {"a": array})
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=False)
+    want = buf.getvalue()
+    shard = read_framed(store.generation_dir("run", 1) / "a.shard", _SHARD_MAGIC)
+    entry = store._manifest("run", 1)["shards"]["a"]
+    assert bytes(shard) == want
+    assert (entry["crc32"], entry["bytes"]) == (zlib.crc32(want), len(want))

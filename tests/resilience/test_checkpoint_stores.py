@@ -11,6 +11,7 @@ satellite (``keep_last``) and the ``--store`` option table.
 import numpy as np
 import pytest
 
+from repro.durable import durable_write
 from repro.errors import CheckpointCorruptError, CheckpointError
 from repro.resilience import (
     STORE_KINDS,
@@ -111,6 +112,14 @@ def test_no_tmp_files_left_behind(tmp_path):
 # ShardedStore: the manifest is the commit point; torn shards repair
 # from an older generation that recorded the same digest
 # ----------------------------------------------------------------------
+def test_durable_write_removes_its_tmp_on_any_exception(tmp_path):
+    with pytest.raises(ValueError, match="mid-write"):
+        with durable_write(tmp_path / "x.bin") as fh:
+            fh.write(b"half a file")
+            raise ValueError("mid-write")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sharded_manifest_is_the_commit_point(tmp_path):
     store = ShardedStore(tmp_path)
     store.save("run", 1, _arrays())
