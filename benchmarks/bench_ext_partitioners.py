@@ -10,16 +10,16 @@ wall time.
 import time
 
 from conftest import run_once
-
-from repro.bench import Workbench
-from repro.bench.report import render_table
-from repro.partition.by_destination import partition_by_destination
-from repro.partition.streaming import (
+from streaming_partitioners import (
     assignment_from_ranges,
     edge_cut_fraction,
     fennel_partition,
     ldg_partition,
 )
+
+from repro.bench import Workbench
+from repro.bench.report import render_table
+from repro.partition.by_destination import partition_by_destination
 
 
 def _run(cache):

@@ -35,14 +35,12 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT)]  # the product, and tests/refere
 from repro.graph.generators import rmat  # noqa: E402
 from repro.layout.coo import PartitionedCOO  # noqa: E402
 from repro.memsim.cache import CacheConfig, simulate_cache  # noqa: E402
-from repro.memsim.multicore import simulate_shared_cache  # noqa: E402
 from repro.memsim.reuse import histogram_of_distances, stack_distances  # noqa: E402
 from repro.memsim.simcache import SimulationCache  # noqa: E402
-from repro.memsim.trace import next_array_trace, partition_next_traces  # noqa: E402
+from repro.memsim.trace import next_array_trace  # noqa: E402
 from repro.partition.by_destination import partition_by_destination  # noqa: E402
 from tests.references import (  # noqa: E402
     reference_simulate_cache,
-    reference_simulate_shared_cache,
     reference_stack_distances,
 )
 
@@ -62,21 +60,14 @@ SWEEP_CONFIGS = [
 ]
 
 
-def build_trace(target: int = 1_000_000) -> tuple[np.ndarray, list[np.ndarray]]:
-    """~1M-access next-array traces of an RMAT graph.
-
-    Returns the *unpartitioned* destination stream (fig8's baseline
-    point, with paper-motivating long reuse distances) plus the
-    8-partition per-stream traces for the multicore row.
-    """
+def build_trace(target: int = 1_000_000) -> np.ndarray:
+    """~1M-access next-array trace of an RMAT graph: the *unpartitioned*
+    destination stream (fig8's baseline point, with paper-motivating long
+    reuse distances)."""
     edges = rmat(16, 16.0, seed=7)
     vp1 = partition_by_destination(edges, 1)
     coo1 = PartitionedCOO.build(edges, vp1, edge_order="source")
-    trace = np.ascontiguousarray(next_array_trace(coo1, max_accesses=target))
-    vp8 = partition_by_destination(edges, 8)
-    coo8 = PartitionedCOO.build(edges, vp8, edge_order="source")
-    streams = [np.ascontiguousarray(s) for s in partition_next_traces(coo8)]
-    return trace, streams
+    return np.ascontiguousarray(next_array_trace(coo1, max_accesses=target))
 
 
 def timed(fn) -> tuple[float, object]:
@@ -100,17 +91,6 @@ def bench_set_assoc(trace: np.ndarray) -> dict:
     scalar_s, ref = timed(lambda: reference_simulate_cache(trace, cfg))
     assert got == ref, "set-associative result mismatch"
     return _row("set_assoc", trace.size, scalar_s, vect_s)
-
-
-def bench_multicore(streams: list[np.ndarray]) -> dict:
-    """Shared-cache round-robin replay vs the scalar scheduler walk."""
-    cfg = CacheConfig(capacity_bytes=64 * 16 * 256, line_bytes=64, associativity=256)
-    vect_s, got = timed(lambda: simulate_shared_cache(streams, cfg, block=64))
-    scalar_s, ref = timed(
-        lambda: reference_simulate_shared_cache(streams, cfg, block=64)
-    )
-    assert got == ref, "multicore result mismatch"
-    return _row("multicore", sum(s.size for s in streams), scalar_s, vect_s)
 
 
 def bench_fig8_sweep(trace: np.ndarray) -> dict:
@@ -186,12 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    trace, streams = build_trace()
-    print(f"trace: {trace.size} accesses, {len(streams)} partition streams")
+    trace = build_trace()
+    print(f"trace: {trace.size} accesses")
     rows = [
         bench_stack_kernel(trace),
         bench_set_assoc(trace),
-        bench_multicore(streams),
         bench_fig8_sweep(trace),
     ]
     for row in rows:

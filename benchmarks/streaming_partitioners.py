@@ -20,7 +20,7 @@ and the loss of the contiguous-range representation (a
 :class:`~repro.partition.vertex_partition.VertexPartition` is two words
 per boundary; an arbitrary assignment is a full |V| map).  The ablation
 benchmark compares edge cut, balance and compute time against
-Algorithm 1.
+Algorithm 1 (``bench_ext_partitioners.py``, its one experiment).
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._types import VID_DTYPE
-from ..errors import PartitionError
-from ..core.gather import gather_adjacency, narrow_layout, slice_lengths
-from ..graph.csr import build_csr
-from ..graph.edgelist import EdgeList
-from .vertex_partition import VertexPartition
+from repro._types import VID_DTYPE
+from repro.core.gather import gather_adjacency, narrow_layout, slice_lengths
+from repro.errors import PartitionError
+from repro.graph.csr import build_csr
+from repro.graph.edgelist import EdgeList
+from repro.partition.vertex_partition import VertexPartition
 
 __all__ = [
     "StreamingAssignment",

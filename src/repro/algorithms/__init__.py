@@ -1,14 +1,14 @@
 """Graph algorithms on the public API.
 
 The paper's eight Table II algorithms (BFS, BC, CC, PR, PRDelta, SPMV,
-Bellman-Ford, BP) and the exact-BP oracle.
+Bellman-Ford, BP).  The exact-BP oracle that checks BP on trees is test
+material: ``bp_exact`` in ``tests/references.py``.
 """
 
 from .bc import BCResult, betweenness
 from .bellman_ford import BellmanFordResult, bellman_ford
 from .bfs import BFSResult, bfs
 from .bp import BPResult, belief_propagation, default_priors
-from .bp_exact import BPExactResult, bp_exact, enumerate_marginals
 from .cc import CCResult, connected_components
 from .pagerank import PageRankResult, pagerank
 from .prdelta import PageRankDeltaResult, pagerank_delta
@@ -24,6 +24,5 @@ __all__ = [
     "spmv", "SPMVResult",
     "bellman_ford", "BellmanFordResult",
     "belief_propagation", "BPResult", "default_priors",
-    "bp_exact", "BPExactResult", "enumerate_marginals",
     "ALGORITHMS", "AlgorithmSpec", "get", "default_source",
 ]

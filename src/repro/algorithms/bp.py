@@ -13,9 +13,8 @@ deriving the message from the sender's full belief rather than excluding
 the receiver's own previous message.  It has the same memory-access
 pattern (edge-oriented, dense, forward) as exact BP — which is what the
 paper measures — while needing no per-edge message state.  An exact
-sum-product implementation with per-edge messages is provided separately
-in :mod:`repro.algorithms.bp_exact` and used to sanity-check this one on
-trees.
+sum-product implementation with per-edge messages, ``bp_exact`` in
+``tests/references.py``, sanity-checks this one on trees.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ from .systems import (
     build_engine,
     system_names,
 )
-from .xstream import XStreamCosts, XStreamEngine
 
 __all__ = [
     "SystemConfig",
@@ -15,6 +14,4 @@ __all__ = [
     "system_names",
     "build_engine",
     "build_cost_model",
-    "XStreamEngine",
-    "XStreamCosts",
 ]

@@ -10,11 +10,6 @@ from .cache import (
     sweep_cache_configs,
 )
 from .kernel import set_distances, set_order, stack_distance_kernel
-from .multicore import (
-    MulticoreResult,
-    interleave_round_robin,
-    simulate_shared_cache,
-)
 from .reuse import (
     COLD,
     ReuseHistogram,
@@ -33,9 +28,6 @@ from .trace import (
 )
 
 __all__ = [
-    "MulticoreResult",
-    "simulate_shared_cache",
-    "interleave_round_robin",
     "stack_distances",
     "stack_distance_kernel",
     "set_distances",

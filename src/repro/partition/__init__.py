@@ -5,8 +5,7 @@ from .by_destination import (
     edges_per_partition,
     partition_by_destination,
 )
-from .by_source import partition_by_source
-from .hilbert import hilbert_index, hilbert_point, hilbert_sort_order
+from .hilbert import hilbert_index, hilbert_sort_order
 from .replication import (
     replication_counts,
     replication_curve,
@@ -15,19 +14,11 @@ from .replication import (
 )
 from .reorder import apply_order, bfs_order, degree_order, random_order
 from .storage import StorageModel
-from .streaming import (
-    StreamingAssignment,
-    assignment_from_ranges,
-    edge_cut_fraction,
-    fennel_partition,
-    ldg_partition,
-)
 from .vertex_partition import VertexPartition
 
 __all__ = [
     "VertexPartition",
     "partition_by_destination",
-    "partition_by_source",
     "edge_partition_ids",
     "edges_per_partition",
     "replication_counts",
@@ -39,12 +30,6 @@ __all__ = [
     "bfs_order",
     "random_order",
     "apply_order",
-    "StreamingAssignment",
-    "ldg_partition",
-    "fennel_partition",
-    "assignment_from_ranges",
-    "edge_cut_fraction",
     "hilbert_index",
-    "hilbert_point",
     "hilbert_sort_order",
 ]

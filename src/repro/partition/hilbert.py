@@ -6,15 +6,16 @@ Sorting edges by their Hilbert-curve index keeps successive edges close in
 the destination-array updates — the paper measures up to 16.2 % speedup
 over CSR-order within COO partitions.
 
-Both directions of the classic iterative conversion are implemented fully
-vectorised over numpy arrays (one pass per bit of the coordinates).
+The classic iterative conversion is implemented fully vectorised over
+numpy arrays (one pass per bit of the coordinates); its inverse,
+``hilbert_point``, is test material in ``tests/references.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hilbert_index", "hilbert_point", "hilbert_sort_order", "order_bits_for"]
+__all__ = ["hilbert_index", "hilbert_sort_order", "order_bits_for"]
 
 
 def order_bits_for(num_vertices: int) -> int:
@@ -60,32 +61,6 @@ def hilbert_index(order_bits: int, x, y) -> np.ndarray:
         y[rot] = tmp
         s >>= one
     return d
-
-
-def hilbert_point(order_bits: int, d) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`hilbert_index`: curve distance → ``(x, y)``."""
-    t = np.atleast_1d(np.asarray(d, dtype=np.uint64)).copy()
-    x = np.zeros(t.shape, dtype=np.uint64)
-    y = np.zeros(t.shape, dtype=np.uint64)
-    one = np.uint64(1)
-    s = np.uint64(1)
-    top = np.uint64(1) << np.uint64(order_bits)
-    while s < top:
-        rx = one & (t // np.uint64(2))
-        ry = one & (t ^ rx)
-        # Rotate back.
-        rot = ry == 0
-        flip = rot & (rx == one)
-        x[flip] = s - one - x[flip]
-        y[flip] = s - one - y[flip]
-        tmp = x[rot].copy()
-        x[rot] = y[rot]
-        y[rot] = tmp
-        x += s * rx
-        y += s * ry
-        t //= np.uint64(4)
-        s <<= one
-    return x, y
 
 
 def hilbert_sort_order(src: np.ndarray, dst: np.ndarray, num_vertices: int) -> np.ndarray:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bp import belief_propagation, default_priors
-from repro.algorithms.bp_exact import bp_exact, enumerate_marginals
 from repro.core import Engine, EngineOptions
 from repro.errors import GraphFormatError
 from repro.graph import generators as gen
 from repro.graph.edgelist import EdgeList
 from repro.layout import GraphStore
+from tests.references import bp_exact, enumerate_marginals
 
 
 def test_default_priors_valid(engine):

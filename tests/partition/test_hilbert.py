@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.partition.hilbert import (
-    hilbert_index,
-    hilbert_point,
-    hilbert_sort_order,
-    order_bits_for,
-)
+from repro.partition.hilbert import hilbert_index, hilbert_sort_order, order_bits_for
+from tests.references import hilbert_point
 
 
 def test_order_bits():

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError
-from repro.graph import generators as gen
-from repro.partition.by_destination import partition_by_destination
-from repro.partition.streaming import (
+from benchmarks.streaming_partitioners import (
     StreamingAssignment,
     assignment_from_ranges,
     edge_cut_fraction,
     fennel_partition,
     ldg_partition,
 )
+from repro.errors import PartitionError
+from repro.graph import generators as gen
+from repro.partition.by_destination import partition_by_destination
 
 
 @pytest.mark.parametrize("partitioner", [ldg_partition, fennel_partition])
@@ -119,7 +119,7 @@ def _reference_greedy_stream(edges, num_partitions, score_fn, *, order=None):
 @pytest.mark.parametrize("use_order", [False, True])
 def test_chunked_greedy_bit_identical_to_reference(small_rmat, chunk, use_order):
     """The chunked numpy stream makes exactly the per-vertex decisions."""
-    from repro.partition import streaming as streaming_mod
+    from benchmarks import streaming_partitioners as streaming_mod
 
     n = small_rmat.num_vertices
     rng = np.random.default_rng(7)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.partition.hilbert import hilbert_index, hilbert_point
+from repro.partition.hilbert import hilbert_index
+from tests.references import hilbert_point
 
 
 @given(

@@ -1,8 +1,8 @@
 """Hypothesis differentials: vectorised memsim kernels vs scalar references.
 
 Every production path (chunked dominance-count, global dyadic, grouped
-set-associative, analytic multicore interleave) must be bit-identical to
-the retained scalar implementations on arbitrary traces — including the
+set-associative) must be bit-identical to the retained scalar
+implementations on arbitrary traces — including the
 degenerate shapes the offline formulation finds hardest: duplicate-heavy
 traces, a single address, and empty inputs.
 """
@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 from repro.memsim.cache import CacheConfig, simulate_cache, sweep_cache_configs
 from repro.memsim.kernel import set_distances, stack_distance_kernel
-from repro.memsim.multicore import simulate_shared_cache
-from tests.references import (
-    reference_simulate_cache,
-    reference_simulate_shared_cache,
-    reference_stack_distances,
-)
+from tests.references import reference_simulate_cache, reference_stack_distances
 
 # duplicate-heavy by construction: domain far smaller than the length.
 dense_traces = st.lists(st.integers(min_value=0, max_value=11), max_size=150)
@@ -82,20 +77,6 @@ def test_set_distance_miss_law(trace, num_sets):
         int(np.count_nonzero((d == -1) | (d >= ways))) for ways in (1, 2, 4, 8)
     ]
     assert misses == sorted(misses, reverse=True)
-
-
-@given(
-    st.lists(dense_traces, max_size=4),
-    st.sampled_from([1, 3, 16]),
-    st.sampled_from([2, 4]),
-)
-@settings(max_examples=40, deadline=None)
-def test_multicore_matches_scheduler_walk(streams, block, ways):
-    arrays = [np.array(s, dtype=np.int64) for s in streams]
-    cfg = CacheConfig(capacity_bytes=64 * 4 * ways, associativity=ways)
-    got = simulate_shared_cache(arrays, cfg, block=block)
-    ref = reference_simulate_shared_cache(arrays, cfg, block=block)
-    assert got == ref
 
 
 @given(dense_traces)

@@ -3,7 +3,7 @@ differentially tested against.
 
 They are test material, not product, so they live here rather than under
 ``src/``; ``benchmarks/bench_memsim_perf.py`` (and the CI job that runs
-it) times the memsim three against the kernels that replaced them.
+it) times the memsim two against the kernels that replaced them.
 
 :func:`reference_edge_map`
     Applies the Ligra semantics one edge at a time, in plain edge-list
@@ -15,10 +15,9 @@ it) times the memsim three against the kernels that replaced them.
     The scalar Bennett–Kruskal algorithm over a :class:`Fenwick` tree, O(N log N)
     with one Python iteration per access: the oracle of
     :func:`repro.memsim.reuse.stack_distances`.
-:func:`reference_simulate_cache`, :func:`reference_simulate_shared_cache`
-    Per-access list-based LRU replays: the oracles of
-    :func:`repro.memsim.cache.simulate_cache` and
-    :func:`repro.memsim.multicore.simulate_shared_cache`.
+:func:`reference_simulate_cache`
+    The per-access list-based LRU replay: the oracle of
+    :func:`repro.memsim.cache.simulate_cache`.
 :func:`reference_layouts`, :func:`reference_shard_edges`
     The ``np.lexsort`` layout builders (CSR/CSC, partitioned COO, grid
     shard) that :func:`repro.graph.edgelist.sorted_pairs` replaced: every
@@ -26,18 +25,27 @@ it) times the memsim three against the kernels that replaced them.
 :func:`reference_partitioned_csr`
     ``PartitionedCSR.build`` as it was, grouping edges by home partition
     with a stable argsort.
+:func:`hilbert_point`
+    The inverse of :func:`repro.partition.hilbert.hilbert_index`, which
+    the curve's round-trip and continuity tests walk.
+:func:`bp_exact`, :func:`enumerate_marginals`
+    Exact sum-product BP with per-edge messages, and brute-force
+    marginals: the oracles of the framework's belief-product BP
+    (:mod:`repro.algorithms.bp`) on trees.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro._types import EID_DTYPE, VID_DTYPE
+from repro._types import EID_DTYPE, VAL_DTYPE, VID_DTYPE
 from repro.core.ops import EdgeOperator, process_batch
+from repro.errors import GraphFormatError
 from repro.frontier.frontier import Frontier
 from repro.graph.edgelist import EdgeList
 from repro.memsim.cache import CacheConfig, CacheResult
-from repro.memsim.multicore import MulticoreResult
 from repro.memsim.reuse import COLD
 from repro.partition.by_destination import partition_by_destination
 from repro.partition.hilbert import hilbert_sort_order
@@ -47,11 +55,14 @@ __all__ = [
     "reference_edge_map",
     "reference_stack_distances",
     "reference_simulate_cache",
-    "reference_simulate_shared_cache",
     "reference_layouts",
     "reference_shard_edges",
     "reference_partitioned_csr",
     "Fenwick",
+    "hilbert_point",
+    "bp_exact",
+    "BPExactResult",
+    "enumerate_marginals",
 ]
 
 
@@ -168,60 +179,6 @@ def reference_simulate_cache(
     return CacheResult(accesses=n, misses=misses)
 
 
-def reference_simulate_shared_cache(
-    streams: list[np.ndarray],
-    config: CacheConfig,
-    *,
-    block: int = 64,
-    tag_bits: int = 40,
-) -> MulticoreResult:
-    """Per-access scalar scheduler walk (the pre-vectorisation path).
-
-    Kept verbatim as the differential-testing oracle for
-    :func:`simulate_shared_cache`.
-    """
-    if block < 1:
-        raise ValueError("block must be >= 1")
-    num_sets = config.num_sets
-    ways = config.associativity
-    resident: list[list[int]] = [[] for _ in range(num_sets)]
-    misses = [0] * len(streams)
-    lengths = [int(np.asarray(s).size) for s in streams]
-    positions = [0] * len(streams)
-    tagged = [
-        (np.asarray(s, dtype=np.int64) | (np.int64(i) << tag_bits)).tolist()
-        for i, s in enumerate(streams)
-    ]
-    live = [i for i, n in enumerate(lengths) if n]
-    while live:
-        nxt_live = []
-        for i in live:
-            start = positions[i]
-            end = min(start + block, lengths[i])
-            stream = tagged[i]
-            miss_count = 0
-            for k in range(start, end):
-                addr = stream[k]
-                s = addr % num_sets
-                lines = resident[s]
-                try:
-                    lines.remove(addr)
-                except ValueError:
-                    miss_count += 1
-                    if len(lines) >= ways:
-                        lines.pop()
-                lines.insert(0, addr)
-            misses[i] += miss_count
-            positions[i] = end
-            if end < lengths[i]:
-                nxt_live.append(i)
-        live = nxt_live
-    return MulticoreResult(
-        accesses_per_stream=tuple(lengths),
-        misses_per_stream=tuple(misses),
-    )
-
-
 # ----------------------------------------------------------------------
 # the lexsort layout builders
 # ----------------------------------------------------------------------
@@ -314,3 +271,132 @@ def reference_partitioned_csr(edges: EdgeList, partition: VertexPartition) -> li
         reference_compressed(EdgeList(edges.num_vertices, src[lo:hi], dst[lo:hi]), "out", True)
         for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
     ]
+
+
+# ----------------------------------------------------------------------
+# the Hilbert curve's inverse
+# ----------------------------------------------------------------------
+def hilbert_point(order_bits: int, d) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`hilbert_index`: curve distance → ``(x, y)``."""
+    t = np.atleast_1d(np.asarray(d, dtype=np.uint64)).copy()
+    x = np.zeros(t.shape, dtype=np.uint64)
+    y = np.zeros(t.shape, dtype=np.uint64)
+    one = np.uint64(1)
+    s = np.uint64(1)
+    top = np.uint64(1) << np.uint64(order_bits)
+    while s < top:
+        rx = one & (t // np.uint64(2))
+        ry = one & (t ^ rx)
+        # Rotate back.
+        rot = ry == 0
+        flip = rot & (rx == one)
+        x[flip] = s - one - x[flip]
+        y[flip] = s - one - y[flip]
+        tmp = x[rot].copy()
+        x[rot] = y[rot]
+        y[rot] = tmp
+        x += s * rx
+        y += s * ry
+        t //= np.uint64(4)
+        s <<= one
+    return x, y
+
+
+# ----------------------------------------------------------------------
+# exact belief propagation
+# ----------------------------------------------------------------------
+def _reverse_edge_index(edges: EdgeList) -> np.ndarray:
+    """Index of the reverse edge (v, u) for every edge (u, v)."""
+    n = np.int64(edges.num_vertices)
+    fwd = edges.src.astype(np.int64) * n + edges.dst.astype(np.int64)
+    bwd = edges.dst.astype(np.int64) * n + edges.src.astype(np.int64)
+    order = np.argsort(fwd)
+    pos = np.searchsorted(fwd[order], bwd)
+    if np.any(pos >= fwd.size) or np.any(fwd[order][np.minimum(pos, fwd.size - 1)] != bwd):
+        raise GraphFormatError("bp_exact requires a symmetric edge list")
+    return order[pos]
+
+
+@dataclass(frozen=True)
+class BPExactResult:
+    """Exact-BP marginals P(x=1) and the synchronous iteration count."""
+
+    beliefs: np.ndarray
+    iterations: int
+    converged: bool
+
+
+def bp_exact(
+    edges: EdgeList,
+    priors: np.ndarray,
+    *,
+    eps: float = 0.1,
+    max_iterations: int = 200,
+    tolerance: float = 1e-12,
+) -> BPExactResult:
+    """Synchronous sum-product BP on a symmetric pairwise binary MRF.
+
+    Unlike the framework BP, it keeps one message per directed edge and
+    excludes the receiver's own message when computing a new one, so on
+    trees it converges to the exact marginals within diameter-many
+    iterations.  ``eps`` parameterises the smoothing potential
+    ``psi = [[1-eps, eps], [eps, 1-eps]]``.
+    """
+    priors = np.asarray(priors, dtype=VAL_DTYPE)
+    n = edges.num_vertices
+    m = edges.num_edges
+    if priors.shape != (n,):
+        raise ValueError(f"priors must have shape ({n},), got {priors.shape}")
+    rev = _reverse_edge_index(edges)
+    src, dst = edges.src, edges.dst
+    # msg[e] = normalised message of edge e = (u, v): (m(x_v = 0), m(x_v = 1)).
+    msg = np.full((m, 2), 0.5, dtype=VAL_DTYPE)
+    phi = np.column_stack([1.0 - priors, priors])
+    psi = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]], dtype=VAL_DTYPE)
+    it = 0
+    converged = False
+    for it in range(1, max_iterations + 1):
+        # Per-vertex products of incoming messages (log-space, per state).
+        log_in = np.zeros((n, 2), dtype=VAL_DTYPE)
+        np.add.at(log_in, dst, np.log(msg))
+        # Pre-message of each edge (u, v): phi_u * prod_{w != v} m_{w->u},
+        # obtained by dividing out the reverse message.
+        pre = np.log(phi[src]) + log_in[src] - np.log(msg[rev])
+        pre -= pre.max(axis=1, keepdims=True)
+        pre = np.exp(pre)
+        new = pre @ psi  # sum over x_u: pre(x_u) * psi[x_u, x_v]
+        new /= new.sum(axis=1, keepdims=True)
+        delta = float(np.abs(new - msg).max())
+        msg = new
+        if delta < tolerance:
+            converged = True
+            break
+    log_belief = np.log(phi)
+    np.add.at(log_belief, dst, np.log(msg))
+    log_belief -= log_belief.max(axis=1, keepdims=True)
+    belief = np.exp(log_belief)
+    belief /= belief.sum(axis=1, keepdims=True)
+    return BPExactResult(beliefs=belief[:, 1], iterations=it, converged=converged)
+
+
+def enumerate_marginals(
+    edges: EdgeList, priors: np.ndarray, *, eps: float = 0.1
+) -> np.ndarray:
+    """Brute-force exact marginals by enumerating all 2^|V| states.
+
+    Refuses graphs with more than 20 vertices.  Each *undirected* pair
+    contributes one potential factor (the symmetric edge list stores it
+    twice; duplicates are collapsed).
+    """
+    n = edges.num_vertices
+    if n > 20:
+        raise ValueError("enumeration oracle is limited to 20 vertices")
+    priors = np.asarray(priors, dtype=VAL_DTYPE)
+    und = {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges.to_pairs()}
+    psi = np.array([[1.0 - eps, eps], [eps, 1.0 - eps]], dtype=VAL_DTYPE)
+    states = np.arange(1 << n)[:, None] >> np.arange(n)[None, :] & 1
+    weight = np.prod(np.where(states == 1, priors, 1.0 - priors), axis=1)
+    for u, v in und:
+        weight *= psi[states[:, u], states[:, v]]
+    z = weight.sum()
+    return np.array([weight[states[:, v] == 1].sum() / z for v in range(n)])
