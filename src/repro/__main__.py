@@ -239,11 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files/directories to lint (default: the installed repro package)",
     )
     lint.add_argument(
-        "--effects", action="store_true",
-        help="also print the parallel-safety certificates of every "
-             "registered algorithm (informational; see `repro certify`)",
-    )
-    lint.add_argument(
         "--format", default="text", choices=("text", "json"),
         help="output format (default text)",
     )
@@ -290,10 +285,10 @@ def _build_resilience(args: argparse.Namespace):
     from .resilience import FaultPlan, ResiliencePolicy, Watchdog
 
     plan = FaultPlan.from_spec(args.fault_plan) if args.fault_plan else None
-    max_retries = args.max_retries if args.max_retries is not None else 3
     watchdog = Watchdog(grace=args.watchdog) if args.watchdog is not None else None
+    retries = {} if args.max_retries is None else {"max_retries": args.max_retries}
     return ResiliencePolicy(
-        max_retries=max_retries,
+        **retries,
         fault_plan=plan,
         watchdog=watchdog,
         memory_budget=args.memory_budget,
@@ -461,7 +456,7 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     """Preprocess an edge list into an on-disk grid, or inspect one."""
-    from .layout.grid import GridStore, choose_grid_stripes, preprocess_grid
+    from .layout.grid import GridStore
 
     if args.action == "preprocess":
         if args.graph:
@@ -473,35 +468,29 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             source = {
                 "kind": "dataset", "name": args.dataset, "scale": args.scale,
             }
-        if args.stripes is not None:
-            stripes = args.stripes
-        else:
-            from .core.budget import parse_memory_budget
+        from .core.budget import parse_memory_budget
 
-            budget = (
-                parse_memory_budget(args.memory_budget)
-                if args.memory_budget else None
-            )
-            stripes = choose_grid_stripes(
-                edges.num_vertices, edges.num_edges, budget
-            )
+        budget = (
+            parse_memory_budget(args.memory_budget) if args.memory_budget else None
+        )
         plan = None
         if args.fault_plan:
             from .resilience import FaultPlan
 
             plan = FaultPlan.from_spec(args.fault_plan)
-        events: list[str] = []
-        manifest, _ = preprocess_grid(
-            edges, args.directory, stripes,
-            fault_plan=plan, source=source, events=events,
-            stripe_mode=args.stripe_mode,
+        grid = GridStore.build(
+            edges, args.directory, num_stripes=args.stripes,
+            stripe_mode=args.stripe_mode, budget=budget,
+            fault_plan=plan, source=source,
         )
-        for line in events:
+        for line in grid.events:
             print(f"grid: {line}")
-        total = sum(entry["bytes"] for entry in manifest["blocks"])
+        blocks = grid.manifest["blocks"]
+        total = sum(entry["bytes"] for entry in blocks)
+        stripes = grid.num_stripes
         print(f"preprocessed |V|={edges.num_vertices} |E|={edges.num_edges} "
               f"into {stripes}x{stripes} grid: "
-              f"{len(manifest['blocks'])} non-empty block(s), "
+              f"{len(blocks)} non-empty block(s), "
               f"{total / 1024:.1f} KiB in {args.directory}")
         return 0
 
@@ -552,21 +541,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             active, graphlint.load_baseline(Path(args.baseline))
         )
 
-    certificates = {}
-    if args.effects:
-        from .analysis.certificate import certify_all
-
-        certificates = certify_all()
-
     if args.format == "json":
         payload = {
             "findings": [dataclasses.asdict(f) for f in active],
             "suppressed": [
                 dataclasses.asdict(f) for f in sorted(report.suppressed)
             ],
-            "certificates": {
-                code: cert.to_dict() for code, cert in certificates.items()
-            },
             "total": len(active),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -576,10 +556,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.show_suppressed:
             for finding in sorted(report.suppressed):
                 print(f"{finding.render()} [suppressed]")
-        for code in sorted(certificates):
-            cert = certificates[code]
-            print(f"certificate: {code} {cert.level} "
-                  f"sig={cert.signature[:12]}…")
         print(f"graphlint: {len(active)} finding(s)")
     return 1 if active else 0
 

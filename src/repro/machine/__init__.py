@@ -2,7 +2,7 @@
 
 from .cost import CostModel, CostParameters, LayoutProfile, profile_store
 from .numa import partition_domains, remote_access_fraction, threads_per_socket
-from .scheduler import chunked_makespan, load_imbalance, lpt_assignment, makespan
+from .scheduler import chunked_makespan, lpt_assignment, makespan
 from .spec import PAPER_MACHINE, MachineSpec
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "profile_store",
     "makespan",
     "lpt_assignment",
-    "load_imbalance",
     "chunked_makespan",
     "partition_domains",
     "remote_access_fraction",

@@ -8,32 +8,15 @@ assignment.  When there are fewer partitions than threads the runtime
 instead splits partitions across threads (Cilk-style nested parallelism),
 at the price of atomics — modelled by :func:`makespan` with
 ``splittable=True``.
-
-:func:`failure_aware_makespan` extends the model to worker failures: the
-tasks assigned to a dead worker are re-queued (largest first) onto the
-surviving workers, each paying a restart penalty, and the makespan
-reflects that recovery — the scheduling counterpart of the engine
-supervisor's retry path.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
 
 import numpy as np
 
-from ..errors import WorkerFailure
-
-__all__ = [
-    "lpt_assignment",
-    "makespan",
-    "load_imbalance",
-    "chunked_makespan",
-    "failure_aware_makespan",
-    "requeue_assignment",
-    "reassign_slot",
-]
+__all__ = ["lpt_assignment", "makespan", "chunked_makespan"]
 
 
 def _check_threads(threads: int) -> None:
@@ -81,16 +64,6 @@ def makespan(costs: np.ndarray, threads: int, *, splittable: bool = False) -> fl
     return float(loads.max())
 
 
-def load_imbalance(costs: np.ndarray, threads: int) -> float:
-    """Makespan over ideal time: 1.0 is perfect balance."""
-    _check_threads(threads)
-    costs = np.asarray(costs, dtype=np.float64)
-    total = float(costs.sum())
-    if total == 0.0:
-        return 1.0
-    return makespan(costs, threads) / (total / threads)
-
-
 def chunked_makespan(weights: np.ndarray, threads: int) -> float:
     """Makespan when work is split into ``threads`` *contiguous* chunks.
 
@@ -107,98 +80,3 @@ def chunked_makespan(weights: np.ndarray, threads: int) -> float:
     prefix = np.concatenate([[0.0], np.cumsum(weights)])
     chunk_loads = prefix[bounds[1:]] - prefix[bounds[:-1]]
     return float(chunk_loads.max())
-
-
-def _failed_set(threads: int, failed_workers: Iterable[int]) -> set[int]:
-    failed = set(int(w) for w in failed_workers)
-    for w in failed:
-        if not (0 <= w < threads):
-            raise ValueError(f"failed worker {w} out of range [0, {threads})")
-    if len(failed) == threads:
-        raise WorkerFailure(f"all {threads} workers failed; nothing can re-execute")
-    return failed
-
-
-def requeue_assignment(
-    costs: np.ndarray, threads: int, failed_workers: Iterable[int]
-) -> np.ndarray:
-    """LPT assignment after re-queueing dead workers' tasks onto survivors.
-
-    Starts from the fault-free :func:`lpt_assignment`; every task that
-    landed on a failed worker is re-assigned (largest first) to the
-    least-loaded surviving worker on top of its existing load.  Returns
-    the final thread id of each task.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    _check_threads(threads)
-    failed = _failed_set(threads, failed_workers)
-    assignment = lpt_assignment(costs, threads)
-    if not failed or costs.size == 0:
-        return assignment
-    survivors = [t for t in range(threads) if t not in failed]
-    loads = np.bincount(assignment, weights=costs, minlength=threads)
-    heap = [(float(loads[t]), t) for t in survivors]
-    heapq.heapify(heap)
-    lost = [idx for idx in range(costs.size) if int(assignment[idx]) in failed]
-    for idx in sorted(lost, key=lambda i: float(costs[i]), reverse=True):
-        load, t = heapq.heappop(heap)
-        assignment[idx] = t
-        heapq.heappush(heap, (load + float(costs[idx]), t))
-    return assignment
-
-
-def reassign_slot(costs: np.ndarray, threads: int, task: int) -> tuple[int, int]:
-    """Move one task off the scheduler slot LPT put it on.
-
-    The watchdog's second escalation rung: a partition that keeps
-    overrunning its deadline is treated as pinned to a slow/poisoned
-    worker, so its task is re-queued (via :func:`requeue_assignment`,
-    marking that worker failed) onto a different slot.  Returns ``(old
-    slot, new slot)``; with a single thread there is nowhere to move and
-    the slot is returned unchanged.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    _check_threads(threads)
-    if not 0 <= task < costs.size:
-        raise ValueError(f"task {task} out of range [0, {costs.size})")
-    old_slot = int(lpt_assignment(costs, threads)[task])
-    if threads == 1:
-        return old_slot, old_slot
-    new_slot = int(requeue_assignment(costs, threads, [old_slot])[task])
-    return old_slot, new_slot
-
-
-def failure_aware_makespan(
-    costs: np.ndarray,
-    threads: int,
-    failed_workers: Iterable[int] = (),
-    *,
-    restart_penalty: float = 0.0,
-) -> float:
-    """Makespan including re-execution of work lost to dead workers.
-
-    The model is pessimistic in the paper's spirit: a failed worker's
-    tasks only start over on survivors after the survivors finish their
-    own assignment, and each re-executed task pays ``restart_penalty``
-    (state re-load, cache warm-up).  With no failures this equals
-    :func:`makespan`.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    _check_threads(threads)
-    if restart_penalty < 0:
-        raise ValueError("restart_penalty must be >= 0")
-    if costs.size == 0:
-        return 0.0
-    failed = _failed_set(threads, failed_workers)
-    if not failed:
-        return makespan(costs, threads)
-    assignment = lpt_assignment(costs, threads)
-    loads = np.bincount(assignment, weights=costs, minlength=threads)
-    survivors = [t for t in range(threads) if t not in failed]
-    heap = [(float(loads[t]), t) for t in survivors]
-    heapq.heapify(heap)
-    lost = [idx for idx in range(costs.size) if int(assignment[idx]) in failed]
-    for idx in sorted(lost, key=lambda i: float(costs[i]), reverse=True):
-        load, t = heapq.heappop(heap)
-        heapq.heappush(heap, (load + float(costs[idx]) + restart_penalty, t))
-    return float(max(load for load, _ in heap))

@@ -7,7 +7,6 @@ from .cache import (
     llc_config,
     set_distance_profile,
     simulate_cache,
-    sweep_cache_configs,
 )
 from .kernel import set_distances, set_order, stack_distance_kernel
 from .reuse import (
@@ -23,7 +22,6 @@ from .trace import (
     iter_next_array_chunks,
     next_array_trace,
     partition_edge_traces,
-    partition_next_traces,
     vertex_lines,
 )
 
@@ -41,14 +39,12 @@ __all__ = [
     "SetDistanceProfile",
     "simulate_cache",
     "set_distance_profile",
-    "sweep_cache_configs",
     "llc_config",
     "SimulationCache",
     "trace_fingerprint",
     "vertex_lines",
     "next_array_trace",
     "iter_next_array_chunks",
-    "partition_next_traces",
     "partition_edge_traces",
     "interleave_traces",
 ]

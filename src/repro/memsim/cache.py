@@ -11,10 +11,10 @@ associativity, so one grouped stack-distance pass of
 :mod:`repro.memsim.kernel` replaces the per-access Python replay.  The
 per-set distances obey Mattson's inclusion property within a set count:
 :func:`set_distance_profile` histograms them once and answers *every*
-associativity (and therefore every capacity) sharing that set count, and
-:func:`sweep_cache_configs` batches a whole configuration matrix that way.
-The original per-access list-based replay is its differential-testing
-oracle (``tests/references.py``).
+associativity (and therefore every capacity) sharing that set count, which
+is how :meth:`~repro.memsim.simcache.SimulationCache.sweep` batches a whole
+configuration matrix.  The original per-access list-based replay is its
+differential-testing oracle (``tests/references.py``).
 
 A fully-associative variant driven by the stack-distance histogram is
 available in :mod:`repro.memsim.reuse` when only miss counts for many
@@ -23,7 +23,6 @@ capacities are needed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "SetDistanceProfile",
     "simulate_cache",
     "set_distance_profile",
-    "sweep_cache_configs",
     "llc_config",
 ]
 
@@ -178,24 +176,3 @@ def simulate_cache(line_trace: np.ndarray, config: CacheConfig) -> CacheResult:
     d = set_distances(trace, config.num_sets)
     misses = int(np.count_nonzero((d == COLD) | (d >= config.associativity)))
     return CacheResult(accesses=n, misses=misses)
-
-
-def sweep_cache_configs(
-    line_trace: np.ndarray, configs: Iterable[CacheConfig]
-) -> dict[CacheConfig, CacheResult]:
-    """Miss counts of ``line_trace`` under every configuration, batched.
-
-    Configurations are grouped by set count; each distinct set count costs
-    one grouped stack-distance pass, and every (capacity, associativity)
-    pair sharing it is answered from the same histogram.
-    """
-    configs = list(configs)
-    trace = np.asarray(line_trace, dtype=np.int64)
-    profiles: dict[int, SetDistanceProfile] = {}
-    out: dict[CacheConfig, CacheResult] = {}
-    for config in configs:
-        sets = config.num_sets
-        if sets not in profiles:
-            profiles[sets] = set_distance_profile(trace, sets)
-        out[config] = profiles[sets].result_for(config.associativity)
-    return out

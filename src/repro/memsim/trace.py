@@ -21,7 +21,6 @@ __all__ = [
     "vertex_lines",
     "next_array_trace",
     "iter_next_array_chunks",
-    "partition_next_traces",
     "partition_edge_traces",
     "interleave_traces",
 ]
@@ -101,22 +100,6 @@ def iter_next_array_chunks(
         if mask is not None:
             dst = dst[mask[coo.src[start:stop]]]
         yield vertex_lines(dst, line_bytes=line_bytes)
-
-
-def partition_next_traces(
-    coo: PartitionedCOO,
-    *,
-    active: np.ndarray | None = None,
-    line_bytes: int = 64,
-) -> list[np.ndarray]:
-    """Per-partition next-array streams (each partition runs on one core)."""
-    out = []
-    for i in range(coo.num_partitions):
-        src, dst = coo.partition_edges(i)
-        if active is not None:
-            dst = dst[np.asarray(active, dtype=bool)[src]]
-        out.append(vertex_lines(dst, line_bytes=line_bytes))
-    return out
 
 
 def interleave_traces(a: np.ndarray, b: np.ndarray, *, b_offset: int) -> np.ndarray:

@@ -37,7 +37,7 @@ Fault kinds
     read and re-sync.
 ``stall``
     Make one partition task (simulatedly) overrun its watchdog
-    deadline, driving the retry → requeue → degrade escalation ladder.
+    deadline, driving the retry → degrade escalation ladder.
 
 Disk I/O fault kinds
 --------------------
@@ -53,7 +53,7 @@ rejected:
     (bounded attempts, then :class:`~repro.errors.GridIOError`).
 ``slow_io``
     One block read is flagged slow, feeding the watchdog's I/O deadline
-    ladder (retry → requeue → degrade) without failing the read.
+    ladder (retry → degrade) without failing the read.
 ``disk_full``
     One block write hits a full spill device; the preprocessor prunes
     the partial write and retries once

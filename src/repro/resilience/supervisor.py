@@ -12,12 +12,11 @@ through two entry points:
     (:class:`~repro.errors.WorkerFailure` or
     :class:`~repro.errors.CapacityError`) retry it: after a whole-phase
     rollback, or — when the journal holds commits — keeping the
-    committed partitions and re-executing only the failed one.  Retries
-    are spaced by capped exponential backoff; the budget spent raises
-    :class:`~repro.errors.RetryExhausted` with the last fault chained.
-    A :class:`CapacityError` additionally walks the degradation ladder:
-    the partition count is halved, and when halving bottoms out at
-    :attr:`ResiliencePolicy.min_partitions` — or the error's byte
+    committed partitions and re-executing only the failed one.  The
+    retry budget spent raises :class:`~repro.errors.RetryExhausted` with
+    the last fault chained.  A :class:`CapacityError` additionally walks
+    the degradation ladder: the partition count is halved, and when
+    halving bottoms out at one partition — or the error's byte
     accounting shows halving cannot close the deficit — and the policy
     opts into spilling, the engine degrades to out-of-core grid
     execution (:mod:`repro.layout.grid`) instead of dying at the paper's
@@ -40,12 +39,8 @@ from __future__ import annotations
 import logging
 import shutil
 import tempfile
-import time
 import weakref
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..core.budget import parse_memory_budget
 from ..core.ops import WriteSet, overrides_snapshot_hooks, snapshot_blind_spots
@@ -58,7 +53,6 @@ from ..errors import (
     WorkerFailure,
 )
 from ..layout.grid import GridStore
-from ..machine.scheduler import reassign_slot
 from ..partition.storage import StorageModel
 from .faults import FaultPlan
 from .journal import PhaseJournal
@@ -79,19 +73,13 @@ class ResiliencePolicy:
         Recovery attempts per edge-map phase before
         :class:`~repro.errors.RetryExhausted`; 0 disables recovery (the
         first fault is terminal), which simulates a hard kill.
-    backoff_base, backoff_factor, backoff_cap:
-        Capped exponential backoff in seconds: attempt ``k`` sleeps
-        ``min(cap, base * factor**k)``.  ``base=0`` (default) disables
-        sleeping so simulated runs stay fast.
-    min_partitions:
-        Floor of the degradation ladder; halving stops here.
     fault_plan:
         Optional :class:`FaultPlan` consulted before each edge-map and
         partition task.
     watchdog:
         Optional :class:`~repro.resilience.watchdog.Watchdog` enforcing
-        per-partition deadlines with the retry → requeue → degrade
-        escalation ladder.
+        per-partition deadlines with the retry → degrade escalation
+        ladder.
     memory_budget:
         Resident-byte budget for out-of-core grid execution: an int
         (bytes) or a spec string (``"512M"``, ``"1.5G"``; see
@@ -112,28 +100,19 @@ class ResiliencePolicy:
         (equal vertex ranges, default) or ``"degree"`` (BBC-style
         edge-balanced ranges for skewed graphs; see
         :func:`~repro.layout.grid.grid_stripe_boundaries`).
-    sleep:
-        Injection point for tests; defaults to :func:`time.sleep`.
     """
 
     max_retries: int = 3
-    backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_cap: float = 30.0
-    min_partitions: int = 1
     fault_plan: FaultPlan | None = None
     watchdog: Watchdog | None = None
     memory_budget: int | str | None = None
     spill_dir: str | None = None
     grid_stripes: int | None = None
     grid_stripe_mode: str = "vertex"
-    sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
-        if self.min_partitions < 1:
-            raise ValidationError("min_partitions must be >= 1")
         if self.grid_stripe_mode not in ("vertex", "degree"):
             raise ValidationError(
                 f"grid_stripe_mode must be 'vertex' or 'degree', "
@@ -143,24 +122,11 @@ class ResiliencePolicy:
             self.memory_budget = parse_memory_budget(self.memory_budget)
         if self.grid_stripes is not None and self.grid_stripes < 1:
             raise ValidationError("grid_stripes must be >= 1")
-        if self.backoff_base < 0 or self.backoff_cap < 0 or self.backoff_factor < 1:
-            raise ValidationError("backoff parameters must be non-negative (factor >= 1)")
 
     @property
     def spill_enabled(self) -> bool:
         """Whether the degradation ladder may spill to the on-disk grid."""
         return self.memory_budget is not None or self.spill_dir is not None
-
-    def backoff_delay(self, attempt: int) -> float:
-        """Delay before retry ``attempt`` (0-based), capped."""
-        return min(self.backoff_cap, self.backoff_base * self.backoff_factor**attempt)
-
-    def wait(self, attempt: int) -> float:
-        """Sleep the backoff delay; returns the delay used."""
-        delay = self.backoff_delay(attempt)
-        if delay > 0:
-            self.sleep(delay)
-        return delay
 
 
 class Supervisor:
@@ -249,7 +215,6 @@ class Supervisor:
                         f"edge-map {self.phase} failed after "
                         f"{attempt + 1} attempt(s): {exc}"
                     ) from exc
-                policy.wait(attempt)
                 attempt += 1
 
     def _assert_budget(self) -> None:
@@ -343,16 +308,16 @@ class Supervisor:
 
         Fewer partitions shrink the bookkeeping footprint (and the
         PCSR's replication, §II.E) at the price of locality.  Returns
-        False when already at the floor.
+        False when already at one partition.
         """
-        engine, floor = self.engine, self.policy.min_partitions
+        engine = self.engine
         p = engine.store.num_partitions
-        new_p = max(floor, p // 2)
-        if new_p >= p:
+        if p == 1:
             engine.resilience_log.append(
-                f"cannot degrade below {p} partition(s); floor is {floor}"
+                "cannot degrade below 1 partition(s); floor is 1"
             )
             return False
+        new_p = p // 2
         engine._rebuild_store(new_p)
         self._forget_units()
         self._note(f"degraded partitions {p} -> {new_p} after CapacityError")
@@ -483,20 +448,8 @@ class Supervisor:
                 f"partition {i} stalled repeatedly at edge-map "
                 f"{self.phase}; degrading partition count"
             )
-        if action == "requeue":
-            self._requeue(i)
         raise StallTimeout(
             f"partition {i} overran its watchdog deadline at edge-map {self.phase}"
-        )
-
-    def _requeue(self, i: int) -> None:
-        """Move a stalling partition to a different scheduler slot."""
-        engine = self.engine
-        costs = engine.store.coo.edges_per_partition().astype(np.float64)
-        old_slot, new_slot = reassign_slot(costs, engine.options.num_threads, i)
-        self._note(
-            f"requeued partition {i} from scheduler slot {old_slot} "
-            f"to slot {new_slot}"
         )
 
     def check_read(self, block: tuple, read) -> None:

@@ -7,15 +7,11 @@ derived from the cost model's predicted partition time (edges ×
 (``t_edge_ns`` + ``t_update_ns``) + ``t_sched_ns``, times a ``grace``
 slack factor) and escalating when a task overruns it:
 
-1. **retry** — the first overrun raises
+1. **retry** — the first two overruns raise
    :class:`~repro.errors.StallTimeout` (a
    :class:`~repro.errors.WorkerFailure`), so the supervisor rolls back
    and re-executes *only that partition* via the phase journal;
-2. **requeue** — a repeat offender is additionally moved to a different
-   scheduler slot (:func:`~repro.machine.scheduler.reassign_slot`, the
-   LPT re-queue of the machine model) before the retry, modelling a
-   slow/poisoned worker rather than a transient hiccup;
-3. **degrade** — a partition that keeps stalling raises
+2. **degrade** — the third overrun of the same partition raises
    :class:`~repro.errors.CapacityError`, handing control to the
    supervisor's degradation ladder (halve the partition count and
    rebuild the layouts).
@@ -28,7 +24,7 @@ paths) holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ValidationError
 from ..machine.cost import CostParameters
@@ -36,7 +32,13 @@ from ..machine.cost import CostParameters
 __all__ = ["Watchdog", "ESCALATION_LADDER"]
 
 #: The escalation actions in order of severity.
-ESCALATION_LADDER = ("retry", "requeue", "degrade")
+ESCALATION_LADDER = ("retry", "degrade")
+
+#: Overruns of one key at which escalation moves from retry to degrade.
+_DEGRADE_AFTER = 3
+
+#: The calibrated cost-model constants every deadline derives from.
+_COSTS = CostParameters()
 
 
 @dataclass
@@ -45,28 +47,16 @@ class Watchdog:
 
     Attributes
     ----------
-    params:
-        :class:`~repro.machine.cost.CostParameters` the deadline derives
-        from (defaults to the calibrated constants).
     grace:
         Slack multiplier over the predicted partition time; a task is
         stalled when its elapsed time exceeds ``grace × predicted``.
-    requeue_after, degrade_after:
-        Overrun counts (per partition) at which escalation moves from
-        plain retry to scheduler requeue, and from requeue to partition
-        degradation.
     """
 
-    params: CostParameters = field(default_factory=CostParameters)
     grace: float = 2.0
-    requeue_after: int = 2
-    degrade_after: int = 3
 
     def __post_init__(self) -> None:
         if self.grace <= 0:
             raise ValidationError("grace must be > 0")
-        if not (1 <= self.requeue_after < self.degrade_after):
-            raise ValidationError("need 1 <= requeue_after < degrade_after")
         #: per-task overrun counts driving the escalation ladder, keyed
         #: by partition id (compute) or ``("io", block)`` (grid reads).
         self.overruns: dict[object, int] = {}
@@ -76,8 +66,7 @@ class Watchdog:
     # ------------------------------------------------------------------
     def predicted_ns(self, num_edges: int) -> float:
         """Cost-model prediction of one partition task's time."""
-        p = self.params
-        return num_edges * (p.t_edge_ns + p.t_update_ns) + p.t_sched_ns
+        return num_edges * (_COSTS.t_edge_ns + _COSTS.t_update_ns) + _COSTS.t_sched_ns
 
     def deadline_ns(self, num_edges: int) -> float:
         """The task's deadline: prediction times the grace factor."""
@@ -98,8 +87,7 @@ class Watchdog:
     # ------------------------------------------------------------------
     def predicted_io_ns(self, num_bytes: int) -> float:
         """Cost-model prediction of one grid block read (seek + transfer)."""
-        p = self.params
-        return p.t_io_seek_ns + num_bytes / p.io_bytes_per_ns
+        return _COSTS.t_io_seek_ns + num_bytes / _COSTS.io_bytes_per_ns
 
     def io_deadline_ns(self, num_bytes: int) -> float:
         """A block read's deadline: prediction times the grace factor."""
@@ -124,12 +112,7 @@ class Watchdog:
             return None
         count = self.overruns.get(key, 0) + 1
         self.overruns[key] = count
-        if count >= self.degrade_after:
-            action = "degrade"
-        elif count >= self.requeue_after:
-            action = "requeue"
-        else:
-            action = "retry"
+        action = "degrade" if count >= _DEGRADE_AFTER else "retry"
         self.log.append(
             f"{label} overran deadline "
             f"({elapsed_ns:.0f} ns > {deadline:.0f} ns, overrun {count}): {action}"

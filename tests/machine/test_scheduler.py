@@ -5,7 +5,6 @@ import pytest
 
 from repro.machine.scheduler import (
     chunked_makespan,
-    load_imbalance,
     lpt_assignment,
     makespan,
 )
@@ -56,19 +55,6 @@ def test_invalid_threads():
         lpt_assignment(np.array([1.0]), 0)
 
 
-def test_load_imbalance_perfect():
-    assert load_imbalance(np.full(8, 2.0), 4) == pytest.approx(1.0)
-
-
-def test_load_imbalance_skewed():
-    costs = np.array([100.0] + [1.0] * 7)
-    assert load_imbalance(costs, 4) > 1.5
-
-
-def test_load_imbalance_zero_work():
-    assert load_imbalance(np.zeros(4), 2) == 1.0
-
-
 def test_chunked_makespan_uniform():
     w = np.ones(100)
     assert chunked_makespan(w, 4) == pytest.approx(25.0)
@@ -98,75 +84,6 @@ def test_makespan_rejects_nonpositive_threads(threads):
         makespan(np.ones(4), threads)
 
 
-@pytest.mark.parametrize("threads", [0, -1])
-def test_load_imbalance_inherits_thread_check(threads):
-    with pytest.raises(ValueError, match="threads"):
-        load_imbalance(np.ones(4), threads)
-    with pytest.raises(ValueError, match="threads"):
-        load_imbalance(np.zeros(4), threads)  # even the zero-work early-out
-
-
 def test_chunked_makespan_rejects_nonpositive_threads():
     with pytest.raises(ValueError, match="threads"):
         chunked_makespan(np.ones(4), 0)
-
-
-# ----------------------------------------------------------------------
-# failure-aware re-execution (ISSUE 1 tentpole): dead workers' tasks are
-# re-queued onto survivors and the makespan reflects the recovery
-# ----------------------------------------------------------------------
-from repro.errors import WorkerFailure
-from repro.machine.scheduler import failure_aware_makespan, requeue_assignment
-
-
-def test_failure_aware_equals_makespan_without_failures():
-    costs = np.array([5.0, 3.0, 8.0, 1.0, 2.0])
-    assert failure_aware_makespan(costs, 3) == makespan(costs, 3)
-
-
-def test_failure_never_improves_makespan():
-    rng = np.random.default_rng(11)
-    costs = rng.uniform(1.0, 10.0, size=16)
-    base = makespan(costs, 4)
-    for w in range(4):
-        assert failure_aware_makespan(costs, 4, failed_workers=[w]) >= base
-
-
-def test_failed_work_is_reexecuted_after_survivors_finish():
-    costs = np.array([4.0, 4.0])
-    # LPT puts one task on each of 2 workers; worker 1 dies, its task
-    # restarts on worker 0 after worker 0's own task: 4 + 4.
-    assert failure_aware_makespan(costs, 2, failed_workers=[1]) == pytest.approx(8.0)
-
-
-def test_restart_penalty_charged_per_requeued_task():
-    costs = np.array([4.0, 4.0])
-    m = failure_aware_makespan(costs, 2, failed_workers=[1], restart_penalty=0.5)
-    assert m == pytest.approx(8.5)
-
-
-def test_all_workers_failed_raises_typed_error():
-    with pytest.raises(WorkerFailure):
-        failure_aware_makespan(np.ones(4), 2, failed_workers=[0, 1])
-
-
-def test_failed_worker_out_of_range_rejected():
-    with pytest.raises(ValueError, match="out of range"):
-        failure_aware_makespan(np.ones(4), 2, failed_workers=[5])
-
-
-def test_negative_restart_penalty_rejected():
-    with pytest.raises(ValueError, match="restart_penalty"):
-        failure_aware_makespan(np.ones(4), 2, failed_workers=[0], restart_penalty=-1.0)
-
-
-def test_requeue_assignment_avoids_failed_workers():
-    costs = np.array([5.0, 3.0, 8.0, 1.0, 2.0, 6.0])
-    a = requeue_assignment(costs, 3, failed_workers=[1])
-    assert 1 not in set(a.tolist())
-    assert a.shape == costs.shape
-
-
-def test_requeue_assignment_no_failures_is_lpt():
-    costs = np.array([5.0, 3.0, 8.0])
-    assert np.array_equal(requeue_assignment(costs, 2, []), lpt_assignment(costs, 2))

@@ -10,9 +10,9 @@ from repro.memsim.cache import (
     llc_config,
     set_distance_profile,
     simulate_cache,
-    sweep_cache_configs,
 )
 from repro.memsim.reuse import reuse_histogram
+from repro.memsim.simcache import SimulationCache
 from tests.references import reference_simulate_cache
 
 
@@ -126,7 +126,7 @@ def test_sweep_groups_by_set_count(rng):
         CacheConfig(capacity_bytes=64 * lines, associativity=ways)
         for lines, ways in ((8, 2), (16, 4), (32, 8), (64, 16), (16, 16))
     ]
-    swept = sweep_cache_configs(t, configs)
+    swept = SimulationCache().sweep(t, configs)
     assert set(swept) == set(configs)
     for cfg in configs:
         assert swept[cfg] == reference_simulate_cache(t, cfg)

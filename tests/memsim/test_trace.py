@@ -9,7 +9,6 @@ from repro.memsim.trace import (
     interleave_traces,
     next_array_trace,
     partition_edge_traces,
-    partition_next_traces,
     vertex_lines,
 )
 from repro.partition.by_destination import partition_by_destination
@@ -47,12 +46,6 @@ def test_next_array_trace_with_active_mask(coo, small_rmat):
     active[small_rmat.src[0]] = True
     t = next_array_trace(coo, active=active)
     assert 0 < t.size < small_rmat.num_edges
-
-
-def test_partition_next_traces_concatenate_to_full(coo):
-    parts = partition_next_traces(coo)
-    assert len(parts) == coo.num_partitions
-    assert np.array_equal(np.concatenate(parts), next_array_trace(coo))
 
 
 def test_interleave():

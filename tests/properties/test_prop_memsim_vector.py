@@ -11,8 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim.cache import CacheConfig, simulate_cache, sweep_cache_configs
+from repro.memsim.cache import CacheConfig, simulate_cache
 from repro.memsim.kernel import set_distances, stack_distance_kernel
+from repro.memsim.simcache import SimulationCache
 from tests.references import reference_simulate_cache, reference_stack_distances
 
 # duplicate-heavy by construction: domain far smaller than the length.
@@ -87,6 +88,6 @@ def test_sweep_matches_individual_replays(trace):
         CacheConfig(capacity_bytes=64 * s * w, associativity=w)
         for s, w in ((1, 1), (2, 2), (4, 2), (4, 8))
     ]
-    swept = sweep_cache_configs(t, configs)
+    swept = SimulationCache().sweep(t, configs)
     for cfg in configs:
         assert swept[cfg] == reference_simulate_cache(t, cfg)

@@ -86,17 +86,8 @@ def test_oom_degrades_and_bfs_levels_stay_bit_identical():
     assert check(Config("BFS", "small_rmat", faults="oom@1")).partitions == 4
 
 
-def test_repeated_oom_walks_ladder_to_floor(small_rmat):
-    plan = FaultPlan([FaultEvent("oom", 0), FaultEvent("oom", 0), FaultEvent("oom", 0)])
-    policy = ResiliencePolicy(max_retries=5, min_partitions=2, fault_plan=plan)
-    engine = _engine(small_rmat, policy)
-    pagerank(engine, iterations=2)
-    assert engine.store.num_partitions == 2  # 8 -> 4 -> 2, then floor
-    assert any("cannot degrade below 2" in line for line in engine.resilience_log)
-
-
 def test_repeated_oom_bottoms_at_one_partition(small_rmat):
-    # The default floor is p=1; without spill opt-in the ladder parks
+    # The floor is p=1; without spill opt-in the ladder parks
     # there and retries (no grid, no further degradation).
     plan = FaultPlan([FaultEvent("oom", 0) for _ in range(4)])
     policy = ResiliencePolicy(max_retries=8, fault_plan=plan)

@@ -1,4 +1,6 @@
-"""ResiliencePolicy: backoff schedule, rollback, and log bookkeeping."""
+"""ResiliencePolicy: its fields, rollback, and log bookkeeping."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from repro.errors import ValidationError
 from repro.graph import generators as gen
 from repro.layout import GraphStore
 from repro.partition.by_destination import partition_by_destination
-from repro.resilience import FaultEvent, FaultPlan, ResiliencePolicy
+from repro.resilience import FaultPlan, ResiliencePolicy, Watchdog
 
 
 def _engine(edges, resilience=None, partitions=8):
@@ -18,32 +20,19 @@ def _engine(edges, resilience=None, partitions=8):
     return Engine(store, EngineOptions(num_threads=4), resilience=resilience)
 
 
-def test_backoff_delays_are_capped_exponential():
-    policy = ResiliencePolicy(backoff_base=0.1, backoff_factor=2.0, backoff_cap=0.35)
-    assert [policy.backoff_delay(k) for k in range(4)] == [0.1, 0.2, 0.35, 0.35]
-
-
-def test_backoff_sleeps_between_retries(small_rmat):
-    slept = []
-    plan = FaultPlan([FaultEvent("worker_crash", 0) for _ in range(3)])
-    policy = ResiliencePolicy(
-        max_retries=3,
-        backoff_base=0.1,
-        backoff_factor=2.0,
-        backoff_cap=0.35,
-        fault_plan=plan,
-        sleep=slept.append,
-    )
-    pagerank(_engine(small_rmat, policy), iterations=2)
-    assert slept == [0.1, 0.2, 0.35]
-
-
-def test_zero_base_backoff_never_sleeps(small_rmat):
-    slept = []
-    plan = FaultPlan([FaultEvent("worker_crash", 0)])
-    policy = ResiliencePolicy(max_retries=2, fault_plan=plan, sleep=slept.append)
-    pagerank(_engine(small_rmat, policy), iterations=2)
-    assert slept == []
+def test_the_policy_and_the_watchdog_keep_only_the_fields_an_entry_point_sets():
+    """Every field here is set by a CLI flag, a benchmark or an example; a
+    knob only a test would set does not come back."""
+    assert [f.name for f in fields(ResiliencePolicy)] == [
+        "max_retries",
+        "fault_plan",
+        "watchdog",
+        "memory_budget",
+        "spill_dir",
+        "grid_stripes",
+        "grid_stripe_mode",
+    ]
+    assert [f.name for f in fields(Watchdog)] == ["grace"]
 
 
 def test_partial_phase_is_rolled_back_before_retry(small_rmat):
@@ -77,10 +66,10 @@ def test_resilience_log_records_recovery(small_rmat):
     "kwargs",
     [
         {"max_retries": -1},
-        {"backoff_base": -0.1},
-        {"backoff_factor": 0.5},
-        {"backoff_cap": -1.0},
-        {"min_partitions": 0},
+        {"grid_stripes": 0},
+        {"grid_stripe_mode": "edge"},
+        {"memory_budget": 0},
+        {"memory_budget": "lots"},
     ],
 )
 def test_policy_validates_parameters(kwargs):

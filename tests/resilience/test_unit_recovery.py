@@ -29,37 +29,38 @@ pytestmark = pytest.mark.faultinjection
 # a committed range whose writes did not survive re-executes its units
 # ----------------------------------------------------------------------
 class _CrashingPageRankOp(PageRankOp):
-    """PageRankOp whose ``crash_at``-th batch dies (once)."""
+    """PageRankOp whose ``crash_at``-th batch dies (once), calling ``lose()``
+    just before it raises."""
 
-    def __init__(self, contrib, accum, crash_at=0):
+    def __init__(self, contrib, accum, crash_at, lose):
         super().__init__(contrib, accum)
         self.calls = 0
         self.crash_at = crash_at
+        self.lose = lose
 
     def process_edges(self, src, dst):
         self.calls += 1
         if self.calls == self.crash_at:
+            self.lose()
             raise WorkerFailure(f"injected crash in batch {self.calls}")
         return super().process_edges(src, dst)
 
 
 def _run_one_phase(edges, tmp_path, *, grid, crash_at=0, lose=None):
     """One dense edge-map of a PageRank step; ``lose(engine, op)`` runs
-    between the failed attempt and the retry."""
+    in the batch that dies, just before it raises."""
     store = GraphStore.build(edges, num_partitions=8)
-    policy = ResiliencePolicy(
-        max_retries=2, backoff_base=0.01, sleep=lambda _delay: lose(engine, op)
-    )
     engine = Engine(
         store,
         # the operator raises inside its batch, so it has to run in process
         EngineOptions(num_threads=4, forced_layout="coo", backend="serial"),
-        resilience=policy,
+        resilience=ResiliencePolicy(max_retries=2),
         grid=GridStore.build(edges, tmp_path / "grid", num_stripes=3) if grid else None,
     )
     n = engine.num_vertices
     op = _CrashingPageRankOp(
-        np.full(n, 1.0 / n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE), crash_at
+        np.full(n, 1.0 / n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE), crash_at,
+        lambda: lose(engine, op),
     )
     with engine:
         engine.edge_map(Frontier.full(n), op)

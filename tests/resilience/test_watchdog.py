@@ -1,4 +1,4 @@
-"""Watchdog: simulated-time deadlines and the retry/requeue/degrade ladder."""
+"""Watchdog: simulated-time deadlines and the retry/degrade ladder."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.faultinjection
 # unit behaviour
 # ----------------------------------------------------------------------
 def test_escalation_ladder_order():
-    assert ESCALATION_LADDER == ("retry", "requeue", "degrade")
+    assert ESCALATION_LADDER == ("retry", "degrade")
 
 
 def test_stall_timeout_is_a_worker_failure():
@@ -33,17 +33,14 @@ def test_stall_timeout_is_a_worker_failure():
 def test_parameter_validation():
     with pytest.raises(ValueError):
         Watchdog(grace=0.0)
-    with pytest.raises(ValueError):
-        Watchdog(requeue_after=0)
-    with pytest.raises(ValueError):
-        Watchdog(requeue_after=3, degrade_after=3)
 
 
 def test_deadline_follows_the_cost_model():
-    params = CostParameters(t_edge_ns=1.0, t_update_ns=1.5, t_sched_ns=2000.0)
-    dog = Watchdog(params=params, grace=2.0)
-    assert dog.predicted_ns(100) == pytest.approx(100 * 2.5 + 2000.0)
-    assert dog.deadline_ns(100) == pytest.approx(2.0 * (100 * 2.5 + 2000.0))
+    p = CostParameters()
+    predicted = 100 * (p.t_edge_ns + p.t_update_ns) + p.t_sched_ns
+    dog = Watchdog(grace=2.0)
+    assert dog.predicted_ns(100) == pytest.approx(predicted)
+    assert dog.deadline_ns(100) == pytest.approx(2.0 * predicted)
 
 
 def test_meeting_the_deadline_is_silent():
@@ -57,7 +54,7 @@ def test_overruns_walk_the_ladder_per_partition():
     dog = Watchdog()
     over = 10.0 * dog.deadline_ns(100)
     assert dog.observe(3, 100, over) == "retry"
-    assert dog.observe(3, 100, over) == "requeue"
+    assert dog.observe(3, 100, over) == "retry"
     assert dog.observe(3, 100, over) == "degrade"
     assert dog.observe(3, 100, over) == "degrade"  # stays at the top rung
     # another partition starts at the bottom of the ladder
@@ -102,7 +99,7 @@ def test_single_stall_recovers_partition_granularly(graph):
     assert engine.store.num_partitions == 8  # no degradation needed
 
 
-def test_repeated_stalls_escalate_to_requeue_then_degrade(graph):
+def test_repeated_stalls_escalate_to_degrade(graph):
     baseline = pagerank(_engine(graph), iterations=4)
     dog = Watchdog()
     policy = ResiliencePolicy(
@@ -114,8 +111,7 @@ def test_repeated_stalls_escalate_to_requeue_then_degrade(graph):
     faulted = pagerank(engine, iterations=4)
     assert np.array_equal(faulted.ranks, baseline.ranks)
     actions = [line.split(": ")[-1] for line in dog.log]
-    assert actions == ["retry", "requeue", "degrade"]
-    assert any("requeued partition 2" in line for line in engine.resilience_log)
+    assert actions == ["retry", "retry", "degrade"]
     assert engine.store.num_partitions == 4  # the ladder ended in degradation
     assert dog.overruns == {}  # degradation reset the watchdog
 
