@@ -124,19 +124,27 @@ def belief_propagation(
         np.zeros(n, dtype=VAL_DTYPE),
         eps,
     )
+    # Two run-long buffers hold the vertex side's z1 and z0 and what follows
+    # from them, each ufunc writing in place; the new belief then swaps in.
+    new_belief, scratch = np.empty(n, dtype=VAL_DTYPE), np.empty(n, dtype=VAL_DTYPE)
     if not converged_on_resume:
         for it in range(it + 1, iterations + 1):
             op.belief[...] = belief
             op.log_msg_1.fill(0.0)
             op.log_msg_0.fill(0.0)
             engine.edge_map(frontier, op)
-            z1 = log_prior_1 + op.log_msg_1
-            z0 = log_prior_0 + op.log_msg_0
-            # Clamp the log-odds: beyond +-50 the sigmoid saturates anyway and
-            # np.exp would overflow.
-            new_belief = 1.0 / (1.0 + np.exp(np.clip(z0 - z1, -50.0, 50.0)))
-            delta = float(np.abs(new_belief - belief).max())
-            belief = new_belief
+            np.add(log_prior_1, op.log_msg_1, out=new_belief)  # z1
+            np.add(log_prior_0, op.log_msg_0, out=scratch)  # z0
+            # 1 / (1 + exp(clip(z0 - z1))): clamp the log-odds, since beyond
+            # +-50 the sigmoid saturates anyway and np.exp would overflow.
+            np.subtract(scratch, new_belief, out=new_belief)
+            np.clip(new_belief, -50.0, 50.0, out=new_belief)
+            np.exp(new_belief, out=new_belief)
+            np.add(1.0, new_belief, out=new_belief)
+            np.divide(1.0, new_belief, out=new_belief)
+            np.subtract(new_belief, belief, out=scratch)
+            delta = float(np.abs(scratch, out=scratch).max())
+            belief, new_belief = new_belief, belief
             if checkpoint is not None:
                 checkpoint.save(
                     it, {"belief": belief, "last_delta": np.array([delta], dtype=VAL_DTYPE)}

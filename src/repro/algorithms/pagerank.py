@@ -70,7 +70,7 @@ def pagerank(
     n = engine.num_vertices
     out_deg = engine.store.out_degrees.astype(VAL_DTYPE)
     safe_deg = np.where(out_deg > 0, out_deg, 1.0)
-    dangling = out_deg == 0
+    dangling = np.flatnonzero(out_deg == 0)
     ranks = np.full(n, 1.0 / n, dtype=VAL_DTYPE)
     engine.reset_stats()
     frontier = Frontier.full(n)
@@ -86,18 +86,24 @@ def pagerank(
     converged_on_resume = it > 0 and tolerance > 0.0 and delta < tolerance
     # One operator for the whole run, its arrays updated in place each
     # iteration (np.divide writes the same values ``ranks / safe_deg``
-    # would produce; ``fill(0.0)`` equals a fresh zeros).
+    # would produce; ``fill(0.0)`` equals a fresh zeros).  Both are
+    # rewritten before the next edge_map reads them, so the vertex side
+    # uses them as scratch: ``accum`` becomes the new ranks and ``contrib``
+    # their change, with the roundings of ``(1 - d) / n + d * (accum +
+    # mass / n)`` and ``abs(new - ranks).sum()`` and no full-length temporary.
     op = PageRankOp(np.empty(n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE))
     if not converged_on_resume:
         for it in range(it + 1, iterations + 1):
             np.divide(ranks, safe_deg, out=op.contrib)
             op.accum.fill(0.0)
             engine.edge_map(frontier, op)
-            accum = op.accum
-            dangling_mass = float(ranks[dangling].sum()) if handle_dangling else 0.0
-            new_ranks = (1.0 - damping) / n + damping * (accum + dangling_mass / n)
-            delta = float(np.abs(new_ranks - ranks).sum())
-            ranks[...] = new_ranks
+            dangling_mass = float(ranks.take(dangling).sum()) if handle_dangling else 0.0
+            np.add(op.accum, dangling_mass / n, out=op.accum)
+            np.multiply(op.accum, damping, out=op.accum)
+            np.add(op.accum, (1.0 - damping) / n, out=op.accum)
+            np.subtract(op.accum, ranks, out=op.contrib)
+            delta = float(np.abs(op.contrib, out=op.contrib).sum())
+            ranks[...] = op.accum
             if checkpoint is not None:
                 checkpoint.save(
                     it, {"ranks": ranks, "last_delta": np.array([delta], dtype=VAL_DTYPE)}

@@ -88,14 +88,14 @@ def pagerank_delta(
             frontier = Frontier(n, sparse=saved["frontier"].astype(VID_DTYPE))
     # One operator per run, updated in place each round (np.divide and
     # fill(0.0) write bit-identical values to the fresh arrays the loop
-    # used to build).
+    # used to build); ``delta`` is the run's own array, rewritten in place.
     op = PRDeltaOp(np.empty(n, dtype=VAL_DTYPE), np.zeros(n, dtype=VAL_DTYPE))
     while not frontier.is_empty and rounds < max_iterations:
         np.divide(delta, safe_deg, out=op.scaled_delta)
         op.accum.fill(0.0)
         received = engine.edge_map(frontier, op)
         rounds += 1
-        delta = damping * op.accum
+        np.multiply(op.accum, damping, out=delta)
         p += delta
         if received.is_empty:
             break

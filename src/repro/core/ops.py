@@ -182,8 +182,10 @@ _F64 = np.dtype(VAL_DTYPE)
 #: the id dtypes the loop is compiled for, each with the unsigned view of its width
 _IDS = {np.dtype(VID_DTYPE): np.uint32, np.dtype(np.intp): np.uintp}
 #: the loop's factor: exactly 1.0 makes ``1.0 * x[src[k]]`` exact, so the sum is
-#: ``np.add.at``'s bit for bit whether or not ``y += a * x`` became an FMA.
-_ONES = np.ones(TASK_EDGES, dtype=VAL_DTYPE)
+#: ``np.add.at``'s bit for bit whether or not ``y += a * x`` became an FMA.  Twice
+#: ``TASK_EDGES``, because a fused run closes only once it reaches ``TASK_EDGES``:
+#: almost every run is then one call, not a full chunk and a small tail.
+_ONES = np.ones(2 * TASK_EDGES, dtype=VAL_DTYPE)
 #: ``id(owner) -> (weakref to owner, bound)``: the id arrays :func:`prove_ids` checked
 _PROVEN: dict[int, tuple[weakref.ref, int]] = {}
 
@@ -269,10 +271,11 @@ def scatter_add_gather(
         raise IndexError("scatter_add_gather: vertex id out of range")
     if data is not None:
         return coo_matvec(nnz, dst, src, data, x, acc)
-    if nnz <= TASK_EDGES:  # one chunk (every partition-sized batch): no slicing
+    chunk = _ONES.size
+    if nnz <= chunk:  # one chunk (every partition-sized batch and fused run): no slicing
         return coo_matvec(nnz, dst, src, _ONES, x, acc)
-    for k in range(0, nnz, TASK_EDGES):
-        n = min(TASK_EDGES, nnz - k)
+    for k in range(0, nnz, chunk):
+        n = min(chunk, nnz - k)
         coo_matvec(n, dst[k : k + n], src[k : k + n], _ONES, x, acc)
 
 

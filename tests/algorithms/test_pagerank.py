@@ -1,4 +1,6 @@
-"""PageRank correctness against networkx."""
+"""PageRank correctness against networkx and against the whole-array formula."""
+
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -8,7 +10,10 @@ from repro.algorithms.pagerank import pagerank
 from repro.core import Engine, EngineOptions
 from repro.frontier.density import DensityClass
 from repro.graph import generators as gen
+from repro.graph.edgelist import EdgeList
 from repro.layout import GraphStore
+from repro.resilience.checkpoint import CheckpointManager, CheckpointSession
+from tests.references import reference_pagerank
 
 
 def test_matches_networkx(small_rmat, engine):
@@ -75,3 +80,60 @@ def test_same_result_across_layouts(small_rmat):
         results.append(pagerank(eng, iterations=10).ranks)
     for other in results[1:]:
         assert np.allclose(results[0], other, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the vertex side runs in place over the operator's arrays: the same
+# ranks and delta as the whole-array formula, with no full-length temporary
+# ----------------------------------------------------------------------
+def _without_dangling(edges):
+    """``edges`` plus the cycle ``v -> v + 1``: every vertex has an out-edge."""
+    ring = np.arange(edges.num_vertices)
+    return EdgeList(
+        edges.num_vertices,
+        np.concatenate([edges.src, ring]),
+        np.concatenate([edges.dst, (ring + 1) % edges.num_vertices]),
+    )
+
+
+@pytest.mark.parametrize("dangling", [True, False], ids=["dangling", "no-dangling"])
+@pytest.mark.parametrize("handle_dangling", [True, False])
+@pytest.mark.parametrize("backend", ["serial", "threads:workers=2"])
+@pytest.mark.parametrize("partitions", [1, 16])
+def test_in_place_vertex_side_is_bit_identical_to_the_formula(
+    small_rmat, partitions, backend, handle_dangling, dangling
+):
+    graph = small_rmat if dangling else _without_dangling(small_rmat)
+    store = GraphStore.build(graph, num_partitions=partitions)
+    assert bool((store.out_degrees == 0).any()) == dangling
+    with Engine(store, EngineOptions(num_threads=4, backend=backend)) as eng:
+        want_ranks, want_delta = reference_pagerank(eng, handle_dangling=handle_dangling)
+        got = pagerank(eng, handle_dangling=handle_dangling)
+    assert np.array_equal(got.ranks, want_ranks)
+    assert got.last_delta == want_delta
+
+
+def test_a_resumed_run_is_bit_identical_to_the_formula(small_rmat, tmp_path):
+    eng = Engine(GraphStore.build(small_rmat, num_partitions=16))
+    pagerank(eng, iterations=4, checkpoint=CheckpointSession(CheckpointManager(tmp_path), "pr"))
+    session = CheckpointSession(CheckpointManager(tmp_path), "pr", resume=True)
+    got = pagerank(eng, checkpoint=session)
+    assert got.stats.num_iterations == 6  # resumed after iteration 4
+    want_ranks, want_delta = reference_pagerank(eng)
+    assert np.array_equal(got.ranks, want_ranks)
+    assert got.last_delta == want_delta
+
+
+@pytest.mark.parametrize("iterations", [1, 2, 10])
+def test_an_iteration_allocates_no_full_length_temporary(iterations):
+    eng = Engine(GraphStore.build(gen.rmat(12, seed=5), num_partitions=16))
+    pagerank(eng, iterations=iterations)  # warm: the engine's plans and caches are built
+    tracemalloc.start()
+    try:
+        pagerank(eng, iterations=iterations)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # out_deg, safe_deg, ranks and the operator's two arrays, plus the
+    # dangling ids and the engine's per-call bookkeeping
+    assert peak < 6.5 * eng.num_vertices * 8

@@ -33,7 +33,12 @@ SPECIALS = [
     0.0, -0.0, 1.0, -1.0, 0.1, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
     float("inf"), float("-inf"), float("nan"),
 ]
-LENGTHS = [0, 1, 7, TASK_EDGES - 1, TASK_EDGES, TASK_EDGES + 1, 3 * TASK_EDGES + 7]
+#: the unit factor's length, the one call's limit: a fused run up to it is one call
+CHUNK = ops._ONES.size
+LENGTHS = [
+    0, 1, 7, TASK_EDGES - 1, TASK_EDGES, TASK_EDGES + 1,
+    CHUNK - 1, CHUNK, CHUNK + 1, 3 * TASK_EDGES + 7,
+]
 
 
 def _bits_equal(got: np.ndarray, want: np.ndarray) -> bool:
@@ -223,6 +228,18 @@ def test_an_empty_batch_is_still_type_checked_and_writes_nothing():
     assert np.array_equal(acc, np.arange(N))
     with pytest.raises(TypeError):
         scatter_add_gather(acc, np.empty(0, np.int64), x, empty)
+
+
+@pytest.mark.parametrize("length, calls", [(TASK_EDGES + 1, 1), (CHUNK, 1), (CHUNK + 1, 2)])
+def test_a_fused_run_up_to_twice_the_task_target_is_one_loop_call(monkeypatch, length, calls):
+    """A run closes once it reaches ``TASK_EDGES``, so it may hold up to
+    about twice that: it must still be one compiled call, not a full chunk
+    and a tail."""
+    made = []
+    monkeypatch.setattr(ops, "coo_matvec", lambda *args: made.append(args[0]))
+    acc, dst, x, src, _ = _case(3, length, 17, 0.0)
+    scatter_add_gather(acc, dst, x, src)
+    assert len(made) == calls and sum(made) == length
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,12 @@ it) times the memsim two against the kernels that replaced them.
     Because all the paper's algorithms use commutative per-destination
     reductions, the final state must match the engine's batched,
     partition-sliced execution exactly.
+:func:`reference_pagerank`
+    PageRank's loop with the vertex side as one whole-array expression
+    per iteration (a boolean-mask gather of the dangling ranks, fresh
+    arrays for the new ranks and their change): the oracle that the
+    in-place vertex side of :func:`repro.algorithms.pagerank.pagerank`
+    must match bit for bit.
 :func:`reference_stack_distances`
     The scalar Bennett–Kruskal algorithm over a :class:`Fenwick` tree, O(N log N)
     with one Python iteration per access: the oracle of
@@ -41,6 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._types import EID_DTYPE, VAL_DTYPE, VID_DTYPE
+from repro.algorithms.pagerank import PageRankOp
+from repro.core.engine import Engine
 from repro.core.ops import EdgeOperator, process_batch
 from repro.errors import GraphFormatError
 from repro.frontier.frontier import Frontier
@@ -53,6 +61,7 @@ from repro.partition.vertex_partition import VertexPartition
 
 __all__ = [
     "reference_edge_map",
+    "reference_pagerank",
     "reference_stack_distances",
     "reference_simulate_cache",
     "reference_layouts",
@@ -85,6 +94,35 @@ def reference_edge_map(
         acts = process_batch(op, src, dst)  # a weighted operator hashes its one edge
         activated.extend(int(a) for a in acts)
     return Frontier(edges.num_vertices, sparse=np.array(activated, dtype=VID_DTYPE))
+
+
+def reference_pagerank(
+    engine: Engine,
+    *,
+    damping: float = 0.85,
+    iterations: int = 10,
+    tolerance: float = 0.0,
+    handle_dangling: bool = True,
+) -> tuple[np.ndarray, float]:
+    """``(ranks, last_delta)`` of ``pagerank``'s power method, its vertex
+    side written as whole-array expressions."""
+    n = engine.num_vertices
+    out_deg = engine.store.out_degrees.astype(VAL_DTYPE)
+    safe_deg = np.where(out_deg > 0, out_deg, 1.0)
+    dangling = out_deg == 0
+    ranks = np.full(n, 1.0 / n, dtype=VAL_DTYPE)
+    frontier = Frontier.full(n)
+    delta = float("inf")
+    for _ in range(iterations):
+        op = PageRankOp(ranks / safe_deg, np.zeros(n, dtype=VAL_DTYPE))
+        engine.edge_map(frontier, op)
+        dangling_mass = float(ranks[dangling].sum()) if handle_dangling else 0.0
+        new_ranks = (1.0 - damping) / n + damping * (op.accum + dangling_mass / n)
+        delta = float(np.abs(new_ranks - ranks).sum())
+        ranks = new_ranks
+        if tolerance > 0.0 and delta < tolerance:
+            break
+    return ranks, delta
 
 
 class Fenwick:
