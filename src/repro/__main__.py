@@ -56,32 +56,11 @@ Subcommands
 
 ``info``
     Show the dataset registry and algorithm table.
-
-``lint``
-    Run graphlint's static operator-contract rules (GL001-GL010, plus
-    GL011 for stale suppressions) over source trees; exits 1 on any
-    finding, 2 on usage/internal errors (the CI gate)::
-
-        python -m repro lint
-        python -m repro lint --format json src/repro
-        python -m repro lint --baseline .graphlint-baseline.json tests
-
-``certify``
-    Run the interprocedural effect-inference pass over every registered
-    algorithm's operators and print the signed parallel-safety
-    certificates; exits 1 when any algorithm fails to certify
-    *partition-pure* (uncertified operators may not use the parallel
-    backend)::
-
-        python -m repro certify
-        python -m repro certify BFS PR --format json
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 import time
 from pathlib import Path
@@ -233,42 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("info", help="list datasets and algorithms")
 
-    lint = sub.add_parser("lint", help="static operator-contract analysis")
-    lint.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: the installed repro package)",
-    )
-    lint.add_argument(
-        "--format", default="text", choices=("text", "json"),
-        help="output format (default text)",
-    )
-    lint.add_argument(
-        "--show-suppressed", action="store_true",
-        help="also print the findings silenced by inline "
-             "'# graphlint: disable=' directives",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="subtract the findings recorded in this baseline file "
-             "(path::code -> count) before reporting",
-    )
-    lint.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="write the current findings as a new baseline file and exit 0",
-    )
-
-    certify = sub.add_parser(
-        "certify",
-        help="effect-inference certification of registered algorithms",
-    )
-    certify.add_argument(
-        "algorithms", nargs="*",
-        help="algorithm codes to certify (default: every registered one)",
-    )
-    certify.add_argument(
-        "--format", default="text", choices=("text", "json"),
-        help="output format (default text)",
-    )
     return parser
 
 
@@ -526,85 +469,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .analysis import lint as graphlint
-
-    report = graphlint.lint_paths_report(args.paths or None)
-    active = report.all_findings()
-    if args.write_baseline:
-        graphlint.write_baseline(active, Path(args.write_baseline))
-        print(f"graphlint: wrote baseline covering {len(active)} "
-              f"finding(s) to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        active = graphlint.apply_baseline(
-            active, graphlint.load_baseline(Path(args.baseline))
-        )
-
-    if args.format == "json":
-        payload = {
-            "findings": [dataclasses.asdict(f) for f in active],
-            "suppressed": [
-                dataclasses.asdict(f) for f in sorted(report.suppressed)
-            ],
-            "total": len(active),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for finding in active:
-            print(finding.render())
-        if args.show_suppressed:
-            for finding in sorted(report.suppressed):
-                print(f"{finding.render()} [suppressed]")
-        print(f"graphlint: {len(active)} finding(s)")
-    return 1 if active else 0
-
-
-def _cmd_certify(args: argparse.Namespace) -> int:
-    from .analysis.certificate import certify_algorithm
-
-    codes = args.algorithms or registry.names()
-    for code in codes:
-        if code not in registry.names():
-            raise ValidationError(
-                f"unknown algorithm {code!r}; available: {registry.names()}"
-            )
-    certificates = {code: certify_algorithm(code) for code in codes}
-    failing = [
-        code for code, cert in certificates.items() if not cert.partition_pure
-    ]
-
-    if args.format == "json":
-        payload = {
-            "certificates": {
-                code: cert.to_dict() for code, cert in certificates.items()
-            },
-            "uncertified": sorted(failing),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for code in codes:
-            cert = certificates[code]
-            verified = "signed" if cert.verify() else "SIGNATURE INVALID"
-            print(f"{code:<8} {cert.level:<16} [{verified} "
-                  f"{cert.signature[:12]}…]")
-            for op in cert.operators:
-                writes = ", ".join(
-                    f"{attr}[{'|'.join(spaces)}]"
-                    for attr, spaces in op.write_sets
-                ) or "-"
-                print(f"  {op.name:<44} {op.level:<16} "
-                      f"combine={op.combine or '-'} writes: {writes}")
-                for reason in op.reasons:
-                    print(f"    - {reason}")
-        pure = len(codes) - len(failing)
-        print(f"certify: {pure}/{len(codes)} algorithm(s) partition-pure")
-        if failing:
-            print(f"certify: NOT certified for the parallel backend: "
-                  f"{', '.join(sorted(failing))}")
-    return 1 if failing else 0
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip()]
@@ -680,23 +544,10 @@ def _cmd_info() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code.
-
-    Exit-code contract for the analysis subcommands (``lint`` and
-    ``certify``): 0 means clean, 1 means findings / uncertified
-    algorithms, and 2 means a usage or internal error (argparse itself
-    exits 2 on bad flags).  Other subcommands keep the historical 0/1
-    convention.
+    """CLI entry point; returns a process exit code: 0 on success, 1 on a
+    :class:`~repro.errors.ReproError` (argparse itself exits 2 on bad flags).
     """
     args = _build_parser().parse_args(argv)
-    if args.command in ("lint", "certify"):
-        try:
-            if args.command == "lint":
-                return _cmd_lint(args)
-            return _cmd_certify(args)
-        except Exception as exc:  # usage or internal error, never a finding
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         if args.command == "run":
             return _cmd_run(args)

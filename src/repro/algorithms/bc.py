@@ -31,7 +31,7 @@ __all__ = ["betweenness", "BCResult", "SigmaOp", "DependencyOp"]
 class SigmaOp(EdgeOperator):
     """Forward phase: accumulate path counts into unvisited destinations."""
 
-    combine = "add"
+    writes = ("sigma",)
 
     def __init__(self, sigma: np.ndarray, visited: np.ndarray) -> None:
         self.sigma = sigma
@@ -54,7 +54,7 @@ class DependencyOp(EdgeOperator):
     ``u``; only tree edges (``level[u] == level[v] - 1``) contribute.
     """
 
-    combine = "add"
+    writes = ("dep",)
 
     def __init__(self, sigma: np.ndarray, dep: np.ndarray, level: np.ndarray) -> None:
         self.sigma = sigma

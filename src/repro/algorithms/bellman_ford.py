@@ -30,7 +30,7 @@ __all__ = ["bellman_ford", "BellmanFordResult", "BellmanFordOp"]
 class BellmanFordOp(EdgeOperator):
     """Relax ``dist[v] = min(dist[v], dist[u] + w(u, v))``."""
 
-    combine = "min"
+    writes = ("dist",)
 
     def __init__(self, dist: np.ndarray, weight_fn: WeightFn) -> None:
         self.dist = dist

@@ -28,11 +28,13 @@ __all__ = ["bfs", "BFSResult", "BFSOp"]
 class BFSOp(EdgeOperator):
     """Claim unvisited destinations: ``parent[v] = u`` for the first edge in.
 
-    ``combine`` stays ``None``: a first-writer claim is not a commutative
-    reduction — it is race-free only because the partitioned layouts give
-    each partition a disjoint destination range and the effect pass proves
-    the claim writes ``parent[dst]`` alone.
+    A first-writer claim is not a commutative reduction: it is race-free
+    only because the partitioned layouts give each partition a disjoint
+    destination range and the claim writes ``parent`` at ``dst`` alone.
+    Not edge-local: ``np.unique`` is batch-wide.
     """
+
+    writes = ("parent",)
 
     def __init__(self, parent: np.ndarray) -> None:
         self.parent = parent

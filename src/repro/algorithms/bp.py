@@ -50,7 +50,8 @@ def default_priors(num_vertices: int, *, seed: int = 0, strength: float = 0.8) -
 class BPOp(EdgeOperator):
     """Accumulate log-messages for both states into the destinations."""
 
-    combine = "add"
+    writes = ("log_msg_0", "log_msg_1")
+    edge_local = True
 
     def __init__(
         self,

@@ -32,7 +32,7 @@ class CCOp(EdgeOperator):
     """Propagate minimum labels to destinations; activate changed vertices:
     the destinations of the edges that lowered a label, once per such edge."""
 
-    combine = "min"
+    writes = ("labels",)
 
     def __init__(self, labels: np.ndarray) -> None:
         self.labels = labels

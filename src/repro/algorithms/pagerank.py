@@ -28,7 +28,8 @@ __all__ = ["pagerank", "PageRankResult", "PageRankOp"]
 class PageRankOp(EdgeOperator):
     """Accumulate ``rank[u] / outdeg(u)`` into each destination."""
 
-    combine = "add"
+    writes = ("accum",)
+    edge_local = True
 
     def __init__(self, contrib: np.ndarray, accum: np.ndarray) -> None:
         #: per-vertex contribution ``rank[u] / outdeg(u)``, precomputed.

@@ -36,7 +36,8 @@ __all__ = ["pagerank_delta", "PageRankDeltaResult", "PRDeltaOp"]
 class PRDeltaOp(EdgeOperator):
     """Accumulate ``delta[u] / outdeg(u)`` into each destination."""
 
-    combine = "add"
+    writes = ("accum",)
+    edge_local = True
 
     def __init__(self, scaled_delta: np.ndarray, accum: np.ndarray) -> None:
         self.scaled_delta = scaled_delta

@@ -89,9 +89,8 @@ class AlgorithmSpec:
     #: then takes a ``checkpoint`` session and resumes from its latest.
     resumable: bool = False
     #: ``"package.module:ClassName"`` paths of every
-    #: :class:`~repro.core.ops.EdgeOperator` the runner drives.  The
-    #: effect-inference pass certifies each one and folds the verdicts
-    #: into this algorithm's :class:`~repro.analysis.certificate.SafetyCertificate`.
+    #: :class:`~repro.core.ops.EdgeOperator` the runner drives (the e2e
+    #: tracer wraps each one's ``process_edges``).
     operators: tuple[str, ...] = ()
 
     @property
@@ -103,14 +102,6 @@ class AlgorithmSpec:
         if not self.resumable:
             return None
         return partial(_run_joined, self.run)
-
-    def certificate(self):
-        """The signed safety certificate for this algorithm (computed lazily
-        — the analysis layer imports the engine, so the import must not run
-        at registry import time)."""
-        from ..analysis.certificate import certify_algorithm
-
-        return certify_algorithm(self.code)
 
 
 def _run_joined(run, engine: Engine, session: CheckpointSession) -> object:

@@ -24,7 +24,8 @@ __all__ = ["spmv", "SPMVResult", "SPMVOp"]
 class SPMVOp(EdgeOperator):
     """Accumulate ``w(u, v) * x[u]`` into ``y[v]``."""
 
-    combine = "add"
+    writes = ("y",)
+    edge_local = True
 
     def __init__(self, x: np.ndarray, y: np.ndarray, weight_fn: WeightFn) -> None:
         self.x = x

@@ -11,10 +11,10 @@ contiguous block per worker, runs every block through the loop on a
 persistent ``ThreadPoolExecutor`` and returns the records in task order.
 
 Tasks write the operator's live arrays in place: nothing is copied,
-published or merged.  The engine admits a phase only for an operator the
-certificate proves edge-local
-(:attr:`~repro.analysis.certificate.OperatorReport.edge_local`):
-partition-pure, and no attribute it writes is read outside ``dst``.  So no
+published or merged.  The engine admits a phase only for an operator that
+declares its writes and is edge-local
+(:attr:`~repro.core.ops.EdgeOperator.edge_local`): each array it writes is
+written only at ``dst``, and read nowhere else.  So no
 task reads what another task writes, and the result arrays and every
 statistic are bit-identical to serial under any schedule.  The dense
 bodies (``coo_matvec``, fancy indexing, ``ufunc.at``) are compiled calls
@@ -66,7 +66,7 @@ _THREADS = {
 
 #: the backend spec table: every kind, and the options it accepts.
 #: ``workers`` sizes the pool; ``strict`` refuses (1) or silently
-#: serialises (0) operators that are not certified partition-pure.
+#: serialises (0) operators that declare no ``writes``.
 #: ``process`` is the ``threads`` table under its old name (a shim, see
 #: the module docstring).  ``serial``'s ``prefetch`` is parsed and does
 #: nothing, since grid blocks are read in the engine's thread: a shim for

@@ -19,15 +19,15 @@ paper's Algorithm 2 in three steps:
    and the few statistics fields that depend on the layout.
 2. **run** — one loop executes the plan's tasks
    (:func:`~repro.core.kernels.kernel_args` → ``run_*_partition``): in this
-   thread, or, for operators certified edge-local, in contiguous blocks on
+   thread, or, for operators declared edge-local, in contiguous blocks on
    the ``options.backend`` thread pool, every block writing its
    destination ranges of the live arrays in place; the same loop either
    way, so the results are bit-identical.  A task is a run of adjacent
    partitions about :data:`~repro.core.plan.TASK_EDGES` edges long — the
    kernel hoists the frontier filter, ``cond``, gather and compression
    over the run and hands the operator one batch per partition in order,
-   or one for the run (``PhasePlan.fused``), wherever that is proved
-   unobservable (:meth:`Engine._task_edges`); everywhere else it is a run
+   or one for the run (``PhasePlan.fused``), wherever the operator declares
+   that unobservable (:meth:`Engine._task_edges`); everywhere else it is a run
    of one.  A phase whose frontier is every vertex has no filter to apply,
    so its plan carries no bitmap and the kernels skip the frontier work
    (:func:`_frontier_filter`).  A weighted operator's COO tasks and
@@ -148,7 +148,7 @@ class Engine:
         #: automatically for supervised engines, inert otherwise.
         self.journal = journal
         #: how many per-batch ``validated_cond`` guards actually ran vs.
-        #: were skipped because the operator is certified partition-pure.
+        #: were skipped because the operator declares its writes.
         self.guard_invocations = 0
         self.guards_skipped = 0
         #: what depends only on the store and the options (task lists,
@@ -169,8 +169,7 @@ class Engine:
         #: whether the current edge-map phase may run concurrently
         #: (edge-local operator + non-serial backend); set at admission.
         self._phase_concurrent = False
-        self._uncertified_noted: set[type] = set()
-        self._trusted: dict[type, bool] = {}  # _op_trusted, per operator class
+        self._undeclared_noted: set[type] = set()
 
     @property
     def num_vertices(self) -> int:
@@ -293,21 +292,15 @@ class Engine:
         self._phase_concurrent = False
 
     # ------------------------------------------------------------------
-    # safety certificates: static proof replaces runtime guards
+    # the operator's declaration: what the runtime guards may skip
     # ------------------------------------------------------------------
-    def _op_trusted(self, op: EdgeOperator) -> bool:
-        """Whether ``op``'s class is certified partition-pure (analysis
-        failures degrade to the guarded path), looked up once per class
-        and engine.  The effect pass has then proven ``cond`` returns
-        ``None`` or a boolean mask parallel to its argument, so the dynamic
-        validation is pure overhead — bit-identical either way."""
-        cls = type(op)
-        trusted = self._trusted.get(cls)
-        if trusted is None:
-            from ..analysis.certificate import operator_is_partition_pure
-
-            trusted = self._trusted[cls] = operator_is_partition_pure(op)
-        return trusted
+    @staticmethod
+    def _op_trusted(op: EdgeOperator) -> bool:
+        """Whether ``op``'s class declares what it writes
+        (:attr:`~repro.core.ops.EdgeOperator.writes`): its ``cond`` then
+        returns ``None`` or a boolean mask parallel to its argument, so the
+        dynamic validation is skipped — bit-identical either way."""
+        return type(op).writes is not None
 
     def _task_edges(self, op: EdgeOperator, trusted: bool) -> tuple[int, bool]:
         """The edge target of this phase's tasks (0 keeps one partition
@@ -315,63 +308,50 @@ class Engine:
 
         A longer run evaluates ``cond`` for all its partitions before the
         operator sees the first, so runs are built only where that cannot
-        be observed — the operator is certified partition-pure (its
-        writes stay inside each partition's own range) *and* its ``cond``
-        reads written state only at the ids it is handed
-        (:attr:`~repro.analysis.certificate.OperatorReport.cond_local`) —
+        be observed — the operator declares its writes (each only at
+        ``dst``, and ``cond`` reads them only at the ids it is handed) —
         and where nothing addresses single partitions: the supervisor's
         journal, write-set rollback, watchdog deadlines and fault plans
-        all key on partition ids.  Its batches merge where that is proved
-        unobservable too (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`).
+        all key on partition ids.  Its batches merge where the operator
+        declares that unobservable too
+        (:attr:`~repro.core.ops.EdgeOperator.edge_local`).
         """
         if not trusted or self._supervisor is not None:
             return 0, False
-        from ..analysis.certificate import operator_report
-
-        report = operator_report(type(op))
-        if not report.cond_local:
-            return 0, False
         workers = self._backend_conf["workers"] if self._phase_concurrent else 0
-        return task_edges(self.num_edges, workers), report.edge_local
+        return task_edges(self.num_edges, workers), type(op).edge_local
 
     def _admit_backend(self, op: EdgeOperator) -> bool:
         """Whether this phase may run on the concurrent backend.
 
         Its blocks write the live arrays in place, so only an operator no
-        task of which can read another's writes may: one certified
-        edge-local — partition-pure, and no attribute it writes read
-        outside ``dst`` (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`).
-        Other partition-pure operators run in-process (CC and BF read at
-        ``src`` what they write; BFS and BC's are not edge-local either).  Strict (default) non-serial backends
-        *refuse* operators that are not partition-pure; ``strict=0``
-        quietly keeps them in-process (logged once per class) so whole
-        test/CI matrices can run under ``REPRO_BACKEND=threads:...``
-        without certifying every ad-hoc operator.
+        task of which can read another's writes may: one that declares its
+        writes and is edge-local (:attr:`~repro.core.ops.EdgeOperator.edge_local`).
+        Other declared operators run in-process (CC and BF read at ``src``
+        what they write; BFS and BC's are not edge-local either).  Strict
+        (default) non-serial backends *refuse* operators that declare no
+        writes; ``strict=0`` quietly keeps them in-process (logged once per
+        class) so whole test/CI matrices can run under
+        ``REPRO_BACKEND=threads:...`` without declaring every ad-hoc operator.
         """
         if self._backend_kind == "serial":
             return False
-        from ..analysis.certificate import operator_report
-
         if self._op_trusted(op):
-            return operator_report(type(op)).edge_local
+            return type(op).edge_local
         spec, name = self.options.backend, type(op).__name__
         if self._backend_conf["strict"]:
-            report = operator_report(type(op))
-            detail = f"; {report.reasons[0]}" if report.reasons else ""
             raise ValidationError(
-                f"backend {spec!r} requested but {name} is not certified "
-                f"partition-pure (certified level: {report.level}){detail} — run "
-                f"`python -m repro certify` for the full report, or use a "
-                f"':strict=0' backend spec to run uncertified operators on the "
-                f"serial path"
+                f"backend {spec!r} requested but {name} declares no `writes` "
+                f"(EdgeOperator.writes: the state arrays it writes, each only at "
+                f"dst) — declare them, or use a ':strict=0' backend spec to run "
+                f"undeclared operators on the serial path"
             )
-        if type(op) not in self._uncertified_noted:
-            self._uncertified_noted.add(type(op))
+        if type(op) not in self._undeclared_noted:
+            self._undeclared_noted.add(type(op))
             self.resilience_log.append(
-                f"backend {spec!r}: {name} is not certified partition-pure; "
-                "running it on the serial path"
+                f"backend {spec!r}: {name} declares no writes; running it on the serial path"
             )
-            log.info("backend %r: %s not certified; running serially", spec, name)
+            log.info("backend %r: %s declares no writes; running serially", spec, name)
         return False
 
     # ------------------------------------------------------------------
@@ -389,7 +369,7 @@ class Engine:
             return Frontier.empty(self.num_vertices)
         if self._supervisor is None:
             return self._run_phase(frontier, op)
-        return self._supervisor.edge_map(frontier, op, self._op_trusted(op))
+        return self._supervisor.edge_map(frontier, op)
 
     def attach_grid(self, grid) -> None:
         """Switch this engine to out-of-core grid execution.

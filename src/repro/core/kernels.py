@@ -12,8 +12,8 @@ hands ``op.process_edges`` one batch per partition, lowest first, as
 slices of the compressed arrays.  Operators that read what they write
 (CC, Bellman-Ford) see the earlier partitions' updates in the later
 ones, so for them a merged batch would change the phase count and every
-statistic downstream; only with ``fuse`` — the operator is certified
-edge-local (:attr:`~repro.analysis.certificate.OperatorReport.edge_local`)
+statistic downstream; only with ``fuse`` — the operator is declared
+edge-local (:attr:`~repro.core.ops.EdgeOperator.edge_local`)
 — is the run one batch, which nothing observable can tell apart.
 
 A phase whose frontier is every vertex carries no bitmap
@@ -45,7 +45,7 @@ of that guarantee: ``(kernel, arrays, task, fuse)`` becomes a partitioned
 kernel's positional arguments here and nowhere else.
 
 ``cond_fn`` abstracts the cond guard (:func:`cond_guard`): the raw
-``op.cond`` for operators certified partition-pure, else
+``op.cond`` for operators that declare their writes, else
 :func:`~repro.core.ops.validated_cond`.  The record's ``cond_calls``
 field reports how many per-partition guards the task stands for, which
 the engine folds into its ``guards_skipped`` / ``guard_invocations``

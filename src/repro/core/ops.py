@@ -50,7 +50,6 @@ __all__ = [
     "process_batch",
     "scatter_add_gather",
     "prove_ids",
-    "COMMUTATIVE_COMBINES",
     "MUTABLE_NON_ARRAY_TYPES",
     "overrides_snapshot_hooks",
     "WriteSet",
@@ -60,40 +59,43 @@ __all__ = [
     "validated_cond",
 ]
 
-#: Symbolic reduction names whose scatter result is insensitive to the
-#: order partitions are visited in (commutative-associative combines).
-#: Operators declare theirs via :attr:`EdgeOperator.combine`; a write
-#: outside a task's destination range is benign only under one of these.
-COMMUTATIVE_COMBINES = frozenset({"add", "min", "max", "or", "and", "xor"})
-
 #: Container types the default :meth:`EdgeOperator.snapshot` silently
 #: misses — the supervised engine refuses to run operators that hold these
-#: without overriding the snapshot/restore pair, and the effect pass (GL003)
-#: reads the same list by constructor name.
+#: without overriding the snapshot/restore pair.
 MUTABLE_NON_ARRAY_TYPES = (
     dict, list, set, bytearray, collections.deque,
     collections.defaultdict, collections.OrderedDict, collections.Counter,
 )
 
 #: The resilience hooks an operator with state beyond arrays overrides together.
-_SNAPSHOT_HOOKS = frozenset({"snapshot", "restore"})
+_SNAPSHOT_HOOKS = ("snapshot", "restore")
 
 
 class EdgeOperator(abc.ABC):
     """One iteration's edge update for an algorithm.
 
     Subclasses hold references to the algorithm's state arrays and mutate
-    them in :meth:`process_edges`.
+    them in :meth:`process_edges`.  What the engine may assume of them is
+    what the class declares; an operator that declares nothing runs the
+    guarded path, one partition per task and in the engine's thread.
     """
 
-    #: Symbolic name of the scatter reduction this operator applies to its
-    #: state arrays — one of :data:`COMMUTATIVE_COMBINES` — or ``None``
-    #: when the update is not a commutative-associative reduction (e.g.
-    #: BFS's first-writer parent claim, which is safe only because the
-    #: partitioned layouts give every partition a disjoint destination
-    #: range).  Decides whether overlapping cross-partition write sets
-    #: are a race (the effect pass's GL002/GL007).
-    combine: str | None = None
+    #: The state arrays this operator writes, by attribute name, each
+    #: written only at ``dst`` — so a task over ``[lo, hi)`` writes only
+    #: that range of them.  Declaring it also promises that ``cond`` returns
+    #: ``None`` or a boolean mask parallel to its argument and reads written
+    #: state only at the ids it is handed: the engine then skips the mask
+    #: validation and evaluates ``cond`` for a run of partitions at once.
+    #: ``None`` declares nothing.  ``tests/lattice.py::contract_lines``
+    #: holds every edge-map and task it runs to the declaration.
+    writes: tuple[str, ...] | None = None
+    #: One ``process_edges`` call over a run of partitions is the same as
+    #: one per partition: no attribute in :attr:`writes` is read outside
+    #: ``dst``, and nothing depends on the batch's length, position or
+    #: extent.  A run then reaches the operator as one batch, and the phase
+    #: may run on the thread pool (its tasks cannot read each other's writes).
+    #: Meaningful only with :attr:`writes`.
+    edge_local: bool = False
     #: A weighted operator's ``(src, dst) -> weights`` function (a
     #: :class:`~repro.graph.weights.WeightFn`); it never calls it itself:
     #: its batches arrive with their weights (:func:`process_batch`).
@@ -333,19 +335,13 @@ class WriteSet:
             self.views[key][...] = value
 
 
-def overrides_snapshot_hooks(overridden) -> bool:
-    """Whether ``overridden`` — an operator class, or the names of the
-    methods a class defines over :class:`EdgeOperator`'s — overrides both
-    ``snapshot`` and ``restore``.  One hook alone pairs a custom snapshot with
-    the inherited array ``restore`` (or the reverse), which cannot roll
-    back a container; the blind-spot check, the supervisor's rollback and
-    the effect pass's GL003 all ask this one question."""
-    if isinstance(overridden, type):
-        overridden = {
-            hook for hook in _SNAPSHOT_HOOKS
-            if getattr(overridden, hook) is not getattr(EdgeOperator, hook)
-        }
-    return _SNAPSHOT_HOOKS <= set(overridden)
+def overrides_snapshot_hooks(cls: type) -> bool:
+    """Whether the operator class ``cls`` overrides both ``snapshot`` and
+    ``restore``.  One hook alone pairs a custom snapshot with the inherited
+    array ``restore`` (or the reverse), which cannot roll back a container;
+    the blind-spot check and the supervisor's rollback both ask this one
+    question."""
+    return all(getattr(cls, hook) is not getattr(EdgeOperator, hook) for hook in _SNAPSHOT_HOOKS)
 
 
 def snapshot_blind_spots(op: EdgeOperator) -> list[str]:

@@ -70,7 +70,7 @@ class EngineOptions:
         ``"threads[:workers=N][:strict=0|1]"`` — the same task
         loop in contiguous blocks on a persistent thread pool, each block
         writing its disjoint destination ranges of the live arrays in
-        place, for operators certified edge-local; results and statistics
+        place, for operators declared edge-local; results and statistics
         bit-identical to serial.  ``process`` is accepted as an old name
         for ``threads`` (a shim for the ``benchmarks/e2e`` harness,
         deleted with its next change).  Ill-formed specs raise

@@ -14,7 +14,7 @@ journalling and of the operator batch; the *task* is what the loop
 executes — a run of adjacent partitions sized to the cache
 (:data:`TASK_EDGES`), so that everything around the operator call is
 paid once per run instead of once per partition, and for an operator
-certified edge-local (:attr:`PhasePlan.fused`) the call itself too.  A
+declared edge-local (:attr:`PhasePlan.fused`) the call itself too.  A
 single partition is a run of one, through the same kernels.
 
 The task lists depend only on the store (or grid), the layout,
@@ -120,7 +120,7 @@ class PartitionRecord:
         The run's first (lowest) partition id within the phase's schedule.
     lo, hi:
         The destination vertex range ``[lo, hi)`` the run owns — the
-        write set its ``combine`` contract confines updates to.
+        only part of the declared ``writes`` arrays it may update.
     activated:
         Vertex ids the operator activated, its batches concatenated in
         visit order (pre-dedup; the engine's frontier constructor dedups).
@@ -195,10 +195,10 @@ class PhasePlan:
     #: the per-phase frontier bitmap (with the partitioned CSR, also its
     #: sparse ids), absent when every vertex is active.
     arrays: dict[str, np.ndarray] = field(default_factory=dict)
-    #: the operator is certified partition-pure, so its cond guard is
+    #: the operator declares its writes, so its cond guard is
     #: elided; otherwise ``validated_cond`` runs wherever the task does.
     trusted: bool = False
-    #: the operator is certified edge-local: a run is one batch to it.
+    #: the operator is declared edge-local: a run is one batch to it.
     fused: bool = False
     #: bytes / blocks the grid streamed from disk for this phase.
     io_bytes: int = 0

@@ -157,7 +157,7 @@ class Supervisor:
     # ------------------------------------------------------------------
     # phase level: retry loop and degradation ladder
     # ------------------------------------------------------------------
-    def edge_map(self, frontier, op, trusted: bool):
+    def edge_map(self, frontier, op):
         """Run one edge-map phase, recovering from faults bit-identically.
 
         When a partition task fails after others committed, the commits
@@ -167,10 +167,9 @@ class Supervisor:
         pre-phase snapshot.
         """
         engine, policy, journal = self.engine, self.policy, self.journal
-        # A partition-pure certificate statically rules out snapshot blind
-        # spots (mutable non-array state demotes the level), so the
-        # dynamic check is only needed for uncertified operators.
-        blind = [] if trusted else snapshot_blind_spots(op)
+        # A declaration says what the operator writes, not what it holds:
+        # every operator's attributes are scanned once per phase.
+        blind = snapshot_blind_spots(op)
         if blind:
             raise ValidationError(
                 f"{type(op).__name__} holds mutable non-array state "

@@ -18,8 +18,7 @@ slack factor) and escalating when a task overruns it:
 
 Time is fully *simulated*: the observed elapsed time equals the
 prediction unless a ``stall`` fault event injects an overrun, so runs
-stay bit-reproducible and graphlint GL005 (no wall-clock in decision
-paths) holds.
+stay bit-reproducible (no wall clock in a decision path).
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 operator calls per phase, and the per-store weight cache."""
 
 import collections
-import dataclasses
 import sys
 import weakref
 from functools import partial
@@ -278,9 +277,8 @@ def test_a_sparse_round_is_one_kernel_call_through_the_engine_namespace(monkeypa
     """Counts, not time: a sparse CSR round builds no ``PhasePlan`` and calls
     the classification, the gather and the kernel exactly once each, as
     bound on ``repro.core.engine`` (the names the e2e tracer wraps), and
-    adds its one guard to ``guards_skipped`` — or, with the certificate
-    withheld, to ``guard_invocations``."""
-    from repro.analysis import certificate
+    adds its one guard to ``guards_skipped`` — or, with the declaration
+    withdrawn, to ``guard_invocations``."""
     from repro.core import engine as engine_module
 
     calls: collections.Counter = collections.Counter()
@@ -307,7 +305,8 @@ def test_a_sparse_round_is_one_kernel_call_through_the_engine_namespace(monkeypa
     one_each = {"classify_frontier": 1, "gather_adjacency": 1, "run_csr_sparse_partition": 1}
     for guards in ((1, 0), (0, 1)):
         if guards == (0, 1):
-            monkeypatch.setattr(certificate, "operator_is_partition_pure", lambda op: False)
+            for cls in (BFSOp, BellmanFordOp):
+                monkeypatch.setattr(cls, "writes", None)
         del rounds[:]
         with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
             bfs(engine, 0)
@@ -322,8 +321,6 @@ def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypa
     one ``process_edges`` call per task (PageRankOp is edge-local), a CC
     phase one per partition (it reads what it writes) — and the guard
     counter still counts partitions, as with merging switched off."""
-    from repro.analysis import certificate
-
     graph = gen.rmat(12, 16, seed=3)
     n = graph.num_vertices
     store = GraphStore.build(graph, num_partitions=384)
@@ -345,10 +342,7 @@ def test_a_full_frontier_pagerank_phase_calls_the_operator_once_per_run(monkeypa
     merged, tasks, skipped = phase(PageRankOp(np.linspace(1, 2, n), np.zeros(n)))
     assert merged == tasks < 384 and skipped == 384
     assert phase(CCOp(np.arange(n, dtype=VID_DTYPE)))[::2] == (384, 384)
-    report = certificate.operator_report(PageRankOp)
-    monkeypatch.setitem(
-        certificate._CLASS_CACHE, PageRankOp, dataclasses.replace(report, edge_local=False)
-    )
+    monkeypatch.setattr(PageRankOp, "edge_local", False)
     assert phase(PageRankOp(np.linspace(1, 2, n), np.zeros(n))) == (384, tasks, skipped)
 
 
@@ -379,17 +373,13 @@ def _cc_batches_per_phase(engine):
     return phases
 
 
-def test_a_bitmap_run_hands_intp_ids_and_a_full_frontier_run_layout_views(monkeypatch, tmp_path):
+def test_a_bitmap_run_hands_intp_ids_and_a_full_frontier_run_layout_views(tmp_path):
     """A COO or grid run with a bitmap compresses, so copies, its edges:
     every batch it hands the operator is ``intp``, numpy's own index width.
     A full-frontier COO run copies nothing: its batches stay zero-copy
     ``int32`` views of the layout (what the compiled add-reduction of
     PageRank and SPMV reads without a cast)."""
-    from repro.analysis import certificate
-
-    # the spy only records: it runs under CCOp's certificate, as CCOp would
-    report = certificate.operator_report(CCOp)
-    monkeypatch.setitem(certificate._CLASS_CACHE, _BatchSpyCCOp, report)
+    # the spy only records: it inherits CCOp's declaration, so runs as CCOp would
     graph = gen.road_grid(30, seed=2)
     store = GraphStore.build(graph, num_partitions=8)
     options = EngineOptions(num_threads=2, backend="serial", forced_layout="coo")

@@ -1,10 +1,11 @@
 """The threads backend: bit-identity, admission, lifecycle.
 
-For every certified algorithm, running the partitioned kernels in blocks
+For every registered algorithm, running the partitioned kernels in blocks
 on a thread pool, writing the live arrays in place, produces
 *bit-identical* results to the serial reference path (points of the
 lattice, :mod:`tests.lattice`); operators that are not edge-local stay
-in-process, uncertified ones are refused (strict) or serialised; and a
+in-process, ones that declare no writes are refused (strict) or
+serialised; and a
 closed engine leaves no thread.  (The name is the backend's old one,
 ``process``.)
 """
@@ -20,10 +21,10 @@ import pytest
 from repro.algorithms import registry
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.core import Engine, EngineOptions, ThreadBackend
+from repro.core.ops import EdgeOperator
 from repro.errors import ValidationError
 from repro.frontier.frontier import Frontier
 from repro.layout.store import GraphStore
-from tests.analysis.test_effects import UncertifiableOp
 from tests.lattice import GRAPHS, Config, check, oracle
 
 #: the algorithms whose every operator is edge-local, so runs on the pool.
@@ -129,13 +130,25 @@ def test_a_pool_that_cannot_start_falls_back_to_serial(store, monkeypatch):
 # ----------------------------------------------------------------------
 # admission: strict refuses, strict=0 serialises
 # ----------------------------------------------------------------------
+class UncertifiableOp(EdgeOperator):
+    """Writes through source ids, so it cannot declare ``writes`` (each
+    array written only at ``dst``): it declares nothing."""
+
+    def __init__(self, hits):
+        self.hits = hits
+
+    def process_edges(self, src, dst):
+        np.add.at(self.hits, src, 1)
+        return dst
+
+
 def test_strict_backend_refuses_uncertified_operators(store):
     engine = Engine(
         store, EngineOptions(num_threads=4, backend="threads:workers=2")
     )
     try:
         op = UncertifiableOp(np.zeros(engine.num_vertices))
-        with pytest.raises(ValidationError, match="certif"):
+        with pytest.raises(ValidationError, match="UncertifiableOp declares no `writes`"):
             engine.edge_map(Frontier.full(engine.num_vertices), op)
     finally:
         engine.close()

@@ -28,10 +28,10 @@ CALLS: Counter = Counter()
 
 
 class CountingOp(EdgeOperator):
-    """PageRank-style accumulation whose rollback hooks count their calls
-    (module-level and scatter-only, so it certifies partition-pure)."""
+    """PageRank-style accumulation whose rollback hooks count their calls."""
 
-    combine = "add"
+    writes = ("accum",)
+    edge_local = True
 
     def __init__(self, contrib: np.ndarray, accum: np.ndarray) -> None:
         self.contrib = contrib

@@ -45,12 +45,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro._types import VID_DTYPE
 from repro.algorithms import registry
-from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.budget import parse_memory_budget
-from repro.core.ops import COMMUTATIVE_COMBINES, state_arrays, vertex_length
+from repro.core.ops import EdgeOperator, state_arrays, vertex_length
 from repro.errors import RetryExhausted
 from repro.graph import generators as gen
 from repro.layout import GraphStore
@@ -292,43 +292,36 @@ def _changed(before: np.ndarray, after) -> np.ndarray:
 def contract_lines(patch) -> None:
     """Hold every edge-map and task to the write contract's two lines.
 
-    * Effects: the operator state arrays an ``edge_map`` changed are among
-      those the effect pass inferred it writes (``written_arrays()``).
-    * Write set: a task changes a vertex-length array only inside its
-      destination range ``[lo, hi)`` when the operator's ``combine`` is not
-      commutative, or when the pass proved the array destination-sliced.
+    * Effects: the operator state arrays an ``edge_map`` of a declared
+      operator changed are among those it declares (``writes``).
+    * Write set: a task changes every vertex-length state array only inside
+      its destination range ``[lo, hi)``.
 
     A phase the pool runs concurrently is left out of the second line: its
     blocks write in place together, and its mechanism twin covers it."""
     edge_map, execute = Engine.edge_map, Engine._execute
 
-    def written(op) -> dict:
-        return operator_report(type(op)).written_arrays()
-
     def mapped(engine, frontier, op):
         before = {k: v.copy() for k, v in state_arrays(op).items()}
         nxt = edge_map(engine, frontier, op)
-        after = state_arrays(op)
-        changed = {k for k in before.keys() | after.keys()
-                   if k not in before or _changed(before[k], after.get(k)).size}
-        stray = sorted(changed - written(op).keys())
-        assert not stray, (
-            f"{type(op).__name__} changed {stray}, outside the write set the "
-            f"effect pass inferred ({sorted(written(op))})"
-        )
+        declared = type(op).writes
+        if declared is not None:
+            after = state_arrays(op)
+            changed = {k for k in before.keys() | after.keys()
+                       if k not in before or _changed(before[k], after.get(k)).size}
+            stray = sorted(changed - set(declared))
+            assert not stray, (
+                f"{type(op).__name__} changed {stray}, outside the arrays it "
+                f"declares it writes ({sorted(declared)})"
+            )
         return nxt
 
     def executed(engine, plan, arrays, op, tasks):
         if engine._phase_concurrent and plan.layout != "grid":
             return execute(engine, plan, arrays, op, tasks)
-        n, commutative = engine.num_vertices, op.combine in COMMUTATIVE_COMBINES
-        proved = {k for k, spaces in written(op).items() if spaces <= {"dst"}}
-        records = []
+        n, records = engine.num_vertices, []
         for task in tasks:
-            before = {
-                k: v.copy() for k, v in state_arrays(op).items()
-                if vertex_length(v, n) and (not commutative or k in proved)
-            }
+            before = {k: v.copy() for k, v in state_arrays(op).items() if vertex_length(v, n)}
             records += execute(engine, plan, arrays, op, [task])
             after = state_arrays(op)
             for name, old in before.items():
@@ -336,12 +329,31 @@ def contract_lines(patch) -> None:
                 out = rows[(rows < task.lo) | (rows >= task.hi)]
                 assert not out.size, (
                     f"{type(op).__name__}.{name}: the task over [{task.lo}, {task.hi}) "
-                    f"wrote index {int(out[0])} outside it (combine {op.combine!r})"
+                    f"wrote index {int(out[0])} outside it"
                 )
         return records
 
     patch.setattr(Engine, "edge_map", mapped)
     patch.setattr(Engine, "_execute", executed)
+
+
+class LastWriterDemoOp(EdgeOperator):
+    """Intentionally order-dependent: ``state[src] = dst``, last writer wins.
+
+    Sources are *not* partitioned — the same source occurs in many
+    partitions' edge batches — so whichever partition runs last owns the
+    final value.  It declares ``state`` as if written at ``dst``: the lie
+    the write-set line names.
+    """
+
+    writes = ("state",)
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def process_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        self.state[src] = dst.astype(self.state.dtype)
+        return np.empty(0, dtype=VID_DTYPE)
 
 
 def _laws(engine: Engine, attempts: list[dict], result=None) -> None:

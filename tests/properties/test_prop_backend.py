@@ -5,7 +5,7 @@ the lattice, :mod:`tests.lattice`, whose sampled properties cover the
 rest of the space) — the paper's partitioned execution model says any
 schedule of the disjoint partition slices commits the same state.
 Blocks of tasks write the live arrays in place, and only operators
-certified edge-local are run on the pool (no task reads what another
+declared edge-local are run on the pool (no task reads what another
 writes), so for PR, PRDelta, SPMV and BP every ``EdgeMapStats`` field
 and guard count matches serial too.
 

@@ -31,7 +31,6 @@ from repro.algorithms.bellman_ford import bellman_ford
 from repro.algorithms.cc import CCOp
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.algorithms.spmv import spmv
-from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.options import PARTITION_ORDERS
@@ -180,7 +179,7 @@ def test_pagerank_sees_no_bitmap_and_the_very_same_batches():
     assert {m.layout for m in got.stats.edge_maps} == {"coo"}
     assert spy.bitmaps and all(b is None for b in spy.bitmaps)
     assert all(b is not None and b.all() for b in masked.bitmaps)
-    # PageRankOp is certified edge-local: the graph is one run, and its
+    # PageRankOp is declared edge-local: the graph is one run, and its
     # eight partitions, the two empty ones included, reach it as one batch
     assert len(plan.coo_tasks(store.coo, EngineOptions(), plan.TASK_EDGES)) == 1
     assert [dst.size for _, dst in spy.batches] == [edges.num_edges] * 10
@@ -227,10 +226,10 @@ class _HandBack(EdgeOperator):
     """PageRank's update, handing ``dst`` back in one of the ways an
     operator may: the object itself, a copy, a subset, or — ``mixed`` —
     the object from even-sized batches and a copy from odd ones.
-    Certified partition-pure, so it runs in long tasks; not edge-local (a
+    It declares its writes, so it runs in long tasks; not edge-local (a
     ``mixed`` answer depends on the batch), so never on the pool."""
 
-    combine = "add"
+    writes = ("accum",)
 
     def __init__(self, contrib, accum, how="same"):
         self.contrib = contrib
@@ -263,10 +262,6 @@ def _edge_map(store, op_class, frontier=None, **engine_kwargs):
     op = op_class(np.linspace(1, 2, n), np.zeros(n))
     nxt = engine.edge_map(Frontier.full(n) if frontier is None else frontier, op)
     return engine, op.accum, nxt
-
-
-def test_the_hand_back_operator_is_certified():
-    assert operator_report(_HandBack).level == "partition-pure"
 
 
 @settings(max_examples=40, deadline=None)

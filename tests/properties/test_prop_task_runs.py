@@ -3,14 +3,14 @@
 The engine's loop executes runs of about ``TASK_EDGES`` edges
 (:mod:`repro.core.plan`); the kernels hoist everything around the
 operator call over the run and hand the operator one batch per
-partition, lowest first — or, for an operator certified edge-local, one
+partition, lowest first — or, for an operator declared edge-local, one
 batch for the whole run.  So the edge target must be unobservable:
 result arrays, every ``EdgeMapStats`` field and both guard counters are
 the same with runs of one (``TASK_EDGES = 0``: never merged), the
-shipped value and a tiny one.  Where hoisting is not proved — an
-untrusted operator, a ``cond`` that reads written state by another
-index, a supervised engine — tasks stay runs of one; where merging is
-not proved, a run's operator still gets one batch per partition.
+shipped value and a tiny one.  Where hoisting is not declared safe — an
+operator that declares no writes, a supervised engine — tasks stay runs
+of one; where merging is not declared, a run's operator still gets one
+batch per partition.
 """
 
 from __future__ import annotations
@@ -22,11 +22,8 @@ import numpy as np
 import pytest
 
 from repro._types import VID_DTYPE
-from repro.algorithms import registry
 from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp, pagerank
-from repro.analysis import certificate
-from repro.analysis.certificate import operator_report
 from repro.core import Engine, EngineOptions, plan
 from repro.core import engine as engine_module
 from repro.core.ops import EdgeOperator
@@ -35,7 +32,6 @@ from repro.graph import generators as gen
 from repro.layout.store import GraphStore
 from repro.partition.vertex_partition import VertexPartition
 from repro.resilience import ResiliencePolicy
-from tests.analysis.corpus import bad_effects
 from tests.lattice import Config, check
 
 SHIPPED = plan.TASK_EDGES
@@ -90,8 +86,7 @@ def _spied_phase(store, layout, target, op, edge_local=None, **engine_kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(plan, "TASK_EDGES", target)
         if edge_local is not None:
-            forced = dataclasses.replace(operator_report(cls), edge_local=edge_local)
-            patch.setitem(certificate._CLASS_CACHE, cls, forced)
+            patch.setattr(cls, "edge_local", edge_local)
         spy = _Spy(patch, cls)
         options = EngineOptions(num_threads=2, backend="serial", forced_layout=layout)
         with Engine(store, options, **engine_kwargs) as engine:
@@ -146,7 +141,7 @@ def test_a_run_hands_the_operator_one_batch_per_partition_in_order(layout):
 
 @pytest.mark.parametrize("layout", ["coo", "csc"])
 def test_an_edge_local_run_is_one_batch_the_partitions_concatenated(layout):
-    """PageRankOp is certified edge-local: a run reaches it as one batch,
+    """PageRankOp is declared edge-local: a run reaches it as one batch,
     which is its per-partition batches end to end."""
     store = _store_with_empty_partitions()
     n = store.num_vertices
@@ -169,16 +164,68 @@ def test_an_edge_local_run_is_one_batch_the_partitions_concatenated(layout):
     assert merged.accum.tobytes() == split.accum.tobytes() and next_runs == next_parts
 
 
-@pytest.mark.parametrize(
-    "op_class",
-    [cls for cls in bad_effects.SPLIT_OBSERVABLE if cls is not bad_effects.FirstWriterOp],
-    ids=lambda cls: cls.__name__,
-)
+# ----------------------------------------------------------------------
+# what ``edge_local`` promises: each operator below declares its writes,
+# yet one ``process_edges`` call over a run of partitions is not the same
+# as one call per partition — one per clause of the promise
+# ----------------------------------------------------------------------
+class _SplitOp(EdgeOperator):
+    writes = ("acc",)
+
+    def __init__(self, acc, x):
+        self.acc = acc
+        self.x = x
+
+
+class SourceReadOp(_SplitOp):
+    """Reads at ``src`` what it scatters at ``dst``: CC's Gauss–Seidel shape."""
+
+    def process_edges(self, src, dst):
+        np.minimum.at(self.acc, dst, self.acc[src])
+        return dst
+
+
+class PerBatchMeanOp(_SplitOp):
+    """A scattered value divided by the batch's length."""
+
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, self.x[src] / src.size)
+        return dst
+
+
+class BatchSumOp(_SplitOp):
+    """A reduction over the whole batch."""
+
+    def process_edges(self, src, dst):
+        np.add.at(self.acc, dst, self.x[src].sum())
+        return dst
+
+
+class PrefixOp(_SplitOp):
+    """The first eight edges of the batch, not of each partition."""
+
+    def process_edges(self, src, dst):
+        self.acc[dst[:8]] = 1.0
+        return dst
+
+
+class PositionIndexOp(_SplitOp):
+    """An index built by ``np.flatnonzero``: positions within the batch."""
+
+    def process_edges(self, src, dst):
+        hit = np.flatnonzero(self.x[src] > 0)
+        np.add.at(self.acc, dst[hit], hit)
+        return dst
+
+
+#: the operators above, in clause order.
+SPLIT_OBSERVABLE = (SourceReadOp, PerBatchMeanOp, BatchSumOp, PrefixOp, PositionIndexOp)
+
+
+@pytest.mark.parametrize("op_class", SPLIT_OBSERVABLE, ids=lambda cls: cls.__name__)
 def test_merging_what_the_rule_refuses_would_show(op_class):
-    """Each clause of the rule earns its place: forced onto a corpus
-    operator that breaks it, a merged batch changes the result.  (Refusing
-    ``FirstWriterOp`` is the conservative call: its first writer per
-    destination is the same either way.)"""
+    """Each clause of the promise earns its place: forced onto an operator
+    that breaks it, a merged batch changes the result."""
     store = _store_with_empty_partitions()
     n = store.num_vertices
     seen = []
@@ -203,22 +250,19 @@ def test_reverse_order_keeps_runs_of_one_and_shuffle_merges_only_neighbours():
 
 
 # ----------------------------------------------------------------------
-# where hoisting is not proved, tasks stay runs of one
+# where hoisting is not declared safe, tasks stay runs of one
 # ----------------------------------------------------------------------
 class UncertifiedCCOp(CCOp):
-    """Mutable non-array state the default snapshot cannot see: the
-    certificate is withheld, so the engine guards (and never hoists)."""
+    """CC with its inherited declaration withdrawn: the engine guards (and
+    never hoists)."""
 
-    def __init__(self, labels: np.ndarray) -> None:
-        super().__init__(labels)
-        self.history = []
+    writes = None
 
 
 class NeighbourCondOp(EdgeOperator):
-    """Partition-pure, but ``cond`` looks at the *next* vertex's label — a
-    written array read by an index other than the ids it was handed."""
-
-    combine = "min"
+    """Writes only at ``dst``, but ``cond`` looks at the *next* vertex's
+    label — a written array read by an index other than the ids it was
+    handed — so it cannot declare ``writes``: it declares nothing."""
 
     def __init__(self, labels: np.ndarray) -> None:
         self.labels = labels
@@ -230,17 +274,6 @@ class NeighbourCondOp(EdgeOperator):
         before = self.labels[dst]
         np.minimum.at(self.labels, dst, self.labels[src])
         return dst[self.labels[dst] < before]
-
-
-def test_the_shipped_conds_are_proved_local_and_the_neighbour_read_is_not():
-    for code in registry.names():
-        for report in registry.get(code).certificate().operators:
-            assert report.cond_proved and report.cond_local, report.name
-    report = operator_report(NeighbourCondOp)
-    assert report.safety.value == "partition-pure" and report.cond_proved
-    assert not report.cond_local
-    assert report.to_dict()["cond_local"] is False
-    assert operator_report(UncertifiedCCOp).safety.value == "unknown"
 
 
 @pytest.mark.parametrize("layout", ["coo", "csc"])
@@ -258,7 +291,7 @@ def test_unproved_hoisting_keeps_runs_of_one(layout):
 
     with pytest.MonkeyPatch.context() as patch:
         spy = _Spy(patch)
-        patch.setattr(certificate, "operator_is_partition_pure", lambda op: False)
+        patch.setattr(CCOp, "writes", None)
         options = EngineOptions(num_threads=2, backend="serial", forced_layout=layout)
         with Engine(store, options) as engine:
             connected_components(engine)

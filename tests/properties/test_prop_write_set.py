@@ -16,6 +16,9 @@ from repro.core.ops import EdgeOperator, WriteSet, state_arrays, vertex_length
 
 
 class _Op(EdgeOperator):
+    writes = ()
+    edge_local = True
+
     def process_edges(self, src, dst):  # pragma: no cover - never driven
         return dst
 

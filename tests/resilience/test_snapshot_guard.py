@@ -22,11 +22,9 @@ from repro.resilience import FaultPlan, ResiliencePolicy
 class DictTallyOp(EdgeOperator):
     """Array state plus a dict the default snapshot cannot see."""
 
-    combine = "add"
-
     def __init__(self, n):
         self.accum = np.zeros(n)
-        self.tally = {}  # graphlint: disable=GL003
+        self.tally = {}
 
     def process_edges(self, src, dst):
         np.add.at(self.accum, dst, 1.0)
@@ -52,6 +50,21 @@ class SnapshotOnlyOp(DictTallyOp):
 
     def snapshot(self):
         return {"accum": self.accum.copy(), "tally": dict(self.tally)}
+
+
+class DeclaredListOp(EdgeOperator):
+    """Declares its one written array, and holds a list handed in: a
+    declaration says what an operator writes, not what it holds."""
+
+    writes = ("accum",)
+
+    def __init__(self, accum, history):
+        self.accum = accum
+        self.history = history
+
+    def process_edges(self, src, dst):
+        np.add.at(self.accum, dst, 1.0)
+        return dst
 
 
 def _supervised_engine(edges, policy=None):
@@ -91,6 +104,14 @@ def test_supervised_engine_rejects_uncovered_dict_state(small_rmat):
     # the refusal happened before any partial update was applied
     assert not op.accum.any()
     assert op.tally == {}
+
+
+def test_supervised_engine_rejects_a_declared_operator_holding_a_list(small_rmat):
+    engine = _supervised_engine(small_rmat)
+    op = DeclaredListOp(np.zeros(small_rmat.num_vertices), [])
+    with pytest.raises(ValidationError, match="history"):
+        engine.edge_map(Frontier.full(small_rmat.num_vertices), op)
+    assert not op.accum.any()
 
 
 def test_supervised_engine_accepts_overridden_hooks(small_rmat):

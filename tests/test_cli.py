@@ -283,98 +283,6 @@ def test_sync_on_a_local_store_is_rejected(tmp_path, small_rmat, capsys):
 
 
 # ----------------------------------------------------------------------
-# lint / certify: the 0-1-2 exit-code contract and machine formats
-# ----------------------------------------------------------------------
-CORPUS = "tests/analysis/corpus"
-
-
-def test_lint_clean_tree_exits_zero(capsys):
-    assert main(["lint", "src/repro"]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_lint_findings_exit_one(capsys):
-    assert main(["lint", f"{CORPUS}/bad_effects.py"]) == 1
-    out = capsys.readouterr().out
-    for code in ("GL006", "GL007", "GL008", "GL009", "GL010"):
-        assert code in out
-
-
-def test_lint_output_is_sorted_by_location(capsys):
-    assert main(["lint", CORPUS]) == 1
-    lines = [l for l in capsys.readouterr().out.splitlines()
-             if l.startswith("tests/")]
-    keys = [(l.split(":")[0], int(l.split(":")[1])) for l in lines]
-    assert keys == sorted(keys)
-
-
-def test_lint_json_round_trip(capsys):
-    import json
-
-    assert main(["lint", "--format", "json", f"{CORPUS}/bad_effects.py"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["total"] == 5
-    assert [f["code"] for f in payload["findings"]] == [
-        "GL006", "GL007", "GL008", "GL009", "GL010"
-    ]
-    assert all(
-        {"path", "line", "col", "code", "message"} <= set(f)
-        for f in payload["findings"]
-    )
-
-
-def test_lint_show_suppressed_lists_silenced_findings(capsys):
-    assert main(["lint", "--show-suppressed", f"{CORPUS}/suppressed.py"]) == 0
-    assert "[suppressed]" in capsys.readouterr().out
-
-
-def test_lint_baseline_silences_corpus(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", "--write-baseline", str(baseline), CORPUS]) == 0
-    capsys.readouterr()
-    assert main(["lint", "--baseline", str(baseline), CORPUS]) == 0
-    assert "0 finding(s)" in capsys.readouterr().out
-
-
-def test_lint_missing_baseline_is_exit_two(tmp_path, capsys):
-    missing = tmp_path / "nope.json"
-    assert main(["lint", "--baseline", str(missing), CORPUS]) == 2
-    assert "error:" in capsys.readouterr().err
-
-
-def test_lint_usage_error_is_exit_two():
-    with pytest.raises(SystemExit) as exc:
-        main(["lint", "--format", "yaml"])
-    assert exc.value.code == 2
-
-
-def test_certify_all_registered_algorithms_exit_zero(capsys):
-    assert main(["certify"]) == 0
-    out = capsys.readouterr().out
-    assert "8/8 algorithm(s) partition-pure" in out
-    assert "signed" in out
-
-
-def test_certify_json_round_trip(capsys):
-    import json
-
-    from repro.algorithms import registry
-
-    assert main(["certify", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert sorted(payload["certificates"]) == sorted(registry.names())
-    assert payload["uncertified"] == []
-    pr = payload["certificates"]["PR"]
-    assert pr["level"] == "partition-pure"
-    assert pr["signature"]
-
-
-def test_certify_unknown_algorithm_is_exit_two(capsys):
-    assert main(["certify", "DIJKSTRA"]) == 2
-    assert "unknown algorithm" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
 # run: a failing run releases what it started
 # ----------------------------------------------------------------------
 def test_failing_supervised_process_run_leaves_no_live_child(

@@ -13,16 +13,29 @@ from __future__ import annotations
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import registry
+from repro.core import Engine, EngineOptions, plan
 from repro.core.options import FORCEABLE_LAYOUTS, PARTITION_ORDERS
-from repro.layout import EDGE_ORDERS
+from repro.frontier.frontier import Frontier
+from repro.layout import EDGE_ORDERS, GraphStore
 from repro.layout.grid import STRIPE_MODES
 from repro.resilience import FaultPlan
-from tests.lattice import BACKENDS, GRAINS, LATTICE_GRAPHS, Config, NotKilled, check
+from tests.lattice import (
+    BACKENDS,
+    GRAINS,
+    LATTICE_GRAPHS,
+    Config,
+    LastWriterDemoOp,
+    NotKilled,
+    check,
+    contract_lines,
+    graph,
+)
 
 
 def tier1(examples: int) -> settings:
@@ -145,3 +158,45 @@ def test_every_faulted_or_killed_point_recovers_to_the_oracle(data):
         if not isinstance(exc.__cause__, NotKilled):
             raise
         reject()  # the drawn partition starts no task of that phase
+
+
+# ----------------------------------------------------------------------
+# the write contract's two lines, at pinned points
+# ----------------------------------------------------------------------
+RACE = r"LastWriterDemoOp\.state: the task over \[\d+, \d+\) wrote index \d+ outside it"
+
+
+@pytest.mark.parametrize("code", registry.names())
+def test_algorithm_batch_invariance_is_bit_identical(code):
+    check(Config(code, "tiny_rmat", 8, partition_order="shuffle", order_seed=11))
+
+
+@pytest.mark.parametrize("code", registry.names())
+def test_shadow_probe_has_no_conflicts(code):
+    """COO tasks read sources of every partition; each keeps to its range."""
+    check(Config(code, "tiny_rmat", 24, forced_layout="coo"))
+
+
+def _demo(partitions: int, **options) -> np.ndarray:
+    """The state one full-frontier COO edge-map of ``state[src] = dst`` leaves."""
+    store = GraphStore.build(graph("tiny_rmat"), num_partitions=partitions)
+    with Engine(store, EngineOptions(forced_layout="coo", **options)) as engine:
+        op = LastWriterDemoOp(np.full(store.num_vertices, -1, dtype=np.int64))
+        engine.edge_map(Frontier.full(store.num_vertices), op)
+    return op.state
+
+
+def test_demo_op_write_conflicts_are_flagged(monkeypatch):
+    """At the lattice's grain-0 points every task is one partition, so the
+    declared operator's write at ``src`` leaves its task's range.  (A longer
+    run owns its partitions' ranges together: there the race shows as a
+    mismatch against the oracle once the visit order changes.)"""
+    contract_lines(monkeypatch)
+    monkeypatch.setattr(plan, "TASK_EDGES", 0)
+    with pytest.raises(AssertionError, match=RACE):
+        _demo(8)
+
+
+def test_demo_op_breaks_batch_invariance():
+    """The serial oracle decides the race: the last partition visited wins."""
+    assert not np.array_equal(_demo(1), _demo(8, partition_order="reverse"))

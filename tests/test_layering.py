@@ -73,8 +73,6 @@ def test_compute_module_does_not_import_resilience_at_module_scope(path):
 #: reads moves beside its caller instead of joining this set.
 ONLY_AN_INIT_IMPORTS = {
     "repro.__main__": "the entry point",
-    "repro.analysis.rules.determinism": "a lint-rule registry plugin",
-    "repro.analysis.rules.effects": "a lint-rule registry plugin",
     "repro.partition.reorder": "bench_ext_reordering and ROADMAP item 3 read it",
 }
 
@@ -113,7 +111,7 @@ def test_the_walk_sees_a_relative_upward_import():
 
 
 def test_importing_the_engine_and_registry_loads_no_resilience_module():
-    # the import-closure one-liner of the CI lint job, in a clean interpreter
+    # the import-closure one-liner of the CI ruff job, in a clean interpreter
     code = (
         "import sys, repro.core.engine, repro.algorithms.registry; "
         "print(sorted(m for m in sys.modules if m.startswith('repro.resilience')))"
