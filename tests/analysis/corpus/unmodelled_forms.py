@@ -1,20 +1,17 @@
-"""Operators written in forms outside the effect pass's closed grammar.
+"""Operators that declare nothing, one per form of write a reader of the
+source cannot pin to ``dst``.
 
-Each class is one minimal, otherwise-pure ``acc[dst] += 1`` operator
-wrapped in one form the analyzer does not model.  None may certify
-``partition-pure``: the form could hide a write the straight-line pass
-never sees (the first four did, and certified, before the grammar was
-closed).  ``tests/analysis/test_effects.py`` and the CI ``lint`` job hold
-every class here to level ``unknown``; re-admitting a form means adding
-a model of it to ``repro.analysis.effects`` and moving its class out.
+Each class is one minimal ``acc[dst] += 1`` operator wrapped in one such
+form: a loop-carried or conditional index, a call through a lambda,
+``out=``, an in-place method, a rebound attribute, a helper reached by
+keyword or recursion, a weighted operator's ``w`` used as ids.  None
+declares ``writes``, so a strict concurrent backend refuses every one
+and ``strict=0`` runs it on the guarded serial path;
+``tests/analysis/test_effects.py`` holds each to both.
 
-``WeightIndexedScatterOp`` indexes with a weighted operator's third batch
-argument, which the pass holds to be a value, never ids.
-
-The last four are the calls of ``repro.core.ops.scatter_add_gather`` the
-pass does *not* take for the modelled ``helper(acc, dst, x, src)``.  Two
-of them the helper itself would refuse, so they sit behind a test that
-is never true: the analyzer walks the branch, the run does not.
+The last four are calls of ``repro.core.ops.scatter_add_gather`` in
+shapes other than ``helper(acc, dst, x, src)``.  Two of them the helper
+itself would refuse, so they sit behind a test that is never true.
 """
 
 import numpy as np
@@ -25,8 +22,6 @@ from repro.graph.weights import WeightFn
 
 
 class _AccOp(EdgeOperator):
-    combine = "add"
-
     def __init__(self, acc):
         self.acc = acc
 
@@ -121,7 +116,7 @@ class StarredScatterOp(_AccOp):
 
 
 class KeywordHelperOp(_AccOp):
-    """Keyword binding into a helper is not modelled, so neither is the helper."""
+    """The helper's ids are bound by keyword."""
 
     def process_edges(self, src, dst):
         self._bump(ids=src)
@@ -144,7 +139,7 @@ class RebindStateOp(_AccOp):
 
 
 class RecursiveHelperOp(_AccOp):
-    """The call chain never bottoms out; the pass stops at its depth limit."""
+    """A helper that calls itself (behind a test that is never true)."""
 
     def process_edges(self, src, dst):
         self._again(dst)

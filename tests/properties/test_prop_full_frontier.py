@@ -264,6 +264,20 @@ def _edge_map(store, op_class, frontier=None, **engine_kwargs):
     return engine, op.accum, nxt
 
 
+def test_the_hand_back_operator_is_certified():
+    """It declares its writes, so the engine skips its guards and builds
+    long tasks; not edge-local, so a run reaches it one batch per partition."""
+    assert _HandBack.writes == ("accum",) and not _HandBack.edge_local
+    store = GraphStore.build(gen.road_grid(12, seed=2), num_partitions=12)
+    n = store.num_vertices
+    with Engine(store, EngineOptions(num_threads=2, backend="serial")) as engine:
+        op = _HandBack(np.full(n, 1.0 / n), np.zeros(n))
+        target, merged = engine._task_edges(op, engine._op_trusted(op))
+        assert target > 0 and not merged
+        engine.edge_map(Frontier.full(n), op)
+        assert engine.guards_skipped > 0 and engine.guard_invocations == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     how=st.sampled_from(["same", "copy", "subset", "mixed"]),

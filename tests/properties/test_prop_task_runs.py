@@ -21,7 +21,9 @@ import inspect
 import numpy as np
 import pytest
 
-from repro._types import VID_DTYPE
+from repro._types import NO_VERTEX, VID_DTYPE
+from repro.algorithms.bc import SigmaOp
+from repro.algorithms.bfs import BFSOp
 from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp, pagerank
 from repro.core import Engine, EngineOptions, plan
@@ -32,6 +34,7 @@ from repro.graph import generators as gen
 from repro.layout.store import GraphStore
 from repro.partition.vertex_partition import VertexPartition
 from repro.resilience import ResiliencePolicy
+from tests.algorithms.test_registry import _shipped_operators
 from tests.lattice import Config, check
 
 SHIPPED = plan.TASK_EDGES
@@ -274,6 +277,33 @@ class NeighbourCondOp(EdgeOperator):
         before = self.labels[dst]
         np.minimum.at(self.labels, dst, self.labels[src])
         return dst[self.labels[dst] < before]
+
+
+def _cond_reads_only_its_ids(op, written, ids, value) -> bool:
+    """Whether ``op.cond(ids)`` survives ``value`` stored into every other
+    slot of the arrays named ``written``."""
+    before = op.cond(ids)
+    others = np.setdiff1d(np.arange(getattr(op, written[0]).size), ids)
+    for name in written:
+        getattr(op, name)[others] = value
+    return np.array_equal(before, op.cond(ids))
+
+
+def test_the_shipped_conds_are_proved_local_and_the_neighbour_read_is_not():
+    """Declaring ``writes`` promises that ``cond`` reads written state only
+    at the ids it is handed: every shipped operator declares, and the two
+    shipped ``cond`` overrides keep the promise under a probe that rewrites
+    every other slot.  The neighbour read breaks it, so it declares nothing."""
+    for cls in _shipped_operators().values():
+        assert cls.writes is not None, cls.__name__
+    n, ids = 16, np.arange(0, 16, 2)
+    bfs = BFSOp(np.full(n, NO_VERTEX, dtype=VID_DTYPE))
+    assert _cond_reads_only_its_ids(bfs, BFSOp.writes, ids, 0)
+    sigma = SigmaOp(np.zeros(n), np.zeros(n, dtype=bool))
+    assert _cond_reads_only_its_ids(sigma, SigmaOp.writes + ("visited",), ids, True)
+    neighbour = NeighbourCondOp(np.arange(n, dtype=VID_DTYPE))
+    assert not _cond_reads_only_its_ids(neighbour, ("labels",), ids, -1)
+    assert NeighbourCondOp.writes is None and UncertifiedCCOp.writes is None
 
 
 @pytest.mark.parametrize("layout", ["coo", "csc"])
