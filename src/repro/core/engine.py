@@ -210,9 +210,12 @@ class Engine:
                 b = min(a + TASK_EDGES, w.size)
                 if layout == "coo":
                     src, dst = store.coo.src[a:b], store.coo.dst[a:b]
-                else:  # edge k's source is the CSR slot whose range holds k
-                    src = store.csr.index.searchsorted(np.arange(a, b), "right") - 1
-                    src, dst = src.astype(VID_DTYPE), store.csr.neighbors[a:b]
+                else:  # the sources whose CSR slices overlap [a, b), repeated
+                    index = store.csr.index
+                    lo, hi = index.searchsorted(a, "right") - 1, index.searchsorted(b)
+                    counts = np.diff(index[lo : hi + 1].clip(a, b))
+                    src = np.repeat(np.arange(lo, hi, dtype=VID_DTYPE), counts)
+                    dst = store.csr.neighbors[a:b]
                 w[a:b] = weight_fn(src, dst)
             self._per_store[key] = (weight_fn, w)
         return self._per_store[key][1]

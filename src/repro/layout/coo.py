@@ -8,6 +8,9 @@ the property that lets the paper push to 384+ partitions.
 
 Within a partition, edges may be kept in CSR order (sorted by source, the
 default), CSC order (sorted by destination) or Hilbert order (§IV.C).
+Neither of the first two sorts its pairs again: destination order is the
+whole-graph CSC's edge order as it stands, and source order is the CSR's,
+bucketed by home partition with one in-place packed sort (none at ``P = 1``).
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import numpy as np
 from .._types import BYTES_PER_VID, EID_DTYPE
 from ..core.ops import prove_ids
 from ..errors import GraphFormatError
-from ..graph.edgelist import EdgeList, sorted_pairs
+from ..graph.csr import CompressedGraph, build_csc, build_csr
+from ..graph.edgelist import EdgeList
 from ..partition.hilbert import hilbert_sort_order
 from ..partition.vertex_partition import VertexPartition
 
@@ -105,31 +109,41 @@ class PartitionedCOO:
         partition: VertexPartition,
         *,
         edge_order: str = "source",
+        csr: CompressedGraph | None = None,
+        csc: CompressedGraph | None = None,
     ) -> "PartitionedCOO":
         """Group edges by the home partition of their destination.
 
-        Home partitions are contiguous id ranges, so destination order is CSC
-        order; source and Hilbert orders are then bucketed stably by partition.
+        Home partitions are contiguous id ranges, so destination order is the
+        order of ``csc``, the whole-graph CSC of ``edges``, copied as it is.
+        Source order starts from ``csr``, the whole-graph CSR, and Hilbert
+        order from the curve; both are then bucketed stably by partition.  A
+        caller without ``csr`` or ``csc`` gets one built here.
         """
         if edge_order not in EDGE_ORDERS:
             raise GraphFormatError(
                 f"edge_order must be one of {EDGE_ORDERS}, got {edge_order!r}"
             )
         if edge_order == "destination":
-            dst, src = sorted_pairs(edges.dst, edges.src)
+            csc = build_csc(edges) if csc is None else csc
+            dst, src = csc.edge_destinations(), csc.neighbors.copy()
         else:
             if edge_order == "source":
-                src, dst = sorted_pairs(edges.src, edges.dst)
+                csr = build_csr(edges) if csr is None else csr
+                src, dst = csr.edge_sources(), csr.neighbors
             else:
                 h = hilbert_sort_order(edges.src, edges.dst, edges.num_vertices)
                 src, dst = edges.src[h], edges.dst[h]
-            home = partition.partition_of(np.arange(edges.num_vertices)).astype(np.uint64)
-            pos = home[dst]  # partition << 32 | position
-            pos <<= np.uint64(32)
-            pos |= np.arange(edges.num_edges, dtype=np.uint32)
-            pos.sort()
-            pos = pos.astype(np.uint32)  # the low word; frees the packed keys
-            src, dst = src[pos], dst[pos]
+            if partition.num_partitions > 1:
+                home = partition.partition_of(np.arange(edges.num_vertices)).astype(np.uint64)
+                pos = home[dst]  # partition << 32 | position
+                pos <<= np.uint64(32)
+                pos |= np.arange(edges.num_edges, dtype=np.uint32)
+                pos.sort()
+                pos = pos.astype(np.uint32)  # the low word; frees the packed keys
+                src, dst = src[pos], dst[pos]
+            else:  # one bucket: the order stands
+                dst = dst.copy()  # the COO freezes its own ids, not the CSR's
         # Partition i starts after the in-edges of every vertex below its range.
         index = np.zeros(edges.num_vertices + 1, dtype=EID_DTYPE)
         np.cumsum(edges.in_degrees(), out=index[1:])

@@ -109,6 +109,9 @@ class GraphStore:
             or ``"hilbert"``).
         balance:
             ``"edges"`` (Algorithm 1) or ``"vertices"``.
+
+        Each pair sort is made once: the COO takes its source order from the
+        CSR and its destination order from the CSC built here.
         """
         if partition is None:
             partition = partition_by_destination(edges, num_partitions, balance=balance)
@@ -123,7 +126,9 @@ class GraphStore:
             coo_partition = partition_by_destination(
                 edges, partition.num_partitions, balance="edges"
             )
-        coo = PartitionedCOO.build(edges, coo_partition, edge_order=edge_order)
+        coo = PartitionedCOO.build(
+            edges, coo_partition, edge_order=edge_order, csr=csr, csc=csc.csc
+        )
         return GraphStore(edges=edges, csr=csr, csc=csc, coo=coo, balance=balance)
 
     def build_partitioned_csr(self) -> PartitionedCSR:

@@ -83,8 +83,11 @@ class VertexPartition:
         home partition (its in-degree for partitioning-by-destination).  A new
         partition starts as soon as the current one's accumulated weight
         reaches the global average, faithfully mirroring the paper's greedy
-        single-pass loop, but executed as ``P`` binary searches on the weight
-        prefix sum instead of a per-vertex Python loop.
+        single-pass loop, but executed as ``P - 1`` binary searches on the
+        weight prefix sum instead of a per-vertex Python loop.  The prefix is
+        cast to ``float64`` once, the comparison each search against a float
+        target made anyway, so the cut costs O(|V| + P log |V|), not
+        O(P |V|).
         """
         if num_partitions < 1:
             raise PartitionError("num_partitions must be >= 1")
@@ -92,7 +95,7 @@ class VertexPartition:
         num_vertices = int(weights.size)
         total = int(weights.sum())
         avg = total / num_partitions if num_partitions else 0.0
-        prefix = np.cumsum(weights)
+        prefix = np.cumsum(weights).astype(np.float64)
         boundaries = np.empty(num_partitions + 1, dtype=np.int64)
         boundaries[0] = 0
         start_weight = 0.0

@@ -16,11 +16,13 @@ from repro.algorithms.bfs import BFSOp, bfs
 from repro.algorithms.cc import CCOp, connected_components
 from repro.algorithms.pagerank import PageRankOp
 from repro.algorithms.spmv import spmv
+from repro.core import engine as engine_module
 from repro.core.engine import Engine
 from repro.core.options import EngineOptions
 from repro.core.plan import TASK_EDGES
 from repro.frontier.frontier import Frontier
 from repro.graph import generators as gen
+from repro.graph.edgelist import EdgeList
 from repro.graph.weights import WeightFn
 from repro.layout.coo import EDGE_ORDERS
 from repro.layout.grid import GridStore
@@ -432,6 +434,22 @@ def test_cached_weights_are_the_weight_fn_of_the_layouts_own_edges(edge_order, p
     assert coo_w.dtype == csr_w.dtype == np.float64
     assert coo_w.tobytes() == wf(store.coo.src, store.coo.dst).tobytes()
     assert csr_w.tobytes() == wf(csr.edge_sources(), csr.neighbors).tobytes()
+
+
+def test_csr_weights_are_exact_across_chunk_edges(monkeypatch):
+    """Chunks of 8 edges: vertex 1's slice ends on the first chunk edge,
+    where zero-degree vertices 2 and 3 sit; hub 4's 30 edges start there and
+    span four chunks, ending mid-chunk; vertices 5 and 8-9 have no edges."""
+    monkeypatch.setattr(engine_module, "TASK_EDGES", 8)
+    degrees = [5, 3, 0, 0, 30, 0, 2, 4, 0, 0]
+    src = np.repeat(np.arange(len(degrees)), degrees).astype(VID_DTYPE)
+    dst = (np.arange(src.size) * 7 % len(degrees)).astype(VID_DTYPE)
+    store = GraphStore.build(EdgeList(len(degrees), src, dst), num_partitions=3)
+    csr = store.csr
+    assert csr.index[[2, 4, 5]].tolist() == [8, 8, 38]
+    with Engine(store, EngineOptions(num_threads=1, backend="serial")) as engine:
+        got = engine._weights("csr", WeightFn())
+    assert got.tobytes() == WeightFn()(csr.edge_sources(), csr.neighbors).tobytes()
 
 
 def test_an_equal_weight_fn_reuses_the_slot_and_another_replaces_it():

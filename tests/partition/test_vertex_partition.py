@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
 from repro.partition.vertex_partition import VertexPartition
+from tests.references import reference_from_weights
 
 
 def test_single():
@@ -91,3 +94,50 @@ def test_invalid_partition_count():
         VertexPartition.equal_vertices(5, 0)
     with pytest.raises(PartitionError):
         VertexPartition.from_weights(np.array([1]), 0)
+
+
+WEIGHT_KINDS = ("random", "skewed", "zero", "single_heavy", "exact", "huge")
+
+
+@st.composite
+def weights_and_counts(draw):
+    """Algorithm 1 inputs: a weight vector of one of :data:`WEIGHT_KINDS` and
+    ``P`` from {1, 2, 7, |V|}.  ``exact`` weights are equal and |V| a multiple
+    of ``P``, so every cut target is a prefix value; ``huge`` ones put small
+    steps on a prefix past 2**53, where the ``float64`` cast rounds."""
+    kind = draw(st.sampled_from(WEIGHT_KINDS))
+    p = draw(st.sampled_from([1, 2, 7, None]))  # None: P = |V|
+    if kind == "exact":
+        n = draw(st.integers(1, 12)) * (p or 1)
+        return np.full(n, draw(st.integers(1, 9)), dtype=np.int64), p or n
+    n = draw(st.integers(1, 60))
+    ints = {
+        "random": st.integers(0, 20),
+        "skewed": st.sampled_from([0, 1, 1, 2, 3, 1000, 10**6]),
+        "zero": st.just(0),
+        "single_heavy": st.integers(0, 1),
+        "huge": st.sampled_from([0, 1, 2, 3, 2**53 + 1, 2**54 + 3]),
+    }[kind]
+    weights = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=np.int64)
+    if kind == "single_heavy":
+        weights[draw(st.integers(0, n - 1))] = 10**9
+    return weights, p or n
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights_and_counts())
+def test_from_weights_equals_the_per_cut_int64_search(case):
+    """One ``float64`` cast of the prefix cuts where one search per cut on
+    the ``int64`` prefix did, boundary for boundary."""
+    weights, p = case
+    got = VertexPartition.from_weights(weights, p).boundaries
+    want = reference_from_weights(weights, p)
+    assert np.array_equal(got, want), (weights.tolist(), p)
+
+
+def test_from_weights_cuts_at_a_prefix_that_hits_its_target_exactly():
+    # avg 4: the prefix reaches 4 at vertex 1 and 8 at vertex 3
+    weights = np.array([2, 2, 2, 2, 2, 2, 2, 2])
+    vp = VertexPartition.from_weights(weights, 4)
+    assert vp.boundaries.tolist() == reference_from_weights(weights, 4).tolist()
+    assert vp.boundaries.tolist() == [0, 2, 4, 6, 8]

@@ -21,7 +21,7 @@ from repro.graph import generators as gen
 from repro.graph.csr import build_csc, build_csr
 from repro.graph.edgelist import EdgeList, sorted_pairs
 from repro.layout import grid
-from repro.layout.coo import EDGE_ORDERS
+from repro.layout.coo import EDGE_ORDERS, PartitionedCOO
 from repro.layout.store import GraphStore
 from tests.references import (
     reference_compressed,
@@ -38,7 +38,8 @@ SHAPES = ("random", "self_loops", "no_edges", "one_vertex", "one_sink")
 def awkward_graphs(draw):
     """Small graphs with duplicate edges, self-loops, no edges, a single
     vertex, or every edge into one vertex; plus a partition count from
-    {1, 2, |V|}."""
+    {1, 2, |V|} or one drawn between them, which buckets a COO with empty
+    middle partitions whenever the edges miss a range."""
     shape = draw(st.sampled_from(SHAPES))
     n = 1 if shape == "one_vertex" else draw(st.integers(2, 30))
     m = 0 if shape == "no_edges" else draw(st.integers(1, 90))
@@ -51,7 +52,7 @@ def awkward_graphs(draw):
         dst[:] = draw(st.integers(0, n - 1))
     if m:  # duplicates, always
         src, dst = np.concatenate([src, src[:3]]), np.concatenate([dst, dst[:3]])
-    p = draw(st.sampled_from(sorted({1, min(2, n), n})))
+    p = draw(st.sampled_from(sorted({1, min(2, n), draw(st.integers(1, n)), n})))
     return EdgeList(n, src, dst), p
 
 
@@ -76,15 +77,25 @@ def test_store_arrays_equal_the_lexsort_builders(case):
     g, p = case
     for order in EDGE_ORDERS:
         for balance in BALANCES:
-            got = _store_arrays(
-                GraphStore.build(g, num_partitions=p, edge_order=order, balance=balance)
-            )
+            store = GraphStore.build(g, num_partitions=p, edge_order=order, balance=balance)
+            got = _store_arrays(store)
             want = reference_layouts(
                 g, num_partitions=p, edge_order=order, balance=balance
             )
             assert got.keys() == want.keys()
             for key in want:
                 _assert_bitwise_equal(got[key], want[key], f"{key} {order}/{balance} P={p}")
+            # a COO built without the store's CSR and CSC builds its own: the same arrays
+            alone = PartitionedCOO.build(g, store.coo.partition, edge_order=order)
+            for field in ("src", "dst", "partition_index"):
+                _assert_bitwise_equal(
+                    getattr(alone, field), got[f"coo.{field}"], f"alone {field} {order}"
+                )
+            # the COO owns its ids: no view of the CSR's or the CSC's neighbours
+            for ids in (store.coo.src, store.coo.dst):
+                assert ids.base is None and ids.flags.owndata
+                for layout in (store.csr, store.csc.csc):
+                    assert not np.shares_memory(ids, layout.neighbors)
 
 
 @settings(max_examples=40, deadline=None)

@@ -31,6 +31,10 @@ it) times the memsim two against the kernels that replaced them.
 :func:`reference_partitioned_csr`
     ``PartitionedCSR.build`` as it was, grouping edges by home partition
     with a stable argsort.
+:func:`reference_from_weights`
+    Algorithm 1's cuts as ``VertexPartition.from_weights`` made them: one
+    ``searchsorted`` per cut on the ``int64`` weight prefix, which numpy
+    casts to ``float64`` inside every call.
 :func:`hilbert_point`
     The inverse of :func:`repro.partition.hilbert.hilbert_index`, which
     the curve's round-trip and continuity tests walk.
@@ -309,6 +313,27 @@ def reference_partitioned_csr(edges: EdgeList, partition: VertexPartition) -> li
         reference_compressed(EdgeList(edges.num_vertices, src[lo:hi], dst[lo:hi]), "out", True)
         for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist())
     ]
+
+
+def reference_from_weights(weights: np.ndarray, num_partitions: int) -> np.ndarray:
+    """The boundaries ``VertexPartition.from_weights`` gave when each of its
+    ``P - 1`` searches took the ``int64`` prefix."""
+    weights = np.asarray(weights, dtype=np.int64)
+    num_vertices = int(weights.size)
+    avg = int(weights.sum()) / num_partitions
+    prefix = np.cumsum(weights)
+    boundaries = np.empty(num_partitions + 1, dtype=np.int64)
+    boundaries[0] = 0
+    start_weight = 0.0
+    for i in range(1, num_partitions):
+        cut = int(np.searchsorted(prefix, start_weight + avg, side="left")) + 1
+        cut = min(cut, num_vertices)
+        boundaries[i] = cut
+        start_weight = float(prefix[cut - 1]) if cut > 0 else 0.0
+    boundaries[num_partitions] = num_vertices
+    np.maximum.accumulate(boundaries, out=boundaries)
+    np.minimum(boundaries, num_vertices, out=boundaries)
+    return boundaries
 
 
 # ----------------------------------------------------------------------
